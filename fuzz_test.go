@@ -26,6 +26,7 @@ import (
 	"repro/internal/ksp"
 	"repro/internal/oracle"
 	"repro/internal/query"
+	"repro/internal/testgraphs"
 )
 
 // noDeadline marks runs stoppable only by ctx or limit.
@@ -122,6 +123,20 @@ func FuzzEnumerate(f *testing.F) {
 			return
 		}
 		gr := g.Reverse()
+
+		// Leave the shared DFS scratch pool primed by a differently-sized
+		// graph, handed back from a cancelled run: the engines below must
+		// cope with pooled entries that are too short (replaced), longer
+		// than their graph, and stamped with a previous user's memo
+		// generations.
+		prime := testgraphs.CompleteDAG(3 + int(data[6]%12))
+		pctx, pcancel := context.WithCancel(context.Background())
+		batchenum.RunControlled(prime, prime.Reverse(),
+			[]query.Query{{S: 0, T: graph.VertexID(prime.NumVertices() - 1), K: 5}},
+			batchenum.Options{Algorithm: algorithms[int(data[6]>>4)%len(algorithms)]},
+			query.NewControl(pctx, noDeadline, 0, 1),
+			query.FuncSink(func(int, []graph.VertexID) { pcancel() }))
+		pcancel()
 
 		// Ground truth per query position: want is string-sorted for set
 		// comparisons, ordered keeps the oracle's (hops, lex) listing for

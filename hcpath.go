@@ -200,7 +200,8 @@ type Options struct {
 	// with a smaller hop cap, via threshold filtering). Positive values
 	// set the cache's byte budget; negative disables caching. Zero picks
 	// the layer default: an Engine builds cold per batch (offline
-	// batches rarely repeat endpoints), while a Service caches with
+	// batches rarely repeat endpoints) through a pooled builder that
+	// recycles the dense arrays, while a Service caches with
 	// DefaultIndexCacheBytes — its whole point is repeated traffic.
 	IndexCacheBytes int64
 	// BuildWorkers parallelises the index-construction phase (the
@@ -245,9 +246,12 @@ func (o *Options) maxHops() int {
 
 // Engine answers HC-s-t path query batches on one graph.
 type Engine struct {
-	g        *Graph
-	opts     Options
-	provider hcindex.Provider // nil: cold build per batch
+	g    *Graph
+	opts Options
+	// provider lives as long as the engine: the cross-batch cache when
+	// IndexCacheBytes is positive, otherwise a pooled cold builder whose
+	// dense arrays and MS-BFS scratch recycle from batch to batch.
+	provider hcindex.Provider
 }
 
 // NewEngine returns an engine over g; nil opts selects the defaults
@@ -255,6 +259,9 @@ type Engine struct {
 // the engine a private cross-batch index cache, so successive
 // Enumerate/Stream/Count calls that revisit endpoints skip their
 // MS-BFS rebuilds — offline reuse of the online service's cache layer.
+// Without one, every batch still builds its index afresh, but through
+// one long-lived pooled builder, so steady-state calls stop allocating
+// per-vertex arrays.
 func NewEngine(g *Graph, opts *Options) *Engine {
 	e := &Engine{g: g}
 	if opts != nil {
@@ -262,6 +269,8 @@ func NewEngine(g *Graph, opts *Options) *Engine {
 	}
 	if e.opts.IndexCacheBytes > 0 {
 		e.provider = hcindex.NewCacheWorkers(e.opts.IndexCacheBytes, e.opts.buildWorkers())
+	} else {
+		e.provider = hcindex.NewBuilderWorkers(true, e.opts.buildWorkers())
 	}
 	return e
 }
@@ -269,10 +278,11 @@ func NewEngine(g *Graph, opts *Options) *Engine {
 // IndexCacheStats returns the engine's index-cache counters; the zero
 // value when the engine has no cache.
 func (e *Engine) IndexCacheStats() IndexCacheStats {
-	if e.provider == nil {
+	c, ok := e.provider.(*hcindex.Cache)
+	if !ok {
 		return IndexCacheStats{}
 	}
-	return IndexCacheStats(e.provider.Stats())
+	return IndexCacheStats(c.Stats())
 }
 
 // IndexCacheStats snapshots an index cache: probe hits/misses (two
@@ -397,11 +407,10 @@ func (e *Engine) convert(qs []Query) ([]query.Query, error) {
 
 func (e *Engine) options() batchenum.Options {
 	return batchenum.Options{
-		Algorithm:    e.opts.Algorithm.internal(),
-		Gamma:        e.opts.Gamma,
-		Detect:       sharegraph.Options{DisableSharing: e.opts.DisableSharing},
-		Provider:     e.provider,
-		BuildWorkers: e.opts.buildWorkers(),
+		Algorithm: e.opts.Algorithm.internal(),
+		Gamma:     e.opts.Gamma,
+		Detect:    sharegraph.Options{DisableSharing: e.opts.DisableSharing},
+		Provider:  e.provider,
 	}
 }
 
@@ -886,6 +895,12 @@ func OpenService(g *Graph, opts *ServiceOptions) (*Service, error) {
 // Options.Limit truncated it, context.DeadlineExceeded when the
 // service's QueryTimeout stopped the batch first. Every returned path
 // is a genuine result either way.
+//
+// The returned paths are views into one flat array holding the whole
+// result set (a single allocation however many paths there are), each
+// clipped to its own length — appending to one never touches another.
+// Retaining any single Path therefore keeps the query's entire result
+// set reachable; copy a path out to keep it alone.
 func (s *Service) Query(ctx context.Context, q Query) ([]Path, BatchStats, error) {
 	return s.QueryFrom(ctx, "", q)
 }
@@ -903,9 +918,14 @@ func (s *Service) QueryFrom(ctx context.Context, caller string, q Query) ([]Path
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
-	paths := make([]Path, len(r.Paths))
-	for i, p := range r.Paths {
-		paths[i] = Path(p)
+	// One header slice over the reply's flat arena. Each Path is clipped
+	// to its own capacity, so an append on one reallocates instead of
+	// running into its neighbour.
+	verts, offs := r.Paths.Raw()
+	paths := make([]Path, r.Paths.Len())
+	for i := range paths {
+		a, b := offs[i], offs[i+1]
+		paths[i] = Path(verts[a:b:b])
 	}
 	return paths, r.Batch, r.Err
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/pathenum"
 	"repro/internal/pathjoin"
 	"repro/internal/query"
+	"repro/internal/scratch"
 	"repro/internal/sharegraph"
 	"repro/internal/timing"
 )
@@ -65,9 +66,11 @@ type Options struct {
 	Gamma float64
 	// Detect tunes the sharing detector (BatchEnum engines only).
 	Detect sharegraph.Options
-	// Provider supplies the per-batch distance index. nil means a fresh
-	// cold build per run; a long-lived hcindex.Cache here makes the
-	// index phase amortise across batches that repeat endpoints.
+	// Provider supplies the per-batch distance index. nil means the
+	// package's shared pooled builder (a cold build per run whose dense
+	// arrays and traversal scratch recycle through a msbfs.Pool); a
+	// long-lived hcindex.Cache here makes the index phase amortise
+	// across batches that repeat endpoints.
 	Provider hcindex.Provider
 	// Epoch is the graph version this run executes on — the versioned
 	// store's snapshot epoch for live graphs, zero for static ones. It
@@ -81,22 +84,18 @@ type Options struct {
 	// to it. nil keeps the fixed behaviour (every group through the
 	// sharing pipeline). The Basic engines have no groups and ignore it.
 	Planner GroupPlanner
-	// BuildWorkers sets the MS-BFS parallelism of the fallback cold
-	// builder used when Provider is nil: a positive count runs the
-	// index phase on that many goroutines with direction-optimizing
-	// push/pull levels, non-positive keeps the sequential reference
-	// kernel. Runs with an explicit Provider configure parallelism on
-	// the provider itself (hcindex.NewBuilderWorkers/NewCacheWorkers)
-	// and ignore this field.
-	BuildWorkers int
 }
 
-// acquire obtains the batch's index through the configured provider,
-// falling back to a one-shot cold builder.
+// sharedBuilder serves runs that configure no Provider. It is a pool,
+// not state: a pooled cold builder holds nothing a later run can
+// observe except recycled (clean) storage.
+var sharedBuilder = hcindex.NewBuilder(true)
+
+// acquire obtains the batch's index through the configured provider.
 func (o Options) acquire(g, gr *graph.Graph, qs []query.Query) *hcindex.Index {
 	p := o.Provider
 	if p == nil {
-		p = hcindex.NewBuilderWorkers(false, o.BuildWorkers)
+		p = sharedBuilder
 	}
 	return p.Acquire(g, gr, o.Epoch, qs)
 }
@@ -346,8 +345,10 @@ func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, opt
 		pending[id] = len(psi.Consumers(id))
 	}
 	terminals := make([]*pathjoin.Store, numTerminals)
+	sc := scratch.Get(g.NumVertices())
 	e := &enumerator{
 		g: g, psi: psi, cache: cache, optimized: optimized, ctrl: ctrl, st: st,
+		sc: sc, onPath: sc.OnPath, memoVal: sc.MemoVal, memoGen: sc.MemoGen,
 		spliceIdx: make(map[sharegraph.NodeID]*spliceIndex),
 	}
 	for _, id := range psi.TopoOrder() {
@@ -374,6 +375,9 @@ func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, opt
 			}
 		}
 	}
+	// Every dfs has unwound to its root — cancelled ones included — so
+	// onPath is clean again; a panicking traversal never gets here.
+	scratch.Put(sc)
 	return terminals
 }
 
@@ -424,7 +428,10 @@ type enumerator struct {
 	steps   int
 	stopped bool
 
-	path    []graph.VertexID
+	path []graph.VertexID
+	// sc is the traversal's pooled per-vertex scratch; onPath, memoVal
+	// and memoGen alias its arrays so the hot loops skip the indirection.
+	sc      *scratch.Scratch
 	onPath  []bool // dense per-vertex membership; push/pop keeps it clean
 	scratch [][]graph.VertexID
 	node    *sharegraph.Node
@@ -440,7 +447,7 @@ type enumerator struct {
 	// other endpoint)). Scanning the constraint union per check would
 	// multiply the hottest loop by the union size; the memo pays the
 	// scan once per (node, vertex) and generation stamps avoid clearing
-	// between nodes.
+	// between nodes (and between the pooled scratch's successive users).
 	memoVal []int16
 	memoGen []int32
 	gen     int32
@@ -495,12 +502,7 @@ func (e *enumerator) enumerateNode(id sharegraph.NodeID, out *pathjoin.Store) {
 		return
 	}
 	e.path = append(e.path[:0], n.Root)
-	if e.onPath == nil {
-		e.onPath = make([]bool, e.g.NumVertices())
-		e.memoVal = make([]int16, e.g.NumVertices())
-		e.memoGen = make([]int32, e.g.NumVertices())
-	}
-	e.gen++
+	e.gen = e.sc.NextGen()
 	e.onPath[n.Root] = true
 	if cap(e.scratch) < int(n.Budget)+1 {
 		e.scratch = make([][]graph.VertexID, int(n.Budget)+1)

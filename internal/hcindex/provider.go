@@ -58,10 +58,12 @@ func (s Stats) HitRatio() float64 {
 }
 
 // Builder is the cold Provider: every Acquire runs the two MS-BFS
-// passes of Build. With pooling enabled the dense distance arrays are
-// recycled through a msbfs.Pool across batches (sparse-reset on
-// Release), so repeated batches stop paying the n-byte-per-source
-// allocation churn even without result caching.
+// passes of Build. With pooling enabled the dense distance arrays and
+// the traversal scratch are recycled through a msbfs.Pool across
+// batches (sparse-reset on Release), so repeated batches stop paying
+// the n-byte-per-source allocation churn even without result caching.
+// What it retains between batches is sized by |V| only: the visited
+// lists, sized by each source's reach, go back to the collector.
 type Builder struct {
 	pooled  bool
 	workers int
@@ -98,7 +100,10 @@ func (b *Builder) Acquire(g, gr *graph.Graph, _ uint64, queries []query.Query) *
 	}
 	idx := buildIn(g, gr, queries, pool, b.workers)
 	if pool != nil {
-		idx.release = idx.releaseDistinct
+		idx.release = func() {
+			idx.releaseDistinct()
+			pool.DropVisited()
+		}
 	}
 	b.misses.Add(int64(idx.Misses))
 	return idx

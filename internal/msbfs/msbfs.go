@@ -217,6 +217,20 @@ func (p *Pool) put(dist []uint8, visited []graph.VertexID) {
 	p.mu.Unlock()
 }
 
+// DropVisited forgets the recycled visited lists, keeping the dense
+// arrays and traversal scratch. A visited list is sized by its source's
+// reach — up to four bytes per vertex against the dense array's one —
+// and recycled lists are handed out in arbitrary order and only grow,
+// so a pool that keeps them converges on 5·|V| bytes per map. A holder
+// that returns a whole batch at once (hcindex.Builder) calls this to
+// retain only what is sized by |V|.
+func (p *Pool) DropVisited() {
+	p.mu.Lock()
+	clear(p.visited)
+	p.visited = p.visited[:0]
+	p.mu.Unlock()
+}
+
 // chunkScratch is the per-chunk traversal state: one uint64 word per
 // vertex for the seen/frontier/next bit sets, one mark bit per vertex
 // for the next-frontier membership bitmap the parallel repack scans,

@@ -22,6 +22,7 @@ import (
 	"repro/internal/msbfs"
 	"repro/internal/pathjoin"
 	"repro/internal/query"
+	"repro/internal/scratch"
 )
 
 // Options selects the search-order variant.
@@ -126,13 +127,15 @@ func collectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *ms
 	path := make([]graph.VertexID, 1, int(budget)+1)
 	path[0] = root
 	// Dense on-path membership: one bool per vertex beats a hash map in
-	// the expansion loop, and push/pop keeps it clean without clearing.
-	onPath := make([]bool, g.NumVertices())
+	// the expansion loop, and push/pop keeps it clean without clearing —
+	// which is also what lets the array come from the shared pool.
+	sc := scratch.Get(g.NumVertices())
+	onPath := sc.OnPath
 	onPath[root] = true
 	// Per-depth scratch buffers: each recursion level sorts into its own
 	// slice so deeper levels cannot clobber a list the parent is still
 	// iterating.
-	scratch := make([][]graph.VertexID, int(budget)+1)
+	ordered := make([][]graph.VertexID, int(budget)+1)
 	steps := 0
 	stopped := false
 	var rec func()
@@ -148,8 +151,8 @@ func collectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *ms
 		v := path[len(path)-1]
 		nbrs := g.OutNeighbors(v)
 		if opts.Optimized {
-			scratch[hops] = orderByResidual(nbrs, other, scratch[hops][:0])
-			nbrs = scratch[hops]
+			ordered[hops] = orderByResidual(nbrs, other, ordered[hops][:0])
+			nbrs = ordered[hops]
 		}
 		for _, w := range nbrs {
 			if stopped {
@@ -172,6 +175,8 @@ func collectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *ms
 		}
 	}
 	rec()
+	onPath[root] = false
+	scratch.Put(sc)
 }
 
 // orderByResidual returns nbrs sorted by ascending distance to the

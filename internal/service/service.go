@@ -24,6 +24,7 @@ import (
 	"repro/internal/batchenum"
 	"repro/internal/graph"
 	"repro/internal/hcindex"
+	"repro/internal/pathjoin"
 	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -367,8 +368,11 @@ func (t Totals) IndexHitRatio() float64 {
 // Reply carries one caller's results out of its batch.
 type Reply struct {
 	// Paths holds the caller's result paths when it asked to collect
-	// them, nil in count-only mode.
-	Paths [][]graph.VertexID
+	// them, empty in count-only mode: one flat arena per reply (a vertex
+	// array plus offsets) instead of a slice per path, so a reply costs
+	// a handful of amortised appends however many paths it carries.
+	// Anything sliced out of it pins the whole arena.
+	Paths pathjoin.Store
 	// Count is the caller's result-path count (also set when collecting).
 	Count int64
 	// Truncated reports that this query's result set was cut short; Err
@@ -759,13 +763,27 @@ func (s *Service) collect() {
 	}
 }
 
-// runBatch answers one formed batch and resolves its futures. Queries
-// take their batch IDs from their position, so the sink routes results
-// straight to the requester. The batch binds to the snapshot current at
-// dispatch: a concurrent ApplyUpdates never changes a running batch's
-// graph, only which snapshot the next batch picks up.
-// runBatch answers one dispatched batch on the current snapshot and
-// resolves every caller's future. The directive keeps the BatchStats
+// replySink routes a batch's emissions to its callers' replies:
+// queries take their batch IDs from their position in the batch.
+type replySink []*request
+
+// Emit implements query.Sink, copying the path into the caller's reply
+// arena. The engine serialises calls (its merge sink drains workers
+// under one lock), so replies need no locking of their own.
+//
+//hcpath:noalloc
+func (s replySink) Emit(id int, p []graph.VertexID) {
+	r := s[id]
+	r.reply.Count++
+	if r.collect {
+		r.reply.Paths.Add(p)
+	}
+}
+
+// runBatch answers one formed batch and resolves its futures. The
+// batch binds to the snapshot current at dispatch: a concurrent
+// ApplyUpdates never changes a running batch's graph, only which
+// snapshot the next batch picks up. The directive keeps the BatchStats
 // construction exhaustive: a field added to BatchStats must be filled
 // here or excluded explicitly.
 //
@@ -777,15 +795,6 @@ func (s *Service) runBatch(batch []*request) {
 	for i, r := range batch {
 		qs[i] = r.q
 	}
-	sink := query.FuncSink(func(id int, p []graph.VertexID) {
-		r := batch[id]
-		r.reply.Count++
-		if r.collect {
-			cp := make([]graph.VertexID, len(p))
-			copy(cp, p)
-			r.reply.Paths = append(r.reply.Paths, cp)
-		}
-	})
 
 	engine := s.cfg.Engine
 	engine.Provider = s.provider
@@ -800,7 +809,7 @@ func (s *Service) runBatch(batch []*request) {
 	}
 	ctrl := query.NewControl(context.Background(), deadline, s.cfg.Limit, len(batch))
 	st, err := batchenum.RunParallelControlled(snap.Graph(), snap.Reverse(), qs,
-		batchenum.ParallelOptions{Options: engine, Workers: s.cfg.Workers}, ctrl, sink)
+		batchenum.ParallelOptions{Options: engine, Workers: s.cfg.Workers}, ctrl, replySink(batch))
 	if err != nil && !ctrl.Cancelled() {
 		// Submit pre-validates, so this is systemic, not one query's
 		// fault; fail the whole batch. (A blown QueryTimeout deadline is

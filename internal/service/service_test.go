@@ -41,8 +41,8 @@ func TestSingleQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Count != 3 || len(r.Paths) != 3 {
-		t.Fatalf("count=%d paths=%d, want 3/3", r.Count, len(r.Paths))
+	if r.Count != 3 || r.Paths.Len() != 3 {
+		t.Fatalf("count=%d paths=%d, want 3/3", r.Count, r.Paths.Len())
 	}
 	if r.Batch.Queries != 1 {
 		t.Errorf("batch coalesced %d queries, want 1", r.Batch.Queries)
@@ -257,9 +257,9 @@ func TestResultsMatchSequential(t *testing.T) {
 					return
 				}
 				var got []string
-				for _, p := range r.Paths {
+				r.Paths.Each(func(p []graph.VertexID) {
 					got = append(got, pathKey(p))
-				}
+				})
 				sort.Strings(got)
 				if len(got) != len(want[i]) {
 					t.Errorf("query %d: %d paths, want %d", i, len(got), len(want[i]))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/timing"
 	"repro/internal/wirefmt"
@@ -171,15 +172,24 @@ func ReadBatchStatsWire(r *wirefmt.Reader) BatchStats {
 // AppendReplyWire appends rep's wire encoding to dst: the scalar
 // results, the error code, the batch stats, and — only when the caller
 // collected — the result paths as a u32 path count, then each path as
-// a u16 hop count plus its vertices (path length is bounded by the
+// a u16 vertex count plus its vertices (path length is bounded by the
 // uint8 hop constraint, so u16 cannot truncate).
 func AppendReplyWire(dst []byte, rep *Reply) []byte {
 	dst = wirefmt.AppendI64(dst, rep.Count)
 	dst = wirefmt.AppendBool(dst, rep.Truncated)
 	dst = appendErrWire(dst, rep.Err)
 	dst = AppendBatchStatsWire(dst, rep.Batch)
-	dst = wirefmt.AppendU32(dst, uint32(len(rep.Paths)))
-	for _, p := range rep.Paths {
+	return appendPathsWire(dst, &rep.Paths)
+}
+
+// appendPathsWire encodes a reply's paths straight from its arena.
+//
+//hcpath:noalloc
+func appendPathsWire(dst []byte, paths *pathjoin.Store) []byte {
+	n := paths.Len()
+	dst = wirefmt.AppendU32(dst, uint32(n))
+	for i := 0; i < n; i++ {
+		p := paths.Path(i)
 		dst = wirefmt.AppendU16(dst, uint16(len(p)))
 		for _, v := range p {
 			dst = wirefmt.AppendU32(dst, v)
@@ -188,10 +198,11 @@ func AppendReplyWire(dst []byte, rep *Reply) []byte {
 	return dst
 }
 
-// ReadReplyWire reads one Reply from r. Path counts are bounds-checked
-// against the remaining payload before allocation, so a corrupt frame
-// cannot force a huge allocation; the caller still checks r.Err (or
-// r.Close) before trusting the result.
+// ReadReplyWire reads one Reply from r, decoding the paths into one
+// flat arena sized up front (no allocation per path). Path counts
+// are bounds-checked against the remaining payload before allocation,
+// so a corrupt frame cannot force a huge allocation; the caller still
+// checks r.Err (or r.Close) before trusting the result.
 func ReadReplyWire(r *wirefmt.Reader) *Reply {
 	rep := &Reply{}
 	rep.Count = r.I64()
@@ -208,18 +219,21 @@ func ReadReplyWire(r *wirefmt.Reader) *Reply {
 		r.Fail(fmt.Errorf("reply claims %d paths in %d bytes: %w", nPaths, r.Remaining(), wirefmt.ErrShort))
 		return rep
 	}
-	rep.Paths = make([][]graph.VertexID, 0, nPaths)
+	// What remains after the per-path length prefixes bounds the arena:
+	// at 4 bytes a vertex it can never exceed the payload itself.
+	rep.Paths = *pathjoin.NewStore(nPaths, (r.Remaining()-2*nPaths)/4)
+	var p []graph.VertexID
 	for i := 0; i < nPaths; i++ {
-		hops := int(r.U16())
-		if hops > r.Remaining()/4 {
-			r.Fail(fmt.Errorf("path claims %d hops in %d bytes: %w", hops, r.Remaining(), wirefmt.ErrShort))
+		n := int(r.U16())
+		if n > r.Remaining()/4 {
+			r.Fail(fmt.Errorf("path claims %d vertices in %d bytes: %w", n, r.Remaining(), wirefmt.ErrShort))
 			return rep
 		}
-		p := make([]graph.VertexID, hops)
-		for j := range p {
-			p[j] = r.U32()
+		p = p[:0]
+		for j := 0; j < n; j++ {
+			p = append(p, r.U32())
 		}
-		rep.Paths = append(rep.Paths, p)
+		rep.Paths.Add(p)
 	}
 	return rep
 }

@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/timing"
 	"repro/internal/wirefmt"
@@ -100,11 +102,14 @@ func TestReplyWireRoundTrip(t *testing.T) {
 		Truncated: true,
 		Err:       query.ErrLimitReached,
 		Batch:     fullBatchStats(),
-		Paths: [][]graph.VertexID{
-			{1, 2, 3},
-			{1, 9},
-			{1, 4, 5, 6, 7},
-		},
+	}
+	want := [][]graph.VertexID{
+		{1, 2, 3},
+		{1, 9},
+		{1, 4, 5, 6, 7},
+	}
+	for _, p := range want {
+		in.Paths.Add(p)
 	}
 	r := wirefmt.NewReader(AppendReplyWire(nil, in))
 	got := ReadReplyWire(r)
@@ -114,29 +119,24 @@ func TestReplyWireRoundTrip(t *testing.T) {
 	if got.Count != in.Count || got.Truncated != in.Truncated || !errors.Is(got.Err, in.Err) || got.Batch != in.Batch {
 		t.Fatalf("decoded %+v, want %+v", got, in)
 	}
-	if len(got.Paths) != len(in.Paths) {
-		t.Fatalf("decoded %d paths, want %d", len(got.Paths), len(in.Paths))
+	if got.Paths.Len() != len(want) {
+		t.Fatalf("decoded %d paths, want %d", got.Paths.Len(), len(want))
 	}
-	for i := range in.Paths {
-		if len(got.Paths[i]) != len(in.Paths[i]) {
-			t.Fatalf("path %d: %v vs %v", i, got.Paths[i], in.Paths[i])
-		}
-		for j := range in.Paths[i] {
-			if got.Paths[i][j] != in.Paths[i][j] {
-				t.Fatalf("path %d: %v vs %v", i, got.Paths[i], in.Paths[i])
-			}
+	for i, p := range want {
+		if !slices.Equal(got.Paths.Path(i), p) {
+			t.Fatalf("path %d: %v vs %v", i, got.Paths.Path(i), p)
 		}
 	}
 
 	// Count-only mode: no paths on the wire.
-	in.Paths = nil
+	in.Paths = pathjoin.Store{}
 	r = wirefmt.NewReader(AppendReplyWire(nil, in))
 	got = ReadReplyWire(r)
 	if err := r.Close(); err != nil {
 		t.Fatalf("count-only: trailing bytes: %v", err)
 	}
-	if got.Paths != nil {
-		t.Fatalf("count-only reply decoded %d paths", len(got.Paths))
+	if got.Paths.Len() != 0 {
+		t.Fatalf("count-only reply decoded %d paths", got.Paths.Len())
 	}
 }
 
@@ -154,7 +154,7 @@ func TestReplyWireRejectsAbsurdCounts(t *testing.T) {
 		t.Fatal("absurd path count left the reader clean")
 	}
 
-	in.Paths = [][]graph.VertexID{{1, 2}}
+	in.Paths.Add([]graph.VertexID{1, 2})
 	enc = AppendReplyWire(nil, in)
 	// The hop count is the u16 right after the path count: claim 2^15
 	// hops with only 8 bytes of vertices behind it.

@@ -1,0 +1,124 @@
+package shard
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/pathjoin"
+	"repro/internal/query"
+	"repro/internal/service"
+	"repro/internal/wirefmt"
+)
+
+// FuzzWireFrame feeds arbitrary bytes to the wire layer the way a TCP
+// peer would, twice over. As a stream, the bytes go through readFrame
+// until it refuses one: every accepted frame must re-encode to exactly
+// the bytes consumed, and no input — torn, oversized, bit-flipped — may
+// panic or outgrow the bytes that arrived. As a body, the same bytes go
+// to every message decoder directly (mutation cannot forge a frame's
+// CRC, so the decoders would otherwise stay behind it): none may panic,
+// and what decodes must survive an encode/decode round trip unchanged.
+func FuzzWireFrame(f *testing.F) {
+	paths := pathjoin.NewStore(2, 8)
+	paths.Add([]graph.VertexID{1, 2, 3})
+	paths.Add([]graph.VertexID{1, 9})
+	reply := &service.Reply{Count: 2, Truncated: true, Err: query.ErrLimitReached, Paths: *paths}
+	bodies := [][]byte{
+		nil,
+		[]byte("hello"),
+		appendStore(nil, paths),
+		appendEdges(nil, []graph.Edge{{Src: 1, Dst: 2}, {Src: 7, Dst: 0}}),
+		appendWireError(nil, service.ErrOverloaded, 5*time.Millisecond),
+		appendWireError(nil, &EpochMismatchError{Want: 3, Have: 4}, 0),
+		service.AppendReplyWire(nil, reply),
+		service.AppendTotalsWire(nil, service.Totals{Batches: 3, Paths: 99}),
+		fakeDistBody(2),
+	}
+	for i, b := range bodies {
+		f.Add(b)
+		f.Add(appendFrame(nil, mtSubmit+byte(i%8), uint64(i), b))
+	}
+	// A header claiming the largest legal payload, and one past it.
+	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, maxFramePayload), 0))
+	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, maxFramePayload+1), 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			data = data[:1<<16] // bound per-exec work, not coverage
+		}
+
+		br := bufio.NewReader(bytes.NewReader(data))
+		rest := data
+		for limit := uint32(maxHandshakePayload); ; limit = maxFramePayload {
+			typ, id, body, err := readFrame(br, limit)
+			if err != nil {
+				break
+			}
+			enc := appendFrame(nil, typ, id, body)
+			if !bytes.HasPrefix(rest, enc) {
+				t.Fatalf("frame (%#x, %d, %d bytes) re-encodes to different bytes than were read", typ, id, len(body))
+			}
+			rest = rest[len(enc):]
+		}
+
+		readWireError(wirefmt.NewReader(data)) // any error value is fine; a panic is not
+		readState(wirefmt.NewReader(data))
+		service.ReadQueryWire(wirefmt.NewReader(data))
+		service.ReadTotalsWire(wirefmt.NewReader(data))
+
+		if s, err := readStore(wirefmt.NewReader(data)); err == nil {
+			again, err := readStore(wirefmt.NewReader(appendStore(nil, s)))
+			if err != nil || !sameStore(s, again) {
+				t.Fatalf("path store round trip: %v", err)
+			}
+		}
+		if edges, err := readEdges(wirefmt.NewReader(data)); err == nil {
+			again, err := readEdges(wirefmt.NewReader(appendEdges(nil, edges)))
+			if err != nil || len(again) != len(edges) {
+				t.Fatalf("edge list round trip: %d edges became %d (%v)", len(edges), len(again), err)
+			}
+		}
+		r := wirefmt.NewReader(data)
+		if rep := service.ReadReplyWire(r); r.Err() == nil {
+			if int64(rep.Paths.Len()) > int64(len(data)) {
+				t.Fatalf("reply decoded %d paths from %d bytes", rep.Paths.Len(), len(data))
+			}
+			r2 := wirefmt.NewReader(service.AppendReplyWire(nil, rep))
+			again := service.ReadReplyWire(r2)
+			if r2.Close() != nil || again.Count != rep.Count || !sameStore(&rep.Paths, &again.Paths) {
+				t.Fatalf("reply round trip changed the reply (%v)", r2.Err())
+			}
+		}
+		// The distance-map codec trusts the sender's dense-array length
+		// (every peer past the handshake holds the same graph), so the
+		// harness — not the decoder — keeps a forged length from turning
+		// one exec into a 4 GiB allocation. Layout: source u32, cap u8,
+		// then the length.
+		if len(data) >= 9 && binary.LittleEndian.Uint32(data[5:9]) <= 1<<16 {
+			if d, err := readDistMap(wirefmt.NewReader(data), 0); err == nil {
+				n := int(binary.LittleEndian.Uint32(data[5:9]))
+				again, err := readDistMap(wirefmt.NewReader(appendDistMap(nil, d, n)), 0)
+				if err != nil || again.NumVisited() != d.NumVisited() {
+					t.Fatalf("distance map round trip: %v", err)
+				}
+			}
+		}
+	})
+}
+
+func sameStore(a, b *pathjoin.Store) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !slices.Equal(a.Path(i), b.Path(i)) {
+			return false
+		}
+	}
+	return true
+}

@@ -172,7 +172,7 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts Con
 		return nil, &WorkerDownError{Addr: addr, Shard: shardIdx, Cause: err}
 	}
 	br := bufio.NewReader(conn)
-	typ, _, body, err := readFrame(br)
+	typ, _, body, err := readFrame(br, maxHandshakePayload)
 	if err != nil {
 		conn.Close()
 		return nil, &WorkerDownError{Addr: addr, Shard: shardIdx, Cause: err}
@@ -271,7 +271,7 @@ func (w *remoteWorker) sendLoop() {
 
 func (w *remoteWorker) recvLoop(br *bufio.Reader) {
 	for {
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, maxFramePayload)
 		if err != nil {
 			w.markDown(err)
 			return

@@ -281,7 +281,7 @@ func (f *fakeWorker) acceptLoop() {
 
 func (f *fakeWorker) serve(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	typ, id, _, err := readFrame(br)
+	typ, id, _, err := readFrame(br, maxHandshakePayload)
 	if err != nil || typ != mtHello {
 		conn.Close()
 		return
@@ -294,7 +294,7 @@ func (f *fakeWorker) serve(conn net.Conn) {
 		return
 	}
 	for {
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, maxFramePayload)
 		if err != nil {
 			conn.Close()
 			return

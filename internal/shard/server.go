@@ -172,7 +172,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, maxFramePayload)
 		if err != nil {
 			// io.EOF: the coordinator hung up; anything else: a dead or
 			// corrupt stream. Either way the connection is done.
@@ -249,7 +249,7 @@ func (s *Server) sinkFrames(conn net.Conn, out chan []byte, stop chan struct{}) 
 // a coordinator wired to the wrong address fails loudly at connect
 // time instead of serving another shard's traffic.
 func (s *Server) handshake(br *bufio.Reader, out chan []byte, stop chan struct{}) bool {
-	typ, id, body, err := readFrame(br)
+	typ, id, body, err := readFrame(br, maxHandshakePayload)
 	if err != nil || typ != mtHello {
 		return false
 	}

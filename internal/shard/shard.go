@@ -489,9 +489,7 @@ func (c *Coordinator) crossShardAttempt(ctx context.Context, q query.Query, coll
 	emit := func(p []graph.VertexID) {
 		reply.Count++
 		if collect {
-			cp := make([]graph.VertexID, len(p))
-			copy(cp, p)
-			reply.Paths = append(reply.Paths, cp)
+			reply.Paths.Add(p)
 		}
 	}
 	if hb.dist.Dist(q.S) > q.K {

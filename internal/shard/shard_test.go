@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/testgraphs"
@@ -35,9 +36,10 @@ type outcome struct {
 	err       error
 }
 
-func renderPaths(paths [][]graph.VertexID) []string {
-	out := make([]string, len(paths))
-	for i, p := range paths {
+func renderPaths(paths *pathjoin.Store) []string {
+	out := make([]string, paths.Len())
+	for i := range out {
+		p := paths.Path(i)
 		var b strings.Builder
 		for j, v := range p {
 			if j > 0 {
@@ -67,7 +69,7 @@ func runAll(sub submitter, qs []query.Query) []outcome {
 				return
 			}
 			out[i].count = r.Count
-			out[i].paths = renderPaths(r.Paths)
+			out[i].paths = renderPaths(&r.Paths)
 			out[i].truncated = r.Truncated
 			out[i].qerr = r.Err
 		}(i, q)
@@ -282,8 +284,8 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 					t.Errorf("submit: %v", err)
 					return
 				}
-				if int64(len(r.Paths)) != r.Count {
-					t.Errorf("reply invariant broken: %d paths, count %d", len(r.Paths), r.Count)
+				if int64(r.Paths.Len()) != r.Count {
+					t.Errorf("reply invariant broken: %d paths, count %d", r.Paths.Len(), r.Count)
 					return
 				}
 			}
@@ -473,11 +475,11 @@ func TestK1CrossShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if r.Count != 1 || len(r.Paths) != 1 {
+	if r.Count != 1 || r.Paths.Len() != 1 {
 		t.Fatalf("K=1 over existing edge %d→%d: got %d paths, want exactly 1", s, s+1, r.Count)
 	}
-	if len(r.Paths[0]) != 2 || r.Paths[0][0] != s || r.Paths[0][1] != s+1 {
-		t.Errorf("K=1 path = %v, want [%d %d]", r.Paths[0], s, s+1)
+	if p := r.Paths.Path(0); len(p) != 2 || p[0] != s || p[1] != s+1 {
+		t.Errorf("K=1 path = %v, want [%d %d]", p, s, s+1)
 	}
 	// The reverse direction has no edge: zero paths, not an error.
 	r, err = coord.Submit(context.Background(), "", query.Query{S: s + 1, T: s, K: 1}, true)

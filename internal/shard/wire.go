@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -39,10 +40,20 @@ const (
 	wireMagic uint32 = 0x68637031 // "hcp1"
 
 	frameHeaderSize = 8
-	// maxFramePayload rejects implausible frame lengths before
-	// allocation, like the WAL's scanner: a corrupt length prefix must
-	// not become a huge allocation.
+	// maxFramePayload is the largest frame an established connection
+	// accepts; the length prefix alone never sizes an allocation (see
+	// readFrame), so the bound only rejects the implausible.
 	maxFramePayload = 1 << 30
+	// maxHandshakePayload bounds the frames exchanged before the peer
+	// has proved who it is: the 17-byte hello, its 49-byte answer, or a
+	// refusal carrying an error message. An unauthenticated TCP peer can
+	// make either side buffer at most this much.
+	maxHandshakePayload = 1 << 10
+	// frameChunk is the step in which a payload buffer grows while it is
+	// read, graph.ReadBinary's discipline: memory follows the bytes that
+	// actually arrived, so a header claiming a gigabyte with nothing
+	// behind it costs one chunk, not the gigabyte.
+	frameChunk = 64 << 10
 )
 
 var wireCastagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -130,25 +141,33 @@ func appendFrame(dst []byte, typ byte, id uint64, body []byte) []byte {
 	return dst
 }
 
-// readFrame reads one frame. Short reads surface as io errors (the
-// peer hung up); a bad length or checksum surfaces as ErrFrameCorrupt.
-// The returned body is freshly allocated and safe to retain.
-func readFrame(br *bufio.Reader) (typ byte, id uint64, body []byte, err error) {
+// readFrame reads one frame of at most maxPayload payload bytes
+// (maxHandshakePayload until the handshake completes, maxFramePayload
+// after). Short reads surface as io errors (the peer hung up); a bad
+// length or checksum surfaces as ErrFrameCorrupt. The payload is read
+// in frameChunk steps, so the buffer never runs more than one chunk
+// (amortised: a factor of two) ahead of the bytes received. The
+// returned body is freshly allocated and safe to retain.
+func readFrame(br *bufio.Reader, maxPayload uint32) (typ byte, id uint64, body []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
 	h := wirefmt.NewReader(hdr[:])
 	length, crc := h.U32(), h.U32()
-	if length < 9 || length > maxFramePayload {
-		return 0, 0, nil, fmt.Errorf("frame length %d: %w", length, ErrFrameCorrupt)
+	if length < 9 || length > maxPayload {
+		return 0, 0, nil, fmt.Errorf("frame length %d outside [9, %d]: %w", length, maxPayload, ErrFrameCorrupt)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		// A frame cut off mid-payload: the peer died mid-write. Report
-		// the io error (unexpected EOF), which the connection layer
-		// folds into worker-down like any other read failure.
-		return 0, 0, nil, err
+	payload := make([]byte, 0, min(int(length), frameChunk))
+	for len(payload) < int(length) {
+		c := min(int(length)-len(payload), frameChunk)
+		payload = slices.Grow(payload, c)[:len(payload)+c]
+		if _, err := io.ReadFull(br, payload[len(payload)-c:]); err != nil {
+			// A frame cut off mid-payload: the peer died mid-write. Report
+			// the io error (unexpected EOF), which the connection layer
+			// folds into worker-down like any other read failure.
+			return 0, 0, nil, err
+		}
 	}
 	if got := crc32.Checksum(payload, wireCastagnoli); got != crc {
 		return 0, 0, nil, fmt.Errorf("frame checksum %08x, want %08x: %w", got, crc, ErrFrameCorrupt)

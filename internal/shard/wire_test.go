@@ -6,6 +6,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/msbfs"
 	"repro/internal/pathjoin"
 	"repro/internal/service"
+	"repro/internal/testgraphs"
 	"repro/internal/wirefmt"
 )
 
@@ -28,7 +31,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		frame := appendFrame(nil, c.typ, c.id, c.body)
-		typ, id, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+		typ, id, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), maxFramePayload)
 		if err != nil {
 			t.Fatalf("readFrame(%#x): %v", c.typ, err)
 		}
@@ -47,7 +50,7 @@ func TestFrameCorruptionMatrix(t *testing.T) {
 	for i := range frame {
 		corrupt := bytes.Clone(frame)
 		corrupt[i] ^= 0x80
-		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(corrupt)))
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(corrupt)), maxFramePayload)
 		if err == nil {
 			t.Fatalf("byte %d flipped: frame decoded anyway", i)
 		}
@@ -65,7 +68,7 @@ func TestFrameCorruptionMatrix(t *testing.T) {
 func TestFrameTruncation(t *testing.T) {
 	frame := appendFrame(nil, mtHalfPaths, 7, []byte("torn"))
 	for n := 0; n < len(frame); n++ {
-		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:n])))
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:n])), maxFramePayload)
 		if err == nil {
 			t.Fatalf("frame cut at %d/%d bytes decoded anyway", n, len(frame))
 		}
@@ -80,16 +83,80 @@ func TestFrameRejectsImplausibleLength(t *testing.T) {
 	buf = wirefmt.AppendU32(buf, maxFramePayload+1)
 	buf = wirefmt.AppendU32(buf, 0)
 	buf = append(buf, make([]byte, 64)...)
-	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)))
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)), maxFramePayload)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("oversized length: got %v, want ErrFrameCorrupt", err)
 	}
 	buf = wirefmt.AppendU32(buf[:0], 3) // < 9: too short for type+id
 	buf = wirefmt.AppendU32(buf, 0)
 	buf = append(buf, 1, 2, 3)
-	_, _, _, err = readFrame(bufio.NewReader(bytes.NewReader(buf)))
+	_, _, _, err = readFrame(bufio.NewReader(bytes.NewReader(buf)), maxFramePayload)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("undersized length: got %v, want ErrFrameCorrupt", err)
+	}
+}
+
+// TestFrameAllocationFollowsBytesReceived is the regression for the
+// "eight bytes cost a GiB" bug: a header claiming the largest legal
+// payload with almost nothing behind it must fail as a torn frame
+// having allocated on the order of one chunk, not the claimed length.
+func TestFrameAllocationFollowsBytesReceived(t *testing.T) {
+	var buf []byte
+	buf = wirefmt.AppendU32(buf, maxFramePayload)
+	buf = wirefmt.AppendU32(buf, 0)
+	buf = append(buf, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)), maxFramePayload)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn gigabyte frame: got %v, want unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*frameChunk {
+		t.Fatalf("torn gigabyte frame allocated %d bytes, want at most %d", got, 4*frameChunk)
+	}
+
+	// A payload spanning several chunks still round-trips.
+	body := bytes.Repeat([]byte{0x5A}, 3*frameChunk+17)
+	_, _, got, err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, mtResp, 9, body))), maxFramePayload)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("multi-chunk frame: err %v, %d of %d bytes", err, len(got), len(body))
+	}
+}
+
+// TestHandshakeFrameCapped pins the pre-handshake bound on both sides:
+// a real Server drops a connection whose first header claims more than
+// a hello can hold without waiting for (or buffering) the payload, and
+// the dialer refuses an oversized handshake answer the same way.
+func TestHandshakeFrameCapped(t *testing.T) {
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(
+		appendFrame(nil, mtHello, 1, make([]byte, maxHandshakePayload)))), maxHandshakePayload); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("oversized hello: got %v, want ErrFrameCorrupt", err)
+	}
+
+	g := testgraphs.Diamond()
+	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1, ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hdr := wirefmt.AppendU32(nil, maxFramePayload)
+	hdr = wirefmt.AppendU32(hdr, 0)
+	if _, err := conn.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	// The server must hang up on the header alone; were it waiting for
+	// the gigabyte, this read would sit until the deadline.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("server kept an unauthenticated gigabyte frame open: read returned %v, want EOF", err)
 	}
 }
 
