@@ -11,10 +11,7 @@
 package hcpath
 
 import (
-	"context"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/batchenum"
 	"repro/internal/datasets"
@@ -160,7 +157,7 @@ type benchFixture struct {
 
 var fixture *benchFixture
 
-func engineFixture(b *testing.B) (*Graph, []query.Query) {
+func engineFixture(b testing.TB) (*Graph, []query.Query) {
 	b.Helper()
 	if fixture == nil {
 		spec, err := datasets.ByCode("EP")
@@ -180,372 +177,60 @@ func engineFixture(b *testing.B) (*Graph, []query.Query) {
 	return fixture.g, fixture.qs
 }
 
-// serviceFixture caches a larger similarity-heavy workload, in public
-// Query form, for the serving benchmarks.
-type serviceFixtureT struct {
-	g  *Graph
-	qs []Query
-}
-
-var svcFixture *serviceFixtureT
-
-func serviceWorkload(b *testing.B) (*Graph, []Query) {
-	b.Helper()
-	if svcFixture == nil {
-		spec, err := datasets.ByCode("EP")
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw := spec.Build(0.25)
-		iqs, _, err := workload.WithSimilarity(raw, raw.Reverse(), workload.SimilarityConfig{
-			Config:   workload.Config{N: 200, KMin: 3, KMax: 5, Seed: 1},
-			TargetMu: 0.8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		qs := make([]Query, len(iqs))
-		for i, q := range iqs {
-			qs[i] = Query{S: q.S, T: q.T, K: int(q.K)}
-		}
-		svcFixture = &serviceFixtureT{g: wrap(raw), qs: qs}
-	}
-	return svcFixture.g, svcFixture.qs
-}
-
-// BenchmarkServiceThroughput is the serving ablation the paper's
-// motivation implies: the same concurrent clients answered one query at
-// a time (each paying its own index build and sharing nothing) versus
-// through the micro-batching Service (concurrent queries coalesced and
-// answered by BatchEnum+ with shared sub-queries). Both sides run in
-// count mode; queries/s is the headline metric, and the service side
-// also reports its mean coalescing and sharing ratio.
-func BenchmarkServiceThroughput(b *testing.B) {
-	g, qs := serviceWorkload(b)
-	const clients = 16
-
-	b.Run("OneAtATime", func(b *testing.B) {
-		eng := NewEngine(g, nil) // BatchEnum+ degenerates to one group of one
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for j := c; j < len(qs); j += clients {
-						if _, _, err := eng.Count(qs[j : j+1]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-		}
-		b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/s")
-	})
-
-	b.Run("Microbatched", func(b *testing.B) {
-		var queries, batches, groups int64
-		for i := 0; i < b.N; i++ {
-			// MaxBatch matched to the closed-loop concurrency so batches
-			// dispatch on the size trigger, not the wait window.
-			svc := NewService(g, &ServiceOptions{
-				MaxBatch: clients,
-				MaxWait:  time.Millisecond,
-			})
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for j := c; j < len(qs); j += clients {
-						if _, _, err := svc.Count(context.Background(), qs[j]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			tot := svc.Totals()
-			svc.Close()
-			queries += tot.Queries
-			batches += tot.Batches
-			groups += tot.Groups
-		}
-		b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/s")
-		b.ReportMetric(float64(queries)/float64(batches), "queries/batch")
-		b.ReportMetric(1-float64(groups)/float64(queries), "sharing-ratio")
-	})
-}
-
-// zipfFixture caches a repeated-endpoint (Zipfian popularity) workload,
-// the traffic shape the cross-batch index cache targets.
-type zipfFixtureT struct {
-	g  *Graph
-	qs []Query
-}
-
-var zipfFixture *zipfFixtureT
-
-func zipfWorkload(b *testing.B) (*Graph, []Query) {
-	b.Helper()
-	if zipfFixture == nil {
-		spec, err := datasets.ByCode("EP")
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw := spec.Build(0.25)
-		iqs, err := workload.Zipfian(raw, workload.ZipfianConfig{
-			Config: workload.Config{N: 320, KMin: 4, KMax: 5, Seed: 3},
-			Hot:    24,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		qs := make([]Query, len(iqs))
-		for i, q := range iqs {
-			qs[i] = Query{S: q.S, T: q.T, K: int(q.K)}
-		}
-		zipfFixture = &zipfFixtureT{g: wrap(raw), qs: qs}
-	}
-	return zipfFixture.g, zipfFixture.qs
-}
-
-// BenchmarkServiceCachedThroughput isolates the cross-batch index
-// cache: the same repeated-endpoint traffic served by a cold service
-// (every micro-batch rebuilds its hop-distance maps) versus a cached
-// one (popular endpoints reuse maps built by earlier batches). Both
-// sides run the identical micro-batching pipeline in count mode, so the
-// queries/s delta is the index provider's contribution alone; the
-// cached side also reports its probe hit ratio.
-func BenchmarkServiceCachedThroughput(b *testing.B) {
-	g, qs := zipfWorkload(b)
-	const clients = 16
-
-	run := func(b *testing.B, cacheBytes int64) (hits, misses int64) {
-		for i := 0; i < b.N; i++ {
-			svc := NewService(g, &ServiceOptions{
-				Options:  Options{IndexCacheBytes: cacheBytes},
-				MaxBatch: clients,
-				MaxWait:  time.Millisecond,
-			})
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for j := c; j < len(qs); j += clients {
-						if _, _, err := svc.Count(context.Background(), qs[j]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			tot := svc.Totals()
-			svc.Close()
-			hits += tot.IndexHits
-			misses += tot.IndexMisses
-		}
-		b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/s")
-		return hits, misses
-	}
-
-	b.Run("Cold", func(b *testing.B) {
-		if hits, _ := run(b, -1); hits != 0 {
-			b.Fatalf("cold service reported %d cache hits", hits)
-		}
-	})
-	b.Run("Cached", func(b *testing.B) {
-		hits, misses := run(b, 0) // default budget
-		b.ReportMetric(float64(hits)/float64(max(hits+misses, 1)), "hit-ratio")
-	})
-}
-
-// mixedFixtureT caches the planner benchmark's workload: a mix of
-// repeated-endpoint hot traffic (high Γ-overlap, the sharing engines'
-// best case — these queries cluster into large groups) and independent
-// random queries (low overlap — mostly singleton groups where the
-// sharing pipeline's detection is pure overhead). No fixed engine wins
-// both halves; the planner's job is to route each group to the engine
-// that wins its half.
-type mixedFixtureT struct {
-	g  *Graph
-	qs []Query
-}
-
-var mixedFixture *mixedFixtureT
-
-func mixedWorkload(b *testing.B) (*Graph, []Query) {
-	b.Helper()
-	if mixedFixture == nil {
-		spec, err := datasets.ByCode("EP")
-		if err != nil {
-			b.Fatal(err)
-		}
-		raw := spec.Build(0.25)
-		hot, err := workload.Zipfian(raw, workload.ZipfianConfig{
-			Config: workload.Config{N: 160, KMin: 4, KMax: 5, Seed: 5},
-			Hot:    12,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rnd, err := workload.Random(raw, workload.Config{N: 160, KMin: 3, KMax: 5, Seed: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		qs := make([]Query, 0, len(hot)+len(rnd))
-		for i := range hot { // interleave so every micro-batch mixes both shapes
-			qs = append(qs,
-				Query{S: hot[i].S, T: hot[i].T, K: int(hot[i].K)},
-				Query{S: rnd[i].S, T: rnd[i].T, K: int(rnd[i].K)})
-		}
-		mixedFixture = &mixedFixtureT{g: wrap(raw), qs: qs}
-	}
-	return mixedFixture.g, mixedFixture.qs
-}
-
-// BenchmarkServicePlannedThroughput is the planner ablation on the
-// mixed workload: the identical micro-batching service in count mode,
-// fixed BatchEnum+ for every group versus adaptive per-group planning.
-// queries/s is the headline metric; the planned side also reports how
-// its groups were routed. Result sets are equal by construction (the
-// scenario and fuzz differential suites prove it); only the work
-// differs.
-func BenchmarkServicePlannedThroughput(b *testing.B) {
-	g, qs := mixedWorkload(b)
-	const clients = 16
-
-	run := func(b *testing.B, popts *PlannerOptions) PlanStats {
-		var plan PlanStats
-		for i := 0; i < b.N; i++ {
-			svc := NewService(g, &ServiceOptions{
-				MaxBatch: clients,
-				MaxWait:  time.Millisecond,
-				Planner:  popts,
-			})
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for j := c; j < len(qs); j += clients {
-						if _, _, err := svc.Count(context.Background(), qs[j]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			tot := svc.Totals()
-			svc.Close()
-			plan.Add(tot.Plan)
-		}
-		b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/s")
-		return plan
-	}
-
-	b.Run("Fixed", func(b *testing.B) {
-		plan := run(b, nil)
-		if plan.SingleGroups+plan.SpliceGroups != 0 {
-			b.Fatalf("fixed service routed groups through the planner: %+v", plan)
-		}
-	})
-	b.Run("Planned", func(b *testing.B) {
-		plan := run(b, &PlannerOptions{})
-		total := plan.SingleGroups + plan.SharedGroups + plan.SpliceGroups
-		b.ReportMetric(float64(plan.SingleGroups)/float64(max(total, 1)), "single-group-ratio")
-	})
-}
-
-// BenchmarkShardedThroughput measures the in-process sharded
-// deployment against the single-process service on the same concurrent
-// closed-loop workload: identical clients, count mode, the service's
-// default engine. The sharded side reports how its traffic split
-// between forwarded single-shard queries (which micro-batch per
-// worker) and scatter-gather cross-shard joins.
-func BenchmarkShardedThroughput(b *testing.B) {
-	g, qs := serviceWorkload(b)
-	const clients = 16
-
-	run := func(b *testing.B, shards int) ShardingStats {
-		var rs ShardingStats
-		for i := 0; i < b.N; i++ {
-			svc := NewService(g, &ServiceOptions{
-				MaxBatch: clients,
-				MaxWait:  time.Millisecond,
-				Shards:   shards,
-			})
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for j := c; j < len(qs); j += clients {
-						if _, _, err := svc.Count(context.Background(), qs[j]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			cur := svc.Sharding()
-			svc.Close()
-			rs.Shards = cur.Shards
-			rs.SingleShard += cur.SingleShard
-			rs.CrossShard += cur.CrossShard
-			rs.CrossShed += cur.CrossShed
-		}
-		b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/s")
-		return rs
-	}
-
-	b.Run("Unsharded", func(b *testing.B) {
-		if rs := run(b, 0); rs.Shards != 0 {
-			b.Fatalf("unsharded run reported shard routing: %+v", rs)
-		}
-	})
-	b.Run("Shards4", func(b *testing.B) {
-		rs := run(b, 4)
-		total := rs.SingleShard + rs.CrossShard
-		if total != int64(b.N)*int64(len(qs)) {
-			b.Fatalf("routing lost queries: %+v, want %d total", rs, int64(b.N)*int64(len(qs)))
-		}
-		b.ReportMetric(float64(rs.CrossShard)/float64(max(total, 1)), "cross-shard-ratio")
-	})
+// engineCases are the four engines plus the no-sharing ablation, each
+// with the steady-state allocs/op the last committed baseline recorded
+// for it (PR 16, pooled enumeration scratch) on engineFixture.
+var engineCases = []struct {
+	name   string
+	opts   batchenum.Options
+	allocs float64
+}{
+	{"BasicEnum", batchenum.Options{Algorithm: batchenum.Basic}, 591},
+	{"BasicEnum+", batchenum.Options{Algorithm: batchenum.BasicPlus}, 739},
+	{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}, 921},
+	{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}, 956},
+	{"BatchEnum+NoSharing", batchenum.Options{
+		Algorithm: batchenum.BatchPlus,
+		Detect:    sharegraph.Options{DisableSharing: true},
+	}, 802},
 }
 
 // BenchmarkEngines compares the four engines plus the no-sharing
 // ablation on one high-similarity workload.
 func BenchmarkEngines(b *testing.B) {
 	g, qs := engineFixture(b)
-	cases := []struct {
-		name string
-		opts batchenum.Options
-	}{
-		{"BasicEnum", batchenum.Options{Algorithm: batchenum.Basic}},
-		{"BasicEnum+", batchenum.Options{Algorithm: batchenum.BasicPlus}},
-		{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}},
-		{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}},
-		{"BatchEnum+NoSharing", batchenum.Options{
-			Algorithm: batchenum.BatchPlus,
-			Detect:    sharegraph.Options{DisableSharing: true},
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range engineCases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sink := query.NewCountSink(len(qs))
-				if _, err := batchenum.Run(g.g, g.gr, qs, c.opts, sink); err != nil {
+				if _, err := batchenum.Run(g.g, g.gr, qs, c.opts, nil, sink); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestEngineAllocCeilings keeps the engines' hot loops from regrowing
+// allocations: one batch through each engine may allocate at most 1.25×
+// its recorded level. Timings are the load harness's business
+// (benchmark/); an allocation count is exact, so it can gate in tier-1.
+func TestEngineAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; pooled scratch reallocates by design")
+	}
+	g, qs := engineFixture(t)
+	for _, c := range engineCases {
+		got := testing.AllocsPerRun(5, func() {
+			sink := query.NewCountSink(len(qs))
+			if _, err := batchenum.Run(g.g, g.gr, qs, c.opts, nil, sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+		ceiling := c.allocs * 1.25
+		t.Logf("%s: %.0f allocs per batch (ceiling %.0f)", c.name, got, ceiling)
+		if got > ceiling {
+			t.Errorf("%s: %.0f allocs per batch exceeds %.0f (recorded %.0f × 1.25)", c.name, got, ceiling, c.allocs)
+		}
 	}
 }

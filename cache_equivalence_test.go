@@ -25,7 +25,7 @@ func runWith(t *testing.T, c corpusCase, gr *graph.Graph, alg Algorithm, provide
 	t.Helper()
 	sink := query.NewCollectSink(len(c.qs))
 	opts := batchenum.Options{Algorithm: alg.internal(), Gamma: 0.8, Provider: provider}
-	if _, err := batchenum.Run(c.g, gr, c.qs, opts, sink); err != nil {
+	if _, err := batchenum.Run(c.g, gr, c.qs, opts, nil, sink); err != nil {
 		t.Fatalf("%s/%v: %v", c.name, alg, err)
 	}
 	return canonical(sink.Paths)
@@ -117,7 +117,7 @@ func TestConcurrentBatchesShareCache(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				sink := query.NewCollectSink(len(c.qs))
 				opts := batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8, Provider: cache}
-				if _, err := batchenum.Run(c.g, gr, c.qs, opts, sink); err != nil {
+				if _, err := batchenum.Run(c.g, gr, c.qs, opts, nil, sink); err != nil {
 					t.Error(err)
 					return
 				}

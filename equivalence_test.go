@@ -79,9 +79,9 @@ func diffQuery(t *testing.T, label string, i int, want, got []string) {
 }
 
 // TestServiceAndParallelMatchSequential is the concurrency equivalence
-// property: for all four algorithms on the whole corpus, RunParallel and
+// property: for all four algorithms on the whole corpus, a fanned Run and
 // the Service (queries submitted from concurrent goroutines, batched by
-// the collector) reproduce sequential Run's per-query path sets exactly.
+// the collector) reproduce the inline Run's per-query path sets exactly.
 func TestServiceAndParallelMatchSequential(t *testing.T) {
 	algorithms := []Algorithm{BatchEnumPlus, BatchEnum, BasicEnumPlus, BasicEnum}
 	for _, c := range equivalenceCorpus() {
@@ -91,14 +91,15 @@ func TestServiceAndParallelMatchSequential(t *testing.T) {
 			opts := batchenum.Options{Algorithm: alg.internal(), Gamma: 0.8}
 
 			seq := query.NewCollectSink(len(c.qs))
-			if _, err := batchenum.Run(c.g, gr, c.qs, opts, seq); err != nil {
+			if _, err := batchenum.Run(c.g, gr, c.qs, opts, nil, seq); err != nil {
 				t.Fatalf("%s: sequential: %v", label, err)
 			}
 			want := canonical(seq.Paths)
 
 			par := query.NewCollectSink(len(c.qs))
-			if _, err := batchenum.RunParallel(c.g, gr, c.qs,
-				batchenum.ParallelOptions{Options: opts, Workers: 4}, par); err != nil {
+			popts := opts
+			popts.Workers = 4
+			if _, err := batchenum.Run(c.g, gr, c.qs, popts, nil, par); err != nil {
 				t.Fatalf("%s: parallel: %v", label, err)
 			}
 			for i, g := range canonical(par.Paths) {
@@ -152,7 +153,7 @@ func TestLimitHitMatchesSequentialPrefix(t *testing.T) {
 
 			full := query.NewCollectSink(len(c.qs))
 			if _, err := batchenum.Run(c.g, gr, c.qs,
-				batchenum.Options{Algorithm: alg.internal(), Gamma: 0.8}, full); err != nil {
+				batchenum.Options{Algorithm: alg.internal(), Gamma: 0.8}, nil, full); err != nil {
 				t.Fatalf("%s: full run: %v", label, err)
 			}
 			fullSets := make([]map[string]bool, len(c.qs))

@@ -131,7 +131,7 @@ func FuzzEnumerate(f *testing.F) {
 		// generations.
 		prime := testgraphs.CompleteDAG(3 + int(data[6]%12))
 		pctx, pcancel := context.WithCancel(context.Background())
-		batchenum.RunControlled(prime, prime.Reverse(),
+		batchenum.Run(prime, prime.Reverse(),
 			[]query.Query{{S: 0, T: graph.VertexID(prime.NumVertices() - 1), K: 5}},
 			batchenum.Options{Algorithm: algorithms[int(data[6]>>4)%len(algorithms)]},
 			query.NewControl(pctx, noDeadline, 0, 1),
@@ -163,7 +163,7 @@ func FuzzEnumerate(f *testing.F) {
 
 			// 1. Full sequential run: exact per-query equality.
 			full := query.NewCollectSink(len(qs))
-			if _, err := batchenum.Run(g, gr, qs, opts, full); err != nil {
+			if _, err := batchenum.Run(g, gr, qs, opts, nil, full); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			for i := range qs {
@@ -178,17 +178,10 @@ func FuzzEnumerate(f *testing.F) {
 			if alg.Shared() {
 				popts := opts
 				popts.Planner = overridePlanner{salt: data[7]}
-				for mode, run := range map[string]func(query.Sink) (*batchenum.Stats, error){
-					"seq": func(sink query.Sink) (*batchenum.Stats, error) {
-						return batchenum.Run(g, gr, qs, popts, sink)
-					},
-					"par": func(sink query.Sink) (*batchenum.Stats, error) {
-						return batchenum.RunParallel(g, gr, qs,
-							batchenum.ParallelOptions{Options: popts, Workers: 2}, sink)
-					},
-				} {
+				for mode, workers := range map[string]int{"seq": 1, "par": 2} {
+					popts.Workers = workers
 					planned := query.NewCollectSink(len(qs))
-					st, err := run(planned)
+					st, err := batchenum.Run(g, gr, qs, popts, nil, planned)
 					if err != nil {
 						t.Fatalf("%s/planned-%s: %v", label, mode, err)
 					}
@@ -206,10 +199,12 @@ func FuzzEnumerate(f *testing.F) {
 			// 2. Limited run (sequential and parallel): min(limit, total)
 			// distinct oracle paths, truncation reported iff dropped.
 			if limit > 0 {
-				runLimited := func(mode string, run func(*query.Control, query.Sink) (*batchenum.Stats, error)) {
+				runLimited := func(mode string, workers int) {
 					ctrl := query.NewControl(context.Background(), noDeadline, limit, len(qs))
 					sink := query.NewCollectSink(len(qs))
-					st, err := run(ctrl, sink)
+					lopts := opts
+					lopts.Workers = workers
+					st, err := batchenum.Run(g, gr, qs, lopts, ctrl, sink)
 					if err != nil {
 						t.Fatalf("%s/%s limited: %v", label, mode, err)
 					}
@@ -237,13 +232,8 @@ func FuzzEnumerate(f *testing.F) {
 						t.Fatalf("%s/%s limited: Stats.Truncated=%d, want %d", label, mode, st.Truncated, wantTrunc)
 					}
 				}
-				runLimited("seq", func(ctrl *query.Control, sink query.Sink) (*batchenum.Stats, error) {
-					return batchenum.RunControlled(g, gr, qs, opts, ctrl, sink)
-				})
-				runLimited("par", func(ctrl *query.Control, sink query.Sink) (*batchenum.Stats, error) {
-					return batchenum.RunParallelControlled(g, gr, qs,
-						batchenum.ParallelOptions{Options: opts, Workers: 2}, ctrl, sink)
-				})
+				runLimited("seq", 1)
+				runLimited("par", 2)
 			}
 
 			// 3. Cancelled mid-run (after the first emission): only
@@ -251,7 +241,7 @@ func FuzzEnumerate(f *testing.F) {
 			ctx, cancel := context.WithCancel(context.Background())
 			ctrl := query.NewControl(ctx, noDeadline, 0, len(qs))
 			part := query.NewCollectSink(len(qs))
-			_, err := batchenum.RunControlled(g, gr, qs, opts, ctrl,
+			_, err := batchenum.Run(g, gr, qs, opts, ctrl,
 				query.FuncSink(func(id int, p []graph.VertexID) {
 					part.Emit(id, p)
 					cancel()
@@ -274,10 +264,10 @@ func FuzzEnumerate(f *testing.F) {
 			run  func(ctrl *query.Control, emit func([]graph.VertexID)) bool
 		}{
 			{"DkSP", func(ctrl *query.Control, emit func([]graph.VertexID)) bool {
-				return ksp.DkSPControlled(g, q0, nil, ctrl, emit)
+				return ksp.DkSP(g, q0, nil, ctrl, emit)
 			}},
 			{"OnePass", func(ctrl *query.Control, emit func([]graph.VertexID)) bool {
-				return ksp.OnePassControlled(g, gr, q0, nil, ctrl, emit)
+				return ksp.OnePass(g, gr, q0, nil, ctrl, emit)
 			}},
 		} {
 			var got []string

@@ -175,14 +175,15 @@ type Options struct {
 	// constraint. Enumeration cost and result counts grow exponentially
 	// with K.
 	MaxHops int
-	// Workers enables parallel execution: the independent engines
+	// Workers is the enumeration parallelism: the independent engines
 	// parallelise over queries, the batch engines over sharing groups.
-	// Zero runs the sequential engine; negative uses GOMAXPROCS workers;
-	// positive uses exactly that many. (The internal
-	// batchenum.ParallelOptions layer treats any non-positive count as
-	// GOMAXPROCS — this layer never passes it zero.) With parallel
-	// execution the emission order across queries is unspecified
-	// (per-query results are unaffected).
+	// Zero processes the batch inline on the calling goroutine, a
+	// positive count uses exactly that many workers (one is the inline
+	// run again), and negative means GOMAXPROCS. This public layer
+	// resolves the value once (resolveWorkers); every internal layer
+	// takes the exact count. With more than one worker the emission
+	// order across queries is unspecified (per-query results are
+	// unaffected).
 	Workers int
 	// Limit, when positive, caps the result paths emitted per query: a
 	// query with more paths is truncated to exactly Limit results, its
@@ -222,16 +223,20 @@ const DefaultIndexCacheBytes = hcindex.DefaultCacheBytes
 // as uint8 internally, so anything larger would silently truncate.
 const maxHopsLimit = 255
 
-// buildWorkers resolves Options.BuildWorkers to an exact goroutine
-// count: zero stays sequential, negative becomes GOMAXPROCS.
-func (o *Options) buildWorkers() int {
-	if o == nil || o.BuildWorkers == 0 {
-		return 0
+// resolveWorkers is the one place a public Workers or BuildWorkers
+// value becomes a goroutine count: positive is taken literally,
+// negative means GOMAXPROCS, and zero means what the option's owner
+// documents (an Engine's Workers 1, a Service's Workers GOMAXPROCS,
+// BuildWorkers the sequential kernel's 0). Everything below this
+// package takes the exact count and never reinterprets it.
+func resolveWorkers(n, zero int) int {
+	if n == 0 {
+		n = zero
 	}
-	if o.BuildWorkers < 0 {
+	if n < 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return o.BuildWorkers
+	return n
 }
 
 func (o *Options) maxHops() int {
@@ -268,9 +273,9 @@ func NewEngine(g *Graph, opts *Options) *Engine {
 		e.opts = *opts
 	}
 	if e.opts.IndexCacheBytes > 0 {
-		e.provider = hcindex.NewCacheWorkers(e.opts.IndexCacheBytes, e.opts.buildWorkers())
+		e.provider = hcindex.NewCacheWorkers(e.opts.IndexCacheBytes, resolveWorkers(e.opts.BuildWorkers, 0))
 	} else {
-		e.provider = hcindex.NewBuilderWorkers(true, e.opts.buildWorkers())
+		e.provider = hcindex.NewBuilderWorkers(true, resolveWorkers(e.opts.BuildWorkers, 0))
 	}
 	return e
 }
@@ -411,21 +416,14 @@ func (e *Engine) options() batchenum.Options {
 		Gamma:     e.opts.Gamma,
 		Detect:    sharegraph.Options{DisableSharing: e.opts.DisableSharing},
 		Provider:  e.provider,
+		Workers:   resolveWorkers(e.opts.Workers, 1),
 	}
 }
 
-// runControlled dispatches to the sequential or parallel engine per the
-// options, threading the run's Control into the enumeration loops.
-func (e *Engine) runControlled(qs []query.Query, ctrl *query.Control, sink query.Sink) (*batchenum.Stats, error) {
-	if e.opts.Workers != 0 {
-		workers := e.opts.Workers
-		if workers < 0 {
-			workers = 0 // RunParallel's GOMAXPROCS default
-		}
-		return batchenum.RunParallelControlled(e.g.g, e.g.gr, qs,
-			batchenum.ParallelOptions{Options: e.options(), Workers: workers}, ctrl, sink)
-	}
-	return batchenum.RunControlled(e.g.g, e.g.gr, qs, e.options(), ctrl, sink)
+// run answers one batch through the engine, threading the run's
+// Control into the enumeration loops.
+func (e *Engine) run(qs []query.Query, ctrl *query.Control, sink query.Sink) (*batchenum.Stats, error) {
+	return batchenum.Run(e.g.g, e.g.gr, qs, e.options(), ctrl, sink)
 }
 
 // control builds the Control governing one run over a batch of n
@@ -494,7 +492,7 @@ func (e *Engine) EnumerateContext(ctx context.Context, qs []Query) (*Result, err
 	}
 	ctrl := e.control(ctx, len(qs))
 	res := &Result{paths: make([][]Path, len(qs))}
-	st, err := e.runControlled(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
+	st, err := e.run(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
 		cp := make(Path, len(p))
 		copy(cp, p)
 		res.paths[id] = append(res.paths[id], cp)
@@ -524,7 +522,7 @@ func (e *Engine) StreamContext(ctx context.Context, qs []Query, emit func(queryI
 		return Stats{}, err
 	}
 	ctrl := e.control(ctx, len(qs))
-	st, err := e.runControlled(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
+	st, err := e.run(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
 		emit(id, Path(p))
 	}))
 	if st == nil {
@@ -550,7 +548,7 @@ func (e *Engine) CountContext(ctx context.Context, qs []Query) ([]int64, Stats, 
 	}
 	ctrl := e.control(ctx, len(qs))
 	sink := query.NewCountSink(len(qs))
-	st, err := e.runControlled(iqs, ctrl, sink)
+	st, err := e.run(iqs, ctrl, sink)
 	if st == nil {
 		return nil, Stats{}, err
 	}
@@ -641,14 +639,13 @@ type WorkerDownError = shard.WorkerDownError
 // over sharing groups with GOMAXPROCS workers.
 type ServiceOptions struct {
 	// Options configures the engine each micro-batch runs through,
-	// exactly as for NewEngine — except Workers: a service always runs
-	// the parallel engine (it exists to exploit concurrency), so here
-	// zero or negative means GOMAXPROCS workers per batch and a positive
-	// count is taken literally, one worker reproducing the sequential
-	// engine's behaviour. IndexCacheBytes also flips its default: zero
-	// gives the service a DefaultIndexCacheBytes cross-batch cache
-	// (repeated endpoints skip their MS-BFS rebuilds); negative disables
-	// it.
+	// exactly as for NewEngine — except the zero values of two fields.
+	// Workers: a service exists to exploit concurrency, so zero (like
+	// negative) means GOMAXPROCS workers per batch; a positive count is
+	// taken literally, one running each batch inline on its dispatch
+	// goroutine. IndexCacheBytes: zero gives the service a
+	// DefaultIndexCacheBytes cross-batch cache (repeated endpoints skip
+	// their MS-BFS rebuilds); negative disables it.
 	Options
 	// MaxBatch caps the queries coalesced into one micro-batch; zero
 	// means 64.
@@ -815,10 +812,10 @@ func (o ServiceOptions) config() service.Config {
 			Algorithm: o.Algorithm.internal(),
 			Gamma:     o.Gamma,
 			Detect:    sharegraph.Options{DisableSharing: o.DisableSharing},
+			Workers:   resolveWorkers(o.Workers, -1),
 		},
-		Workers:         o.Workers,
 		IndexCacheBytes: o.IndexCacheBytes,
-		BuildWorkers:    o.buildWorkers(),
+		BuildWorkers:    resolveWorkers(o.BuildWorkers, 0),
 		OnBatch:         o.OnBatch,
 		DataDir:         o.DataDir,
 		Fsync:           o.Fsync,

@@ -3,6 +3,7 @@ package hcpath
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -209,12 +210,24 @@ func TestMaxHopsClamp(t *testing.T) {
 }
 
 // TestWorkersBoundary pins the documented Workers semantics at the
-// public layer: 0 is the sequential engine, negative is GOMAXPROCS,
-// positive is the literal count — all with identical results.
+// public layer — the only layer that interprets them: positive is the
+// literal count, negative is GOMAXPROCS, and zero is the owner's
+// default (Engine.Workers inline, Service Workers GOMAXPROCS,
+// BuildWorkers the sequential kernel) — all with identical results.
 func TestWorkersBoundary(t *testing.T) {
+	maxprocs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ n, zero, want int }{
+		{0, 1, 1}, {1, 1, 1}, {3, 1, 3}, {-1, 1, maxprocs}, // Engine.Workers
+		{0, -1, maxprocs}, {-2, -1, maxprocs}, {2, -1, 2}, // ServiceOptions.Workers
+		{0, 0, 0}, {-1, 0, maxprocs}, {4, 0, 4}, // BuildWorkers
+	} {
+		if got := resolveWorkers(c.n, c.zero); got != c.want {
+			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.n, c.zero, got, c.want)
+		}
+	}
 	g := paperGraph(t)
 	want := []int64{3, 3, 1, 2, 2}
-	for _, workers := range []int{-1, 0, 1} {
+	for _, workers := range []int{-1, 0, 1, 3} {
 		eng := NewEngine(g, &Options{Workers: workers})
 		counts, _, err := eng.Count(paperQueries)
 		if err != nil {

@@ -3,8 +3,9 @@
 //	//hcpath:noalloc
 //
 // contain no allocating constructs, seeding the ROADMAP's
-// allocation-free hot-path work with a static gate (cmd/benchdiff's
-// allocs/op regression check is the dynamic half of the pair).
+// allocation-free hot-path work with a static gate (the tier-1
+// testing.AllocsPerRun ceilings on the engine, MS-BFS and wire kernels
+// are the dynamic half of the pair).
 //
 // Flagged inside an annotated function:
 //

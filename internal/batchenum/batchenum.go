@@ -10,6 +10,7 @@ package batchenum
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -84,6 +85,12 @@ type Options struct {
 	// to it. nil keeps the fixed behaviour (every group through the
 	// sharing pipeline). The Basic engines have no groups and ignore it.
 	Planner GroupPlanner
+	// Workers is the exact number of goroutines the batch's groups fan
+	// out over; at most one runs every group inline on the caller's
+	// goroutine. The public hcpath layer resolves its zero and negative
+	// conventions to this count — nothing below it reinterprets the
+	// value.
+	Workers int
 }
 
 // sharedBuilder serves runs that configure no Provider. It is a pool,
@@ -139,7 +146,7 @@ type Stats struct {
 	Plan PlanStats
 }
 
-// addGroup folds one worker's per-group counters into the batch stats;
+// addGroup folds one fan-out worker's counters into the batch stats;
 // callers hold the run's stats lock. The excluded fields are batch-
 // level, set once by the dispatcher rather than summed per group:
 // Phases is the run's wall-clock decomposition (per-worker CPU times
@@ -159,21 +166,31 @@ func (st *Stats) addGroup(local *Stats) {
 // Run enumerates every HC-s-t path of every query in the batch with the
 // selected engine, emitting results through sink keyed by query ID.
 // Queries are assigned IDs positionally and validated first.
-func Run(g, gr *graph.Graph, queries []query.Query, opts Options, sink query.Sink) (*Stats, error) {
-	return RunControlled(g, gr, queries, opts, nil, sink)
-}
-
-// RunControlled is Run under a query.Control: the enumeration loops
-// poll ctrl for cancellation and charge emissions against the
-// per-query limit. On cancellation it stops promptly and returns the
-// partial stats alongside ctrl's cancellation error — everything
-// already emitted through sink is valid (each emitted path is a real
-// result; queries the engine did not finish are counted in
-// Stats.Truncated). Limit-truncated queries are not an error: the run
-// returns nil with Stats.Truncated set, and ctrl.QueryErr
-// distinguishes ErrLimitReached from cancellation per query. A nil
-// ctrl reproduces Run exactly.
-func RunControlled(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Control, sink query.Sink) (*Stats, error) {
+//
+// The batch is partitioned into groups — ClusterQuery's clusters for
+// the sharing engines (Algorithm 4), one group per query for the Basic
+// ones (Algorithm 1) — and each group is one unit of work. With
+// opts.Workers ≤ 1 the groups run in order on the caller's goroutine
+// straight into sink, and every group books its own detect/enumerate
+// phases. With more workers the same groups fan out over that many
+// goroutines (groups share nothing with each other by construction),
+// sink only ever sees one serialised flush at a time, Emit calls of
+// different queries interleave arbitrarily, and the Enumeration phase
+// is the fan-out's wall clock — per-worker times would double-count
+// the overlap.
+//
+// The enumeration loops poll ctrl for cancellation and charge emissions
+// against its per-query limit; a nil ctrl runs to completion. On
+// cancellation every worker stops promptly and Run returns the partial
+// stats alongside ctrl's cancellation error — everything already
+// emitted through sink is valid (each emitted path is a real result;
+// queries the engine did not finish are counted in Stats.Truncated).
+// Per-query limits are safe under fan-out because each query (or whole
+// sharing group) is owned by one worker. Limit-truncated queries are
+// not an error: the run returns nil with Stats.Truncated set, and
+// ctrl.QueryErr distinguishes ErrLimitReached from cancellation per
+// query.
+func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Control, sink query.Sink) (*Stats, error) {
 	qs, err := query.Batch(g, queries)
 	if err != nil {
 		return nil, err
@@ -190,10 +207,16 @@ func RunControlled(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl
 	st.IndexHits, st.IndexMisses = idx.Hits, idx.Misses
 
 	if !ctrl.Cancelled() {
-		if opts.Algorithm.Shared() {
-			runBatch(g, gr, qs, idx, opts, ctrl, sink, st)
+		groups := partition(qs, idx, opts, st)
+		if opts.Workers > 1 {
+			fanGroups(g, gr, qs, idx, groups, opts, ctrl, sink, st)
 		} else {
-			runBasic(g, gr, qs, idx, opts, ctrl, sink, st)
+			for _, group := range groups {
+				if ctrl.Cancelled() {
+					break
+				}
+				runGroup(g, gr, qs, idx, group, opts, ctrl, sink, st, nil)
+			}
 		}
 	}
 	st.Truncated = ctrl.NumTruncated()
@@ -203,32 +226,109 @@ func RunControlled(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl
 	return st, nil
 }
 
-// runBasic is Algorithm 1: the index is shared across the batch, the
-// enumeration is per query — processGroupSingle over the whole batch.
-func runBasic(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
-	all := make([]int, len(qs))
-	for i := range all {
-		all[i] = i
+// partition splits the batch into its units of work. Algorithm 4
+// clusters the queries (Algorithm 2) and reports the cluster count;
+// Algorithm 1 shares nothing but the index, so every query is its own
+// group and NumGroups stays zero.
+func partition(qs []query.Query, idx *hcindex.Index, opts Options, st *Stats) [][]int {
+	if !opts.Algorithm.Shared() {
+		all := make([]int, len(qs))
+		groups := make([][]int, len(qs))
+		for i := range all {
+			all[i] = i
+			groups[i] = all[i : i+1 : i+1]
+		}
+		return groups
 	}
-	processGroupSingle(g, gr, qs, idx, all, opts, ctrl, sink, st)
-}
-
-// runBatch is Algorithm 4: cluster, detect dominating HC-s path queries
-// per group and direction, enumerate Ψ in topological order with the
-// cache R, and join the halves of each HC-s-t query.
-func runBatch(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
 	stop := st.Phases.Start(timing.ClusterQuery)
 	cl := cluster.ClusterQueries(idx, qs, opts.gamma())
 	stop()
 	st.NumGroups = cl.NumGroups()
+	return cl.Groups
+}
 
-	for _, group := range cl.Groups {
-		if ctrl.Cancelled() {
-			return
-		}
-		runGroup(g, gr, qs, idx, group, planGroup(g, gr, qs, idx, group, opts),
-			opts, ctrl, sink, st, nil)
+// flushVertices is the per-worker buffering threshold: a worker hands
+// its buffered results downstream once the arena holds this many path
+// vertices, bounding memory at O(workers · flushVertices) while keeping
+// lock acquisitions orders of magnitude rarer than emissions.
+const flushVertices = 1 << 15
+
+// mergeSink serialises flushes — not emissions — from concurrent
+// workers. Each worker buffers results in its own workerSink and merges
+// at group boundaries or when the buffer fills, so the hot enumeration
+// loop never contends on a mutex the way a naive lock-per-Emit wrapper
+// would.
+type mergeSink struct {
+	mu   sync.Mutex
+	sink query.Sink
+}
+
+// workerSink is one goroutine's private end of a mergeSink: emissions
+// land in its own buffer, which drains downstream under the merge lock
+// whenever it fills and whenever its owner calls flush.
+type workerSink struct {
+	ms  *mergeSink
+	buf query.BufferSink
+}
+
+// Emit implements query.Sink.
+func (w *workerSink) Emit(id int, p []graph.VertexID) {
+	w.buf.Emit(id, p)
+	if w.buf.Vertices() >= flushVertices {
+		w.flush()
 	}
+}
+
+// flush replays the buffer into the shared sink under the merge lock.
+func (w *workerSink) flush() {
+	if w.buf.Len() == 0 {
+		return
+	}
+	w.ms.mu.Lock()
+	w.buf.FlushTo(w.ms.sink)
+	w.ms.mu.Unlock()
+}
+
+// fanGroups runs the groups on opts.Workers goroutines — the paper's
+// "deploy more servers to process these queries in parallel", on one
+// machine. Each group runs its whole pipeline on one worker; once ctrl
+// is cancelled the dispatcher stops feeding and the workers drain the
+// remainder without touching it.
+func fanGroups(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, groups [][]int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
+	defer st.Phases.Start(timing.Enumeration)()
+	ms := &mergeSink{sink: sink}
+	// One join budget for the whole run: splice groups borrow from it
+	// instead of each spawning a private worker pool.
+	fan := &joinFanout{ms: ms, sem: make(chan struct{}, opts.Workers)}
+	jobs := make(chan []int)
+	var wg sync.WaitGroup
+	var statsMu sync.Mutex
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := &workerSink{ms: ms}
+			var local Stats
+			for group := range jobs {
+				if ctrl.Cancelled() {
+					continue // drain so the dispatcher can finish
+				}
+				runGroup(g, gr, qs, idx, group, opts, ctrl, out, &local, fan)
+				out.flush()
+			}
+			statsMu.Lock()
+			st.addGroup(&local)
+			statsMu.Unlock()
+		}()
+	}
+	for _, group := range groups {
+		if ctrl.Cancelled() {
+			break
+		}
+		jobs <- group
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // budgets returns the forward/backward hop budgets of query qi, using
@@ -321,7 +421,7 @@ func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, grou
 			h = pathjoin.BuildHashIndex(bwdStores[i])
 			indexes[bwdStores[i]] = h
 		}
-		pathjoin.JoinHalvesIndexedControlled(fwdStores[i], h, q.K, backHeavy[i], ctrl, id,
+		pathjoin.JoinHalvesIndexed(fwdStores[i], h, q.K, backHeavy[i], ctrl, id,
 			func(p []graph.VertexID) { sink.Emit(id, p) })
 		if !ctrl.Cancelled() {
 			ctrl.MarkComplete(id)

@@ -1,6 +1,7 @@
 package batchenum
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -41,7 +42,7 @@ func benchRun(b *testing.B, opts Options) {
 	var total int64
 	for i := 0; i < b.N; i++ {
 		sink := query.NewCountSink(len(s.qs))
-		if _, err := Run(s.g, s.gr, s.qs, opts, sink); err != nil {
+		if _, err := Run(s.g, s.gr, s.qs, opts, nil, sink); err != nil {
 			b.Fatal(err)
 		}
 		total = sink.Total()
@@ -102,7 +103,7 @@ func getDupSetup(b *testing.B) *benchSetup {
 		var bestN int64
 		for _, q := range cands {
 			sink := query.NewCountSink(1)
-			if _, err := Run(g, gr, []query.Query{q}, Options{Algorithm: Basic}, sink); err != nil {
+			if _, err := Run(g, gr, []query.Query{q}, Options{Algorithm: Basic}, nil, sink); err != nil {
 				b.Fatal(err)
 			}
 			if sink.Total() > bestN {
@@ -126,10 +127,19 @@ func BenchmarkDuplicateBatch(b *testing.B) {
 		b.Run(alg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sink := query.NewCountSink(len(s.qs))
-				if _, err := Run(s.g, s.gr, s.qs, Options{Algorithm: alg}, sink); err != nil {
+				if _, err := Run(s.g, s.gr, s.qs, Options{Algorithm: alg}, nil, sink); err != nil {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkParallelScaling measures worker scaling on one batch.
+func BenchmarkParallelScaling(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchRun(b, Options{Algorithm: BasicPlus, Workers: workers})
 		})
 	}
 }

@@ -24,7 +24,7 @@ func pathKey(p []graph.VertexID) string {
 func collect(t *testing.T, g, gr *graph.Graph, qs []query.Query, opts Options) (resultSet, *Stats) {
 	t.Helper()
 	rs := resultSet{}
-	st, err := Run(g, gr, qs, opts, query.FuncSink(func(id int, p []graph.VertexID) {
+	st, err := Run(g, gr, qs, opts, nil, query.FuncSink(func(id int, p []graph.VertexID) {
 		rs[id] = append(rs[id], pathKey(p))
 	}))
 	if err != nil {
@@ -248,7 +248,8 @@ func TestHopConstraintOne(t *testing.T) {
 	}
 }
 
-// TestInvalidQueriesRejected: validation errors propagate.
+// TestInvalidQueriesRejected: validation errors propagate, inline and
+// fanned alike.
 func TestInvalidQueriesRejected(t *testing.T) {
 	g := testgraphs.Diamond()
 	gr := g.Reverse()
@@ -259,19 +260,24 @@ func TestInvalidQueriesRejected(t *testing.T) {
 		{{S: 0, T: 3, K: 0}},  // k == 0
 	}
 	for i, qs := range bad {
-		if _, err := Run(g, gr, qs, Options{}, query.NewCountSink(len(qs))); err == nil {
-			t.Errorf("case %d: invalid batch accepted", i)
+		for _, workers := range []int{1, 2} {
+			if _, err := Run(g, gr, qs, Options{Workers: workers}, nil, query.NewCountSink(len(qs))); err == nil {
+				t.Errorf("case %d workers=%d: invalid batch accepted", i, workers)
+			}
 		}
 	}
 }
 
-// TestEmptyBatch is a no-op returning zeroed stats.
+// TestEmptyBatch is a no-op returning zeroed stats, inline and fanned
+// alike.
 func TestEmptyBatch(t *testing.T) {
 	g := testgraphs.Diamond()
 	gr := g.Reverse()
-	st, err := Run(g, gr, nil, Options{Algorithm: BatchPlus}, query.NewCountSink(0))
-	if err != nil || st.NumQueries != 0 {
-		t.Fatalf("empty batch: st=%+v err=%v", st, err)
+	for _, workers := range []int{1, 2} {
+		st, err := Run(g, gr, nil, Options{Algorithm: BatchPlus, Workers: workers}, nil, query.NewCountSink(0))
+		if err != nil || st.NumQueries != 0 {
+			t.Fatalf("empty batch workers=%d: st=%+v err=%v", workers, st, err)
+		}
 	}
 }
 
@@ -319,7 +325,7 @@ func TestCountSinkTotals(t *testing.T) {
 	gr := g.Reverse()
 	qs := paperBatch()
 	cs := query.NewCountSink(len(qs))
-	if _, err := Run(g, gr, qs, Options{Algorithm: BatchPlus}, cs); err != nil {
+	if _, err := Run(g, gr, qs, Options{Algorithm: BatchPlus}, nil, cs); err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{3, 3, 1, 2, 2}
@@ -411,7 +417,7 @@ func TestCompleteDAGCounts(t *testing.T) {
 	}
 	for _, alg := range allAlgorithms {
 		cs := query.NewCountSink(len(qs))
-		if _, err := Run(g, gr, qs, Options{Algorithm: alg}, cs); err != nil {
+		if _, err := Run(g, gr, qs, Options{Algorithm: alg}, nil, cs); err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range qs {
@@ -448,7 +454,7 @@ func TestQuickEquivalence(t *testing.T) {
 		}
 		want := bruteSet(g, qs)
 		got := resultSet{}
-		_, err := Run(g, gr, qs, Options{Algorithm: BatchPlus, Gamma: gamma},
+		_, err := Run(g, gr, qs, Options{Algorithm: BatchPlus, Gamma: gamma}, nil,
 			query.FuncSink(func(id int, p []graph.VertexID) {
 				got[id] = append(got[id], pathKey(p))
 			}))
@@ -491,7 +497,7 @@ func TestMultiConsumerSharing(t *testing.T) {
 	}
 	want := bruteSet(g, qs)
 	rs := resultSet{}
-	st, err := Run(g, gr, qs, Options{Algorithm: Batch, Gamma: 0.1},
+	st, err := Run(g, gr, qs, Options{Algorithm: Batch, Gamma: 0.1}, nil,
 		query.FuncSink(func(id int, p []graph.VertexID) {
 			rs[id] = append(rs[id], pathKey(p))
 		}))

@@ -42,9 +42,9 @@ const (
 	// fanned out across goroutines: detection and Ψ enumeration stay
 	// sequential (they share the result cache), but each member query's
 	// half-join is independent once the stores are materialised. Only
-	// the parallel engine honours it; the sequential engine processes it
-	// as GroupShared (one goroutine may not split a non-concurrency-safe
-	// sink).
+	// a fanned run (Options.Workers > 1) honours it; an inline run
+	// processes it as GroupShared (one goroutine may not split a
+	// non-concurrency-safe sink).
 	GroupSpliceParallel
 )
 
@@ -65,8 +65,8 @@ func (e GroupEngine) String() string {
 
 // GroupPlanner picks the engine for each sharing group of a batch and
 // receives the observed cost afterwards. Implementations must be safe
-// for concurrent use: the parallel engine plans and observes groups
-// from multiple workers. The planner only steers the sharing engines
+// for concurrent use: a fanned run plans and observes groups from
+// multiple workers. The planner only steers the sharing engines
 // (Batch/BatchPlus); the Basic engines have no groups to plan.
 type GroupPlanner interface {
 	// PlanGroup returns the engine for one sharing group. group holds
@@ -116,8 +116,9 @@ func (p *PlanStats) record(e GroupEngine, nanos int64) {
 	}
 }
 
-// planGroup resolves the engine for one group: the planner's answer
-// when one is configured, GroupShared otherwise (and for GroupAuto).
+// planGroup resolves the engine for one sharing group: the planner's
+// answer when one is configured, GroupShared otherwise (and for
+// GroupAuto).
 func planGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options) GroupEngine {
 	if opts.Planner == nil {
 		return GroupShared
@@ -129,13 +130,20 @@ func planGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group [
 	return e
 }
 
-// runGroup dispatches one sharing group to its chosen engine, times it,
-// books the outcome into st, and feeds the observation back to the
-// planner. fan enables the parallel join phase of GroupSpliceParallel;
-// a nil fan (the sequential engine) processes it as GroupShared.
-func runGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, e GroupEngine, opts Options, ctrl *query.Control, sink query.Sink, st *Stats, fan *joinFanout) {
+// runGroup processes one group of the batch. A Basic engine's group is
+// a single query answered standalone — Algorithm 1 has no clusters to
+// plan or book. A sharing group is dispatched to the engine planGroup
+// picks, timed, booked into st, and fed back to the planner. fan
+// carries a fanned run's join budget for GroupSpliceParallel; a nil
+// fan (an inline run) processes such groups as GroupShared.
+func runGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats, fan *joinFanout) {
+	if !opts.Algorithm.Shared() {
+		processGroupSingle(g, gr, qs, idx, group, opts, ctrl, sink, st)
+		return
+	}
+	e := planGroup(g, gr, qs, idx, group, opts)
 	if e == GroupSpliceParallel && fan == nil {
-		e = GroupShared // sequential engine: no fan-out to run the plan on
+		e = GroupShared // inline run: no fan-out to run the plan on
 	}
 	t0 := time.Now()
 	switch e {
@@ -154,8 +162,8 @@ func runGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []
 }
 
 // processGroupSingle answers every query of the group independently with
-// PathEnum over the already-built shared index — runBasic scoped to one
-// group. Result sets are identical to the sharing pipeline's: both
+// PathEnum over the already-built shared index — Algorithm 1 scoped to
+// one group. Result sets are identical to the sharing pipeline's: both
 // enumerate exactly P(q) per query, they only differ in how much work
 // they share getting there.
 func processGroupSingle(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
@@ -208,18 +216,13 @@ func (fan *joinFanout) joinParallel(live []int, qs []query.Query, fwdStores, bwd
 			}
 			q := qs[live[i]]
 			id := q.ID
-			buf := &query.BufferSink{}
-			pathjoin.JoinHalvesIndexedControlled(fwdStores[i], indexes[bwdStores[i]], q.K, backHeavy[i], ctrl, id,
-				func(p []graph.VertexID) {
-					buf.Emit(id, p)
-					if buf.Vertices() >= flushVertices {
-						fan.ms.drain(buf)
-					}
-				})
+			out := &workerSink{ms: fan.ms}
+			pathjoin.JoinHalvesIndexed(fwdStores[i], indexes[bwdStores[i]], q.K, backHeavy[i], ctrl, id,
+				func(p []graph.VertexID) { out.Emit(id, p) })
 			if !ctrl.Cancelled() {
 				ctrl.MarkComplete(id)
 			}
-			fan.ms.drain(buf)
+			out.flush()
 		}(i)
 	}
 	wg.Wait()

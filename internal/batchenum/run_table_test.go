@@ -1,0 +1,235 @@
+package batchenum
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/hcindex"
+	"repro/internal/query"
+	"repro/internal/testgraphs"
+	"repro/internal/timing"
+)
+
+// tableWorkers are the worker counts every Run row is checked under:
+// the inline run, the smallest fan-out, and the machine's own width.
+func tableWorkers() []int {
+	ws := []int{1, 2}
+	if n := runtime.GOMAXPROCS(0); n > 2 {
+		ws = append(ws, n)
+	}
+	return ws
+}
+
+// tableLimit is the per-query emission limit of the "limit" rows: small
+// enough that the corpora have queries on both sides of it.
+const tableLimit = 2
+
+// checkRunTable is the one table behind Run: Workers ∈ {1, 2,
+// GOMAXPROCS} × ctrl ∈ {nil, limit, pre-cancelled, cancelled mid-run} ×
+// the four algorithms, every row judged against internal/oracle's
+// brute-force path sets for the batch.
+func checkRunTable(t *testing.T, label string, g *graph.Graph, qs []query.Query) {
+	t.Helper()
+	gr := g.Reverse()
+	want := bruteSet(g, qs)
+	wantSet := make([]map[string]bool, len(qs))
+	total := 0
+	for i := range qs {
+		wantSet[i] = map[string]bool{}
+		for _, p := range want[i] {
+			wantSet[i][p] = true
+		}
+		total += len(want[i])
+	}
+	// subset fails unless got holds distinct members of query i's oracle
+	// set — what a truncated result set must still be.
+	subset := func(row string, i int, got []string) {
+		t.Helper()
+		seen := map[string]bool{}
+		for _, p := range got {
+			if !wantSet[i][p] {
+				t.Errorf("%s: query %d emitted %s, not an oracle path", row, i, p)
+			}
+			if seen[p] {
+				t.Errorf("%s: query %d emitted %s twice", row, i, p)
+			}
+			seen[p] = true
+		}
+	}
+
+	for _, alg := range allAlgorithms {
+		for _, workers := range tableWorkers() {
+			opts := Options{Algorithm: alg, Workers: workers}
+			run := func(ctrl *query.Control, onEmit func()) (resultSet, *Stats, error) {
+				got := resultSet{}
+				st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
+					got[id] = append(got[id], pathKey(p))
+					if onEmit != nil {
+						onEmit()
+					}
+				}))
+				for id := range got {
+					sort.Strings(got[id])
+				}
+				return got, st, err
+			}
+			row := fmt.Sprintf("%s %v workers=%d", label, alg, workers)
+
+			// ctrl = nil: the oracle's result sets exactly.
+			got, st, err := run(nil, nil)
+			if err != nil {
+				t.Fatalf("%s nil: %v", row, err)
+			}
+			if st.NumQueries != len(qs) || st.Truncated != 0 {
+				t.Errorf("%s nil: stats report %d queries, %d truncated", row, st.NumQueries, st.Truncated)
+			}
+			diffSets(t, row+" nil", want, got, len(qs))
+
+			// limit: min(limit, |P(q)|) distinct oracle paths per query,
+			// truncation reported exactly where paths were dropped, and
+			// no run-level error.
+			ctrl := query.NewControl(context.Background(), time.Time{}, tableLimit, len(qs))
+			got, st, err = run(ctrl, nil)
+			if err != nil {
+				t.Fatalf("%s limit: %v", row, err)
+			}
+			wantTrunc := 0
+			for i := range qs {
+				cut := len(want[i]) > tableLimit
+				if cut {
+					wantTrunc++
+				}
+				if wantLen := min(len(want[i]), tableLimit); len(got[i]) != wantLen {
+					t.Errorf("%s limit: query %d emitted %d paths, want %d of %d", row, i, len(got[i]), wantLen, len(want[i]))
+				}
+				subset(row+" limit", i, got[i])
+				if ctrl.Truncated(i) != cut || errors.Is(ctrl.QueryErr(i), query.ErrLimitReached) != cut {
+					t.Errorf("%s limit: query %d Truncated=%v QueryErr=%v, want cut=%v", row, i, ctrl.Truncated(i), ctrl.QueryErr(i), cut)
+				}
+			}
+			if st.Truncated != wantTrunc {
+				t.Errorf("%s limit: Stats.Truncated=%d, want %d", row, st.Truncated, wantTrunc)
+			}
+
+			// pre-cancelled: nothing emitted, every query truncated, the
+			// context's error returned alongside the partial stats.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			ctrl = query.NewControl(ctx, time.Time{}, 0, len(qs))
+			got, st, err = run(ctrl, nil)
+			if !errors.Is(err, context.Canceled) || st == nil {
+				t.Fatalf("%s pre-cancelled: err=%v stats=%v, want context.Canceled with stats", row, err, st)
+			}
+			if len(got) != 0 || st.Truncated != len(qs) {
+				t.Errorf("%s pre-cancelled: %d queries emitted, %d truncated of %d", row, len(got), st.Truncated, len(qs))
+			}
+
+			// cancelled mid-run (at the first emission): whatever was
+			// emitted is genuine, a query the engine reports complete has
+			// its whole oracle set, the rest carry the context's error.
+			ctx, cancel = context.WithCancel(context.Background())
+			ctrl = query.NewControl(ctx, time.Time{}, 0, len(qs))
+			got, st, err = run(ctrl, cancel)
+			cancel()
+			if total > 0 && !errors.Is(err, context.Canceled) {
+				t.Errorf("%s mid-run: err=%v, want context.Canceled", row, err)
+			}
+			unfinished := 0
+			for i := range qs {
+				if qerr := ctrl.QueryErr(i); qerr == nil {
+					if len(got[i]) != len(want[i]) {
+						t.Errorf("%s mid-run: query %d reported complete with %d of %d paths", row, i, len(got[i]), len(want[i]))
+					}
+				} else {
+					unfinished++
+					if !errors.Is(qerr, context.Canceled) {
+						t.Errorf("%s mid-run: query %d QueryErr=%v, want context.Canceled", row, i, qerr)
+					}
+				}
+				subset(row+" mid-run", i, got[i])
+			}
+			if st.Truncated != unfinished {
+				t.Errorf("%s mid-run: Stats.Truncated=%d, %d queries carry an error", row, st.Truncated, unfinished)
+			}
+		}
+	}
+}
+
+// TestParallelMatchesSequential runs the table on the paper's Fig. 1
+// batch: every engine, inline and fanned, under every kind of Control,
+// agrees with the oracle.
+func TestParallelMatchesSequential(t *testing.T) {
+	checkRunTable(t, "paper", testgraphs.Paper(), paperBatch())
+}
+
+// TestParallelRandom runs the same table on larger random batches (it
+// also exercises the race detector when tests run with -race).
+func TestParallelRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 10; trial++ {
+		n := 20 + rng.Intn(40)
+		g := graph.GenRandom(n, 2.5, int64(trial+50))
+		var qs []query.Query
+		for len(qs) < 12 {
+			s := graph.VertexID(rng.Intn(n))
+			tt := graph.VertexID(rng.Intn(n))
+			if s == tt {
+				continue
+			}
+			qs = append(qs, query.Query{S: s, T: tt, K: uint8(2 + rng.Intn(4))})
+		}
+		checkRunTable(t, fmt.Sprintf("random trial %d", trial), g, qs)
+	}
+}
+
+// spliceEverything is a GroupPlanner that asks for the parallel-splice
+// engine on every group.
+type spliceEverything struct{}
+
+func (spliceEverything) PlanGroup(_, _ *graph.Graph, _ *hcindex.Index, _ []query.Query, _ []int) GroupEngine {
+	return GroupSpliceParallel
+}
+func (spliceEverything) ObserveGroup(GroupEngine, int, int64) {}
+
+// TestWorkersSemantics pins what Options.Workers means below the public
+// layer — an exact count, never reinterpreted: at most one (zero and
+// negative included) runs the groups inline, where each group books its
+// own detect phase and a parallel-splice plan degrades to shared; more
+// fans them out, where the Enumeration phase is the fan-out's wall
+// clock, per-group phases are not summed, and parallel splice is
+// honoured.
+func TestWorkersSemantics(t *testing.T) {
+	g := testgraphs.Paper()
+	gr := g.Reverse()
+	qs := paperBatch()
+	for _, workers := range []int{-1, 0, 1, 2, 3} {
+		opts := Options{Algorithm: Batch, Gamma: 0.8, Workers: workers, Planner: spliceEverything{}}
+		st, err := Run(g, gr, qs, opts, nil, query.NewCountSink(len(qs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		detect, enumerate := st.Phases.Get(timing.IdentifySubquery), st.Phases.Get(timing.Enumeration)
+		if fanned := workers > 1; fanned {
+			if detect != 0 || enumerate <= 0 {
+				t.Errorf("workers=%d: fanned run booked detect=%v enumerate=%v, want wall-clock Enumeration only", workers, detect, enumerate)
+			}
+			if st.Plan.SpliceGroups != int64(st.NumGroups) {
+				t.Errorf("workers=%d: %d of %d groups ran parallel splice", workers, st.Plan.SpliceGroups, st.NumGroups)
+			}
+		} else {
+			if detect <= 0 || enumerate <= 0 {
+				t.Errorf("workers=%d: inline run booked detect=%v enumerate=%v, want both per group", workers, detect, enumerate)
+			}
+			if st.Plan.SharedGroups != int64(st.NumGroups) || st.Plan.SpliceGroups != 0 {
+				t.Errorf("workers=%d: inline run plan %+v, want all %d groups shared", workers, st.Plan, st.NumGroups)
+			}
+		}
+	}
+}

@@ -132,7 +132,7 @@ func Exp6(cfg Config) ([]Exp6Row, error) {
 		budget := &ksp.Budget{MaxExpansions: cfg.kspBudget()}
 		t0 := time.Now()
 		for _, q := range qs {
-			if !ksp.DkSP(d.g, q, budget, func([]graph.VertexID) {}) {
+			if !ksp.DkSP(d.g, q, budget, nil, func([]graph.VertexID) {}) {
 				row.DkSPOT = true
 				break
 			}
@@ -142,7 +142,7 @@ func Exp6(cfg Config) ([]Exp6Row, error) {
 		budget = &ksp.Budget{MaxExpansions: cfg.kspBudget()}
 		t1 := time.Now()
 		for _, q := range qs {
-			if !ksp.OnePass(d.g, d.gr, q, budget, func([]graph.VertexID) {}) {
+			if !ksp.OnePass(d.g, d.gr, q, budget, nil, func([]graph.VertexID) {}) {
 				row.OnePassOT = true
 				break
 			}
@@ -153,7 +153,7 @@ func Exp6(cfg Config) ([]Exp6Row, error) {
 		t2 := time.Now()
 		if _, err := batchenum.Run(d.g, d.gr, qs, batchenum.Options{
 			Algorithm: batchenum.BatchPlus, Gamma: cfg.gamma(),
-		}, sink); err != nil {
+		}, nil, sink); err != nil {
 			return nil, err
 		}
 		row.BatchPlus = time.Since(t2)

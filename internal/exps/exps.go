@@ -119,7 +119,7 @@ func (c Config) defaultWorkload(d builtDataset) ([]query.Query, error) {
 func timeRun(d builtDataset, qs []query.Query, opts batchenum.Options) (time.Duration, int64, *batchenum.Stats, error) {
 	sink := query.NewCountSink(len(qs))
 	t0 := time.Now()
-	st, err := batchenum.Run(d.g, d.gr, qs, opts, sink)
+	st, err := batchenum.Run(d.g, d.gr, qs, opts, nil, sink)
 	return time.Since(t0), sink.Total(), st, err
 }
 
@@ -144,7 +144,7 @@ func timeRunBest(d builtDataset, qs []query.Query, opts batchenum.Options, reps 
 // runCount runs the headline engine (BatchEnum+) with a counting sink,
 // the cheapest way to size result sets.
 func runCount(d builtDataset, qs []query.Query, sink query.Sink) (*batchenum.Stats, error) {
-	return batchenum.Run(d.g, d.gr, qs, batchenum.Options{Algorithm: batchenum.BatchPlus}, sink)
+	return batchenum.Run(d.g, d.gr, qs, batchenum.Options{Algorithm: batchenum.BatchPlus}, nil, sink)
 }
 
 // fmtDur renders a duration with ms precision for table cells.

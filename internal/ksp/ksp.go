@@ -89,17 +89,14 @@ func (q *labelQueue) Pop() interface{} {
 // index pruning is applied — dead branches are only discovered when the
 // remaining budget runs out, which is what makes the baseline slow.
 // It returns false if the budget was exhausted before completion.
-func OnePass(g, gr *graph.Graph, q query.Query, budget *Budget, emit func(path []graph.VertexID)) bool {
-	return OnePassControlled(g, gr, q, budget, nil, emit)
-}
-
-// OnePassControlled is OnePass under a query.Control: the expansion
-// loops poll for cancellation every step via ctrl.Poll (returning
-// false, like a blown budget) and emissions are charged against q.ID's
-// limit — since labels pop in (hops, lexicographic) order, a limit of
-// n yields exactly the n canonically first paths, after which the run
-// ends as complete. A nil ctrl reproduces OnePass exactly.
-func OnePassControlled(g, gr *graph.Graph, q query.Query, budget *Budget, ctrl *query.Control, emit func(path []graph.VertexID)) bool {
+//
+// The expansion loops poll ctrl for cancellation every step via
+// ctrl.Poll (returning false, like a blown budget) and emissions are
+// charged against q.ID's limit — since labels pop in (hops,
+// lexicographic) order, a limit of n yields exactly the n canonically
+// first paths, after which the run ends as complete. A nil ctrl runs
+// to completion.
+func OnePass(g, gr *graph.Graph, q query.Query, budget *Budget, ctrl *query.Control, emit func(path []graph.VertexID)) bool {
 	distToT := msbfs.FullDistances(gr, q.T)
 	if distToT[q.S] == msbfs.Unreachable {
 		ctrl.MarkComplete(q.ID)
@@ -191,18 +188,14 @@ func (q *candQueue) Pop() interface{} {
 // path from every spur vertex with the shared prefix's edges and
 // vertices removed. Generation stops once the next shortest candidate
 // exceeds the hop constraint. It returns false if the budget ran out.
-func DkSP(g *graph.Graph, q query.Query, budget *Budget, emit func(path []graph.VertexID)) bool {
-	return DkSPControlled(g, q, budget, nil, emit)
-}
-
-// DkSPControlled is DkSP under a query.Control: the spur BFSes poll
-// for cancellation every expansion step via ctrl.Poll (returning
-// false, like a blown budget) and each accepted path is charged
-// against q.ID's limit — outputs arrive in (hops, lexicographic)
-// order, so a limit of n yields exactly the n canonically first paths
-// and skips all further spur searches. A nil ctrl reproduces DkSP
-// exactly.
-func DkSPControlled(g *graph.Graph, q query.Query, budget *Budget, ctrl *query.Control, emit func(path []graph.VertexID)) bool {
+//
+// The spur BFSes poll ctrl for cancellation every expansion step via
+// ctrl.Poll (returning false, like a blown budget) and each accepted
+// path is charged against q.ID's limit — outputs arrive in (hops,
+// lexicographic) order, so a limit of n yields exactly the n
+// canonically first paths and skips all further spur searches. A nil
+// ctrl runs to completion.
+func DkSP(g *graph.Graph, q query.Query, budget *Budget, ctrl *query.Control, emit func(path []graph.VertexID)) bool {
 	steps, stopped := 0, false
 	first := maskedShortestPath(g, q.S, q.T, nil, nil, budget, ctrl, &steps, &stopped)
 	if stopped {

@@ -34,15 +34,15 @@ func TestDkSPCancelledPreemptsBFS(t *testing.T) {
 	q := query.Query{ID: 0, S: 1, T: 0, K: 8}
 
 	ctrl := cancelledControl(1)
-	if ok := DkSPControlled(g, q, nil, ctrl, func([]graph.VertexID) {}); ok {
-		t.Fatal("DkSPControlled reported a complete run under a cancelled Control")
+	if ok := DkSP(g, q, nil, ctrl, func([]graph.VertexID) {}); ok {
+		t.Fatal("DkSP reported a complete run under a cancelled Control")
 	}
 	if ctrl.QueryErr(q.ID) == nil {
 		t.Fatal("cancelled query reports no error")
 	}
 
 	// The same run uncancelled is a genuine (empty) completion.
-	if ok := DkSPControlled(g, q, nil, nil, func(p []graph.VertexID) {
+	if ok := DkSP(g, q, nil, nil, func(p []graph.VertexID) {
 		t.Fatalf("unexpected path %v", p)
 	}); !ok {
 		t.Fatal("uncontrolled run failed")
@@ -61,12 +61,12 @@ func TestOnePassCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ctrl := query.NewControl(ctx, time.Time{}, 0, 1)
 	emitted := 0
-	ok := OnePassControlled(g, gr, q, nil, ctrl, func([]graph.VertexID) {
+	ok := OnePass(g, gr, q, nil, ctrl, func([]graph.VertexID) {
 		emitted++
 		cancel()
 	})
 	if ok {
-		t.Fatal("OnePassControlled reported a complete run after cancellation")
+		t.Fatal("OnePass reported a complete run after cancellation")
 	}
 	// One emission triggers the cancel; the latched Poll answer must end
 	// the run within a poll interval's worth of expansions, each of which

@@ -23,9 +23,9 @@ func run(t *testing.T, name string, g, gr *graph.Graph, q query.Query) [][]graph
 	var ok bool
 	switch name {
 	case "DkSP":
-		ok = DkSP(g, q, nil, collect)
+		ok = DkSP(g, q, nil, nil, collect)
 	case "OnePass":
-		ok = OnePass(g, gr, q, nil, collect)
+		ok = OnePass(g, gr, q, nil, nil, collect)
 	default:
 		t.Fatalf("unknown baseline %s", name)
 	}
@@ -143,14 +143,14 @@ func TestBudgetExhaustion(t *testing.T) {
 	gr := g.Reverse()
 	q := query.Query{S: 0, T: 9, K: 8}
 	b := &Budget{MaxExpansions: 5}
-	if OnePass(g, gr, q, b, func([]graph.VertexID) {}) {
+	if OnePass(g, gr, q, b, nil, func([]graph.VertexID) {}) {
 		t.Error("OnePass completed under a 5-expansion budget")
 	}
 	if !b.Exceeded() {
 		t.Error("budget not marked exceeded")
 	}
 	b2 := &Budget{MaxExpansions: 5}
-	if DkSP(g, q, b2, func([]graph.VertexID) {}) {
+	if DkSP(g, q, b2, nil, func([]graph.VertexID) {}) {
 		t.Error("DkSP completed under a 5-expansion budget")
 	}
 }

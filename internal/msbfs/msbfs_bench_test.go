@@ -33,35 +33,71 @@ func benchSourcesOn(g *graph.Graph, nSrc int) ([]graph.VertexID, []uint8) {
 
 func benchSources() ([]graph.VertexID, []uint8) { return benchSourcesOn(benchGraph, 128) }
 
-// BenchmarkMultiSource measures the bit-parallel 64-way BFS, the index
-// construction path of every engine (Then et al. [36]): the sequential
-// reference kernel, the parallel direction-optimizing engine, and the
-// parallel engine on a dense graph where the Beamer heuristic selects
-// pull for the fat middle levels.
-func BenchmarkMultiSource(b *testing.B) {
-	// run measures one configuration with the pool pre-warmed by an
-	// untimed iteration, so allocs/op reports the steady state rather
-	// than warm-up amortised over whatever b.N the timer picked.
-	run := func(g *graph.Graph, sources []graph.VertexID, caps []uint8, opt BuildOptions) func(*testing.B) {
-		return func(b *testing.B) {
-			pool := NewPool(g.NumVertices())
-			for _, dm := range MultiSourceOpts(g, sources, caps, pool, opt) {
-				dm.Release()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, dm := range MultiSourceOpts(g, sources, caps, pool, opt) {
-					dm.Release()
-				}
-			}
-		}
-	}
+// multiSourceCase is one BenchmarkMultiSource configuration with the
+// steady-state allocs/op the last committed baseline recorded for it.
+type multiSourceCase struct {
+	name    string
+	g       *graph.Graph
+	sources []graph.VertexID
+	caps    []uint8
+	opt     BuildOptions
+	allocs  float64
+}
+
+// multiSourceCases are the sequential reference kernel, the parallel
+// direction-optimizing engine, and the parallel engine on a dense graph
+// where the Beamer heuristic selects pull for the fat middle levels.
+func multiSourceCases() []multiSourceCase {
 	sources, caps := benchSources()
-	b.Run("Seq", run(benchGraph, sources, caps, BuildOptions{}))
-	b.Run("Par", run(benchGraph, sources, caps, BuildOptions{Workers: 4, Reverse: benchReverse()}))
 	dense := benchDense()
 	denseSources, denseCaps := benchSourcesOn(dense, 64)
-	b.Run("PullDense", run(dense, denseSources, denseCaps, BuildOptions{Workers: 4, Reverse: dense.Reverse()}))
+	return []multiSourceCase{
+		{"Seq", benchGraph, sources, caps, BuildOptions{}, 138},
+		{"Par", benchGraph, sources, caps, BuildOptions{Workers: 4, Reverse: benchReverse()}, 349},
+		{"PullDense", dense, denseSources, denseCaps, BuildOptions{Workers: 4, Reverse: dense.Reverse()}, 208},
+	}
+}
+
+// build runs the case once on pool and hands every map back.
+func (c multiSourceCase) build(pool *Pool) {
+	for _, dm := range MultiSourceOpts(c.g, c.sources, c.caps, pool, c.opt) {
+		dm.Release()
+	}
+}
+
+// BenchmarkMultiSource measures the bit-parallel 64-way BFS, the index
+// construction path of every engine (Then et al. [36]). The pool is
+// pre-warmed by an untimed iteration, so allocs/op reports the steady
+// state rather than warm-up amortised over whatever b.N the timer
+// picked.
+func BenchmarkMultiSource(b *testing.B) {
+	for _, c := range multiSourceCases() {
+		b.Run(c.name, func(b *testing.B) {
+			pool := NewPool(c.g.NumVertices())
+			c.build(pool)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.build(pool)
+			}
+		})
+	}
+}
+
+// TestMultiSourceAllocCeilings keeps the pooled kernels' steady state
+// from regrowing allocations: one warm build may allocate at most 1.25×
+// its recorded level. (AllocsPerRun's own warm-up call primes the pool;
+// nothing here goes through a sync.Pool, so the count holds under -race
+// too.)
+func TestMultiSourceAllocCeilings(t *testing.T) {
+	for _, c := range multiSourceCases() {
+		pool := NewPool(c.g.NumVertices())
+		got := testing.AllocsPerRun(3, func() { c.build(pool) })
+		ceiling := c.allocs * 1.25
+		t.Logf("%s: %.0f allocs per build (ceiling %.0f)", c.name, got, ceiling)
+		if got > ceiling {
+			t.Errorf("%s: %.0f allocs per build exceeds %.0f (recorded %.0f × 1.25)", c.name, got, ceiling, c.allocs)
+		}
+	}
 }
 
 // BenchmarkRepeatedSingle is the ablation: the same work as

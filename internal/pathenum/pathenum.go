@@ -57,12 +57,12 @@ func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.Dist
 	}
 	fwdPaths := pathjoin.NewStore(64, 256)
 	bwdPaths := pathjoin.NewStore(64, 256)
-	collectHalf(g, q.S, fb, q.K, bwd, opts, ctrl, fwdPaths)
-	collectHalf(gr, q.T, bb, q.K, fwd, opts, ctrl, bwdPaths)
+	CollectHalf(g, q.S, fb, q.K, bwd, opts, ctrl, fwdPaths)
+	CollectHalf(gr, q.T, bb, q.K, fwd, opts, ctrl, bwdPaths)
 	if ctrl.Cancelled() {
 		return // partial halves must not reach the join
 	}
-	pathjoin.JoinHalvesControlled(fwdPaths, bwdPaths, q.K, fb < bb, ctrl, q.ID, emit)
+	pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, q.ID, emit)
 	if !ctrl.Cancelled() {
 		ctrl.MarkComplete(q.ID)
 	}
@@ -100,13 +100,16 @@ func levelCount(dm *msbfs.DistMap, d uint8) int {
 	return c
 }
 
-// CollectHalf runs one side of the bidirectional search standalone: it
-// records into out every simple partial path rooted at root with at
-// most budget hops, pruned against other — the hop-bounded distance
-// map of the query's opposite endpoint in the opposite direction
-// (dist over Gr from t for a forward half on G; dist over G from s for
-// a backward half on Gr). The two stores it fills are exactly what
-// pathjoin.JoinHalvesControlled consumes.
+// CollectHalf performs the pruned DFS of Algorithm 1's Search procedure
+// for one side of the bidirectional search: it records into out every
+// simple partial path rooted at root with at most budget hops,
+// expanding only neighbours w with |p| + dist(w, other-endpoint) < k
+// (Lemma 3.1). other is the hop-bounded distance map of the query's
+// opposite endpoint in the opposite direction (dist over Gr from t for
+// a forward half on G; dist over G from s for a backward half on Gr).
+// The two stores it fills are exactly what pathjoin.JoinHalves
+// consumes. The DFS polls ctrl every query.PollInterval expansions and
+// unwinds as soon as the run is cancelled.
 //
 // The shard layer reuses this at partition boundaries: the shard
 // owning s collects the forward half, the shard owning t the backward
@@ -114,16 +117,6 @@ func levelCount(dm *msbfs.DistMap, d uint8) int {
 // split-at-⌈k/2⌉ machinery a single-process engine applies at a
 // query's midpoint, applied at the shard boundary instead.
 func CollectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, out *pathjoin.Store) {
-	collectHalf(g, root, budget, k, other, opts, ctrl, out)
-}
-
-// collectHalf performs the pruned DFS of Algorithm 1's Search procedure:
-// it records every simple partial path from root with at most budget
-// hops, expanding only neighbours w with |p| + dist(w, other-endpoint)
-// < k (Lemma 3.1; other is the map of distances to the opposite
-// endpoint of the query). The DFS polls ctrl every query.PollInterval
-// expansions and unwinds as soon as the run is cancelled.
-func collectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, out *pathjoin.Store) {
 	path := make([]graph.VertexID, 1, int(budget)+1)
 	path[0] = root
 	// Dense on-path membership: one bool per vertex beats a hash map in

@@ -172,33 +172,20 @@ func (h *HashIndex) Probe(meet graph.VertexID, length int, fn func(p []graph.Ver
 // the backward frontier is the cheaper one to deepen. Either way every
 // HC-s-t path is emitted exactly once.
 func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph.VertexID)) {
-	JoinHalvesIndexed(fwd, BuildHashIndex(bwd), k, backHeavy, emit)
+	JoinHalvesIndexed(fwd, BuildHashIndex(bwd), k, backHeavy, nil, 0, emit)
 }
 
-// JoinHalvesControlled is JoinHalves under a query.Control: emissions
-// are charged against query qid's limit and the probe loop polls for
-// cancellation, so a satisfied or cancelled query stops joining
-// promptly. A nil ctrl reproduces JoinHalves exactly.
-func JoinHalvesControlled(fwd, bwd *Store, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) {
-	JoinHalvesIndexedControlled(fwd, BuildHashIndex(bwd), k, backHeavy, ctrl, qid, emit)
-}
-
-// JoinHalvesIndexed is JoinHalves with a prebuilt backward-side index.
-// Batch engines reuse one index across every query whose backward half
-// aliases the same shared store, instead of rebuilding it per query.
-func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, emit func(path []graph.VertexID)) {
-	JoinHalvesIndexedControlled(fwd, h, k, backHeavy, nil, 0, emit)
-}
-
-// JoinHalvesIndexedControlled is JoinHalvesIndexed under a
-// query.Control (see JoinHalvesControlled). Every emission first
-// reserves a slot on qid's limit; the first refusal ends the join, so
-// the engine learns the result set was truncated (one probe past the
-// limit) without enumerating the rest. Cancellation is polled per
-// probe, not per forward path — a handful of forward paths can fan out
-// into arbitrarily large buckets, so a per-path cadence could run a
-// cancelled join to completion.
-func JoinHalvesIndexedControlled(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) {
+// JoinHalvesIndexed is JoinHalves with a prebuilt backward-side index,
+// under a query.Control. Batch engines reuse one index across every
+// query whose backward half aliases the same shared store, instead of
+// rebuilding it per query. Every emission first reserves a slot on
+// qid's limit; the first refusal ends the join, so the engine learns
+// the result set was truncated (one probe past the limit) without
+// enumerating the rest. Cancellation is polled per probe, not per
+// forward path — a handful of forward paths can fan out into
+// arbitrarily large buckets, so a per-path cadence could run a
+// cancelled join to completion. A nil ctrl joins to completion.
+func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) {
 	buf := make([]graph.VertexID, 0, int(k)+1)
 	steps, stopped := 0, false
 	for i := 0; i < fwd.Len(); i++ {

@@ -42,17 +42,9 @@ type Options struct {
 	MinSimilarity float64
 	// SpliceQueries is the group size at which a sharing group's join
 	// phase is fanned out across goroutines (GroupSpliceParallel); zero
-	// means 8. The sequential engine processes such groups as plain
-	// shared groups, so the setting only matters under parallel runs.
+	// means 8. An inline run (one worker) processes such groups as plain
+	// shared groups, so the setting only matters under fanned runs.
 	SpliceQueries int
-	// ProbePairs bounds the query pairs sampled per group for the
-	// overlap estimate; zero means 4. Each probe costs two bounded
-	// membership scans over the index's distance maps.
-	ProbePairs int
-	// Alpha is the EWMA weight of the per-engine cost feedback in
-	// (0, 1]; zero means 0.3. Larger values adapt faster and forget
-	// faster.
-	Alpha float64
 	// IndexStats, when non-nil, supplies the index provider's lifetime
 	// counters; the cache hit ratio shifts the decision threshold (a
 	// warm cache makes the batch's fixed index phase cheap, so the
@@ -75,19 +67,15 @@ func (o Options) spliceQueries() int {
 	return o.SpliceQueries
 }
 
-func (o Options) probePairs() int {
-	if o.ProbePairs <= 0 {
-		return 4
-	}
-	return o.ProbePairs
-}
-
-func (o Options) alpha() float64 {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		return 0.3
-	}
-	return o.Alpha
-}
+const (
+	// probePairs bounds the query pairs sampled per group for the
+	// overlap estimate. Each probe costs two bounded membership scans
+	// over the index's distance maps.
+	probePairs = 4
+	// alpha is the EWMA weight of the per-engine cost feedback in
+	// (0, 1]. Larger values adapt faster and forget faster.
+	alpha = 0.3
+)
 
 // Decisions snapshots the model's lifetime planning counters.
 type Decisions struct {
@@ -210,18 +198,17 @@ func (m *CostModel) ObserveGroup(e batchenum.GroupEngine, queries int, nanos int
 		return
 	}
 	perQuery := float64(nanos) / float64(queries)
-	a := m.opts.alpha()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch e {
 	case batchenum.GroupSingle:
-		m.ewmaSingle = ewma(m.ewmaSingle, perQuery, a)
+		m.ewmaSingle = ewma(m.ewmaSingle, perQuery)
 	default: // shared and splice-parallel run the same pipeline
-		m.ewmaShared = ewma(m.ewmaShared, perQuery, a)
+		m.ewmaShared = ewma(m.ewmaShared, perQuery)
 	}
 }
 
-func ewma(prev, sample, alpha float64) float64 {
+func ewma(prev, sample float64) float64 {
 	if prev == 0 {
 		return sample
 	}
@@ -230,14 +217,11 @@ func ewma(prev, sample, alpha float64) float64 {
 
 // overlapEstimate samples the group's pairwise Γ-overlap µ (Def. 4.5)
 // at fixed pair positions: adjacent pairs spread across the group plus
-// the (first, last) pair, up to ProbePairs probes. Clustering already
+// the (first, last) pair, up to probePairs probes. Clustering already
 // guarantees some within-group affinity; the probes measure how much.
 func (m *CostModel) overlapEstimate(idx *hcindex.Index, group []int) float64 {
 	n := len(group)
-	probes := m.opts.probePairs()
-	if probes > n-1 {
-		probes = n - 1
-	}
+	probes := min(probePairs, n-1)
 	stride := (n - 1) / probes
 	if stride < 1 {
 		stride = 1

@@ -86,8 +86,7 @@ func replayCfg(plan *planner.Options) service.Config {
 	return service.Config{
 		MaxBatch: 16,
 		MaxWait:  2 * time.Millisecond,
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus},
-		Workers:  4,
+		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 		Plan:     plan,
 	}
 }

@@ -74,7 +74,7 @@ func TestMaxQueuedBoundaries(t *testing.T) {
 			cfg := Config{
 				MaxBatch:  64,
 				MaxWait:   10 * time.Second, // dispatch only on Close
-				Engine:    batchenum.Options{Algorithm: batchenum.BatchPlus},
+				Engine:    batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 				MaxQueued: tc.maxQueued,
 				// A per-caller quota far above the burst keeps the
 				// admission bookkeeping engaged even at MaxQueued 0, so
@@ -152,7 +152,7 @@ func TestMaxInFlightBoundaries(t *testing.T) {
 			cfg := Config{
 				MaxBatch:    1, // every submission is its own batch
 				MaxWait:     time.Millisecond,
-				Engine:      batchenum.Options{Algorithm: batchenum.BatchPlus},
+				Engine:      batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 				MaxInFlight: tc.maxInFlight,
 				MaxQueued:   1,
 				OnBatch: func(BatchStats) {
@@ -239,7 +239,7 @@ func TestFairnessQuotaStopsStarvation(t *testing.T) {
 	s, _ := paperService(t, Config{
 		MaxBatch:     64,
 		MaxWait:      10 * time.Second, // dispatch only on Close
-		Engine:       batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:       batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 		MaxQueued:    quota + 1, // room for the quota plus one victim
 		MaxPerCaller: quota,
 	})

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -57,16 +56,12 @@ type Config struct {
 	// per-query latency.
 	MaxWait time.Duration
 	// Engine configures the batch engine each formed batch runs through;
-	// the zero value is BasicEnum, so callers almost always want
-	// Algorithm set to BatchPlus.
+	// the zero value is BasicEnum run inline on the dispatch goroutine,
+	// so callers almost always want Algorithm set to BatchPlus and
+	// Workers to the per-batch parallelism (an exact count, as
+	// everywhere below the public hcpath layer). Provider, Epoch and
+	// Planner are filled per batch by the service.
 	Engine batchenum.Options
-	// Workers is the per-batch parallelism, following
-	// batchenum.ParallelOptions: zero or negative means GOMAXPROCS,
-	// positive is the exact worker count. Batches always run through the
-	// parallel engine — a service exists to exploit concurrency — and
-	// one worker reproduces the sequential engine's results and
-	// behaviour.
-	Workers int
 	// QueryTimeout, when positive, bounds each micro-batch's engine
 	// time: the batch runs under a deadline of dispatch time plus
 	// QueryTimeout (every query in a batch dispatched within one MaxWait
@@ -92,11 +87,11 @@ type Config struct {
 	// dense arrays).
 	IndexCacheBytes int64
 	// BuildWorkers sets the MS-BFS parallelism of the index provider
-	// behind every micro-batch: positive runs each index-building pass
-	// on that many goroutines with direction-optimizing push/pull
-	// levels, negative means GOMAXPROCS, zero keeps the sequential
-	// reference kernel. Orthogonal to Workers, which parallelises the
-	// enumeration phase.
+	// behind every micro-batch: a positive count runs each
+	// index-building pass on exactly that many goroutines with
+	// direction-optimizing push/pull levels, zero keeps the sequential
+	// reference kernel. Orthogonal to Engine.Workers, which parallelises
+	// the enumeration phase.
 	BuildWorkers int
 	// CompactAfter tunes the versioned store behind ApplyUpdates: the
 	// delta folds into a fresh CSR base once its effective edge changes
@@ -533,15 +528,11 @@ func Open(g, gr *graph.Graph, cfg Config) (*Service, error) {
 
 // newWithStore wires the batching machinery around an existing store.
 func newWithStore(st *store.Store, cfg Config) *Service {
-	bw := cfg.BuildWorkers
-	if bw < 0 {
-		bw = runtime.GOMAXPROCS(0)
-	}
 	var provider hcindex.Provider
 	if cfg.IndexCacheBytes < 0 {
-		provider = hcindex.NewBuilderWorkers(true, bw)
+		provider = hcindex.NewBuilderWorkers(true, cfg.BuildWorkers)
 	} else {
-		provider = hcindex.NewCacheWorkers(cfg.IndexCacheBytes, bw) // 0 → default budget
+		provider = hcindex.NewCacheWorkers(cfg.IndexCacheBytes, cfg.BuildWorkers) // 0 → default budget
 	}
 	s := &Service{
 		st:       st,
@@ -768,8 +759,9 @@ func (s *Service) collect() {
 type replySink []*request
 
 // Emit implements query.Sink, copying the path into the caller's reply
-// arena. The engine serialises calls (its merge sink drains workers
-// under one lock), so replies need no locking of their own.
+// arena. The engine serialises calls (an inline run emits from one
+// goroutine, a fanned run's merge sink drains workers under one lock),
+// so replies need no locking of their own.
 //
 //hcpath:noalloc
 func (s replySink) Emit(id int, p []graph.VertexID) {
@@ -808,8 +800,7 @@ func (s *Service) runBatch(batch []*request) {
 		deadline = t0.Add(s.cfg.QueryTimeout)
 	}
 	ctrl := query.NewControl(context.Background(), deadline, s.cfg.Limit, len(batch))
-	st, err := batchenum.RunParallelControlled(snap.Graph(), snap.Reverse(), qs,
-		batchenum.ParallelOptions{Options: engine, Workers: s.cfg.Workers}, ctrl, replySink(batch))
+	st, err := batchenum.Run(snap.Graph(), snap.Reverse(), qs, engine, ctrl, replySink(batch))
 	if err != nil && !ctrl.Cancelled() {
 		// Submit pre-validates, so this is systemic, not one query's
 		// fault; fail the whole batch. (A blown QueryTimeout deadline is

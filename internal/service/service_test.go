@@ -35,7 +35,7 @@ func paperQueries() []query.Query {
 func TestSingleQuery(t *testing.T) {
 	s, _ := paperService(t, Config{
 		MaxWait: time.Millisecond,
-		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	r, err := s.Submit(context.Background(), "", query.Query{S: 0, T: 11, K: 5}, true)
 	if err != nil {
@@ -59,8 +59,7 @@ func TestCoalescing(t *testing.T) {
 	s, _ := paperService(t, Config{
 		MaxBatch: 16,
 		MaxWait:  50 * time.Millisecond,
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8},
-		Workers:  -1,
+		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8, Workers: 4},
 		OnBatch:  func(b BatchStats) { batches = append(batches, b) },
 	})
 	qs := paperQueries()
@@ -111,7 +110,7 @@ func TestMaxBatchDispatch(t *testing.T) {
 	s, _ := paperService(t, Config{
 		MaxBatch: 2,
 		MaxWait:  10 * time.Second, // must not matter
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	qs := paperQueries()[:4]
 	var wg sync.WaitGroup
@@ -140,7 +139,7 @@ func TestValidationIsolation(t *testing.T) {
 	s, _ := paperService(t, Config{
 		MaxBatch: 8,
 		MaxWait:  20 * time.Millisecond,
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -174,7 +173,7 @@ func TestContextCancellation(t *testing.T) {
 	s, _ := paperService(t, Config{
 		MaxBatch: 64,
 		MaxWait:  time.Hour, // only cancellation can release the caller
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -190,7 +189,7 @@ func TestClose(t *testing.T) {
 	g := testgraphs.Paper()
 	s := New(g, g.Reverse(), Config{
 		MaxWait: time.Hour, // dispatch must come from Close itself
-		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	done := make(chan int64, 1)
 	go func() {
@@ -229,7 +228,7 @@ func TestResultsMatchSequential(t *testing.T) {
 	want := make([][]string, len(qs))
 	for i, q := range qs {
 		cs := query.NewCollectSink(1)
-		if _, err := batchenum.Run(g, gr, []query.Query{q}, batchenum.Options{Algorithm: batchenum.BatchPlus}, cs); err != nil {
+		if _, err := batchenum.Run(g, gr, []query.Query{q}, batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4}, nil, cs); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range cs.Paths[0] {
@@ -241,8 +240,7 @@ func TestResultsMatchSequential(t *testing.T) {
 	s := New(g, gr, Config{
 		MaxBatch: 3, // force several partial batches per round
 		MaxWait:  time.Millisecond,
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8},
-		Workers:  -1,
+		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8, Workers: 4},
 	})
 	defer s.Close()
 	for round := 0; round < 5; round++ {
@@ -300,7 +298,7 @@ func TestCrossBatchIndexCache(t *testing.T) {
 
 	s, _ := paperService(t, Config{
 		MaxWait: time.Millisecond,
-		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	first := submit(s)
 	if first.IndexHits != 0 || first.IndexMisses != 2 {
@@ -323,7 +321,7 @@ func TestCrossBatchIndexCache(t *testing.T) {
 
 	cold, _ := paperService(t, Config{
 		MaxWait:         time.Millisecond,
-		Engine:          batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:          batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 		IndexCacheBytes: -1,
 	})
 	submit(cold)
@@ -339,7 +337,7 @@ func TestDurableServiceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		MaxWait:         time.Millisecond,
-		Engine:          batchenum.Options{Algorithm: batchenum.BatchPlus},
+		Engine:          batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 		DataDir:         dir,
 		Fsync:           store.FsyncOff,
 		CheckpointEvery: -1,

@@ -23,8 +23,8 @@ import (
 // serializes them and the factor sits near 1). The Queries pair runs
 // the same comparison end to end — concurrent count-mode queries
 // through the full coordinator — where enumeration and micro-batching
-// dilute the transport's share. Only the RPC pair's allocs/op is
-// gated in bench_baseline.json: a ~6µs loopback round-trip is
+// dilute the transport's share. Only the RPC pair's allocation count
+// is gated (TestWireRPCAllocCeiling): a ~6µs loopback round-trip is
 // syscall-bound, and its ns/op swings ±30% run to run on shared
 // runners while the allocation count stays exact.
 func BenchmarkWireThroughput(b *testing.B) {
@@ -84,4 +84,26 @@ func BenchmarkWireThroughput(b *testing.B) {
 	b.Run("RPCsNoBatch", func(b *testing.B) { rpcs(b, true) })
 	b.Run("QueriesBatched", func(b *testing.B) { queries(b, false) })
 	b.Run("QueriesNoBatch", func(b *testing.B) { queries(b, true) })
+}
+
+// TestWireRPCAllocCeiling keeps the frame encode/flush/decode path from
+// regrowing allocations: one mtEpoch round trip — client and in-process
+// server sides together — may allocate at most 1.25× the 18 the last
+// committed baseline recorded under either flush policy. (Nothing on
+// this path goes through a sync.Pool, so the count holds under -race.)
+func TestWireRPCAllocCeiling(t *testing.T) {
+	const recorded = 18
+	for _, noBatch := range []bool{false, true} {
+		coord := startCluster(t, testgraphs.Diamond(), 2, testConfig(), ConnectOptions{NoBatch: noBatch})
+		w := coord.workers[0].(*remoteWorker)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := w.call(context.Background(), mtEpoch, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("NoBatch=%v: %.0f allocs per RPC (ceiling %.1f)", noBatch, got, recorded*1.25)
+		if got > recorded*1.25 {
+			t.Errorf("NoBatch=%v: %.0f allocs per RPC exceeds %.1f (recorded %d × 1.25)", noBatch, got, recorded*1.25, recorded)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
@@ -43,6 +42,8 @@ func FuzzWireFrame(f *testing.F) {
 		f.Add(b)
 		f.Add(appendFrame(nil, mtSubmit+byte(i%8), uint64(i), b))
 	}
+	// Nine bytes asking the distance-map decoder for a 4 GiB dense array.
+	f.Add(oversizedDistMap())
 	// A header claiming the largest legal payload, and one past it.
 	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, maxFramePayload), 0))
 	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, maxFramePayload+1), 0))
@@ -94,18 +95,14 @@ func FuzzWireFrame(f *testing.F) {
 				t.Fatalf("reply round trip changed the reply (%v)", r2.Err())
 			}
 		}
-		// The distance-map codec trusts the sender's dense-array length
-		// (every peer past the handshake holds the same graph), so the
-		// harness — not the decoder — keeps a forged length from turning
-		// one exec into a 4 GiB allocation. Layout: source u32, cap u8,
-		// then the length.
-		if len(data) >= 9 && binary.LittleEndian.Uint32(data[5:9]) <= 1<<16 {
-			if d, err := readDistMap(wirefmt.NewReader(data), 0); err == nil {
-				n := int(binary.LittleEndian.Uint32(data[5:9]))
-				again, err := readDistMap(wirefmt.NewReader(appendDistMap(nil, d, n)), 0)
-				if err != nil || again.NumVisited() != d.NumVisited() {
-					t.Fatalf("distance map round trip: %v", err)
-				}
+		// The reader's own vertex count — not the harness — is what keeps
+		// a forged dense-array length or visited id from sizing an
+		// allocation.
+		const localN = 1 << 10
+		if d, err := readDistMap(wirefmt.NewReader(data), localN); err == nil {
+			again, err := readDistMap(wirefmt.NewReader(appendDistMap(nil, d, localN)), localN)
+			if err != nil || again.NumVisited() != d.NumVisited() {
+				t.Fatalf("distance map round trip: %v", err)
 			}
 		}
 	})

@@ -523,7 +523,7 @@ func (c *Coordinator) crossShardAttempt(ctx context.Context, q query.Query, coll
 		// observed it first, keeping the reply's Truncated/Err exactly
 		// as in the single-process run.
 		if !cancA && !cancB && !ctrl.Cancelled() {
-			pathjoin.JoinHalvesControlled(fwdPaths, bwdPaths, q.K, false, ctrl, 0, emit)
+			pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, false, ctrl, 0, emit)
 		}
 		if !ctrl.Cancelled() && !cancA && !cancB {
 			ctrl.MarkComplete(0)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/batchenum"
 	"repro/internal/graph"
 	"repro/internal/pathjoin"
 	"repro/internal/query"
@@ -146,7 +147,7 @@ func corpus() []corpusCase {
 }
 
 func testConfig() service.Config {
-	return service.Config{MaxBatch: 32}
+	return service.Config{MaxBatch: 32, Engine: batchenum.Options{Workers: 4}}
 }
 
 // TestDifferentialCorpus proves sharded enumeration result-identical to

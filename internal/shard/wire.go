@@ -256,16 +256,25 @@ func appendDistMap(dst []byte, d *msbfs.DistMap, n int) []byte {
 	return dst
 }
 
-// readDistMap decodes one distance map. minN floors the dense-array
-// length at the reader's own vertex count, so a map built on a smaller
-// vertex space stays probe-safe against the local graph.
-func readDistMap(r *wirefmt.Reader, minN int) (*msbfs.DistMap, error) {
+// readDistMap decodes one distance map into a dense array of localN
+// entries — the reader's own vertex count — so the result is probe-safe
+// against the local graph whatever vertex space it was built on. The
+// sender's length only has to be explicable: honest peers send their
+// vertex count, which a reader on the same epoch shares and a reader
+// that has since grown exceeds. A larger claim is refused rather than
+// allocated (nine bytes must not buy a 4 GiB make), and a visited id the
+// local graph does not have fails FromVisited's range check the same
+// way — memory follows the reader's graph, never the peer's word.
+func readDistMap(r *wirefmt.Reader, localN int) (*msbfs.DistMap, error) {
 	source := r.U32()
 	cap := r.U8()
 	n := int(r.U32())
 	nVis := int(r.U32())
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	if n > localN {
+		return nil, fmt.Errorf("distance map claims %d vertices, reader has %d: %w", n, localN, ErrFrameCorrupt)
 	}
 	// 5 bytes per visited vertex (4 id + 1 dist).
 	if nVis > r.Remaining()/5 {
@@ -283,10 +292,7 @@ func readDistMap(r *wirefmt.Reader, minN int) (*msbfs.DistMap, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n < minN {
-		n = minN
-	}
-	d, err := msbfs.FromVisited(source, cap, n, visited, dists)
+	d, err := msbfs.FromVisited(source, cap, localN, visited, dists)
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, ErrFrameCorrupt)
 	}

@@ -232,6 +232,23 @@ func TestDistMapCodec(t *testing.T) {
 		t.Fatalf("absurd visited count: got %v, want ErrFrameCorrupt", err)
 	}
 
+	// Neither may a dense-array length beyond the reader's own vertex
+	// count: the decoder sizes the array by the local graph, and a peer
+	// claiming more is refused before anything is allocated for it.
+	if _, err := readDistMap(wirefmt.NewReader(oversizedDistMap()), 8); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("oversized dense length: got %v, want ErrFrameCorrupt", err)
+	}
+	// A visited id the local graph does not have is refused the same way.
+	beyond := wirefmt.AppendU32(nil, 0)       // source
+	beyond = wirefmt.AppendU8(beyond, 4)      // cap
+	beyond = wirefmt.AppendU32(beyond, 8)     // n
+	beyond = wirefmt.AppendU32(beyond, 1)     // one visited vertex
+	beyond = wirefmt.AppendU32(beyond, 1<<31) // far outside the graph
+	beyond = wirefmt.AppendU8(beyond, 1)
+	if _, err := readDistMap(wirefmt.NewReader(beyond), 8); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("visited id beyond the local graph: got %v, want ErrFrameCorrupt", err)
+	}
+
 	// Unsorted visited sets violate the DistMap invariant and must be
 	// rejected at decode, not propagated into probe-time corruption.
 	unsorted := appendDistMap(nil, d, 8)
@@ -240,6 +257,16 @@ func TestDistMapCodec(t *testing.T) {
 	if _, err := readDistMap(wirefmt.NewReader(unsorted), 8); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("unsorted visited set: got %v, want ErrFrameCorrupt", err)
 	}
+}
+
+// oversizedDistMap is a well-formed, empty distance map whose sender
+// claims a 2³²−1-entry dense array: the nine bytes that used to buy a
+// 4 GiB allocation from any peer past the handshake.
+func oversizedDistMap() []byte {
+	b := wirefmt.AppendU32(nil, 0)       // source
+	b = wirefmt.AppendU8(b, 4)           // cap
+	b = wirefmt.AppendU32(b, 0xFFFFFFFF) // n
+	return wirefmt.AppendU32(b, 0)       // no visited vertices
 }
 
 func TestStoreCodec(t *testing.T) {

@@ -114,13 +114,10 @@ func TestLiveSnapshotEnginesMatchRebuild(t *testing.T) {
 					opts.Provider = cache // shared across epochs: stale hits would diverge
 				}
 				sink := query.NewCollectSink(len(qs))
-				var runErr error
 				if mode == "par" {
-					_, runErr = batchenum.RunParallel(snap.Graph(), snap.Reverse(), qs,
-						batchenum.ParallelOptions{Options: opts, Workers: 4}, sink)
-				} else {
-					_, runErr = batchenum.Run(snap.Graph(), snap.Reverse(), qs, opts, sink)
+					opts.Workers = 4
 				}
+				_, runErr := batchenum.Run(snap.Graph(), snap.Reverse(), qs, opts, nil, sink)
 				if runErr != nil {
 					t.Fatalf("%s: %v", label, runErr)
 				}

@@ -176,11 +176,12 @@ func checkCorpusAgainstOracle(t *testing.T, label string) {
 		for _, alg := range []batchenum.Algorithm{batchenum.Basic, batchenum.BasicPlus, batchenum.Batch, batchenum.BatchPlus} {
 			opts := batchenum.Options{Algorithm: alg, Gamma: 0.8}
 			seq := query.NewCollectSink(len(tc.qs))
-			if _, err := batchenum.Run(tc.g, gr, tc.qs, opts, seq); err != nil {
+			if _, err := batchenum.Run(tc.g, gr, tc.qs, opts, nil, seq); err != nil {
 				t.Fatalf("%s: %s/%v: %v", label, tc.name, alg, err)
 			}
 			par := query.NewCollectSink(len(tc.qs))
-			if _, err := batchenum.RunParallel(tc.g, gr, tc.qs, batchenum.ParallelOptions{Options: opts, Workers: 2}, par); err != nil {
+			opts.Workers = 2
+			if _, err := batchenum.Run(tc.g, gr, tc.qs, opts, nil, par); err != nil {
 				t.Fatalf("%s: %s/%v parallel: %v", label, tc.name, alg, err)
 			}
 			for i := range tc.qs {
