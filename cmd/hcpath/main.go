@@ -89,7 +89,7 @@ func main() {
 		maxBatch    = flag.Int("maxbatch", 64, "replay: max queries coalesced per batch")
 		maxWait     = flag.Duration("maxwait", 2*time.Millisecond, "replay: batch formation window")
 		cacheMB     = flag.Int("cachemb", 64, "replay: cross-batch index cache budget in MiB (0 disables)")
-		usePlanner  = flag.Bool("planner", false, "replay: plan each batch's groups adaptively (single/shared/splice per group)")
+		usePlanner  = flag.Bool("planner", false, "replay: plan each batch's groups adaptively (single or shared per group)")
 		maxInFlight = flag.Int("maxinflight", 0, "replay: max concurrent batches (0 = unlimited)")
 		maxQueued   = flag.Int("maxqueued", 0, "replay: max admitted-but-undispatched queries; excess shed with ErrOverloaded (0 = unlimited)")
 		shards      = flag.Int("shards", 0, "replay/update-replay: shard workers in the in-process sharded deployment (0 or 1 = unsharded)")
@@ -427,9 +427,9 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 		OnBatch: func(b hcpath.BatchStats) {
 			if rc.verbose {
 				fmt.Fprintf(os.Stderr,
-					"batch: %d queries, %d groups, sharing %.2f, plan %d/%d/%d, %d paths, wait %v, enumerate %v\n",
+					"batch: %d queries, %d groups, sharing %.2f, plan %d/%d, %d paths, wait %v, enumerate %v\n",
 					b.Queries, b.Groups, b.SharingRatio(),
-					b.Plan.SingleGroups, b.Plan.SharedGroups, b.Plan.SpliceGroups, b.Paths,
+					b.Plan.SingleGroups, b.Plan.SharedGroups, b.Paths,
 					time.Duration(b.WaitNanos).Round(time.Microsecond),
 					time.Duration(b.EnumerateNanos).Round(time.Microsecond))
 			}
@@ -564,11 +564,10 @@ func shardLine(svc *hcpath.Service) string {
 // planLine renders the replay report's planner and admission summary.
 func planLine(tot hcpath.ServiceTotals, backoffs int64) string {
 	p := tot.Plan
-	return fmt.Sprintf("plan: %d single / %d shared / %d spliced groups (%v / %v / %v); %d shed, %d backoffs",
-		p.SingleGroups, p.SharedGroups, p.SpliceGroups,
+	return fmt.Sprintf("plan: %d single / %d shared groups (%v / %v); %d shed, %d backoffs",
+		p.SingleGroups, p.SharedGroups,
 		time.Duration(p.SingleNanos).Round(time.Microsecond),
 		time.Duration(p.SharedNanos).Round(time.Microsecond),
-		time.Duration(p.SpliceNanos).Round(time.Microsecond),
 		tot.Shed, backoffs)
 }
 

@@ -102,9 +102,9 @@ func main() {
 		answered.Load(), clients, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("service shed %d submissions; clients backed off %d times and lost nothing\n",
 		tot.Shed, backoffs.Load())
-	fmt.Printf("%d batches (largest %d); plan: %d single / %d shared / %d spliced groups\n",
+	fmt.Printf("%d batches (largest %d); plan: %d single / %d shared groups\n",
 		tot.Batches, tot.LargestBatch,
-		tot.Plan.SingleGroups, tot.Plan.SharedGroups, tot.Plan.SpliceGroups)
+		tot.Plan.SingleGroups, tot.Plan.SharedGroups)
 	if tot.Queries != answered.Load() {
 		log.Fatalf("service answered %d but clients counted %d", tot.Queries, answered.Load())
 	}

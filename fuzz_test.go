@@ -35,15 +35,13 @@ var noDeadline time.Time
 // overridePlanner drives per-group engine overrides from the fuzz
 // input: the engine of a sharing group is a deterministic function of a
 // fuzz-chosen salt, the group's first member, and its size, so the
-// fuzzer sweeps arbitrary single/shared/splice-parallel assignments.
+// fuzzer sweeps arbitrary single/shared assignments.
 // Whatever it picks, results must match the fixed-engine path — the
 // planner contract is that plans change work, never answers.
 type overridePlanner struct{ salt byte }
 
 func (p overridePlanner) PlanGroup(_, _ *graph.Graph, _ *hcindex.Index, _ []query.Query, group []int) batchenum.GroupEngine {
-	engines := [...]batchenum.GroupEngine{
-		batchenum.GroupSingle, batchenum.GroupShared, batchenum.GroupSpliceParallel, batchenum.GroupAuto,
-	}
+	engines := [...]batchenum.GroupEngine{batchenum.GroupSingle, batchenum.GroupShared}
 	return engines[(int(p.salt)+group[0]+3*len(group))%len(engines)]
 }
 
@@ -190,7 +188,7 @@ func FuzzEnumerate(f *testing.F) {
 							t.Fatalf("%s/planned-%s: query %d: engine %v != oracle %v", label, mode, i, got, want[i])
 						}
 					}
-					if groups := st.Plan.SingleGroups + st.Plan.SharedGroups + st.Plan.SpliceGroups; groups != int64(st.NumGroups) {
+					if groups := st.Plan.SingleGroups + st.Plan.SharedGroups; groups != int64(st.NumGroups) {
 						t.Fatalf("%s/planned-%s: plan stats cover %d groups, run had %d", label, mode, groups, st.NumGroups)
 					}
 				}

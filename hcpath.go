@@ -564,9 +564,8 @@ type BatchStats = service.BatchStats
 type ServiceTotals = service.Totals
 
 // PlanStats decomposes a batch's (or a service lifetime's) sharing
-// groups by the engine that processed them — single-query PathEnum,
-// the Ψ-DFS sharing pipeline, or parallel splice — with per-engine wall
-// time. Populated on BatchStats.Plan and ServiceTotals.Plan; without a
+// groups by the engine that processed them — single-query PathEnum or
+// the Ψ-DFS sharing pipeline — with per-engine wall time. Populated on BatchStats.Plan and ServiceTotals.Plan; without a
 // planner every group of a sharing run counts as shared.
 type PlanStats = service.PlanStats
 
@@ -674,9 +673,8 @@ type ServiceOptions struct {
 	// planner: each micro-batch's sharing groups are scored by a cheap
 	// cost model (hop caps, endpoint degrees, Γ-overlap probes on the
 	// batch index, the cross-batch cache's hit ratio) and dispatched
-	// per group to single-query PathEnum, the Ψ-DFS sharing pipeline,
-	// or parallel splice — matching the paper's engine crossover
-	// online. Observed per-group costs feed back into the model.
+	// per group to single-query PathEnum or the Ψ-DFS sharing pipeline
+	// — matching the paper's engine crossover online. Observed per-group costs feed back into the model.
 	// Result sets are identical with and without a planner; only the
 	// work to produce them changes. See BatchStats.Plan /
 	// ServiceTotals.Plan for where groups went.

@@ -80,10 +80,10 @@ type Options struct {
 	Epoch uint64
 	// Planner, when non-nil, picks a per-group engine for the sharing
 	// algorithms (Batch/BatchPlus): each cluster is dispatched to
-	// single-query PathEnum, the Ψ-DFS pipeline, or the parallel-splice
-	// variant per its decision, and the observed group cost is fed back
-	// to it. nil keeps the fixed behaviour (every group through the
-	// sharing pipeline). The Basic engines have no groups and ignore it.
+	// single-query PathEnum or the Ψ-DFS pipeline per its decision, and
+	// the observed group cost is fed back to it. nil keeps the fixed
+	// behaviour (every group through the sharing pipeline). The Basic
+	// engines have no groups and ignore it.
 	Planner GroupPlanner
 	// Workers is the exact number of goroutines the batch's groups fan
 	// out over; at most one runs every group inline on the caller's
@@ -215,7 +215,7 @@ func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Co
 				if ctrl.Cancelled() {
 					break
 				}
-				runGroup(g, gr, qs, idx, group, opts, ctrl, sink, st, nil)
+				runGroup(g, gr, qs, idx, group, opts, ctrl, sink, st)
 			}
 		}
 	}
@@ -297,9 +297,6 @@ func (w *workerSink) flush() {
 func fanGroups(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, groups [][]int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
 	ms := &mergeSink{sink: sink}
-	// One join budget for the whole run: splice groups borrow from it
-	// instead of each spawning a private worker pool.
-	fan := &joinFanout{ms: ms, sem: make(chan struct{}, opts.Workers)}
 	jobs := make(chan []int)
 	var wg sync.WaitGroup
 	var statsMu sync.Mutex
@@ -313,7 +310,7 @@ func fanGroups(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, groups 
 				if ctrl.Cancelled() {
 					continue // drain so the dispatcher can finish
 				}
-				runGroup(g, gr, qs, idx, group, opts, ctrl, out, &local, fan)
+				runGroup(g, gr, qs, idx, group, opts, ctrl, out, &local)
 				out.flush()
 			}
 			statsMu.Lock()
@@ -343,10 +340,9 @@ func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, 
 }
 
 // processGroup runs detection, shared enumeration, and joining for one
-// cluster of queries. A non-nil fan parallelises the join phase across
-// goroutines (GroupSpliceParallel); detection and Ψ enumeration always
-// stay on the calling worker, which owns the result cache.
-func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats, fan *joinFanout) {
+// cluster of queries, all on the calling worker, which owns the result
+// cache.
+func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
 	optimized := opts.Algorithm.Optimized()
 
 	// Queries whose target is out of hop range have empty results and
@@ -394,22 +390,6 @@ func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, grou
 	// Backward halves of similar queries often alias one shared store;
 	// the probe-side hash index is built once per distinct store.
 	indexes := make(map[*pathjoin.Store]*pathjoin.HashIndex, len(live))
-	if fan != nil && len(live) > 1 {
-		// Parallel splice: materialise every hash index up front (the
-		// index map must not be written concurrently), then fan the
-		// per-query joins out. Stores stay alive until the whole group
-		// completes — the eager frees below assume a sequential order.
-		for i := range live {
-			if ctrl.Cancelled() {
-				return
-			}
-			if indexes[bwdStores[i]] == nil {
-				indexes[bwdStores[i]] = pathjoin.BuildHashIndex(bwdStores[i])
-			}
-		}
-		fan.joinParallel(live, qs, fwdStores, bwdStores, indexes, backHeavy, ctrl)
-		return
-	}
 	for i, qi := range live {
 		if ctrl.Cancelled() {
 			return

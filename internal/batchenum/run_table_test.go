@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/hcindex"
 	"repro/internal/query"
 	"repro/internal/testgraphs"
 	"repro/internal/timing"
@@ -189,28 +188,18 @@ func TestParallelRandom(t *testing.T) {
 	}
 }
 
-// spliceEverything is a GroupPlanner that asks for the parallel-splice
-// engine on every group.
-type spliceEverything struct{}
-
-func (spliceEverything) PlanGroup(_, _ *graph.Graph, _ *hcindex.Index, _ []query.Query, _ []int) GroupEngine {
-	return GroupSpliceParallel
-}
-func (spliceEverything) ObserveGroup(GroupEngine, int, int64) {}
-
 // TestWorkersSemantics pins what Options.Workers means below the public
 // layer — an exact count, never reinterpreted: at most one (zero and
 // negative included) runs the groups inline, where each group books its
-// own detect phase and a parallel-splice plan degrades to shared; more
-// fans them out, where the Enumeration phase is the fan-out's wall
-// clock, per-group phases are not summed, and parallel splice is
-// honoured.
+// own detect phase; more fans them out, where the Enumeration phase is
+// the fan-out's wall clock and per-group phases are not summed. Either
+// way every group of a plannerless run books as shared.
 func TestWorkersSemantics(t *testing.T) {
 	g := testgraphs.Paper()
 	gr := g.Reverse()
 	qs := paperBatch()
 	for _, workers := range []int{-1, 0, 1, 2, 3} {
-		opts := Options{Algorithm: Batch, Gamma: 0.8, Workers: workers, Planner: spliceEverything{}}
+		opts := Options{Algorithm: Batch, Gamma: 0.8, Workers: workers}
 		st, err := Run(g, gr, qs, opts, nil, query.NewCountSink(len(qs)))
 		if err != nil {
 			t.Fatal(err)
@@ -220,16 +209,13 @@ func TestWorkersSemantics(t *testing.T) {
 			if detect != 0 || enumerate <= 0 {
 				t.Errorf("workers=%d: fanned run booked detect=%v enumerate=%v, want wall-clock Enumeration only", workers, detect, enumerate)
 			}
-			if st.Plan.SpliceGroups != int64(st.NumGroups) {
-				t.Errorf("workers=%d: %d of %d groups ran parallel splice", workers, st.Plan.SpliceGroups, st.NumGroups)
-			}
 		} else {
 			if detect <= 0 || enumerate <= 0 {
 				t.Errorf("workers=%d: inline run booked detect=%v enumerate=%v, want both per group", workers, detect, enumerate)
 			}
-			if st.Plan.SharedGroups != int64(st.NumGroups) || st.Plan.SpliceGroups != 0 {
-				t.Errorf("workers=%d: inline run plan %+v, want all %d groups shared", workers, st.Plan, st.NumGroups)
-			}
+		}
+		if st.Plan.SharedGroups != int64(st.NumGroups) {
+			t.Errorf("workers=%d: plan %+v, want all %d groups shared", workers, st.Plan, st.NumGroups)
 		}
 	}
 }

@@ -3,8 +3,7 @@
 // PathEnum beats the batch Ψ-DFS pipeline on small or non-overlapping
 // sharing groups (detection and Ψ bookkeeping are pure overhead when
 // nothing is shared), while the sharing pipeline wins when Γ-overlap is
-// high, and a large high-overlap group additionally benefits from
-// fanning its join phase out (parallel splice).
+// high.
 //
 // The CostModel scores each group with inputs that are already sitting
 // in cache-warm structures when the decision is made — the hop caps and
@@ -40,11 +39,6 @@ type Options struct {
 	// index. The effective threshold then adapts around this base as
 	// the model observes per-engine costs and the index cache warms up.
 	MinSimilarity float64
-	// SpliceQueries is the group size at which a sharing group's join
-	// phase is fanned out across goroutines (GroupSpliceParallel); zero
-	// means 8. An inline run (one worker) processes such groups as plain
-	// shared groups, so the setting only matters under fanned runs.
-	SpliceQueries int
 	// IndexStats, when non-nil, supplies the index provider's lifetime
 	// counters; the cache hit ratio shifts the decision threshold (a
 	// warm cache makes the batch's fixed index phase cheap, so the
@@ -60,13 +54,6 @@ func (o Options) minSimilarity() float64 {
 	return o.MinSimilarity
 }
 
-func (o Options) spliceQueries() int {
-	if o.SpliceQueries <= 0 {
-		return 8
-	}
-	return o.SpliceQueries
-}
-
 const (
 	// probePairs bounds the query pairs sampled per group for the
 	// overlap estimate. Each probe costs two bounded membership scans
@@ -79,8 +66,8 @@ const (
 
 // Decisions snapshots the model's lifetime planning counters.
 type Decisions struct {
-	// Single, Shared and Splice count the groups routed to each engine.
-	Single, Shared, Splice int64
+	// Single and Shared count the groups routed to each engine.
+	Single, Shared int64
 	// SingleNsPerQuery and SharedNsPerQuery are the current EWMA
 	// per-query wall costs observed per engine (zero until the first
 	// observation) — the feedback the thresholds calibrate on.
@@ -94,9 +81,8 @@ type CostModel struct {
 	opts Options
 
 	mu sync.Mutex
-	// ewmaNs[e] is the EWMA of observed per-query nanoseconds for
-	// engine e (GroupSpliceParallel folds into GroupShared — it is the
-	// same pipeline with a parallel tail).
+	// ewmaSingle and ewmaShared are the EWMAs of observed per-query
+	// nanoseconds per engine.
 	ewmaSingle, ewmaShared float64
 	dec                    Decisions
 }
@@ -167,24 +153,15 @@ func (m *CostModel) PlanGroup(g, gr *graph.Graph, idx *hcindex.Index, qs []query
 	if sim < thr {
 		return m.book(batchenum.GroupSingle)
 	}
-	// High-overlap group: share. Big groups with real per-query
-	// enumeration mass additionally parallelise their join tail; tiny Γ
-	// sets would spend more on goroutines than on joining.
-	if n >= m.opts.spliceQueries() && work >= 256*int64(n) {
-		return m.book(batchenum.GroupSpliceParallel)
-	}
 	return m.book(batchenum.GroupShared)
 }
 
 // book counts a decision under the model's lock.
 func (m *CostModel) book(e batchenum.GroupEngine) batchenum.GroupEngine {
 	m.mu.Lock()
-	switch e {
-	case batchenum.GroupSingle:
+	if e == batchenum.GroupSingle {
 		m.dec.Single++
-	case batchenum.GroupSpliceParallel:
-		m.dec.Splice++
-	default:
+	} else {
 		m.dec.Shared++
 	}
 	m.mu.Unlock()
@@ -200,10 +177,9 @@ func (m *CostModel) ObserveGroup(e batchenum.GroupEngine, queries int, nanos int
 	perQuery := float64(nanos) / float64(queries)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch e {
-	case batchenum.GroupSingle:
+	if e == batchenum.GroupSingle {
 		m.ewmaSingle = ewma(m.ewmaSingle, perQuery)
-	default: // shared and splice-parallel run the same pipeline
+	} else {
 		m.ewmaShared = ewma(m.ewmaShared, perQuery)
 	}
 }

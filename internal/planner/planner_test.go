@@ -31,7 +31,7 @@ func TestSingletonGroupGoesSingle(t *testing.T) {
 		t.Fatalf("singleton group planned as %v, want single", e)
 	}
 	d := m.Decisions()
-	if d.Single != 1 || d.Shared != 0 || d.Splice != 0 {
+	if d.Single != 1 || d.Shared != 0 {
 		t.Fatalf("decisions = %+v, want exactly one single", d)
 	}
 }
@@ -60,22 +60,6 @@ func TestOverlapSteersDecision(t *testing.T) {
 	})
 	if e := m.PlanGroup(g2, gr2, idx2, qs2, []int{0, 1}); e != batchenum.GroupSingle {
 		t.Fatalf("disjoint group planned as %v, want single", e)
-	}
-}
-
-// TestSpliceForLargeGroups: a big high-overlap group with real
-// enumeration mass routes to the parallel-splice engine.
-func TestSpliceForLargeGroups(t *testing.T) {
-	dag := testgraphs.CompleteDAG(64)
-	var raw []query.Query
-	for i := 0; i < 8; i++ {
-		raw = append(raw, query.Query{S: graph.VertexID(i % 2), T: 63, K: 6})
-	}
-	g, gr, idx, qs := fixture(t, dag, raw)
-	m := New(Options{SpliceQueries: 8})
-	group := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if e := m.PlanGroup(g, gr, idx, qs, group); e != batchenum.GroupSpliceParallel {
-		t.Fatalf("large high-overlap group planned as %v, want splice-parallel", e)
 	}
 }
 
@@ -157,7 +141,7 @@ func TestConcurrentPlanAndObserve(t *testing.T) {
 	}
 	wg.Wait()
 	d := m.Decisions()
-	if d.Single+d.Shared+d.Splice != 8*200 {
+	if d.Single+d.Shared != 8*200 {
 		t.Fatalf("decision counters lost updates: %+v", d)
 	}
 }

@@ -94,7 +94,7 @@ func replayCfg(plan *planner.Options) service.Config {
 // TestScenarioDifferentialOracle is the harness's reason to exist: on
 // every committed scenario — bursts, hostile hop caps, live updates —
 // the planned service, an aggressively planned service (thresholds
-// forced low so single/splice routes actually fire), and the fixed
+// forced low so the shared route fires on weak overlap), and the fixed
 // BatchEnum+ service must all return the brute-force oracle's count for
 // every query at its wave's graph version. Run under -race this also
 // proves the planner's concurrent paths clean.
@@ -105,7 +105,7 @@ func TestScenarioDifferentialOracle(t *testing.T) {
 	}{
 		{"fixed", replayCfg(nil)},
 		{"planned", replayCfg(&planner.Options{})},
-		{"planned-aggressive", replayCfg(&planner.Options{MinSimilarity: 0.01, SpliceQueries: 2})},
+		{"planned-aggressive", replayCfg(&planner.Options{MinSimilarity: 0.01})},
 	}
 	for _, g := range golden {
 		t.Run(g.file, func(t *testing.T) {

@@ -120,8 +120,8 @@ type Config struct {
 	// every micro-batch's sharing groups are scored by a
 	// planner.CostModel (seeded from these options, with IndexStats
 	// defaulting to this service's index provider) and dispatched
-	// per-group to single-query PathEnum, the Ψ-DFS pipeline, or
-	// parallel splice; observed group costs feed back into the model.
+	// per-group to single-query PathEnum or the Ψ-DFS pipeline;
+	// observed group costs feed back into the model.
 	// nil keeps the fixed engine for every group.
 	Plan *planner.Options
 	// MaxInFlight bounds the micro-batches running concurrently; the

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/graph"
@@ -90,10 +89,8 @@ func readErrWire(r *wirefmt.Reader) error {
 func appendPlanWire(dst []byte, p PlanStats) []byte {
 	dst = wirefmt.AppendI64(dst, p.SingleGroups)
 	dst = wirefmt.AppendI64(dst, p.SharedGroups)
-	dst = wirefmt.AppendI64(dst, p.SpliceGroups)
 	dst = wirefmt.AppendI64(dst, p.SingleNanos)
 	dst = wirefmt.AppendI64(dst, p.SharedNanos)
-	dst = wirefmt.AppendI64(dst, p.SpliceNanos)
 	return dst
 }
 
@@ -102,10 +99,8 @@ func readPlanWire(r *wirefmt.Reader) PlanStats {
 	var p PlanStats
 	p.SingleGroups = r.I64()
 	p.SharedGroups = r.I64()
-	p.SpliceGroups = r.I64()
 	p.SingleNanos = r.I64()
 	p.SharedNanos = r.I64()
-	p.SpliceNanos = r.I64()
 	return p
 }
 
@@ -209,14 +204,9 @@ func ReadReplyWire(r *wirefmt.Reader) *Reply {
 	rep.Truncated = r.Bool()
 	rep.Err = readErrWire(r)
 	rep.Batch = ReadBatchStatsWire(r)
+	// Each path costs at least 2 bytes on the wire.
 	nPaths := int(r.U32())
-	if r.Err() != nil || nPaths == 0 {
-		return rep
-	}
-	// Each path costs at least 2 bytes on the wire; a count claiming
-	// more paths than bytes remain is corrupt.
-	if nPaths > r.Remaining()/2 {
-		r.Fail(fmt.Errorf("reply claims %d paths in %d bytes: %w", nPaths, r.Remaining(), wirefmt.ErrShort))
+	if nPaths == 0 || !r.Claim(uint32(nPaths), 2) {
 		return rep
 	}
 	// What remains after the per-path length prefixes bounds the arena:
@@ -224,13 +214,12 @@ func ReadReplyWire(r *wirefmt.Reader) *Reply {
 	rep.Paths = *pathjoin.NewStore(nPaths, (r.Remaining()-2*nPaths)/4)
 	var p []graph.VertexID
 	for i := 0; i < nPaths; i++ {
-		n := int(r.U16())
-		if n > r.Remaining()/4 {
-			r.Fail(fmt.Errorf("path claims %d vertices in %d bytes: %w", n, r.Remaining(), wirefmt.ErrShort))
+		n := r.U16()
+		if !r.Claim(uint32(n), 4) {
 			return rep
 		}
 		p = p[:0]
-		for j := 0; j < n; j++ {
+		for j := uint16(0); j < n; j++ {
 			p = append(p, r.U32())
 		}
 		rep.Paths.Add(p)

@@ -74,8 +74,8 @@ func fullBatchStats() BatchStats {
 		Queries: 1, Groups: 2, SharedQueries: 3, SplicedPaths: 4, Paths: 5,
 		WaitNanos: 6, EnumerateNanos: 7, IndexHits: 8, IndexMisses: 9, Truncated: 10,
 		Plan: PlanStats{
-			SingleGroups: 11, SharedGroups: 12, SpliceGroups: 13,
-			SingleNanos: 14, SharedNanos: 15, SpliceNanos: 16,
+			SingleGroups: 11, SharedGroups: 12,
+			SingleNanos: 14, SharedNanos: 15,
 		},
 		Phases: ph,
 	}
@@ -176,8 +176,8 @@ func TestTotalsWireRoundTrip(t *testing.T) {
 		UpdatesApplied: 18, Compactions: 19, DeltaEdges: 20, WALRecords: 21,
 		Checkpoints: 22, SnapshotEpoch: 23,
 		Plan: PlanStats{
-			SingleGroups: 24, SharedGroups: 25, SpliceGroups: 26,
-			SingleNanos: 27, SharedNanos: 28, SpliceNanos: 29,
+			SingleGroups: 24, SharedGroups: 25,
+			SingleNanos: 27, SharedNanos: 28,
 		},
 		Shed: 30,
 	}

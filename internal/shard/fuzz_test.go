@@ -16,9 +16,9 @@ import (
 
 // FuzzWireFrame feeds arbitrary bytes to the wire layer the way a TCP
 // peer would, twice over. As a stream, the bytes go through readFrame
-// until it refuses one: every accepted frame must re-encode to exactly
-// the bytes consumed, and no input — torn, oversized, bit-flipped — may
-// panic or outgrow the bytes that arrived. As a body, the same bytes go
+// until it refuses one: every accepted message must re-encode to
+// exactly the bytes consumed (the frame envelope under it has its own
+// fuzzer, wirefmt's FuzzFrame). As a body, the same bytes go
 // to every message decoder directly (mutation cannot forge a frame's
 // CRC, so the decoders would otherwise stay behind it): none may panic,
 // and what decodes must survive an encode/decode round trip unchanged.
@@ -31,7 +31,7 @@ func FuzzWireFrame(f *testing.F) {
 		nil,
 		[]byte("hello"),
 		appendStore(nil, paths),
-		appendEdges(nil, []graph.Edge{{Src: 1, Dst: 2}, {Src: 7, Dst: 0}}),
+		wirefmt.AppendEdges(wirefmt.AppendU32(nil, 2), []graph.Edge{{Src: 1, Dst: 2}, {Src: 7, Dst: 0}}),
 		appendWireError(nil, service.ErrOverloaded, 5*time.Millisecond),
 		appendWireError(nil, &EpochMismatchError{Want: 3, Have: 4}, 0),
 		service.AppendReplyWire(nil, reply),
@@ -45,8 +45,8 @@ func FuzzWireFrame(f *testing.F) {
 	// Nine bytes asking the distance-map decoder for a 4 GiB dense array.
 	f.Add(oversizedDistMap())
 	// A header claiming the largest legal payload, and one past it.
-	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, maxFramePayload), 0))
-	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, maxFramePayload+1), 0))
+	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, wirefmt.MaxPayload), 0))
+	f.Add(wirefmt.AppendU32(wirefmt.AppendU32(nil, wirefmt.MaxPayload+1), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -55,7 +55,7 @@ func FuzzWireFrame(f *testing.F) {
 
 		br := bufio.NewReader(bytes.NewReader(data))
 		rest := data
-		for limit := uint32(maxHandshakePayload); ; limit = maxFramePayload {
+		for limit := uint32(maxHandshakePayload); ; limit = wirefmt.MaxPayload {
 			typ, id, body, err := readFrame(br, limit)
 			if err != nil {
 				break
@@ -78,13 +78,14 @@ func FuzzWireFrame(f *testing.F) {
 				t.Fatalf("path store round trip: %v", err)
 			}
 		}
-		if edges, err := readEdges(wirefmt.NewReader(data)); err == nil {
-			again, err := readEdges(wirefmt.NewReader(appendEdges(nil, edges)))
-			if err != nil || len(again) != len(edges) {
-				t.Fatalf("edge list round trip: %d edges became %d (%v)", len(edges), len(again), err)
+		r := wirefmt.NewReader(data)
+		if edges := wirefmt.ReadEdges(r, r.U32()); r.Err() == nil {
+			r2 := wirefmt.NewReader(wirefmt.AppendEdges(nil, edges))
+			if again := wirefmt.ReadEdges(r2, uint32(len(edges))); r2.Close() != nil || !slices.Equal(again, edges) {
+				t.Fatalf("edge list round trip: %v became %v (%v)", edges, again, r2.Err())
 			}
 		}
-		r := wirefmt.NewReader(data)
+		r = wirefmt.NewReader(data)
 		if rep := service.ReadReplyWire(r); r.Err() == nil {
 			if int64(rep.Paths.Len()) > int64(len(data)) {
 				t.Fatalf("reply decoded %d paths from %d bytes", rep.Paths.Len(), len(data))

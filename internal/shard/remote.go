@@ -26,12 +26,6 @@ type ConnectOptions struct {
 	// means Base 25ms, Cap 500ms, Total 5s — a worker that has not
 	// come up within the budget fails the Connect loudly.
 	DialBackoff Backoff
-	// NoBatch disables the client's write coalescing: every request
-	// frame is flushed to the socket individually. It exists for the
-	// benchmark that measures what coalescing buys
-	// (BenchmarkWireThroughput) and for debugging; production callers
-	// leave it off.
-	NoBatch bool
 }
 
 func (o ConnectOptions) dialBackoff() Backoff {
@@ -80,9 +74,9 @@ func Connect(ctx context.Context, addrs []string, cfg service.Config, opts Conne
 // WireStats is one remote worker connection's transport counters.
 type WireStats struct {
 	Addr string
-	// RPCs counts request frames sent; Flushes counts socket flushes.
-	// RPCs/Flushes is the coalescing factor: how many concurrent
-	// requests shared one round-trip on average.
+	// RPCs counts request frames written to the socket; Flushes counts
+	// socket flushes. RPCs/Flushes is the coalescing factor: how many
+	// concurrent requests shared one round-trip on average.
 	RPCs, Flushes int64
 }
 
@@ -92,7 +86,7 @@ func (c *Coordinator) Wire() []WireStats {
 	var out []WireStats
 	for _, w := range c.workers {
 		if rw, ok := w.(*remoteWorker); ok {
-			out = append(out, WireStats{Addr: rw.addr, RPCs: rw.rpcs.Load(), Flushes: rw.flushes.Load()})
+			out = append(out, WireStats{Addr: rw.addr, RPCs: rw.out.frames.Load(), Flushes: rw.out.flushes.Load()})
 		}
 	}
 	return out
@@ -109,31 +103,26 @@ var errCoordinatorClosed = errors.New("connection closed by coordinator")
 // remoteWorker is the client side of one worker connection. Requests
 // from any number of coordinator goroutines multiplex over the single
 // connection: each call registers a reply channel under its request
-// id, queues its frame to the send loop — which coalesces every frame
-// queued at flush time into one write, the client half of the
-// level-batching — and waits. The receive loop demultiplexes responses
-// by id. When the connection dies, every pending and future call fails
-// immediately with a WorkerDownError: a killed worker mid-scatter is a
-// typed error, never a hang.
+// id, queues its frame to the connection's frameWriter — which
+// coalesces every frame queued at flush time into one write, the client
+// half of the level-batching — and waits. The receive loop
+// demultiplexes responses by id. When the connection dies, every
+// pending and future call fails immediately with a WorkerDownError: a
+// killed worker mid-scatter is a typed error, never a hang.
 type remoteWorker struct {
 	addr     string
 	shardIdx int
 	conn     net.Conn
-	noBatch  bool
-
-	sendQ chan []byte
-	stop  chan struct{} // closed by markDown
+	out      *frameWriter // shut by markDown
 
 	mu        sync.Mutex
 	pending   map[uint64]chan callResult
 	down      bool
 	downCause error
 
-	nextID  atomic.Uint64
-	epoch   atomic.Uint64
-	nverts  atomic.Int64
-	rpcs    atomic.Int64
-	flushes atomic.Int64
+	nextID atomic.Uint64
+	epoch  atomic.Uint64
+	nverts atomic.Int64
 }
 
 type callResult struct {
@@ -142,8 +131,8 @@ type callResult struct {
 }
 
 // dialWorker establishes one worker connection: dial under the
-// backoff, handshake synchronously, then start the connection's send
-// and receive loops.
+// backoff, handshake synchronously, then start the connection's writer
+// and receive loop.
 func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts ConnectOptions) (*remoteWorker, error) {
 	var d net.Dialer
 	sleeper := opts.dialBackoff().Start()
@@ -159,7 +148,7 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts Con
 		}
 	}
 
-	hello := wirefmt.AppendU32(nil, wireMagic)
+	hello := wirefmt.AppendU32(beginMsg(nil, mtHello, 1), wireMagic)
 	hello = wirefmt.AppendU16(hello, uint16(shardIdx))
 	hello = wirefmt.AppendU16(hello, uint16(shards))
 	if deadline, ok := ctx.Deadline(); ok {
@@ -167,7 +156,7 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts Con
 	} else {
 		conn.SetDeadline(time.Now().Add(controlTimeout))
 	}
-	if _, err := conn.Write(appendFrame(nil, mtHello, 1, hello)); err != nil {
+	if _, err := conn.Write(wirefmt.EndFrame(hello)); err != nil {
 		conn.Close()
 		return nil, &WorkerDownError{Addr: addr, Shard: shardIdx, Cause: err}
 	}
@@ -185,27 +174,24 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts Con
 	r := wirefmt.NewReader(body)
 	epoch := r.U64()
 	n := r.U32()
-	st := readState(r)
+	readState(r) // alignment across workers is checked by Connect via State()
 	if typ != mtResp || r.Close() != nil {
 		conn.Close()
 		return nil, fmt.Errorf("shard: worker %d at %s: malformed handshake response", shardIdx, addr)
 	}
-	_ = st // alignment across workers is checked by Connect via State()
 	conn.SetDeadline(time.Time{})
 
 	w := &remoteWorker{
 		addr:     addr,
 		shardIdx: shardIdx,
 		conn:     conn,
-		noBatch:  opts.NoBatch,
-		sendQ:    make(chan []byte, 256),
-		stop:     make(chan struct{}),
+		out:      newFrameWriter(),
 		pending:  make(map[uint64]chan callResult),
 	}
 	w.nextID.Store(1) // id 1 was the hello
 	w.epoch.Store(epoch)
 	w.nverts.Store(int64(n))
-	go w.sendLoop()
+	go w.out.run(conn, w.markDown)
 	go w.recvLoop(br)
 	return w, nil
 }
@@ -223,7 +209,7 @@ func (w *remoteWorker) markDown(cause error) {
 	pend := w.pending
 	w.pending = nil
 	w.mu.Unlock()
-	close(w.stop)
+	w.out.shut()
 	w.conn.Close()
 	err := w.downError()
 	for _, ch := range pend {
@@ -235,43 +221,9 @@ func (w *remoteWorker) downError() error {
 	return &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: w.downCause}
 }
 
-func (w *remoteWorker) sendLoop() {
-	bw := bufio.NewWriter(w.conn)
-	for {
-		select {
-		case <-w.stop:
-			return
-		case frame := <-w.sendQ:
-			if _, err := bw.Write(frame); err != nil {
-				w.markDown(err)
-				return
-			}
-			if !w.noBatch {
-			drain:
-				for {
-					select {
-					case frame = <-w.sendQ:
-						if _, err := bw.Write(frame); err != nil {
-							w.markDown(err)
-							return
-						}
-					default:
-						break drain
-					}
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				w.markDown(err)
-				return
-			}
-			w.flushes.Add(1)
-		}
-	}
-}
-
 func (w *remoteWorker) recvLoop(br *bufio.Reader) {
 	for {
-		typ, id, body, err := readFrame(br, maxFramePayload)
+		typ, id, body, err := readFrame(br, wirefmt.MaxPayload)
 		if err != nil {
 			w.markDown(err)
 			return
@@ -296,11 +248,17 @@ func (w *remoteWorker) recvLoop(br *bufio.Reader) {
 	}
 }
 
-// call runs one RPC: register, queue, wait. ctx abandons the wait (the
-// late response is discarded on arrival); a downed connection fails
-// immediately.
-func (w *remoteWorker) call(ctx context.Context, typ byte, body []byte) ([]byte, error) {
-	id := w.nextID.Add(1)
+// begin starts one RPC's request frame under a fresh request id. The
+// caller appends the body in place and hands both to call.
+func (w *remoteWorker) begin(typ byte) (id uint64, frame []byte) {
+	id = w.nextID.Add(1)
+	return id, beginMsg(nil, typ, id)
+}
+
+// call runs one RPC begun with begin: register, seal, queue, wait. ctx
+// abandons the wait (the late response is discarded on arrival); a
+// downed connection fails immediately.
+func (w *remoteWorker) call(ctx context.Context, id uint64, frame []byte) ([]byte, error) {
 	ch := make(chan callResult, 1)
 	w.mu.Lock()
 	if w.down {
@@ -309,17 +267,13 @@ func (w *remoteWorker) call(ctx context.Context, typ byte, body []byte) ([]byte,
 	}
 	w.pending[id] = ch
 	w.mu.Unlock()
-	w.rpcs.Add(1)
 
-	frame := appendFrame(nil, typ, id, body)
-	select {
-	case w.sendQ <- frame:
-	case <-w.stop:
+	if !w.out.send(wirefmt.EndFrame(frame), ctx.Done()) {
 		w.unregister(id)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		return nil, w.downError()
-	case <-ctx.Done():
-		w.unregister(id)
-		return nil, ctx.Err()
 	}
 
 	select {
@@ -339,17 +293,18 @@ func (w *remoteWorker) unregister(id uint64) {
 
 // controlCall is call with the stats-plane timeout, for RPCs whose
 // worker-interface signature carries no context.
-func (w *remoteWorker) controlCall(typ byte, body []byte) ([]byte, error) {
+func (w *remoteWorker) controlCall(id uint64, frame []byte) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
-	return w.call(ctx, typ, body)
+	return w.call(ctx, id, frame)
 }
 
 func (w *remoteWorker) Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error) {
-	body := wirefmt.AppendString(nil, caller)
-	body = wirefmt.AppendBool(body, collect)
-	body = service.AppendQueryWire(body, q)
-	resp, err := w.call(ctx, mtSubmit, body)
+	id, req := w.begin(mtSubmit)
+	req = wirefmt.AppendString(req, caller)
+	req = wirefmt.AppendBool(req, collect)
+	req = service.AppendQueryWire(req, q)
+	resp, err := w.call(ctx, id, req)
 	if err != nil {
 		return nil, err
 	}
@@ -362,9 +317,10 @@ func (w *remoteWorker) Submit(ctx context.Context, caller string, q query.Query,
 }
 
 func (w *remoteWorker) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
-	body := appendEdges(nil, adds)
-	body = appendEdges(body, dels)
-	resp, err := w.controlCall(mtApplyUpdates, body)
+	id, req := w.begin(mtApplyUpdates)
+	req = wirefmt.AppendEdges(wirefmt.AppendU32(req, uint32(len(adds))), adds)
+	req = wirefmt.AppendEdges(wirefmt.AppendU32(req, uint32(len(dels))), dels)
+	resp, err := w.controlCall(id, req)
 	if err != nil {
 		return w.Epoch(), err
 	}
@@ -391,7 +347,7 @@ func (w *remoteWorker) NumVertices() int { return int(w.nverts.Load()) }
 // plane can do against an unreachable process — zero Totals once the
 // connection is down.
 func (w *remoteWorker) Stats() service.Totals {
-	resp, err := w.controlCall(mtStats, nil)
+	resp, err := w.controlCall(w.begin(mtStats))
 	if err != nil {
 		return service.Totals{}
 	}
@@ -404,7 +360,7 @@ func (w *remoteWorker) Stats() service.Totals {
 }
 
 func (w *remoteWorker) State() store.State {
-	resp, err := w.controlCall(mtState, nil)
+	resp, err := w.controlCall(w.begin(mtState))
 	if err != nil {
 		return store.State{}
 	}
@@ -417,7 +373,7 @@ func (w *remoteWorker) State() store.State {
 }
 
 func (w *remoteWorker) Checkpoint() error {
-	_, err := w.controlCall(mtCheckpoint, nil)
+	_, err := w.controlCall(w.begin(mtCheckpoint))
 	return err
 }
 
@@ -437,11 +393,12 @@ func dirByte(dir hcindex.Direction) uint8 {
 }
 
 func (w *remoteWorker) AcquireDist(ctx context.Context, epoch uint64, root graph.VertexID, k uint8, dir hcindex.Direction) (*distHandle, error) {
-	body := wirefmt.AppendU64(nil, epoch)
-	body = wirefmt.AppendU32(body, root)
-	body = wirefmt.AppendU8(body, k)
-	body = wirefmt.AppendU8(body, dirByte(dir))
-	resp, err := w.call(ctx, mtAcquireDist, body)
+	id, req := w.begin(mtAcquireDist)
+	req = wirefmt.AppendU64(req, epoch)
+	req = wirefmt.AppendU32(req, root)
+	req = wirefmt.AppendU8(req, k)
+	req = wirefmt.AppendU8(req, dirByte(dir))
+	resp, err := w.call(ctx, id, req)
 	if err != nil {
 		return nil, err
 	}
@@ -471,14 +428,15 @@ func (w *remoteWorker) HalfPaths(ctx context.Context, epoch uint64, dir hcindex.
 			return pathjoin.NewStore(0, 0), true, nil
 		}
 	}
-	body := wirefmt.AppendU64(nil, epoch)
-	body = wirefmt.AppendU8(body, dirByte(dir))
-	body = wirefmt.AppendU32(body, root)
-	body = wirefmt.AppendU8(body, budget)
-	body = wirefmt.AppendU8(body, k)
-	body = wirefmt.AppendI64(body, int64(remaining))
-	body = appendDistMap(body, other, w.NumVertices())
-	resp, err := w.call(ctx, mtHalfPaths, body)
+	id, req := w.begin(mtHalfPaths)
+	req = wirefmt.AppendU64(req, epoch)
+	req = wirefmt.AppendU8(req, dirByte(dir))
+	req = wirefmt.AppendU32(req, root)
+	req = wirefmt.AppendU8(req, budget)
+	req = wirefmt.AppendU8(req, k)
+	req = wirefmt.AppendI64(req, int64(remaining))
+	req = appendDistMap(req, other, w.NumVertices())
+	resp, err := w.call(ctx, id, req)
 	if err != nil {
 		return nil, false, err
 	}

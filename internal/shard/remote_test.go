@@ -137,20 +137,6 @@ func TestRemoteLiveUpdates(t *testing.T) {
 	}
 }
 
-// TestRemoteNoBatchDifferential proves the NoBatch client mode (every
-// frame flushed individually) is behaviourally identical — it only
-// exists to measure what coalescing buys.
-func TestRemoteNoBatchDifferential(t *testing.T) {
-	tc := corpus()[0]
-	gr := tc.g.Reverse()
-	single := service.New(tc.g, gr, testConfig())
-	want := runAll(single, tc.qs)
-	single.Close()
-	remote := startCluster(t, tc.g, 2, testConfig(), ConnectOptions{NoBatch: true})
-	got := runAll(remote, tc.qs)
-	diffOutcomes(t, "remote-nobatch/paper/shards=2", tc.qs, want, got)
-}
-
 // TestRemoteStatsPlane checks the coordinator's merged stats and
 // checkpoint plumbing cross the wire.
 func TestRemoteStatsPlane(t *testing.T) {
@@ -294,7 +280,7 @@ func (f *fakeWorker) serve(conn net.Conn) {
 		return
 	}
 	for {
-		typ, id, body, err := readFrame(br, maxFramePayload)
+		typ, id, body, err := readFrame(br, wirefmt.MaxPayload)
 		if err != nil {
 			conn.Close()
 			return

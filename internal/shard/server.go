@@ -25,9 +25,10 @@ import (
 // deliberately blocks in the micro-batching pipeline while cache-hit
 // AcquireDists answer in microseconds; responses carry the request id
 // back, so they may interleave out of order on the shared connection.
-// Responses queue to a per-connection writer that coalesces everything
-// queued into one flush — the server half of the batching that turns N
-// concurrent scatter-gathers into one round-trip per level.
+// Responses queue to the connection's frameWriter, which coalesces
+// everything queued into one flush — the server half of the batching
+// that turns N concurrent scatter-gathers into one round-trip per
+// level.
 type Server struct {
 	w          localWorker
 	shardIdx   int
@@ -151,28 +152,30 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 
-	out := make(chan []byte, 64)
-	stop := make(chan struct{})
+	// A failed write closes the connection, which ends the read loop
+	// below; handlers still in flight find the writer stopped and drop
+	// their responses.
+	out := newFrameWriter()
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		s.writeLoop(conn, out, stop)
+		out.run(conn, func(error) { conn.Close() })
 	}()
-	// Deferred shutdown order (LIFO): handlers drain first, then stop
-	// closes, then the writer is joined.
+	// Deferred shutdown order (LIFO): handlers drain first, then the
+	// writer is shut, then joined.
 	defer writerWG.Wait()
-	defer close(stop)
+	defer out.shut()
 
 	br := bufio.NewReader(conn)
-	if !s.handshake(br, out, stop) {
+	if !s.handshake(br, out) {
 		return
 	}
 
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
-		typ, id, body, err := readFrame(br, maxFramePayload)
+		typ, id, body, err := readFrame(br, wirefmt.MaxPayload)
 		if err != nil {
 			// io.EOF: the coordinator hung up; anything else: a dead or
 			// corrupt stream. Either way the connection is done.
@@ -184,63 +187,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()
-			send(out, stop, s.handle(typ, id, body))
+			out.send(s.handle(typ, id, body), nil)
 		}()
-	}
-}
-
-// send queues one response frame unless the connection is going down.
-func send(out chan []byte, stop chan struct{}, frame []byte) {
-	select {
-	case out <- frame:
-	case <-stop:
-	}
-}
-
-// writeLoop drains queued response frames into the connection,
-// coalescing everything already queued into one flush.
-func (s *Server) writeLoop(conn net.Conn, out chan []byte, stop chan struct{}) {
-	bw := bufio.NewWriter(conn)
-	for {
-		select {
-		case <-stop:
-			return
-		case frame := <-out:
-			if _, err := bw.Write(frame); err != nil {
-				s.sinkFrames(conn, out, stop)
-				return
-			}
-		drain:
-			for {
-				select {
-				case frame = <-out:
-					if _, err := bw.Write(frame); err != nil {
-						s.sinkFrames(conn, out, stop)
-						return
-					}
-				default:
-					break drain
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				s.sinkFrames(conn, out, stop)
-				return
-			}
-		}
-	}
-}
-
-// sinkFrames keeps consuming queued responses after a write failure so
-// in-flight handlers never block on a dead connection's queue; it
-// returns once the connection's read side shuts the stream down.
-func (s *Server) sinkFrames(conn net.Conn, out chan []byte, stop chan struct{}) {
-	conn.Close()
-	for {
-		select {
-		case <-out:
-		case <-stop:
-			return
-		}
 	}
 }
 
@@ -248,7 +196,7 @@ func (s *Server) sinkFrames(conn net.Conn, out chan []byte, stop chan struct{}) 
 // hello naming this worker's exact identity (shard index and count):
 // a coordinator wired to the wrong address fails loudly at connect
 // time instead of serving another shard's traffic.
-func (s *Server) handshake(br *bufio.Reader, out chan []byte, stop chan struct{}) bool {
+func (s *Server) handshake(br *bufio.Reader, out *frameWriter) bool {
 	typ, id, body, err := readFrame(br, maxHandshakePayload)
 	if err != nil || typ != mtHello {
 		return false
@@ -258,35 +206,37 @@ func (s *Server) handshake(br *bufio.Reader, out chan []byte, stop chan struct{}
 	idx := int(r.U16())
 	n := int(r.U16())
 	if err := r.Close(); err != nil || magic != wireMagic {
-		send(out, stop, errFrame(id, fmt.Errorf("shard: bad hello (protocol mismatch?)"), 0))
+		out.send(errFrame(id, fmt.Errorf("shard: bad hello (protocol mismatch?)"), 0), nil)
 		return false
 	}
 	if idx != s.shardIdx || n != s.shards {
-		send(out, stop, errFrame(id, fmt.Errorf("shard: this worker is shard %d/%d, coordinator expected %d/%d",
-			s.shardIdx, s.shards, idx, n), 0))
+		out.send(errFrame(id, fmt.Errorf("shard: this worker is shard %d/%d, coordinator expected %d/%d",
+			s.shardIdx, s.shards, idx, n), 0), nil)
 		return false
 	}
-	resp := wirefmt.AppendU64(nil, s.w.Epoch())
+	resp := wirefmt.AppendU64(beginMsg(nil, mtResp, id), s.w.Epoch())
 	resp = wirefmt.AppendU32(resp, uint32(s.w.NumVertices()))
 	resp = appendState(resp, s.w.State())
-	send(out, stop, appendFrame(nil, mtResp, id, resp))
+	out.send(wirefmt.EndFrame(resp), nil)
 	return true
 }
 
 func errFrame(id uint64, err error, retryAfter time.Duration) []byte {
-	return appendFrame(nil, mtErr, id, appendWireError(nil, err, retryAfter))
+	return wirefmt.EndFrame(appendWireError(beginMsg(nil, mtErr, id), err, retryAfter))
 }
 
 // handle answers one request frame, returning the response frame.
 func (s *Server) handle(typ byte, id uint64, body []byte) []byte {
-	resp, err := s.dispatch(typ, wirefmt.NewReader(body))
+	resp, err := s.dispatch(beginMsg(nil, mtResp, id), typ, wirefmt.NewReader(body))
 	if err != nil {
 		return errFrame(id, err, s.retryAfter)
 	}
-	return appendFrame(nil, mtResp, id, resp)
+	return wirefmt.EndFrame(resp)
 }
 
-func (s *Server) dispatch(typ byte, r *wirefmt.Reader) ([]byte, error) {
+// dispatch runs one request and appends its response body to resp, a
+// response message already begun.
+func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, error) {
 	switch typ {
 	case mtSubmit:
 		caller := r.String()
@@ -299,7 +249,7 @@ func (s *Server) dispatch(typ byte, r *wirefmt.Reader) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return service.AppendReplyWire(nil, rep), nil
+		return service.AppendReplyWire(resp, rep), nil
 
 	case mtAcquireDist:
 		epoch := r.U64()
@@ -314,7 +264,7 @@ func (s *Server) dispatch(typ byte, r *wirefmt.Reader) ([]byte, error) {
 			return nil, err
 		}
 		defer h.Release()
-		resp := wirefmt.AppendI64(nil, int64(h.hits))
+		resp = wirefmt.AppendI64(resp, int64(h.hits))
 		resp = wirefmt.AppendI64(resp, int64(h.misses))
 		resp = appendDistMap(resp, h.dist, s.w.NumVertices())
 		return resp, nil
@@ -341,19 +291,11 @@ func (s *Server) dispatch(typ byte, r *wirefmt.Reader) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp := wirefmt.AppendBool(nil, cancelled)
-		resp = appendStore(resp, paths)
-		return resp, nil
+		return appendStore(wirefmt.AppendBool(resp, cancelled), paths), nil
 
 	case mtApplyUpdates:
-		adds, err := readEdges(r)
-		if err != nil {
-			return nil, err
-		}
-		dels, err := readEdges(r)
-		if err != nil {
-			return nil, err
-		}
+		adds := wirefmt.ReadEdges(r, r.U32())
+		dels := wirefmt.ReadEdges(r, r.U32())
 		if err := r.Close(); err != nil {
 			return nil, err
 		}
@@ -361,36 +303,21 @@ func (s *Server) dispatch(typ byte, r *wirefmt.Reader) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp := wirefmt.AppendU64(nil, epoch)
-		resp = wirefmt.AppendU32(resp, uint32(s.w.NumVertices()))
-		return resp, nil
+		return wirefmt.AppendU32(wirefmt.AppendU64(resp, epoch), uint32(s.w.NumVertices())), nil
 
-	case mtStats:
-		if err := r.Close(); err != nil {
+	case mtStats, mtState, mtEpoch, mtCheckpoint:
+		if err := r.Close(); err != nil { // these requests carry no body
 			return nil, err
 		}
-		return service.AppendTotalsWire(nil, s.w.Stats()), nil
-
-	case mtState:
-		if err := r.Close(); err != nil {
-			return nil, err
+		switch typ {
+		case mtStats:
+			return service.AppendTotalsWire(resp, s.w.Stats()), nil
+		case mtState:
+			return appendState(resp, s.w.State()), nil
+		case mtEpoch:
+			return wirefmt.AppendU64(resp, s.w.Epoch()), nil
 		}
-		return appendState(nil, s.w.State()), nil
-
-	case mtEpoch:
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
-		return wirefmt.AppendU64(nil, s.w.Epoch()), nil
-
-	case mtCheckpoint:
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
-		if err := s.w.Checkpoint(); err != nil {
-			return nil, err
-		}
-		return []byte{}, nil
+		return resp, s.w.Checkpoint()
 
 	default:
 		return nil, errors.New("shard: unknown request type")

@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -18,15 +18,13 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// This file is the sharded deployment's wire format: the frame layer
-// every connection speaks, the message vocabulary (one type per worker
-// RPC), and the body codecs for the payloads the in-process protocol
-// passes by pointer — distance maps down, half-path stores up. Frames
-// mirror the WAL record format (internal/store): a little-endian
-// length, a CRC32-C over the payload, then the payload, so a torn or
-// bit-flipped frame is detected before any byte of it is interpreted.
+// This file is the sharded deployment's wire format: the message
+// envelope every connection speaks, the coalescing writer both ends
+// send through, the message vocabulary (one type per worker RPC), and
+// the body codecs for the payloads the in-process protocol passes by
+// pointer — distance maps down, half-path stores up. A message is one
+// wirefmt frame, the envelope WAL records use on disk:
 //
-//	frame   = [4B payload len LE][4B CRC32-C(payload)][payload]
 //	payload = [1B msg type][8B request id LE][body]
 //
 // Request ids are chosen by the client and echoed by the server, so
@@ -37,26 +35,17 @@ import (
 const (
 	// wireMagic opens every connection's hello, versioning the
 	// protocol: a worker refuses a client speaking a different format.
-	wireMagic uint32 = 0x68637031 // "hcp1"
+	wireMagic uint32 = 0x68637032 // "hcp2"
 
-	frameHeaderSize = 8
-	// maxFramePayload is the largest frame an established connection
-	// accepts; the length prefix alone never sizes an allocation (see
-	// readFrame), so the bound only rejects the implausible.
-	maxFramePayload = 1 << 30
+	// msgHeader is the message type and request id ahead of every body.
+	msgHeader = 1 + 8
 	// maxHandshakePayload bounds the frames exchanged before the peer
 	// has proved who it is: the 17-byte hello, its 49-byte answer, or a
 	// refusal carrying an error message. An unauthenticated TCP peer can
-	// make either side buffer at most this much.
+	// make either side buffer at most this much; an established
+	// connection accepts up to wirefmt.MaxPayload.
 	maxHandshakePayload = 1 << 10
-	// frameChunk is the step in which a payload buffer grows while it is
-	// read, graph.ReadBinary's discipline: memory follows the bytes that
-	// actually arrived, so a header claiming a gigabyte with nothing
-	// behind it costs one chunk, not the gigabyte.
-	frameChunk = 64 << 10
 )
-
-var wireCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Message types. Requests flow coordinator→worker; the worker answers
 // each with mtResp (body per RPC) or mtErr (a wire error, below),
@@ -76,10 +65,10 @@ const (
 	mtErr  byte = 0x41
 )
 
-// ErrFrameCorrupt marks a frame whose length or checksum is wrong: the
-// stream can no longer be trusted, so both ends drop the connection
-// rather than resynchronize.
-var ErrFrameCorrupt = errors.New("shard: corrupt wire frame")
+// ErrFrameCorrupt marks a frame whose length or checksum is wrong, or
+// a body that contradicts itself: the stream can no longer be trusted,
+// so both ends drop the connection rather than resynchronize.
+var ErrFrameCorrupt = wirefmt.ErrCorrupt
 
 // ErrWorkerDown marks an RPC that failed because the worker's
 // connection is gone — refused, dropped mid-request, or corrupt. A
@@ -125,57 +114,102 @@ func (e *OverloadedError) Error() string { return e.msg }
 
 func (e *OverloadedError) Unwrap() error { return service.ErrOverloaded }
 
-// appendFrame appends one whole frame to dst.
-func appendFrame(dst []byte, typ byte, id uint64, body []byte) []byte {
-	payload := 1 + 8 + len(body)
-	dst = wirefmt.AppendU32(dst, uint32(payload))
-	crc := crc32.Checksum([]byte{typ}, wireCastagnoli)
-	var idb [8]byte
-	wirefmt.AppendU64(idb[:0], id)
-	crc = crc32.Update(crc, wireCastagnoli, idb[:])
-	crc = crc32.Update(crc, wireCastagnoli, body)
-	dst = wirefmt.AppendU32(dst, crc)
-	dst = append(dst, typ)
-	dst = append(dst, idb[:]...)
-	dst = append(dst, body...)
-	return dst
+// beginMsg starts a message in dst: the frame header placeholder, the
+// type and the request id. The caller appends the body in place and
+// seals the frame with wirefmt.EndFrame.
+func beginMsg(dst []byte, typ byte, id uint64) []byte {
+	dst = wirefmt.BeginFrame(dst)
+	dst = wirefmt.AppendU8(dst, typ)
+	return wirefmt.AppendU64(dst, id)
 }
 
-// readFrame reads one frame of at most maxPayload payload bytes
-// (maxHandshakePayload until the handshake completes, maxFramePayload
+// readFrame reads one message of at most maxPayload payload bytes
+// (maxHandshakePayload until the handshake completes, wirefmt.MaxPayload
 // after). Short reads surface as io errors (the peer hung up); a bad
-// length or checksum surfaces as ErrFrameCorrupt. The payload is read
-// in frameChunk steps, so the buffer never runs more than one chunk
-// (amortised: a factor of two) ahead of the bytes received. The
-// returned body is freshly allocated and safe to retain.
+// length or checksum surfaces as ErrFrameCorrupt. The returned body is
+// freshly allocated and safe to retain.
 func readFrame(br *bufio.Reader, maxPayload uint32) (typ byte, id uint64, body []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	payload, err := wirefmt.ReadFrame(br, msgHeader, maxPayload)
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	h := wirefmt.NewReader(hdr[:])
-	length, crc := h.U32(), h.U32()
-	if length < 9 || length > maxPayload {
-		return 0, 0, nil, fmt.Errorf("frame length %d outside [9, %d]: %w", length, maxPayload, ErrFrameCorrupt)
-	}
-	payload := make([]byte, 0, min(int(length), frameChunk))
-	for len(payload) < int(length) {
-		c := min(int(length)-len(payload), frameChunk)
-		payload = slices.Grow(payload, c)[:len(payload)+c]
-		if _, err := io.ReadFull(br, payload[len(payload)-c:]); err != nil {
-			// A frame cut off mid-payload: the peer died mid-write. Report
-			// the io error (unexpected EOF), which the connection layer
-			// folds into worker-down like any other read failure.
-			return 0, 0, nil, err
-		}
-	}
-	if got := crc32.Checksum(payload, wireCastagnoli); got != crc {
-		return 0, 0, nil, fmt.Errorf("frame checksum %08x, want %08x: %w", got, crc, ErrFrameCorrupt)
-	}
 	r := wirefmt.NewReader(payload)
-	typ = r.U8()
-	id = r.U64()
-	return typ, id, payload[9:], nil
+	return r.U8(), r.U64(), payload[msgHeader:], nil
+}
+
+// frameWriter is the write side of a connection, the same on the
+// coordinator and the worker end: any number of goroutines queue sealed
+// frames, and one goroutine writes everything queued and then flushes
+// once. Frames that arrive while a flush syscall is in progress ride
+// the next one, which is what turns N concurrent scatter-gathers into
+// one round-trip per level. Once the writer stops — shut by its owner,
+// or after a write error — senders are refused instead of blocking on
+// a queue nobody drains.
+type frameWriter struct {
+	// q is deep enough for a burst of concurrent callers to queue while
+	// one flush is in progress; beyond it senders wait their turn.
+	q    chan []byte
+	stop chan struct{}
+	once sync.Once
+
+	frames, flushes atomic.Int64 // completed flushes and the frames they carried
+}
+
+func newFrameWriter() *frameWriter {
+	return &frameWriter{q: make(chan []byte, 256), stop: make(chan struct{})}
+}
+
+// send queues one sealed frame. It reports false — and drops the frame
+// — if the writer has stopped or cancel fires first.
+func (fw *frameWriter) send(frame []byte, cancel <-chan struct{}) bool {
+	select {
+	case fw.q <- frame:
+		return true
+	case <-fw.stop:
+		return false
+	case <-cancel:
+		return false
+	}
+}
+
+// shut stops the writer once it has written what is already queued — a
+// handshake refusal is queued and the connection dropped in the same
+// breath. Idempotent.
+func (fw *frameWriter) shut() { fw.once.Do(func() { close(fw.stop) }) }
+
+// run drains the queue into conn until shut. A write or flush error
+// ends it: onErr hears the error first (it tears the connection down),
+// then the writer shuts so no sender is left waiting.
+func (fw *frameWriter) run(conn io.Writer, onErr func(error)) {
+	defer fw.shut()
+	bw := bufio.NewWriter(conn)
+	for {
+		// This goroutine is the only receiver, so a non-empty queue
+		// cannot block a receive.
+		var frame []byte
+		select {
+		case <-fw.stop:
+			if len(fw.q) == 0 {
+				return
+			}
+			frame = <-fw.q
+		case frame = <-fw.q:
+		}
+		_, err := bw.Write(frame)
+		n := int64(1)
+		for ; err == nil && len(fw.q) > 0; n++ {
+			_, err = bw.Write(<-fw.q)
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			onErr(err)
+			return
+		}
+		fw.frames.Add(n)
+		fw.flushes.Add(1)
+	}
 }
 
 // Wire error codes (mtErr body: [1B code][code-specific fields]).
@@ -247,9 +281,7 @@ func appendDistMap(dst []byte, d *msbfs.DistMap, n int) []byte {
 	dst = wirefmt.AppendU32(dst, uint32(n))
 	vis := d.Visited()
 	dst = wirefmt.AppendU32(dst, uint32(len(vis)))
-	for _, v := range vis {
-		dst = wirefmt.AppendU32(dst, v)
-	}
+	dst = wirefmt.AppendU32s(dst, vis)
 	for _, v := range vis {
 		dst = wirefmt.AppendU8(dst, d.Dist(v))
 	}
@@ -269,22 +301,15 @@ func readDistMap(r *wirefmt.Reader, localN int) (*msbfs.DistMap, error) {
 	source := r.U32()
 	cap := r.U8()
 	n := int(r.U32())
-	nVis := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > localN {
+	nVis := r.U32()
+	if r.Err() == nil && n > localN {
 		return nil, fmt.Errorf("distance map claims %d vertices, reader has %d: %w", n, localN, ErrFrameCorrupt)
 	}
 	// 5 bytes per visited vertex (4 id + 1 dist).
-	if nVis > r.Remaining()/5 {
-		return nil, fmt.Errorf("distance map claims %d visited vertices in %d bytes: %w",
-			nVis, r.Remaining(), ErrFrameCorrupt)
+	if !r.Claim(nVis, 5) {
+		return nil, r.Err()
 	}
-	visited := make([]graph.VertexID, nVis)
-	for i := range visited {
-		visited[i] = r.U32()
-	}
+	visited := wirefmt.ReadU32s[graph.VertexID](r, nVis)
 	dists := make([]uint8, nVis)
 	for i := range dists {
 		dists[i] = r.U8()
@@ -303,48 +328,15 @@ func readDistMap(r *wirefmt.Reader, localN int) (*msbfs.DistMap, error) {
 // the flat vertex array.
 func appendStore(dst []byte, s *pathjoin.Store) []byte {
 	verts, offs := s.Raw()
-	dst = wirefmt.AppendU32(dst, uint32(len(offs)))
-	for _, o := range offs {
-		dst = wirefmt.AppendU32(dst, uint32(o))
-	}
-	dst = wirefmt.AppendU32(dst, uint32(len(verts)))
-	for _, v := range verts {
-		dst = wirefmt.AppendU32(dst, v)
-	}
-	return dst
+	dst = wirefmt.AppendU32s(wirefmt.AppendU32(dst, uint32(len(offs))), offs)
+	return wirefmt.AppendU32s(wirefmt.AppendU32(dst, uint32(len(verts))), verts)
 }
 
 // readStore decodes one half-path arena, re-validating the offset
 // invariants through pathjoin.RestoreStore.
 func readStore(r *wirefmt.Reader) (*pathjoin.Store, error) {
-	nOffs := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nOffs > r.Remaining()/4 {
-		return nil, fmt.Errorf("path store claims %d offsets in %d bytes: %w", nOffs, r.Remaining(), ErrFrameCorrupt)
-	}
-	var offs []int32
-	if nOffs > 0 {
-		offs = make([]int32, nOffs)
-		for i := range offs {
-			offs[i] = int32(r.U32())
-		}
-	}
-	nVerts := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nVerts > r.Remaining()/4 {
-		return nil, fmt.Errorf("path store claims %d vertices in %d bytes: %w", nVerts, r.Remaining(), ErrFrameCorrupt)
-	}
-	var verts []graph.VertexID
-	if nVerts > 0 {
-		verts = make([]graph.VertexID, nVerts)
-		for i := range verts {
-			verts[i] = r.U32()
-		}
-	}
+	offs := wirefmt.ReadU32s[int32](r, r.U32())
+	verts := wirefmt.ReadU32s[graph.VertexID](r, r.U32())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -372,32 +364,4 @@ func readState(r *wirefmt.Reader) store.State {
 		NumEdges:    int(r.I64()),
 		Checksum:    r.U32(),
 	}
-}
-
-// appendEdges / readEdges carry an update batch's edge list.
-func appendEdges(dst []byte, edges []graph.Edge) []byte {
-	dst = wirefmt.AppendU32(dst, uint32(len(edges)))
-	for _, e := range edges {
-		dst = wirefmt.AppendU32(dst, e.Src)
-		dst = wirefmt.AppendU32(dst, e.Dst)
-	}
-	return dst
-}
-
-func readEdges(r *wirefmt.Reader) ([]graph.Edge, error) {
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > r.Remaining()/8 {
-		return nil, fmt.Errorf("edge list claims %d edges in %d bytes: %w", n, r.Remaining(), ErrFrameCorrupt)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	edges := make([]graph.Edge, n)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: r.U32(), Dst: r.U32()}
-	}
-	return edges, r.Err()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,16 @@ import (
 	"repro/internal/testgraphs"
 	"repro/internal/wirefmt"
 )
+
+// appendFrame appends one whole message whose body is already encoded
+// — the tests' way to make a frame; production encoders build bodies in
+// place between beginMsg and wirefmt.EndFrame.
+func appendFrame(dst []byte, typ byte, id uint64, body []byte) []byte {
+	start := len(dst)
+	dst = append(beginMsg(dst, typ, id), body...)
+	wirefmt.EndFrame(dst[start:])
+	return dst
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -31,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		frame := appendFrame(nil, c.typ, c.id, c.body)
-		typ, id, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), maxFramePayload)
+		typ, id, body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), wirefmt.MaxPayload)
 		if err != nil {
 			t.Fatalf("readFrame(%#x): %v", c.typ, err)
 		}
@@ -50,7 +61,7 @@ func TestFrameCorruptionMatrix(t *testing.T) {
 	for i := range frame {
 		corrupt := bytes.Clone(frame)
 		corrupt[i] ^= 0x80
-		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(corrupt)), maxFramePayload)
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(corrupt)), wirefmt.MaxPayload)
 		if err == nil {
 			t.Fatalf("byte %d flipped: frame decoded anyway", i)
 		}
@@ -68,7 +79,7 @@ func TestFrameCorruptionMatrix(t *testing.T) {
 func TestFrameTruncation(t *testing.T) {
 	frame := appendFrame(nil, mtHalfPaths, 7, []byte("torn"))
 	for n := 0; n < len(frame); n++ {
-		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:n])), maxFramePayload)
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:n])), wirefmt.MaxPayload)
 		if err == nil {
 			t.Fatalf("frame cut at %d/%d bytes decoded anyway", n, len(frame))
 		}
@@ -80,17 +91,17 @@ func TestFrameTruncation(t *testing.T) {
 
 func TestFrameRejectsImplausibleLength(t *testing.T) {
 	var buf []byte
-	buf = wirefmt.AppendU32(buf, maxFramePayload+1)
+	buf = wirefmt.AppendU32(buf, wirefmt.MaxPayload+1)
 	buf = wirefmt.AppendU32(buf, 0)
 	buf = append(buf, make([]byte, 64)...)
-	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)), maxFramePayload)
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)), wirefmt.MaxPayload)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("oversized length: got %v, want ErrFrameCorrupt", err)
 	}
 	buf = wirefmt.AppendU32(buf[:0], 3) // < 9: too short for type+id
 	buf = wirefmt.AppendU32(buf, 0)
 	buf = append(buf, 1, 2, 3)
-	_, _, _, err = readFrame(bufio.NewReader(bytes.NewReader(buf)), maxFramePayload)
+	_, _, _, err = readFrame(bufio.NewReader(bytes.NewReader(buf)), wirefmt.MaxPayload)
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("undersized length: got %v, want ErrFrameCorrupt", err)
 	}
@@ -102,23 +113,23 @@ func TestFrameRejectsImplausibleLength(t *testing.T) {
 // having allocated on the order of one chunk, not the claimed length.
 func TestFrameAllocationFollowsBytesReceived(t *testing.T) {
 	var buf []byte
-	buf = wirefmt.AppendU32(buf, maxFramePayload)
+	buf = wirefmt.AppendU32(buf, wirefmt.MaxPayload)
 	buf = wirefmt.AppendU32(buf, 0)
 	buf = append(buf, make([]byte, 100)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)), maxFramePayload)
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(buf)), wirefmt.MaxPayload)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("torn gigabyte frame: got %v, want unexpected EOF", err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 4*frameChunk {
-		t.Fatalf("torn gigabyte frame allocated %d bytes, want at most %d", got, 4*frameChunk)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*wirefmt.FrameChunk {
+		t.Fatalf("torn gigabyte frame allocated %d bytes, want at most %d", got, 4*wirefmt.FrameChunk)
 	}
 
 	// A payload spanning several chunks still round-trips.
-	body := bytes.Repeat([]byte{0x5A}, 3*frameChunk+17)
-	_, _, got, err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, mtResp, 9, body))), maxFramePayload)
+	body := bytes.Repeat([]byte{0x5A}, 3*wirefmt.FrameChunk+17)
+	_, _, got, err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, mtResp, 9, body))), wirefmt.MaxPayload)
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("multi-chunk frame: err %v, %d of %d bytes", err, len(got), len(body))
 	}
@@ -147,7 +158,7 @@ func TestHandshakeFrameCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hdr := wirefmt.AppendU32(nil, maxFramePayload)
+	hdr := wirefmt.AppendU32(nil, wirefmt.MaxPayload)
 	hdr = wirefmt.AppendU32(hdr, 0)
 	if _, err := conn.Write(hdr); err != nil {
 		t.Fatal(err)
@@ -159,6 +170,131 @@ func TestHandshakeFrameCapped(t *testing.T) {
 		t.Fatalf("server kept an unauthenticated gigabyte frame open: read returned %v, want EOF", err)
 	}
 }
+
+// TestHandshakeRefusesOldProtocol speaks hcp1 — the previous wire
+// version, whose stats bodies carried a wider PlanStats — at a current
+// worker: the hello is refused with the handshake's error message, not
+// served.
+func TestHandshakeRefusesOldProtocol(t *testing.T) {
+	g := testgraphs.Diamond()
+	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1, ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := wirefmt.AppendU32(nil, 0x68637031) // "hcp1"
+	hello = wirefmt.AppendU16(hello, 0)
+	hello = wirefmt.AppendU16(hello, 1)
+	if _, err := conn.Write(appendFrame(nil, mtHello, 1, hello)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, id, body, err := readFrame(bufio.NewReader(conn), maxHandshakePayload)
+	if err != nil || typ != mtErr || id != 1 {
+		t.Fatalf("answer to an hcp1 hello: type %#x id %d err %v, want an mtErr frame", typ, id, err)
+	}
+	if msg := readWireError(wirefmt.NewReader(body)).Error(); !strings.Contains(msg, "bad hello") {
+		t.Fatalf("refusal says %q, want the bad-hello protocol mismatch", msg)
+	}
+}
+
+// gatedWriter announces every Write, blocks it until the gate opens,
+// and reports the bytes that got through.
+type gatedWriter struct {
+	gate             chan struct{}
+	entered, written chan int
+}
+
+func (g gatedWriter) Write(p []byte) (int, error) {
+	g.entered <- len(p)
+	<-g.gate
+	g.written <- len(p)
+	return len(p), nil
+}
+
+// TestFrameWriter pins the one coalescing writer: frames queued while a
+// flush is in progress ride the next flush together, a frame is counted
+// when its flush completes and not when a caller gives up on queueing
+// it, and a write error reaches the hook once and leaves no sender
+// blocked.
+func TestFrameWriter(t *testing.T) {
+	frame := appendFrame(nil, mtEpoch, 7, nil)
+	fw := newFrameWriter()
+	w := gatedWriter{gate: make(chan struct{}), entered: make(chan int, 1<<10), written: make(chan int, 1<<10)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fw.run(w, func(err error) { t.Errorf("unexpected write error: %v", err) })
+	}()
+
+	// The first frame is taken at once and its flush parks on the gate;
+	// everything sent meanwhile can only queue.
+	if !fw.send(frame, nil) {
+		t.Fatal("send refused on a live writer")
+	}
+	<-w.entered
+	queued := cap(fw.q)
+	for i := 0; i < queued; i++ {
+		if !fw.send(frame, nil) {
+			t.Fatal("send refused on a live writer")
+		}
+	}
+	// The queue is full, so a caller whose context is already done can
+	// only give up: its frame never reaches the socket and is not counted.
+	gone := make(chan struct{})
+	close(gone)
+	if fw.send(frame, gone) {
+		t.Fatal("send queued a frame into a full queue")
+	}
+	if got := fw.frames.Load(); got != 0 {
+		t.Fatalf("%d frames counted before any flush completed", got)
+	}
+
+	close(w.gate)
+	for total, want := 0, (1+queued)*len(frame); total < want; {
+		total += <-w.written
+	}
+	fw.shut()
+	<-done
+	if frames, flushes := fw.frames.Load(), fw.flushes.Load(); frames != int64(1+queued) || flushes != 2 {
+		t.Fatalf("%d frames in %d flushes, want %d frames in 2 (one alone, the queued ones together)", frames, flushes, 1+queued)
+	}
+	for fw.send(frame, nil) {
+		// A stopped writer may still let frames queue, but once the queue
+		// is full a sender is refused — never left blocked.
+	}
+
+	// A failing connection: the hook hears the error, senders are refused.
+	fw = newFrameWriter()
+	boom := errors.New("boom")
+	var hooked []error
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		fw.run(failingWriter{boom}, func(err error) { hooked = append(hooked, err) })
+	}()
+	fw.send(frame, nil)
+	<-done
+	if len(hooked) != 1 || !errors.Is(hooked[0], boom) {
+		t.Fatalf("error hook heard %v, want the write error once", hooked)
+	}
+	for fw.send(frame, nil) {
+	}
+	if frames, flushes := fw.frames.Load(), fw.flushes.Load(); frames != 0 || flushes != 0 {
+		t.Fatalf("%d frames in %d flushes counted on a connection that never took one", frames, flushes)
+	}
+}
+
+type failingWriter struct{ err error }
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
 
 func TestWireErrorRoundTrip(t *testing.T) {
 	t.Run("overloaded", func(t *testing.T) {
@@ -315,29 +451,6 @@ func TestStoreCodec(t *testing.T) {
 	bad = wirefmt.AppendU32(bad, 2)
 	if _, err := readStore(wirefmt.NewReader(bad)); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("non-monotonic offsets: got %v, want ErrFrameCorrupt", err)
-	}
-}
-
-func TestEdgesCodec(t *testing.T) {
-	in := []graph.Edge{{Src: 1, Dst: 2}, {Src: 0, Dst: 9}}
-	r := wirefmt.NewReader(appendEdges(nil, in))
-	got, err := readEdges(r)
-	if err != nil || r.Close() != nil {
-		t.Fatalf("readEdges: %v", err)
-	}
-	if len(got) != 2 || got[0] != in[0] || got[1] != in[1] {
-		t.Fatalf("decoded %v, want %v", got, in)
-	}
-
-	// nil edge list (a pure-delete or pure-add batch) round-trips.
-	r = wirefmt.NewReader(appendEdges(nil, nil))
-	if got, err := readEdges(r); err != nil || got != nil {
-		t.Fatalf("nil edges: %v, %v", got, err)
-	}
-
-	bad := wirefmt.AppendU32(nil, 1<<30)
-	if _, err := readEdges(wirefmt.NewReader(bad)); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("absurd edge count: got %v, want ErrFrameCorrupt", err)
 	}
 }
 

@@ -21,10 +21,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -35,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/wirefmt"
 )
 
 // DefaultCheckpointEvery is the update-record cadence of background
@@ -453,7 +452,7 @@ type State struct {
 // State computes the snapshot's identity. It flattens overlays, so it
 // is O(m) — a diagnostic, not a hot-path call.
 func (s *Snapshot) State() State {
-	h := crc32.New(castagnoli)
+	h := wirefmt.NewHash()
 	if err := graph.WriteBinary(h, s.g); err != nil {
 		// The hash writer cannot fail; WriteBinary has no other error path.
 		panic(err)
@@ -502,24 +501,21 @@ func (d *durability) writeSnapshot(snap *Snapshot, seq, updates, compactions uin
 	}()
 
 	bw := bufio.NewWriterSize(f, 1<<20)
-	h := crc32.New(castagnoli)
+	h := wirefmt.NewHash()
 	w := io.MultiWriter(bw, h)
 
-	var hdr [snapHeaderSize]byte
-	copy(hdr[:8], snapMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], snap.epoch)
-	binary.LittleEndian.PutUint64(hdr[16:], seq)
-	binary.LittleEndian.PutUint64(hdr[24:], updates)
-	binary.LittleEndian.PutUint64(hdr[32:], compactions)
-	if _, err = w.Write(hdr[:]); err != nil {
+	hdr := append(make([]byte, 0, snapHeaderSize), snapMagic[:]...)
+	hdr = wirefmt.AppendU64(hdr, snap.epoch)
+	hdr = wirefmt.AppendU64(hdr, seq)
+	hdr = wirefmt.AppendU64(hdr, updates)
+	hdr = wirefmt.AppendU64(hdr, compactions)
+	if _, err = w.Write(hdr); err != nil {
 		return fmt.Errorf("store: snapshot header: %w", err)
 	}
 	if err = graph.WriteBinary(w, snap.g); err != nil {
 		return fmt.Errorf("store: snapshot graph: %w", err)
 	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-	if _, err = bw.Write(trailer[:]); err != nil {
+	if _, err = bw.Write(wirefmt.AppendU32(nil, h.Sum32())); err != nil {
 		return fmt.Errorf("store: snapshot trailer: %w", err)
 	}
 	if err = bw.Flush(); err != nil {
@@ -561,7 +557,7 @@ func readSnapshotFile(fe fileEpoch) (*graph.Graph, snapHeader, error) {
 		return nil, hdr, fmt.Errorf("store: %s: %d bytes is too small for a snapshot", fe.path, st.Size())
 	}
 
-	h := crc32.New(castagnoli)
+	h := wirefmt.NewHash()
 	r := io.TeeReader(io.LimitReader(f, st.Size()-4), h)
 
 	var raw [snapHeaderSize]byte
@@ -571,10 +567,8 @@ func readSnapshotFile(fe fileEpoch) (*graph.Graph, snapHeader, error) {
 	if [8]byte(raw[:8]) != snapMagic {
 		return nil, hdr, fmt.Errorf("store: %s: bad magic %q", fe.path, raw[:8])
 	}
-	hdr.epoch = binary.LittleEndian.Uint64(raw[8:])
-	hdr.seq = binary.LittleEndian.Uint64(raw[16:])
-	hdr.updates = binary.LittleEndian.Uint64(raw[24:])
-	hdr.compactions = binary.LittleEndian.Uint64(raw[32:])
+	fields := wirefmt.NewReader(raw[8:])
+	hdr = snapHeader{epoch: fields.U64(), seq: fields.U64(), updates: fields.U64(), compactions: fields.U64()}
 	if hdr.epoch != fe.epoch {
 		return nil, hdr, fmt.Errorf("store: %s: header epoch %d does not match filename", fe.path, hdr.epoch)
 	}
@@ -590,7 +584,7 @@ func readSnapshotFile(fe fileEpoch) (*graph.Graph, snapHeader, error) {
 	if _, err := io.ReadFull(f, trailer[:]); err != nil {
 		return nil, hdr, fmt.Errorf("store: %s: trailer: %w", fe.path, err)
 	}
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != h.Sum32() {
+	if got := wirefmt.NewReader(trailer[:]).U32(); got != h.Sum32() {
 		return nil, hdr, fmt.Errorf("store: %s: CRC mismatch (file %08x, computed %08x)", fe.path, got, h.Sum32())
 	}
 	return g, hdr, nil

@@ -541,7 +541,8 @@ func TestParseFsyncPolicy(t *testing.T) {
 }
 
 // FuzzWALReplay is the differential oracle of recovery: an arbitrary
-// byte string is decoded into a bounded update stream, applied to a
+// byte string goes to the record decoders raw, then is decoded into a
+// bounded update stream, applied to a
 // durable store that then crashes, and to a plain in-memory store; the
 // recovered store must agree with the in-memory reference on epoch,
 // vertex count, edge count, and canonical CSR checksum.
@@ -551,6 +552,12 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1, 1, 2, 0, 1, 3, 0, 1, 5, 2, 7})
 	f.Add(bytes.Repeat([]byte{1, 1, 3, 8, 3, 8}, 8))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The same bytes as a segment and as a record payload: any error
+		// is fine, a panic or a count-sized allocation is not (the frame
+		// envelope under scanWAL has its own fuzzer, wirefmt's FuzzFrame).
+		scanWAL(data)
+		decodeRecord(data)
+
 		// Decode waves: [nAdds%3, nDels%3, then 2 bytes per edge].
 		type waveT struct{ adds, dels []graph.Edge }
 		var stream []waveT

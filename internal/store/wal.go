@@ -1,9 +1,8 @@
-// Write-ahead log framing for the durable store. Every epoch
+// Write-ahead log records for the durable store. Every epoch
 // transition — effective update, no-op update, compaction — is one
-// length-prefixed, CRC-framed record appended to the active segment
-// before the snapshot publishes:
+// wirefmt frame appended to the active segment before the snapshot
+// publishes:
 //
-//	[4B payload length LE][4B CRC32-C of payload][payload]
 //	payload = kind(1B) | epoch(8B LE) | nAdds(4B LE) | nDels(4B LE) |
 //	          adds: nAdds × (src 4B, dst 4B) | dels: nDels × (src 4B, dst 4B)
 //
@@ -16,12 +15,11 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/graph"
+	"repro/internal/wirefmt"
 )
 
 // FsyncPolicy selects when WAL appends reach stable storage.
@@ -75,11 +73,9 @@ const (
 )
 
 const (
-	walFrameHeader = 8             // length + CRC
-	walMinPayload  = 1 + 8 + 4 + 4 // kind + epoch + counts
-	maxWALPayload  = 1 << 30       // implausibility guard when scanning
-	walSuffix      = ".log"
-	walPrefix      = "wal-"
+	walMinPayload = 1 + 8 + 4 + 4 // kind + epoch + counts
+	walSuffix     = ".log"
+	walPrefix     = "wal-"
 )
 
 // errTornTail marks scan errors that torn-tail truncation repairs: the
@@ -87,10 +83,6 @@ const (
 // an interrupted append. Anything else (a CRC-valid but malformed
 // record) is real corruption and recovery fails loudly instead.
 var errTornTail = errors.New("torn WAL tail")
-
-// castagnoli is the CRC32-C table shared by WAL frames and snapshot
-// trailers (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walRecord is one decoded WAL record.
 type walRecord struct {
@@ -105,64 +97,32 @@ type walRecord struct {
 //
 //hcpath:noalloc
 func (d *durability) encodeRecord(kind byte, epoch uint64, adds, dels []graph.Edge) {
-	d.buf = d.buf[:0]
-	d.buf = append(d.buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	d.buf = append(d.buf, kind)
-	d.buf = binary.LittleEndian.AppendUint64(d.buf, epoch)
-	d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(len(adds)))
-	d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(len(dels)))
-	for _, e := range adds {
-		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(e.Src))
-		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(e.Dst))
-	}
-	for _, e := range dels {
-		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(e.Src))
-		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(e.Dst))
-	}
-	payload := d.buf[walFrameHeader:]
-	binary.LittleEndian.PutUint32(d.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(d.buf[4:8], crc32.Checksum(payload, castagnoli))
+	d.buf = wirefmt.BeginFrame(d.buf[:0])
+	d.buf = wirefmt.AppendU8(d.buf, kind)
+	d.buf = wirefmt.AppendU64(d.buf, epoch)
+	d.buf = wirefmt.AppendU32(d.buf, uint32(len(adds)))
+	d.buf = wirefmt.AppendU32(d.buf, uint32(len(dels)))
+	d.buf = wirefmt.AppendEdges(d.buf, adds)
+	d.buf = wirefmt.AppendEdges(d.buf, dels)
+	wirefmt.EndFrame(d.buf)
 }
 
 // decodeRecord parses one CRC-verified payload. Errors here mean the
 // writer and reader disagree on the format — corruption that a CRC
 // cannot explain away — and are never treated as a torn tail.
 func decodeRecord(p []byte) (walRecord, error) {
-	kind := p[0]
-	if kind != recUpdate && kind != recCompact && kind != recNoop {
-		return walRecord{}, fmt.Errorf("unknown WAL record kind %d", kind)
+	r := wirefmt.NewReader(p)
+	rec := walRecord{kind: r.U8(), epoch: r.U64()}
+	if rec.kind != recUpdate && rec.kind != recCompact && rec.kind != recNoop {
+		return walRecord{}, fmt.Errorf("unknown WAL record kind %d", rec.kind)
 	}
-	epoch := binary.LittleEndian.Uint64(p[1:])
-	nAdds := binary.LittleEndian.Uint32(p[9:])
-	nDels := binary.LittleEndian.Uint32(p[13:])
-	want := int64(walMinPayload) + 8*(int64(nAdds)+int64(nDels))
-	if int64(len(p)) != want {
-		return walRecord{}, fmt.Errorf("WAL record payload is %d bytes, want %d for %d adds + %d dels",
-			len(p), want, nAdds, nDels)
+	nAdds, nDels := r.U32(), r.U32()
+	rec.adds = wirefmt.ReadEdges(r, nAdds)
+	rec.dels = wirefmt.ReadEdges(r, nDels)
+	if err := r.Close(); err != nil {
+		return walRecord{}, fmt.Errorf("%d-byte WAL record payload claiming %d adds + %d dels: %w", len(p), nAdds, nDels, err)
 	}
-	r := walRecord{kind: kind, epoch: epoch}
-	off := walMinPayload
-	if nAdds > 0 {
-		r.adds = make([]graph.Edge, nAdds)
-		for i := range r.adds {
-			r.adds[i] = graph.Edge{
-				Src: graph.VertexID(binary.LittleEndian.Uint32(p[off:])),
-				Dst: graph.VertexID(binary.LittleEndian.Uint32(p[off+4:])),
-			}
-			off += 8
-		}
-	}
-	if nDels > 0 {
-		r.dels = make([]graph.Edge, nDels)
-		for i := range r.dels {
-			r.dels[i] = graph.Edge{
-				Src: graph.VertexID(binary.LittleEndian.Uint32(p[off:])),
-				Dst: graph.VertexID(binary.LittleEndian.Uint32(p[off+4:])),
-			}
-			off += 8
-		}
-	}
-	return r, nil
+	return rec, nil
 }
 
 // scanWAL decodes records from a segment's bytes. It returns the
@@ -170,34 +130,24 @@ func decodeRecord(p []byte) (walRecord, error) {
 // and why scanning stopped: nil at a clean end-of-segment, an
 // errTornTail-wrapped error when the remainder looks like an
 // interrupted append (truncating to the returned length repairs it),
-// or a plain error for unrepairable corruption.
+// or a plain error for unrepairable corruption. Every frame-level
+// failure counts as torn (an append cut short can also leave stale
+// bytes whose length or checksum is garbage); a frame that verifies
+// but does not decode cannot be the product of a crash.
 func scanWAL(data []byte) ([]walRecord, int, error) {
 	var recs []walRecord
 	off := 0
 	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < walFrameHeader {
-			return recs, off, fmt.Errorf("%w: %d-byte partial frame header at offset %d", errTornTail, len(rest), off)
-		}
-		plen := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if plen < walMinPayload || plen > maxWALPayload {
-			return recs, off, fmt.Errorf("%w: implausible payload length %d at offset %d", errTornTail, plen, off)
-		}
-		if len(rest)-walFrameHeader < int(plen) {
-			return recs, off, fmt.Errorf("%w: %d payload bytes of %d at offset %d",
-				errTornTail, len(rest)-walFrameHeader, plen, off)
-		}
-		payload := rest[walFrameHeader : walFrameHeader+int(plen)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, off, fmt.Errorf("%w: CRC mismatch at offset %d", errTornTail, off)
+		payload, n, err := wirefmt.ScanFrame(data[off:], walMinPayload, wirefmt.MaxPayload)
+		if err != nil {
+			return recs, off, fmt.Errorf("%w at offset %d: %v", errTornTail, off, err)
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
 			return recs, off, fmt.Errorf("WAL record at offset %d: %w", off, err)
 		}
 		recs = append(recs, rec)
-		off += walFrameHeader + int(plen)
+		off += n
 	}
 	return recs, off, nil
 }

@@ -2,12 +2,11 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/wirefmt"
 )
 
 // encodeAll frames a sequence of records the way the store logs them.
@@ -106,7 +105,7 @@ func TestScanWALCRCMismatch(t *testing.T) {
 	// Flip one payload byte of the second record: scanning stops there,
 	// keeps record one, and reports a (truncatable) torn tail.
 	corrupt := bytes.Clone(data)
-	corrupt[bounds[1]+walFrameHeader] ^= 0xff
+	corrupt[bounds[1]+wirefmt.FrameHeader] ^= 0xff
 	recs, valid, err := scanWAL(corrupt)
 	if len(recs) != 1 || valid != bounds[1] {
 		t.Fatalf("recs = %d, valid = %d; want 1, %d", len(recs), valid, bounds[1])
@@ -125,7 +124,7 @@ func TestScanWALMalformedPayload(t *testing.T) {
 	// Rewrite the payload's nAdds to 2 and re-CRC so only decodeRecord
 	// can object.
 	buf := bytes.Clone(d.buf)
-	payload := buf[walFrameHeader:]
+	payload := buf[wirefmt.FrameHeader:]
 	payload[9] = 2
 	reCRC(buf)
 	_, _, err := scanWAL(buf)
@@ -136,7 +135,7 @@ func TestScanWALMalformedPayload(t *testing.T) {
 	// Same for an unknown record kind.
 	d.encodeRecord(recUpdate, 1, nil, nil)
 	buf = bytes.Clone(d.buf)
-	buf[walFrameHeader] = 99
+	buf[wirefmt.FrameHeader] = 99
 	reCRC(buf)
 	_, _, err = scanWAL(buf)
 	if err == nil || errors.Is(err, errTornTail) {
@@ -152,7 +151,7 @@ func frameBounds(t *testing.T, data []byte) []int {
 	off := 0
 	for off < len(data) {
 		plen := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		off += walFrameHeader + plen
+		off += wirefmt.FrameHeader + plen
 		bounds = append(bounds, off)
 	}
 	if off != len(data) {
@@ -162,7 +161,4 @@ func frameBounds(t *testing.T, data []byte) []int {
 }
 
 // reCRC recomputes a single frame's CRC in place after test tampering.
-func reCRC(frame []byte) {
-	sum := crc32.Checksum(frame[walFrameHeader:], castagnoli)
-	binary.LittleEndian.PutUint32(frame[4:8], sum)
-}
+func reCRC(frame []byte) { wirefmt.EndFrame(frame) }

@@ -1,11 +1,20 @@
-// Package wirefmt holds the primitive little-endian append/read pairs
-// shared by the sharded deployment's wire encodings: fixed-width
-// integers, bools, and length-prefixed byte strings. The framing layer
-// (internal/shard) owns message boundaries and integrity (length
-// prefix + CRC); this package only lays fields out inside a frame, so
-// every encoding in the repository agrees on byte order and the
-// decoders never panic on short or corrupt input — a Reader latches
-// its first error and reads zeros from then on, WAL-decoder style.
+// Package wirefmt is the one binary encoding under the WAL, the
+// snapshot files and the wire. It has two layers. The frame layer
+// (frame.go) owns boundaries and integrity — every WAL record and every
+// wire message is
+//
+//	[4B payload length LE][4B CRC32-C of payload][payload]
+//
+// built in place (BeginFrame/EndFrame) and read off a stream
+// (ReadFrame) or out of a buffer (ScanFrame) under the same rules —
+// plus the single Castagnoli table and the single payload cap. The
+// field layer (this file) lays values out inside a payload:
+// little-endian fixed-width integers, bools, length-prefixed byte
+// strings and u32/edge lists, as append/read pairs, so every encoding
+// agrees on byte order and no decoder panics on short or corrupt input
+// — a Reader latches its first error and reads zeros from then on. The
+// record and message vocabularies stay with their owners
+// (internal/store, internal/shard, internal/service).
 package wirefmt
 
 import (
@@ -13,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/graph"
 )
 
 // ErrShort is the latched error of a Reader that ran past the end of
@@ -52,6 +63,26 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// AppendU32s appends vs as consecutive u32s. Like AppendEdges it
+// writes no count: the count is the vocabulary's to place.
+func AppendU32s[T ~uint32 | ~int32](dst []byte, vs []T) []byte {
+	for _, v := range vs {
+		dst = AppendU32(dst, uint32(v))
+	}
+	return dst
+}
+
+// AppendEdges appends edges as (src, dst) u32 pairs. The WAL puts both
+// of a record's counts ahead of both lists, the wire puts each count
+// before its list.
+func AppendEdges(dst []byte, edges []graph.Edge) []byte {
+	for _, e := range edges {
+		dst = AppendU32(dst, e.Src)
+		dst = AppendU32(dst, e.Dst)
+	}
+	return dst
+}
+
 // Reader consumes a payload field by field. The zero value over a byte
 // slice is ready to use; after the first short read every subsequent
 // read returns zero and Err reports ErrShort, so decoders can run
@@ -85,10 +116,19 @@ func (r *Reader) Close() error {
 	return nil
 }
 
+// Claim reports whether n more elements of at least size bytes each
+// can follow, and latches ErrCorrupt if the remaining payload cannot
+// hold them. It is the one place a decoded count is bounded; decoders
+// call it before any allocation sized by that count.
+func (r *Reader) Claim(n uint32, size int) bool {
+	if uint64(n) > uint64(r.Remaining()/size) {
+		r.Fail(fmt.Errorf("%w: %d elements of %d bytes claimed in %d bytes", ErrCorrupt, n, size, r.Remaining()))
+	}
+	return r.err == nil
+}
+
 // Fail latches err — ErrShort when nil — so every later read returns
-// zero and Err/Close report the failure. Decoders use it to reject a
-// payload whose claimed element count exceeds the bytes that remain,
-// before any allocation sized by that count.
+// zero and Err/Close report the failure.
 func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		if err == nil {
@@ -165,4 +205,29 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(r.take(n))
+}
+
+// ReadU32s reads n u32s; nil when n is zero or cannot be claimed.
+func ReadU32s[T ~uint32 | ~int32](r *Reader, n uint32) []T {
+	if n == 0 || !r.Claim(n, 4) {
+		return nil
+	}
+	vs := make([]T, n)
+	for i := range vs {
+		vs[i] = T(r.U32())
+	}
+	return vs
+}
+
+// ReadEdges reads n (src, dst) pairs; nil when n is zero or cannot be
+// claimed.
+func ReadEdges(r *Reader, n uint32) []graph.Edge {
+	if n == 0 || !r.Claim(n, 8) {
+		return nil
+	}
+	edges := make([]graph.Edge, n)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: r.U32(), Dst: r.U32()}
+	}
+	return edges
 }
