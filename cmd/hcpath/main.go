@@ -7,9 +7,10 @@
 //
 // Replay mode drives the micro-batching query service instead of one
 // offline batch: the query file is replayed from -clients concurrent
-// goroutines, the service coalesces whatever arrives inside the
-// -maxbatch/-maxwait window, and per-batch sharing statistics plus the
-// end-to-end throughput are reported:
+// goroutines, the service coalesces whatever is waiting when a batch
+// slot comes free (at most -maxbatch queries, held at most -maxwait),
+// and per-batch sharing statistics plus the end-to-end throughput are
+// reported:
 //
 //	hcpath -graph g.txt -queries q.txt -replay -clients 32
 //
@@ -87,10 +88,10 @@ func main() {
 		crashAfter  = flag.Int("crashafter", 0, "update-replay: exit without cleanup after applying this many update blocks, simulating a crash (0 = never)")
 		clients     = flag.Int("clients", 16, "replay: concurrent client goroutines")
 		maxBatch    = flag.Int("maxbatch", 64, "replay: max queries coalesced per batch")
-		maxWait     = flag.Duration("maxwait", 2*time.Millisecond, "replay: batch formation window")
+		maxWait     = flag.Duration("maxwait", 2*time.Millisecond, "replay: longest a formed batch is held while every core is busy (with a core idle it leaves at once)")
 		cacheMB     = flag.Int("cachemb", 64, "replay: cross-batch index cache budget in MiB (0 disables)")
 		usePlanner  = flag.Bool("planner", false, "replay: plan each batch's groups adaptively (single or shared per group)")
-		maxInFlight = flag.Int("maxinflight", 0, "replay: max concurrent batches (0 = unlimited)")
+		maxInFlight = flag.Int("maxinflight", 0, "replay: hard bound on concurrent batches, which then wait for a slot even past -maxwait (0 = unlimited)")
 		maxQueued   = flag.Int("maxqueued", 0, "replay: max admitted-but-undispatched queries; excess shed with ErrOverloaded (0 = unlimited)")
 		shards      = flag.Int("shards", 0, "replay/update-replay: shard workers in the in-process sharded deployment (0 or 1 = unsharded)")
 		serve       = flag.Bool("serve", false, "run one shard worker serving the wire protocol (needs -shard and -listen)")
@@ -444,10 +445,10 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 		clients = 1
 	}
 	if n := svc.NumShards(); n > 1 {
-		fmt.Fprintf(os.Stderr, "replay: %d clients, %d shard workers, batches of ≤%d formed over ≤%v windows\n",
+		fmt.Fprintf(os.Stderr, "replay: %d clients, %d shard workers, batches of ≤%d held ≤%v behind busy slots\n",
 			clients, n, rc.maxBatch, rc.maxWait)
 	} else {
-		fmt.Fprintf(os.Stderr, "replay: %d clients, batches of ≤%d formed over ≤%v windows\n",
+		fmt.Fprintf(os.Stderr, "replay: %d clients, batches of ≤%d held ≤%v behind busy slots\n",
 			clients, rc.maxBatch, rc.maxWait)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -78,6 +79,33 @@ func diffQuery(t *testing.T, label string, i int, want, got []string) {
 	}
 }
 
+// newPinnedService starts a Service whose collector has to hold what it
+// is sent: a gate in OnBatch parks a runner in every idle batch slot —
+// one warm query per core, each answered and then stuck behind the gate
+// with its slot held, because a slot returns only after the callback —
+// so with MaxWait out of reach (an hour, unless opts sets it) a batch
+// leaves only full (MaxBatch). That makes batch composition exact
+// instead of a matter of timing. stop opens the gate and closes the
+// service.
+func newPinnedService(t *testing.T, g *Graph, opts ServiceOptions, warm Query) (svc *Service, stop func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	if opts.MaxWait == 0 {
+		opts.MaxWait = time.Hour
+	}
+	opts.OnBatch = func(BatchStats) { <-gate }
+	svc = NewService(g, &opts)
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		if _, bs, err := svc.Count(context.Background(), warm); err != nil || bs.Queries != 1 {
+			t.Fatalf("warm query %d rode a batch of %d, err %v; want an idle-slot batch of 1", i, bs.Queries, err)
+		}
+	}
+	return svc, func() {
+		close(gate)
+		svc.Close()
+	}
+}
+
 // TestServiceAndParallelMatchSequential is the concurrency equivalence
 // property: for all four algorithms on the whole corpus, a fanned Run and
 // the Service (queries submitted from concurrent goroutines, batched by
@@ -134,6 +162,60 @@ func TestServiceAndParallelMatchSequential(t *testing.T) {
 			for i := range got {
 				diffQuery(t, label+"/service", i, want[i], got[i])
 			}
+		}
+	}
+}
+
+// TestServiceBatchSizeEquivalence: what a query is answered with does
+// not depend on the company it was dispatched in. On the whole corpus,
+// the same queries go through a pinned service in batches of exactly
+// b = 1…n — a chunk of b concurrent queries fills MaxBatch b and leaves
+// as one batch, whose runner then parks behind the gate too — and come
+// back with the inline Run's per-query path sets every time. (The
+// unpinned arm, batch sizes as the schedule has them, is
+// TestServiceAndParallelMatchSequential.)
+func TestServiceBatchSizeEquivalence(t *testing.T) {
+	for _, c := range equivalenceCorpus() {
+		gr := c.g.Reverse()
+		seq := query.NewCollectSink(len(c.qs))
+		opts := batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8}
+		if _, err := batchenum.Run(c.g, gr, c.qs, opts, nil, seq); err != nil {
+			t.Fatalf("%s: sequential: %v", c.name, err)
+		}
+		want := canonical(seq.Paths)
+		public := func(i int) Query { return Query{S: c.qs[i].S, T: c.qs[i].T, K: int(c.qs[i].K)} }
+
+		for b := 1; b <= len(c.qs); b++ {
+			label := fmt.Sprintf("%s/batches of %d", c.name, b)
+			svc, stop := newPinnedService(t, &Graph{g: c.g, gr: gr},
+				ServiceOptions{Options: Options{Gamma: 0.8}, MaxBatch: b}, public(0))
+			// Chunks wrap around the query list so that every one is full;
+			// a short last chunk would be held for good.
+			for lo := 0; lo < len(c.qs); lo += b {
+				var wg sync.WaitGroup
+				for j := 0; j < b; j++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						paths, bs, err := svc.Query(context.Background(), public(i))
+						if err != nil {
+							t.Errorf("%s: query %d: %v", label, i, err)
+							return
+						}
+						if bs.Queries != b {
+							t.Errorf("%s: query %d rode a batch of %d", label, i, bs.Queries)
+						}
+						var got []string
+						for _, p := range paths {
+							got = append(got, fmt.Sprint([]graph.VertexID(p)))
+						}
+						sort.Strings(got)
+						diffQuery(t, label, i, want[i], got)
+					}((lo + j) % len(c.qs))
+				}
+				wg.Wait()
+			}
+			stop()
 		}
 	}
 }
@@ -237,14 +319,16 @@ func TestServiceCancelledCallerDoesNotPoisonBatch(t *testing.T) {
 	// BasicEnum+ with 4 workers: each co-batched query runs on its own
 	// worker, so the heavy one cannot starve the light ones even on a
 	// small CI machine; QueryTimeout bounds the heavy enumeration so
-	// Close cannot hang.
-	svc := NewService(g, &ServiceOptions{
+	// Close cannot hang. Pinned, so that the four leave as one batch
+	// (MaxBatch) however their arrivals are spaced; MaxWait only covers
+	// the heavy caller giving up before it ever took its seat.
+	svc, stop := newPinnedService(t, g, ServiceOptions{
 		Options:      Options{Algorithm: BasicEnumPlus, Workers: 4},
 		MaxBatch:     len(light) + 1,
-		MaxWait:      50 * time.Millisecond, // window to co-batch all four
+		MaxWait:      5 * time.Second,
 		QueryTimeout: 2 * time.Second,
-	})
-	defer svc.Close()
+	}, light[0])
+	defer stop()
 
 	var wg sync.WaitGroup
 	got := make([][]string, len(light))

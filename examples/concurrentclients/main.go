@@ -1,11 +1,13 @@
 // Concurrent clients: the serving scenario the paper opens with — many
 // users issue HC-s-t path queries at the same time, and instead of
 // answering them one by one (or "deploying more servers"), the service
-// micro-batches whatever arrives inside a small time window and lets
+// micro-batches whatever is waiting when a core comes free and lets
 // BatchEnum+ share the common sub-queries of the coalesced batch.
 //
 // Forty client goroutines fire similar queries at one Service; the
-// OnBatch hook shows each batch's coalescing and sharing as it happens.
+// OnBatch hook shows each batch's coalescing and sharing as it happens:
+// the first arrivals find an idle core and leave as batches of one, and
+// everyone who arrives while those run shares the batches that follow.
 //
 //	go run ./examples/concurrentclients
 package main
@@ -40,7 +42,6 @@ func main() {
 	svc := hcpath.NewService(g, &hcpath.ServiceOptions{
 		Options:  hcpath.Options{Gamma: 0.8}, // BatchEnum+, parallel across sharing groups
 		MaxBatch: 64,
-		MaxWait:  2 * time.Millisecond,
 		OnBatch: func(b hcpath.BatchStats) {
 			fmt.Printf("batch: %2d queries coalesced → %2d groups (sharing %.2f), %d shared sub-queries, %d paths in %v\n",
 				b.Queries, b.Groups, b.SharingRatio(), b.SharedQueries, b.Paths,

@@ -41,14 +41,14 @@ func main() {
 	}
 
 	// Tight bounds so the burst below actually overloads the service:
-	// two batches in flight, a six-seat queue, four outstanding queries
+	// two batches in flight, a three-seat queue, four outstanding queries
 	// per caller.
 	svc := hcpath.NewService(g, &hcpath.ServiceOptions{
 		Planner:      &hcpath.PlannerOptions{},
 		MaxBatch:     8,
 		MaxWait:      2 * time.Millisecond,
 		MaxInFlight:  2,
-		MaxQueued:    6,
+		MaxQueued:    3,
 		MaxPerCaller: 4,
 	})
 	defer svc.Close()

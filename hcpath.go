@@ -633,8 +633,10 @@ var ErrWorkerDown = shard.ErrWorkerDown
 // shard index) and why; extract with errors.As.
 type WorkerDownError = shard.WorkerDownError
 
-// ServiceOptions tunes a Service. The zero value batches up to 64
-// queries per 2ms window and answers them with BatchEnum+ parallelised
+// ServiceOptions tunes a Service. The zero value batches by load — a
+// query that finds a core idle is answered at once, queries that arrive
+// while every core is busy leave together, up to 64 of them, when a
+// batch finishes — and answers each batch with BatchEnum+ parallelised
 // over sharing groups with GOMAXPROCS workers.
 type ServiceOptions struct {
 	// Options configures the engine each micro-batch runs through,
@@ -649,9 +651,13 @@ type ServiceOptions struct {
 	// MaxBatch caps the queries coalesced into one micro-batch; zero
 	// means 64.
 	MaxBatch int
-	// MaxWait bounds how long the first query of a forming batch waits
-	// for company; zero means 2ms. Larger windows coalesce more
-	// concurrent queries (more sharing) at higher per-query latency.
+	// MaxWait is the longest a formed batch is held, counted from its
+	// first query, while every idle slot is busy (there are
+	// min(GOMAXPROCS, MaxInFlight) of them); zero means 2ms. It is not a
+	// window queries wait out for company: with a slot idle a batch
+	// leaves at once and MaxWait never enters. Past MaxWait the batch
+	// runs beside the busy ones, unless MaxInFlight forbids — so one
+	// long-running batch cannot hold later traffic hostage.
 	MaxWait time.Duration
 	// CompactAfter tunes the versioned graph store behind ApplyUpdates:
 	// live edge changes accumulate in a compact delta overlay, and once
@@ -679,9 +685,12 @@ type ServiceOptions struct {
 	// work to produce them changes. See BatchStats.Plan /
 	// ServiceTotals.Plan for where groups went.
 	Planner *PlannerOptions
-	// MaxInFlight bounds the micro-batches running concurrently; while
-	// the bound is reached, formed batches wait and traffic accumulates
-	// in the queue. Zero means unlimited.
+	// MaxInFlight is the hard bound on micro-batches running
+	// concurrently; at the bound nothing is dispatched, the forming batch
+	// absorbs traffic up to MaxBatch and the rest accumulates in the
+	// queue. Zero means unlimited: only MaxWait and MaxBatch then send a
+	// batch beyond one per core. A value below GOMAXPROCS also lowers
+	// the number of idle slots a lone query can take without waiting.
 	MaxInFlight int
 	// MaxQueued bounds the queries admitted but not yet dispatched;
 	// beyond it, queries are shed with ErrOverloaded instead of growing
@@ -765,7 +774,8 @@ type StoreState = store.State
 
 // Service is a long-lived concurrent query server over one graph: many
 // goroutines submit single queries, the service micro-batches whatever
-// arrives within a size/time window, answers each batch with the batch
+// is waiting when a batch slot is idle (so batches grow with load, and a
+// lone query does not wait), answers each batch with the batch
 // engines so concurrent queries share their common sub-queries, and
 // resolves every caller with exactly its own results. All methods are
 // safe for concurrent use; Close releases the collector.
@@ -826,7 +836,8 @@ func (o ServiceOptions) config() service.Config {
 
 // NewService starts an in-memory micro-batching query service on g.
 // nil opts selects the defaults: BatchEnum+ (γ = 0.5) parallel across
-// sharing groups, batches of ≤ 64 queries formed over ≤ 2ms windows.
+// sharing groups, batches of ≤ 64 queries formed by load and held ≤ 2ms
+// behind busy cores.
 // Setting ServiceOptions.DataDir panics — durability involves I/O that
 // can fail, so it is only available through OpenService.
 func NewService(g *Graph, opts *ServiceOptions) *Service {

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,11 +15,64 @@ import (
 
 // admissionState reads the admission counters white-box; the boundary
 // tests spin on them instead of sleeping, which keeps every assertion
-// deterministic under the race detector.
+// deterministic under the race detector. It reads under the closing
+// write lock, which no Submit holds between taking its queue seat and
+// handing its request to the collector: every query counted as queued
+// is in the collector's hands (its batch or the submit buffer), so the
+// next dispatch is sure to carry it.
 func admissionState(s *Service) (queued int, shed int64) {
+	s.closing.Lock()
+	defer s.closing.Unlock()
 	s.adm.mu.Lock()
 	defer s.adm.mu.Unlock()
 	return s.adm.queued, s.adm.shed
+}
+
+// pinnedService starts a paper-graph service from cfg with every idle
+// batch slot occupied, so the collector holds whatever is submitted next
+// instead of dispatching it the moment it arrives. The pin is a gate in
+// front of cfg.OnBatch: one warm query per idle slot is answered, and
+// its runner then parks in (or, behind the callback mutex, before) the
+// gated callback with its slot still held, because a slot returns only
+// when runBatch does. releaseOne lets exactly one parked runner finish;
+// release opens the gate for good (also run at cleanup, before Close).
+// Each warm query is its own batch of one under caller "warm": it counts
+// in Totals and reaches cfg.OnBatch once released.
+func pinnedService(t *testing.T, cfg Config) (s *Service, releaseOne, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	releaseOne = func() { gate <- struct{}{} }
+	onBatch := cfg.OnBatch
+	cfg.OnBatch = func(b BatchStats) {
+		<-gate
+		if onBatch != nil {
+			onBatch(b)
+		}
+	}
+	s, _ = paperService(t, cfg)
+	t.Cleanup(release) // cleanups run last-in first-out: the gate opens before paperService's Close
+	for i := 0; i < s.idle; i++ {
+		r, err := s.Submit(context.Background(), "warm", q0, false)
+		if err != nil || r.Batch.Queries != 1 {
+			t.Fatalf("warm query %d: reply %+v, err %v; want a clean batch of one", i, r, err)
+		}
+	}
+	if got := int(s.running.Load()); got != s.idle {
+		t.Fatalf("%d batches pinned, want all %d idle slots", got, s.idle)
+	}
+	return s, releaseOne, release
+}
+
+// waitQueued spins until exactly n admitted queries are in the
+// collector's hands, undispatched.
+func waitQueued(t *testing.T, s *Service, n int) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d queries held by the collector", n), func() bool {
+		queued, _ := admissionState(s)
+		return queued == n
+	})
 }
 
 // waitUntil spins until cond holds or the test deadline budget runs out.
@@ -52,8 +107,9 @@ func submitAsync(s *Service, caller string, q query.Query) *submission {
 var q0 = query.Query{S: 0, T: 11, K: 5}
 
 // TestMaxQueuedBoundaries drives a burst of submissions into a service
-// whose collector cannot dispatch yet (long MaxWait), at the MaxQueued
-// boundaries 0 (unlimited), 1, and exact capacity. The shed count is
+// whose collector cannot dispatch yet (every idle slot pinned, MaxWait
+// out of reach), at the MaxQueued boundaries 0 (unlimited), 1, and
+// exact capacity. The shed count is
 // exact, every shed error is ErrOverloaded, and — the no-poisoning
 // contract — every admitted query still resolves with its full
 // ground-truth result even when its burst siblings were shed at the
@@ -73,7 +129,7 @@ func TestMaxQueuedBoundaries(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				MaxBatch:  64,
-				MaxWait:   10 * time.Second, // dispatch only on Close
+				MaxWait:   time.Hour, // dispatch only on release
 				Engine:    batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 				MaxQueued: tc.maxQueued,
 				// A per-caller quota far above the burst keeps the
@@ -82,7 +138,7 @@ func TestMaxQueuedBoundaries(t *testing.T) {
 				// rather than skipping admission entirely.
 				MaxPerCaller: 10 * burst,
 			}
-			s, _ := paperService(t, cfg)
+			s, _, release := pinnedService(t, cfg)
 
 			subs := make([]*submission, burst)
 			for i := range subs {
@@ -90,7 +146,7 @@ func TestMaxQueuedBoundaries(t *testing.T) {
 			}
 			// Every submission has either taken a queue seat or been shed
 			// once queued+shed reaches the burst size; nothing dispatches
-			// before Close.
+			// before the release.
 			waitUntil(t, "burst fully admitted or shed", func() bool {
 				queued, shed := admissionState(s)
 				return queued+int(shed) == burst
@@ -99,7 +155,7 @@ func TestMaxQueuedBoundaries(t *testing.T) {
 				t.Fatalf("shed %d submissions, want %d", shed, tc.wantShed)
 			}
 
-			s.Close() // dispatches the forming batch, resolves all futures
+			release() // a slot frees: the held batch leaves, all futures resolve
 			var okCount, shedCount int
 			for i, sub := range subs {
 				<-sub.done
@@ -126,14 +182,17 @@ func TestMaxQueuedBoundaries(t *testing.T) {
 	}
 }
 
-// TestMaxInFlightBoundaries pins batches in flight deterministically —
+// TestMaxInFlightBoundaries pins an exact number of batches in flight —
 // the first OnBatch callback blocks, and a blocked callback holds its
 // batch's in-flight slot because the slot releases only when runBatch
 // returns (later completed batches chain behind it on the callback
-// mutex, each holding its own slot) — then checks the boundary
-// semantics at MaxInFlight 0 (unlimited), 1, and exact capacity:
-// whether a following batch dispatches (draining the queue) or waits
-// for a slot (leaving the queue full, so a further submission sheds).
+// mutex, each holding its own slot) — then checks the hard bound at
+// MaxInFlight 0 (unlimited), 1, and exact capacity: whether a following
+// full batch (MaxBatch 1) dispatches beside the pinned ones (draining
+// the queue) or waits for a slot however old it gets (leaving the queue
+// full, so a further submission sheds). It counts its pins itself
+// rather than use pinnedService, because the bound, unlike the idle
+// slots, must not depend on the machine's core count.
 func TestMaxInFlightBoundaries(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -188,10 +247,7 @@ func TestMaxInFlightBoundaries(t *testing.T) {
 			// slots pinned it stays queued.
 			probe := submitAsync(s, "", q0)
 			if tc.wantShed {
-				waitUntil(t, "probe queued", func() bool {
-					queued, _ := admissionState(s)
-					return queued == 1
-				})
+				waitQueued(t, s, 1)
 				if _, err := s.Submit(context.Background(), "", q0, false); !errors.Is(err, ErrOverloaded) {
 					t.Fatalf("overflow submission returned %v, want ErrOverloaded", err)
 				}
@@ -236,9 +292,9 @@ func TestMaxInFlightBoundaries(t *testing.T) {
 // the victim outright.
 func TestFairnessQuotaStopsStarvation(t *testing.T) {
 	const quota = 2
-	s, _ := paperService(t, Config{
+	s, _, release := pinnedService(t, Config{
 		MaxBatch:     64,
-		MaxWait:      10 * time.Second, // dispatch only on Close
+		MaxWait:      time.Hour, // dispatch only on release
 		Engine:       batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 		MaxQueued:    quota + 1, // room for the quota plus one victim
 		MaxPerCaller: quota,
@@ -254,12 +310,9 @@ func TestFairnessQuotaStopsStarvation(t *testing.T) {
 	})
 
 	victim := submitAsync(s, "victim", q0)
-	waitUntil(t, "victim admitted", func() bool {
-		queued, _ := admissionState(s)
-		return queued == quota+1
-	})
+	waitQueued(t, s, quota+1)
 
-	s.Close()
+	release()
 	<-victim.done
 	if victim.err != nil || victim.reply.Count != 3 {
 		t.Fatalf("victim starved: err=%v reply=%+v", victim.err, victim.reply)

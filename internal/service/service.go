@@ -1,23 +1,32 @@
 // Package service implements the online micro-batching layer the paper
 // motivates: "a huge number of clients issue HC-s-t path queries
 // concurrently", and instead of deploying more servers to process them
-// one by one, the service collects the queries arriving inside a small
-// size/time window into a batch and answers the batch with the sharing
-// engines, so concurrent queries pay for their common sub-queries once.
+// one by one, the service answers the queries that are waiting at the
+// same moment as one batch through the sharing engines, so concurrent
+// queries pay for their common sub-queries once.
 //
-// Many goroutines call Submit; a collector goroutine forms batches of at
-// most MaxBatch queries, dispatching early when the window MaxWait
-// expires, and each formed batch runs through clustering + BatchEnum+
-// (parallel across sharing groups). Every caller blocks on a private
-// future and receives exactly its own query's results plus the stats of
-// the batch that carried it.
+// Batches form by load, not by clock (database group commit): many
+// goroutines call Submit, and a collector goroutine dispatches whatever
+// has arrived the moment a batch slot is idle — on an idle service that
+// is a batch of one, with no wait. There are as many idle slots as
+// cores (fewer if MaxInFlight says so). While every slot is busy the
+// next batch keeps forming, up to MaxBatch queries, and leaves when a
+// running batch finishes; so batches grow exactly when the service is
+// loaded, which is when sharing pays. MaxWait only bounds how long a
+// formed batch is held behind busy slots. Each batch runs through
+// clustering + BatchEnum+ (parallel across sharing groups). Every caller
+// blocks on a private future and receives exactly its own query's
+// results plus the stats of the batch that carried it.
 package service
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batchenum"
@@ -50,10 +59,12 @@ type PlanStats = batchenum.PlanStats
 type Config struct {
 	// MaxBatch caps the queries coalesced into one batch; zero means 64.
 	MaxBatch int
-	// MaxWait bounds how long the first query of a forming batch waits
-	// for company before the batch is dispatched anyway; zero means 2ms.
-	// Larger windows coalesce more queries (more sharing) at the cost of
-	// per-query latency.
+	// MaxWait is the longest a formed batch is held while every idle
+	// slot (see MaxInFlight) is busy, counted from its first query's
+	// enqueue; zero means 2ms. It is not a formation window: with a slot
+	// idle a batch leaves at once and MaxWait never enters. Past it the
+	// batch is dispatched beside the running ones — so one long batch
+	// cannot hold later traffic hostage — unless MaxInFlight forbids.
 	MaxWait time.Duration
 	// Engine configures the batch engine each formed batch runs through;
 	// the zero value is BasicEnum run inline on the dispatch goroutine,
@@ -64,8 +75,8 @@ type Config struct {
 	Engine batchenum.Options
 	// QueryTimeout, when positive, bounds each micro-batch's engine
 	// time: the batch runs under a deadline of dispatch time plus
-	// QueryTimeout (every query in a batch dispatched within one MaxWait
-	// window, so one per-batch deadline realises the per-query promise).
+	// QueryTimeout (the clock starts when the batch leaves the queue, so
+	// time spent held behind busy slots is not charged to the query).
 	// A batch that blows its deadline stops promptly; callers whose
 	// queries were finished receive their complete results, the rest
 	// receive what was enumerated with Reply.Err set to
@@ -124,9 +135,13 @@ type Config struct {
 	// observed group costs feed back into the model.
 	// nil keeps the fixed engine for every group.
 	Plan *planner.Options
-	// MaxInFlight bounds the micro-batches running concurrently; the
-	// collector stops dispatching (and traffic queues) while the bound
-	// is reached. Zero or negative means unlimited.
+	// MaxInFlight is the hard bound on micro-batches running
+	// concurrently: at the bound the collector dispatches nothing, the
+	// forming batch absorbs traffic up to MaxBatch, and the rest queues
+	// (Submit sheds at MaxQueued). Zero or negative means unlimited. It
+	// also caps the idle slots — min(GOMAXPROCS, MaxInFlight) — below
+	// which a batch is dispatched the moment it has a query; between the
+	// idle slots and the bound a batch leaves only full or MaxWait old.
 	MaxInFlight int
 	// MaxQueued bounds the queries admitted but not yet dispatched into
 	// a running batch; Submit sheds beyond it with ErrOverloaded. Zero
@@ -477,12 +492,20 @@ type Service struct {
 	// micro-batch; nil runs every group through the fixed engine.
 	planner *planner.CostModel
 
-	// adm books admission control; nil means unlimited. inflight is the
-	// batch-concurrency semaphore; nil means unbounded.
-	adm      *admission
-	inflight chan struct{}
+	// adm books admission control; nil means unlimited.
+	adm *admission
 
 	submit chan *request
+
+	// idle and limit are the collector's two thresholds on running, the
+	// number of batches dispatched and not yet returned: below idle a
+	// batch leaves the moment it has a query, at limit (MaxInFlight)
+	// none leaves. Only the collector adds to running; a finishing
+	// runner subtracts and then nudges wake, whose one buffered token is
+	// enough because the collector re-reads running after every wake.
+	idle, limit int
+	running     atomic.Int64
+	wake        chan struct{}
 
 	// closing guards submit against send-after-close: Submit sends under
 	// the read side, Close closes under the write side.
@@ -538,7 +561,8 @@ func newWithStore(st *store.Store, cfg Config) *Service {
 		st:       st,
 		cfg:      cfg,
 		provider: provider,
-		submit:   make(chan *request, cfg.maxBatch()),
+		submit:   make(chan *request, cfg.maxBatch()), // one full batch can queue behind the forming one
+		wake:     make(chan struct{}, 1),
 	}
 	if cfg.Plan != nil {
 		popts := *cfg.Plan
@@ -554,9 +578,14 @@ func newWithStore(st *store.Store, cfg Config) *Service {
 			perCaller:    make(map[string]int),
 		}
 	}
+	s.limit = math.MaxInt
 	if cfg.MaxInFlight > 0 {
-		s.inflight = make(chan struct{}, cfg.MaxInFlight)
+		s.limit = cfg.MaxInFlight
 	}
+	// One batch per core is what the machine can run at once; a further
+	// concurrent batch only takes cycles from the running ones, while the
+	// same queries held back share work as one larger batch.
+	s.idle = min(runtime.GOMAXPROCS(0), s.limit)
 	s.wg.Add(1)
 	go s.collect()
 	return s
@@ -594,7 +623,7 @@ func (s *Service) Submit(ctx context.Context, caller string, q query.Query, coll
 			return nil, err
 		}
 	}
-	//hcpath:locksend-ok bounded: the collector drains submit until Close wins s.closing exclusively, which this RLock prevents; ctx.Done bounds the wait regardless
+	//hcpath:locksend-ok bounded: the collector receives from submit until Close wins s.closing exclusively, which this RLock prevents, pausing only while its batch is full at MaxInFlight, which a finishing batch ends; ctx.Done bounds the wait regardless
 	select {
 	case s.submit <- r:
 		s.closing.RUnlock()
@@ -694,64 +723,106 @@ func (s *Service) Close() error {
 	return s.st.Close()
 }
 
-// collect is the batching loop: it owns the forming batch and its
-// deadline timer, dispatching on size, on timeout, or on shutdown.
+// collect is the batching loop. It owns the forming batch and the one
+// hold timer, and after every event — a submission, a finished batch, the
+// timer, shutdown — it absorbs whatever else is already queued and then
+// decides: the batch leaves at once while fewer than idle batches run;
+// otherwise it is held, still forming, until a running batch finishes,
+// or — below the MaxInFlight bound — until it is full or MaxWait old.
+// A batch about to leave with room to spare gets one more chance to
+// fill: the collector yields to the goroutines already runnable.
 func (s *Service) collect() {
 	defer s.wg.Done()
+	maxBatch, maxWait := s.cfg.maxBatch(), s.cfg.maxWait()
 	var (
 		batch   []*request
-		timer   *time.Timer
-		timeout <-chan time.Time
+		open    = true // submit not yet closed by Close
+		armed   bool   // timer is counting down the held batch's MaxWait
+		expired bool   // the held batch is MaxWait old
+		timer   = time.NewTimer(maxWait)
 	)
-	dispatch := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timeout = nil, nil
+	timer.Stop() // armed only while a batch is held; the idle path never touches it
+	take := func(r *request, ok bool) {
+		if ok {
+			batch = append(batch, r)
+		} else {
+			open = false
 		}
-		if len(batch) == 0 {
-			return
-		}
-		b := batch
-		batch = nil
-		// Backpressure: with MaxInFlight configured the collector blocks
-		// here until a batch slot frees, so excess traffic accumulates in
-		// the queue (and Submit sheds at MaxQueued) instead of fanning
-		// out unbounded concurrent batches.
-		if s.inflight != nil {
-			s.inflight <- struct{}{}
-		}
-		if s.adm != nil {
-			s.adm.dispatched(len(b))
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if s.inflight != nil {
-				defer func() { <-s.inflight }()
-			}
-			s.runBatch(b)
-		}()
 	}
-	for {
-		select {
-		case r, ok := <-s.submit:
-			if !ok {
-				dispatch()
+	absorb := func() {
+		for open && len(batch) < maxBatch {
+			select {
+			case r, ok := <-s.submit:
+				take(r, ok)
+			default:
 				return
 			}
-			batch = append(batch, r)
-			if len(batch) == 1 {
-				timer = time.NewTimer(s.cfg.maxWait())
-				timeout = timer.C
-			}
-			if len(batch) >= s.cfg.maxBatch() {
-				dispatch()
-			}
-		case <-timeout:
-			timer, timeout = nil, nil
-			dispatch()
 		}
 	}
+	for open || len(batch) > 0 {
+		// A full batch stops receiving: submit's buffer, then Submit
+		// itself, hold the excess (the MaxInFlight backpressure).
+		submit := s.submit
+		if !open || len(batch) >= maxBatch {
+			submit = nil
+		}
+		select {
+		case r, ok := <-submit:
+			take(r, ok)
+		case <-s.wake:
+		case <-timer.C:
+			armed, expired = false, true
+		}
+		absorb()
+		if len(batch) == 0 {
+			continue
+		}
+
+		running := int(s.running.Load())
+		send := running < s.idle || running < s.limit && (len(batch) >= maxBatch || expired || !open)
+		if send && open && len(batch) < maxBatch {
+			// Replies go out in bursts, and the callers a burst wakes
+			// submit again together; the first submission wakes the
+			// collector ahead of the rest. Stepping behind whatever is
+			// runnable right now lets them board this batch instead of
+			// sending it off with one query aboard. On an idle machine
+			// the yield returns at once.
+			runtime.Gosched()
+			absorb()
+		}
+		if send {
+			if armed {
+				timer.Stop()
+				armed = false
+			}
+			expired = false
+			s.dispatch(batch)
+			batch = nil
+		} else if !armed && !expired {
+			timer.Reset(time.Until(batch[0].enqueued.Add(maxWait)))
+			armed = true
+		}
+	}
+}
+
+// dispatch hands a formed batch to its own runner goroutine; collect is
+// the only caller. The slot is returned, and the collector woken, only
+// once runBatch has returned — OnBatch callback included.
+func (s *Service) dispatch(batch []*request) {
+	if s.adm != nil {
+		s.adm.dispatched(len(batch))
+	}
+	s.running.Add(1)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.runBatch(batch)
+		s.running.Add(-1)
+		select {
+		case s.wake <- struct{}{}:
+		default: // a wake is already pending; the collector will see this decrement too
+		}
+	}()
 }
 
 // replySink routes a batch's emissions to its callers' replies:
@@ -793,6 +864,13 @@ func (s *Service) runBatch(batch []*request) {
 	engine.Epoch = snap.Epoch()
 	if s.planner != nil {
 		engine.Planner = s.planner
+	}
+	if len(batch) == 1 {
+		// One query is one group: run it on this goroutine instead of
+		// setting up a fan-out (workers, job channel, result buffers)
+		// with nothing to fan. Batching by load makes this the common
+		// batch on a service with cores to spare.
+		engine.Workers = 1
 	}
 	t0 := time.Now()
 	var deadline time.Time

@@ -22,6 +22,9 @@ func paperService(t *testing.T, cfg Config) (*Service, *graph.Graph) {
 	return s, g
 }
 
+// paperCounts is the ground-truth result count of each paperQueries entry.
+var paperCounts = []int64{3, 3, 1, 2, 2}
+
 func paperQueries() []query.Query {
 	var qs []query.Query
 	for _, d := range testgraphs.PaperQueries() {
@@ -30,12 +33,11 @@ func paperQueries() []query.Query {
 	return qs
 }
 
-// TestSingleQuery: one submission forms a batch of one after MaxWait and
-// returns the paper's ground-truth count.
+// TestSingleQuery: one submission to an idle service leaves at once as a
+// batch of one and returns the paper's ground-truth count.
 func TestSingleQuery(t *testing.T) {
 	s, _ := paperService(t, Config{
-		MaxWait: time.Millisecond,
-		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
+		Engine: batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	r, err := s.Submit(context.Background(), "", query.Query{S: 0, T: 11, K: 5}, true)
 	if err != nil {
@@ -52,18 +54,19 @@ func TestSingleQuery(t *testing.T) {
 	}
 }
 
-// TestCoalescing: queries submitted concurrently inside one window land
+// TestCoalescing: queries that arrive while every batch slot is busy land
 // in one batch and each caller receives exactly its own results.
 func TestCoalescing(t *testing.T) {
 	var batches []BatchStats
-	s, _ := paperService(t, Config{
-		MaxBatch: 16,
-		MaxWait:  50 * time.Millisecond,
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8, Workers: 4},
-		OnBatch:  func(b BatchStats) { batches = append(batches, b) },
-	})
 	qs := paperQueries()
-	want := []int64{3, 3, 1, 2, 2}
+	s, _, release := pinnedService(t, Config{
+		MaxBatch:     16,
+		MaxWait:      time.Hour, // dispatch only on release
+		Engine:       batchenum.Options{Algorithm: batchenum.BatchPlus, Gamma: 0.8, Workers: 4},
+		MaxPerCaller: 10 * len(qs), // roomy: only engages the admission counters
+		OnBatch:      func(b BatchStats) { batches = append(batches, b) },
+	})
+	warm := int64(s.idle) // pinnedService's batches of one
 	var wg sync.WaitGroup
 	counts := make([]int64, len(qs))
 	for i, q := range qs {
@@ -78,18 +81,20 @@ func TestCoalescing(t *testing.T) {
 			counts[i] = r.Count
 		}(i, q)
 	}
+	waitQueued(t, s, len(qs))
+	release()
 	wg.Wait()
-	for i, w := range want {
+	for i, w := range paperCounts {
 		if counts[i] != w {
 			t.Errorf("query %d: count %d, want %d", i, counts[i], w)
 		}
 	}
 	tot := s.Stats()
-	if tot.Queries != int64(len(qs)) {
-		t.Errorf("totals report %d queries, want %d", tot.Queries, len(qs))
+	if tot.Queries != warm+int64(len(qs)) {
+		t.Errorf("totals report %d queries, want %d", tot.Queries, warm+int64(len(qs)))
 	}
-	if tot.Batches >= tot.Queries {
-		t.Errorf("no coalescing: %d batches for %d queries", tot.Batches, tot.Queries)
+	if tot.Batches != warm+1 {
+		t.Errorf("no coalescing: %d batches for %d queries, want %d", tot.Batches, tot.Queries, warm+1)
 	}
 	s.Close() // flush callbacks before reading batches
 	var seen int
@@ -99,15 +104,15 @@ func TestCoalescing(t *testing.T) {
 			t.Errorf("multi-query batch reports sharing ratio %v: %+v", b.SharingRatio(), b)
 		}
 	}
-	if seen != len(qs) {
-		t.Errorf("OnBatch saw %d queries, want %d", seen, len(qs))
+	if seen != int(warm)+len(qs) {
+		t.Errorf("OnBatch saw %d queries, want %d", seen, int(warm)+len(qs))
 	}
 }
 
-// TestMaxBatchDispatch: the size trigger fires without waiting for the
-// window to expire.
+// TestMaxBatchDispatch: with every idle slot busy a full batch leaves
+// without waiting for a slot or for MaxWait.
 func TestMaxBatchDispatch(t *testing.T) {
-	s, _ := paperService(t, Config{
+	s, _, _ := pinnedService(t, Config{
 		MaxBatch: 2,
 		MaxWait:  10 * time.Second, // must not matter
 		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
@@ -170,9 +175,9 @@ func TestValidationIsolation(t *testing.T) {
 // TestContextCancellation: a caller abandoning its future does not wedge
 // the batch or the service.
 func TestContextCancellation(t *testing.T) {
-	s, _ := paperService(t, Config{
+	s, _, release := pinnedService(t, Config{
 		MaxBatch: 64,
-		MaxWait:  time.Hour, // only cancellation can release the caller
+		MaxWait:  time.Hour, // held behind the pinned slots: only cancellation can release the caller
 		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -180,37 +185,37 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := s.Submit(ctx, "", query.Query{S: 0, T: 11, K: 5}, false); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
+	release()
 	s.Close() // must not deadlock on the abandoned request
 }
 
 // TestClose: pending work drains, later submissions are refused, double
 // Close is a no-op.
 func TestClose(t *testing.T) {
-	g := testgraphs.Paper()
-	s := New(g, g.Reverse(), Config{
-		MaxWait: time.Hour, // dispatch must come from Close itself
-		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
+	s, _, release := pinnedService(t, Config{
+		MaxWait:      time.Hour, // held behind the pinned slots: dispatch must come from Close itself
+		Engine:       batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
+		MaxPerCaller: 10, // roomy: only engages the admission counters
 	})
-	done := make(chan int64, 1)
+	pending := submitAsync(s, "", q0)
+	waitQueued(t, s, 1)
+	closed := make(chan struct{})
 	go func() {
-		r, err := s.Submit(context.Background(), "", query.Query{S: 0, T: 11, K: 5}, false)
-		if err != nil {
-			t.Error(err)
-			done <- -1
-			return
-		}
-		done <- r.Count
+		defer close(closed)
+		s.Close()
 	}()
-	time.Sleep(10 * time.Millisecond) // let the request reach the collector
-	s.Close()
+	// Close dispatches the held batch beside the pinned ones (MaxInFlight
+	// is unlimited), so the future resolves before any slot is released.
 	select {
-	case c := <-done:
-		if c != 3 {
-			t.Fatalf("drained count %d, want 3", c)
+	case <-pending.done:
+		if pending.err != nil || pending.reply.Count != 3 {
+			t.Fatalf("drained reply (%+v, %v), want clean count 3", pending.reply, pending.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not drain the pending batch")
 	}
+	release() // Close also waits for the pinned runners
+	<-closed
 	s.Close() // idempotent
 	if _, err := s.Submit(context.Background(), "", query.Query{S: 0, T: 11, K: 5}, false); err != ErrClosed {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
