@@ -122,6 +122,9 @@ func main() {
 		if *dataDir != "" {
 			fail("-connect with -datadir: durable directories belong to the workers (-serve -datadir)")
 		}
+		if *limit != 0 || *timeout != 0 {
+			fail("-connect with -limit or -timeout: every query runs on a worker, so both belong to the workers (-serve -limit -timeout)")
+		}
 		if !*replay && *updates == "" {
 			fail("-connect requires -replay or -updates (the cluster serves live traffic)")
 		}

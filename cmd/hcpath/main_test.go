@@ -172,6 +172,19 @@ func stateLine(t *testing.T, out string) string {
 	return ""
 }
 
+// TestConnectRefusesWorkerFlags: a -connect coordinator only routes, so
+// the flags that govern how a query runs are refused there instead of
+// being silently ignored — before anything is dialled.
+func TestConnectRefusesWorkerFlags(t *testing.T) {
+	for _, flags := range [][]string{{"-limit", "5"}, {"-timeout", "1s"}} {
+		args := append([]string{"-connect", "127.0.0.1:1", "-replay", "-queries", "unused.txt"}, flags...)
+		out, code := runCLI(t, args...)
+		if code == 0 || !strings.Contains(out, "belong to the workers") {
+			t.Errorf("hcpath %s: exit %d, output %q; want a refusal naming the workers", strings.Join(args, " "), code, out)
+		}
+	}
+}
+
 // TestUpdateReplayRestart is the CLI acceptance test for durability: an
 // update replay killed mid-run (repeatedly — crash, resume, crash
 // again) must, after its final restart, report exactly the state of an

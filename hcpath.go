@@ -734,20 +734,25 @@ type ServiceOptions struct {
 	// router that hash-partitions the vertex space. A query whose
 	// endpoints share a worker joins that worker's micro-batches
 	// unchanged; a query whose endpoints are owned by different workers
-	// runs a scatter-gather join: each owner enumerates its half of the
-	// bidirectional search and the coordinator splices the halves at the
-	// boundary vertices. Results are identical to the unsharded service.
-	// Updates fan out to every worker atomically per epoch. Combined
-	// with DataDir (through OpenService), worker i owns the directory
-	// DataDir/shard-i and a warm restart reopens every worker from its
-	// own WAL and checkpoints. For a multi-process deployment over the
-	// same protocol, see NewShardServer and ConnectService. Zero or one
-	// means the ordinary single-process service.
+	// is joined by the router on the caller's goroutine: each owner
+	// enumerates its half of the bidirectional search on one pinned
+	// epoch and the router splices the halves at the boundary vertices.
+	// Results are identical to the unsharded service. Updates fan out to
+	// every worker atomically per epoch. Combined with DataDir (through
+	// OpenService), worker i owns the directory DataDir/shard-i and a
+	// warm restart reopens every worker from its own WAL and
+	// checkpoints. For the multi-process deployment — same hash
+	// partition, but every query runs whole on one worker — see
+	// NewShardServer and ConnectService. Zero or one means the ordinary
+	// single-process service.
 	Shards int
-	// MaxCrossShard bounds the cross-shard scatter-gather joins running
-	// concurrently when Shards > 1; excess cross-shard queries are shed
-	// with ErrOverloaded. Single-shard traffic is governed per worker by
-	// MaxInFlight/MaxQueued/MaxPerCaller as usual. Zero means unlimited.
+	// MaxCrossShard bounds the router's cross-shard joins running
+	// concurrently in the in-process deployment (Shards > 1); excess
+	// cross-shard queries are shed with ErrOverloaded. Single-shard
+	// traffic is governed per worker by MaxInFlight/MaxQueued/
+	// MaxPerCaller as usual. Zero means unlimited. ConnectService
+	// ignores it: over the wire the router joins nothing, and every
+	// query is under its worker's own admission control.
 	MaxCrossShard int
 }
 
@@ -991,14 +996,17 @@ func (s *Service) Epoch() uint64 { return s.svc.Epoch() }
 
 // Totals returns a snapshot of the service's lifetime counters. On a
 // sharded service, the per-worker totals are merged into one
-// deployment-wide view (cross-shard joins counted as batches of one);
-// ShardTotals exposes the unmerged per-worker counters.
+// deployment-wide view (the in-process router's cross-shard joins
+// counted as batches of one); ShardTotals exposes the unmerged
+// per-worker counters.
 func (s *Service) Totals() ServiceTotals { return s.svc.Stats() }
 
 // ShardingStats counts how a sharded service classified its traffic:
-// queries forwarded whole to the worker owning both endpoints
-// (SingleShard), scatter-gather joins across two workers (CrossShard),
-// and cross-shard queries shed at the MaxCrossShard bound (CrossShed).
+// queries forwarded to the worker owning both endpoints (SingleShard),
+// queries whose endpoints are owned by two workers (CrossShard — joined
+// by the router in-process, forwarded whole to the source's owner by
+// ConnectService), and cross-shard queries shed at the MaxCrossShard
+// bound (CrossShed, in-process only). EpochRetries is always zero.
 type ShardingStats = shard.RoutingStats
 
 // ShardOf returns the worker that owns vertex v in a deployment of the
@@ -1019,8 +1027,9 @@ func (s *Service) NumShards() int {
 }
 
 // ShardTotals returns each shard worker's own lifetime counters, in
-// shard order, or nil for an unsharded service. Cross-shard joins run
-// outside the worker pipelines and appear only in the merged Totals.
+// shard order, or nil for an unsharded service. The in-process
+// router's cross-shard joins run outside the worker pipelines and
+// appear only in the merged Totals.
 func (s *Service) ShardTotals() []ServiceTotals {
 	if s.coord == nil {
 		return nil
@@ -1055,28 +1064,28 @@ func (s *Service) Wire() []WireStats {
 // ConnectService builds a Service over remote shard workers, one
 // address per shard, address i serving shard i of len(addrs). Each
 // worker is a NewShardServer process (cmd/hcpath -serve); the returned
-// Service runs the same coordinator as the in-process sharded
-// deployment — identical routing, scatter-gather protocol, and results
-// — with the worker RPCs carried by the package's length-prefixed,
-// CRC-framed TCP protocol. Connection attempts retry under a bounded
-// backoff while workers start; the handshake verifies protocol version
-// and each worker's exact shard identity, and the workers must agree
-// on one store.State before any traffic is accepted.
+// Service routes by the same hash partition as the in-process sharded
+// deployment and sends every query whole — one RPC over the package's
+// length-prefixed, CRC-framed TCP protocol — to the worker owning its
+// source vertex, where it joins that worker's micro-batches. Results
+// are identical to the single-process service. Connection attempts
+// retry under a bounded backoff while workers start; the handshake
+// verifies protocol version and each worker's exact shard identity, and
+// the workers must agree on one store.State before any traffic is
+// accepted.
 //
-// opts configures the coordinator side: MaxCrossShard admission,
-// QueryTimeout and Limit of cross-shard joins, MaxHops validation.
-// Batching, admission, durability, and cache options of each worker
-// are fixed by its own process; Shards and DataDir here are ignored.
-// Closing the Service drops the connections — worker processes keep
-// serving.
+// Of opts only MaxHops is read: it validates queries before they are
+// sent. Everything else — Limit, QueryTimeout, batching, admission,
+// durability, cache — is fixed by each worker's own process (pass it to
+// NewShardServer / hcpath -serve); Shards, MaxCrossShard and DataDir
+// here are ignored. Closing the Service drops the connections — worker
+// processes keep serving.
 func ConnectService(ctx context.Context, addrs []string, opts *ServiceOptions) (*Service, error) {
 	var o ServiceOptions
 	if opts != nil {
 		o = *opts
 	}
-	o.Shards = len(addrs)
-	o.DataDir = ""
-	coord, err := shard.Connect(ctx, addrs, o.config(), shard.ConnectOptions{})
+	coord, err := shard.Connect(ctx, addrs, shard.ConnectOptions{})
 	if err != nil {
 		return nil, err
 	}

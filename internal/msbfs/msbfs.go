@@ -11,44 +11,12 @@
 package msbfs
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
 
 	"repro/internal/graph"
 )
-
-// FromVisited reconstructs an unpooled DistMap from its portable
-// contents: the source, the hop cap, the dense-array length n (the
-// graph's vertex count on the producing side), and the parallel
-// visited/dists slices — visited[i] at distance dists[i] from source.
-// The shard wire layer uses it to rebuild a worker's map on the far
-// side of a connection, so the inputs are validated rather than
-// trusted: visited must be sorted ascending, in range, and no entry may
-// exceed cap. The visited slice is retained; dists is only read.
-func FromVisited(source graph.VertexID, cap uint8, n int, visited []graph.VertexID, dists []uint8) (*DistMap, error) {
-	if len(visited) != len(dists) {
-		return nil, fmt.Errorf("msbfs: %d visited vertices with %d distances", len(visited), len(dists))
-	}
-	dist := make([]uint8, n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	for i, v := range visited {
-		if int(v) >= n {
-			return nil, fmt.Errorf("msbfs: visited vertex %d out of range (n=%d)", v, n)
-		}
-		if i > 0 && visited[i-1] >= v {
-			return nil, fmt.Errorf("msbfs: visited set not sorted at index %d", i)
-		}
-		if dists[i] > cap {
-			return nil, fmt.Errorf("msbfs: visited vertex %d at distance %d beyond cap %d", v, dists[i], cap)
-		}
-		dist[v] = dists[i]
-	}
-	return &DistMap{Source: source, Cap: cap, dist: dist, visited: visited}, nil
-}
 
 // Unreachable is the distance reported for vertices outside a source's
 // hop-bounded reach.

@@ -17,8 +17,6 @@
 package pathjoin
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/query"
 )
@@ -96,36 +94,10 @@ func (s *Store) Each(fn func(p []graph.VertexID)) {
 }
 
 // Raw exposes the arena's flat contents — the vertex array and the
-// Len()+1 offsets array — for serialization by the shard wire layer.
-// Both slices alias internal storage and must not be modified; a
+// Len()+1 offsets array — so hcpath can cut a reply into Paths without
+// copying. Both slices alias internal storage and must not be modified; a
 // zero-value store reports (nil, nil).
 func (s *Store) Raw() (verts []graph.VertexID, offs []int32) { return s.verts, s.offs }
-
-// RestoreStore adopts pre-built arena contents, as produced by Raw, as
-// a Store without copying. The offsets must start at 0, be
-// non-decreasing, and end at len(verts); wire-decoded payloads that
-// violate the invariant are rejected with an error rather than left to
-// panic inside Path.
-func RestoreStore(verts []graph.VertexID, offs []int32) (*Store, error) {
-	if len(offs) == 0 {
-		if len(verts) != 0 {
-			return nil, fmt.Errorf("pathjoin: %d arena vertices with no offsets", len(verts))
-		}
-		return &Store{}, nil
-	}
-	if offs[0] != 0 {
-		return nil, fmt.Errorf("pathjoin: arena offsets start at %d, want 0", offs[0])
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			return nil, fmt.Errorf("pathjoin: arena offsets decrease at index %d", i)
-		}
-	}
-	if int(offs[len(offs)-1]) != len(verts) {
-		return nil, fmt.Errorf("pathjoin: arena offsets end at %d, want %d", offs[len(offs)-1], len(verts))
-	}
-	return &Store{verts: verts, offs: offs}, nil
-}
 
 // hashKey packs (meet vertex, path length) into one map key.
 func hashKey(meet graph.VertexID, length int) uint64 {

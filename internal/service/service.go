@@ -166,11 +166,13 @@ type Config struct {
 	// one worker per shard from this Config with Shards cleared. Zero or
 	// one means unsharded.
 	Shards int
-	// MaxCrossShard bounds the cross-shard scatter-gather joins running
-	// concurrently in a sharded deployment; excess cross-shard queries
-	// are shed with ErrOverloaded. Single-shard traffic is governed by
-	// the per-shard MaxInFlight/MaxQueued/MaxPerCaller bounds instead.
-	// Zero or negative means unlimited. Ignored by a single Service.
+	// MaxCrossShard bounds the coordinator's cross-shard joins running
+	// concurrently in the in-process sharded deployment; excess
+	// cross-shard queries are shed with ErrOverloaded. Single-shard
+	// traffic is governed by the per-shard MaxInFlight/MaxQueued/
+	// MaxPerCaller bounds instead. Zero or negative means unlimited.
+	// Ignored by a single Service and by a coordinator over remote
+	// workers, which joins nothing.
 	MaxCrossShard int
 	// SyncCompact makes the store fold deltas inline inside
 	// ApplyUpdates instead of in a background goroutine. The sharded

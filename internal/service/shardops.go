@@ -10,8 +10,8 @@ import (
 	"repro/internal/store"
 )
 
-// The hooks in this file expose the pieces of a worker the sharded
-// coordinator (internal/shard) composes across shards: pinning a
+// The hooks in this file expose the pieces of a worker the in-process
+// sharded coordinator (internal/shard) composes across shards: pinning a
 // snapshot, resolving one endpoint's distance map through this
 // worker's index cache, and running one half of the bidirectional
 // search on this worker's graph. Single-process callers never need

@@ -11,9 +11,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/hcindex"
-	"repro/internal/msbfs"
-	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -47,15 +44,16 @@ func (o ConnectOptions) dialBackoff() Backoff {
 // the dial Backoff absorbing startup races), performs the hello
 // handshake that verifies protocol version and shard identity, and
 // checks all replicas report one identical store.State before
-// accepting traffic. The cfg governs coordinator-side behaviour —
-// MaxCrossShard admission, QueryTimeout and Limit of cross-shard joins
-// — while each worker process keeps the batching/admission config it
-// was started with.
-func Connect(ctx context.Context, addrs []string, cfg service.Config, opts ConnectOptions) (*Coordinator, error) {
+// accepting traffic. Connect takes no service.Config: a coordinator
+// over remote workers only routes — every query, cross-shard ones
+// included, runs whole on one worker under the Limit, QueryTimeout,
+// batching and admission config that worker process was started with.
+// The dial Backoff is all there is to tune on this side.
+func Connect(ctx context.Context, addrs []string, opts ConnectOptions) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shard: Connect needs at least one worker address")
 	}
-	c := newCoordinator(cfg, len(addrs))
+	c := &Coordinator{workers: make([]worker, len(addrs))}
 	for i, addr := range addrs {
 		w, err := dialWorker(ctx, addr, i, len(addrs), opts)
 		if err != nil {
@@ -105,10 +103,10 @@ var errCoordinatorClosed = errors.New("connection closed by coordinator")
 // connection: each call registers a reply channel under its request
 // id, queues its frame to the connection's frameWriter — which
 // coalesces every frame queued at flush time into one write, the client
-// half of the level-batching — and waits. The receive loop
+// half of the batching — and waits. The receive loop
 // demultiplexes responses by id. When the connection dies, every
 // pending and future call fails immediately with a WorkerDownError: a
-// killed worker mid-scatter is a typed error, never a hang.
+// worker killed mid-query is a typed error, never a hang.
 type remoteWorker struct {
 	addr     string
 	shardIdx int
@@ -122,7 +120,6 @@ type remoteWorker struct {
 
 	nextID atomic.Uint64
 	epoch  atomic.Uint64
-	nverts atomic.Int64
 }
 
 type callResult struct {
@@ -172,9 +169,7 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts Con
 			shardIdx, addr, readWireError(wirefmt.NewReader(body)))
 	}
 	r := wirefmt.NewReader(body)
-	epoch := r.U64()
-	n := r.U32()
-	readState(r) // alignment across workers is checked by Connect via State()
+	st := readState(r) // alignment across workers is checked by Connect via State()
 	if typ != mtResp || r.Close() != nil {
 		conn.Close()
 		return nil, fmt.Errorf("shard: worker %d at %s: malformed handshake response", shardIdx, addr)
@@ -189,8 +184,7 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts Con
 		pending:  make(map[uint64]chan callResult),
 	}
 	w.nextID.Store(1) // id 1 was the hello
-	w.epoch.Store(epoch)
-	w.nverts.Store(int64(n))
+	w.epoch.Store(st.Epoch)
 	go w.out.run(conn, w.markDown)
 	go w.recvLoop(br)
 	return w, nil
@@ -326,12 +320,10 @@ func (w *remoteWorker) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 	}
 	r := wirefmt.NewReader(resp)
 	epoch := r.U64()
-	n := r.U32()
 	if err := r.Close(); err != nil {
 		return w.Epoch(), &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: err}
 	}
 	w.epoch.Store(epoch)
-	w.nverts.Store(int64(n))
 	return epoch, nil
 }
 
@@ -340,8 +332,6 @@ func (w *remoteWorker) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 // cache is exact — epochs only move inside ApplyUpdates, which updates
 // it.
 func (w *remoteWorker) Epoch() uint64 { return w.epoch.Load() }
-
-func (w *remoteWorker) NumVertices() int { return int(w.nverts.Load()) }
 
 // Stats returns the worker's Totals, or — matching the best a stats
 // plane can do against an unreachable process — zero Totals once the
@@ -383,71 +373,4 @@ func (w *remoteWorker) Checkpoint() error {
 func (w *remoteWorker) Close() error {
 	w.markDown(errCoordinatorClosed)
 	return nil
-}
-
-func dirByte(dir hcindex.Direction) uint8 {
-	if dir == hcindex.Forward {
-		return 0
-	}
-	return 1
-}
-
-func (w *remoteWorker) AcquireDist(ctx context.Context, epoch uint64, root graph.VertexID, k uint8, dir hcindex.Direction) (*distHandle, error) {
-	id, req := w.begin(mtAcquireDist)
-	req = wirefmt.AppendU64(req, epoch)
-	req = wirefmt.AppendU32(req, root)
-	req = wirefmt.AppendU8(req, k)
-	req = wirefmt.AppendU8(req, dirByte(dir))
-	resp, err := w.call(ctx, id, req)
-	if err != nil {
-		return nil, err
-	}
-	r := wirefmt.NewReader(resp)
-	hits := int(r.I64())
-	misses := int(r.I64())
-	dist, derr := readDistMap(r, w.NumVertices())
-	if derr == nil {
-		derr = r.Close()
-	}
-	if derr != nil {
-		return nil, &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: derr}
-	}
-	// The map's bytes were copied off the wire, so there is nothing to
-	// release; the worker released its cache handle after encoding.
-	return &distHandle{dist: dist, hits: hits, misses: misses}, nil
-}
-
-func (w *remoteWorker) HalfPaths(ctx context.Context, epoch uint64, dir hcindex.Direction, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, deadline time.Time) (*pathjoin.Store, bool, error) {
-	// The deadline crosses the wire as remaining time, not an absolute
-	// instant, so worker clocks need not agree with the coordinator's.
-	var remaining time.Duration
-	if !deadline.IsZero() {
-		remaining = time.Until(deadline)
-		if remaining <= 0 {
-			// Already expired: the worker would only cancel immediately.
-			return pathjoin.NewStore(0, 0), true, nil
-		}
-	}
-	id, req := w.begin(mtHalfPaths)
-	req = wirefmt.AppendU64(req, epoch)
-	req = wirefmt.AppendU8(req, dirByte(dir))
-	req = wirefmt.AppendU32(req, root)
-	req = wirefmt.AppendU8(req, budget)
-	req = wirefmt.AppendU8(req, k)
-	req = wirefmt.AppendI64(req, int64(remaining))
-	req = appendDistMap(req, other, w.NumVertices())
-	resp, err := w.call(ctx, id, req)
-	if err != nil {
-		return nil, false, err
-	}
-	r := wirefmt.NewReader(resp)
-	cancelled := r.Bool()
-	paths, derr := readStore(r)
-	if derr == nil {
-		derr = r.Close()
-	}
-	if derr != nil {
-		return nil, false, &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: derr}
-	}
-	return paths, cancelled, nil
 }

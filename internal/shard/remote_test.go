@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -43,8 +42,7 @@ func startCluster(t testing.TB, g *graph.Graph, n int, cfg service.Config, opts 
 		go srv.Serve(ln)
 		t.Cleanup(func() { srv.Close() })
 	}
-	cfg.Shards = n
-	coord, err := Connect(context.Background(), addrs, cfg, opts)
+	coord, err := Connect(context.Background(), addrs, opts)
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
@@ -183,9 +181,8 @@ func TestConnectRejectsWrongShardIdentity(t *testing.T) {
 		go srv.Serve(ln)
 		t.Cleanup(func() { srv.Close() })
 	}
-	cfg.Shards = 2
 	swapped := []string{addrs[1], addrs[0]}
-	coord, err := Connect(context.Background(), swapped, cfg, ConnectOptions{})
+	coord, err := Connect(context.Background(), swapped, ConnectOptions{})
 	if err == nil {
 		coord.Close()
 		t.Fatal("Connect accepted a cluster wired in the wrong shard order")
@@ -206,9 +203,7 @@ func TestConnectDialBackoffGivesUp(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cfg := testConfig()
-	cfg.Shards = 1
-	_, err = Connect(context.Background(), []string{addr}, cfg, ConnectOptions{
+	_, err = Connect(context.Background(), []string{addr}, ConnectOptions{
 		DialBackoff: Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Total: 20 * time.Millisecond},
 	})
 	if !errors.Is(err, ErrBackoffExhausted) {
@@ -219,7 +214,7 @@ func TestConnectDialBackoffGivesUp(t *testing.T) {
 // fakeWorker is a scripted worker process: it answers the handshake and
 // the alignment check honestly, then runs hook for each further frame.
 // It lets the failure-surface tests kill a "worker" at an exact point
-// in the scatter-gather without racing a real service.
+// in an RPC without racing a real service.
 type fakeWorker struct {
 	ln   net.Listener
 	hook func(conn net.Conn, typ byte, id uint64, body []byte) bool // false = drop connection
@@ -272,10 +267,7 @@ func (f *fakeWorker) serve(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	resp := wirefmt.AppendU64(nil, 0) // epoch
-	resp = wirefmt.AppendU32(resp, 4) // vertex count
-	resp = append(resp, fakeState()...)
-	if _, err := conn.Write(appendFrame(nil, mtResp, id, resp)); err != nil {
+	if _, err := conn.Write(appendFrame(nil, mtResp, id, fakeState())); err != nil {
 		conn.Close()
 		return
 	}
@@ -304,30 +296,6 @@ func answer(conn net.Conn, id uint64, body []byte) bool {
 	return err == nil
 }
 
-// fakeDistBody encodes the AcquireDist response the fakes serve: zero
-// cache traffic plus a small valid distance map over 4 vertices where
-// every other vertex is 1 hop from the root — close enough that the
-// coordinator always proceeds to the HalfPaths phase.
-func fakeDistBody(root graph.VertexID) []byte {
-	body := wirefmt.AppendI64(nil, 0) // hits
-	body = wirefmt.AppendI64(body, 0) // misses
-	body = wirefmt.AppendU32(body, root)
-	body = wirefmt.AppendU8(body, 4)  // cap
-	body = wirefmt.AppendU32(body, 4) // dense length
-	body = wirefmt.AppendU32(body, 4) // all 4 vertices visited
-	for v := uint32(0); v < 4; v++ {
-		body = wirefmt.AppendU32(body, v)
-	}
-	for v := graph.VertexID(0); v < 4; v++ {
-		if v == root {
-			body = wirefmt.AppendU8(body, 0)
-		} else {
-			body = wirefmt.AppendU8(body, 1)
-		}
-	}
-	return body
-}
-
 // onState answers the stats-plane frames every fake must serve (State
 // for Connect's alignment check) and defers the rest to next.
 func onState(next func(conn net.Conn, typ byte, id uint64, body []byte) bool) func(conn net.Conn, typ byte, id uint64, body []byte) bool {
@@ -339,61 +307,42 @@ func onState(next func(conn net.Conn, typ byte, id uint64, body []byte) bool) fu
 	}
 }
 
-// connectFakes dials a 2-fake cluster and returns the coordinator plus
-// a query whose endpoints land on different shards.
-func connectFakes(t *testing.T, hook0, hook1 func(conn net.Conn, typ byte, id uint64, body []byte) bool) (*Coordinator, query.Query) {
+// connectFakes dials a 2-fake cluster.
+func connectFakes(t *testing.T, hook0, hook1 func(conn net.Conn, typ byte, id uint64, body []byte) bool) *Coordinator {
 	t.Helper()
 	f0 := startFakeWorker(t, onState(hook0))
 	f1 := startFakeWorker(t, onState(hook1))
-	cfg := testConfig()
-	cfg.Shards = 2
-	coord, err := Connect(context.Background(), []string{f0.addr(), f1.addr()}, cfg, ConnectOptions{})
+	coord, err := Connect(context.Background(), []string{f0.addr(), f1.addr()}, ConnectOptions{})
 	if err != nil {
 		t.Fatalf("Connect to fakes: %v", err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	for s := graph.VertexID(0); s < 4; s++ {
-		for u := graph.VertexID(0); u < 4; u++ {
-			if s != u && ShardOf(s, 2) != ShardOf(u, 2) {
-				return coord, query.Query{S: s, T: u, K: 4}
-			}
-		}
-	}
-	t.Fatal("no cross-shard vertex pair among 4 vertices")
-	return nil, query.Query{}
+	return coord
 }
 
-// TestWorkerKilledMidScatterGather kills a worker between the
-// AcquireDist and HalfPaths phases: the in-flight cross-shard query
-// must fail promptly with a typed ErrWorkerDown — never hang.
-func TestWorkerKilledMidScatterGather(t *testing.T) {
-	healthy := func(conn net.Conn, typ byte, id uint64, body []byte) bool {
-		switch typ {
-		case mtAcquireDist:
-			r := wirefmt.NewReader(body)
-			r.U64() // epoch
-			root := r.U32()
-			return answer(conn, id, fakeDistBody(root))
-		case mtHalfPaths:
-			resp := wirefmt.AppendBool(nil, false)
-			resp = appendStore(resp, pathjoin.NewStore(0, 0))
-			return answer(conn, id, resp)
-		}
+// fakeQuery returns a query over the fakes' 4 vertices whose endpoints
+// land on different shards of 2 (cross) or on the same one.
+func fakeQuery(t *testing.T, cross bool) query.Query {
+	t.Helper()
+	s, u := findPair(t, testgraphs.Line(4), 2, cross)
+	return query.Query{S: s, T: u, K: 4}
+}
+
+// TestWorkerKilledMidSubmit kills the worker owning a cross-shard
+// query's source while that query's one RPC is in flight: the query
+// must fail promptly with a typed ErrWorkerDown — never hang — and the
+// worker owning its target must not have been asked for anything.
+func TestWorkerKilledMidSubmit(t *testing.T) {
+	q := fakeQuery(t, true)
+	hooks := [2]func(conn net.Conn, typ byte, id uint64, body []byte) bool{}
+	hooks[ShardOf(q.S, 2)] = func(conn net.Conn, typ byte, id uint64, body []byte) bool {
+		return false // die with the Submit unanswered: drop the connection
+	}
+	hooks[ShardOf(q.T, 2)] = func(conn net.Conn, typ byte, id uint64, body []byte) bool {
+		t.Errorf("the target's owner was sent a %#x frame; a cross-shard query is one RPC to the source's owner", typ)
 		return false
 	}
-	killed := func(conn net.Conn, typ byte, id uint64, body []byte) bool {
-		switch typ {
-		case mtAcquireDist:
-			r := wirefmt.NewReader(body)
-			r.U64()
-			root := r.U32()
-			return answer(conn, id, fakeDistBody(root))
-		case mtHalfPaths:
-			return false // die mid-scatter: drop the connection
-		}
-		return false
-	}
-	coord, q := connectFakes(t, healthy, killed)
+	coord := connectFakes(t, hooks[0], hooks[1])
 
 	done := make(chan error, 1)
 	go func() {
@@ -425,14 +374,12 @@ func TestEpochMismatchFanOut(t *testing.T) {
 	updatesAt := func(epoch uint64) func(conn net.Conn, typ byte, id uint64, body []byte) bool {
 		return func(conn net.Conn, typ byte, id uint64, body []byte) bool {
 			if typ == mtApplyUpdates {
-				resp := wirefmt.AppendU64(nil, epoch)
-				resp = wirefmt.AppendU32(resp, 4)
-				return answer(conn, id, resp)
+				return answer(conn, id, wirefmt.AppendU64(nil, epoch))
 			}
 			return false
 		}
 	}
-	coord, _ := connectFakes(t, updatesAt(1), updatesAt(7))
+	coord := connectFakes(t, updatesAt(1), updatesAt(7))
 	_, err := coord.ApplyUpdates([]graph.Edge{{Src: 0, Dst: 1}}, nil)
 	if err == nil {
 		t.Fatal("ApplyUpdates accepted a diverged fan-out")
@@ -456,25 +403,20 @@ func TestRetryAfterHintCrossesWire(t *testing.T) {
 		}
 		return false
 	}
-	coord, _ := connectFakes(t, shedding, shedding)
-	// Pick a single-shard query so Submit forwards straight to a worker.
-	var q query.Query
-	for s := graph.VertexID(0); s < 4; s++ {
-		for u := graph.VertexID(0); u < 4; u++ {
-			if s != u && ShardOf(s, 2) == ShardOf(u, 2) {
-				q = query.Query{S: s, T: u, K: 2}
-			}
+	coord := connectFakes(t, shedding, shedding)
+	// Both routes must carry the hint: a cross-shard query is forwarded
+	// like a single-shard one.
+	for _, q := range []query.Query{fakeQuery(t, false), fakeQuery(t, true)} {
+		_, err := coord.Submit(context.Background(), "", q, false)
+		if !errors.Is(err, service.ErrOverloaded) {
+			t.Fatalf("%s shed over the wire: got %v, want errors.Is ErrOverloaded", q, err)
 		}
-	}
-	_, err := coord.Submit(context.Background(), "", q, false)
-	if !errors.Is(err, service.ErrOverloaded) {
-		t.Fatalf("shed over the wire: got %v, want errors.Is ErrOverloaded", err)
-	}
-	var oe *OverloadedError
-	if !errors.As(err, &oe) {
-		t.Fatalf("shed error %v carries no *OverloadedError", err)
-	}
-	if oe.RetryAfter != hint {
-		t.Errorf("RetryAfter = %v, want %v", oe.RetryAfter, hint)
+		var oe *OverloadedError
+		if !errors.As(err, &oe) {
+			t.Fatalf("%s: shed error %v carries no *OverloadedError", q, err)
+		}
+		if oe.RetryAfter != hint {
+			t.Errorf("%s: RetryAfter = %v, want %v", q, oe.RetryAfter, hint)
+		}
 	}
 }

@@ -16,21 +16,20 @@ import (
 
 // Server speaks the worker side of the wire protocol: it owns one
 // shard's service.Service and answers the coordinator RPCs — Submit,
-// the AcquireDist/HalfPaths scatter legs, the update fan-out, and the
-// stats plane — over any number of coordinator connections. One
-// process runs one Server (cmd/hcpath -serve); the pairing Connect
-// builds a Coordinator over N of them.
+// the update fan-out, and the stats plane — over any number of
+// coordinator connections. One process runs one Server (cmd/hcpath
+// -serve); the pairing Connect builds a Coordinator over N of them.
 //
 // Every request frame is handled in its own goroutine, because Submit
-// deliberately blocks in the micro-batching pipeline while cache-hit
-// AcquireDists answer in microseconds; responses carry the request id
-// back, so they may interleave out of order on the shared connection.
-// Responses queue to the connection's frameWriter, which coalesces
-// everything queued into one flush — the server half of the batching
-// that turns N concurrent scatter-gathers into one round-trip per
-// level.
+// deliberately blocks in the micro-batching pipeline (that is how
+// queries from one connection come to share a batch) while the stats
+// plane answers at once; responses carry the request id back, so they
+// may interleave out of order on the shared connection. Responses queue
+// to the connection's frameWriter, which coalesces everything queued
+// into one flush — the server half of the batching that lets N
+// concurrent queries share a round-trip.
 type Server struct {
-	w          localWorker
+	svc        *service.Service
 	shardIdx   int
 	shards     int
 	retryAfter time.Duration
@@ -58,7 +57,7 @@ func NewServer(svc *service.Service, shardIdx, shards int, opts ServerOptions) *
 		opts.RetryAfter = 5 * time.Millisecond
 	}
 	return &Server{
-		w:          localWorker{svc: svc},
+		svc:        svc,
 		shardIdx:   shardIdx,
 		shards:     shards,
 		retryAfter: opts.RetryAfter,
@@ -122,18 +121,18 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	return s.w.Close()
+	return s.svc.Close()
 }
 
 // Totals returns the worker service's lifetime counters — the local
 // view behind the coordinator's merged Stats.
-func (s *Server) Totals() service.Totals { return s.w.Stats() }
+func (s *Server) Totals() service.Totals { return s.svc.Stats() }
 
 // State identifies the worker's current graph snapshot.
-func (s *Server) State() store.State { return s.w.State() }
+func (s *Server) State() store.State { return s.svc.State() }
 
 // Epoch returns the worker's current epoch.
-func (s *Server) Epoch() uint64 { return s.w.Epoch() }
+func (s *Server) Epoch() uint64 { return s.svc.Epoch() }
 
 // dropConn unregisters and closes one connection.
 func (s *Server) dropConn(conn net.Conn) {
@@ -214,10 +213,7 @@ func (s *Server) handshake(br *bufio.Reader, out *frameWriter) bool {
 			s.shardIdx, s.shards, idx, n), 0), nil)
 		return false
 	}
-	resp := wirefmt.AppendU64(beginMsg(nil, mtResp, id), s.w.Epoch())
-	resp = wirefmt.AppendU32(resp, uint32(s.w.NumVertices()))
-	resp = appendState(resp, s.w.State())
-	out.send(wirefmt.EndFrame(resp), nil)
+	out.send(wirefmt.EndFrame(appendState(beginMsg(nil, mtResp, id), s.svc.State())), nil)
 	return true
 }
 
@@ -245,53 +241,11 @@ func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, err
 		if err := r.Close(); err != nil {
 			return nil, err
 		}
-		rep, err := s.w.Submit(context.Background(), caller, q, collect)
+		rep, err := s.svc.Submit(context.Background(), caller, q, collect)
 		if err != nil {
 			return nil, err
 		}
 		return service.AppendReplyWire(resp, rep), nil
-
-	case mtAcquireDist:
-		epoch := r.U64()
-		root := r.U32()
-		k := r.U8()
-		dir := hcDirection(r.U8())
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
-		h, err := s.w.AcquireDist(context.Background(), epoch, root, k, dir)
-		if err != nil {
-			return nil, err
-		}
-		defer h.Release()
-		resp = wirefmt.AppendI64(resp, int64(h.hits))
-		resp = wirefmt.AppendI64(resp, int64(h.misses))
-		resp = appendDistMap(resp, h.dist, s.w.NumVertices())
-		return resp, nil
-
-	case mtHalfPaths:
-		epoch := r.U64()
-		dir := hcDirection(r.U8())
-		root := r.U32()
-		budget := r.U8()
-		k := r.U8()
-		remaining := time.Duration(r.I64())
-		other, err := readDistMap(r, s.w.NumVertices())
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
-		var deadline time.Time
-		if remaining != 0 {
-			deadline = time.Now().Add(remaining)
-		}
-		paths, cancelled, err := s.w.HalfPaths(context.Background(), epoch, dir, root, budget, k, other, deadline)
-		if err != nil {
-			return nil, err
-		}
-		return appendStore(wirefmt.AppendBool(resp, cancelled), paths), nil
 
 	case mtApplyUpdates:
 		adds := wirefmt.ReadEdges(r, r.U32())
@@ -299,11 +253,11 @@ func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, err
 		if err := r.Close(); err != nil {
 			return nil, err
 		}
-		epoch, err := s.w.ApplyUpdates(adds, dels)
+		epoch, err := s.svc.ApplyUpdates(adds, dels)
 		if err != nil {
 			return nil, err
 		}
-		return wirefmt.AppendU32(wirefmt.AppendU64(resp, epoch), uint32(s.w.NumVertices())), nil
+		return wirefmt.AppendU64(resp, epoch), nil
 
 	case mtStats, mtState, mtEpoch, mtCheckpoint:
 		if err := r.Close(); err != nil { // these requests carry no body
@@ -311,13 +265,13 @@ func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, err
 		}
 		switch typ {
 		case mtStats:
-			return service.AppendTotalsWire(resp, s.w.Stats()), nil
+			return service.AppendTotalsWire(resp, s.svc.Stats()), nil
 		case mtState:
-			return appendState(resp, s.w.State()), nil
+			return appendState(resp, s.svc.State()), nil
 		case mtEpoch:
-			return wirefmt.AppendU64(resp, s.w.Epoch()), nil
+			return wirefmt.AppendU64(resp, s.svc.Epoch()), nil
 		}
-		return resp, s.w.Checkpoint()
+		return resp, s.svc.Checkpoint()
 
 	default:
 		return nil, errors.New("shard: unknown request type")

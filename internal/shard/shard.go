@@ -5,9 +5,9 @@
 // queries, and fans updates out. Workers run either in the
 // coordinator's process (New/Open) or as separate processes reached
 // over the package's TCP wire protocol (Serve on the worker side,
-// Connect on the coordinator side); the scatter-gather protocol below
-// is identical in both modes, which is what the differential suite
-// proves.
+// Connect on the coordinator side); both deployments return the
+// single-process service's results, which is what the differential
+// suite proves.
 //
 // # Routing
 //
@@ -17,27 +17,42 @@
 // where it coalesces with the worker's other traffic exactly as in the
 // single-process deployment (sharing detection, planner, admission
 // control included). A query whose endpoints land on different shards
-// is cross-shard and runs the scatter-gather protocol:
+// is cross-shard, and what happens to it follows from the one thing
+// the coordinator can observe — whether the workers are in its process.
+// Nothing selects between the two rules; each deployment has one.
 //
-//  1. Scatter — the shard owning s resolves the forward hop-distance
-//     map of s and the shard owning t the backward map of t, each
-//     through its own index cache, so index state stays partitioned by
-//     endpoint ownership.
-//  2. Half-path enumeration — the owner of s collects the forward
+// Remote workers: the query goes whole to the worker owning s, one RPC
+// like any single-shard query. Every worker holds the full edge set, so
+// it can answer alone; it joins that worker's micro-batches and the
+// worker's own Limit, QueryTimeout and admission govern it. Splitting it
+// across two workers instead cost ~3 RPCs, two Θ(|V|) distance maps
+// serialised and decoded on both ends and both half-path stores shipped
+// back, and lost on every metric (docs/ARCHITECTURE.md has the numbers).
+//
+// In-process workers: the coordinator joins the two halves itself, on
+// the caller's goroutine, which skips the collector hop and measures
+// cheaper than a second trip through a batcher:
+//
+//  1. Pin — both owners' current snapshots are taken under the read
+//     side of the update lock, so the two are one epoch.
+//  2. Index — the shard owning s resolves the forward hop-distance map
+//     of s and the shard owning t the backward map of t, each through
+//     its own index cache, so index state stays partitioned by endpoint
+//     ownership.
+//  3. Half-path enumeration — the owner of s collects the forward
 //     partial paths up to ⌈K/2⌉ hops and the owner of t the backward
 //     partial paths up to ⌊K/2⌋ hops (pathenum.CollectHalf), each side
 //     pruned by the other side's distance map (Lemma 3.1).
-//  3. Gather and join — the coordinator joins the two half-path stores
-//     at their boundary (meeting) vertices with pathjoin's unique-split
-//     ⊕ concatenation: the machinery a single-process engine applies at
-//     a query's midpoint, reused at the shard boundary.
+//  4. Join — the coordinator joins the two half-path stores at their
+//     boundary (meeting) vertices with pathjoin's unique-split ⊕
+//     concatenation: the machinery a single-process engine applies at a
+//     query's midpoint, reused at the shard boundary.
 //
-// The protocol mirrors pathenum.EnumerateControlled step for step
-// (plain search order, budgets ⌈K/2⌉/⌊K/2⌋), so sharded results are
-// identical to single-process results; the differential suite in this
-// package proves it over the testgraphs corpus for N ∈ {2, 3, 8}
-// in-process and N ∈ {2, 3} over live TCP connections, live updates
-// included.
+// The join mirrors pathenum.EnumerateControlled step for step (plain
+// search order, budgets ⌈K/2⌉/⌊K/2⌋), so sharded results are identical
+// to single-process results; the differential suite in this package
+// proves it over the testgraphs corpus for N ∈ {2, 3, 8} in-process and
+// N ∈ {2, 3} over live TCP connections, live updates included.
 //
 // # Updates and epochs
 //
@@ -47,27 +62,25 @@
 // identical epoch sequence — updates stay atomic per epoch, and the
 // fan-out asserts the invariant and fails loudly on divergence.
 //
-// A cross-shard query pins the deployment epoch when it is admitted
-// and stamps it on every scatter RPC; a worker asked to serve a pinned
-// epoch it has moved past answers with EpochMismatchError, and the
-// coordinator restarts the query at the new epoch. The pin-and-retry
-// protocol replaces PR 9's pin-both-snapshots-under-the-read-lock:
-// with workers in other processes there is no shared snapshot pointer
-// to pin, and optimistic retry keeps updates from stalling behind
-// in-flight scatter-gathers. Both halves of a join are therefore still
-// always from one epoch — the workers enforce it instead of the
-// coordinator's lock.
+// An in-process join pins both owners' snapshots under the read lock;
+// the fan-out holds the write lock, so a pin never sees one worker
+// before an update and the other after it, and both halves of a join
+// are from one epoch by construction. Snapshots are immutable, so the
+// lock is released before any enumeration runs and updates never wait
+// behind a join. Over the wire every query runs on one worker, on the
+// snapshot its micro-batch bound — there is nothing to align.
 //
 // # Admission control and backpressure
 //
 // Per-worker admission (MaxQueued, MaxPerCaller, MaxInFlight) applies
-// unchanged to single-shard traffic: a worker's ErrOverloaded
-// propagates to the caller with its retry-after semantics intact —
-// over the wire it arrives as OverloadedError carrying the server's
-// retry-after hint for the caller's Backoff. The coordinator adds
-// Config.MaxCrossShard, bounding concurrent cross-shard joins; excess
-// cross-shard queries are shed with a wrapped service.ErrOverloaded
-// before any shard does work on their behalf.
+// unchanged to everything a worker's pipeline carries — single-shard
+// traffic in-process, all traffic over the wire: a worker's
+// ErrOverloaded propagates to the caller with its retry-after semantics
+// intact — over the wire it arrives as OverloadedError carrying the
+// server's retry-after hint for the caller's Backoff. In-process the
+// coordinator adds Config.MaxCrossShard, bounding concurrent joins;
+// excess cross-shard queries are shed with a wrapped
+// service.ErrOverloaded before any shard does work on their behalf.
 //
 // # Durability
 //
@@ -88,7 +101,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -117,97 +129,19 @@ func ShardOf(v graph.VertexID, n int) int {
 	return int((uint64(v) * 0x9E3779B97F4A7C15 >> 32) % uint64(n))
 }
 
-// maxEpochRetries bounds how often one cross-shard query restarts
-// after losing the race with an update fan-out. Each retry requires a
-// fresh update to land mid-scatter, so the bound is effectively "the
-// query lost sixteen consecutive races" — unreachable outside a
-// pathological update storm, where failing the query loudly beats
-// spinning.
-const maxEpochRetries = 16
-
-// worker is one shard as the coordinator sees it, hiding whether the
-// service runs in-process (localWorker) or behind a TCP connection
-// (remoteWorker). Submit/ApplyUpdates/Stats/State/Checkpoint/Close
-// mirror service.Service; AcquireDist and HalfPaths are the scatter
-// legs, which carry the coordinator's pinned epoch — a worker on a
-// different epoch refuses with EpochMismatchError rather than serve a
-// half from the wrong graph.
+// worker is one shard as the coordinator sees it: a *service.Service in
+// this process, or a remoteWorker speaking the wire protocol to a Server
+// in another one. The method set is the surface hcpath's backend
+// declares — whole queries in, updates fanned out, the stats plane —
+// and nothing a remote worker cannot do in one RPC.
 type worker interface {
 	Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error)
 	ApplyUpdates(adds, dels []graph.Edge) (uint64, error)
 	Epoch() uint64
-	NumVertices() int
 	Stats() service.Totals
 	State() store.State
 	Checkpoint() error
 	Close() error
-
-	AcquireDist(ctx context.Context, epoch uint64, root graph.VertexID, k uint8, dir hcindex.Direction) (*distHandle, error)
-	HalfPaths(ctx context.Context, epoch uint64, dir hcindex.Direction, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, deadline time.Time) (*pathjoin.Store, bool, error)
-}
-
-// distHandle is one acquired distance map plus its release obligation
-// and the cache accounting of the probe. Remote maps have a no-op
-// release (the bytes were copied off the wire); local maps return to
-// the worker's cache.
-type distHandle struct {
-	dist         *msbfs.DistMap
-	hits, misses int
-	release      func()
-}
-
-func (h *distHandle) Release() {
-	if h != nil && h.release != nil {
-		h.release()
-	}
-}
-
-// localWorker adapts an in-process service.Service to the worker
-// interface. The scatter legs pin the worker's current snapshot and
-// verify it still carries the coordinator's epoch — the same check a
-// remote worker's server loop performs.
-type localWorker struct {
-	svc *service.Service
-}
-
-func (w localWorker) Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error) {
-	return w.svc.Submit(ctx, caller, q, collect)
-}
-
-func (w localWorker) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
-	return w.svc.ApplyUpdates(adds, dels)
-}
-
-func (w localWorker) Epoch() uint64 { return w.svc.Epoch() }
-
-func (w localWorker) NumVertices() int { return w.svc.CurrentSnapshot().Graph().NumVertices() }
-
-func (w localWorker) Stats() service.Totals { return w.svc.Stats() }
-
-func (w localWorker) State() store.State { return w.svc.State() }
-
-func (w localWorker) Checkpoint() error { return w.svc.Checkpoint() }
-
-func (w localWorker) Close() error { return w.svc.Close() }
-
-func (w localWorker) AcquireDist(_ context.Context, epoch uint64, root graph.VertexID, k uint8, dir hcindex.Direction) (*distHandle, error) {
-	snap := w.svc.CurrentSnapshot()
-	if snap.Epoch() != epoch {
-		return nil, &EpochMismatchError{Want: epoch, Have: snap.Epoch()}
-	}
-	dist, idx := w.svc.AcquireDist(snap, root, k, dir)
-	return &distHandle{dist: dist, hits: idx.Hits, misses: idx.Misses, release: idx.Release}, nil
-}
-
-func (w localWorker) HalfPaths(ctx context.Context, epoch uint64, dir hcindex.Direction, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, deadline time.Time) (*pathjoin.Store, bool, error) {
-	snap := w.svc.CurrentSnapshot()
-	if snap.Epoch() != epoch {
-		return nil, false, &EpochMismatchError{Want: epoch, Have: snap.Epoch()}
-	}
-	out := pathjoin.NewStore(64, 256)
-	ctrl := query.NewControl(ctx, deadline, 0, 1)
-	w.svc.HalfPaths(snap, dir, root, budget, k, other, ctrl, out)
-	return out, ctrl.Cancelled(), nil
 }
 
 // RoutingStats counts how the coordinator classified traffic.
@@ -215,20 +149,26 @@ type RoutingStats struct {
 	// Shards is the worker count.
 	Shards int
 	// SingleShard counts queries whose endpoints shared a worker and
-	// were forwarded into its batch pipeline; CrossShard counts
-	// completed scatter-gather joins; CrossShed counts cross-shard
-	// queries shed at the MaxCrossShard bound. EpochRetries counts
-	// scatter-gathers restarted after losing the race with an update
-	// fan-out.
-	SingleShard, CrossShard, CrossShed, EpochRetries int64
+	// were forwarded into its batch pipeline. CrossShard counts queries
+	// whose endpoints hash apart, on both deployments: joined by the
+	// coordinator in-process, forwarded whole to the owner of the source
+	// over the wire.
+	SingleShard, CrossShard int64
+	// CrossShed counts cross-shard queries shed at the MaxCrossShard
+	// bound (in-process joins only). EpochRetries is always 0: a join
+	// pins its epoch and never restarts. Both stay because the frozen
+	// harness (benchmark/layers.go) reads them, and leave with ROADMAP
+	// item 8's harness-opening PR.
+	CrossShed, EpochRetries int64
 }
 
-// crossAgg accumulates the stats of completed cross-shard joins, which
+// crossAgg accumulates the stats of completed in-process joins, which
 // bypass the per-worker batch pipeline and so appear in no worker's
-// Totals.
+// Totals. (A cross-shard query routed over the wire runs in its
+// worker's pipeline and is counted there.)
 type crossAgg struct {
-	paths, nanos, truncated, deadline int64
-	hits, misses                      int64
+	joins, paths, nanos, truncated, deadline int64
+	hits, misses                             int64
 }
 
 // Coordinator is the sharded deployment's front door. It exposes the
@@ -241,12 +181,10 @@ type Coordinator struct {
 	workers []worker
 
 	// mu serializes update fan-out (write side) against Close and the
-	// epoch pinning of cross-shard admission (read side): a pin taken
-	// under the read lock is an epoch every worker has fully reached,
-	// never a mid-fan-out intermediate. Queries do not hold mu while
-	// they run — the pinned epoch stamped on every scatter RPC, checked
-	// by the workers, is what keeps a join's two halves on one epoch
-	// (see the package comment).
+	// snapshot pinning of in-process joins (read side): two snapshots
+	// pinned under the read lock are one epoch every worker has fully
+	// reached, never a mid-fan-out mix. Queries do not hold mu while
+	// they run — snapshots are immutable (see the package comment).
 	mu     sync.RWMutex
 	closed bool
 
@@ -254,7 +192,7 @@ type Coordinator struct {
 	// unlimited.
 	crossSlots chan struct{}
 
-	single, cross, shed, retries atomic.Int64
+	single, cross, shed atomic.Int64
 
 	aggMu sync.Mutex
 	agg   crossAgg
@@ -304,7 +242,7 @@ func New(g, gr *graph.Graph, cfg service.Config) *Coordinator {
 	workerCfg := workerConfig(cfg, n, true)
 	c := newCoordinator(cfg, n)
 	for i := 0; i < n; i++ {
-		c.workers[i] = localWorker{svc: service.New(g, gr, workerCfg)}
+		c.workers[i] = service.New(g, gr, workerCfg)
 	}
 	return c
 }
@@ -335,7 +273,7 @@ func Open(g, gr *graph.Graph, cfg service.Config) (*Coordinator, error) {
 			}
 			return nil, fmt.Errorf("shard: opening worker %d: %w", i, err)
 		}
-		c.workers[i] = localWorker{svc: svc}
+		c.workers[i] = svc
 	}
 	if err := verifyAligned(c.workers); err != nil {
 		c.Close()
@@ -376,37 +314,45 @@ func (c *Coordinator) ShardOf(v graph.VertexID) int { return ShardOf(v, len(c.wo
 // until the result is ready or ctx fires, validates before any work
 // runs, and sheds with a wrapped service.ErrOverloaded under overload.
 // Single-shard queries forward into the owning worker's batch pipeline
-// (the caller string feeds that worker's fairness quota); cross-shard
-// queries run the scatter-gather join, bounded by MaxCrossShard.
+// (the caller string feeds that worker's fairness quota). Cross-shard
+// queries follow the deployment (see the package comment): over the
+// wire they forward the same way, to the worker owning the source;
+// in-process the coordinator joins the owners' halves itself, bounded
+// by MaxCrossShard.
 func (c *Coordinator) Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error) {
 	sa, sb := c.ShardOf(q.S), c.ShardOf(q.T)
 	if sa == sb {
 		c.single.Add(1)
 		return c.workers[sa].Submit(ctx, caller, q, collect)
 	}
-	return c.crossShard(ctx, q, collect, sa, sb)
+	wa, aLocal := c.workers[sa].(*service.Service)
+	wb, bLocal := c.workers[sb].(*service.Service)
+	if !aLocal || !bLocal {
+		c.cross.Add(1)
+		return c.workers[sa].Submit(ctx, caller, q, collect)
+	}
+	return c.joinLocal(ctx, q, collect, wa, wb)
 }
 
-// pinEpoch admission-checks the deployment and returns the epoch a
-// cross-shard attempt stamps on its scatter RPCs. Taking the read lock
-// excludes a mid-flight fan-out, so the pin is an epoch every worker
-// has fully reached.
-func (c *Coordinator) pinEpoch() (uint64, error) {
+// pin returns the current snapshots of two in-process workers, taken
+// under the read lock the update fan-out excludes, so both carry one
+// epoch (and one vertex count: a distance map built on one probes the
+// other's graph safely).
+func (c *Coordinator) pin(wa, wb *service.Service) (snapA, snapB *store.Snapshot, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return 0, service.ErrClosed
+		return nil, nil, service.ErrClosed
 	}
-	return c.workers[0].Epoch(), nil
+	return wa.CurrentSnapshot(), wb.CurrentSnapshot(), nil
 }
 
-// crossShard runs the scatter-gather protocol of the package comment.
-// It deliberately mirrors pathenum.EnumerateControlled — same budgets,
-// same plain search order, same join — with the two halves delegated
-// to the workers owning the endpoints. An attempt that loses the race
-// with an update fan-out (EpochMismatchError from a worker) restarts
-// at the new epoch.
-func (c *Coordinator) crossShard(ctx context.Context, q query.Query, collect bool, sa, sb int) (*service.Reply, error) {
+// joinLocal answers a cross-shard query over two in-process workers —
+// wa owning q.S, wb owning q.T — by the join of the package comment. It
+// deliberately mirrors pathenum.EnumerateControlled — same budgets,
+// same plain search order, same join, one Control — with the two
+// halves delegated to the workers owning the endpoints.
+func (c *Coordinator) joinLocal(ctx context.Context, q query.Query, collect bool, wa, wb *service.Service) (*service.Reply, error) {
 	if c.crossSlots != nil {
 		select {
 		case c.crossSlots <- struct{}{}:
@@ -417,73 +363,46 @@ func (c *Coordinator) crossShard(ctx context.Context, q query.Query, collect boo
 				len(c.crossSlots), cap(c.crossSlots), service.ErrOverloaded)
 		}
 	}
+	c.cross.Add(1)
 
 	t0 := time.Now()
+	snapA, snapB, err := c.pin(wa, wb)
+	if err != nil {
+		return nil, err
+	}
+	// Same pre-validation as service.Submit, against the pinned epoch's
+	// vertex count (every replica holds the full graph, so either
+	// snapshot's works): a malformed query fails identically whether or
+	// not its endpoints share a shard, and one racing a vertex-growing
+	// update is judged against the epoch it actually runs at.
+	if err := q.ValidateN(graph.VertexID(snapA.Graph().NumVertices())); err != nil {
+		return nil, err
+	}
 	var deadline time.Time
 	if c.cfg.QueryTimeout > 0 {
 		deadline = t0.Add(c.cfg.QueryTimeout)
 	}
-	var lastErr error
-	for attempt := 0; attempt <= maxEpochRetries; attempt++ {
-		epoch, err := c.pinEpoch()
-		if err != nil {
-			return nil, err
-		}
-		reply, err := c.crossShardAttempt(ctx, q, collect, sa, sb, epoch, t0, deadline)
-		if isEpochMismatch(err) {
-			c.retries.Add(1)
-			lastErr = err
-			continue
-		}
-		return reply, err
-	}
-	return nil, fmt.Errorf("shard: %s lost %d races with concurrent update fan-outs: %w",
-		q, maxEpochRetries, lastErr)
-}
-
-func isEpochMismatch(err error) bool {
-	var em *EpochMismatchError
-	return errors.As(err, &em)
-}
-
-// crossShardAttempt runs one epoch-pinned scatter-gather. Validation
-// happens against the deployment's vertex count every attempt, so a
-// query racing a vertex-growing update is judged against the epoch it
-// actually runs at — exactly as in the single-process service, where
-// validation sees the batch's snapshot.
-func (c *Coordinator) crossShardAttempt(ctx context.Context, q query.Query, collect bool, sa, sb int, epoch uint64, t0 time.Time, deadline time.Time) (*service.Reply, error) {
-	// Same pre-validation as service.Submit (every replica holds the
-	// full graph, so either worker's count works), so a malformed query
-	// fails identically whether or not its endpoints share a shard.
-	if err := q.ValidateN(graph.VertexID(c.workers[sa].NumVertices())); err != nil {
-		return nil, err
-	}
-
+	// One Control for both halves and the join, as in the single-process
+	// engine: the halves only poll it for cancellation (safe from two
+	// goroutines), the per-query limit is charged at the join.
 	ctrl := query.NewControl(ctx, deadline, c.cfg.Limit, 1)
 
-	// Scatter, phase 1: each owner resolves its endpoint's distance map
-	// through its own index cache, concurrently.
+	// Each owner resolves its endpoint's distance map through its own
+	// index cache, concurrently.
 	var (
-		ha, hb     *distHandle
-		errA, errB error
-		wg         sync.WaitGroup
+		distA, distB *msbfs.DistMap
+		idxA, idxB   *hcindex.Index
+		wg           sync.WaitGroup
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		hb, errB = c.workers[sb].AcquireDist(ctx, epoch, q.T, q.K, hcindex.Backward)
+		distB, idxB = wb.AcquireDist(snapB, q.T, q.K, hcindex.Backward)
 	}()
-	ha, errA = c.workers[sa].AcquireDist(ctx, epoch, q.S, q.K, hcindex.Forward)
+	distA, idxA = wa.AcquireDist(snapA, q.S, q.K, hcindex.Forward)
 	wg.Wait()
-	defer ha.Release()
-	defer hb.Release()
-	if errA != nil {
-		return nil, errA
-	}
-	if errB != nil {
-		return nil, errB
-	}
-	c.cross.Add(1)
+	defer idxA.Release()
+	defer idxB.Release()
 
 	reply := &service.Reply{}
 	emit := func(p []graph.VertexID) {
@@ -492,40 +411,26 @@ func (c *Coordinator) crossShardAttempt(ctx context.Context, q query.Query, coll
 			reply.Paths.Add(p)
 		}
 	}
-	if hb.dist.Dist(q.S) > q.K {
+	if distB.Dist(q.S) > q.K {
 		// t unreachable from s within K hops: complete empty result.
 		ctrl.MarkComplete(0)
 	} else {
-		// Scatter, phase 2: each owner enumerates its half, pruned by
-		// the opposite owner's map. Each worker runs its own control
-		// carrying the query's ctx and deadline; the per-query limit is
-		// charged at the coordinator's join, never inside a half.
-		var (
-			fwdPaths, bwdPaths *pathjoin.Store
-			cancA, cancB       bool
-		)
+		// Each owner enumerates its half on its own replica, pruned by
+		// the opposite owner's map.
+		fwdPaths, bwdPaths := pathjoin.NewStore(64, 256), pathjoin.NewStore(64, 256)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bwdPaths, cancB, errB = c.workers[sb].HalfPaths(ctx, epoch, hcindex.Backward, q.T, q.BwdBudget(), q.K, ha.dist, deadline)
+			wb.HalfPaths(snapB, hcindex.Backward, q.T, q.BwdBudget(), q.K, distA, ctrl, bwdPaths)
 		}()
-		fwdPaths, cancA, errA = c.workers[sa].HalfPaths(ctx, epoch, hcindex.Forward, q.S, q.FwdBudget(), q.K, hb.dist, deadline)
+		wa.HalfPaths(snapA, hcindex.Forward, q.S, q.FwdBudget(), q.K, distB, ctrl, fwdPaths)
 		wg.Wait()
-		if errA != nil {
-			return nil, errA
-		}
-		if errB != nil {
-			return nil, errB
-		}
-		// Gather, phase 3: join at the boundary vertices. Partial halves
-		// of a cancelled run must not reach the join; probing Cancelled
-		// here also latches the shared deadline into ctrl when a worker
-		// observed it first, keeping the reply's Truncated/Err exactly
-		// as in the single-process run.
-		if !cancA && !cancB && !ctrl.Cancelled() {
+		// Join at the boundary vertices. Partial halves of a cancelled
+		// run must not reach the join.
+		if !ctrl.Cancelled() {
 			pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, false, ctrl, 0, emit)
 		}
-		if !ctrl.Cancelled() && !cancA && !cancB {
+		if !ctrl.Cancelled() {
 			ctrl.MarkComplete(0)
 		}
 	}
@@ -543,14 +448,15 @@ func (c *Coordinator) crossShardAttempt(ctx context.Context, q query.Query, coll
 		Groups:         1,
 		Paths:          reply.Count,
 		EnumerateNanos: nanos,
-		IndexHits:      ha.hits + hb.hits,
-		IndexMisses:    ha.misses + hb.misses,
+		IndexHits:      idxA.Hits + idxB.Hits,
+		IndexMisses:    idxA.Misses + idxB.Misses,
 	}
 	if reply.Truncated {
 		reply.Batch.Truncated = 1
 	}
 
 	c.aggMu.Lock()
+	c.agg.joins++
 	c.agg.paths += reply.Count
 	c.agg.nanos += nanos
 	c.agg.hits += int64(reply.Batch.IndexHits)
@@ -566,8 +472,8 @@ func (c *Coordinator) crossShardAttempt(ctx context.Context, q query.Query, coll
 }
 
 // ApplyUpdates publishes one new epoch across every worker atomically:
-// the write lock excludes cross-shard epoch pinning while each replica
-// applies the same adds/dels (store.ApplyUpdates semantics), and
+// the write lock excludes the snapshot pinning of in-process joins
+// while each replica applies the same adds/dels (store.ApplyUpdates semantics), and
 // synchronous compaction keeps the per-replica epoch sequences
 // identical — the fan-out asserts they are and fails loudly otherwise.
 // Returns the epoch now current on all workers.
@@ -613,8 +519,9 @@ func (c *Coordinator) Checkpoint() error {
 }
 
 // Stats folds every worker's lifetime Totals into one deployment view
-// (Totals.Merge), then adds the cross-shard joins — each reported as a
-// batch of one query — and corrects the store gauges that merging
+// (Totals.Merge), then adds the in-process joins — each reported as a
+// batch of one query; over the wire there are none, every query is in
+// its worker's Totals — and corrects the store gauges that merging
 // replicas would multiply: the logical update stream is counted once,
 // from worker 0. IndexCacheBytes stays summed across workers (each
 // owns a cache; the deployment's footprint is their total).
@@ -634,9 +541,8 @@ func (c *Coordinator) Stats() service.Totals {
 	c.aggMu.Lock()
 	a := c.agg
 	c.aggMu.Unlock()
-	cross := c.cross.Load()
-	t.Batches += cross
-	t.Queries += cross
+	t.Batches += a.joins
+	t.Queries += a.joins
 	t.Paths += a.paths
 	t.EnumerateNanos += a.nanos
 	t.IndexHits += a.hits
@@ -648,7 +554,7 @@ func (c *Coordinator) Stats() service.Totals {
 }
 
 // ShardTotals returns each worker's own lifetime Totals, in shard
-// order — the per-shard view behind the merged Stats. Cross-shard
+// order — the per-shard view behind the merged Stats. In-process
 // joins bypass the worker pipelines and appear only in Stats.
 func (c *Coordinator) ShardTotals() []service.Totals {
 	per := make([]service.Totals, len(c.workers))
@@ -661,11 +567,10 @@ func (c *Coordinator) ShardTotals() []service.Totals {
 // Routing returns the coordinator's traffic-classification counters.
 func (c *Coordinator) Routing() RoutingStats {
 	return RoutingStats{
-		Shards:       len(c.workers),
-		SingleShard:  c.single.Load(),
-		CrossShard:   c.cross.Load(),
-		CrossShed:    c.shed.Load(),
-		EpochRetries: c.retries.Load(),
+		Shards:      len(c.workers),
+		SingleShard: c.single.Load(),
+		CrossShard:  c.cross.Load(),
+		CrossShed:   c.shed.Load(),
 	}
 }
 

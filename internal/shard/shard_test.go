@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/batchenum"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/service"
@@ -52,6 +55,14 @@ func renderPaths(paths *pathjoin.Store) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// oraclePaths is the brute-force answer to q on g, canonicalised like
+// renderPaths.
+func oraclePaths(g *graph.Graph, q query.Query) []string {
+	var paths pathjoin.Store
+	oracle.Enumerate(g, q, func(p []graph.VertexID) { paths.Add(p) })
+	return renderPaths(&paths)
 }
 
 // runAll submits every query concurrently (so they micro-batch on the
@@ -226,11 +237,22 @@ func randomUpdateWaves(t *testing.T, n int, waves int, seed int64) {
 		}
 		cur := single.CurrentSnapshot().Graph()
 		qs := allPairQueries(cur, 3, uint8(4+wave%3))
-		diffOutcomes(t, fmt.Sprintf("shards=%d/wave=%d", n, wave), qs,
-			runAll(single, qs), runAll(coord, qs))
+		got := runAll(coord, qs)
+		diffOutcomes(t, fmt.Sprintf("shards=%d/wave=%d", n, wave), qs, runAll(single, qs), got)
+		// A join's two halves come from two workers' replicas: hold every
+		// cross-shard reply to the oracle on this wave's graph as well.
+		for i, q := range qs {
+			if ShardOf(q.S, n) != ShardOf(q.T, n) && !slices.Equal(got[i].paths, oraclePaths(cur, q)) {
+				t.Errorf("shards=%d/wave=%d: cross-shard %s answered %v, oracle on epoch %d says %v",
+					n, wave, q, got[i].paths, ec, oraclePaths(cur, q))
+			}
+		}
 	}
 	if got, want := coord.State(), single.State(); got != want {
 		t.Errorf("final state mismatch: sharded %+v, single %+v", got, want)
+	}
+	if rs := coord.Routing(); rs.EpochRetries != 0 {
+		t.Errorf("EpochRetries = %d; a join pins its epoch and never restarts", rs.EpochRetries)
 	}
 }
 
@@ -247,9 +269,11 @@ func TestDifferentialLiveUpdates(t *testing.T) {
 
 // TestConcurrentUpdatesAndQueries hammers a sharded deployment with
 // simultaneous queries and update fan-outs; run under -race it is the
-// issue's concurrency gate. Results are not compared (each query may
-// land on either side of an update) — the assertions are crash-freedom,
-// valid replies, and epoch alignment throughout.
+// issue's concurrency gate. Each query may land on either side of an
+// update, but on one side: every reply must equal the oracle's answer
+// on one of the graph versions current while it ran — a join whose
+// halves came from two epochs would match none. The other assertions
+// are crash-freedom, valid replies, and epoch alignment throughout.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	g := testgraphs.Paper()
 	cfg := testConfig()
@@ -257,6 +281,19 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	cfg.CompactAfter = 4
 	coord := New(g, g.Reverse(), cfg)
 	defer coord.Close()
+	// ref applies the same updates first, to name each version's graph.
+	ref := service.New(g, g.Reverse(), testConfig())
+	defer ref.Close()
+
+	// versions[i] is the graph after i updates. Update i is appended and
+	// begun raised to i before the deployment sees it, done raised to i
+	// after: a query submitted at done = lo and answered at begun = hi
+	// ran on one of versions[lo..hi].
+	var (
+		vmu         sync.Mutex
+		versions    = []*graph.Graph{g}
+		begun, done atomic.Int64
+	)
 
 	const queriers, rounds = 8, 40
 	var wg sync.WaitGroup
@@ -280,7 +317,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 				if q.S == q.T {
 					continue
 				}
+				lo := done.Load()
 				r, err := coord.Submit(context.Background(), fmt.Sprintf("c%d", c), q, true)
+				hi := begun.Load()
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -289,21 +328,35 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 					t.Errorf("reply invariant broken: %d paths, count %d", r.Paths.Len(), r.Count)
 					return
 				}
+				vmu.Lock()
+				window := versions[lo : hi+1]
+				vmu.Unlock()
+				got := renderPaths(&r.Paths)
+				if !slices.ContainsFunc(window, func(v *graph.Graph) bool { return slices.Equal(got, oraclePaths(v, q)) }) {
+					t.Errorf("%s answered %v: the oracle's answer on none of versions %d..%d", q, got, lo, hi)
+					return
+				}
 			}
 		}(c)
 	}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < rounds; i++ {
 		e := graph.Edge{Src: graph.VertexID(rng.Intn(16)), Dst: graph.VertexID(rng.Intn(16))}
-		var err error
-		if i%2 == 0 {
-			_, err = coord.ApplyUpdates([]graph.Edge{e}, nil)
-		} else {
-			_, err = coord.ApplyUpdates(nil, []graph.Edge{e})
+		adds, dels := []graph.Edge{e}, []graph.Edge(nil)
+		if i%2 == 1 {
+			adds, dels = dels, adds
 		}
-		if err != nil {
+		if _, err := ref.ApplyUpdates(adds, dels); err != nil {
+			t.Fatalf("round %d: reference ApplyUpdates: %v", i, err)
+		}
+		vmu.Lock()
+		versions = append(versions, ref.CurrentSnapshot().Graph())
+		vmu.Unlock()
+		begun.Store(int64(i + 1))
+		if _, err := coord.ApplyUpdates(adds, dels); err != nil {
 			t.Fatalf("round %d: ApplyUpdates: %v", i, err)
 		}
+		done.Store(int64(i + 1))
 		for s, tot := range coord.ShardTotals() {
 			if tot.Epoch != coord.Epoch() {
 				t.Fatalf("round %d: shard %d at epoch %d, deployment at %d", i, s, tot.Epoch, coord.Epoch())
@@ -312,6 +365,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if rs := coord.Routing(); rs.EpochRetries != 0 {
+		t.Errorf("EpochRetries = %d; a join pins its epoch and never restarts", rs.EpochRetries)
+	}
 }
 
 // findPair returns a vertex pair of g classified as wanted (same-shard

@@ -9,10 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
-	"repro/internal/hcindex"
-	"repro/internal/msbfs"
-	"repro/internal/pathjoin"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/wirefmt"
@@ -21,26 +17,29 @@ import (
 // This file is the sharded deployment's wire format: the message
 // envelope every connection speaks, the coalescing writer both ends
 // send through, the message vocabulary (one type per worker RPC), and
-// the body codecs for the payloads the in-process protocol passes by
-// pointer — distance maps down, half-path stores up. A message is one
-// wirefmt frame, the envelope WAL records use on disk:
+// the wire errors. Query, reply and totals bodies are service's own
+// codecs (service/wire.go). A message is one wirefmt frame, the
+// envelope WAL records use on disk:
 //
 //	payload = [1B msg type][8B request id LE][body]
 //
 // Request ids are chosen by the client and echoed by the server, so
 // responses demultiplex over one shared connection; the server may
 // answer out of order (and does: Submit blocks in the micro-batching
-// pipeline while AcquireDist answers from cache).
+// pipeline while the stats plane answers at once).
 
 const (
 	// wireMagic opens every connection's hello, versioning the
 	// protocol: a worker refuses a client speaking a different format.
-	wireMagic uint32 = 0x68637032 // "hcp2"
+	// hcp3 retired hcp2's two scatter-gather requests and the vertex
+	// counts that rode the hello and update answers for them; the hello
+	// answer is the worker's store.State alone.
+	wireMagic uint32 = 0x68637033 // "hcp3"
 
 	// msgHeader is the message type and request id ahead of every body.
 	msgHeader = 1 + 8
 	// maxHandshakePayload bounds the frames exchanged before the peer
-	// has proved who it is: the 17-byte hello, its 49-byte answer, or a
+	// has proved who it is: the 17-byte hello, its 37-byte answer, or a
 	// refusal carrying an error message. An unauthenticated TCP peer can
 	// make either side buffer at most this much; an established
 	// connection accepts up to wirefmt.MaxPayload.
@@ -53,8 +52,8 @@ const (
 const (
 	mtHello byte = iota + 1
 	mtSubmit
-	mtAcquireDist
-	mtHalfPaths
+	_ // 3 and 4 were hcp2's two scatter-gather legs. The survivors keep
+	_ // their numbers; a server answers these two "unknown request type".
 	mtApplyUpdates
 	mtStats
 	mtState
@@ -72,8 +71,8 @@ var ErrFrameCorrupt = wirefmt.ErrCorrupt
 
 // ErrWorkerDown marks an RPC that failed because the worker's
 // connection is gone — refused, dropped mid-request, or corrupt. A
-// cross-shard query in flight when a worker dies fails with it
-// immediately instead of hanging on the dead socket.
+// query in flight when a worker dies fails with it immediately instead
+// of hanging on the dead socket.
 var ErrWorkerDown = errors.New("shard: worker unreachable")
 
 // WorkerDownError wraps ErrWorkerDown with which worker and why.
@@ -88,19 +87,6 @@ func (e *WorkerDownError) Error() string {
 }
 
 func (e *WorkerDownError) Unwrap() []error { return []error{ErrWorkerDown, e.Cause} }
-
-// EpochMismatchError reports an epoch-carrying RPC that reached a
-// worker on a different epoch: the coordinator's pinned epoch went
-// stale between scatter phases (an update landed mid-query), or the
-// cluster genuinely diverged. The coordinator retries the former; the
-// update fan-out fails loudly on the latter.
-type EpochMismatchError struct {
-	Want, Have uint64
-}
-
-func (e *EpochMismatchError) Error() string {
-	return fmt.Sprintf("shard: epoch mismatch: request pinned %d, worker at %d", e.Want, e.Have)
-}
 
 // OverloadedError is the wire form of a worker's shed: it wraps
 // service.ErrOverloaded (errors.Is keeps working across the wire) and
@@ -141,8 +127,8 @@ func readFrame(br *bufio.Reader, maxPayload uint32) (typ byte, id uint64, body [
 // coordinator and the worker end: any number of goroutines queue sealed
 // frames, and one goroutine writes everything queued and then flushes
 // once. Frames that arrive while a flush syscall is in progress ride
-// the next one, which is what turns N concurrent scatter-gathers into
-// one round-trip per level. Once the writer stops — shut by its owner,
+// the next one, which is what lets N concurrent queries share a
+// round-trip. Once the writer stops — shut by its owner,
 // or after a write error — senders are refused instead of blocking on
 // a queue nobody drains.
 type frameWriter struct {
@@ -216,16 +202,14 @@ func (fw *frameWriter) run(conn io.Writer, onErr func(error)) {
 const (
 	weOverloaded byte = iota + 1
 	weClosed
-	weEpoch
 	weString
 )
 
 // appendWireError encodes err as an mtErr body. Errors with cross-wire
-// semantics (overload with its hint, closed, epoch mismatch) get
-// structured codes; everything else travels as its message, so a
-// remote failure reads exactly like its local counterpart.
+// semantics (overload with its hint, closed) get structured codes;
+// everything else travels as its message, so a remote failure reads
+// exactly like its local counterpart.
 func appendWireError(dst []byte, err error, retryAfter time.Duration) []byte {
-	var em *EpochMismatchError
 	switch {
 	case errors.Is(err, service.ErrOverloaded):
 		dst = wirefmt.AppendU8(dst, weOverloaded)
@@ -233,10 +217,6 @@ func appendWireError(dst []byte, err error, retryAfter time.Duration) []byte {
 		dst = wirefmt.AppendString(dst, err.Error())
 	case errors.Is(err, service.ErrClosed):
 		dst = wirefmt.AppendU8(dst, weClosed)
-	case errors.As(err, &em):
-		dst = wirefmt.AppendU8(dst, weEpoch)
-		dst = wirefmt.AppendU64(dst, em.Want)
-		dst = wirefmt.AppendU64(dst, em.Have)
 	default:
 		dst = wirefmt.AppendU8(dst, weString)
 		dst = wirefmt.AppendString(dst, err.Error())
@@ -253,8 +233,6 @@ func readWireError(r *wirefmt.Reader) error {
 		return &OverloadedError{RetryAfter: hint, msg: r.String()}
 	case weClosed:
 		return service.ErrClosed
-	case weEpoch:
-		return &EpochMismatchError{Want: r.U64(), Have: r.U64()}
 	default:
 		msg := r.String()
 		if r.Err() != nil {
@@ -262,89 +240,6 @@ func readWireError(r *wirefmt.Reader) error {
 		}
 		return errors.New(msg)
 	}
-}
-
-// hcDirection maps a wire byte onto the two search directions.
-func hcDirection(b uint8) hcindex.Direction {
-	if b == 0 {
-		return hcindex.Forward
-	}
-	return hcindex.Backward
-}
-
-// appendDistMap encodes d as its portable contents: the dense-array
-// length n (the encoding side's vertex count — DistMap does not carry
-// it), then the visited set with its distances.
-func appendDistMap(dst []byte, d *msbfs.DistMap, n int) []byte {
-	dst = wirefmt.AppendU32(dst, d.Source)
-	dst = wirefmt.AppendU8(dst, d.Cap)
-	dst = wirefmt.AppendU32(dst, uint32(n))
-	vis := d.Visited()
-	dst = wirefmt.AppendU32(dst, uint32(len(vis)))
-	dst = wirefmt.AppendU32s(dst, vis)
-	for _, v := range vis {
-		dst = wirefmt.AppendU8(dst, d.Dist(v))
-	}
-	return dst
-}
-
-// readDistMap decodes one distance map into a dense array of localN
-// entries — the reader's own vertex count — so the result is probe-safe
-// against the local graph whatever vertex space it was built on. The
-// sender's length only has to be explicable: honest peers send their
-// vertex count, which a reader on the same epoch shares and a reader
-// that has since grown exceeds. A larger claim is refused rather than
-// allocated (nine bytes must not buy a 4 GiB make), and a visited id the
-// local graph does not have fails FromVisited's range check the same
-// way — memory follows the reader's graph, never the peer's word.
-func readDistMap(r *wirefmt.Reader, localN int) (*msbfs.DistMap, error) {
-	source := r.U32()
-	cap := r.U8()
-	n := int(r.U32())
-	nVis := r.U32()
-	if r.Err() == nil && n > localN {
-		return nil, fmt.Errorf("distance map claims %d vertices, reader has %d: %w", n, localN, ErrFrameCorrupt)
-	}
-	// 5 bytes per visited vertex (4 id + 1 dist).
-	if !r.Claim(nVis, 5) {
-		return nil, r.Err()
-	}
-	visited := wirefmt.ReadU32s[graph.VertexID](r, nVis)
-	dists := make([]uint8, nVis)
-	for i := range dists {
-		dists[i] = r.U8()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	d, err := msbfs.FromVisited(source, cap, localN, visited, dists)
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrFrameCorrupt)
-	}
-	return d, nil
-}
-
-// appendStore encodes a half-path arena verbatim: the offsets, then
-// the flat vertex array.
-func appendStore(dst []byte, s *pathjoin.Store) []byte {
-	verts, offs := s.Raw()
-	dst = wirefmt.AppendU32s(wirefmt.AppendU32(dst, uint32(len(offs))), offs)
-	return wirefmt.AppendU32s(wirefmt.AppendU32(dst, uint32(len(verts))), verts)
-}
-
-// readStore decodes one half-path arena, re-validating the offset
-// invariants through pathjoin.RestoreStore.
-func readStore(r *wirefmt.Reader) (*pathjoin.Store, error) {
-	offs := wirefmt.ReadU32s[int32](r, r.U32())
-	verts := wirefmt.ReadU32s[graph.VertexID](r, r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	s, err := pathjoin.RestoreStore(verts, offs)
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", err, ErrFrameCorrupt)
-	}
-	return s, nil
 }
 
 // appendState / readState carry store.State, the cross-process

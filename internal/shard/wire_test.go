@@ -12,13 +12,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
-	"repro/internal/msbfs"
-	"repro/internal/pathjoin"
 	"repro/internal/service"
 	"repro/internal/testgraphs"
 	"repro/internal/wirefmt"
 )
+
+// serveLoopback runs a shard-0-of-1 Server over the diamond graph on a
+// loopback listener until the test ends, and returns its address.
+func serveLoopback(tb testing.TB) string {
+	tb.Helper()
+	g := testgraphs.Diamond()
+	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1, ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	tb.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
+}
 
 // appendFrame appends one whole message whose body is already encoded
 // — the tests' way to make a frame; production encoders build bodies in
@@ -77,7 +89,7 @@ func TestFrameCorruptionMatrix(t *testing.T) {
 // TestFrameTruncation cuts a frame off at every length: a torn frame is
 // an io error (the peer died mid-write), never a decoded frame.
 func TestFrameTruncation(t *testing.T) {
-	frame := appendFrame(nil, mtHalfPaths, 7, []byte("torn"))
+	frame := appendFrame(nil, mtStats, 7, []byte("torn"))
 	for n := 0; n < len(frame); n++ {
 		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:n])), wirefmt.MaxPayload)
 		if err == nil {
@@ -145,15 +157,7 @@ func TestHandshakeFrameCapped(t *testing.T) {
 		t.Fatalf("oversized hello: got %v, want ErrFrameCorrupt", err)
 	}
 
-	g := testgraphs.Diamond()
-	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1, ServerOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", serveLoopback(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,35 +175,21 @@ func TestHandshakeFrameCapped(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOldProtocol speaks hcp1 — the previous wire
-// version, whose stats bodies carried a wider PlanStats — at a current
-// worker: the hello is refused with the handshake's error message, not
-// served.
+// TestHandshakeRefusesOldProtocol speaks hcp2 — the previous wire
+// version, whose coordinators send the two retired scatter-gather
+// requests — at a current worker: the hello is refused with the
+// handshake's error message, not served.
 func TestHandshakeRefusesOldProtocol(t *testing.T) {
-	g := testgraphs.Diamond()
-	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1, ServerOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", serveLoopback(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := wirefmt.AppendU32(nil, 0x68637031) // "hcp1"
+	hello := wirefmt.AppendU32(nil, 0x68637032) // "hcp2"
 	hello = wirefmt.AppendU16(hello, 0)
 	hello = wirefmt.AppendU16(hello, 1)
-	if _, err := conn.Write(appendFrame(nil, mtHello, 1, hello)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, id, body, err := readFrame(bufio.NewReader(conn), maxHandshakePayload)
-	if err != nil || typ != mtErr || id != 1 {
-		t.Fatalf("answer to an hcp1 hello: type %#x id %d err %v, want an mtErr frame", typ, id, err)
-	}
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	body := exchange(t, conn, bufio.NewReader(conn), appendFrame(nil, mtHello, 1, hello), mtErr, 1)
 	if msg := readWireError(wirefmt.NewReader(body)).Error(); !strings.Contains(msg, "bad hello") {
 		t.Fatalf("refusal says %q, want the bad-hello protocol mismatch", msg)
 	}
@@ -314,14 +304,6 @@ func TestWireErrorRoundTrip(t *testing.T) {
 			t.Fatalf("decoded %v, want ErrClosed", got)
 		}
 	})
-	t.Run("epoch", func(t *testing.T) {
-		in := &EpochMismatchError{Want: 3, Have: 9}
-		got := readWireError(wirefmt.NewReader(appendWireError(nil, in, 0)))
-		var em *EpochMismatchError
-		if !errors.As(got, &em) || em.Want != 3 || em.Have != 9 {
-			t.Fatalf("decoded %v, want EpochMismatchError{3, 9}", got)
-		}
-	})
 	t.Run("string", func(t *testing.T) {
 		in := errors.New("vertex 99 out of range [0, 10)")
 		got := readWireError(wirefmt.NewReader(appendWireError(nil, in, 0)))
@@ -331,127 +313,6 @@ func TestWireErrorRoundTrip(t *testing.T) {
 			t.Fatalf("decoded %q, want %q", got, in)
 		}
 	})
-}
-
-func TestDistMapCodec(t *testing.T) {
-	visited := []graph.VertexID{0, 2, 5}
-	dists := []uint8{0, 1, 3}
-	d, err := msbfs.FromVisited(0, 4, 8, visited, dists)
-	if err != nil {
-		t.Fatalf("FromVisited: %v", err)
-	}
-	enc := appendDistMap(nil, d, 8)
-	r := wirefmt.NewReader(enc)
-	got, err := readDistMap(r, 8)
-	if err != nil {
-		t.Fatalf("readDistMap: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
-	}
-	if got.Source != 0 || got.Cap != 4 {
-		t.Errorf("decoded Source=%d Cap=%d", got.Source, got.Cap)
-	}
-	for v := graph.VertexID(0); v < 8; v++ {
-		if got.Dist(v) != d.Dist(v) {
-			t.Errorf("Dist(%d) = %d, want %d", v, got.Dist(v), d.Dist(v))
-		}
-	}
-
-	// The bounds check: a visited count larger than the payload could
-	// hold must be rejected before allocation.
-	bad := wirefmt.AppendU32(nil, 0)    // source
-	bad = wirefmt.AppendU8(bad, 4)      // cap
-	bad = wirefmt.AppendU32(bad, 8)     // n
-	bad = wirefmt.AppendU32(bad, 1<<30) // absurd visited count
-	if _, err := readDistMap(wirefmt.NewReader(bad), 8); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("absurd visited count: got %v, want ErrFrameCorrupt", err)
-	}
-
-	// Neither may a dense-array length beyond the reader's own vertex
-	// count: the decoder sizes the array by the local graph, and a peer
-	// claiming more is refused before anything is allocated for it.
-	if _, err := readDistMap(wirefmt.NewReader(oversizedDistMap()), 8); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("oversized dense length: got %v, want ErrFrameCorrupt", err)
-	}
-	// A visited id the local graph does not have is refused the same way.
-	beyond := wirefmt.AppendU32(nil, 0)       // source
-	beyond = wirefmt.AppendU8(beyond, 4)      // cap
-	beyond = wirefmt.AppendU32(beyond, 8)     // n
-	beyond = wirefmt.AppendU32(beyond, 1)     // one visited vertex
-	beyond = wirefmt.AppendU32(beyond, 1<<31) // far outside the graph
-	beyond = wirefmt.AppendU8(beyond, 1)
-	if _, err := readDistMap(wirefmt.NewReader(beyond), 8); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("visited id beyond the local graph: got %v, want ErrFrameCorrupt", err)
-	}
-
-	// Unsorted visited sets violate the DistMap invariant and must be
-	// rejected at decode, not propagated into probe-time corruption.
-	unsorted := appendDistMap(nil, d, 8)
-	// The visited ids start after source(4)+cap(1)+n(4)+count(4) = 13.
-	copy(unsorted[13:], wirefmt.AppendU32(wirefmt.AppendU32(nil, 5), 2))
-	if _, err := readDistMap(wirefmt.NewReader(unsorted), 8); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("unsorted visited set: got %v, want ErrFrameCorrupt", err)
-	}
-}
-
-// oversizedDistMap is a well-formed, empty distance map whose sender
-// claims a 2³²−1-entry dense array: the nine bytes that used to buy a
-// 4 GiB allocation from any peer past the handshake.
-func oversizedDistMap() []byte {
-	b := wirefmt.AppendU32(nil, 0)       // source
-	b = wirefmt.AppendU8(b, 4)           // cap
-	b = wirefmt.AppendU32(b, 0xFFFFFFFF) // n
-	return wirefmt.AppendU32(b, 0)       // no visited vertices
-}
-
-func TestStoreCodec(t *testing.T) {
-	s := pathjoin.NewStore(4, 16)
-	s.Add([]graph.VertexID{1, 2, 3})
-	s.Add([]graph.VertexID{4})
-	s.Add([]graph.VertexID{5, 6})
-	enc := appendStore(nil, s)
-	r := wirefmt.NewReader(enc)
-	got, err := readStore(r)
-	if err != nil {
-		t.Fatalf("readStore: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("trailing bytes: %v", err)
-	}
-	if got.Len() != s.Len() {
-		t.Fatalf("decoded %d paths, want %d", got.Len(), s.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		w, g := s.Path(i), got.Path(i)
-		if len(w) != len(g) {
-			t.Fatalf("path %d: %v vs %v", i, g, w)
-		}
-		for j := range w {
-			if w[j] != g[j] {
-				t.Fatalf("path %d: %v vs %v", i, g, w)
-			}
-		}
-	}
-
-	// Empty store round-trips (a pruned half often is).
-	empty := pathjoin.NewStore(0, 0)
-	got, err = readStore(wirefmt.NewReader(appendStore(nil, empty)))
-	if err != nil || got.Len() != 0 {
-		t.Fatalf("empty store: %v, %d paths", err, got.Len())
-	}
-
-	// Offsets that violate the arena invariant must be rejected.
-	bad := wirefmt.AppendU32(nil, 3) // 3 offsets
-	bad = wirefmt.AppendU32(bad, 0)
-	bad = wirefmt.AppendU32(bad, 5) // > final offset: non-monotonic
-	bad = wirefmt.AppendU32(bad, 2)
-	bad = wirefmt.AppendU32(bad, 2) // 2 vertices
-	bad = wirefmt.AppendU32(bad, 1)
-	bad = wirefmt.AppendU32(bad, 2)
-	if _, err := readStore(wirefmt.NewReader(bad)); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("non-monotonic offsets: got %v, want ErrFrameCorrupt", err)
-	}
 }
 
 func TestBackoffExhausts(t *testing.T) {

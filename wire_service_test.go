@@ -7,8 +7,10 @@ package hcpath
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
+	"time"
 )
 
 func wireTestGraph(t *testing.T) *Graph {
@@ -96,6 +98,53 @@ func TestConnectServiceDifferential(t *testing.T) {
 	per := remote.ShardTotals()
 	if len(per) != 2 {
 		t.Errorf("ShardTotals() returned %d entries, want 2", len(per))
+	}
+}
+
+// TestWireDeploymentParity: over the wire every query — cross-shard
+// ones included — runs whole on a worker, so the workers' Limit and
+// QueryTimeout cut it short exactly as the single-process service
+// under the same options would.
+func TestWireDeploymentParity(t *testing.T) {
+	g := wireTestGraph(t)
+	for _, tc := range []struct {
+		name string
+		opts ServiceOptions
+		cut  error // what a query cut short by opts reports
+	}{
+		{"limit", ServiceOptions{Options: Options{Limit: 1}}, ErrLimitReached},
+		{"timeout", ServiceOptions{QueryTimeout: time.Nanosecond}, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			single := NewService(g, &tc.opts)
+			defer single.Close()
+			remote, err := ConnectService(context.Background(), startWireCluster(t, g, 2, &tc.opts), nil)
+			if err != nil {
+				t.Fatalf("ConnectService: %v", err)
+			}
+			defer remote.Close()
+
+			var cut [2]int // queries cut short, by [single-shard, cross-shard]
+			for _, q := range wireTestQueries(g) {
+				// One at a time: each query is its own batch on both sides.
+				want, _, wantErr := single.Count(context.Background(), q)
+				got, _, gotErr := remote.Count(context.Background(), q)
+				if got != want || !errors.Is(gotErr, wantErr) || (wantErr == nil) != (gotErr == nil) {
+					t.Errorf("%d→%d k=%d: wire cluster answered %d paths, err %v; single process %d paths, err %v",
+						q.S, q.T, q.K, got, gotErr, want, wantErr)
+				}
+				if errors.Is(wantErr, tc.cut) {
+					route := 0
+					if ShardOf(q.S, 2) != ShardOf(q.T, 2) {
+						route = 1
+					}
+					cut[route]++
+				}
+			}
+			if cut[0] == 0 || cut[1] == 0 {
+				t.Fatalf("%d single-shard and %d cross-shard queries were cut short; the case needs both", cut[0], cut[1])
+			}
+		})
 	}
 }
 
