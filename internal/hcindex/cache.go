@@ -215,9 +215,8 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		}
 		bypass = built
 	} else {
-		denseBytes := int64(g.NumVertices())
 		for j, key := range missKeys {
-			e := c.insertLocked(key, built[j], denseBytes)
+			e := c.insertLocked(key, built[j])
 			if _, ok := pinned[e]; !ok {
 				pinned[e] = struct{}{}
 				e.refs++
@@ -377,9 +376,10 @@ func (c *Cache) lookupLocked(key entryKey) *entry {
 // batches cold-missing the same key thus each pay a build and all but
 // one are discarded — a deliberate simplicity tradeoff over per-key
 // singleflight, bounded to the cache's warm-up window (and the loser's
-// arrays go straight back to the pool). denseBytes is the dense
-// distance array's size, |V| of the generation's graph.
-func (c *Cache) insertLocked(key entryKey, dm *msbfs.DistMap, denseBytes int64) *entry {
+// arrays go straight back to the pool). The entry is charged what its
+// map holds (DistMap.Bytes), not what it uses: a recycled visited list
+// can be longer than the set in it.
+func (c *Cache) insertLocked(key entryKey, dm *msbfs.DistMap) *entry {
 	if e := c.lookupLocked(key); e != nil {
 		dm.Release()
 		c.lru.MoveToFront(e.elem)
@@ -397,7 +397,7 @@ func (c *Cache) insertLocked(key entryKey, dm *msbfs.DistMap, denseBytes int64) 
 	e := &entry{
 		key:   key,
 		dm:    dm,
-		bytes: denseBytes + 4*int64(dm.NumVisited()),
+		bytes: dm.Bytes(),
 	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e

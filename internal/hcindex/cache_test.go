@@ -268,3 +268,24 @@ func TestCachePinnedSurviveRingOverflow(t *testing.T) {
 	}
 	idx.Release()
 }
+
+// TestCacheChargesHeldCapacity: an entry is charged the storage its map
+// holds. A visited list recycled from an evicted wide entry keeps its
+// capacity when a narrow source reuses it, and the byte budget must see
+// that capacity, not the short set inside it.
+func TestCacheChargesHeldCapacity(t *testing.T) {
+	g, gr, _ := cacheFixture(t)
+	wide, _ := query.Batch(g, []query.Query{{S: 3, T: 50, K: 8}})
+	narrow, _ := query.Batch(g, []query.Query{{S: 90, T: 120, K: 1}})
+	c := NewCache(1) // an unpinned entry is evicted at once: its list goes back to the pool
+	c.Acquire(g, gr, 0, wide).Release()
+	idx := c.Acquire(g, gr, 0, narrow)
+	defer idx.Release()
+	held := int64(2*g.NumVertices()) + 4*int64(cap(idx.Gamma(0))+cap(idx.GammaR(0)))
+	if got := c.Stats().BytesInUse; got != held {
+		t.Errorf("BytesInUse = %d, want %d (dense arrays + list capacity)", got, held)
+	}
+	if cap(idx.Gamma(0)) == len(idx.Gamma(0)) && cap(idx.GammaR(0)) == len(idx.GammaR(0)) {
+		t.Error("no recycled list was reused: the test exercises nothing")
+	}
+}

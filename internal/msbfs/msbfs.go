@@ -8,11 +8,19 @@
 // adjacency lists advances 64 BFSs at once. Each source carries its own
 // depth cap (the hop constraint k of its query), enforced with per-level
 // bit masks.
+//
+// The level loop writes only distances and counts each source's visits.
+// The hop-constrained neighbour sets Γ (Def. 4.4) fall out of the same
+// traversal afterwards: every vertex that enters a frontier sets a bit
+// in a per-chunk touched bitmap, and one ascending sweep over the set
+// bits appends the vertex to the list of every source that reached it —
+// lists allocated once at their exact size and born sorted, nothing
+// compared — and zeroes the traversal scratch behind itself, which is
+// the clean-scratch invariant the Pool relies on.
 package msbfs
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -73,6 +81,11 @@ func (d *DistMap) Visited() []graph.VertexID { return d.visited }
 // NumVisited returns |Γ|.
 func (d *DistMap) NumVisited() int { return len(d.visited) }
 
+// Bytes returns the storage the map holds: the dense array plus the
+// visited list's capacity, which for a list recycled through a Pool can
+// exceed its length. It is what a byte-budgeted holder should charge.
+func (d *DistMap) Bytes() int64 { return int64(len(d.dist)) + 4*int64(cap(d.visited)) }
+
 // View returns a map equivalent to a fresh BFS from the same source
 // bounded at cap ≤ d.Cap: the dense array is shared (Dist thresholds on
 // Cap) and the visited set is filtered once here. A cached index entry
@@ -116,12 +129,13 @@ func (d *DistMap) Release() {
 // slices) of DistMaps for one graph size, killing the n-byte-per-source
 // allocation churn of repeated index builds. Free arrays are kept clean
 // (every entry Unreachable), so acquisition skips the initialising
-// memset too. The pool also recycles per-chunk traversal scratch —
-// the seen/frontier/next bit-word arrays and the pre-sized flat
-// frontier vertex arrays — so chunkRun neither reallocates nor grows
-// them by append on every build. All methods are safe for concurrent
-// use, which is what lets independent 64-source chunks build
-// concurrently against one pool.
+// memset too; a recycled visited list too small for its next source is
+// replaced by one of the exact size. The pool also recycles per-chunk
+// traversal scratch — the seen/frontier/next bit-word arrays, the
+// bitmaps and the pre-sized flat frontier vertex arrays — so a build
+// neither reallocates nor grows them by append. All methods are safe
+// for concurrent use, which is what lets independent 64-source chunks
+// build concurrently against one pool.
 type Pool struct {
 	n int
 
@@ -146,35 +160,39 @@ func (p *Pool) Allocs() int64 {
 	return p.allocs
 }
 
-// get hands out k clean dist arrays and up to k recycled visited
-// slices (missing ones are nil). Only the free-list pops happen under
-// the mutex; allocating and memsetting the shortfall — n bytes per
-// array — runs outside it, so concurrent cold builds don't serialise
-// on the lock.
-func (p *Pool) get(k int) (dists [][]uint8, visited [][]graph.VertexID) {
-	dists = make([][]uint8, 0, k)
-	visited = make([][]graph.VertexID, k)
+// fill gives every map of a chunk a clean dist array and, where one is
+// free, a recycled visited list, and returns clean traversal scratch
+// for the chunk. Only the free-list pops happen under the mutex;
+// allocating and memsetting the shortfall — n bytes per array — runs
+// outside it, so concurrent cold builds don't serialise on the lock.
+func (p *Pool) fill(out []*DistMap) (sc *chunkScratch) {
 	p.mu.Lock()
-	for len(dists) < k && len(p.dists) > 0 {
-		l := len(p.dists) - 1
-		dists = append(dists, p.dists[l])
-		p.dists = p.dists[:l]
-	}
-	for i := 0; i < k && len(p.visited) > 0; i++ {
-		l := len(p.visited) - 1
-		visited[i] = p.visited[l]
-		p.visited = p.visited[:l]
-	}
-	p.allocs += int64(k - len(dists))
-	p.mu.Unlock()
-	for len(dists) < k {
-		d := make([]uint8, p.n)
-		for i := range d {
-			d[i] = Unreachable
+	for _, dm := range out {
+		if l := len(p.dists) - 1; l >= 0 {
+			dm.dist, p.dists = p.dists[l], p.dists[:l]
+		} else {
+			p.allocs++
 		}
-		dists = append(dists, d)
+		if l := len(p.visited) - 1; l >= 0 {
+			dm.visited, p.visited = p.visited[l], p.visited[:l]
+		}
 	}
-	return dists, visited
+	if l := len(p.scratch) - 1; l >= 0 {
+		sc, p.scratch = p.scratch[l], p.scratch[:l]
+	}
+	p.mu.Unlock()
+	for _, dm := range out {
+		if dm.dist == nil {
+			dm.dist = make([]uint8, p.n)
+			for i := range dm.dist {
+				dm.dist[i] = Unreachable
+			}
+		}
+	}
+	if sc == nil {
+		sc = newChunkScratch(p.n)
+	}
+	return sc
 }
 
 //hcpath:noalloc
@@ -188,10 +206,10 @@ func (p *Pool) put(dist []uint8, visited []graph.VertexID) {
 // DropVisited forgets the recycled visited lists, keeping the dense
 // arrays and traversal scratch. A visited list is sized by its source's
 // reach — up to four bytes per vertex against the dense array's one —
-// and recycled lists are handed out in arbitrary order and only grow,
-// so a pool that keeps them converges on 5·|V| bytes per map. A holder
-// that returns a whole batch at once (hcindex.Builder) calls this to
-// retain only what is sized by |V|.
+// and recycled lists are handed out in arbitrary order and only give
+// way to larger ones, so a pool that keeps them converges on 5·|V|
+// bytes per map. A holder that returns a whole batch at once
+// (hcindex.Builder) calls this to retain only what is sized by |V|.
 func (p *Pool) DropVisited() {
 	p.mu.Lock()
 	clear(p.visited)
@@ -200,21 +218,23 @@ func (p *Pool) DropVisited() {
 }
 
 // chunkScratch is the per-chunk traversal state: one uint64 word per
-// vertex for the seen/frontier/next bit sets, one mark bit per vertex
-// for the next-frontier membership bitmap the parallel repack scans,
-// and two flat vertex arrays pre-sized to n so the level loop never
-// grows them by append. Free scratch is kept clean (words zero, vert
-// slices length 0); chunkRun restores that invariant sparsely before
-// returning it.
+// vertex for the seen/frontier/next bit sets, the per-level mark bitmap
+// the parallel repack drains, the touched bitmap — a bit for every
+// vertex that ever entered a frontier, under two summary levels (a bit
+// per word of the level below) so the sweep skips 2¹⁸ untouched
+// vertices per test — and two flat vertex arrays pre-sized to n so the
+// level loop never grows them by append. Free scratch is kept clean
+// (words zero, vert slices length 0); sweep restores that.
 type chunkScratch struct {
 	seen, frontier, next []uint64
-	marks                []uint64 // ⌈n/64⌉ words
+	marks                []uint64    // ⌈n/64⌉ words
+	touched              [3][]uint64 // ⌈n/64⌉, ⌈n/64²⌉, ⌈n/64³⌉ words
 	frontierVerts        []graph.VertexID
 	nextVerts            []graph.VertexID
 }
 
 func newChunkScratch(n int) *chunkScratch {
-	return &chunkScratch{
+	sc := &chunkScratch{
 		seen:          make([]uint64, n),
 		frontier:      make([]uint64, n),
 		next:          make([]uint64, n),
@@ -222,23 +242,20 @@ func newChunkScratch(n int) *chunkScratch {
 		frontierVerts: make([]graph.VertexID, 0, n),
 		nextVerts:     make([]graph.VertexID, 0, n),
 	}
+	for l := range sc.touched {
+		n = (n + 63) / 64
+		sc.touched[l] = make([]uint64, n)
+	}
+	return sc
 }
 
-// acquireScratch hands out clean chunk scratch: pooled when p is
-// non-nil, freshly allocated otherwise.
-func acquireScratch(p *Pool, n int) *chunkScratch {
-	if p == nil {
-		return newChunkScratch(n)
-	}
-	p.mu.Lock()
-	if l := len(p.scratch); l > 0 {
-		s := p.scratch[l-1]
-		p.scratch = p.scratch[:l-1]
-		p.mu.Unlock()
-		return s
-	}
-	p.mu.Unlock()
-	return newChunkScratch(p.n)
+// touch records that v entered a frontier.
+//
+//hcpath:noalloc
+func (sc *chunkScratch) touch(v graph.VertexID) {
+	sc.touched[0][v>>6] |= uint64(1) << (v & 63)
+	sc.touched[1][v>>12] |= uint64(1) << (v >> 6 & 63)
+	sc.touched[2][v>>18] |= uint64(1) << (v >> 12 & 63)
 }
 
 // releaseScratch returns scratch to the pool; the caller must already
@@ -270,18 +287,20 @@ func MultiSourceIn(g *graph.Graph, sources []graph.VertexID, caps []uint8, pool 
 	return MultiSourceOpts(g, sources, caps, pool, BuildOptions{})
 }
 
-// setupChunk claims the chunk's distance storage (pooled or one flat
-// allocation) and returns the largest cap of the chunk.
-func setupChunk(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool) (maxCap uint8) {
+// setupChunk claims the chunk's distance storage and traversal scratch
+// (pooled, or one flat allocation and fresh scratch) and returns the
+// largest cap of the chunk.
+func setupChunk(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool) (maxCap uint8, sc *chunkScratch) {
 	n := g.NumVertices()
 	k := len(sources)
 	if pool != nil {
 		// Pooled arrays arrive clean, so no initialisation pass.
-		dists, visited := pool.get(k)
 		for i := 0; i < k; i++ {
-			out[i] = &DistMap{Source: sources[i], Cap: caps[i], dist: dists[i], visited: visited[i], pool: pool}
+			out[i] = &DistMap{Source: sources[i], Cap: caps[i], pool: pool}
 		}
+		sc = pool.fill(out)
 	} else {
+		sc = newChunkScratch(n)
 		// One flat allocation for all k distance arrays of the chunk.
 		flat := make([]uint8, k*n)
 		for i := range flat {
@@ -300,7 +319,7 @@ func setupChunk(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*D
 			maxCap = caps[i]
 		}
 	}
-	return maxCap
+	return maxCap, sc
 }
 
 // seedLevel runs level 0: each source visits itself. Identical sources
@@ -309,46 +328,75 @@ func setupChunk(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*D
 // the frontier words themselves).
 //
 //hcpath:noalloc
-func seedLevel(sources []graph.VertexID, out []*DistMap, seen, frontier []uint64, frontierVerts []graph.VertexID) []graph.VertexID {
+func seedLevel(sources []graph.VertexID, out []*DistMap, sc *chunkScratch, counts *[64]int32) []graph.VertexID {
+	frontierVerts := sc.frontierVerts[:0]
 	for i, s := range sources {
 		bit := uint64(1) << uint(i)
-		if frontier[s] == 0 {
+		if sc.frontier[s] == 0 {
 			frontierVerts = append(frontierVerts, s)
+			sc.touch(s)
 		}
-		seen[s] |= bit
-		frontier[s] |= bit
+		sc.seen[s] |= bit
+		sc.frontier[s] |= bit
 		out[i].dist[s] = 0
-		out[i].visited = append(out[i].visited, s)
+		counts[i]++
 	}
 	return frontierVerts
 }
 
 // recordWord writes one next-frontier vertex into every slot whose bit
-// is set: dist gets the level depth, the visited list grows by v.
+// is set: dist gets the level depth, the slot's visit count grows.
 //
 //hcpath:noalloc
-func recordWord(out []*DistMap, v graph.VertexID, word uint64, depth uint8) {
-	for word != 0 {
+func recordWord(out []*DistMap, counts *[64]int32, v graph.VertexID, word uint64, depth uint8) {
+	for ; word != 0; word &= word - 1 {
 		slot := bits.TrailingZeros64(word)
-		word &= word - 1
 		out[slot].dist[v] = depth
-		out[slot].visited = append(out[slot].visited, v)
+		counts[slot]++
 	}
 }
 
-// resetScratch sparsely restores the scratch's all-zero invariant:
-// every word a chunk ever touched is indexed by some result's visited
-// list (bits only ever enter frontier/next together with seen), so
-// clearing at those indices — duplicates included — is exhaustive and
-// costs O(Σ|Γ|) instead of an n-word memset.
+// sizeLists gives every result a visited list that holds its count: a
+// recycled list that is large enough, or one allocated at the exact size.
+func sizeLists(out []*DistMap, counts *[64]int32) {
+	for i, dm := range out {
+		if cap(dm.visited) < int(counts[i]) {
+			dm.visited = make([]graph.VertexID, 0, counts[i])
+		}
+	}
+}
+
+// sweep emits the visited lists of the slots in slotMask: one ascending
+// pass over the touched bitmap appends each vertex to the list of every
+// slot whose seen bit is set, in vertex order, into the capacity
+// sizeLists provided. With clean set it also zeroes every scratch word
+// it passes, which is exhaustive because bits only enter seen, frontier
+// and next at touched vertices; callers that stripe slots across
+// goroutines sweep read-only and clean in one more call. Cost is
+// O(|V|/64³ + touched + Σ|Γ|).
 //
 //hcpath:noalloc
-func resetScratch(out []*DistMap, seen, frontier, next []uint64) {
-	for i := range out {
-		for _, v := range out[i].visited {
-			seen[v] = 0
-			frontier[v] = 0
-			next[v] = 0
+func sweep(sc *chunkScratch, out []*DistMap, slotMask uint64, clean bool) {
+	t := &sc.touched
+	for i2, w2 := range t[2] {
+		for ; w2 != 0; w2 &= w2 - 1 {
+			i1 := i2<<6 | bits.TrailingZeros64(w2)
+			for w1 := t[1][i1]; w1 != 0; w1 &= w1 - 1 {
+				i0 := i1<<6 | bits.TrailingZeros64(w1)
+				for w0 := t[0][i0]; w0 != 0; w0 &= w0 - 1 {
+					v := graph.VertexID(i0<<6 | bits.TrailingZeros64(w0))
+					for lanes := sc.seen[v] & slotMask; lanes != 0; lanes &= lanes - 1 {
+						dm := out[bits.TrailingZeros64(lanes)]
+						dm.visited = append(dm.visited, v)
+					}
+					if clean {
+						sc.seen[v], sc.frontier[v], sc.next[v] = 0, 0, 0
+					}
+				}
+				if clean { // w0, w1 and w2 are copies: the words can go now
+					t[0][i0], t[1][i1], t[2][i2] = 0, 0, 0
+				}
+			}
 		}
 	}
 }
@@ -358,10 +406,10 @@ func resetScratch(out []*DistMap, seen, frontier, next []uint64) {
 // direction-optimizing variant (chunkRunPar) is proven against.
 func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool) {
 	k := len(sources)
-	maxCap := setupChunk(g, sources, caps, out, pool)
-	sc := acquireScratch(pool, g.NumVertices())
+	maxCap, sc := setupChunk(g, sources, caps, out, pool)
 	seen, frontier, next := sc.seen, sc.frontier, sc.next
-	frontierVerts := seedLevel(sources, out, seen, frontier, sc.frontierVerts[:0])
+	var counts [64]int32 // |Γ| so far, per slot
+	frontierVerts := seedLevel(sources, out, sc, &counts)
 	nextVerts := sc.nextVerts[:0]
 
 	// depth is an int so a 255-hop cap cannot wrap the level counter
@@ -394,18 +442,17 @@ func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*Dis
 			}
 		}
 		for _, w := range nextVerts {
-			recordWord(out, w, next[w], uint8(depth))
+			sc.touch(w)
+			recordWord(out, &counts, w, next[w], uint8(depth))
 		}
 		frontier, next = next, frontier
 		frontierVerts = frontierVerts[:0]
 		frontierVerts, nextVerts = nextVerts, frontierVerts
 	}
-	resetScratch(out, seen, frontier, next)
+	sizeLists(out, &counts)
+	sweep(sc, out, ^uint64(0), true)
 	sc.frontierVerts, sc.nextVerts = frontierVerts[:0], nextVerts[:0]
 	releaseScratch(pool, sc)
-	for i := range out {
-		sortVerts(out[i].visited)
-	}
 }
 
 // Single runs one hop-bounded BFS; it is MultiSource with a single
@@ -442,8 +489,4 @@ func FullDistances(g *graph.Graph, source graph.VertexID) []uint8 {
 		}
 	}
 	return dist
-}
-
-func sortVerts(vs []graph.VertexID) {
-	slices.Sort(vs)
 }

@@ -19,22 +19,32 @@ var benchReverse = sync.OnceValue(func() *graph.Graph { return benchGraph.Revers
 // direction the community graph's sparse frontiers never reach.
 var benchDense = sync.OnceValue(func() *graph.Graph { return graph.GenErdosRenyi(4000, 200000, 7) })
 
-// benchSources picks spread-out sources with cap 6 on g.
-func benchSourcesOn(g *graph.Graph, nSrc int) ([]graph.VertexID, []uint8) {
+// benchSparse is the harness's offline_sparse_random graph (the EP
+// stand-in at scale 8), where index construction dominates a batch.
+var benchSparse = sync.OnceValue(func() *graph.Graph { return graph.GenCommunityPowerLaw(40000, 120, 6, 0.975, 101) })
+
+// benchLarge is a 2²²-vertex community graph: a build that reaches a
+// few dozen vertices of it must cost by reach, not by |V|.
+var benchLarge = sync.OnceValue(func() *graph.Graph { return graph.GenCommunityPowerLaw(1<<22, 150, 2, 0.95, 5) })
+
+// benchSourcesOn picks nSrc spread-out sources on g, their caps cycling
+// over [capLo, capHi].
+func benchSourcesOn(g *graph.Graph, nSrc int, capLo, capHi uint8) ([]graph.VertexID, []uint8) {
 	n := g.NumVertices()
 	sources := make([]graph.VertexID, nSrc)
 	caps := make([]uint8, nSrc)
 	for i := range sources {
 		sources[i] = graph.VertexID(i * (n / nSrc))
-		caps[i] = 6
+		caps[i] = capLo + uint8(i)%(capHi-capLo+1)
 	}
 	return sources, caps
 }
 
-func benchSources() ([]graph.VertexID, []uint8) { return benchSourcesOn(benchGraph, 128) }
+func benchSources() ([]graph.VertexID, []uint8) { return benchSourcesOn(benchGraph, 128, 6, 6) }
 
 // multiSourceCase is one BenchmarkMultiSource configuration with the
-// steady-state allocs/op the last committed baseline recorded for it.
+// allocs per warm build TestMultiSourceAllocCeilings last recorded for
+// it (zero for the cases that are only timed).
 type multiSourceCase struct {
 	name    string
 	g       *graph.Graph
@@ -50,11 +60,24 @@ type multiSourceCase struct {
 func multiSourceCases() []multiSourceCase {
 	sources, caps := benchSources()
 	dense := benchDense()
-	denseSources, denseCaps := benchSourcesOn(dense, 64)
+	denseSources, denseCaps := benchSourcesOn(dense, 64, 6, 6)
 	return []multiSourceCase{
-		{"Seq", benchGraph, sources, caps, BuildOptions{}, 138},
-		{"Par", benchGraph, sources, caps, BuildOptions{Workers: 4, Reverse: benchReverse()}, 349},
-		{"PullDense", dense, denseSources, denseCaps, BuildOptions{Workers: 4, Reverse: dense.Reverse()}, 208},
+		{"Seq", benchGraph, sources, caps, BuildOptions{}, 150},
+		{"Par", benchGraph, sources, caps, BuildOptions{Workers: 4, Reverse: benchReverse()}, 366},
+		{"PullDense", dense, denseSources, denseCaps, BuildOptions{Workers: 4, Reverse: dense.Reverse()}, 207},
+	}
+}
+
+// reachCases time the sequential kernel by what it reaches: the
+// harness's sparse batch shape (200 spread endpoints, caps 5–7), and
+// one shallow source on a graph large enough that anything done per
+// vertex would dominate.
+func reachCases() []multiSourceCase {
+	sparse, large := benchSparse(), benchLarge()
+	sparseSources, sparseCaps := benchSourcesOn(sparse, 200, 5, 7)
+	return []multiSourceCase{
+		{"Sparse200", sparse, sparseSources, sparseCaps, BuildOptions{}, 0},
+		{"OneSourceLargeN", large, []graph.VertexID{graph.VertexID(large.NumVertices() / 2)}, []uint8{2}, BuildOptions{}, 0},
 	}
 }
 
@@ -71,7 +94,7 @@ func (c multiSourceCase) build(pool *Pool) {
 // state rather than warm-up amortised over whatever b.N the timer
 // picked.
 func BenchmarkMultiSource(b *testing.B) {
-	for _, c := range multiSourceCases() {
+	for _, c := range append(multiSourceCases(), reachCases()...) {
 		b.Run(c.name, func(b *testing.B) {
 			pool := NewPool(c.g.NumVertices())
 			c.build(pool)

@@ -18,9 +18,13 @@
 // The next frontier is repacked into a flat vertex array with a
 // parlay-style pack_index over a per-vertex mark bitmap: per-worker
 // popcounts, a prefix sum, then disjoint writes — ascending vertex
-// order, deterministic, no re-sort. Results are byte-identical to the
-// sequential reference (chunkRun): the same distances, the same sorted
-// visited sets.
+// order, deterministic. Draining a mark word also ors it into the
+// chunk's touched bitmap, so after the last level the visited lists
+// come from the same sweep as the sequential kernel's, its slots
+// striped across the workers (every list has one writer) and the
+// scratch cleaned in one pass behind them. Results are byte-identical
+// to the sequential reference (chunkRun): the same distances, the same
+// sorted visited sets.
 package msbfs
 
 import (
@@ -120,16 +124,17 @@ func chunkBounds(c, total int) (lo, hi int) {
 func chunkRunPar(g, rev *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool, workers int) {
 	n := g.NumVertices()
 	k := len(sources)
-	maxCap := setupChunk(g, sources, caps, out, pool)
-	sc := acquireScratch(pool, n)
+	maxCap, sc := setupChunk(g, sources, caps, out, pool)
 	seen, frontier, next, marks := sc.seen, sc.frontier, sc.next, sc.marks
-	frontierVerts := seedLevel(sources, out, seen, frontier, sc.frontierVerts[:0])
+	var counts [64]int32
+	frontierVerts := seedLevel(sources, out, sc, &counts)
 	nextVerts := sc.nextVerts
 	numWords := len(marks)
 	pullAt := (g.NumEdges() + n) / pullDenom
 	// offsets[w]..offsets[w+1] is worker w's slice of the packed next
 	// frontier; one allocation per chunk, reused every level.
 	offsets := make([]int, workers+1)
+	rw := min(workers, k) // goroutines that stripe the result slots
 
 	// depth is an int so a 255-hop cap cannot wrap the level counter
 	// (see chunkRun).
@@ -158,7 +163,8 @@ func chunkRunPar(g, rev *graph.Graph, sources []graph.VertexID, caps []uint8, ou
 
 		// Repack the next frontier: per-worker popcounts over the mark
 		// bitmap, a prefix sum, then disjoint ascending writes
-		// (pack_index). fillMarks clears the marks as it drains them.
+		// (pack_index). fillMarks clears the marks as it drains them
+		// into the touched bitmap.
 		parallelFor(workers, func(w int) {
 			lo, hi := splitRange(numWords, workers, w)
 			offsets[w+1] = countMarks(marks[lo:hi])
@@ -169,14 +175,13 @@ func chunkRunPar(g, rev *graph.Graph, sources []graph.VertexID, caps []uint8, ou
 		nextVerts = nextVerts[:offsets[workers]]
 		parallelFor(workers, func(w int) {
 			lo, hi := splitRange(numWords, workers, w)
-			fillMarks(marks[lo:hi], graph.VertexID(lo*64), nextVerts[offsets[w]:offsets[w+1]])
+			fillMarks(sc, lo, hi, nextVerts[offsets[w]:offsets[w+1]])
 		})
 
-		// Record distances and visited sets, striping the ≤64 result
-		// slots across workers so every visited list has one writer.
-		rw := min(workers, k)
+		// Record distances and visit counts, striping the ≤64 result
+		// slots across workers so every slot has one writer.
 		parallelFor(rw, func(w int) {
-			recordSlots(out, nextVerts, next, uint8(depth), slotStripeMask(k, rw, w))
+			recordSlots(out, &counts, nextVerts, next, uint8(depth), slotStripeMask(k, rw, w))
 		})
 
 		for _, v := range frontierVerts {
@@ -185,16 +190,15 @@ func chunkRunPar(g, rev *graph.Graph, sources []graph.VertexID, caps []uint8, ou
 		frontier, next = next, frontier
 		frontierVerts, nextVerts = nextVerts, frontierVerts[:0]
 	}
-	resetScratch(out, seen, frontier, next)
-	sc.seen, sc.frontier, sc.next = seen, frontier, next
+	sizeLists(out, &counts)
+	parallelFor(rw, func(w int) {
+		sweep(sc, out, slotStripeMask(k, rw, w), rw == 1)
+	})
+	if rw > 1 {
+		sweep(sc, out, 0, true) // the stripes only read; clean behind them
+	}
 	sc.frontierVerts, sc.nextVerts = frontierVerts[:0], nextVerts[:0]
 	releaseScratch(pool, sc)
-	sw := min(workers, k)
-	parallelFor(sw, func(w int) {
-		for i := w; i < k; i += sw {
-			sortVerts(out[i].visited)
-		}
-	})
 }
 
 // parallelFor runs fn(0..workers-1) concurrently and waits; one worker
@@ -325,40 +329,39 @@ func countMarks(marks []uint64) int {
 	return total
 }
 
-// fillMarks drains a mark-word range into out — ascending vertex ids,
-// exactly len(out) of them — and clears the words behind itself.
+// fillMarks drains mark words [lo, hi) into out — ascending vertex ids,
+// exactly len(out) of them — moving each word into the touched bitmap
+// and clearing it behind itself. Sibling workers own disjoint word
+// ranges but can share a word of the summary levels, which therefore
+// advance by fetch-or.
 //
 //hcpath:noalloc
-func fillMarks(marks []uint64, base graph.VertexID, out []graph.VertexID) {
+func fillMarks(sc *chunkScratch, lo, hi int, out []graph.VertexID) {
 	at := 0
-	for wi, word := range marks {
+	for wi := lo; wi < hi; wi++ {
+		word := sc.marks[wi]
 		if word == 0 {
 			continue
 		}
-		marks[wi] = 0
-		wordBase := base + graph.VertexID(wi)*64
-		for word != 0 {
-			out[at] = wordBase + graph.VertexID(bits.TrailingZeros64(word))
-			word &= word - 1
+		sc.marks[wi] = 0
+		sc.touched[0][wi] |= word
+		fetchOr(&sc.touched[1][wi>>6], uint64(1)<<(wi&63))
+		fetchOr(&sc.touched[2][wi>>12], uint64(1)<<(wi>>6&63))
+		for ; word != 0; word &= word - 1 {
+			out[at] = graph.VertexID(wi<<6 | bits.TrailingZeros64(word))
 			at++
 		}
 	}
 }
 
 // recordSlots records the level's next frontier into the result slots
-// selected by slotMask: each slot's dist entries and visited list are
-// written by exactly one worker, in ascending vertex order.
+// selected by slotMask: each slot's dist entries and visit count are
+// written by exactly one worker.
 //
 //hcpath:noalloc
-func recordSlots(out []*DistMap, verts []graph.VertexID, next []uint64, depth uint8, slotMask uint64) {
+func recordSlots(out []*DistMap, counts *[64]int32, verts []graph.VertexID, next []uint64, depth uint8, slotMask uint64) {
 	for _, v := range verts {
-		word := next[v] & slotMask
-		for word != 0 {
-			slot := bits.TrailingZeros64(word)
-			word &= word - 1
-			out[slot].dist[v] = depth
-			out[slot].visited = append(out[slot].visited, v)
-		}
+		recordWord(out, counts, v, next[v]&slotMask, depth)
 	}
 }
 

@@ -1,6 +1,7 @@
 package msbfs
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -31,6 +32,9 @@ func requireEqualMaps(t *testing.T, n int, got, want []*DistMap) {
 				t.Fatalf("result %d: visited[%d]=%d want %d", i, j, g.Visited()[j], v)
 			}
 		}
+		if bytes.Equal(g.dist, w.dist) {
+			continue // the same dense array: every Dist agrees
+		}
 		for v := 0; v < n; v++ {
 			if g.Dist(graph.VertexID(v)) != w.Dist(graph.VertexID(v)) {
 				t.Fatalf("result %d vertex %d: dist %d want %d", i, v, g.Dist(graph.VertexID(v)), w.Dist(graph.VertexID(v)))
@@ -59,13 +63,9 @@ func randomSources(rng *rand.Rand, n, nSrc int) ([]graph.VertexID, []uint8) {
 	return sources, caps
 }
 
-// TestParallelMatchesSequential is the differential oracle of the
-// parallel direction-optimizing engine: over a corpus of graph shapes,
-// random sources (duplicates included) and boundary caps, every
-// combination of worker count, pull availability, and pooling must
-// reproduce the sequential reference byte for byte.
-func TestParallelMatchesSequential(t *testing.T) {
-	corpus := map[string]*graph.Graph{
+// corpus is the graph shapes the differential tests run over.
+func corpus() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
 		"paper":     testgraphs.Paper(),
 		"diamond":   testgraphs.Diamond(),
 		"cycle":     testgraphs.Cycle(40),
@@ -75,8 +75,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 		"erdos":     graph.GenErdosRenyi(300, 2000, 4),
 		"community": graph.GenCommunityPowerLaw(800, 40, 4, 0.9, 7),
 	}
+}
+
+// TestParallelMatchesSequential is the differential oracle of the
+// parallel direction-optimizing engine: over a corpus of graph shapes,
+// random sources (duplicates included) and boundary caps, every
+// combination of worker count, pull availability, and pooling must
+// reproduce the sequential reference byte for byte.
+func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for name, g := range corpus {
+	for name, g := range corpus() {
 		t.Run(name, func(t *testing.T) {
 			n := g.NumVertices()
 			rev := g.Reverse()
@@ -216,27 +224,49 @@ func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 }
 
 // TestScratchPoolReuse: repeated builds through one pool must stop
-// allocating chunk scratch after the first round — the free list and
-// the sparse reset keep arrays clean and recycled.
+// allocating chunk scratch after the first round, and whatever a build
+// did — ran to exhaustion, was cut short by its caps with a frontier
+// still standing, carried the same source in several lanes — the
+// scratch it hands back is clean to the last word, in both kernels.
 func TestScratchPoolReuse(t *testing.T) {
 	g := graph.GenRandom(300, 4, 11)
-	pool := NewPool(g.NumVertices())
-	sources, caps := randomSources(rand.New(rand.NewSource(5)), g.NumVertices(), 64)
-	for round := 0; round < 4; round++ {
-		for _, dm := range MultiSourceOpts(g, sources, caps, pool, BuildOptions{Workers: 2, Reverse: g.Reverse()}) {
-			dm.Release()
+	rev := g.Reverse()
+	n := g.NumVertices()
+	random, randomCaps := randomSources(rand.New(rand.NewSource(5)), n, 64)
+	builds := map[string]struct {
+		sources  []graph.VertexID
+		caps     []uint8
+		cutShort bool // source 1 carries the largest cap and could go further
+	}{
+		"random": {random, randomCaps, false},
+		// The last frontier's bits stand in sc.frontier after an even
+		// number of levels and in sc.next after an odd one.
+		"cutShortEven": {[]graph.VertexID{0, 17, 150, 299}, []uint8{1, 2, 1, 2}, true},
+		"cutShortOdd":  {[]graph.VertexID{0, 17, 150, 299}, []uint8{1, 3, 1, 3}, true},
+		"repeated":     {[]graph.VertexID{7, 7, 7, 120, 120, 7}, []uint8{3, 0, 255, 2, 2, 3}, false},
+	}
+	for name, b := range builds {
+		if last := b.caps[1]; b.cutShort && Single(g, b.sources[1], last+1).NumVisited() == Single(g, b.sources[1], last).NumVisited() {
+			t.Fatalf("%s: the cap does not cut the search short, the frontier was already empty", name)
+		}
+		for _, opt := range []BuildOptions{{}, {Workers: 2}, {Workers: 2, Reverse: rev}} {
+			pool := NewPool(n)
+			for round := 0; round < 4; round++ {
+				for _, dm := range MultiSourceOpts(g, b.sources, b.caps, pool, opt) {
+					dm.Release()
+				}
+				requireCleanPool(t, pool)
+			}
+			pool.mu.Lock()
+			free := len(pool.scratch)
+			pool.mu.Unlock()
+			if free != 1 {
+				t.Fatalf("%s %+v: pool holds %d free scratch sets after sequentially repeated single-chunk builds, want 1", name, opt, free)
+			}
+			// A fresh pooled run on the recycled scratch equals the reference.
+			requireEqualMaps(t, n, MultiSourceOpts(g, b.sources, b.caps, pool, opt), referenceMaps(g, b.sources, b.caps))
 		}
 	}
-	pool.mu.Lock()
-	free := len(pool.scratch)
-	pool.mu.Unlock()
-	if free != 1 {
-		t.Fatalf("pool holds %d free scratch sets after sequentially repeated single-chunk builds, want 1", free)
-	}
-	// The free scratch must be clean: a fresh pooled run equals the
-	// reference (would corrupt distances if any word survived nonzero).
-	got := MultiSourceOpts(g, sources, caps, pool, BuildOptions{Workers: 2})
-	requireEqualMaps(t, g.NumVertices(), got, MultiSource(g, sources, caps))
 }
 
 var errMismatch = errForm("parallel result diverged from sequential reference")

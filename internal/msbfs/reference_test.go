@@ -1,0 +1,189 @@
+package msbfs
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/store"
+	"repro/internal/testgraphs"
+)
+
+// referenceMaps is the oracle neither production kernel shares code
+// with: one plain queue BFS per source, stopped at its cap, its visited
+// list put in order by a comparison sort. Both kernels emit their lists
+// through the same sweep, so comparing them to each other would let a
+// sweep bug through twice; this cannot.
+func referenceMaps(g *graph.Graph, sources []graph.VertexID, caps []uint8) []*DistMap {
+	n := g.NumVertices()
+	out := make([]*DistMap, len(sources))
+	for i, s := range sources {
+		dist := make([]uint8, n)
+		for v := range dist {
+			dist[v] = Unreachable
+		}
+		// A vertex exactly 255 hops out is visited with distance 255,
+		// the Unreachable value, so membership needs its own flags.
+		seen := make([]bool, n)
+		dist[s], seen[s] = 0, true
+		queue := []graph.VertexID{s}
+		for at := 0; at < len(queue); at++ {
+			v := queue[at]
+			if dist[v] == caps[i] {
+				continue
+			}
+			for _, w := range g.OutNeighbors(v) {
+				if !seen[w] {
+					dist[w], seen[w] = dist[v]+1, true
+					queue = append(queue, w)
+				}
+			}
+		}
+		slices.Sort(queue)
+		out[i] = &DistMap{Source: s, Cap: caps[i], dist: dist, visited: queue}
+	}
+	return out
+}
+
+// requireMatchesReference holds every way of building — sequential,
+// parallel at 1/2/4 workers with pull on and off, each unpooled and
+// through a pool whose storage has already cycled once — to the
+// reference, and the pool to the clean-storage invariant afterwards.
+func requireMatchesReference(t *testing.T, g, rev *graph.Graph, sources []graph.VertexID, caps []uint8) {
+	t.Helper()
+	n := g.NumVertices()
+	want := referenceMaps(g, sources, caps)
+	opts := []BuildOptions{{}}
+	for _, workers := range []int{1, 2, 4} {
+		opts = append(opts, BuildOptions{Workers: workers}, BuildOptions{Workers: workers, Reverse: rev})
+	}
+	for _, opt := range opts {
+		requireEqualMaps(t, n, MultiSourceOpts(g, sources, caps, nil, opt), want)
+		pool := NewPool(n)
+		for round := 0; round < 2; round++ {
+			got := MultiSourceOpts(g, sources, caps, pool, opt)
+			requireEqualMaps(t, n, got, want)
+			for _, dm := range got {
+				dm.Release()
+			}
+			requireCleanPool(t, pool)
+		}
+	}
+}
+
+// requireCleanPool asserts the invariant acquisition relies on: every
+// free dist array all-Unreachable, every word of every free scratch —
+// seen, frontier, next, the mark bitmap, every level of the touched
+// bitmap — zero, every free vertex slice empty.
+func requireCleanPool(t *testing.T, p *Pool) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, d := range p.dists {
+		if bytes.Count(d, []byte{Unreachable}) != len(d) {
+			t.Fatalf("free dist array holds a distance")
+		}
+	}
+	for _, vis := range p.visited {
+		if len(vis) != 0 {
+			t.Fatalf("free visited list has length %d", len(vis))
+		}
+	}
+	for _, sc := range p.scratch {
+		words := map[string][]uint64{
+			"seen": sc.seen, "frontier": sc.frontier, "next": sc.next, "marks": sc.marks,
+			"touched[0]": sc.touched[0], "touched[1]": sc.touched[1], "touched[2]": sc.touched[2],
+		}
+		for name, ws := range words {
+			for i, w := range ws {
+				if w != 0 {
+					t.Fatalf("free scratch: %s[%d] = %#x, want 0", name, i, w)
+				}
+			}
+		}
+		if len(sc.frontierVerts) != 0 || len(sc.nextVerts) != 0 {
+			t.Fatalf("free scratch: vertex slices have length %d/%d, want 0", len(sc.frontierVerts), len(sc.nextVerts))
+		}
+	}
+}
+
+// TestKernelsMatchReference runs the differential corpus of
+// TestParallelMatchesSequential against the independent oracle.
+func TestKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for name, g := range corpus() {
+		t.Run(name, func(t *testing.T) {
+			sources, caps := randomSources(rng, g.NumVertices(), 130)
+			requireMatchesReference(t, g, g.Reverse(), sources, caps)
+		})
+	}
+}
+
+// TestReferenceAtBitmapBoundaries puts sources and reach on both sides
+// of every boundary of the touched bitmap — the 64-vertex word, the
+// 64-word summary word (vertex 4096), the second summary level (vertex
+// 64³) — and of the vertex range itself (n = 1, a last word with one
+// bit). Sources repeat, and caps include 0 (source only) and 255 (run
+// until the frontier dies), on a ring, where reach is an interval that
+// crosses the boundaries, and on a random graph, where it is scattered.
+func TestReferenceAtBitmapBoundaries(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 4095, 4096, 4097, 3*4096 + 1, 64*64*64 + 1} {
+		t.Run(fmt.Sprint("n=", n), func(t *testing.T) {
+			var sources []graph.VertexID
+			for _, v := range []int{0, 62, 63, 64, 65, 4094, 4095, 4096, 4097, 2 * 4096, 3 * 4096, 64*64*64 - 1, 64 * 64 * 64, n - 1, n - 1} {
+				if v < n {
+					sources = append(sources, graph.VertexID(v))
+				}
+			}
+			caps := make([]uint8, len(sources))
+			for i := range caps {
+				caps[i] = []uint8{3, 0, 255, 70, 2}[i%5]
+			}
+			nSrc := 70 // with the boundary sources: two chunks
+			if n > 1<<16 {
+				nSrc = 4 // every source costs O(n) to build, compare and check clean
+			}
+			rs, rc := randomSources(rand.New(rand.NewSource(int64(n))), n, nSrc)
+			sources, caps = append(sources, rs...), append(caps, rc...)
+			if n > 1<<16 {
+				// Shallow searches cross the 64³ boundary as well as floods
+				// of 2¹⁸ vertices do, at a hundredth of the time under -race.
+				for i := range caps {
+					caps[i] %= 5
+				}
+			}
+			for name, g := range map[string]*graph.Graph{"ring": testgraphs.Cycle(n), "random": graph.GenRandom(n, 2, int64(n))} {
+				t.Run(name, func(t *testing.T) {
+					requireMatchesReference(t, g, g.Reverse(), sources, caps)
+				})
+			}
+		})
+	}
+}
+
+// TestReferenceOverlayGrownVertices: an overlay snapshot whose updates
+// grew the vertex set past a word boundary (60 → 70 vertices), sources
+// among the grown vertices included.
+func TestReferenceOverlayGrownVertices(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	st := store.New(graph.GenErdosRenyi(60, 240, 3), store.Options{CompactAfter: -1})
+	var adds []graph.Edge
+	for i := 0; i < 120; i++ {
+		adds = append(adds, graph.Edge{Src: graph.VertexID(rng.Intn(70)), Dst: graph.VertexID(rng.Intn(70))})
+	}
+	snap, err := st.ApplyUpdates(adds, nil)
+	if err != nil {
+		t.Fatalf("ApplyUpdates: %v", err)
+	}
+	g := snap.Graph()
+	if !g.IsOverlay() || g.NumVertices() <= 64 {
+		t.Fatalf("want a live overlay grown past 64 vertices, got overlay=%v n=%d", g.IsOverlay(), g.NumVertices())
+	}
+	sources, caps := randomSources(rng, g.NumVertices(), 90)
+	sources = append(sources, 63, 64, graph.VertexID(g.NumVertices()-1))
+	caps = append(caps, 4, 255, 4)
+	requireMatchesReference(t, g, snap.Reverse(), sources, caps)
+}
