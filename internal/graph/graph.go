@@ -1,9 +1,11 @@
 // Package graph provides the directed-graph substrate used by all
 // enumeration algorithms in this repository: a compact CSR (compressed
 // sparse row) representation with O(1) out-neighbour slicing, the reverse
-// graph for backward searches, loaders and writers for edge-list and
-// binary formats, degree statistics matching Table I of the paper, vertex
-// and edge sampling for the scalability experiment (Exp-5), and synthetic
+// graph for backward searches, a paged copy-on-write delta overlay that
+// lets the versioned store publish an updated graph per epoch without
+// rebuilding the CSR, loaders and writers for edge-list and binary
+// formats, degree statistics matching Table I of the paper, vertex and
+// edge sampling for the scalability experiment (Exp-5), and synthetic
 // generators used as stand-ins for the paper's twelve real-world datasets.
 package graph
 
@@ -33,28 +35,46 @@ type Edge struct {
 //
 // A Graph may additionally carry a delta overlay (see Overlay): a set of
 // adjacency rows that supersede the CSR rows of the vertices they name,
-// plus optional vertex growth beyond the CSR. Overlay graphs answer the
-// same neighbour-access calls as plain ones — every engine works
-// unchanged — at the cost of one map probe per access; plain graphs pay
-// a single nil check. The versioned store (internal/store) builds one
-// overlay graph per update epoch and folds it back into a plain CSR
-// when the delta grows (Flatten).
+// plus optional vertex growth beyond the CSR. The rows live in a paged
+// copy-on-write table — one pointer per pageRows vertices, nil where no
+// row in the page changed — so a successor graph shares every page its
+// update did not touch. Overlay graphs answer the same neighbour-access
+// calls as plain ones — every engine works unchanged — at the cost of
+// an out-of-line call, two indexed loads and two nil checks per access;
+// plain graphs pay a single flag test. The versioned store
+// (internal/store) builds one overlay graph per update epoch and folds
+// it back into a plain CSR when the delta grows (Flatten).
 type Graph struct {
 	offsets []int64
 	targets []VertexID
 
-	// overlay, when non-nil, supersedes the CSR rows of the vertices it
-	// contains; rows are sorted, deduplicated and self-loop free, like
-	// CSR rows. ovN/ovM are the overlay graph's vertex and edge totals
+	// overlay marks a graph whose pages supersede the CSR rows of the
+	// vertices they name: page v/pageRows, slot v%pageRows. A nil page or
+	// slot reads the CSR row (no row at all for a grown vertex); an
+	// emptied row is a non-nil empty slice. Rows are sorted, deduplicated
+	// and self-loop free, like CSR rows, and pages are never written once
+	// published. ovN/ovM are the overlay graph's vertex and edge totals
 	// (ovN ≥ len(offsets)-1: updates may add vertices, never remove).
-	overlay map[VertexID][]VertexID
+	overlay bool
+	pages   []*page
 	ovN     int
 	ovM     int
 }
 
+// pageRows is the number of vertices one overlay page covers: the unit
+// an update copies.
+const pageRows = 16
+
+// page holds the overlay rows of pageRows consecutive vertices.
+type page [pageRows][]VertexID
+
+// emptyRow is the row of a vertex whose every edge was deleted: non-nil,
+// so it supersedes the CSR row.
+var emptyRow = []VertexID{}
+
 // NumVertices returns the number of vertices n.
 func (g *Graph) NumVertices() int {
-	if g.overlay != nil {
+	if g.overlay {
 		return g.ovN
 	}
 	return len(g.offsets) - 1
@@ -62,7 +82,7 @@ func (g *Graph) NumVertices() int {
 
 // NumEdges returns the number of directed edges m (after dedup).
 func (g *Graph) NumEdges() int {
-	if g.overlay != nil {
+	if g.overlay {
 		return g.ovM
 	}
 	return len(g.targets)
@@ -71,23 +91,35 @@ func (g *Graph) NumEdges() int {
 // OutNeighbors returns the sorted out-neighbour list of v. The returned
 // slice aliases internal storage and must not be modified.
 func (g *Graph) OutNeighbors(v VertexID) []VertexID {
-	if g.overlay != nil {
-		if row, ok := g.overlay[v]; ok {
-			return row
-		}
-		if int(v) >= len(g.offsets)-1 {
-			return nil // grown vertex with no overlay row
-		}
+	if g.overlay {
+		return g.overlayRow(v)
 	}
 	return g.targets[g.offsets[v]:g.offsets[v+1]]
 }
 
 // OutDegree returns the out-degree of v.
 func (g *Graph) OutDegree(v VertexID) int {
-	if g.overlay != nil {
-		return len(g.OutNeighbors(v))
+	if g.overlay {
+		return len(g.overlayRow(v))
 	}
 	return int(g.offsets[v+1] - g.offsets[v])
+}
+
+// overlayRow is OutNeighbors on an overlay graph. It stays out of line
+// so that OutNeighbors and OutDegree keep a plain-CSR body small enough
+// to inline into every traversal (CI checks that they still do).
+//
+//go:noinline
+func (g *Graph) overlayRow(v VertexID) []VertexID {
+	if p := g.pages[v/pageRows]; p != nil {
+		if row := p[v%pageRows]; row != nil {
+			return row
+		}
+	}
+	if int(v) >= len(g.offsets)-1 {
+		return nil // grown vertex with no overlay row
+	}
+	return g.targets[g.offsets[v]:g.offsets[v+1]]
 }
 
 // HasEdge reports whether the edge (u, v) exists, via binary search on
@@ -116,7 +148,7 @@ func (g *Graph) Edges(fn func(src, dst VertexID) bool) {
 // versioned store keeps its own symmetric reverse overlay instead of
 // calling this per epoch.
 func (g *Graph) Reverse() *Graph {
-	if g.overlay != nil {
+	if g.overlay {
 		g = g.Flatten()
 	}
 	n := g.NumVertices()
@@ -215,42 +247,52 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.Build()
 }
 
-// Overlay returns a graph presenting base with the given adjacency rows
-// superseding base's rows for the vertices they name, over a vertex
-// space of n ≥ base.NumVertices() ids. Each row must be sorted
-// ascending, deduplicated, free of self-loops, and contain only ids
-// below n — the invariants CSR rows hold (internal/store maintains them
-// when merging deltas). The base and the rows are aliased, not copied:
-// both must stay immutable for the overlay's lifetime.
-func Overlay(base *Graph, n int, rows map[VertexID][]VertexID) *Graph {
-	if base.overlay != nil {
-		base = base.Flatten()
-	}
-	if rows == nil {
-		rows = map[VertexID][]VertexID{} // nil would read as "no overlay"
-	}
-	baseN := base.NumVertices()
-	if n < baseN {
-		n = baseN
-	}
-	m := base.NumEdges()
-	for v, row := range rows {
-		if int(v) < baseN {
-			m -= base.OutDegree(v)
-		}
-		m += len(row)
-	}
-	return &Graph{
-		offsets: base.offsets,
-		targets: base.targets,
-		overlay: rows,
-		ovN:     n,
+// Row is one adjacency row handed to Overlay: the out-neighbours of V.
+type Row struct {
+	V    VertexID
+	Nbrs []VertexID
+}
+
+// Overlay returns the successor of prev: prev's CSR base and overlay
+// rows, with rows superseding the rows of the vertices they name, over
+// a vertex space of n ≥ prev.NumVertices() ids holding m edges. rows
+// must be sorted by V; each row's Nbrs must be sorted ascending,
+// deduplicated, free of self-loops, and contain only ids below n — the
+// invariants CSR rows hold (internal/store maintains them when merging
+// deltas, and carries m forward by the rows' length changes). An empty
+// Nbrs empties the row. Only the page table and the pages rows land in
+// are copied; every other page, the base and the rows are shared, so
+// all of them must stay immutable for the overlay's lifetime.
+func Overlay(prev *Graph, n, m int, rows []Row) *Graph {
+	g := &Graph{
+		offsets: prev.offsets,
+		targets: prev.targets,
+		overlay: true,
+		ovN:     max(n, prev.NumVertices()),
 		ovM:     m,
 	}
+	g.pages = make([]*page, (g.ovN+pageRows-1)/pageRows)
+	copy(g.pages, prev.pages)
+	for i := 0; i < len(rows); {
+		pi := rows[i].V / pageRows
+		p := new(page)
+		if old := g.pages[pi]; old != nil {
+			*p = *old
+		}
+		for ; i < len(rows) && rows[i].V/pageRows == pi; i++ {
+			row := rows[i].Nbrs
+			if row == nil {
+				row = emptyRow // a nil slot would read the CSR row
+			}
+			p[rows[i].V%pageRows] = row
+		}
+		g.pages[pi] = p
+	}
+	return g
 }
 
 // IsOverlay reports whether the graph carries a delta overlay.
-func (g *Graph) IsOverlay() bool { return g.overlay != nil }
+func (g *Graph) IsOverlay() bool { return g.overlay }
 
 // Flatten folds an overlay graph into a plain CSR with identical
 // vertices and edges — the compaction step of the versioned store. The
@@ -258,7 +300,7 @@ func (g *Graph) IsOverlay() bool { return g.overlay != nil }
 // (rows are already sorted and deduplicated). Plain graphs return
 // themselves.
 func (g *Graph) Flatten() *Graph {
-	if g.overlay == nil {
+	if !g.overlay {
 		return g
 	}
 	n := g.NumVertices()
@@ -348,16 +390,21 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if g.overlay != nil {
+	if g.overlay {
 		if g.ovN < baseN {
 			return fmt.Errorf("graph: overlay shrinks vertex space (%d < %d)", g.ovN, baseN)
 		}
 		if m != g.ovM {
 			return fmt.Errorf("graph: overlay edge total %d, want %d", g.ovM, m)
 		}
-		for v := range g.overlay {
-			if int(v) >= n {
-				return fmt.Errorf("graph: overlay row for out-of-range vertex %d (n=%d)", v, n)
+		if len(g.pages) != (n+pageRows-1)/pageRows {
+			return fmt.Errorf("graph: %d overlay pages for n=%d", len(g.pages), n)
+		}
+		if tail := n % pageRows; tail != 0 && g.pages[len(g.pages)-1] != nil {
+			for i, row := range g.pages[len(g.pages)-1][tail:] {
+				if row != nil {
+					return fmt.Errorf("graph: overlay row for out-of-range vertex %d (n=%d)", n+i, n)
+				}
 			}
 		}
 	}

@@ -63,26 +63,48 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // binaryMagic identifies the binary graph format.
 var binaryMagic = [8]byte{'H', 'C', 'G', 'R', 'A', 'P', 'H', '1'}
 
+// writeChunkBytes is the size of WriteBinary's one buffer.
+const writeChunkBytes = 1 << 16
+
 // WriteBinary writes the CSR arrays in a compact little-endian binary
 // format: magic, n (uint64), m (uint64), offsets (n+1 × int64),
-// targets (m × uint32).
+// targets (m × uint32). An overlay graph writes as its folded CSR,
+// streamed row by row: memory stays one writeChunkBytes buffer whatever
+// the graph's size.
 func WriteBinary(w io.Writer, g *Graph) error {
-	g = g.Flatten() // overlay graphs serialise as their folded CSR
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
+	n := g.NumVertices()
+	buf := make([]byte, 0, writeChunkBytes)
+	var err error
+	// room flushes buf when it cannot take k more bytes; the first
+	// error latches and later chunks are dropped.
+	room := func(k int) {
+		if len(buf)+k > cap(buf) {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
+		}
 	}
-	hdr := [2]uint64{uint64(g.NumVertices()), uint64(g.NumEdges())}
-	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
-		return err
+	buf = append(buf, binaryMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // offsets[0]
+	off := uint64(0)
+	for v := 0; v < n && err == nil; v++ {
+		room(8)
+		off += uint64(g.OutDegree(VertexID(v)))
+		buf = binary.LittleEndian.AppendUint64(buf, off)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
+	for v := 0; v < n && err == nil; v++ {
+		for _, t := range g.OutNeighbors(VertexID(v)) {
+			room(4)
+			buf = binary.LittleEndian.AppendUint32(buf, t)
+		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.targets); err != nil {
-		return err
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	return bw.Flush()
+	return err
 }
 
 // readChunkEntries bounds how many array entries ReadBinary requests at

@@ -2,12 +2,15 @@
 // immutable CSR base plus a compact add/delete edge delta, exposed as
 // epoch-numbered immutable Snapshots. Each ApplyUpdates merges the
 // changed adjacency rows once (sorted, deduplicated — the same
-// invariants CSR rows hold) into a fresh overlay over the shared base,
-// for both the forward graph and its reverse, and publishes the result
-// atomically: queries in flight keep the snapshot they started on,
-// later batches see the new epoch. When the delta grows past a
-// threshold a background compaction folds it into a fresh CSR base, so
-// steady-state reads never pay more than a bounded overlay probe.
+// invariants CSR rows hold) into one arena and publishes them as a
+// successor of the current overlay that copies only the pages those
+// rows land in (graph.Overlay), for both the forward graph and its
+// reverse, so an update costs O(changed rows) however large the delta
+// has grown. The result is published atomically: queries in flight keep
+// the snapshot they started on, later batches see the new epoch. When
+// the delta grows past a threshold a background compaction folds it
+// into a fresh CSR base, so the overlay's pages stay few and reads of
+// unchanged rows keep falling through to the CSR.
 //
 // A store opened with Open is additionally durable: every epoch
 // transition is appended to a CRC-framed write-ahead log before the
@@ -31,6 +34,7 @@
 package store
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -40,8 +44,8 @@ import (
 
 // DefaultCompactFraction triggers compaction once the effective delta
 // reaches this fraction of the base's edges (but never below
-// MinCompactEdges): the overlay stays a small, cache-friendly map while
-// compactions stay rare relative to update volume.
+// MinCompactEdges): the overlay's pages stay a small share of the
+// graph's rows while compactions stay rare relative to update volume.
 const DefaultCompactFraction = 8
 
 // MinCompactEdges is the smallest delta worth folding; below it a
@@ -70,10 +74,6 @@ type Snapshot struct {
 
 	g, gr       *graph.Graph
 	base, baseR *graph.Graph
-
-	// fwd/bwd are the overlay rows g/gr carry (nil after compaction);
-	// rows are shared structurally across epochs and never mutated.
-	fwd, bwd map[graph.VertexID][]graph.VertexID
 
 	// deltaEdges counts effective edge changes folded into the overlay
 	// since base — the compaction pressure. Both directions contribute:
@@ -119,12 +119,9 @@ func (s *Snapshot) DeltaEdges() int { return s.deltaEdges }
 type Stats struct {
 	// Epoch is the current snapshot's epoch.
 	Epoch uint64
-	// DeltaEdges and DeltaRows describe the current overlay: effective
-	// edge changes since the base (max over the two directions), and
-	// overlaid adjacency rows (counted on the forward side).
-	DeltaEdges, DeltaRows int
-	// BaseEdges is the current base CSR's edge count.
-	BaseEdges int
+	// DeltaEdges describes the current overlay: effective edge changes
+	// since the base (max over the two directions).
+	DeltaEdges int
 	// UpdatesApplied counts effective edge changes ever applied;
 	// Compactions counts base rebuilds. On a durable store both are
 	// restored from the last checkpoint header on Open, plus the
@@ -182,8 +179,6 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Epoch:          snap.epoch,
 		DeltaEdges:     snap.deltaEdges,
-		DeltaRows:      len(snap.fwd),
-		BaseEdges:      snap.base.NumEdges(),
 		UpdatesApplied: s.updates.Load(),
 		Compactions:    s.compactions.Load(),
 	}
@@ -257,8 +252,8 @@ func buildNext(prev *Snapshot, adds, dels []graph.Edge) (*Snapshot, int) {
 		}
 	}
 
-	fwd, changedF := overlayRows(prev.g, prev.fwd, groupBySrc(adds, false), groupBySrc(dels, false))
-	bwd, changedB := overlayRows(prev.gr, prev.bwd, groupBySrc(adds, true), groupBySrc(dels, true))
+	g, changedF := nextGraph(prev.g, n, edgeKeys(adds, false), edgeKeys(dels, false))
+	gr, changedB := nextGraph(prev.gr, n, edgeKeys(adds, true), edgeKeys(dels, true))
 	if changedF == 0 && changedB == 0 && n == prev.g.NumVertices() {
 		return nil, 0
 	}
@@ -266,12 +261,10 @@ func buildNext(prev *Snapshot, adds, dels []graph.Edge) (*Snapshot, int) {
 
 	return &Snapshot{
 		epoch:      prev.epoch + 1,
-		g:          graph.Overlay(prev.base, n, fwd),
-		gr:         graph.Overlay(prev.baseR, n, bwd),
+		g:          g,
+		gr:         gr,
 		base:       prev.base,
 		baseR:      prev.baseR,
-		fwd:        fwd,
-		bwd:        bwd,
 		deltaEdges: prev.deltaEdges + changed,
 	}, changed
 }
@@ -392,133 +385,118 @@ func (s *Store) Close() error {
 	return s.closeDurable()
 }
 
-// groupBySrc buckets edges by source (or by destination when reversed,
-// emitting the reversed edge), dropping self-loops.
-func groupBySrc(edges []graph.Edge, reversed bool) map[graph.VertexID][]graph.VertexID {
-	if len(edges) == 0 {
-		return nil
-	}
-	by := make(map[graph.VertexID][]graph.VertexID)
+// edgeKeys returns edges as sorted, deduplicated src<<32|dst keys
+// (dst<<32|src when reversed), dropping self-loops: the keys of one row
+// are then contiguous, in ascending row and neighbour order.
+func edgeKeys(edges []graph.Edge, reversed bool) []uint64 {
+	keys := make([]uint64, 0, len(edges))
 	for _, e := range edges {
 		if e.Src == e.Dst {
 			continue
 		}
 		if reversed {
-			by[e.Dst] = append(by[e.Dst], e.Src)
-		} else {
-			by[e.Src] = append(by[e.Src], e.Dst)
+			e.Src, e.Dst = e.Dst, e.Src
 		}
+		keys = append(keys, uint64(e.Src)<<32|uint64(e.Dst))
 	}
-	return by
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
-// overlayRows produces the next epoch's overlay for one direction:
-// prev's rows shared structurally, rows touched by adds/dels rebuilt by
-// a sorted merge against their current (overlay-or-base) contents.
-// changed counts effective edge changes (inserted absent + removed
-// present); rows that end up identical are left untouched.
-func overlayRows(cur *graph.Graph, prev map[graph.VertexID][]graph.VertexID,
-	adds, dels map[graph.VertexID][]graph.VertexID) (map[graph.VertexID][]graph.VertexID, int) {
-	if len(adds) == 0 && len(dels) == 0 {
-		return prev, 0
-	}
-	next := make(map[graph.VertexID][]graph.VertexID, len(prev)+len(adds))
-	for v, row := range prev {
-		next[v] = row
-	}
-	touched := make(map[graph.VertexID]struct{}, len(adds)+len(dels))
-	for v := range adds {
-		touched[v] = struct{}{}
-	}
-	for v := range dels {
-		touched[v] = struct{}{}
-	}
-	changed := 0
-	for v := range touched {
-		var old []graph.VertexID
-		if int(v) < cur.NumVertices() {
-			old = cur.OutNeighbors(v) // grown vertices start with no row
-		}
-		row, delta := mergeRow(old, adds[v], dels[v])
+// nextGraph returns cur's successor overlay for one direction over n
+// vertices: every row the sorted adds/dels keys name is merged against
+// its current contents, in ascending row order, into one arena, and the
+// rows that changed replace cur's. m moves by the changed rows' length
+// differences. changed counts effective edge changes (inserted absent
+// + removed present); rows that end up identical are left untouched.
+func nextGraph(cur *graph.Graph, n int, adds, dels []uint64) (*graph.Graph, int) {
+	// Size the arena once: a merged row is at most its old row plus its
+	// adds, so rows sliced from it never move.
+	size, named := len(adds), 0
+	forRows(adds, dels, func(v graph.VertexID, _, _ []uint64) {
+		size += len(rowOf(cur, v))
+		named++
+	})
+	arena := make([]graph.VertexID, 0, size)
+	rows := make([]graph.Row, 0, named)
+	m, changed := cur.NumEdges(), 0
+	forRows(adds, dels, func(v graph.VertexID, adds, dels []uint64) {
+		old, start := rowOf(cur, v), len(arena)
+		var delta int
+		arena, delta = mergeRow(arena, old, adds, dels)
 		if delta == 0 {
-			continue
+			arena = arena[:start]
+			return
 		}
+		rows = append(rows, graph.Row{V: v, Nbrs: arena[start:len(arena):len(arena)]})
+		m += len(arena) - start - len(old)
 		changed += delta
-		next[v] = row
-	}
-	if len(next) == 0 {
-		return prev, changed
-	}
-	return next, changed
+	})
+	return graph.Overlay(cur, n, m, rows), changed
 }
 
-// mergeRow applies dels then adds to a sorted row, returning the new
-// sorted deduplicated row and the size of its symmetric difference
-// against old. A zero delta means the row is unchanged (deleting and
-// re-adding the same edge in one batch cancels out) and the returned
-// slice is meaningless.
-func mergeRow(old, adds, dels []graph.VertexID) ([]graph.VertexID, int) {
-	adds = sortedSet(adds)
-	dels = sortedSet(dels)
-
-	// Pass 1: old minus dels.
-	kept := make([]graph.VertexID, 0, len(old)+len(adds))
-	di := 0
-	for _, w := range old {
-		for di < len(dels) && dels[di] < w {
-			di++
-		}
-		if di < len(dels) && dels[di] == w {
-			continue
-		}
-		kept = append(kept, w)
+// rowOf returns v's current row in g, empty for a vertex g does not
+// have yet.
+func rowOf(g *graph.Graph, v graph.VertexID) []graph.VertexID {
+	if int(v) >= g.NumVertices() {
+		return nil
 	}
-
-	// Pass 2: union with adds.
-	out := kept
-	if len(adds) > 0 {
-		out = make([]graph.VertexID, 0, len(kept)+len(adds))
-		ki := 0
-		for _, w := range adds {
-			for ki < len(kept) && kept[ki] < w {
-				out = append(out, kept[ki])
-				ki++
-			}
-			if ki < len(kept) && kept[ki] == w {
-				continue // already present
-			}
-			out = append(out, w)
-		}
-		out = append(out, kept[ki:]...)
-	}
-	return out, symDiff(old, out)
+	return g.OutNeighbors(v)
 }
 
-// symDiff counts elements in exactly one of two sorted sets.
-func symDiff(a, b []graph.VertexID) int {
-	d, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
+// forRows calls fn once per row that the sorted adds or dels keys name,
+// in ascending row order, with that row's keys.
+func forRows(adds, dels []uint64, fn func(v graph.VertexID, adds, dels []uint64)) {
+	for len(adds) > 0 || len(dels) > 0 {
+		v := uint64(math.MaxUint64)
+		if len(adds) > 0 {
+			v = adds[0]
+		}
+		if len(dels) > 0 {
+			v = min(v, dels[0])
+		}
+		v >>= 32
+		a, d := 0, 0
+		for a < len(adds) && adds[a]>>32 == v {
+			a++
+		}
+		for d < len(dels) && dels[d]>>32 == v {
+			d++
+		}
+		fn(graph.VertexID(v), adds[:a], dels[:d])
+		adds, dels = adds[a:], dels[d:]
+	}
+}
+
+// mergeRow appends to arena the sorted row old with dels removed and
+// then adds inserted (both sorted keys of old's row; a neighbour is a
+// key's low 32 bits), and returns the grown arena and the number of
+// edges that changed. Zero means the row is unchanged — deleting and
+// re-adding an edge in one update cancels out.
+func mergeRow(arena, old []graph.VertexID, adds, dels []uint64) ([]graph.VertexID, int) {
+	changed, i, j := 0, 0, 0
+	for i < len(old) || j < len(adds) {
 		switch {
-		case a[i] == b[j]:
+		case j == len(adds) || i < len(old) && old[i] < graph.VertexID(adds[j]):
+			w := old[i]
 			i++
+			for len(dels) > 0 && graph.VertexID(dels[0]) < w {
+				dels = dels[1:]
+			}
+			if len(dels) > 0 && graph.VertexID(dels[0]) == w {
+				changed++
+				continue
+			}
+			arena = append(arena, w)
+		case i == len(old) || graph.VertexID(adds[j]) < old[i]:
+			arena = append(arena, graph.VertexID(adds[j]))
 			j++
-		case a[i] < b[j]:
-			d++
+			changed++
+		default: // present before and added: the add wins over a delete
+			arena = append(arena, old[i])
 			i++
-		default:
-			d++
 			j++
 		}
 	}
-	return d + (len(a) - i) + (len(b) - j)
-}
-
-// sortedSet sorts and deduplicates vs in place-ish, tolerating nil.
-func sortedSet(vs []graph.VertexID) []graph.VertexID {
-	if len(vs) == 0 {
-		return vs
-	}
-	vs = slices.Clone(vs)
-	slices.Sort(vs)
-	return slices.Compact(vs)
+	return arena, changed
 }

@@ -249,14 +249,12 @@ func TestCompactOnceFoldsNetZeroOverlay(t *testing.T) {
 
 	// Install the pathological state directly: overlay rows identical in
 	// content to the base (zero net delta) but structurally live.
-	fwd := map[graph.VertexID][]graph.VertexID{0: {1}}
-	bwd := map[graph.VertexID][]graph.VertexID{1: {0}}
 	s.cur.Store(&Snapshot{
-		epoch: cur.epoch + 1,
-		g:     graph.Overlay(cur.base, 3, fwd),
-		gr:    graph.Overlay(cur.baseR, 3, bwd),
-		base:  cur.base, baseR: cur.baseR,
-		fwd: fwd, bwd: bwd,
+		epoch:      cur.epoch + 1,
+		g:          graph.Overlay(cur.g, 3, 2, []graph.Row{{V: 0, Nbrs: []graph.VertexID{1}}}),
+		gr:         graph.Overlay(cur.gr, 3, 2, []graph.Row{{V: 1, Nbrs: []graph.VertexID{0}}}),
+		base:       cur.base,
+		baseR:      cur.baseR,
 		deltaEdges: 0,
 	})
 	if !s.Current().Graph().IsOverlay() {

@@ -59,11 +59,11 @@ func liveQueries(n int) []query.Query {
 // all four algorithms, sequentially and in parallel, cold and through a
 // shared epoch-keyed index cache.
 func TestLiveSnapshotEnginesMatchRebuild(t *testing.T) {
-	const n = 12
+	const n = 40 // past two 16-row overlay pages
 	rng := rand.New(rand.NewSource(11))
 	live := make(map[graph.Edge]bool)
 	var seed []graph.Edge
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 160; i++ {
 		e := graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n))}
 		if e.Src != e.Dst && !live[e] {
 			live[e] = true
