@@ -76,7 +76,6 @@ func main() {
 		countOnly = flag.Bool("count", false, "print per-query counts instead of paths")
 		maxHops   = flag.Int("maxhops", 15, "maximum accepted hop constraint")
 		limit     = flag.Int64("limit", 0, "max result paths per query (0 = unlimited)")
-		buildWork = flag.Int("buildworkers", 0, "index-build MS-BFS goroutines (0 = sequential, -1 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "total enumeration deadline; replay: per-batch QueryTimeout (0 = none)")
 
 		replay      = flag.Bool("replay", false, "replay queries through the micro-batching service")
@@ -98,7 +97,7 @@ func main() {
 		shardSpec   = flag.String("shard", "", "serve: this worker's identity as 'i/N' (shard i of N)")
 		listenAddr  = flag.String("listen", "", "serve: TCP address to listen on, e.g. :7070")
 		connectTo   = flag.String("connect", "", "replay/update-replay against remote workers: comma-separated addresses, one per shard in shard order")
-		verbose     = flag.Bool("v", false, "replay: print every batch's stats")
+		verbose     = flag.Bool("v", false, "replay: print every batch's stats and every reply")
 	)
 	flag.Parse()
 
@@ -163,7 +162,6 @@ func main() {
 		MaxHops:         *maxHops,
 		Limit:           *limit,
 		IndexCacheBytes: cacheBytes,
-		BuildWorkers:    *buildWork,
 	}
 
 	if *serve {
@@ -466,9 +464,12 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 			for i := c; i < len(qs); i += clients {
 				var retry *hcpath.BackoffSleeper // fresh budget per query
 				for {
-					_, _, err := svc.CountFrom(context.Background(), caller, qs[i])
+					n, _, err := svc.CountFrom(context.Background(), caller, qs[i])
 					switch {
 					case err == nil:
+						if rc.verbose {
+							fmt.Fprintf(os.Stderr, "reply: query %d: %d paths\n", i, n)
+						}
 					case errors.Is(err, hcpath.ErrLimitReached) || errors.Is(err, context.DeadlineExceeded):
 						truncated.Add(1) // partial count delivered, not a failure
 					case errors.Is(err, hcpath.ErrOverloaded):

@@ -205,14 +205,6 @@ type Options struct {
 	// recycles the dense arrays, while a Service caches with
 	// DefaultIndexCacheBytes — its whole point is repeated traffic.
 	IndexCacheBytes int64
-	// BuildWorkers parallelises the index-construction phase (the
-	// multi-source BFS passes that precede enumeration): positive runs
-	// each pass on that many goroutines with direction-optimizing
-	// push/pull levels, negative uses GOMAXPROCS, zero keeps the
-	// sequential reference kernel. Orthogonal to Workers, which
-	// parallelises the enumeration phase; results are identical either
-	// way.
-	BuildWorkers int
 }
 
 // DefaultIndexCacheBytes is the index-cache budget a Service uses when
@@ -223,12 +215,14 @@ const DefaultIndexCacheBytes = hcindex.DefaultCacheBytes
 // as uint8 internally, so anything larger would silently truncate.
 const maxHopsLimit = 255
 
-// resolveWorkers is the one place a public Workers or BuildWorkers
-// value becomes a goroutine count: positive is taken literally,
-// negative means GOMAXPROCS, and zero means what the option's owner
-// documents (an Engine's Workers 1, a Service's Workers GOMAXPROCS,
-// BuildWorkers the sequential kernel's 0). Everything below this
-// package takes the exact count and never reinterprets it.
+// resolveWorkers is the one place a public Workers value becomes a
+// goroutine count: positive is taken literally, negative means
+// GOMAXPROCS, and zero means what the option's owner documents (an
+// Engine's 1, a Service's GOMAXPROCS). Everything below this package
+// takes the exact count and never reinterprets it. The index build's
+// width is not an option: an Engine builds on GOMAXPROCS goroutines (it
+// has one batch in flight), a Service on one (its batch slots already
+// fill the cores).
 func resolveWorkers(n, zero int) int {
 	if n == 0 {
 		n = zero
@@ -272,10 +266,11 @@ func NewEngine(g *Graph, opts *Options) *Engine {
 	if opts != nil {
 		e.opts = *opts
 	}
+	width := runtime.GOMAXPROCS(0) // see resolveWorkers
 	if e.opts.IndexCacheBytes > 0 {
-		e.provider = hcindex.NewCacheWorkers(e.opts.IndexCacheBytes, resolveWorkers(e.opts.BuildWorkers, 0))
+		e.provider = hcindex.NewCacheWorkers(e.opts.IndexCacheBytes, width)
 	} else {
-		e.provider = hcindex.NewBuilderWorkers(true, resolveWorkers(e.opts.BuildWorkers, 0))
+		e.provider = hcindex.NewBuilderWorkers(true, width)
 	}
 	return e
 }
@@ -828,7 +823,6 @@ func (o ServiceOptions) config() service.Config {
 			Workers:   resolveWorkers(o.Workers, -1),
 		},
 		IndexCacheBytes: o.IndexCacheBytes,
-		BuildWorkers:    resolveWorkers(o.BuildWorkers, 0),
 		OnBatch:         o.OnBatch,
 		DataDir:         o.DataDir,
 		Fsync:           o.Fsync,

@@ -1,11 +1,19 @@
 package hcpath
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
+
+	"repro/internal/batchenum"
+	"repro/internal/graph"
+	"repro/internal/query"
 )
 
 // paperEdges is the Fig. 1 running example, through the public API.
@@ -212,14 +220,13 @@ func TestMaxHopsClamp(t *testing.T) {
 // TestWorkersBoundary pins the documented Workers semantics at the
 // public layer — the only layer that interprets them: positive is the
 // literal count, negative is GOMAXPROCS, and zero is the owner's
-// default (Engine.Workers inline, Service Workers GOMAXPROCS,
-// BuildWorkers the sequential kernel) — all with identical results.
+// default (Engine.Workers inline, Service Workers GOMAXPROCS) — all
+// with identical results.
 func TestWorkersBoundary(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	for _, c := range []struct{ n, zero, want int }{
 		{0, 1, 1}, {1, 1, 1}, {3, 1, 3}, {-1, 1, maxprocs}, // Engine.Workers
 		{0, -1, maxprocs}, {-2, -1, maxprocs}, {2, -1, 2}, // ServiceOptions.Workers
-		{0, 0, 0}, {-1, 0, maxprocs}, {4, 0, 4}, // BuildWorkers
 	} {
 		if got := resolveWorkers(c.n, c.zero); got != c.want {
 			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.n, c.zero, got, c.want)
@@ -241,27 +248,72 @@ func TestWorkersBoundary(t *testing.T) {
 	}
 }
 
-// TestBuildWorkersBoundary pins the documented BuildWorkers semantics
-// at the public layer: 0 is the sequential reference kernel, negative
-// is GOMAXPROCS, positive is the literal count — identical results in
-// every combination with enumeration Workers and the index cache.
-func TestBuildWorkersBoundary(t *testing.T) {
-	g := paperGraph(t)
-	want := []int64{3, 3, 1, 2, 2}
-	for _, build := range []int{-1, 0, 1, 4} {
-		for _, cacheBytes := range []int64{0, 1 << 20} {
-			eng := NewEngine(g, &Options{Workers: 1, BuildWorkers: build, IndexCacheBytes: cacheBytes})
-			counts, _, err := eng.Count(paperQueries)
-			if err != nil {
-				t.Fatalf("buildworkers=%d cache=%d: %v", build, cacheBytes, err)
-			}
-			for i, w := range want {
-				if counts[i] != w {
-					t.Errorf("buildworkers=%d cache=%d: query %d count %d, want %d",
-						build, cacheBytes, i, counts[i], w)
-				}
+// TestIndexBuildWidthEquivalence: an Engine builds its index on
+// GOMAXPROCS goroutines (at least two here), a Service serially, each
+// with the index cache on and off; all four answer a batch whose
+// endpoints span several 64-source chunks per direction with the
+// per-query counts of the serial, unshared BasicEnum run.
+func TestIndexBuildWidthEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	g := wrap(graph.GenErdosRenyi(400, 1600, 3))
+	rng := rand.New(rand.NewSource(29))
+	var qs []Query
+	var raw []query.Query
+	for len(qs) < 160 {
+		q := Query{S: VertexID(rng.Intn(400)), T: VertexID(rng.Intn(400)), K: 4 + rng.Intn(3)}
+		if q.S != q.T {
+			qs = append(qs, q)
+			raw = append(raw, query.Query{S: q.S, T: q.T, K: uint8(q.K)})
+		}
+	}
+	sink := query.NewCountSink(len(raw))
+	if _, err := batchenum.Run(g.g, g.gr, raw, batchenum.Options{Algorithm: batchenum.Basic}, nil, sink); err != nil {
+		t.Fatal(err)
+	}
+	want := sink.Counts
+	nonzero := 0
+	for _, c := range want {
+		if c > 0 {
+			nonzero++
+		}
+	}
+	if nonzero < len(want)/2 {
+		t.Fatalf("fixture too sparse: %d of %d queries have a path", nonzero, len(want))
+	}
+	check := func(label string, got []int64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: query %d %v: count %d, want %d", label, i, qs[i], got[i], want[i])
 			}
 		}
+	}
+	for _, cacheBytes := range []int64{-1, 1 << 20} {
+		counts, _, err := NewEngine(g, &Options{IndexCacheBytes: cacheBytes}).Count(qs)
+		if err != nil {
+			t.Fatalf("engine cache=%d: %v", cacheBytes, err)
+		}
+		check(fmt.Sprintf("engine cache=%d", cacheBytes), counts)
+
+		svc := NewService(g, &ServiceOptions{Options: Options{IndexCacheBytes: cacheBytes}})
+		counts = make([]int64, len(qs))
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := c; i < len(qs); i += 8 {
+					n, _, err := svc.Count(context.Background(), qs[i])
+					if err != nil {
+						t.Errorf("service cache=%d: query %d: %v", cacheBytes, i, err)
+					}
+					counts[i] = n
+				}
+			}(c)
+		}
+		wg.Wait()
+		svc.Close()
+		check(fmt.Sprintf("service cache=%d", cacheBytes), counts)
 	}
 }
 

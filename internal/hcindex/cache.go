@@ -85,8 +85,8 @@ type binding struct {
 // demands, which is the "stale entries evict naturally" half of the
 // contract.
 type Cache struct {
-	maxBytes     int64
-	buildWorkers int
+	maxBytes int64
+	width    int
 
 	mu       sync.Mutex
 	bindings []*binding // most recently served first
@@ -101,25 +101,22 @@ type Cache struct {
 }
 
 // NewCache returns an empty cache bounded by maxBytes of dense-array
-// storage; non-positive means DefaultCacheBytes. Miss builds run the
-// sequential reference kernel.
-func NewCache(maxBytes int64) *Cache { return NewCacheWorkers(maxBytes, 0) }
+// storage; non-positive means DefaultCacheBytes. Misses build serially.
+func NewCache(maxBytes int64) *Cache { return NewCacheWorkers(maxBytes, 1) }
 
-// NewCacheWorkers is NewCache with a build-parallelism knob: a positive
-// workers count runs every miss-filling MS-BFS pass on that many
-// goroutines with direction-optimizing push/pull levels; non-positive
-// keeps the sequential reference kernel.
+// NewCacheWorkers is NewCache building misses on up to workers
+// goroutines, as NewBuilderWorkers does.
 func NewCacheWorkers(maxBytes int64, workers int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
 	return &Cache{
-		maxBytes:     maxBytes,
-		buildWorkers: workers,
-		pools:        make(map[int]*msbfs.Pool),
-		entries:      make(map[entryKey]*entry),
-		caps:         make(map[dirVertex][]uint8),
-		lru:          list.New(),
+		maxBytes: maxBytes,
+		width:    workers,
+		pools:    make(map[int]*msbfs.Pool),
+		entries:  make(map[entryKey]*entry),
+		caps:     make(map[dirVertex][]uint8),
+		lru:      list.New(),
 	}
 }
 
@@ -252,37 +249,24 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	return idx
 }
 
-// buildMisses runs the two deduplicated MS-BFS passes for the missing
-// keys, positionally aligned with keys.
+// buildMisses builds the missing keys as one two-pass build — forward
+// sources on g, backward ones on gr — positionally aligned with keys.
 func (c *Cache) buildMisses(g, gr *graph.Graph, keys []entryKey, pool *msbfs.Pool) []*msbfs.DistMap {
 	if len(keys) == 0 {
 		return nil
 	}
+	passes := [2]msbfs.Pass{Forward: {G: g}, Backward: {G: gr}}
+	for _, key := range keys {
+		p := &passes[key.dir]
+		p.Sources = append(p.Sources, key.v)
+		p.Caps = append(p.Caps, key.cap)
+	}
+	res := msbfs.RunPasses(passes[:], pool, msbfs.BuildOptions{Workers: c.width})
 	out := make([]*msbfs.DistMap, len(keys))
-	for _, dir := range [2]Direction{Forward, Backward} {
-		var sources []graph.VertexID
-		var caps []uint8
-		var slots []int
-		for j, key := range keys {
-			if key.dir == dir {
-				sources = append(sources, key.v)
-				caps = append(caps, key.cap)
-				slots = append(slots, j)
-			}
-		}
-		if len(sources) == 0 {
-			continue
-		}
-		// (g, gr) are mutually reverse by the Provider contract, so each
-		// direction's pass hands the kernel the other graph for pull levels.
-		on, rev := g, gr
-		if dir == Backward {
-			on, rev = gr, g
-		}
-		opt := msbfs.BuildOptions{Workers: c.buildWorkers, Reverse: rev}
-		for j, dm := range msbfs.MultiSourceOpts(on, sources, caps, pool, opt) {
-			out[slots[j]] = dm
-		}
+	var next [2]int
+	for j, key := range keys {
+		out[j] = res[key.dir][next[key.dir]]
+		next[key.dir]++
 	}
 	return out
 }

@@ -289,3 +289,26 @@ func TestCacheChargesHeldCapacity(t *testing.T) {
 		t.Error("no recycled list was reused: the test exercises nothing")
 	}
 }
+
+// TestCacheMissAllocCeiling pins that serving builds serially: a
+// one-query miss through a cache of width 1 — the Service's — costs no
+// more than the 25 allocations it cost before builds could run wide:
+// no task list, no goroutine. A one-byte budget evicts both entries on
+// Release, so every call misses.
+func TestCacheMissAllocCeiling(t *testing.T) {
+	g, gr, qs := cacheFixture(t)
+	c := NewCache(1)
+	one := qs[2:3]
+	got := testing.AllocsPerRun(20, func() {
+		idx := c.Acquire(g, gr, 0, one)
+		if idx.Misses != 2 {
+			t.Fatalf("%d misses, want 2: the call must build both directions", idx.Misses)
+		}
+		idx.Release()
+	})
+	const ceiling = 25
+	t.Logf("%.0f allocs per one-query miss (ceiling %d)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("%.0f allocs per one-query miss exceeds %d", got, ceiling)
+	}
+}

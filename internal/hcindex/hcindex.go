@@ -45,28 +45,24 @@ func (idx *Index) Release() {
 
 // Build constructs the index for the batch with two multi-source BFS
 // passes (one on G, one on Gr), deduplicating identical (vertex, cap)
-// sources so shared endpoints are traversed once. Build runs the
-// sequential reference kernel; providers carry the parallelism knob.
+// sources so shared endpoints are traversed once. Build runs serially;
+// providers take a width.
 func Build(g, gr *graph.Graph, queries []query.Query) *Index {
-	return buildIn(g, gr, queries, nil, 0)
+	return buildIn(g, gr, queries, nil, 1)
 }
 
 // buildIn is Build drawing storage from pool (nil means plain
-// allocations) with workers goroutines per MS-BFS pass (non-positive
-// means the sequential reference kernel). The (g, gr) pair is mutually
-// reverse by the Provider contract, so each pass hands the kernel the
-// other graph for Beamer-style pull levels.
-func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, workers int) *Index {
-	idx := &Index{
-		fwd:    dedupRun(g, gr, queries, pool, workers, func(q query.Query) (graph.VertexID, uint8) { return q.S, q.K }),
-		bwd:    dedupRun(gr, g, queries, pool, workers, func(q query.Query) (graph.VertexID, uint8) { return q.T, q.K }),
-		Misses: 2 * len(queries),
-	}
-	return idx
+// allocations), with the 64-source chunks of both passes run as one
+// build on up to width goroutines.
+func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, width int) *Index {
+	fwd, fslot := dedup(g, queries, func(q query.Query) (graph.VertexID, uint8) { return q.S, q.K })
+	bwd, bslot := dedup(gr, queries, func(q query.Query) (graph.VertexID, uint8) { return q.T, q.K })
+	res := msbfs.RunPasses([]msbfs.Pass{fwd, bwd}, pool, msbfs.BuildOptions{Workers: width})
+	return &Index{fwd: fanOut(res[0], fslot), bwd: fanOut(res[1], bslot), Misses: 2 * len(queries)}
 }
 
 // releaseDistinct releases every distinct DistMap of the index once
-// (dedupRun aliases one map across the queries that share an endpoint).
+// (dedup aliases one map across the queries that share an endpoint).
 func (idx *Index) releaseDistinct() {
 	seen := make(map[*msbfs.DistMap]struct{}, len(idx.fwd)+len(idx.bwd))
 	for _, maps := range [2][]*msbfs.DistMap{idx.fwd, idx.bwd} {
@@ -85,29 +81,30 @@ type srcKey struct {
 	k uint8
 }
 
-// dedupRun runs one multi-source BFS for the distinct (vertex, cap)
-// pairs produced by pick, then fans results back out per query. rev is
-// the edge-reverse of g, enabling the kernel's pull direction when
-// workers selects the parallel engine.
-func dedupRun(g, rev *graph.Graph, queries []query.Query, pool *msbfs.Pool, workers int, pick func(query.Query) (graph.VertexID, uint8)) []*msbfs.DistMap {
+// dedup collects the distinct (vertex, cap) pairs pick produces into
+// one pass on g, and returns for each query the position of its pair.
+func dedup(g *graph.Graph, queries []query.Query, pick func(query.Query) (graph.VertexID, uint8)) (msbfs.Pass, []int) {
+	pass := msbfs.Pass{G: g}
 	slot := make(map[srcKey]int)
-	var sources []graph.VertexID
-	var caps []uint8
 	assign := make([]int, len(queries))
 	for i, q := range queries {
 		v, k := pick(q)
 		key := srcKey{v, k}
 		s, ok := slot[key]
 		if !ok {
-			s = len(sources)
+			s = len(pass.Sources)
 			slot[key] = s
-			sources = append(sources, v)
-			caps = append(caps, k)
+			pass.Sources = append(pass.Sources, v)
+			pass.Caps = append(pass.Caps, k)
 		}
 		assign[i] = s
 	}
-	res := msbfs.MultiSourceOpts(g, sources, caps, pool, msbfs.BuildOptions{Workers: workers, Reverse: rev})
-	out := make([]*msbfs.DistMap, len(queries))
+	return pass, assign
+}
+
+// fanOut hands each query the map its deduplicated source built.
+func fanOut(res []*msbfs.DistMap, assign []int) []*msbfs.DistMap {
+	out := make([]*msbfs.DistMap, len(assign))
 	for i, s := range assign {
 		out[i] = res[s]
 	}

@@ -65,8 +65,8 @@ func (s Stats) HitRatio() float64 {
 // What it retains between batches is sized by |V| only: the visited
 // lists, sized by each source's reach, go back to the collector.
 type Builder struct {
-	pooled  bool
-	workers int
+	pooled bool
+	width  int
 
 	mu   sync.Mutex
 	pool *msbfs.Pool // lazily sized to the graph seen
@@ -74,16 +74,15 @@ type Builder struct {
 	misses atomic.Int64
 }
 
-// NewBuilder returns a cold Provider; pooled selects dense-array
-// recycling. Builds run the sequential reference kernel.
-func NewBuilder(pooled bool) *Builder { return &Builder{pooled: pooled} }
+// NewBuilder returns a cold Provider that builds serially; pooled
+// selects dense-array recycling.
+func NewBuilder(pooled bool) *Builder { return NewBuilderWorkers(pooled, 1) }
 
-// NewBuilderWorkers is NewBuilder with a build-parallelism knob: a
-// positive workers count runs every MS-BFS pass on that many goroutines
-// with direction-optimizing push/pull levels; non-positive keeps the
-// sequential reference kernel.
+// NewBuilderWorkers is NewBuilder building on up to workers goroutines:
+// the 64-source chunks of both directions run as one task list. Its
+// owner passes the width — the cores its one batch in flight can use.
 func NewBuilderWorkers(pooled bool, workers int) *Builder {
-	return &Builder{pooled: pooled, workers: workers}
+	return &Builder{pooled: pooled, width: workers}
 }
 
 // Acquire implements Provider with a fresh build; a cold builder has no
@@ -98,7 +97,7 @@ func (b *Builder) Acquire(g, gr *graph.Graph, _ uint64, queries []query.Query) *
 		pool = b.pool
 		b.mu.Unlock()
 	}
-	idx := buildIn(g, gr, queries, pool, b.workers)
+	idx := buildIn(g, gr, queries, pool, b.width)
 	if pool != nil {
 		idx.release = func() {
 			idx.releaseDistinct()

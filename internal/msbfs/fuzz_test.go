@@ -7,12 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// FuzzMultiSource differentially checks the chunked engines against the
-// reference BFS (referenceMaps, which shares no code with them): for a
-// fuzzed graph size, source multiset, cap mix, worker count, and pull
-// availability, MultiSourceOpts must reproduce it byte for byte. Sizes
-// run past 4096 vertices and 64 sources, so the fuzzer reaches the
-// second word of the touched bitmap's summary and the chunk boundary.
+// FuzzMultiSource differentially checks the chunk task runner against
+// the reference BFS (referenceMaps, which shares no code with the
+// kernel): for a fuzzed graph size, source multiset, cap mix and width,
+// RunPasses must reproduce it byte for byte — one pass, or with
+// twoPass a second, backward pass on the reverse with a different
+// source count, whose chunks join the same task list. Sizes run past
+// 4096 vertices and 64 sources, so the fuzzer reaches the second word
+// of the touched bitmap's summary and the chunk boundary.
 func FuzzMultiSource(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(0), false, uint16(58))
 	f.Add(int64(2), uint8(130), uint8(3), true, uint16(58))
@@ -21,30 +23,37 @@ func FuzzMultiSource(f *testing.F) {
 	f.Add(int64(4), uint8(100), uint8(0), false, uint16(4095))
 	f.Add(int64(5), uint8(139), uint8(2), true, uint16(4200))
 	f.Add(int64(6), uint8(65), uint8(4), false, uint16(8190))
-	f.Fuzz(func(t *testing.T, seed int64, nSrcRaw, workersRaw uint8, usePull bool, nRaw uint16) {
+	f.Fuzz(func(t *testing.T, seed int64, nSrcRaw, widthRaw uint8, twoPass bool, nRaw uint16) {
 		n := int(nRaw)%9000 + 2
 		g := graph.GenRandom(n, 3, seed)
 		rng := rand.New(rand.NewSource(seed + 1))
-		nSrc := int(nSrcRaw)%140 + 1 // up to three chunks
-		workers := int(workersRaw) % 9
-		sources := make([]graph.VertexID, nSrc)
-		caps := make([]uint8, nSrc)
-		for i := range sources {
-			sources[i] = graph.VertexID(rng.Intn(n))
-			switch rng.Intn(5) {
-			case 0:
-				caps[i] = 0
-			case 1:
-				caps[i] = 255
-			default:
-				caps[i] = uint8(rng.Intn(6))
+		width := int(widthRaw) % 9
+		draw := func(nSrc int) ([]graph.VertexID, []uint8) {
+			sources := make([]graph.VertexID, nSrc)
+			caps := make([]uint8, nSrc)
+			for i := range sources {
+				sources[i] = graph.VertexID(rng.Intn(n))
+				switch rng.Intn(5) {
+				case 0:
+					caps[i] = 0
+				case 1:
+					caps[i] = 255
+				default:
+					caps[i] = uint8(rng.Intn(6))
+				}
 			}
+			return sources, caps
 		}
-		var rev *graph.Graph
-		if usePull {
-			rev = g.Reverse()
+		sources, caps := draw(int(nSrcRaw)%140 + 1) // up to three chunks
+		passes := []Pass{{G: g, Sources: sources, Caps: caps}}
+		if twoPass {
+			rev := g.Reverse()
+			bs, bc := draw((int(nSrcRaw)*7)%140 + 1)
+			passes = append(passes, Pass{G: rev, Sources: bs, Caps: bc})
 		}
-		got := MultiSourceOpts(g, sources, caps, nil, BuildOptions{Workers: workers, Reverse: rev})
-		requireEqualMaps(t, n, got, referenceMaps(g, sources, caps))
+		got := RunPasses(passes, nil, BuildOptions{Workers: width})
+		for i, p := range passes {
+			requireEqualMaps(t, n, got[i], referenceMaps(p.G, p.Sources, p.Caps))
+		}
 	})
 }

@@ -17,6 +17,11 @@
 // lists allocated once at their exact size and born sorted, nothing
 // compared — and zeroes the traversal scratch behind itself, which is
 // the clean-scratch invariant the Pool relies on.
+//
+// There is one kernel, chunkRun, and it is sequential. A build uses
+// several cores one level up, by running independent chunks at once
+// (parallel.go); nothing inside a chunk is shared, so nothing in the
+// kernel is atomic.
 package msbfs
 
 import (
@@ -218,16 +223,14 @@ func (p *Pool) DropVisited() {
 }
 
 // chunkScratch is the per-chunk traversal state: one uint64 word per
-// vertex for the seen/frontier/next bit sets, the per-level mark bitmap
-// the parallel repack drains, the touched bitmap — a bit for every
-// vertex that ever entered a frontier, under two summary levels (a bit
-// per word of the level below) so the sweep skips 2¹⁸ untouched
-// vertices per test — and two flat vertex arrays pre-sized to n so the
-// level loop never grows them by append. Free scratch is kept clean
-// (words zero, vert slices length 0); sweep restores that.
+// vertex for the seen/frontier/next bit sets, the touched bitmap — a
+// bit for every vertex that ever entered a frontier, under two summary
+// levels (a bit per word of the level below) so the sweep skips 2¹⁸
+// untouched vertices per test — and two flat vertex arrays pre-sized
+// to n so the level loop never grows them by append. Free scratch is
+// kept clean (words zero, vert slices length 0); sweep restores that.
 type chunkScratch struct {
 	seen, frontier, next []uint64
-	marks                []uint64    // ⌈n/64⌉ words
 	touched              [3][]uint64 // ⌈n/64⌉, ⌈n/64²⌉, ⌈n/64³⌉ words
 	frontierVerts        []graph.VertexID
 	nextVerts            []graph.VertexID
@@ -238,7 +241,6 @@ func newChunkScratch(n int) *chunkScratch {
 		seen:          make([]uint64, n),
 		frontier:      make([]uint64, n),
 		next:          make([]uint64, n),
-		marks:         make([]uint64, (n+63)/64),
 		frontierVerts: make([]graph.VertexID, 0, n),
 		nextVerts:     make([]graph.VertexID, 0, n),
 	}
@@ -366,17 +368,15 @@ func sizeLists(out []*DistMap, counts *[64]int32) {
 	}
 }
 
-// sweep emits the visited lists of the slots in slotMask: one ascending
-// pass over the touched bitmap appends each vertex to the list of every
-// slot whose seen bit is set, in vertex order, into the capacity
-// sizeLists provided. With clean set it also zeroes every scratch word
-// it passes, which is exhaustive because bits only enter seen, frontier
-// and next at touched vertices; callers that stripe slots across
-// goroutines sweep read-only and clean in one more call. Cost is
+// sweep emits the visited lists: one ascending pass over the touched
+// bitmap appends each vertex to the list of every slot whose seen bit
+// is set, in vertex order, into the capacity sizeLists provided, and
+// zeroes every scratch word it passes, which is exhaustive because bits
+// only enter seen, frontier and next at touched vertices. Cost is
 // O(|V|/64³ + touched + Σ|Γ|).
 //
 //hcpath:noalloc
-func sweep(sc *chunkScratch, out []*DistMap, slotMask uint64, clean bool) {
+func sweep(sc *chunkScratch, out []*DistMap) {
 	t := &sc.touched
 	for i2, w2 := range t[2] {
 		for ; w2 != 0; w2 &= w2 - 1 {
@@ -385,25 +385,22 @@ func sweep(sc *chunkScratch, out []*DistMap, slotMask uint64, clean bool) {
 				i0 := i1<<6 | bits.TrailingZeros64(w1)
 				for w0 := t[0][i0]; w0 != 0; w0 &= w0 - 1 {
 					v := graph.VertexID(i0<<6 | bits.TrailingZeros64(w0))
-					for lanes := sc.seen[v] & slotMask; lanes != 0; lanes &= lanes - 1 {
+					for lanes := sc.seen[v]; lanes != 0; lanes &= lanes - 1 {
 						dm := out[bits.TrailingZeros64(lanes)]
 						dm.visited = append(dm.visited, v)
 					}
-					if clean {
-						sc.seen[v], sc.frontier[v], sc.next[v] = 0, 0, 0
-					}
+					sc.seen[v], sc.frontier[v], sc.next[v] = 0, 0, 0
 				}
-				if clean { // w0, w1 and w2 are copies: the words can go now
-					t[0][i0], t[1][i1], t[2][i2] = 0, 0, 0
-				}
+				// w0, w1 and w2 are copies: the words can go now.
+				t[0][i0], t[1][i1], t[2][i2] = 0, 0, 0
 			}
 		}
 	}
 }
 
-// chunkRun advances up to 64 bounded BFSs simultaneously: the
-// single-threaded push-only reference implementation the parallel
-// direction-optimizing variant (chunkRunPar) is proven against.
+// chunkRun advances up to 64 bounded BFSs simultaneously, pushing each
+// level's frontier along out-edges. It is the package's one kernel;
+// concurrent calls on one Pool are safe, each on its own scratch.
 func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool) {
 	k := len(sources)
 	maxCap, sc := setupChunk(g, sources, caps, out, pool)
@@ -450,7 +447,7 @@ func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*Dis
 		frontierVerts, nextVerts = nextVerts, frontierVerts
 	}
 	sizeLists(out, &counts)
-	sweep(sc, out, ^uint64(0), true)
+	sweep(sc, out)
 	sc.frontierVerts, sc.nextVerts = frontierVerts[:0], nextVerts[:0]
 	releaseScratch(pool, sc)
 }

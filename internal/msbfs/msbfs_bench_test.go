@@ -10,14 +10,9 @@ import (
 // benchGraph is a mid-size community graph shared by the benchmarks.
 var benchGraph = graph.GenCommunityPowerLaw(20000, 200, 6, 0.97, 3)
 
-// benchReverse lazily builds benchGraph's reverse for the pull-enabled
-// variants, outside any timed region.
+// benchReverse lazily builds benchGraph's reverse for the two-pass
+// cases, outside any timed region.
 var benchReverse = sync.OnceValue(func() *graph.Graph { return benchGraph.Reverse() })
-
-// benchDense is a dense Erdős–Rényi graph (avg out-degree 50) whose
-// middle BFS levels cross the Beamer threshold, exercising the pull
-// direction the community graph's sparse frontiers never reach.
-var benchDense = sync.OnceValue(func() *graph.Graph { return graph.GenErdosRenyi(4000, 200000, 7) })
 
 // benchSparse is the harness's offline_sparse_random graph (the EP
 // stand-in at scale 8), where index construction dominates a batch.
@@ -42,49 +37,50 @@ func benchSourcesOn(g *graph.Graph, nSrc int, capLo, capHi uint8) ([]graph.Verte
 
 func benchSources() ([]graph.VertexID, []uint8) { return benchSourcesOn(benchGraph, 128, 6, 6) }
 
-// multiSourceCase is one BenchmarkMultiSource configuration with the
-// allocs per warm build TestMultiSourceAllocCeilings last recorded for
-// it (zero for the cases that are only timed).
+// multiSourceCase is one BenchmarkMultiSource configuration: passes
+// built as one build at width, with the allocs per warm build
+// TestMultiSourceAllocCeilings last recorded for it (zero for the cases
+// that are only timed).
 type multiSourceCase struct {
-	name    string
-	g       *graph.Graph
-	sources []graph.VertexID
-	caps    []uint8
-	opt     BuildOptions
-	allocs  float64
+	name   string
+	passes []Pass
+	width  int
+	allocs float64
 }
 
-// multiSourceCases are the sequential reference kernel, the parallel
-// direction-optimizing engine, and the parallel engine on a dense graph
-// where the Beamer heuristic selects pull for the fat middle levels.
+// multiSourceCases are one pass through the serial path, and an index's
+// shape — a forward pass and a backward pass on the reverse, four
+// chunks in all — serially and on two goroutines.
 func multiSourceCases() []multiSourceCase {
 	sources, caps := benchSources()
-	dense := benchDense()
-	denseSources, denseCaps := benchSourcesOn(dense, 64, 6, 6)
+	fwd := Pass{G: benchGraph, Sources: sources, Caps: caps}
+	two := []Pass{fwd, {G: benchReverse(), Sources: sources, Caps: caps}}
 	return []multiSourceCase{
-		{"Seq", benchGraph, sources, caps, BuildOptions{}, 150},
-		{"Par", benchGraph, sources, caps, BuildOptions{Workers: 4, Reverse: benchReverse()}, 366},
-		{"PullDense", dense, denseSources, denseCaps, BuildOptions{Workers: 4, Reverse: dense.Reverse()}, 207},
+		{"Seq", []Pass{fwd}, 1, 151},
+		{"TwoPassW1", two, 1, 301},
+		{"TwoPassW2", two, 2, 306},
 	}
 }
 
-// reachCases time the sequential kernel by what it reaches: the
-// harness's sparse batch shape (200 spread endpoints, caps 5–7), and
-// one shallow source on a graph large enough that anything done per
-// vertex would dominate.
+// reachCases time the serial kernel by what it reaches: the harness's
+// sparse batch shape (200 spread endpoints, caps 5–7), and one shallow
+// source on a graph large enough that anything done per vertex would
+// dominate.
 func reachCases() []multiSourceCase {
 	sparse, large := benchSparse(), benchLarge()
 	sparseSources, sparseCaps := benchSourcesOn(sparse, 200, 5, 7)
 	return []multiSourceCase{
-		{"Sparse200", sparse, sparseSources, sparseCaps, BuildOptions{}, 0},
-		{"OneSourceLargeN", large, []graph.VertexID{graph.VertexID(large.NumVertices() / 2)}, []uint8{2}, BuildOptions{}, 0},
+		{"Sparse200", []Pass{{G: sparse, Sources: sparseSources, Caps: sparseCaps}}, 1, 0},
+		{"OneSourceLargeN", []Pass{{G: large, Sources: []graph.VertexID{graph.VertexID(large.NumVertices() / 2)}, Caps: []uint8{2}}}, 1, 0},
 	}
 }
 
 // build runs the case once on pool and hands every map back.
 func (c multiSourceCase) build(pool *Pool) {
-	for _, dm := range MultiSourceOpts(c.g, c.sources, c.caps, pool, c.opt) {
-		dm.Release()
+	for _, res := range RunPasses(c.passes, pool, BuildOptions{Workers: c.width}) {
+		for _, dm := range res {
+			dm.Release()
+		}
 	}
 }
 
@@ -96,7 +92,7 @@ func (c multiSourceCase) build(pool *Pool) {
 func BenchmarkMultiSource(b *testing.B) {
 	for _, c := range append(multiSourceCases(), reachCases()...) {
 		b.Run(c.name, func(b *testing.B) {
-			pool := NewPool(c.g.NumVertices())
+			pool := NewPool(c.passes[0].G.NumVertices())
 			c.build(pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -106,14 +102,14 @@ func BenchmarkMultiSource(b *testing.B) {
 	}
 }
 
-// TestMultiSourceAllocCeilings keeps the pooled kernels' steady state
+// TestMultiSourceAllocCeilings keeps the pooled builds' steady state
 // from regrowing allocations: one warm build may allocate at most 1.25×
 // its recorded level. (AllocsPerRun's own warm-up call primes the pool;
 // nothing here goes through a sync.Pool, so the count holds under -race
 // too.)
 func TestMultiSourceAllocCeilings(t *testing.T) {
 	for _, c := range multiSourceCases() {
-		pool := NewPool(c.g.NumVertices())
+		pool := NewPool(c.passes[0].G.NumVertices())
 		got := testing.AllocsPerRun(3, func() { c.build(pool) })
 		ceiling := c.allocs * 1.25
 		t.Logf("%s: %.0f allocs per build (ceiling %.0f)", c.name, got, ceiling)

@@ -2,6 +2,7 @@ package msbfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,6 +22,9 @@ func requireEqualMaps(t *testing.T, n int, got, want []*DistMap) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
+		if g == nil {
+			t.Fatalf("result %d (src=%d cap=%d) was never built", i, w.Source, w.Cap)
+		}
 		if g.Source != w.Source || g.Cap != w.Cap {
 			t.Fatalf("result %d misaligned: (%d,%d) want (%d,%d)", i, g.Source, g.Cap, w.Source, w.Cap)
 		}
@@ -77,47 +81,13 @@ func corpus() map[string]*graph.Graph {
 	}
 }
 
-// TestParallelMatchesSequential is the differential oracle of the
-// parallel direction-optimizing engine: over a corpus of graph shapes,
-// random sources (duplicates included) and boundary caps, every
-// combination of worker count, pull availability, and pooling must
-// reproduce the sequential reference byte for byte.
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for name, g := range corpus() {
-		t.Run(name, func(t *testing.T) {
-			n := g.NumVertices()
-			rev := g.Reverse()
-			// 130 sources spans three chunks (concurrent on Workers>1).
-			sources, caps := randomSources(rng, n, 130)
-			want := MultiSource(g, sources, caps)
-			for _, workers := range []int{1, 2, 3, 8} {
-				for _, r := range []*graph.Graph{nil, rev} {
-					got := MultiSourceOpts(g, sources, caps, nil, BuildOptions{Workers: workers, Reverse: r})
-					requireEqualMaps(t, n, got, want)
-
-					pool := NewPool(n)
-					for round := 0; round < 2; round++ {
-						pooled := MultiSourceOpts(g, sources, caps, pool, BuildOptions{Workers: workers, Reverse: r})
-						requireEqualMaps(t, n, pooled, want)
-						for _, dm := range pooled {
-							dm.Release()
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestParallelOverlaySnapshots runs the parallel engine on live overlay
-// snapshots from the versioned store — the graphs the index layer
-// actually builds against after updates — using the snapshot's own
-// symmetric reverse for pull, against the sequential reference.
-func TestParallelOverlaySnapshots(t *testing.T) {
+// overlaySnapshot returns a live overlay snapshot of the versioned
+// store, the graphs the index layer builds against after updates: its
+// forward graph and its own reverse.
+func overlaySnapshot(t *testing.T) (g, rev *graph.Graph) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	base := graph.GenErdosRenyi(200, 1200, 3)
-	st := store.New(base, store.Options{CompactAfter: -1}) // keep the overlay live
+	st := store.New(graph.GenErdosRenyi(200, 1200, 3), store.Options{CompactAfter: -1}) // keep the overlay live
 	var adds, dels []graph.Edge
 	for i := 0; i < 300; i++ {
 		adds = append(adds, graph.Edge{Src: graph.VertexID(rng.Intn(220)), Dst: graph.VertexID(rng.Intn(220))})
@@ -129,55 +99,93 @@ func TestParallelOverlaySnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyUpdates: %v", err)
 	}
-	g, rev := snap.Graph(), snap.Reverse()
-	if !g.IsOverlay() {
+	if !snap.Graph().IsOverlay() {
 		t.Fatal("expected a live overlay snapshot")
 	}
+	return snap.Graph(), snap.Reverse()
+}
+
+// tableSources draws nSrc sources with caps 0..7 in which every fifth
+// source repeats an earlier one with its own cap, so lanes of one chunk
+// and chunks of one pass carry the same vertex.
+func tableSources(rng *rand.Rand, n, nSrc int) ([]graph.VertexID, []uint8) {
+	sources := make([]graph.VertexID, nSrc)
+	caps := make([]uint8, nSrc)
+	for i := range sources {
+		sources[i] = graph.VertexID(rng.Intn(n))
+		if i%5 == 4 {
+			sources[i] = sources[rng.Intn(i)]
+		}
+		caps[i] = uint8(rng.Intn(8))
+	}
+	return sources, caps
+}
+
+// TestParallelMatchesSequential is the differential table of the chunk
+// task runner, held to the sequential reference BFS (referenceMaps): a
+// forward pass on the graph and a backward pass on its reverse, built
+// as one task list, for every width (1 is the serial path), source
+// counts on both sides of every chunk boundary and unequal between the
+// two passes, duplicate sources, caps 0..7, unpooled and through a pool
+// whose storage has already cycled once — on the corpus and on a live
+// overlay snapshot.
+func TestParallelMatchesSequential(t *testing.T) {
+	counts := []int{1, 63, 64, 65, 128, 129, 200}
+	graphs := corpus()
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) { requireRunnerTable(t, g, g.Reverse(), counts) })
+	}
+	t.Run("overlay", func(t *testing.T) {
+		g, rev := overlaySnapshot(t)
+		requireRunnerTable(t, g, rev, counts)
+	})
+}
+
+// requireRunnerTable runs TestParallelMatchesSequential's table on one
+// graph and its reverse.
+func requireRunnerTable(t *testing.T, g, rev *graph.Graph, counts []int) {
 	n := g.NumVertices()
-	sources, caps := randomSources(rng, n, 100)
-	want := MultiSource(g, sources, caps)
-	for _, workers := range []int{1, 4} {
-		for _, r := range []*graph.Graph{nil, rev} {
-			got := MultiSourceOpts(g, sources, caps, nil, BuildOptions{Workers: workers, Reverse: r})
-			requireEqualMaps(t, n, got, want)
+	rng := rand.New(rand.NewSource(int64(n)))
+	for i, nf := range counts {
+		nb := counts[(i+3)%len(counts)] // unequal: the backward pass has its own chunking
+		fs, fc := tableSources(rng, n, nf)
+		bs, bc := tableSources(rng, n, nb)
+		want := [][]*DistMap{referenceMaps(g, fs, fc), referenceMaps(rev, bs, bc)}
+		passes := []Pass{{G: g, Sources: fs, Caps: fc}, {G: rev, Sources: bs, Caps: bc}}
+		for _, width := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("sources %d/%d width %d", nf, nb, width)
+			opt := BuildOptions{Workers: width}
+			check := func(got [][]*DistMap) {
+				t.Helper()
+				if len(got) != 2 {
+					t.Fatalf("%s: %d results, want 2", label, len(got))
+				}
+				requireEqualMaps(t, n, got[0], want[0])
+				requireEqualMaps(t, n, got[1], want[1])
+			}
+			check(RunPasses(passes, nil, opt))
+			pool := NewPool(n)
+			for round := 0; round < 2; round++ {
+				got := RunPasses(passes, pool, opt)
+				check(got)
+				for _, res := range got {
+					for _, dm := range res {
+						dm.Release()
+					}
+				}
+				requireCleanPool(t, pool)
+			}
 		}
 	}
 }
 
-// TestParallelPullFires pins the direction switch itself: on a dense
-// graph with large caps the Beamer threshold must select pull for the
-// dense middle levels, and the results must still match the reference.
-// The frontierCost probe asserts the heuristic actually crosses the
-// threshold, so the pull path cannot silently rot into dead code.
-func TestParallelPullFires(t *testing.T) {
-	g := graph.GenErdosRenyi(500, 25000, 9) // avg out-degree 50
-	rev := g.Reverse()
-	n := g.NumVertices()
-	sources := []graph.VertexID{0, 7, 123, 456}
-	caps := []uint8{4, 4, 4, 4}
-
-	// After one hop a 50-degree frontier covers ~10% of the graph;
-	// its out-degree sum (~2500+) dwarfs (m+n)/20 = 1275.
-	level1 := Single(g, 0, 1)
-	if cost := frontierCost(g, level1.Visited()); cost <= (g.NumEdges()+n)/pullDenom {
-		t.Fatalf("bench graph too sparse for the pull threshold: cost %d ≤ %d", cost, (g.NumEdges()+n)/pullDenom)
-	}
-
-	want := MultiSource(g, sources, caps)
-	for _, workers := range []int{1, 4} {
-		got := MultiSourceOpts(g, sources, caps, nil, BuildOptions{Workers: workers, Reverse: rev})
-		requireEqualMaps(t, n, got, want)
-	}
-}
-
-// TestParallelConcurrentChunksSharedPool drives several MultiSourceOpts
-// runs through one pool from concurrent goroutines — the service's
-// shape, where in-flight batches share the cache's per-|V| pool — and
-// checks every run against the reference. Run under -race this is the
-// chunk-concurrency safety proof.
+// TestParallelConcurrentChunksSharedPool drives several wide builds
+// through one pool from concurrent goroutines — an Engine's shape when
+// callers share it, in-flight batches sharing the provider's per-|V|
+// pool — and checks every run against the reference. Run under -race
+// this is the chunk-concurrency safety proof.
 func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 	g := graph.GenPowerLaw(600, 4, 11)
-	rev := g.Reverse()
 	n := g.NumVertices()
 	pool := NewPool(n)
 	rng := rand.New(rand.NewSource(23))
@@ -190,7 +198,7 @@ func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 	runs := make([]run, 4)
 	for i := range runs {
 		s, c := randomSources(rng, n, 200) // 4 chunks each
-		runs[i] = run{s, c, MultiSource(g, s, c)}
+		runs[i] = run{s, c, referenceMaps(g, s, c)}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(runs))
@@ -198,7 +206,7 @@ func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 		wg.Add(1)
 		go func(r run) {
 			defer wg.Done()
-			got := MultiSourceOpts(g, r.sources, r.caps, pool, BuildOptions{Workers: 4, Reverse: rev})
+			got := MultiSourceOpts(g, r.sources, r.caps, pool, BuildOptions{Workers: 4})
 			for i := range got {
 				if got[i].NumVisited() != r.want[i].NumVisited() {
 					errs <- errMismatch
@@ -221,16 +229,16 @@ func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	requireCleanPool(t, pool)
 }
 
 // TestScratchPoolReuse: repeated builds through one pool must stop
 // allocating chunk scratch after the first round, and whatever a build
 // did — ran to exhaustion, was cut short by its caps with a frontier
 // still standing, carried the same source in several lanes — the
-// scratch it hands back is clean to the last word, in both kernels.
+// scratch it hands back is clean to the last word, at every width.
 func TestScratchPoolReuse(t *testing.T) {
 	g := graph.GenRandom(300, 4, 11)
-	rev := g.Reverse()
 	n := g.NumVertices()
 	random, randomCaps := randomSources(rand.New(rand.NewSource(5)), n, 64)
 	builds := map[string]struct {
@@ -249,7 +257,7 @@ func TestScratchPoolReuse(t *testing.T) {
 		if last := b.caps[1]; b.cutShort && Single(g, b.sources[1], last+1).NumVisited() == Single(g, b.sources[1], last).NumVisited() {
 			t.Fatalf("%s: the cap does not cut the search short, the frontier was already empty", name)
 		}
-		for _, opt := range []BuildOptions{{}, {Workers: 2}, {Workers: 2, Reverse: rev}} {
+		for _, opt := range []BuildOptions{{}, {Workers: 2}} {
 			pool := NewPool(n)
 			for round := 0; round < 4; round++ {
 				for _, dm := range MultiSourceOpts(g, b.sources, b.caps, pool, opt) {
@@ -269,7 +277,7 @@ func TestScratchPoolReuse(t *testing.T) {
 	}
 }
 
-var errMismatch = errForm("parallel result diverged from sequential reference")
+var errMismatch = errForm("parallel result diverged from the reference")
 
 type errForm string
 

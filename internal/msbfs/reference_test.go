@@ -12,11 +12,11 @@ import (
 	"repro/internal/testgraphs"
 )
 
-// referenceMaps is the oracle neither production kernel shares code
-// with: one plain queue BFS per source, stopped at its cap, its visited
-// list put in order by a comparison sort. Both kernels emit their lists
-// through the same sweep, so comparing them to each other would let a
-// sweep bug through twice; this cannot.
+// referenceMaps is the oracle the kernel shares no code with: one plain
+// queue BFS per source, stopped at its cap, its visited list put in
+// order by a comparison sort. Every width runs the same kernel and the
+// same sweep, so comparing widths to each other would let a kernel or
+// sweep bug through everywhere at once; this cannot.
 func referenceMaps(g *graph.Graph, sources []graph.VertexID, caps []uint8) []*DistMap {
 	n := g.NumVertices()
 	out := make([]*DistMap, len(sources))
@@ -48,19 +48,15 @@ func referenceMaps(g *graph.Graph, sources []graph.VertexID, caps []uint8) []*Di
 	return out
 }
 
-// requireMatchesReference holds every way of building — sequential,
-// parallel at 1/2/4 workers with pull on and off, each unpooled and
-// through a pool whose storage has already cycled once — to the
-// reference, and the pool to the clean-storage invariant afterwards.
-func requireMatchesReference(t *testing.T, g, rev *graph.Graph, sources []graph.VertexID, caps []uint8) {
+// requireMatchesReference holds every way of building — serially and
+// at widths 2 and 4, each unpooled and through a pool whose storage has
+// already cycled once — to the reference, and the pool to the
+// clean-storage invariant afterwards.
+func requireMatchesReference(t *testing.T, g *graph.Graph, sources []graph.VertexID, caps []uint8) {
 	t.Helper()
 	n := g.NumVertices()
 	want := referenceMaps(g, sources, caps)
-	opts := []BuildOptions{{}}
-	for _, workers := range []int{1, 2, 4} {
-		opts = append(opts, BuildOptions{Workers: workers}, BuildOptions{Workers: workers, Reverse: rev})
-	}
-	for _, opt := range opts {
+	for _, opt := range []BuildOptions{{}, {Workers: 2}, {Workers: 4}} {
 		requireEqualMaps(t, n, MultiSourceOpts(g, sources, caps, nil, opt), want)
 		pool := NewPool(n)
 		for round := 0; round < 2; round++ {
@@ -76,8 +72,8 @@ func requireMatchesReference(t *testing.T, g, rev *graph.Graph, sources []graph.
 
 // requireCleanPool asserts the invariant acquisition relies on: every
 // free dist array all-Unreachable, every word of every free scratch —
-// seen, frontier, next, the mark bitmap, every level of the touched
-// bitmap — zero, every free vertex slice empty.
+// seen, frontier, next, every level of the touched bitmap — zero,
+// every free vertex slice empty.
 func requireCleanPool(t *testing.T, p *Pool) {
 	t.Helper()
 	p.mu.Lock()
@@ -94,7 +90,7 @@ func requireCleanPool(t *testing.T, p *Pool) {
 	}
 	for _, sc := range p.scratch {
 		words := map[string][]uint64{
-			"seen": sc.seen, "frontier": sc.frontier, "next": sc.next, "marks": sc.marks,
+			"seen": sc.seen, "frontier": sc.frontier, "next": sc.next,
 			"touched[0]": sc.touched[0], "touched[1]": sc.touched[1], "touched[2]": sc.touched[2],
 		}
 		for name, ws := range words {
@@ -110,14 +106,14 @@ func requireCleanPool(t *testing.T, p *Pool) {
 	}
 }
 
-// TestKernelsMatchReference runs the differential corpus of
-// TestParallelMatchesSequential against the independent oracle.
+// TestKernelsMatchReference runs the corpus through MultiSourceOpts at
+// every width against the independent oracle.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for name, g := range corpus() {
 		t.Run(name, func(t *testing.T) {
 			sources, caps := randomSources(rng, g.NumVertices(), 130)
-			requireMatchesReference(t, g, g.Reverse(), sources, caps)
+			requireMatchesReference(t, g, sources, caps)
 		})
 	}
 }
@@ -157,7 +153,7 @@ func TestReferenceAtBitmapBoundaries(t *testing.T) {
 			}
 			for name, g := range map[string]*graph.Graph{"ring": testgraphs.Cycle(n), "random": graph.GenRandom(n, 2, int64(n))} {
 				t.Run(name, func(t *testing.T) {
-					requireMatchesReference(t, g, g.Reverse(), sources, caps)
+					requireMatchesReference(t, g, sources, caps)
 				})
 			}
 		})
@@ -185,5 +181,5 @@ func TestReferenceOverlayGrownVertices(t *testing.T) {
 	sources, caps := randomSources(rng, g.NumVertices(), 90)
 	sources = append(sources, 63, 64, graph.VertexID(g.NumVertices()-1))
 	caps = append(caps, 4, 255, 4)
-	requireMatchesReference(t, g, snap.Reverse(), sources, caps)
+	requireMatchesReference(t, g, sources, caps)
 }

@@ -97,13 +97,6 @@ type Config struct {
 	// cold-builds through a pooled builder, which still recycles the
 	// dense arrays).
 	IndexCacheBytes int64
-	// BuildWorkers sets the MS-BFS parallelism of the index provider
-	// behind every micro-batch: a positive count runs each
-	// index-building pass on exactly that many goroutines with
-	// direction-optimizing push/pull levels, zero keeps the sequential
-	// reference kernel. Orthogonal to Engine.Workers, which parallelises
-	// the enumeration phase.
-	BuildWorkers int
 	// CompactAfter tunes the versioned store behind ApplyUpdates: the
 	// delta folds into a fresh CSR base once its effective edge changes
 	// reach this count. Zero selects the store default, negative disables
@@ -553,11 +546,13 @@ func Open(g, gr *graph.Graph, cfg Config) (*Service, error) {
 
 // newWithStore wires the batching machinery around an existing store.
 func newWithStore(st *store.Store, cfg Config) *Service {
+	// The batch slots already occupy every core, so each batch builds
+	// its index serially.
 	var provider hcindex.Provider
 	if cfg.IndexCacheBytes < 0 {
-		provider = hcindex.NewBuilderWorkers(true, cfg.BuildWorkers)
+		provider = hcindex.NewBuilder(true)
 	} else {
-		provider = hcindex.NewCacheWorkers(cfg.IndexCacheBytes, cfg.BuildWorkers) // 0 → default budget
+		provider = hcindex.NewCache(cfg.IndexCacheBytes) // 0 → default budget
 	}
 	s := &Service{
 		st:       st,

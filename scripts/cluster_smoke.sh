@@ -42,10 +42,11 @@ queries="$workdir/q.txt"
   echo "query 0 8 6"
   echo "query 15 7 8"
 } > "$ops"
-# A long all-pairs query load so a mid-replay kill -9 lands while
-# traffic is in flight.
+# A long all-pairs query load (14 400 queries, about a second of
+# replay) so a kill -9 gated on the first replies lands with most of
+# the traffic still to come.
 {
-  for rep in 1 2 3; do
+  for rep in $(seq 1 60); do
     for s in $(seq 0 15); do
       for t in $(seq 0 15); do
         [ "$s" -ne "$t" ] && echo "$s $t 7" || true
@@ -100,15 +101,33 @@ if [ "$cluster_state" != "$single_state" ]; then
 fi
 
 echo "=== kill -9 worker 1 mid-replay: typed error, no hang"
-"$workdir/hcpath" -connect "$a0,$a1" -queries "$queries" -replay -clients 8 \
+# -v prints a "reply:" line per answered query: the kill waits for the
+# first 200 of them, so it lands mid-replay by construction, and the
+# replay must still be running when it does.
+"$workdir/hcpath" -connect "$a0,$a1" -queries "$queries" -replay -clients 8 -v \
   > "$workdir/kill.out" 2> "$workdir/kill.err" &
 replay_pid=$!
 pids+=("$replay_pid")
-for _ in $(seq 1 100); do
-  grep -q '^cluster: ' "$workdir/kill.err" 2>/dev/null && break
-  sleep 0.05
+for _ in $(seq 1 3000); do
+  [ "$(grep -c '^reply: ' "$workdir/kill.err" 2>/dev/null)" -ge 200 ] && break
+  kill -0 "$replay_pid" 2>/dev/null || break
+  sleep 0.01
 done
+if ! kill -0 "$replay_pid" 2>/dev/null; then
+  echo "replay ended before the kill could land; stderr tail:"
+  tail -5 "$workdir/kill.err"
+  exit 1
+fi
 kill -9 "$w1_pid"
+# A coordinator that hangs on the dead worker never exits: bound the wait.
+for _ in $(seq 1 300); do
+  kill -0 "$replay_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$replay_pid" 2>/dev/null; then
+  echo "replay still running 30s after the kill: the coordinator hung"
+  exit 1
+fi
 wait "$replay_pid" || true
 cat "$workdir/kill.out"
 if ! grep -q 'unreachable' "$workdir/kill.err"; then
