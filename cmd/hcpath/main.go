@@ -89,7 +89,6 @@ func main() {
 		maxBatch    = flag.Int("maxbatch", 64, "replay: max queries coalesced per batch")
 		maxWait     = flag.Duration("maxwait", 2*time.Millisecond, "replay: longest a formed batch is held while every core is busy (with a core idle it leaves at once)")
 		cacheMB     = flag.Int("cachemb", 64, "replay: cross-batch index cache budget in MiB (0 disables)")
-		usePlanner  = flag.Bool("planner", false, "replay: plan each batch's groups adaptively (single or shared per group)")
 		maxInFlight = flag.Int("maxinflight", 0, "replay: hard bound on concurrent batches, which then wait for a slot even past -maxwait (0 = unlimited)")
 		maxQueued   = flag.Int("maxqueued", 0, "replay: max admitted-but-undispatched queries; excess shed with ErrOverloaded (0 = unlimited)")
 		shards      = flag.Int("shards", 0, "replay/update-replay: shard workers in the in-process sharded deployment (0 or 1 = unsharded)")
@@ -118,11 +117,17 @@ func main() {
 		if *shards > 1 {
 			fail("-connect derives the shard count from the address list; drop -shards")
 		}
-		if *dataDir != "" {
-			fail("-connect with -datadir: durable directories belong to the workers (-serve -datadir)")
-		}
-		if *limit != 0 || *timeout != 0 {
-			fail("-connect with -limit or -timeout: every query runs on a worker, so both belong to the workers (-serve -limit -timeout)")
+		// Every query runs on a worker, under that worker's flags and on
+		// its store; a coordinator given one would silently ignore it.
+		var owned []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "datadir", "limit", "timeout", "maxbatch", "maxwait", "maxinflight", "maxqueued", "cachemb", "compactafter", "algo", "gamma":
+				owned = append(owned, "-"+f.Name)
+			}
+		})
+		if len(owned) > 0 {
+			fail("-connect with %s: every query runs on a worker, so these belong to the workers (pass them to -serve)", strings.Join(owned, " "))
 		}
 		if !*replay && *updates == "" {
 			fail("-connect requires -replay or -updates (the cluster serves live traffic)")
@@ -172,7 +177,6 @@ func main() {
 			maxWait:         *maxWait,
 			queryTimeout:    *timeout,
 			compactAfter:    *compact,
-			planner:         *usePlanner,
 			maxInFlight:     *maxInFlight,
 			maxQueued:       *maxQueued,
 			dataDir:         *dataDir,
@@ -197,7 +201,7 @@ func main() {
 	if *updates != "" {
 		switch {
 		case len(cluster) > 0:
-			fmt.Fprintf(os.Stderr, "graph: served by %d remote workers; %s\n", len(cluster), algo)
+			fmt.Fprintf(os.Stderr, "graph: served by %d remote workers\n", len(cluster))
 		case g != nil:
 			fmt.Fprintf(os.Stderr, "graph: %d vertices, %d edges; %s\n",
 				g.NumVertices(), g.NumEdges(), algo)
@@ -226,8 +230,8 @@ func main() {
 	}
 
 	if len(cluster) > 0 {
-		fmt.Fprintf(os.Stderr, "graph: served by %d remote workers; %d queries; %s\n",
-			len(cluster), len(qs), algo)
+		fmt.Fprintf(os.Stderr, "graph: served by %d remote workers; %d queries\n",
+			len(cluster), len(qs))
 	} else {
 		fmt.Fprintf(os.Stderr, "graph: %d vertices, %d edges; %d queries; %s\n",
 			g.NumVertices(), g.NumEdges(), len(qs), algo)
@@ -239,7 +243,6 @@ func main() {
 			maxBatch:    *maxBatch,
 			maxWait:     *maxWait,
 			timeout:     *timeout,
-			planner:     *usePlanner,
 			maxInFlight: *maxInFlight,
 			maxQueued:   *maxQueued,
 			shards:      *shards,
@@ -308,7 +311,6 @@ type serveConfig struct {
 	maxBatch              int
 	maxWait, queryTimeout time.Duration
 	compactAfter          int
-	planner               bool
 	maxInFlight           int
 	maxQueued             int
 
@@ -352,9 +354,6 @@ func runServe(g *hcpath.Graph, opts hcpath.Options, sc serveConfig) {
 		Fsync:           sc.fsync,
 		CheckpointEvery: sc.checkpointEvery,
 	}
-	if sc.planner {
-		so.Planner = &hcpath.PlannerOptions{}
-	}
 	srv, err := hcpath.NewShardServer(g, so, idx, n)
 	if err != nil {
 		fail("start worker: %v", err)
@@ -389,7 +388,6 @@ func runServe(g *hcpath.Graph, opts hcpath.Options, sc serveConfig) {
 type replayConfig struct {
 	clients, maxBatch      int
 	maxWait, timeout       time.Duration
-	planner                bool
 	maxInFlight, maxQueued int
 	shards                 int
 	connect                []string // remote worker addresses; empty = in-process
@@ -429,26 +427,26 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 		OnBatch: func(b hcpath.BatchStats) {
 			if rc.verbose {
 				fmt.Fprintf(os.Stderr,
-					"batch: %d queries, %d groups, sharing %.2f, plan %d/%d, %d paths, wait %v, enumerate %v\n",
-					b.Queries, b.Groups, b.SharingRatio(),
-					b.Plan.SingleGroups, b.Plan.SharedGroups, b.Paths,
+					"batch: %d queries, %d groups, sharing %.2f, %d paths, wait %v, enumerate %v\n",
+					b.Queries, b.Groups, b.SharingRatio(), b.Paths,
 					time.Duration(b.WaitNanos).Round(time.Microsecond),
 					time.Duration(b.EnumerateNanos).Round(time.Microsecond))
 			}
 		},
-	}
-	if rc.planner {
-		so.Planner = &hcpath.PlannerOptions{}
 	}
 	svc := replayService(g, so, rc.connect)
 	clients := rc.clients
 	if clients < 1 {
 		clients = 1
 	}
-	if n := svc.NumShards(); n > 1 {
+	switch n := svc.NumShards(); {
+	case len(rc.connect) > 0:
+		// Batching is each worker's own, set by its -serve flags.
+		fmt.Fprintf(os.Stderr, "replay: %d clients, %d remote workers\n", clients, n)
+	case n > 1:
 		fmt.Fprintf(os.Stderr, "replay: %d clients, %d shard workers, batches of ≤%d held ≤%v behind busy slots\n",
 			clients, n, rc.maxBatch, rc.maxWait)
-	} else {
+	default:
 		fmt.Fprintf(os.Stderr, "replay: %d clients, batches of ≤%d held ≤%v behind busy slots\n",
 			clients, rc.maxBatch, rc.maxWait)
 	}
@@ -518,8 +516,8 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 		tot.Groups, tot.SharedQueries, tot.SplicedPaths,
 		(time.Duration(tot.WaitNanos) / time.Duration(max(tot.Batches, 1))).Round(time.Microsecond),
 		(time.Duration(tot.EnumerateNanos) / time.Duration(max(tot.Batches, 1))).Round(time.Microsecond))
-	if rc.planner || tot.Shed > 0 || tot.Plan.SingleGroups > 0 {
-		fmt.Println(planLine(tot, backoffs.Load()))
+	if tot.Shed > 0 {
+		fmt.Printf("admission: %d shed, %d backoffs\n", tot.Shed, backoffs.Load())
 	}
 	fmt.Println(cacheLine(tot))
 	if shLine != "" {
@@ -564,16 +562,6 @@ func shardLine(svc *hcpath.Service) string {
 		fmt.Fprintf(&b, " %d", t.Queries)
 	}
 	return b.String()
-}
-
-// planLine renders the replay report's planner and admission summary.
-func planLine(tot hcpath.ServiceTotals, backoffs int64) string {
-	p := tot.Plan
-	return fmt.Sprintf("plan: %d single / %d shared groups (%v / %v); %d shed, %d backoffs",
-		p.SingleGroups, p.SharedGroups,
-		time.Duration(p.SingleNanos).Round(time.Microsecond),
-		time.Duration(p.SharedNanos).Round(time.Microsecond),
-		tot.Shed, backoffs)
 }
 
 // op is one line of an update-replay file: either a mutation or a query.

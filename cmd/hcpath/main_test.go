@@ -174,10 +174,16 @@ func stateLine(t *testing.T, out string) string {
 
 // TestConnectRefusesWorkerFlags: a -connect coordinator only routes, so
 // the flags that govern how a query runs are refused there instead of
-// being silently ignored — before anything is dialled.
+// being silently ignored — before anything is dialled. Flags with a
+// non-zero default are refused when set at all, even to that default.
 func TestConnectRefusesWorkerFlags(t *testing.T) {
-	for _, flags := range [][]string{{"-limit", "5"}, {"-timeout", "1s"}} {
-		args := append([]string{"-connect", "127.0.0.1:1", "-replay", "-queries", "unused.txt"}, flags...)
+	for _, flags := range [][]string{
+		{"-limit", "5"}, {"-timeout", "1s"}, {"-datadir", "d"},
+		{"-maxbatch", "64"}, {"-maxwait", "5ms"}, {"-maxinflight", "2"},
+		{"-maxqueued", "8"}, {"-cachemb", "0"}, {"-compactafter", "-1"},
+		{"-algo", "basic"}, {"-gamma", "0.5"},
+	} {
+		args := append([]string{"-connect", "127.0.0.1:1", "-updates", "unused.txt"}, flags...)
 		out, code := runCLI(t, args...)
 		if code == 0 || !strings.Contains(out, "belong to the workers") {
 			t.Errorf("hcpath %s: exit %d, output %q; want a refusal naming the workers", strings.Join(args, " "), code, out)

@@ -4,9 +4,8 @@
 // typed ErrOverloaded — nothing ran for them, so the right client-side
 // response is exponential backoff and retry, which is exactly what the
 // clients here do. Admitted queries are always answered: the summary
-// shows every query eventually completing, the service reporting how
-// many attempts it shed, and the adaptive planner reporting where the
-// batches' sharing groups went.
+// shows every query eventually completing and the service reporting how
+// many attempts it shed.
 //
 //	go run ./examples/overload
 package main
@@ -44,7 +43,6 @@ func main() {
 	// two batches in flight, a three-seat queue, four outstanding queries
 	// per caller.
 	svc := hcpath.NewService(g, &hcpath.ServiceOptions{
-		Planner:      &hcpath.PlannerOptions{},
 		MaxBatch:     8,
 		MaxWait:      2 * time.Millisecond,
 		MaxInFlight:  2,
@@ -102,9 +100,8 @@ func main() {
 		answered.Load(), clients, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("service shed %d submissions; clients backed off %d times and lost nothing\n",
 		tot.Shed, backoffs.Load())
-	fmt.Printf("%d batches (largest %d); plan: %d single / %d shared groups\n",
-		tot.Batches, tot.LargestBatch,
-		tot.Plan.SingleGroups, tot.Plan.SharedGroups)
+	fmt.Printf("%d batches (largest %d), %d sharing groups\n",
+		tot.Batches, tot.LargestBatch, tot.Groups)
 	if tot.Queries != answered.Load() {
 		log.Fatalf("service answered %d but clients counted %d", tot.Queries, answered.Load())
 	}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/batchenum"
 	"repro/internal/graph"
-	"repro/internal/hcindex"
 	"repro/internal/ksp"
 	"repro/internal/oracle"
 	"repro/internal/query"
@@ -31,21 +30,6 @@ import (
 
 // noDeadline marks runs stoppable only by ctx or limit.
 var noDeadline time.Time
-
-// overridePlanner drives per-group engine overrides from the fuzz
-// input: the engine of a sharing group is a deterministic function of a
-// fuzz-chosen salt, the group's first member, and its size, so the
-// fuzzer sweeps arbitrary single/shared assignments.
-// Whatever it picks, results must match the fixed-engine path — the
-// planner contract is that plans change work, never answers.
-type overridePlanner struct{ salt byte }
-
-func (p overridePlanner) PlanGroup(_, _ *graph.Graph, _ *hcindex.Index, _ []query.Query, group []int) batchenum.GroupEngine {
-	engines := [...]batchenum.GroupEngine{batchenum.GroupSingle, batchenum.GroupShared}
-	return engines[(int(p.salt)+group[0]+3*len(group))%len(engines)]
-}
-
-func (overridePlanner) ObserveGroup(batchenum.GroupEngine, int, int64) {}
 
 // fuzzInput decodes the fuzz bytes into a graph and a batch of up to
 // three valid queries. Returns ok=false when the bytes cannot yield at
@@ -110,6 +94,10 @@ func FuzzEnumerate(f *testing.F) {
 	f.Add([]byte{6, 0, 0x57, 6, 0x43, 5, 0x62, 4, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 6, 6, 0, 1, 4, 2, 5})
 	f.Add([]byte{1, 1, 0x20, 1, 0x12, 0, 0x21, 2, 0, 1, 1, 0, 0, 2, 2, 0, 1, 2, 2, 1})
 	f.Add([]byte{7, 3, 0x70, 7, 0x15, 3, 0x36, 5, 0, 1, 0, 2, 0, 3, 1, 4, 2, 4, 3, 4, 4, 5, 4, 6, 5, 7, 6, 7, 1, 7, 2, 6})
+	// Two queries 0→3 on one component and one 5→7 on another: the
+	// sharing engines cluster them into a group of two (the Ψ pipeline)
+	// and a group of one (PathEnum), so both arms run in one batch.
+	f.Add([]byte{6, 2, 0x30, 3, 0x20, 3, 0x55, 7, 0, 1, 1, 2, 2, 3, 0, 2, 1, 3, 5, 6, 6, 7, 5, 7, 4, 5})
 
 	algorithms := []batchenum.Algorithm{
 		batchenum.Basic, batchenum.BasicPlus, batchenum.Batch, batchenum.BatchPlus,
@@ -170,27 +158,17 @@ func FuzzEnumerate(f *testing.F) {
 				}
 			}
 
-			// 1b. Planner-driven runs (sharing engines only): random
-			// per-group engine overrides, sequential and parallel, must
-			// reproduce the fixed-engine results exactly.
-			if alg.Shared() {
-				popts := opts
-				popts.Planner = overridePlanner{salt: data[7]}
-				for mode, workers := range map[string]int{"seq": 1, "par": 2} {
-					popts.Workers = workers
-					planned := query.NewCollectSink(len(qs))
-					st, err := batchenum.Run(g, gr, qs, popts, nil, planned)
-					if err != nil {
-						t.Fatalf("%s/planned-%s: %v", label, mode, err)
-					}
-					for i := range qs {
-						if got := canonicalStrings(planned.Paths[i]); !slices.Equal(want[i], got) {
-							t.Fatalf("%s/planned-%s: query %d: engine %v != oracle %v", label, mode, i, got, want[i])
-						}
-					}
-					if groups := st.Plan.SingleGroups + st.Plan.SharedGroups; groups != int64(st.NumGroups) {
-						t.Fatalf("%s/planned-%s: plan stats cover %d groups, run had %d", label, mode, groups, st.NumGroups)
-					}
+			// 1b. Full parallel run: the groups fanned out over two
+			// workers reproduce the same result sets.
+			popts := opts
+			popts.Workers = 2
+			par := query.NewCollectSink(len(qs))
+			if _, err := batchenum.Run(g, gr, qs, popts, nil, par); err != nil {
+				t.Fatalf("%s/par: %v", label, err)
+			}
+			for i := range qs {
+				if got := canonicalStrings(par.Paths[i]); !slices.Equal(want[i], got) {
+					t.Fatalf("%s/par: query %d: engine %v != oracle %v", label, i, got, want[i])
 				}
 			}
 

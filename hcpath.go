@@ -33,7 +33,6 @@ import (
 	"repro/internal/batchenum"
 	"repro/internal/graph"
 	"repro/internal/hcindex"
-	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -558,17 +557,6 @@ type BatchStats = service.BatchStats
 // ServiceTotals aggregates a Service's lifetime counters.
 type ServiceTotals = service.Totals
 
-// PlanStats decomposes a batch's (or a service lifetime's) sharing
-// groups by the engine that processed them — single-query PathEnum or
-// the Ψ-DFS sharing pipeline — with per-engine wall time. Populated on BatchStats.Plan and ServiceTotals.Plan; without a
-// planner every group of a sharing run counts as shared.
-type PlanStats = service.PlanStats
-
-// PlannerOptions tunes the adaptive per-batch query planner (see
-// ServiceOptions.Planner). The zero value selects sensible defaults for
-// every knob, so &PlannerOptions{} simply turns the planner on.
-type PlannerOptions = planner.Options
-
 // ErrServiceClosed is returned by Service queries after Close.
 var ErrServiceClosed = service.ErrClosed
 
@@ -670,16 +658,6 @@ type ServiceOptions struct {
 	// (Options.Limit bounds output volume the same way; a caller's own
 	// ctx cancels only that caller's wait, never the batch.)
 	QueryTimeout time.Duration
-	// Planner, when non-nil, enables the adaptive per-batch query
-	// planner: each micro-batch's sharing groups are scored by a cheap
-	// cost model (hop caps, endpoint degrees, Γ-overlap probes on the
-	// batch index, the cross-batch cache's hit ratio) and dispatched
-	// per group to single-query PathEnum or the Ψ-DFS sharing pipeline
-	// — matching the paper's engine crossover online. Observed per-group costs feed back into the model.
-	// Result sets are identical with and without a planner; only the
-	// work to produce them changes. See BatchStats.Plan /
-	// ServiceTotals.Plan for where groups went.
-	Planner *PlannerOptions
 	// MaxInFlight is the hard bound on micro-batches running
 	// concurrently; at the bound nothing is dispatched, the forming batch
 	// absorbs traffic up to MaxBatch and the rest accumulates in the
@@ -812,7 +790,6 @@ func (o ServiceOptions) config() service.Config {
 		QueryTimeout: o.QueryTimeout,
 		Limit:        o.Limit,
 		CompactAfter: o.CompactAfter,
-		Plan:         o.Planner,
 		MaxInFlight:  o.MaxInFlight,
 		MaxQueued:    o.MaxQueued,
 		MaxPerCaller: o.MaxPerCaller,

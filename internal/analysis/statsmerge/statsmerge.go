@@ -98,8 +98,8 @@ func directiveChecks(pass *analysis.Pass, fd *ast.FuncDecl) map[string]*check {
 			pass.Reportf(cm.Pos(), "//hcpath:%s %s: no such type in %s", directive, fields[0], pass.Pkg.Name())
 			continue
 		}
-		// Unalias so a directive can name a package-local alias of a
-		// struct declared elsewhere (service.PlanStats is one).
+		// Unalias so a directive can also name a package-local alias of
+		// a struct declared elsewhere.
 		named, ok := types.Unalias(tn.Type()).(*types.Named)
 		if !ok || !isStruct(named) {
 			pass.Reportf(cm.Pos(), "//hcpath:%s %s: not a struct type", directive, fields[0])

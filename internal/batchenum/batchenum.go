@@ -78,13 +78,6 @@ type Options struct {
 	// scopes the Provider's cache keys so a post-update run can never be
 	// served pre-update distance maps.
 	Epoch uint64
-	// Planner, when non-nil, picks a per-group engine for the sharing
-	// algorithms (Batch/BatchPlus): each cluster is dispatched to
-	// single-query PathEnum or the Ψ-DFS pipeline per its decision, and
-	// the observed group cost is fed back to it. nil keeps the fixed
-	// behaviour (every group through the sharing pipeline). The Basic
-	// engines have no groups and ignore it.
-	Planner GroupPlanner
 	// Workers is the exact number of goroutines the batch's groups fan
 	// out over; at most one runs every group inline on the caller's
 	// goroutine. The public hcpath layer resolves its zero and negative
@@ -127,7 +120,9 @@ type Stats struct {
 	SharedNodes int
 	// SharingEdges counts the Ψ reuse edges across both directions.
 	SharingEdges int
-	// CachedPaths counts partial paths materialised into the cache R.
+	// CachedPaths counts partial paths materialised into the cache R. Only
+	// groups of two or more queries have one: a one-query group runs
+	// PathEnum directly.
 	CachedPaths int64
 	// SplicedPaths counts partial paths obtained by splicing a cached
 	// sub-query instead of recursing, the direct measure of reuse.
@@ -140,10 +135,6 @@ type Stats struct {
 	// per-query emission limit or by cancellation mid-run. Zero means
 	// every emitted result set is complete.
 	Truncated int
-	// Plan decomposes the run's sharing groups by the engine that
-	// processed them, with per-engine wall time. Without a planner every
-	// group counts as shared.
-	Plan PlanStats
 }
 
 // addGroup folds one fan-out worker's counters into the batch stats;
@@ -160,7 +151,6 @@ func (st *Stats) addGroup(local *Stats) {
 	st.SharingEdges += local.SharingEdges
 	st.CachedPaths += local.CachedPaths
 	st.SplicedPaths += local.SplicedPaths
-	st.Plan.Add(local.Plan)
 }
 
 // Run enumerates every HC-s-t path of every query in the batch with the
@@ -337,6 +327,31 @@ func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, 
 			idx.DistMapFor(qi, hcindex.Forward), idx.DistMapFor(qi, hcindex.Backward))
 	}
 	return q.FwdBudget(), q.BwdBudget()
+}
+
+// runGroup processes one group of the batch. A group of one query has
+// nothing to share — every group of the Basic engines (Algorithm 1), and
+// any cluster of a sharing engine that no other query joined — so it
+// runs PathEnum directly over the batch index; detection would return
+// an empty Ψ and the pipeline would only add its bookkeeping. Every
+// larger group runs the sharing pipeline (Algorithm 4).
+func runGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
+	if len(group) == 1 {
+		processSingle(g, gr, qs, idx, group[0], opts, ctrl, sink, st)
+		return
+	}
+	processGroup(g, gr, qs, idx, group, opts, ctrl, sink, st)
+}
+
+// processSingle answers query qi, a group of its own, with PathEnum over
+// the batch index — Algorithm 1.
+func processSingle(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, qi int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
+	defer st.Phases.Start(timing.Enumeration)()
+	id := qs[qi].ID
+	pathenum.EnumerateControlled(g, gr, qs[qi],
+		idx.DistMapFor(qi, hcindex.Forward), idx.DistMapFor(qi, hcindex.Backward),
+		pathenum.Options{Optimized: opts.Algorithm.Optimized()}, ctrl,
+		func(p []graph.VertexID) { sink.Emit(id, p) })
 }
 
 // processGroup runs detection, shared enumeration, and joining for one

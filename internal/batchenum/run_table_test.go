@@ -192,8 +192,7 @@ func TestParallelRandom(t *testing.T) {
 // layer — an exact count, never reinterpreted: at most one (zero and
 // negative included) runs the groups inline, where each group books its
 // own detect phase; more fans them out, where the Enumeration phase is
-// the fan-out's wall clock and per-group phases are not summed. Either
-// way every group of a plannerless run books as shared.
+// the fan-out's wall clock and per-group phases are not summed.
 func TestWorkersSemantics(t *testing.T) {
 	g := testgraphs.Paper()
 	gr := g.Reverse()
@@ -214,8 +213,31 @@ func TestWorkersSemantics(t *testing.T) {
 				t.Errorf("workers=%d: inline run booked detect=%v enumerate=%v, want both per group", workers, detect, enumerate)
 			}
 		}
-		if st.Plan.SharedGroups != int64(st.NumGroups) {
-			t.Errorf("workers=%d: plan %+v, want all %d groups shared", workers, st.Plan, st.NumGroups)
+	}
+}
+
+// TestOneQueryGroupRunsPathEnum pins the one routing rule of the sharing
+// engines: a group of one query has nothing to share, so it runs
+// PathEnum directly — no detection time, no Ψ node, nothing cached —
+// and still answers exactly.
+func TestOneQueryGroupRunsPathEnum(t *testing.T) {
+	g := testgraphs.CompleteDAG(10)
+	qs := []query.Query{{S: 0, T: 9, K: 5}}
+	for _, alg := range []Algorithm{Batch, BatchPlus} {
+		sink := query.NewCountSink(1)
+		st, err := Run(g, g.Reverse(), qs, Options{Algorithm: alg}, nil, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := st.Phases.Get(timing.IdentifySubquery); d != 0 {
+			t.Errorf("%v: one-query batch booked %v of detection", alg, d)
+		}
+		if st.NumGroups != 1 || st.SharedNodes != 0 || st.CachedPaths != 0 {
+			t.Errorf("%v: one-query batch: %d groups, %d shared nodes, %d cached paths; want 1, 0, 0",
+				alg, st.NumGroups, st.SharedNodes, st.CachedPaths)
+		}
+		if want := int64(len(bruteSet(g, qs)[0])); sink.Counts[0] != want {
+			t.Errorf("%v: %d paths, want %d", alg, sink.Counts[0], want)
 		}
 	}
 }

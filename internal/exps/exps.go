@@ -4,8 +4,9 @@
 // materialisation gap, and experiments Exp-1 through Exp-7. Each driver
 // returns typed rows and has a printer producing the same columns the
 // paper reports; cmd/experiments and the root benchmark harness are thin
-// wrappers around this package. EXPERIMENTS.md records paper-vs-measured
-// for every driver.
+// wrappers around this package; `go run ./cmd/experiments -exp all` runs
+// every driver. A paper-vs-measured record is still open work (ROADMAP.md
+// item 7).
 package exps
 
 import (

@@ -12,7 +12,7 @@
 // Replay semantics are wave-synchronous, the same discipline as
 // `cmd/hcpath -updates`: a wave's updates apply first (one atomic
 // epoch), then its queries are submitted concurrently — so they
-// micro-batch and exercise the collector, planner, and parallel engine
+// micro-batch and exercise the collector and the parallel engine
 // — and the wave completes before the next begins. Per-query counts are
 // therefore deterministic (each query sees exactly its wave's epoch)
 // even though batching and grouping are not, which is what makes the

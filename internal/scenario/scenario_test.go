@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/batchenum"
-	"repro/internal/planner"
 	"repro/internal/service"
 )
 
@@ -82,30 +81,28 @@ func TestGoldenFilesReproducible(t *testing.T) {
 }
 
 // replayCfg builds the service configuration of one differential arm.
-func replayCfg(plan *planner.Options) service.Config {
+func replayCfg(alg batchenum.Algorithm) service.Config {
 	return service.Config{
 		MaxBatch: 16,
 		MaxWait:  2 * time.Millisecond,
-		Engine:   batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
-		Plan:     plan,
+		Engine:   batchenum.Options{Algorithm: alg, Workers: 4},
 	}
 }
 
 // TestScenarioDifferentialOracle is the harness's reason to exist: on
 // every committed scenario — bursts, hostile hop caps, live updates —
-// the planned service, an aggressively planned service (thresholds
-// forced low so the shared route fires on weak overlap), and the fixed
-// BatchEnum+ service must all return the brute-force oracle's count for
+// a BatchEnum+ service (one-query groups through PathEnum, larger ones
+// through the sharing pipeline) and a BasicEnum+ service (every query
+// through PathEnum) must both return the brute-force oracle's count for
 // every query at its wave's graph version. Run under -race this also
-// proves the planner's concurrent paths clean.
+// proves the service's concurrent paths clean.
 func TestScenarioDifferentialOracle(t *testing.T) {
 	arms := []struct {
 		name string
 		cfg  service.Config
 	}{
-		{"fixed", replayCfg(nil)},
-		{"planned", replayCfg(&planner.Options{})},
-		{"planned-aggressive", replayCfg(&planner.Options{MinSimilarity: 0.01})},
+		{"batch+", replayCfg(batchenum.BatchPlus)},
+		{"basic+", replayCfg(batchenum.BasicPlus)},
 	}
 	for _, g := range golden {
 		t.Run(g.file, func(t *testing.T) {
@@ -156,7 +153,7 @@ func TestReplayWithAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := replayCfg(&planner.Options{})
+	cfg := replayCfg(batchenum.BatchPlus)
 	cfg.MaxInFlight = 1
 	cfg.MaxQueued = 2
 	cfg.MaxPerCaller = 2

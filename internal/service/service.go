@@ -33,7 +33,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hcindex"
 	"repro/internal/pathjoin"
-	"repro/internal/planner"
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/timing"
@@ -51,10 +50,6 @@ var ErrClosed = errors.New("service: closed")
 // always answered (or abandoned by its own caller's context).
 var ErrOverloaded = errors.New("service: overloaded")
 
-// PlanStats aggregates per-engine sharing-group counts and wall time,
-// re-exported from the engine layer (see batchenum.PlanStats).
-type PlanStats = batchenum.PlanStats
-
 // Config tunes the batching policy and the engine behind it.
 type Config struct {
 	// MaxBatch caps the queries coalesced into one batch; zero means 64.
@@ -70,8 +65,8 @@ type Config struct {
 	// the zero value is BasicEnum run inline on the dispatch goroutine,
 	// so callers almost always want Algorithm set to BatchPlus and
 	// Workers to the per-batch parallelism (an exact count, as
-	// everywhere below the public hcpath layer). Provider, Epoch and
-	// Planner are filled per batch by the service.
+	// everywhere below the public hcpath layer). Provider and Epoch are
+	// filled per batch by the service.
 	Engine batchenum.Options
 	// QueryTimeout, when positive, bounds each micro-batch's engine
 	// time: the batch runs under a deadline of dispatch time plus
@@ -120,14 +115,6 @@ type Config struct {
 	// store.DefaultCheckpointEvery, negative leaves checkpoints to
 	// Close/Checkpoint only.
 	CheckpointEvery int
-	// Plan, when non-nil, enables the adaptive per-batch query planner:
-	// every micro-batch's sharing groups are scored by a
-	// planner.CostModel (seeded from these options, with IndexStats
-	// defaulting to this service's index provider) and dispatched
-	// per-group to single-query PathEnum or the Ψ-DFS pipeline;
-	// observed group costs feed back into the model.
-	// nil keeps the fixed engine for every group.
-	Plan *planner.Options
 	// MaxInFlight is the hard bound on micro-batches running
 	// concurrently: at the bound the collector dispatches nothing, the
 	// forming batch absorbs traffic up to MaxBatch, and the rest queues
@@ -217,10 +204,6 @@ type BatchStats struct {
 	// Truncated counts the batch's queries with cut-short result sets
 	// (per-query limit reached, or the batch deadline fired first).
 	Truncated int
-	// Plan decomposes the batch's sharing groups by the engine that
-	// processed them (with per-engine wall time). Without a planner
-	// every group of a sharing run counts as shared.
-	Plan PlanStats
 	// Phases is the engine's four-phase time decomposition.
 	Phases timing.Breakdown
 }
@@ -276,9 +259,6 @@ type Totals struct {
 	WALRecords    int64
 	Checkpoints   int64
 	SnapshotEpoch uint64
-	// Plan sums the per-batch planner decompositions: how many sharing
-	// groups each engine processed and where their wall time went.
-	Plan PlanStats
 	// Shed counts submissions rejected by admission control
 	// (ErrOverloaded); shed queries never ran and appear in no other
 	// counter.
@@ -309,7 +289,6 @@ func (t *Totals) addBatch(bs BatchStats, deadline bool) {
 	t.IndexHits += int64(bs.IndexHits)
 	t.IndexMisses += int64(bs.IndexMisses)
 	t.Truncated += int64(bs.Truncated)
-	t.Plan.Add(bs.Plan)
 	if deadline {
 		t.DeadlineBatches++
 	}
@@ -357,7 +336,6 @@ func (t *Totals) Merge(o Totals) {
 	if o.SnapshotEpoch > t.SnapshotEpoch {
 		t.SnapshotEpoch = o.SnapshotEpoch
 	}
-	t.Plan.Add(o.Plan)
 	t.Shed += o.Shed
 }
 
@@ -483,10 +461,6 @@ type Service struct {
 	// service's lifetime.
 	provider hcindex.Provider
 
-	// planner is the adaptive per-group cost model shared by every
-	// micro-batch; nil runs every group through the fixed engine.
-	planner *planner.CostModel
-
 	// adm books admission control; nil means unlimited.
 	adm *admission
 
@@ -560,13 +534,6 @@ func newWithStore(st *store.Store, cfg Config) *Service {
 		provider: provider,
 		submit:   make(chan *request, cfg.maxBatch()), // one full batch can queue behind the forming one
 		wake:     make(chan struct{}, 1),
-	}
-	if cfg.Plan != nil {
-		popts := *cfg.Plan
-		if popts.IndexStats == nil {
-			popts.IndexStats = provider.Stats
-		}
-		s.planner = planner.New(popts)
 	}
 	if cfg.MaxQueued > 0 || cfg.MaxPerCaller > 0 {
 		s.adm = &admission{
@@ -859,9 +826,6 @@ func (s *Service) runBatch(batch []*request) {
 	engine := s.cfg.Engine
 	engine.Provider = s.provider
 	engine.Epoch = snap.Epoch()
-	if s.planner != nil {
-		engine.Planner = s.planner
-	}
 	if len(batch) == 1 {
 		// One query is one group: run it on this goroutine instead of
 		// setting up a fan-out (workers, job channel, result buffers)
@@ -905,7 +869,6 @@ func (s *Service) runBatch(batch []*request) {
 		IndexHits:      st.IndexHits,
 		IndexMisses:    st.IndexMisses,
 		Truncated:      st.Truncated,
-		Plan:           st.Plan,
 		Phases:         st.Phases,
 	}
 	for _, r := range batch {

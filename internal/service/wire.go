@@ -83,27 +83,6 @@ func readErrWire(r *wirefmt.Reader) error {
 	}
 }
 
-// appendPlanWire lays out the planner's per-engine decomposition.
-//
-//hcpath:mergefields PlanStats
-func appendPlanWire(dst []byte, p PlanStats) []byte {
-	dst = wirefmt.AppendI64(dst, p.SingleGroups)
-	dst = wirefmt.AppendI64(dst, p.SharedGroups)
-	dst = wirefmt.AppendI64(dst, p.SingleNanos)
-	dst = wirefmt.AppendI64(dst, p.SharedNanos)
-	return dst
-}
-
-//hcpath:mergefields PlanStats
-func readPlanWire(r *wirefmt.Reader) PlanStats {
-	var p PlanStats
-	p.SingleGroups = r.I64()
-	p.SharedGroups = r.I64()
-	p.SingleNanos = r.I64()
-	p.SharedNanos = r.I64()
-	return p
-}
-
 // The timing breakdown crosses the wire as its four phase durations in
 // phase order; the phase set is fixed by Fig. 9, so the layout is too.
 var wirePhases = [...]timing.Phase{
@@ -139,7 +118,6 @@ func AppendBatchStatsWire(dst []byte, bs BatchStats) []byte {
 	dst = wirefmt.AppendI64(dst, int64(bs.IndexHits))
 	dst = wirefmt.AppendI64(dst, int64(bs.IndexMisses))
 	dst = wirefmt.AppendI64(dst, int64(bs.Truncated))
-	dst = appendPlanWire(dst, bs.Plan)
 	dst = appendPhasesWire(dst, bs.Phases)
 	return dst
 }
@@ -159,7 +137,6 @@ func ReadBatchStatsWire(r *wirefmt.Reader) BatchStats {
 	bs.IndexHits = int(r.I64())
 	bs.IndexMisses = int(r.I64())
 	bs.Truncated = int(r.I64())
-	bs.Plan = readPlanWire(r)
 	bs.Phases = readPhasesWire(r)
 	return bs
 }
@@ -254,7 +231,6 @@ func AppendTotalsWire(dst []byte, t Totals) []byte {
 	dst = wirefmt.AppendI64(dst, t.WALRecords)
 	dst = wirefmt.AppendI64(dst, t.Checkpoints)
 	dst = wirefmt.AppendU64(dst, t.SnapshotEpoch)
-	dst = appendPlanWire(dst, t.Plan)
 	dst = wirefmt.AppendI64(dst, t.Shed)
 	return dst
 }
@@ -287,7 +263,6 @@ func ReadTotalsWire(r *wirefmt.Reader) Totals {
 	t.WALRecords = r.I64()
 	t.Checkpoints = r.I64()
 	t.SnapshotEpoch = r.U64()
-	t.Plan = readPlanWire(r)
 	t.Shed = r.I64()
 	return t
 }

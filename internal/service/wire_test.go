@@ -73,10 +73,6 @@ func fullBatchStats() BatchStats {
 	return BatchStats{
 		Queries: 1, Groups: 2, SharedQueries: 3, SplicedPaths: 4, Paths: 5,
 		WaitNanos: 6, EnumerateNanos: 7, IndexHits: 8, IndexMisses: 9, Truncated: 10,
-		Plan: PlanStats{
-			SingleGroups: 11, SharedGroups: 12,
-			SingleNanos: 14, SharedNanos: 15,
-		},
 		Phases: ph,
 	}
 }
@@ -166,7 +162,7 @@ func TestReplyWireRejectsAbsurdCounts(t *testing.T) {
 	}
 }
 
-// TestTotalsWireRoundTrip fills all 25 fields with distinct values.
+// TestTotalsWireRoundTrip fills all 24 fields with distinct values.
 func TestTotalsWireRoundTrip(t *testing.T) {
 	in := Totals{
 		Batches: 1, Queries: 2, LargestBatch: 3, Groups: 4, SharedQueries: 5,
@@ -174,12 +170,7 @@ func TestTotalsWireRoundTrip(t *testing.T) {
 		IndexHits: 10, IndexMisses: 11, IndexWidened: 12, IndexEvictions: 13,
 		IndexCacheBytes: 14, Truncated: 15, DeadlineBatches: 16, Epoch: 17,
 		UpdatesApplied: 18, Compactions: 19, DeltaEdges: 20, WALRecords: 21,
-		Checkpoints: 22, SnapshotEpoch: 23,
-		Plan: PlanStats{
-			SingleGroups: 24, SharedGroups: 25,
-			SingleNanos: 27, SharedNanos: 28,
-		},
-		Shed: 30,
+		Checkpoints: 22, SnapshotEpoch: 23, Shed: 24,
 	}
 	r := wirefmt.NewReader(AppendTotalsWire(nil, in))
 	got := ReadTotalsWire(r)

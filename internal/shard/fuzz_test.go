@@ -117,7 +117,7 @@ func FuzzWireFrame(f *testing.F) {
 }
 
 // retiredTypes are the request type bytes of hcp2's two scatter-gather
-// legs, the gaps in hcp3's vocabulary.
+// legs, the gaps in the vocabulary since hcp3.
 var retiredTypes = []byte{3, 4}
 
 // dialRaw opens a connection to a shard-0-of-1 Server and completes the

@@ -15,8 +15,8 @@
 // endpoints both land on one shard is single-shard: the coordinator
 // forwards it unchanged into that worker's micro-batching pipeline,
 // where it coalesces with the worker's other traffic exactly as in the
-// single-process deployment (sharing detection, planner, admission
-// control included). A query whose endpoints land on different shards
+// single-process deployment (sharing detection and admission control
+// included). A query whose endpoints land on different shards
 // is cross-shard, and what happens to it follows from the one thing
 // the coordinator can observe — whether the workers are in its process.
 // Nothing selects between the two rules; each deployment has one.

@@ -33,8 +33,10 @@ const (
 	// protocol: a worker refuses a client speaking a different format.
 	// hcp3 retired hcp2's two scatter-gather requests and the vertex
 	// counts that rode the hello and update answers for them; the hello
-	// answer is the worker's store.State alone.
-	wireMagic uint32 = 0x68637033 // "hcp3"
+	// answer is the worker's store.State alone. hcp4 dropped the four
+	// per-engine group counters from the batch stats in every reply and
+	// from the totals.
+	wireMagic uint32 = 0x68637034 // "hcp4"
 
 	// msgHeader is the message type and request id ahead of every body.
 	msgHeader = 1 + 8

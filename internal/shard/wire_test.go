@@ -175,23 +175,35 @@ func TestHandshakeFrameCapped(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOldProtocol speaks hcp2 — the previous wire
-// version, whose coordinators send the two retired scatter-gather
-// requests — at a current worker: the hello is refused with the
-// handshake's error message, not served.
+// TestHandshakeRefusesOldProtocol speaks each earlier wire version at a
+// current worker — hcp2, whose coordinators send the two retired
+// scatter-gather requests, and hcp3, whose replies carry the per-engine
+// group counters — and the hello is refused with the handshake's error
+// message, not served.
 func TestHandshakeRefusesOldProtocol(t *testing.T) {
-	conn, err := net.Dial("tcp", serveLoopback(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := wirefmt.AppendU32(nil, 0x68637032) // "hcp2"
-	hello = wirefmt.AppendU16(hello, 0)
-	hello = wirefmt.AppendU16(hello, 1)
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	body := exchange(t, conn, bufio.NewReader(conn), appendFrame(nil, mtHello, 1, hello), mtErr, 1)
-	if msg := readWireError(wirefmt.NewReader(body)).Error(); !strings.Contains(msg, "bad hello") {
-		t.Fatalf("refusal says %q, want the bad-hello protocol mismatch", msg)
+	addr := serveLoopback(t)
+	for _, c := range []struct {
+		name  string
+		magic uint32
+	}{
+		{"hcp2", 0x68637032},
+		{"hcp3", 0x68637033},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			hello := wirefmt.AppendU32(nil, c.magic)
+			hello = wirefmt.AppendU16(hello, 0)
+			hello = wirefmt.AppendU16(hello, 1)
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			body := exchange(t, conn, bufio.NewReader(conn), appendFrame(nil, mtHello, 1, hello), mtErr, 1)
+			if msg := readWireError(wirefmt.NewReader(body)).Error(); !strings.Contains(msg, "bad hello") {
+				t.Fatalf("refusal says %q, want the bad-hello protocol mismatch", msg)
+			}
+		})
 	}
 }
 
