@@ -18,7 +18,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/exps"
 	"repro/internal/query"
-	"repro/internal/sharegraph"
 	"repro/internal/testgraphs"
 	"repro/internal/workload"
 )
@@ -179,9 +178,9 @@ func engineFixture(b testing.TB) (*Graph, []query.Query) {
 	return fixture.g, fixture.qs
 }
 
-// engineCases are the four engines plus the no-sharing ablation, each
-// with the steady-state allocs/op recorded for it on engineFixture
-// (re-recorded whenever a change moves them).
+// engineCases are the four engines, each with the steady-state
+// allocs/op recorded for it on engineFixture (re-recorded whenever a
+// change moves them).
 var engineCases = []struct {
 	name   string
 	opts   batchenum.Options
@@ -191,14 +190,10 @@ var engineCases = []struct {
 	{"BasicEnum+", batchenum.Options{Algorithm: batchenum.BasicPlus}, 656},
 	{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}, 809},
 	{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}, 840},
-	{"BatchEnum+NoSharing", batchenum.Options{
-		Algorithm: batchenum.BatchPlus,
-		Detect:    sharegraph.Options{DisableSharing: true},
-	}, 686},
 }
 
-// BenchmarkEngines compares the four engines plus the no-sharing
-// ablation on one high-similarity workload.
+// BenchmarkEngines compares the four engines on one high-similarity
+// workload.
 func BenchmarkEngines(b *testing.B) {
 	g, qs := engineFixture(b)
 	for _, c := range engineCases {

@@ -89,8 +89,8 @@ func main() {
 		maxBatch    = flag.Int("maxbatch", 64, "replay: max queries coalesced per batch")
 		maxWait     = flag.Duration("maxwait", 2*time.Millisecond, "replay: longest a formed batch is held while every core is busy (with a core idle it leaves at once)")
 		cacheMB     = flag.Int("cachemb", 64, "replay: cross-batch index cache budget in MiB (0 disables)")
-		maxInFlight = flag.Int("maxinflight", 0, "replay: hard bound on concurrent batches, which then wait for a slot even past -maxwait (0 = unlimited)")
-		maxQueued   = flag.Int("maxqueued", 0, "replay: max admitted-but-undispatched queries; excess shed with ErrOverloaded (0 = unlimited)")
+		maxInFlight = flag.Int("maxinflight", 0, "replay/update-replay: hard bound on concurrent batches, which then wait for a slot even past -maxwait (0 = unlimited)")
+		maxQueued   = flag.Int("maxqueued", 0, "replay/update-replay: max admitted-but-undispatched queries; excess shed with ErrOverloaded (0 = unlimited)")
 		shards      = flag.Int("shards", 0, "replay/update-replay: shard workers in the in-process sharded deployment (0 or 1 = unsharded)")
 		serve       = flag.Bool("serve", false, "run one shard worker serving the wire protocol (needs -shard and -listen)")
 		shardSpec   = flag.String("shard", "", "serve: this worker's identity as 'i/N' (shard i of N)")
@@ -161,28 +161,28 @@ func main() {
 	if *cacheMB > 0 {
 		cacheBytes = int64(*cacheMB) << 20
 	}
-	opts := hcpath.Options{
-		Algorithm:       algo,
-		Gamma:           *gamma,
-		MaxHops:         *maxHops,
-		Limit:           *limit,
+	so := hcpath.ServiceOptions{
+		Options: hcpath.Options{
+			Algorithm: algo,
+			Gamma:     *gamma,
+			MaxHops:   *maxHops,
+			Limit:     *limit,
+		},
 		IndexCacheBytes: cacheBytes,
+		MaxBatch:        *maxBatch,
+		MaxWait:         *maxWait,
+		QueryTimeout:    *timeout,
+		CompactAfter:    *compact,
+		MaxInFlight:     *maxInFlight,
+		MaxQueued:       *maxQueued,
+		Shards:          *shards,
+		DataDir:         *dataDir,
+		Fsync:           fsync,
+		CheckpointEvery: *ckptEvery,
 	}
 
 	if *serve {
-		runServe(g, opts, serveConfig{
-			spec:            *shardSpec,
-			listen:          *listenAddr,
-			maxBatch:        *maxBatch,
-			maxWait:         *maxWait,
-			queryTimeout:    *timeout,
-			compactAfter:    *compact,
-			maxInFlight:     *maxInFlight,
-			maxQueued:       *maxQueued,
-			dataDir:         *dataDir,
-			fsync:           fsync,
-			checkpointEvery: *ckptEvery,
-		})
+		runServe(g, so, *shardSpec, *listenAddr)
 		return
 	}
 
@@ -208,19 +208,7 @@ func main() {
 		default:
 			fmt.Fprintf(os.Stderr, "graph: warm restart from %s; %s\n", *dataDir, algo)
 		}
-		runUpdateReplay(g, *updates, opts, updateReplayConfig{
-			maxBatch:        *maxBatch,
-			maxWait:         *maxWait,
-			queryTimeout:    *timeout,
-			compactAfter:    *compact,
-			shards:          *shards,
-			connect:         cluster,
-			verbose:         *verbose,
-			dataDir:         *dataDir,
-			fsync:           fsync,
-			checkpointEvery: *ckptEvery,
-			crashAfter:      *crashAfter,
-		})
+		runUpdateReplay(g, *updates, so, cluster, *verbose, *crashAfter)
 		return
 	}
 
@@ -238,21 +226,10 @@ func main() {
 	}
 
 	if *replay {
-		runReplay(g, qs, opts, replayConfig{
-			clients:     *clients,
-			maxBatch:    *maxBatch,
-			maxWait:     *maxWait,
-			timeout:     *timeout,
-			maxInFlight: *maxInFlight,
-			maxQueued:   *maxQueued,
-			shards:      *shards,
-			connect:     cluster,
-			verbose:     *verbose,
-		})
+		runReplay(g, qs, so, *clients, cluster, *verbose)
 		return
 	}
-	opts.IndexCacheBytes = 0 // one offline batch: cold build
-	eng := hcpath.NewEngine(g, &opts)
+	eng := hcpath.NewEngine(g, &so.Options)
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -305,20 +282,6 @@ func reportPartial(st hcpath.Stats, err error) {
 	}
 }
 
-// serveConfig carries runServe's knobs.
-type serveConfig struct {
-	spec, listen          string
-	maxBatch              int
-	maxWait, queryTimeout time.Duration
-	compactAfter          int
-	maxInFlight           int
-	maxQueued             int
-
-	dataDir         string
-	fsync           hcpath.FsyncPolicy
-	checkpointEvery int
-}
-
 // parseShardSpec parses a -shard identity "i/N".
 func parseShardSpec(spec string) (idx, n int, err error) {
 	i, rest, ok := strings.Cut(spec, "/")
@@ -337,28 +300,16 @@ func parseShardSpec(spec string) (idx, n int, err error) {
 // this process's replica of the graph, answering coordinator RPCs on
 // the wire protocol until SIGINT/SIGTERM shuts it down cleanly
 // (flushing the durable store when -datadir is set).
-func runServe(g *hcpath.Graph, opts hcpath.Options, sc serveConfig) {
-	idx, n, err := parseShardSpec(sc.spec)
+func runServe(g *hcpath.Graph, so hcpath.ServiceOptions, spec, listen string) {
+	idx, n, err := parseShardSpec(spec)
 	if err != nil {
 		fail("%v", err)
 	}
-	so := &hcpath.ServiceOptions{
-		Options:         opts,
-		MaxBatch:        sc.maxBatch,
-		MaxWait:         sc.maxWait,
-		QueryTimeout:    sc.queryTimeout,
-		CompactAfter:    sc.compactAfter,
-		MaxInFlight:     sc.maxInFlight,
-		MaxQueued:       sc.maxQueued,
-		DataDir:         sc.dataDir,
-		Fsync:           sc.fsync,
-		CheckpointEvery: sc.checkpointEvery,
-	}
-	srv, err := hcpath.NewShardServer(g, so, idx, n)
+	srv, err := hcpath.NewShardServer(g, &so, idx, n)
 	if err != nil {
 		fail("start worker: %v", err)
 	}
-	ln, err := net.Listen("tcp", sc.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		fail("listen: %v", err)
 	}
@@ -384,16 +335,6 @@ func runServe(g *hcpath.Graph, opts hcpath.Options, sc serveConfig) {
 		tot.Queries, tot.Batches, tot.Paths, tot.Epoch)
 }
 
-// replayConfig carries runReplay's knobs.
-type replayConfig struct {
-	clients, maxBatch      int
-	maxWait, timeout       time.Duration
-	maxInFlight, maxQueued int
-	shards                 int
-	connect                []string // remote worker addresses; empty = in-process
-	verbose                bool
-}
-
 // replayService builds the Service a replay drives: a connection to the
 // remote cluster when addrs is set, an in-process (possibly sharded)
 // service over g otherwise.
@@ -415,40 +356,30 @@ func replayService(g *hcpath.Graph, so *hcpath.ServiceOptions, addrs []string) *
 // mode, then reports batching and throughput statistics. Clients back
 // off and retry when admission control sheds them, the behaviour
 // ErrOverloaded asks real callers for.
-func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc replayConfig) {
-	so := &hcpath.ServiceOptions{
-		Options:      opts,
-		MaxBatch:     rc.maxBatch,
-		MaxWait:      rc.maxWait,
-		QueryTimeout: rc.timeout,
-		MaxInFlight:  rc.maxInFlight,
-		MaxQueued:    rc.maxQueued,
-		Shards:       rc.shards,
-		OnBatch: func(b hcpath.BatchStats) {
-			if rc.verbose {
-				fmt.Fprintf(os.Stderr,
-					"batch: %d queries, %d groups, sharing %.2f, %d paths, wait %v, enumerate %v\n",
-					b.Queries, b.Groups, b.SharingRatio(), b.Paths,
-					time.Duration(b.WaitNanos).Round(time.Microsecond),
-					time.Duration(b.EnumerateNanos).Round(time.Microsecond))
-			}
-		},
+func runReplay(g *hcpath.Graph, qs []hcpath.Query, so hcpath.ServiceOptions, clients int, connect []string, verbose bool) {
+	if verbose {
+		so.OnBatch = func(b hcpath.BatchStats) {
+			fmt.Fprintf(os.Stderr,
+				"batch: %d queries, %d groups, sharing %.2f, %d paths, wait %v, enumerate %v\n",
+				b.Queries, b.Groups, b.SharingRatio(), b.Paths,
+				time.Duration(b.WaitNanos).Round(time.Microsecond),
+				time.Duration(b.EnumerateNanos).Round(time.Microsecond))
+		}
 	}
-	svc := replayService(g, so, rc.connect)
-	clients := rc.clients
+	svc := replayService(g, &so, connect)
 	if clients < 1 {
 		clients = 1
 	}
 	switch n := svc.NumShards(); {
-	case len(rc.connect) > 0:
+	case len(connect) > 0:
 		// Batching is each worker's own, set by its -serve flags.
 		fmt.Fprintf(os.Stderr, "replay: %d clients, %d remote workers\n", clients, n)
 	case n > 1:
 		fmt.Fprintf(os.Stderr, "replay: %d clients, %d shard workers, batches of ≤%d held ≤%v behind busy slots\n",
-			clients, n, rc.maxBatch, rc.maxWait)
+			clients, n, so.MaxBatch, so.MaxWait)
 	default:
 		fmt.Fprintf(os.Stderr, "replay: %d clients, batches of ≤%d held ≤%v behind busy slots\n",
-			clients, rc.maxBatch, rc.maxWait)
+			clients, so.MaxBatch, so.MaxWait)
 	}
 
 	var failed, truncated, backoffs atomic.Int64
@@ -460,41 +391,17 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 			defer wg.Done()
 			caller := fmt.Sprintf("client-%d", c)
 			for i := c; i < len(qs); i += clients {
-				var retry *hcpath.BackoffSleeper // fresh budget per query
-				for {
-					n, _, err := svc.CountFrom(context.Background(), caller, qs[i])
-					switch {
-					case err == nil:
-						if rc.verbose {
-							fmt.Fprintf(os.Stderr, "reply: query %d: %d paths\n", i, n)
-						}
-					case errors.Is(err, hcpath.ErrLimitReached) || errors.Is(err, context.DeadlineExceeded):
-						truncated.Add(1) // partial count delivered, not a failure
-					case errors.Is(err, hcpath.ErrOverloaded):
-						// Shed at admission: jittered capped backoff, honouring
-						// a remote worker's retry-after hint, giving up once
-						// the policy's total budget is spent.
-						backoffs.Add(1)
-						if retry == nil {
-							retry = hcpath.Backoff{}.Start()
-						}
-						var hint time.Duration
-						var oe *hcpath.OverloadedError
-						if errors.As(err, &oe) {
-							hint = oe.RetryAfter
-						}
-						if serr := retry.Sleep(context.Background(), hint); serr != nil {
-							fmt.Fprintf(os.Stderr, "hcpath: query %d: still overloaded after %d retries: %v\n",
-								i, retry.Attempts(), serr)
-							failed.Add(1)
-							break
-						}
-						continue
-					default:
-						fmt.Fprintf(os.Stderr, "hcpath: query %d: %v\n", i, err)
-						failed.Add(1)
+				n, err := countRetrying(svc, caller, qs[i], &backoffs)
+				switch {
+				case err == nil:
+					if verbose {
+						fmt.Fprintf(os.Stderr, "reply: query %d: %d paths\n", i, n)
 					}
-					break
+				case errors.Is(err, hcpath.ErrLimitReached) || errors.Is(err, context.DeadlineExceeded):
+					truncated.Add(1) // partial count delivered, not a failure
+				default:
+					fmt.Fprintf(os.Stderr, "hcpath: query %d: %v\n", i, err)
+					failed.Add(1)
 				}
 			}
 		}(c)
@@ -525,6 +432,33 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, opts hcpath.Options, rc repla
 	}
 	if wLine != "" {
 		fmt.Println(wLine)
+	}
+}
+
+// countRetrying counts q's paths as caller and, while admission control
+// sheds it, backs off and retries — the behaviour ErrOverloaded asks
+// real callers for: jittered capped backoff, honouring a remote worker's
+// retry-after hint, giving up once the policy's total budget is spent.
+// Every retry is counted in backoffs.
+func countRetrying(svc *hcpath.Service, caller string, q hcpath.Query, backoffs *atomic.Int64) (int64, error) {
+	var retry *hcpath.BackoffSleeper // fresh budget per query
+	for {
+		n, _, err := svc.CountFrom(context.Background(), caller, q)
+		if !errors.Is(err, hcpath.ErrOverloaded) {
+			return n, err
+		}
+		backoffs.Add(1)
+		if retry == nil {
+			retry = hcpath.Backoff{}.Start()
+		}
+		var hint time.Duration
+		var oe *hcpath.OverloadedError
+		if errors.As(err, &oe) {
+			hint = oe.RetryAfter
+		}
+		if serr := retry.Sleep(context.Background(), hint); serr != nil {
+			return n, fmt.Errorf("still overloaded after %d retries: %w", retry.Attempts(), serr)
+		}
 	}
 }
 
@@ -636,21 +570,6 @@ func loadOps(path string) ([]op, error) {
 	return ops, nil
 }
 
-// updateReplayConfig carries runUpdateReplay's knobs.
-type updateReplayConfig struct {
-	maxBatch              int
-	maxWait, queryTimeout time.Duration
-	compactAfter          int
-	shards                int
-	connect               []string // remote worker addresses; empty = in-process
-	verbose               bool
-
-	dataDir         string
-	fsync           hcpath.FsyncPolicy
-	checkpointEvery int
-	crashAfter      int // exit uncleanly after this many applied blocks
-}
-
 // runUpdateReplay drives the service against a live graph: consecutive
 // queries form a wave submitted concurrently (so they micro-batch);
 // consecutive mutations form a block applied with one ApplyUpdates.
@@ -662,33 +581,16 @@ type updateReplayConfig struct {
 // the first WALRecords blocks of the file (and the queries before them,
 // answered pre-crash) are skipped and the replay resumes where the
 // previous process stopped — surviving even a kill -9 mid-run.
-func runUpdateReplay(g *hcpath.Graph, path string, opts hcpath.Options, cfg updateReplayConfig) {
+func runUpdateReplay(g *hcpath.Graph, path string, so hcpath.ServiceOptions, connect []string, verbose bool, crashAfter int) {
 	ops, err := loadOps(path)
 	if err != nil {
 		fail("load updates: %v", err)
 	}
-	so := &hcpath.ServiceOptions{
-		Options:      opts,
-		MaxBatch:     cfg.maxBatch,
-		MaxWait:      cfg.maxWait,
-		QueryTimeout: cfg.queryTimeout,
-		CompactAfter: cfg.compactAfter,
-		Shards:       cfg.shards,
-	}
 	var svc *hcpath.Service
-	switch {
-	case len(cfg.connect) > 0:
-		svc = replayService(nil, so, cfg.connect)
-	case cfg.dataDir != "":
-		so.DataDir = cfg.dataDir
-		so.Fsync = cfg.fsync
-		so.CheckpointEvery = cfg.checkpointEvery
-		svc, err = hcpath.OpenService(g, so)
-		if err != nil {
-			fail("open durable service: %v", err)
-		}
-	default:
-		svc = hcpath.NewService(g, so)
+	if len(connect) > 0 {
+		svc = replayService(nil, &so, connect)
+	} else if svc, err = hcpath.OpenService(g, &so); err != nil {
+		fail("open service: %v", err)
 	}
 	// Durable deployments — a local -datadir, or remote workers that
 	// warm-restarted from theirs — report the update blocks already in
@@ -702,6 +604,7 @@ func runUpdateReplay(g *hcpath.Graph, path string, opts hcpath.Options, cfg upda
 	}
 
 	var queries, failed, truncated, updates int64
+	var backoffs atomic.Int64
 	var skipped, applied int64 // update blocks: caught up vs applied this run
 	t0 := time.Now()
 
@@ -732,11 +635,11 @@ func runUpdateReplay(g *hcpath.Graph, path string, opts hcpath.Options, cfg upda
 		}
 		applied++
 		updates += int64(len(adds) + len(dels))
-		if cfg.verbose {
+		if verbose {
 			fmt.Fprintf(os.Stderr, "applied %d adds, %d dels → epoch %d\n", len(adds), len(dels), epoch)
 		}
 		discardBlock()
-		if cfg.crashAfter > 0 && applied >= int64(cfg.crashAfter) {
+		if crashAfter > 0 && applied >= int64(crashAfter) {
 			// Simulated crash: no Close, no final checkpoint, no WAL
 			// drain beyond what the fsync policy already guaranteed.
 			fmt.Fprintf(os.Stderr, "crash: exiting after %d applied update blocks at epoch %d\n", applied, epoch)
@@ -773,9 +676,9 @@ func runUpdateReplay(g *hcpath.Graph, path string, opts hcpath.Options, cfg upda
 			waveEpoch := svc.Epoch()
 			go func(q hcpath.Query, i int64) {
 				defer wave.Done()
-				switch count, _, err := svc.Count(context.Background(), q); {
+				switch count, err := countRetrying(svc, "", q, &backoffs); {
 				case err == nil:
-					if cfg.verbose {
+					if verbose {
 						fmt.Fprintf(os.Stderr, "q(s=%d,t=%d,k=%d) @epoch %d: %d paths\n",
 							q.S, q.T, q.K, waveEpoch, count)
 					}
@@ -797,6 +700,9 @@ func runUpdateReplay(g *hcpath.Graph, path string, opts hcpath.Options, cfg upda
 		queries, updates, elapsed.Round(time.Microsecond), failed, truncated)
 	fmt.Printf("epoch %d (%d effective edge changes, %d compactions, %d delta edges pending), %d batches, %d paths\n",
 		tot.Epoch, tot.UpdatesApplied, tot.Compactions, tot.DeltaEdges, tot.Batches, tot.Paths)
+	if tot.Shed > 0 {
+		fmt.Printf("admission: %d shed, %d backoffs\n", tot.Shed, backoffs.Load())
+	}
 	fmt.Println(cacheLine(tot))
 	if line := shardLine(svc); line != "" {
 		fmt.Println(line)
@@ -808,11 +714,11 @@ func runUpdateReplay(g *hcpath.Graph, path string, opts hcpath.Options, cfg upda
 	if err := svc.Close(); err != nil {
 		fail("close service: %v", err)
 	}
-	if cfg.dataDir != "" || tot.WALRecords > 0 {
+	if so.DataDir != "" || tot.WALRecords > 0 {
 		fmt.Printf("wal: %d records, %d checkpoints, snapshot epoch %d\n",
 			tot.WALRecords, tot.Checkpoints, tot.SnapshotEpoch)
 	}
-	if cfg.dataDir != "" || len(cfg.connect) > 0 {
+	if so.DataDir != "" || len(connect) > 0 {
 		fmt.Printf("state: epoch %d, n %d, m %d, crc %08x\n",
 			st.Epoch, st.NumVertices, st.NumEdges, st.Checksum)
 	}

@@ -191,6 +191,37 @@ func TestConnectRefusesWorkerFlags(t *testing.T) {
 	}
 }
 
+// TestUpdateReplayAdmission: -updates honours -maxinflight and
+// -maxqueued as -replay does. One wave of concurrent queries, each
+// milliseconds of enumeration, against one batch slot and one queue
+// seat must shed, and every shed query must retry until answered.
+func TestUpdateReplayAdmission(t *testing.T) {
+	dir := t.TempDir()
+	graphPath := filepath.Join(dir, "g.txt")
+	opsPath := filepath.Join(dir, "ops.txt")
+	var g, ops strings.Builder
+	for u := 0; u < 9; u++ { // complete digraph: 13 700 paths of ≤ 8 hops per pair
+		for v := 0; v < 9; v++ {
+			if u != v {
+				fmt.Fprintf(&g, "%d %d\n", u, v)
+			}
+		}
+	}
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&ops, "query %d %d 8\n", i%9, (i+4)%9)
+	}
+	if err := os.WriteFile(graphPath, []byte(g.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(opsPath, []byte(ops.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runCLI(t, "-graph", graphPath, "-updates", opsPath, "-maxinflight", "1", "-maxqueued", "1")
+	if code != 0 || !strings.Contains(out, " 0 failed") || !strings.Contains(out, "admission:") {
+		t.Fatalf("exit %d; want 0 with 0 failed and an admission: line:\n%s", code, out)
+	}
+}
+
 // TestUpdateReplayRestart is the CLI acceptance test for durability: an
 // update replay killed mid-run (repeatedly — crash, resume, crash
 // again) must, after its final restart, report exactly the state of an

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"time"
 
 	hcpath "repro"
@@ -74,10 +75,10 @@ func main() {
 		{"BasicEnum+", hcpath.Options{Algorithm: hcpath.BasicEnumPlus}},
 		{"BatchEnum", hcpath.Options{Algorithm: hcpath.BatchEnum}},
 		{"BatchEnum+", hcpath.Options{Algorithm: hcpath.BatchEnumPlus}},
-		{"BatchEnum+ (no sharing)", hcpath.Options{Algorithm: hcpath.BatchEnumPlus, DisableSharing: true}},
 		{"BatchEnum+ (parallel)", hcpath.Options{Algorithm: hcpath.BatchEnumPlus, Workers: -1}},
 	}
 
+	var want []int64 // BasicEnum's per-query counts, the first row's
 	fmt.Printf("%-26s %12s %10s %8s %8s\n", "engine", "time", "paths", "shared", "spliced")
 	for _, c := range configs {
 		eng := hcpath.NewEngine(g, &c.opts)
@@ -85,6 +86,11 @@ func main() {
 		counts, st, err := eng.Count(queries)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if want == nil {
+			want = counts
+		} else if !slices.Equal(counts, want) {
+			log.Fatalf("%s: per-query counts differ from BasicEnum's", c.name)
 		}
 		var total int64
 		for _, n := range counts {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/shard"
-	"repro/internal/sharegraph"
 	"repro/internal/store"
 	"repro/internal/timing"
 )
@@ -166,9 +165,6 @@ type Options struct {
 	// means the paper's default 0.5. Smaller values merge more queries
 	// into one sharing group.
 	Gamma float64
-	// DisableSharing turns off common sub-query detection, reducing the
-	// batch engines to their per-query baselines (for ablation).
-	DisableSharing bool
 	// MaxHops caps K per query; zero means the internal limit of 15.
 	// Values above 255 are clamped to 255, the largest representable hop
 	// constraint. Enumeration cost and result counts grow exponentially
@@ -194,20 +190,10 @@ type Options struct {
 	// still needs a context deadline (EnumerateContext et al.) or a
 	// service QueryTimeout to bound its work.
 	Limit int64
-	// IndexCacheBytes controls the hop-distance-map cache of the index
-	// provider layer, which lets batches that repeat endpoints reuse
-	// each other's MS-BFS results (a cached entry also serves queries
-	// with a smaller hop cap, via threshold filtering). Positive values
-	// set the cache's byte budget; negative disables caching. Zero picks
-	// the layer default: an Engine builds cold per batch (offline
-	// batches rarely repeat endpoints) through a pooled builder that
-	// recycles the dense arrays, while a Service caches with
-	// DefaultIndexCacheBytes — its whole point is repeated traffic.
-	IndexCacheBytes int64
 }
 
 // DefaultIndexCacheBytes is the index-cache budget a Service uses when
-// Options.IndexCacheBytes is zero.
+// ServiceOptions.IndexCacheBytes is zero.
 const DefaultIndexCacheBytes = hcindex.DefaultCacheBytes
 
 // maxHopsLimit is the largest accepted hop constraint: queries carry K
@@ -246,51 +232,24 @@ func (o *Options) maxHops() int {
 type Engine struct {
 	g    *Graph
 	opts Options
-	// provider lives as long as the engine: the cross-batch cache when
-	// IndexCacheBytes is positive, otherwise a pooled cold builder whose
+	// provider lives as long as the engine: a pooled cold builder whose
 	// dense arrays and MS-BFS scratch recycle from batch to batch.
 	provider hcindex.Provider
 }
 
 // NewEngine returns an engine over g; nil opts selects the defaults
-// (BatchEnum+ with γ = 0.5). A positive Options.IndexCacheBytes gives
-// the engine a private cross-batch index cache, so successive
-// Enumerate/Stream/Count calls that revisit endpoints skip their
-// MS-BFS rebuilds — offline reuse of the online service's cache layer.
-// Without one, every batch still builds its index afresh, but through
-// one long-lived pooled builder, so steady-state calls stop allocating
-// per-vertex arrays.
+// (BatchEnum+ with γ = 0.5). Every batch builds its index afresh
+// (offline batches rarely repeat endpoints; a Service caches), but
+// through one long-lived pooled builder, so steady-state calls stop
+// allocating per-vertex arrays.
 func NewEngine(g *Graph, opts *Options) *Engine {
 	e := &Engine{g: g}
 	if opts != nil {
 		e.opts = *opts
 	}
-	width := runtime.GOMAXPROCS(0) // see resolveWorkers
-	if e.opts.IndexCacheBytes > 0 {
-		e.provider = hcindex.NewCacheWorkers(e.opts.IndexCacheBytes, width)
-	} else {
-		e.provider = hcindex.NewBuilderWorkers(true, width)
-	}
+	e.provider = hcindex.NewBuilderWorkers(true, runtime.GOMAXPROCS(0)) // see resolveWorkers
 	return e
 }
-
-// IndexCacheStats returns the engine's index-cache counters; the zero
-// value when the engine has no cache.
-func (e *Engine) IndexCacheStats() IndexCacheStats {
-	c, ok := e.provider.(*hcindex.Cache)
-	if !ok {
-		return IndexCacheStats{}
-	}
-	return IndexCacheStats(c.Stats())
-}
-
-// IndexCacheStats snapshots an index cache: probe hits/misses (two
-// probes per query — forward and backward), hits served from wider-cap
-// entries, evictions, and current size.
-type IndexCacheStats hcindex.Stats
-
-// HitRatio returns Hits / (Hits + Misses), zero when no probes ran.
-func (s IndexCacheStats) HitRatio() float64 { return hcindex.Stats(s).HitRatio() }
 
 // ErrLimitReached marks a query whose result set was truncated to
 // Options.Limit while more paths remained. It is reported per query
@@ -408,7 +367,6 @@ func (e *Engine) options() batchenum.Options {
 	return batchenum.Options{
 		Algorithm: e.opts.Algorithm.internal(),
 		Gamma:     e.opts.Gamma,
-		Detect:    sharegraph.Options{DisableSharing: e.opts.DisableSharing},
 		Provider:  e.provider,
 		Workers:   resolveWorkers(e.opts.Workers, 1),
 	}
@@ -623,14 +581,18 @@ type WorkerDownError = shard.WorkerDownError
 // over sharing groups with GOMAXPROCS workers.
 type ServiceOptions struct {
 	// Options configures the engine each micro-batch runs through,
-	// exactly as for NewEngine — except the zero values of two fields.
-	// Workers: a service exists to exploit concurrency, so zero (like
-	// negative) means GOMAXPROCS workers per batch; a positive count is
-	// taken literally, one running each batch inline on its dispatch
-	// goroutine. IndexCacheBytes: zero gives the service a
-	// DefaultIndexCacheBytes cross-batch cache (repeated endpoints skip
-	// their MS-BFS rebuilds); negative disables it.
+	// exactly as for NewEngine — except the zero value of Workers: a
+	// service exists to exploit concurrency, so zero (like negative)
+	// means GOMAXPROCS workers per batch; a positive count is taken
+	// literally, one running each batch inline on its dispatch goroutine.
 	Options
+	// IndexCacheBytes is the byte budget of the service's cross-batch
+	// hop-distance-map cache, which lets batches that repeat endpoints
+	// reuse each other's MS-BFS results (a cached entry also serves
+	// queries with a smaller hop cap, via threshold filtering). Zero
+	// means DefaultIndexCacheBytes; negative disables the cache, so
+	// every batch builds its index cold.
+	IndexCacheBytes int64
 	// MaxBatch caps the queries coalesced into one micro-batch; zero
 	// means 64.
 	MaxBatch int
@@ -689,13 +651,10 @@ type ServiceOptions struct {
 	DataDir string
 	// Fsync selects when WAL appends reach stable storage when DataDir
 	// is set: FsyncAlways (the default — an acknowledged update survives
-	// any crash), FsyncInterval (background sync every SyncEvery; at
-	// most one interval of acknowledged updates lost), or FsyncOff
-	// (sync only at checkpoints and Close; for bulk loads).
+	// any crash), FsyncInterval (background sync every 100ms; at most
+	// one interval of acknowledged updates lost), or FsyncOff (sync only
+	// at checkpoints and Close; for bulk loads).
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncInterval ticker period; zero selects the
-	// store default (100ms).
-	SyncEvery time.Duration
 	// CheckpointEvery is the background checkpoint cadence in logged
 	// update records; zero selects the store default (1024), negative
 	// leaves checkpoints to Close and Service.Checkpoint. A checkpoint
@@ -719,14 +678,6 @@ type ServiceOptions struct {
 	// NewShardServer and ConnectService. Zero or one means the ordinary
 	// single-process service.
 	Shards int
-	// MaxCrossShard bounds the router's cross-shard joins running
-	// concurrently in the in-process deployment (Shards > 1); excess
-	// cross-shard queries are shed with ErrOverloaded. Single-shard
-	// traffic is governed per worker by MaxInFlight/MaxQueued/
-	// MaxPerCaller as usual. Zero means unlimited. ConnectService
-	// ignores it: over the wire the router joins nothing, and every
-	// query is under its worker's own admission control.
-	MaxCrossShard int
 }
 
 // FsyncPolicy selects when WAL appends reach stable storage; see
@@ -796,17 +747,14 @@ func (o ServiceOptions) config() service.Config {
 		Engine: batchenum.Options{
 			Algorithm: o.Algorithm.internal(),
 			Gamma:     o.Gamma,
-			Detect:    sharegraph.Options{DisableSharing: o.DisableSharing},
 			Workers:   resolveWorkers(o.Workers, -1),
 		},
 		IndexCacheBytes: o.IndexCacheBytes,
 		OnBatch:         o.OnBatch,
 		DataDir:         o.DataDir,
 		Fsync:           o.Fsync,
-		SyncEvery:       o.SyncEvery,
 		CheckpointEvery: o.CheckpointEvery,
 		Shards:          o.Shards,
-		MaxCrossShard:   o.MaxCrossShard,
 	}
 }
 
@@ -973,11 +921,12 @@ func (s *Service) Epoch() uint64 { return s.svc.Epoch() }
 func (s *Service) Totals() ServiceTotals { return s.svc.Stats() }
 
 // ShardingStats counts how a sharded service classified its traffic:
-// queries forwarded to the worker owning both endpoints (SingleShard),
-// queries whose endpoints are owned by two workers (CrossShard — joined
-// by the router in-process, forwarded whole to the source's owner by
-// ConnectService), and cross-shard queries shed at the MaxCrossShard
-// bound (CrossShed, in-process only). EpochRetries is always zero.
+// queries forwarded to the worker owning both endpoints (SingleShard)
+// and queries whose endpoints are owned by two workers (CrossShard —
+// joined by the router in-process, forwarded whole to the source's
+// owner by ConnectService). CrossShed and EpochRetries are always zero:
+// the router neither sheds nor retries; admission control is each
+// worker's.
 type ShardingStats = shard.RoutingStats
 
 // ShardOf returns the worker that owns vertex v in a deployment of the
@@ -1048,15 +997,15 @@ func (s *Service) Wire() []WireStats {
 // Of opts only MaxHops is read: it validates queries before they are
 // sent. Everything else — Limit, QueryTimeout, batching, admission,
 // durability, cache — is fixed by each worker's own process (pass it to
-// NewShardServer / hcpath -serve); Shards, MaxCrossShard and DataDir
-// here are ignored. Closing the Service drops the connections — worker
+// NewShardServer / hcpath -serve); Shards and DataDir here are
+// ignored. Closing the Service drops the connections — worker
 // processes keep serving.
 func ConnectService(ctx context.Context, addrs []string, opts *ServiceOptions) (*Service, error) {
 	var o ServiceOptions
 	if opts != nil {
 		o = *opts
 	}
-	coord, err := shard.Connect(ctx, addrs, shard.ConnectOptions{})
+	coord, err := shard.Connect(ctx, addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -1100,7 +1049,7 @@ func NewShardServer(g *Graph, opts *ServiceOptions, shardIdx, shards int) (*Shar
 	if err != nil {
 		return nil, err
 	}
-	return &ShardServer{srv: shard.NewServer(svc, shardIdx, shards, shard.ServerOptions{})}, nil
+	return &ShardServer{srv: shard.NewServer(svc, shardIdx, shards)}, nil
 }
 
 // Serve accepts coordinator connections on ln until Close; it returns

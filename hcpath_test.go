@@ -140,22 +140,6 @@ func TestStatsSharing(t *testing.T) {
 	}
 }
 
-// TestDisableSharing still answers correctly.
-func TestDisableSharing(t *testing.T) {
-	g := paperGraph(t)
-	eng := NewEngine(g, &Options{DisableSharing: true})
-	counts, st, err := eng.Count(paperQueries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 3 {
-		t.Errorf("count %d, want 3", counts[0])
-	}
-	if st.SplicedPaths != 0 {
-		t.Errorf("sharing disabled but %d paths spliced", st.SplicedPaths)
-	}
-}
-
 // TestQueryValidation: bad hop constraints and vertices are rejected.
 func TestQueryValidation(t *testing.T) {
 	g := paperGraph(t)
@@ -249,8 +233,8 @@ func TestWorkersBoundary(t *testing.T) {
 }
 
 // TestIndexBuildWidthEquivalence: an Engine builds its index on
-// GOMAXPROCS goroutines (at least two here), a Service serially, each
-// with the index cache on and off; all four answer a batch whose
+// GOMAXPROCS goroutines (at least two here), a Service serially with
+// its index cache on and off; all three answer a batch whose
 // endpoints span several 64-source chunks per direction with the
 // per-query counts of the serial, unshared BasicEnum run.
 func TestIndexBuildWidthEquivalence(t *testing.T) {
@@ -288,15 +272,14 @@ func TestIndexBuildWidthEquivalence(t *testing.T) {
 			}
 		}
 	}
+	counts, _, err := NewEngine(g, nil).Count(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("engine", counts)
 	for _, cacheBytes := range []int64{-1, 1 << 20} {
-		counts, _, err := NewEngine(g, &Options{IndexCacheBytes: cacheBytes}).Count(qs)
-		if err != nil {
-			t.Fatalf("engine cache=%d: %v", cacheBytes, err)
-		}
-		check(fmt.Sprintf("engine cache=%d", cacheBytes), counts)
-
-		svc := NewService(g, &ServiceOptions{Options: Options{IndexCacheBytes: cacheBytes}})
-		counts = make([]int64, len(qs))
+		svc := NewService(g, &ServiceOptions{IndexCacheBytes: cacheBytes})
+		counts := make([]int64, len(qs))
 		var wg sync.WaitGroup
 		for c := 0; c < 8; c++ {
 			wg.Add(1)

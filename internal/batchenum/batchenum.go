@@ -65,8 +65,6 @@ type Options struct {
 	// Gamma is the clustering merge threshold γ of Algorithm 2; zero
 	// selects the paper's default of 0.5.
 	Gamma float64
-	// Detect tunes the sharing detector (BatchEnum engines only).
-	Detect sharegraph.Options
 	// Provider supplies the per-batch distance index. nil means the
 	// package's shared pooled builder (a cold build per run whose dense
 	// arrays and traversal scratch recycle through a msbfs.Pool); a
@@ -390,8 +388,8 @@ func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, grou
 			Other: idx.DistMapFor(qi, hcindex.Forward), Query: qi,
 		}
 	}
-	psiF := sharegraph.Detect(g, fwdHalves, opts.Detect)
-	psiB := sharegraph.Detect(gr, bwdHalves, opts.Detect)
+	psiF := sharegraph.Detect(g, fwdHalves)
+	psiB := sharegraph.Detect(gr, bwdHalves)
 	stop()
 	st.SharedNodes += psiF.NumShared() + psiB.NumShared()
 	st.SharingEdges += psiF.NumEdges() + psiB.NumEdges()

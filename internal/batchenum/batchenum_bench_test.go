@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/query"
-	"repro/internal/sharegraph"
 	"repro/internal/workload"
 )
 
@@ -55,12 +54,6 @@ func BenchmarkBasicEnum(b *testing.B) { benchRun(b, Options{Algorithm: Basic}) }
 func BenchmarkBasicPlus(b *testing.B) { benchRun(b, Options{Algorithm: BasicPlus}) }
 func BenchmarkBatchEnum(b *testing.B) { benchRun(b, Options{Algorithm: Batch}) }
 func BenchmarkBatchPlus(b *testing.B) { benchRun(b, Options{Algorithm: BatchPlus}) }
-
-// BenchmarkBatchPlusNoSharing isolates the gain of dominating HC-s path
-// query reuse: identical engine, detection disabled.
-func BenchmarkBatchPlusNoSharing(b *testing.B) {
-	benchRun(b, Options{Algorithm: BatchPlus, Detect: sharegraph.Options{DisableSharing: true}})
-}
 
 // BenchmarkGammaSweep quantifies the clustering threshold's cost: γ=1
 // never merges (pure overhead), γ=0.1 merges aggressively.

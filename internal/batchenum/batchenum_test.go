@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/query"
-	"repro/internal/sharegraph"
 	"repro/internal/testgraphs"
 )
 
@@ -278,23 +277,6 @@ func TestEmptyBatch(t *testing.T) {
 		if err != nil || st.NumQueries != 0 {
 			t.Fatalf("empty batch workers=%d: st=%+v err=%v", workers, st, err)
 		}
-	}
-}
-
-// TestDisableSharingAblation: BatchEnum with sharing disabled equals
-// BasicEnum's results (and performs no splices).
-func TestDisableSharingAblation(t *testing.T) {
-	g := testgraphs.Paper()
-	gr := g.Reverse()
-	qs := paperBatch()
-	want := bruteSet(g, qs)
-	got, st := collect(t, g, gr, qs, Options{
-		Algorithm: Batch,
-		Detect:    sharegraph.Options{DisableSharing: true},
-	})
-	diffSets(t, "no-sharing", want, got, len(qs))
-	if st.SharedNodes != 0 || st.SplicedPaths != 0 {
-		t.Errorf("sharing disabled but SharedNodes=%d SplicedPaths=%d", st.SharedNodes, st.SplicedPaths)
 	}
 }
 

@@ -86,7 +86,6 @@ type binding struct {
 // contract.
 type Cache struct {
 	maxBytes int64
-	width    int
 
 	mu       sync.Mutex
 	bindings []*binding // most recently served first
@@ -101,18 +100,14 @@ type Cache struct {
 }
 
 // NewCache returns an empty cache bounded by maxBytes of dense-array
-// storage; non-positive means DefaultCacheBytes. Misses build serially.
-func NewCache(maxBytes int64) *Cache { return NewCacheWorkers(maxBytes, 1) }
-
-// NewCacheWorkers is NewCache building misses on up to workers
-// goroutines, as NewBuilderWorkers does.
-func NewCacheWorkers(maxBytes int64, workers int) *Cache {
+// storage; non-positive means DefaultCacheBytes. Misses build serially:
+// its owner, a Service, already fills the cores with concurrent batches.
+func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
 	return &Cache{
 		maxBytes: maxBytes,
-		width:    workers,
 		pools:    make(map[int]*msbfs.Pool),
 		entries:  make(map[entryKey]*entry),
 		caps:     make(map[dirVertex][]uint8),
@@ -261,7 +256,7 @@ func (c *Cache) buildMisses(g, gr *graph.Graph, keys []entryKey, pool *msbfs.Poo
 		p.Sources = append(p.Sources, key.v)
 		p.Caps = append(p.Caps, key.cap)
 	}
-	res := msbfs.RunPasses(passes[:], pool, msbfs.BuildOptions{Workers: c.width})
+	res := msbfs.RunPasses(passes[:], pool, msbfs.BuildOptions{})
 	out := make([]*msbfs.DistMap, len(keys))
 	var next [2]int
 	for j, key := range keys {

@@ -48,20 +48,3 @@ func TestBuilderWorkersMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheWorkersMatchesSequential: a cache building its misses wide
-// must reproduce the serial Build on its cold pass and stay exact on
-// the warm pass, where cached entries replace fresh builds.
-func TestCacheWorkersMatchesSequential(t *testing.T) {
-	g, gr, qs := workersFixture(t)
-	want := Build(g, gr, qs)
-	c := NewCacheWorkers(0, 4)
-	for _, round := range []string{"cold", "warm"} {
-		idx := c.Acquire(g, gr, 0, qs)
-		indexesAgree(t, round, g, want, idx, len(qs))
-		if round == "warm" && idx.Misses != 0 {
-			t.Errorf("warm pass missed %d probes", idx.Misses)
-		}
-		idx.Release()
-	}
-}

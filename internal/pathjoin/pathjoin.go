@@ -216,8 +216,9 @@ func DisjointExceptMeet(pf, pb []graph.VertexID) bool {
 	return true
 }
 
-// IsSimple reports whether p has no repeated vertices, used by tests and
-// by engines validating spliced cache results.
+// IsSimple reports whether p has no repeated vertices. It is a test
+// oracle: the engines keep paths simple by construction and never call
+// it.
 func IsSimple(p []graph.VertexID) bool {
 	switch {
 	case len(p) <= 1:

@@ -107,9 +107,6 @@ type Config struct {
 	// Fsync selects the WAL durability policy when DataDir is set:
 	// store.FsyncAlways (default), store.FsyncInterval, store.FsyncOff.
 	Fsync store.FsyncPolicy
-	// SyncEvery is the FsyncInterval ticker period; zero selects
-	// store.DefaultSyncEvery.
-	SyncEvery time.Duration
 	// CheckpointEvery controls background snapshot cadence (update
 	// records between checkpoints); zero selects
 	// store.DefaultCheckpointEvery, negative leaves checkpoints to
@@ -146,14 +143,6 @@ type Config struct {
 	// one worker per shard from this Config with Shards cleared. Zero or
 	// one means unsharded.
 	Shards int
-	// MaxCrossShard bounds the coordinator's cross-shard joins running
-	// concurrently in the in-process sharded deployment; excess
-	// cross-shard queries are shed with ErrOverloaded. Single-shard
-	// traffic is governed by the per-shard MaxInFlight/MaxQueued/
-	// MaxPerCaller bounds instead. Zero or negative means unlimited.
-	// Ignored by a single Service and by a coordinator over remote
-	// workers, which joins nothing.
-	MaxCrossShard int
 	// SyncCompact makes the store fold deltas inline inside
 	// ApplyUpdates instead of in a background goroutine. The sharded
 	// coordinator forces it on so replicas stepping through the same
@@ -509,7 +498,6 @@ func Open(g, gr *graph.Graph, cfg Config) (*Service, error) {
 	st, err := store.Open(cfg.DataDir, g, store.DurableOptions{
 		Options:         store.Options{CompactAfter: cfg.CompactAfter, SyncCompact: cfg.SyncCompact},
 		Fsync:           cfg.Fsync,
-		SyncEvery:       cfg.SyncEvery,
 		CheckpointEvery: cfg.CheckpointEvery,
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 
 	b.Run("RPCs", func(b *testing.B) {
 		g := testgraphs.Diamond()
-		coord := startCluster(b, g, 2, testConfig(), ConnectOptions{})
+		coord := startCluster(b, g, 2, testConfig())
 		w := coord.workers[0].(*remoteWorker)
 		b.ResetTimer()
 		var wg sync.WaitGroup
@@ -56,7 +56,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 		cfg := testConfig()
 		cfg.MaxBatch = clients
 		cfg.MaxWait = 200 * time.Microsecond
-		coord := startCluster(b, g, 2, cfg, ConnectOptions{})
+		coord := startCluster(b, g, 2, cfg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var wg sync.WaitGroup
@@ -85,7 +85,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 // holds under -race.)
 func TestWireRPCAllocCeiling(t *testing.T) {
 	const recorded = 13
-	coord := startCluster(t, testgraphs.Diamond(), 2, testConfig(), ConnectOptions{})
+	coord := startCluster(t, testgraphs.Diamond(), 2, testConfig())
 	w := coord.workers[0].(*remoteWorker)
 	got := testing.AllocsPerRun(200, func() {
 		id, req := w.begin(mtEpoch)

@@ -17,27 +17,9 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// ConnectOptions tunes Connect.
-type ConnectOptions struct {
-	// DialBackoff paces connection attempts per worker; the zero value
-	// means Base 25ms, Cap 500ms, Total 5s — a worker that has not
-	// come up within the budget fails the Connect loudly.
-	DialBackoff Backoff
-}
-
-func (o ConnectOptions) dialBackoff() Backoff {
-	b := o.DialBackoff
-	if b.Base == 0 {
-		b.Base = 25 * time.Millisecond
-	}
-	if b.Cap == 0 {
-		b.Cap = 500 * time.Millisecond
-	}
-	if b.Total == 0 {
-		b.Total = 5 * time.Second
-	}
-	return b
-}
+// dialBackoff paces connection attempts per worker: a worker that has
+// not come up within its 5s budget fails the Connect loudly.
+var dialBackoff = Backoff{Base: 25 * time.Millisecond, Cap: 500 * time.Millisecond, Total: 5 * time.Second}
 
 // Connect builds a Coordinator over remote workers, one per address,
 // address i serving shard i of len(addrs): it dials each worker (with
@@ -48,14 +30,13 @@ func (o ConnectOptions) dialBackoff() Backoff {
 // over remote workers only routes — every query, cross-shard ones
 // included, runs whole on one worker under the Limit, QueryTimeout,
 // batching and admission config that worker process was started with.
-// The dial Backoff is all there is to tune on this side.
-func Connect(ctx context.Context, addrs []string, opts ConnectOptions) (*Coordinator, error) {
+func Connect(ctx context.Context, addrs []string) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shard: Connect needs at least one worker address")
 	}
 	c := &Coordinator{workers: make([]worker, len(addrs))}
 	for i, addr := range addrs {
-		w, err := dialWorker(ctx, addr, i, len(addrs), opts)
+		w, err := dialWorker(ctx, addr, i, len(addrs))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -130,9 +111,9 @@ type callResult struct {
 // dialWorker establishes one worker connection: dial under the
 // backoff, handshake synchronously, then start the connection's writer
 // and receive loop.
-func dialWorker(ctx context.Context, addr string, shardIdx, shards int, opts ConnectOptions) (*remoteWorker, error) {
+func dialWorker(ctx context.Context, addr string, shardIdx, shards int) (*remoteWorker, error) {
 	var d net.Dialer
-	sleeper := opts.dialBackoff().Start()
+	sleeper := dialBackoff.Start()
 	var conn net.Conn
 	for {
 		var err error

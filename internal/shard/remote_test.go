@@ -27,13 +27,13 @@ var remoteShardCounts = []int{2, 3}
 // startCluster launches n workers as real Servers on loopback listeners
 // and connects a Coordinator to them, mirroring the cmd/hcpath
 // -serve/-connect deployment inside one test process.
-func startCluster(t testing.TB, g *graph.Graph, n int, cfg service.Config, opts ConnectOptions) *Coordinator {
+func startCluster(t testing.TB, g *graph.Graph, n int, cfg service.Config) *Coordinator {
 	t.Helper()
 	gr := g.Reverse()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		svc := service.New(g, gr, workerConfig(cfg, n, false))
-		srv := NewServer(svc, i, n, ServerOptions{})
+		srv := NewServer(svc, i, n)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen worker %d: %v", i, err)
@@ -42,7 +42,7 @@ func startCluster(t testing.TB, g *graph.Graph, n int, cfg service.Config, opts 
 		go srv.Serve(ln)
 		t.Cleanup(func() { srv.Close() })
 	}
-	coord, err := Connect(context.Background(), addrs, opts)
+	coord, err := Connect(context.Background(), addrs)
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestRemoteDifferentialCorpus(t *testing.T) {
 		want := runAll(single, tc.qs)
 		single.Close()
 		for _, n := range remoteShardCounts {
-			remote := startCluster(t, tc.g, n, testConfig(), ConnectOptions{})
+			remote := startCluster(t, tc.g, n, testConfig())
 			got := runAll(remote, tc.qs)
 			diffOutcomes(t, fmt.Sprintf("remote/%s/shards=%d", tc.name, n), tc.qs, want, got)
 			rs := remote.Routing()
@@ -100,7 +100,7 @@ func TestRemoteLiveUpdates(t *testing.T) {
 
 			cfg := testConfig()
 			cfg.CompactAfter = 8
-			coord := startCluster(t, g, n, cfg, ConnectOptions{})
+			coord := startCluster(t, g, n, cfg)
 
 			maxV := 8
 			for wave := 0; wave < 6; wave++ {
@@ -139,7 +139,7 @@ func TestRemoteLiveUpdates(t *testing.T) {
 // checkpoint plumbing cross the wire.
 func TestRemoteStatsPlane(t *testing.T) {
 	tc := corpus()[0]
-	remote := startCluster(t, tc.g, 2, testConfig(), ConnectOptions{})
+	remote := startCluster(t, tc.g, 2, testConfig())
 	got := runAll(remote, tc.qs)
 	for i, o := range got {
 		if o.err != nil {
@@ -172,7 +172,7 @@ func TestConnectRejectsWrongShardIdentity(t *testing.T) {
 	var addrs [2]string
 	for i := 0; i < 2; i++ {
 		svc := service.New(g, gr, workerConfig(cfg, 2, false))
-		srv := NewServer(svc, i, 2, ServerOptions{})
+		srv := NewServer(svc, i, 2)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
@@ -182,7 +182,7 @@ func TestConnectRejectsWrongShardIdentity(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 	}
 	swapped := []string{addrs[1], addrs[0]}
-	coord, err := Connect(context.Background(), swapped, ConnectOptions{})
+	coord, err := Connect(context.Background(), swapped)
 	if err == nil {
 		coord.Close()
 		t.Fatal("Connect accepted a cluster wired in the wrong shard order")
@@ -192,9 +192,9 @@ func TestConnectRejectsWrongShardIdentity(t *testing.T) {
 	}
 }
 
-// TestConnectDialBackoffGivesUp points Connect at a dead address with a
-// tight budget: the dial loop must fail with ErrBackoffExhausted, not
-// spin.
+// TestConnectDialBackoffGivesUp points Connect at a dead address under
+// a 50ms context: the dial loop must give up with the context's error,
+// not spin.
 func TestConnectDialBackoffGivesUp(t *testing.T) {
 	// Reserve a port, then close it so nothing listens there.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -203,11 +203,11 @@ func TestConnectDialBackoffGivesUp(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	_, err = Connect(context.Background(), []string{addr}, ConnectOptions{
-		DialBackoff: Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Total: 20 * time.Millisecond},
-	})
-	if !errors.Is(err, ErrBackoffExhausted) {
-		t.Fatalf("Connect to dead address: got %v, want ErrBackoffExhausted", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err = Connect(ctx, []string{addr})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Connect to dead address: got %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -312,7 +312,7 @@ func connectFakes(t *testing.T, hook0, hook1 func(conn net.Conn, typ byte, id ui
 	t.Helper()
 	f0 := startFakeWorker(t, onState(hook0))
 	f1 := startFakeWorker(t, onState(hook1))
-	coord, err := Connect(context.Background(), []string{f0.addr(), f1.addr()}, ConnectOptions{})
+	coord, err := Connect(context.Background(), []string{f0.addr(), f1.addr()})
 	if err != nil {
 		t.Fatalf("Connect to fakes: %v", err)
 	}

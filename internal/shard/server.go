@@ -29,10 +29,9 @@ import (
 // into one flush — the server half of the batching that lets N
 // concurrent queries share a round-trip.
 type Server struct {
-	svc        *service.Service
-	shardIdx   int
-	shards     int
-	retryAfter time.Duration
+	svc      *service.Service
+	shardIdx int
+	shards   int
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -41,27 +40,20 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// ServerOptions tunes a Server.
-type ServerOptions struct {
-	// RetryAfter is the backpressure hint attached to ErrOverloaded
-	// responses: how long the server suggests a shedding client wait
-	// before retrying. Zero means 5ms.
-	RetryAfter time.Duration
-}
+// retryAfter is the backpressure hint attached to ErrOverloaded
+// responses: how long the server suggests a shedding client wait before
+// retrying.
+const retryAfter = 5 * time.Millisecond
 
 // NewServer wraps svc as shard shardIdx of shards. The service must
 // run with the worker invariants (SyncCompact on, not itself sharded)
 // — use hcpath.NewShardServer or workerConfig to build it.
-func NewServer(svc *service.Service, shardIdx, shards int, opts ServerOptions) *Server {
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 5 * time.Millisecond
-	}
+func NewServer(svc *service.Service, shardIdx, shards int) *Server {
 	return &Server{
-		svc:        svc,
-		shardIdx:   shardIdx,
-		shards:     shards,
-		retryAfter: opts.RetryAfter,
-		conns:      make(map[net.Conn]struct{}),
+		svc:      svc,
+		shardIdx: shardIdx,
+		shards:   shards,
+		conns:    make(map[net.Conn]struct{}),
 	}
 }
 
@@ -225,7 +217,7 @@ func errFrame(id uint64, err error, retryAfter time.Duration) []byte {
 func (s *Server) handle(typ byte, id uint64, body []byte) []byte {
 	resp, err := s.dispatch(beginMsg(nil, mtResp, id), typ, wirefmt.NewReader(body))
 	if err != nil {
-		return errFrame(id, err, s.retryAfter)
+		return errFrame(id, err, retryAfter)
 	}
 	return wirefmt.EndFrame(resp)
 }

@@ -77,10 +77,9 @@
 // traffic in-process, all traffic over the wire: a worker's
 // ErrOverloaded propagates to the caller with its retry-after semantics
 // intact — over the wire it arrives as OverloadedError carrying the
-// server's retry-after hint for the caller's Backoff. In-process the
-// coordinator adds Config.MaxCrossShard, bounding concurrent joins;
-// excess cross-shard queries are shed with a wrapped
-// service.ErrOverloaded before any shard does work on their behalf.
+// server's retry-after hint for the caller's Backoff. An in-process
+// join runs on its caller's goroutine outside every worker's pipeline:
+// the coordinator sheds nothing itself.
 //
 // # Durability
 //
@@ -154,11 +153,10 @@ type RoutingStats struct {
 	// coordinator in-process, forwarded whole to the owner of the source
 	// over the wire.
 	SingleShard, CrossShard int64
-	// CrossShed counts cross-shard queries shed at the MaxCrossShard
-	// bound (in-process joins only). EpochRetries is always 0: a join
-	// pins its epoch and never restarts. Both stay because the frozen
-	// harness (benchmark/layers.go) reads them, and leave with ROADMAP
-	// item 8's harness-opening PR.
+	// CrossShed and EpochRetries are always 0: the coordinator sheds
+	// nothing itself, and a join pins its epoch and never restarts. Both
+	// stay because the frozen harness (benchmark/layers.go) reads them,
+	// and leave with ROADMAP item 9's harness-opening PR.
 	CrossShed, EpochRetries int64
 }
 
@@ -188,11 +186,7 @@ type Coordinator struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// crossSlots is the MaxCrossShard admission semaphore; nil means
-	// unlimited.
-	crossSlots chan struct{}
-
-	single, cross, shed atomic.Int64
+	single, cross atomic.Int64
 
 	aggMu sync.Mutex
 	agg   crossAgg
@@ -283,11 +277,7 @@ func Open(g, gr *graph.Graph, cfg service.Config) (*Coordinator, error) {
 }
 
 func newCoordinator(cfg service.Config, n int) *Coordinator {
-	c := &Coordinator{cfg: cfg, workers: make([]worker, n)}
-	if cfg.MaxCrossShard > 0 {
-		c.crossSlots = make(chan struct{}, cfg.MaxCrossShard)
-	}
-	return c
+	return &Coordinator{cfg: cfg, workers: make([]worker, n)}
 }
 
 // verifyAligned checks every worker reports the same store.State — the
@@ -317,8 +307,7 @@ func (c *Coordinator) ShardOf(v graph.VertexID) int { return ShardOf(v, len(c.wo
 // (the caller string feeds that worker's fairness quota). Cross-shard
 // queries follow the deployment (see the package comment): over the
 // wire they forward the same way, to the worker owning the source;
-// in-process the coordinator joins the owners' halves itself, bounded
-// by MaxCrossShard.
+// in-process the coordinator joins the owners' halves itself.
 func (c *Coordinator) Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error) {
 	sa, sb := c.ShardOf(q.S), c.ShardOf(q.T)
 	if sa == sb {
@@ -353,16 +342,6 @@ func (c *Coordinator) pin(wa, wb *service.Service) (snapA, snapB *store.Snapshot
 // same plain search order, same join, one Control — with the two
 // halves delegated to the workers owning the endpoints.
 func (c *Coordinator) joinLocal(ctx context.Context, q query.Query, collect bool, wa, wb *service.Service) (*service.Reply, error) {
-	if c.crossSlots != nil {
-		select {
-		case c.crossSlots <- struct{}{}:
-			defer func() { <-c.crossSlots }()
-		default:
-			c.shed.Add(1)
-			return nil, fmt.Errorf("shard: %d cross-shard joins in flight (MaxCrossShard %d): %w",
-				len(c.crossSlots), cap(c.crossSlots), service.ErrOverloaded)
-		}
-	}
 	c.cross.Add(1)
 
 	t0 := time.Now()
@@ -549,7 +528,6 @@ func (c *Coordinator) Stats() service.Totals {
 	t.IndexMisses += a.misses
 	t.Truncated += a.truncated
 	t.DeadlineBatches += a.deadline
-	t.Shed += c.shed.Load()
 	return t
 }
 
@@ -570,7 +548,6 @@ func (c *Coordinator) Routing() RoutingStats {
 		Shards:      len(c.workers),
 		SingleShard: c.single.Load(),
 		CrossShard:  c.cross.Load(),
-		CrossShed:   c.shed.Load(),
 	}
 }
 

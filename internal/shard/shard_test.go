@@ -579,31 +579,6 @@ func TestCrossShardLimitTruncation(t *testing.T) {
 	}
 }
 
-// TestCrossShardShed: with every MaxCrossShard slot held, a cross-shard
-// query is shed with service.ErrOverloaded before any shard works on it.
-func TestCrossShardShed(t *testing.T) {
-	g := testgraphs.CompleteDAG(7)
-	cfg := testConfig()
-	cfg.Shards = 2
-	cfg.MaxCrossShard = 1
-	coord := New(g, g.Reverse(), cfg)
-	defer coord.Close()
-
-	coord.crossSlots <- struct{}{} // occupy the only slot
-	s, v := findPair(t, g, 2, true)
-	_, err := coord.Submit(context.Background(), "", query.Query{S: s, T: v, K: 3}, true)
-	if !errors.Is(err, service.ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded, got %v", err)
-	}
-	if rs := coord.Routing(); rs.CrossShed != 1 {
-		t.Errorf("CrossShed = %d, want 1", rs.CrossShed)
-	}
-	<-coord.crossSlots
-	if _, err := coord.Submit(context.Background(), "", query.Query{S: s, T: v, K: 3}, true); err != nil {
-		t.Fatalf("after slot freed: %v", err)
-	}
-}
-
 // TestClosedCoordinator: Close is idempotent and everything after it
 // reports service.ErrClosed.
 func TestClosedCoordinator(t *testing.T) {

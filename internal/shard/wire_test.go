@@ -22,7 +22,7 @@ import (
 func serveLoopback(tb testing.TB) string {
 	tb.Helper()
 	g := testgraphs.Diamond()
-	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1, ServerOptions{})
+	srv := NewServer(service.New(g, g.Reverse(), workerConfig(testConfig(), 1, false)), 0, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)

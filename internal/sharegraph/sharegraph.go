@@ -266,26 +266,12 @@ func (p *Graph) Validate() error {
 	return nil
 }
 
-// Options tunes the detector.
-type Options struct {
-	// MaxConstraints caps the per-node pruning-constraint union; a node
-	// exceeding it falls back to budget-only pruning (sound, looser).
-	// Zero means the default of 256 — generous because the enumerator
-	// memoises the union per vertex, so a large union costs once per
-	// (node, vertex) rather than once per expansion check.
-	MaxConstraints int
-	// DisableSharing turns the detector into a trivial pass that emits
-	// one terminal node per half query and no sharing edges; the engines
-	// use it for ablations.
-	DisableSharing bool
-}
-
-func (o Options) maxConstraints() int {
-	if o.MaxConstraints <= 0 {
-		return 256
-	}
-	return o.MaxConstraints
-}
+// maxConstraints caps the per-node pruning-constraint union; a node
+// exceeding it falls back to budget-only pruning (sound, looser). The
+// cap is generous because the enumerator memoises the union per vertex,
+// so a large union costs once per (node, vertex) rather than once per
+// expansion check.
+const maxConstraints = 256
 
 // mqEntry is the MQ[v] record of Algorithm 3: the latest HC-s path query
 // known at vertex v and the remaining budget it had on arrival.
@@ -300,7 +286,12 @@ type mqEntry struct {
 // Detect runs Algorithm 3 for one clustered group of half queries on one
 // direction's graph g and returns the sharing graph Ψ. The terminal node
 // for halves[i] is NodeID(i).
-func Detect(g *graph.Graph, halves []HalfQuery, opts Options) *Graph {
+func Detect(g *graph.Graph, halves []HalfQuery) *Graph {
+	return detect(g, halves, maxConstraints)
+}
+
+// detect is Detect under a given constraint cap.
+func detect(g *graph.Graph, halves []HalfQuery, maxCons int) *Graph {
 	psi := &Graph{}
 	maxBudget := uint8(0)
 	for _, h := range halves {
@@ -311,7 +302,7 @@ func Detect(g *graph.Graph, halves []HalfQuery, opts Options) *Graph {
 			maxBudget = h.Budget
 		}
 	}
-	if opts.DisableSharing || len(halves) < 2 {
+	if len(halves) < 2 {
 		return psi
 	}
 
@@ -321,7 +312,6 @@ func Detect(g *graph.Graph, halves []HalfQuery, opts Options) *Graph {
 		mq:      make(map[graph.VertexID]mqEntry),
 		visited: make(map[visitKey]struct{}),
 		arrive:  make([]map[graph.VertexID][]NodeID, maxBudget+1),
-		maxCons: opts.maxConstraints(),
 	}
 	// Initial frontier: each half query arrives at its own root with its
 	// full budget (Alg. 3 lines 2-4).
@@ -334,7 +324,7 @@ func Detect(g *graph.Graph, halves []HalfQuery, opts Options) *Graph {
 	for r := maxBudget; r >= 1; r-- {
 		det.processLevel(r)
 	}
-	propagateConstraints(psi, opts.maxConstraints())
+	propagateConstraints(psi, maxCons)
 	return psi
 }
 
@@ -349,7 +339,6 @@ type detector struct {
 	mq      map[graph.VertexID]mqEntry
 	visited map[visitKey]struct{}
 	arrive  []map[graph.VertexID][]NodeID
-	maxCons int
 }
 
 // push schedules node's frontier arrival at v with r budget left; each

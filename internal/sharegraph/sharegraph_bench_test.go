@@ -36,7 +36,7 @@ func BenchmarkDetect(b *testing.B) {
 		b.Run(benchName(numQ), func(b *testing.B) {
 			var shared int
 			for i := 0; i < b.N; i++ {
-				psi := Detect(g, halves, Options{})
+				psi := Detect(g, halves)
 				shared = psi.NumShared()
 			}
 			b.ReportMetric(float64(shared), "shared-nodes")
@@ -47,7 +47,7 @@ func BenchmarkDetect(b *testing.B) {
 // BenchmarkTopoOrder measures the enumeration-order computation.
 func BenchmarkTopoOrder(b *testing.B) {
 	g, halves := benchHalves(256)
-	psi := Detect(g, halves, Options{})
+	psi := Detect(g, halves)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		psi.TopoOrder()

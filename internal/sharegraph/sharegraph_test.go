@@ -39,7 +39,7 @@ func paperC0Forward(t *testing.T) (*graph.Graph, []HalfQuery) {
 // consumed by all three queries and q_{v4,2} by q0 and q1.
 func TestDetectPaperForward(t *testing.T) {
 	g, halves := paperC0Forward(t)
-	psi := Detect(g, halves, Options{})
+	psi := Detect(g, halves)
 	if err := psi.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDetectPaperBackward(t *testing.T) {
 			Query:  i,
 		}
 	}
-	psi := Detect(gr, halves, Options{})
+	psi := Detect(gr, halves)
 	if err := psi.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +112,9 @@ func TestDetectSingleQuery(t *testing.T) {
 	g := testgraphs.Paper()
 	gr := g.Reverse()
 	halves := []HalfQuery{{Root: 0, Budget: 3, K: 5, Other: msbfs.Single(gr, 11, 5), Query: 0}}
-	psi := Detect(g, halves, Options{})
+	psi := Detect(g, halves)
 	if psi.NumNodes() != 1 || psi.NumEdges() != 0 {
 		t.Fatalf("got %d nodes %d edges, want 1/0", psi.NumNodes(), psi.NumEdges())
-	}
-}
-
-// TestDetectDisabled returns only terminals.
-func TestDetectDisabled(t *testing.T) {
-	g, halves := paperC0Forward(t)
-	psi := Detect(g, halves, Options{DisableSharing: true})
-	if psi.NumNodes() != len(halves) || psi.NumEdges() != 0 {
-		t.Fatalf("disabled sharing produced %d nodes %d edges", psi.NumNodes(), psi.NumEdges())
 	}
 }
 
@@ -137,7 +128,7 @@ func TestDetectIdenticalHalves(t *testing.T) {
 		{Root: 0, Budget: 3, K: 5, Other: other, Query: 0},
 		{Root: 0, Budget: 3, K: 5, Other: other, Query: 1},
 	}
-	psi := Detect(g, halves, Options{})
+	psi := Detect(g, halves)
 	if err := psi.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +175,7 @@ func TestDetectAcyclicRandom(t *testing.T) {
 				Query:  i,
 			}
 		}
-		psi := Detect(g, halves, Options{})
+		psi := Detect(g, halves)
 		if err := psi.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -198,7 +189,7 @@ func TestDetectAcyclicRandom(t *testing.T) {
 // Lemma 3.1 constraint and that shared nodes receive positive slacks.
 func TestConstraintPropagation(t *testing.T) {
 	g, halves := paperC0Forward(t)
-	psi := Detect(g, halves, Options{})
+	psi := Detect(g, halves)
 	for id := NodeID(0); int(id) < psi.NumNodes(); id++ {
 		n := psi.Node(id)
 		if n.IsTerminal() {
@@ -227,7 +218,7 @@ func TestConstraintPropagation(t *testing.T) {
 // affected nodes to fall back to budget-only pruning.
 func TestMaxConstraintsFallback(t *testing.T) {
 	g, halves := paperC0Forward(t)
-	psi := Detect(g, halves, Options{MaxConstraints: 1})
+	psi := detect(g, halves, 1)
 	sawUnbounded := false
 	for id := NodeID(0); int(id) < psi.NumNodes(); id++ {
 		n := psi.Node(id)
@@ -282,7 +273,7 @@ func TestMinResidual(t *testing.T) {
 // TestTopoOrderProvidersFirst asserts the enumeration precondition.
 func TestTopoOrderProvidersFirst(t *testing.T) {
 	g, halves := paperC0Forward(t)
-	psi := Detect(g, halves, Options{})
+	psi := Detect(g, halves)
 	pos := make(map[NodeID]int, psi.NumNodes())
 	for i, id := range psi.TopoOrder() {
 		pos[id] = i
@@ -318,7 +309,7 @@ func TestQuickDetectInvariants(t *testing.T) {
 				Query:  i,
 			}
 		}
-		psi := Detect(g, halves, Options{})
+		psi := Detect(g, halves)
 		if err := psi.Validate(); err != nil {
 			return false
 		}

@@ -40,9 +40,8 @@ import (
 // checkpoints when DurableOptions.CheckpointEvery is zero.
 const DefaultCheckpointEvery = 1024
 
-// DefaultSyncEvery is the FsyncInterval ticker period when
-// DurableOptions.SyncEvery is zero.
-const DefaultSyncEvery = 100 * time.Millisecond
+// syncEvery is the FsyncInterval ticker period.
+const syncEvery = 100 * time.Millisecond
 
 // errClosed is returned by durable operations after Close.
 var errClosed = errors.New("store: closed")
@@ -54,9 +53,6 @@ type DurableOptions struct {
 	// Fsync selects WAL durability: FsyncAlways (default), FsyncInterval,
 	// or FsyncOff. Snapshot files are always fsynced regardless.
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncInterval ticker period; zero means
-	// DefaultSyncEvery. Ignored under other policies.
-	SyncEvery time.Duration
 	// CheckpointEvery writes a background snapshot after this many
 	// update records since the last one. Zero means
 	// DefaultCheckpointEvery; negative disables automatic checkpoints
@@ -118,12 +114,8 @@ func Open(dir string, initial *graph.Graph, opts DurableOptions) (*Store, error)
 	}
 
 	if d.fsync == FsyncInterval {
-		every := opts.SyncEvery
-		if every <= 0 {
-			every = DefaultSyncEvery
-		}
 		d.syncStop, d.syncDone = make(chan struct{}), make(chan struct{})
-		go s.syncLoop(every)
+		go s.syncLoop()
 	}
 	return s, nil
 }
@@ -414,10 +406,10 @@ func (s *Store) closeDurable() error {
 
 // syncLoop is the FsyncInterval ticker: it syncs the active segment
 // whenever appends happened since the last tick.
-func (s *Store) syncLoop(every time.Duration) {
+func (s *Store) syncLoop() {
 	d := s.dur
 	defer close(d.syncDone)
-	t := time.NewTicker(every)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -507,9 +506,8 @@ func TestFsyncPolicyRoundTrips(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := DurableOptions{
-				Options:   Options{CompactAfter: -1},
-				Fsync:     p,
-				SyncEvery: time.Millisecond,
+				Options: Options{CompactAfter: -1},
+				Fsync:   p,
 			}
 			s := openT(t, dir, seedGraph(), opts)
 			for i := 0; i < 3; i++ {

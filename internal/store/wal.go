@@ -29,8 +29,8 @@ const (
 	// FsyncAlways fsyncs after every appended record: an acknowledged
 	// ApplyUpdates survives any crash. The default.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval fsyncs on a background ticker (DurableOptions.
-	// SyncEvery): bounded data loss — at most one sync interval of
+	// FsyncInterval fsyncs on a background ticker (every 100ms):
+	// bounded data loss — at most one sync interval of
 	// acknowledged updates — for near-in-memory append latency.
 	FsyncInterval
 	// FsyncOff never fsyncs the WAL except at Close and before a
