@@ -5,6 +5,10 @@
 //	hcpath -graph g.bin -queries q.txt -count     # counts only
 //	hcpath -graph g.txt -query 0,11,5             # one ad-hoc query
 //
+// The batch runs on every core, so a listing interleaves the lines of
+// different queries; each line names its query, and one query's lines
+// keep their order.
+//
 // Replay mode drives the micro-batching query service instead of one
 // offline batch: the query file is replayed from -clients concurrent
 // goroutines, the service coalesces whatever is waiting when a batch

@@ -40,7 +40,7 @@ func main() {
 	}
 
 	svc := hcpath.NewService(g, &hcpath.ServiceOptions{
-		Options:  hcpath.Options{Gamma: 0.8}, // BatchEnum+, parallel across sharing groups
+		Options:  hcpath.Options{Gamma: 0.8}, // BatchEnum+, parallel across group builds and joins
 		MaxBatch: 64,
 		OnBatch: func(b hcpath.BatchStats) {
 			fmt.Printf("batch: %2d queries coalesced → %2d groups (sharing %.2f), %d shared sub-queries, %d paths in %v\n",

@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/batchenum"
@@ -170,15 +171,16 @@ type Options struct {
 	// constraint. Enumeration cost and result counts grow exponentially
 	// with K.
 	MaxHops int
-	// Workers is the enumeration parallelism: the independent engines
-	// parallelise over queries, the batch engines over sharing groups.
-	// Zero processes the batch inline on the calling goroutine, a
-	// positive count uses exactly that many workers (one is the inline
-	// run again), and negative means GOMAXPROCS. This public layer
-	// resolves the value once (resolveWorkers); every internal layer
-	// takes the exact count. With more than one worker the emission
-	// order across queries is unspecified (per-query results are
-	// unaffected).
+	// Workers is the enumeration parallelism: how many goroutines drain
+	// a batch's tasks — one PathEnum per query for the independent
+	// engines; for the batch engines one build per sharing group, then
+	// one ⊕ join per query of the group. Zero or negative means
+	// GOMAXPROCS, like the index build; a positive count is exact, and
+	// one runs the batch inline on the calling goroutine. This public
+	// layer resolves the value once (resolveWorkers); every internal
+	// layer takes the exact count. With more than one worker different
+	// queries' paths interleave in the emission order (per-query
+	// results, and each query's own order, are unaffected).
 	Workers int
 	// Limit, when positive, caps the result paths emitted per query: a
 	// query with more paths is truncated to exactly Limit results, its
@@ -201,18 +203,14 @@ const DefaultIndexCacheBytes = hcindex.DefaultCacheBytes
 const maxHopsLimit = 255
 
 // resolveWorkers is the one place a public Workers value becomes a
-// goroutine count: positive is taken literally, negative means
-// GOMAXPROCS, and zero means what the option's owner documents (an
-// Engine's 1, a Service's GOMAXPROCS). Everything below this package
-// takes the exact count and never reinterprets it. The index build's
-// width is not an option: an Engine builds on GOMAXPROCS goroutines (it
-// has one batch in flight), a Service on one (its batch slots already
-// fill the cores).
-func resolveWorkers(n, zero int) int {
-	if n == 0 {
-		n = zero
-	}
-	if n < 0 {
+// goroutine count: positive is taken literally, zero and negative mean
+// GOMAXPROCS, for an Engine and a Service alike. Everything below this
+// package takes the exact count and never reinterprets it. The index
+// build's width is not an option: an Engine builds on GOMAXPROCS
+// goroutines (it has one batch in flight), a Service on one (its batch
+// slots already fill the cores).
+func resolveWorkers(n int) int {
+	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
@@ -368,7 +366,7 @@ func (e *Engine) options() batchenum.Options {
 		Algorithm: e.opts.Algorithm.internal(),
 		Gamma:     e.opts.Gamma,
 		Provider:  e.provider,
-		Workers:   resolveWorkers(e.opts.Workers, 1),
+		Workers:   resolveWorkers(e.opts.Workers),
 	}
 }
 
@@ -459,7 +457,9 @@ func (e *Engine) EnumerateContext(ctx context.Context, qs []Query) (*Result, err
 
 // Stream answers the batch and calls emit once per result path with the
 // query's batch position. The path slice is reused between calls; copy
-// it to retain it.
+// it to retain it. Calls to emit never overlap, whatever
+// Options.Workers is: the engine serialises them with one lock, so emit
+// needs none of its own (and a slow emit holds up the other workers).
 func (e *Engine) Stream(qs []Query, emit func(queryIndex int, path Path)) (Stats, error) {
 	return e.StreamContext(context.Background(), qs, emit)
 }
@@ -474,8 +474,12 @@ func (e *Engine) StreamContext(ctx context.Context, qs []Query, emit func(queryI
 		return Stats{}, err
 	}
 	ctrl := e.control(ctx, len(qs))
+	var mu sync.Mutex
 	st, err := e.run(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
+		mu.Lock()
+		//hcpath:locksend-ok mu exists solely to serialise the caller's emit, as Stream documents; only this run's workers contend for it
 		emit(id, Path(p))
+		mu.Unlock()
 	}))
 	if st == nil {
 		return Stats{}, err
@@ -504,7 +508,7 @@ func (e *Engine) CountContext(ctx context.Context, qs []Query) ([]int64, Stats, 
 	if st == nil {
 		return nil, Stats{}, err
 	}
-	return sink.Counts, statsOf(st), err
+	return sink.Counts(), statsOf(st), err
 }
 
 // BatchStats describes one micro-batch a Service dispatched: queries
@@ -577,14 +581,13 @@ type WorkerDownError = shard.WorkerDownError
 // ServiceOptions tunes a Service. The zero value batches by load — a
 // query that finds a core idle is answered at once, queries that arrive
 // while every core is busy leave together, up to 64 of them, when a
-// batch finishes — and answers each batch with BatchEnum+ parallelised
-// over sharing groups with GOMAXPROCS workers.
+// batch finishes — and answers each batch with BatchEnum+, its group
+// builds and per-query joins drained by GOMAXPROCS workers.
 type ServiceOptions struct {
 	// Options configures the engine each micro-batch runs through,
-	// exactly as for NewEngine — except the zero value of Workers: a
-	// service exists to exploit concurrency, so zero (like negative)
-	// means GOMAXPROCS workers per batch; a positive count is taken
-	// literally, one running each batch inline on its dispatch goroutine.
+	// exactly as for NewEngine: zero or negative Workers means
+	// GOMAXPROCS workers per batch, a positive count is exact, and one
+	// runs each batch inline on its dispatch goroutine.
 	Options
 	// IndexCacheBytes is the byte budget of the service's cross-batch
 	// hop-distance-map cache, which lets batches that repeat endpoints
@@ -747,7 +750,7 @@ func (o ServiceOptions) config() service.Config {
 		Engine: batchenum.Options{
 			Algorithm: o.Algorithm.internal(),
 			Gamma:     o.Gamma,
-			Workers:   resolveWorkers(o.Workers, -1),
+			Workers:   resolveWorkers(o.Workers),
 		},
 		IndexCacheBytes: o.IndexCacheBytes,
 		OnBatch:         o.OnBatch,
@@ -760,8 +763,8 @@ func (o ServiceOptions) config() service.Config {
 
 // NewService starts an in-memory micro-batching query service on g.
 // nil opts selects the defaults: BatchEnum+ (γ = 0.5) parallel across
-// sharing groups, batches of ≤ 64 queries formed by load and held ≤ 2ms
-// behind busy cores.
+// group builds and per-query joins, batches of ≤ 64 queries formed by
+// load and held ≤ 2ms behind busy cores.
 // Setting ServiceOptions.DataDir panics — durability involves I/O that
 // can fail, so it is only available through OpenService.
 func NewService(g *Graph, opts *ServiceOptions) *Service {

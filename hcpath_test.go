@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/batchenum"
@@ -123,6 +124,43 @@ func TestStream(t *testing.T) {
 	}
 }
 
+// TestStreamCallbacksNeverOverlap: with four workers answering several
+// groups and the joins of one large group concurrently, Stream still
+// calls emit one path at a time — the callback needs no lock of its own.
+func TestStreamCallbacksNeverOverlap(t *testing.T) {
+	g := wrap(graph.GenCommunity(120, 4, 4, 0.9, 7))
+	rng := rand.New(rand.NewSource(32))
+	var qs []Query
+	for len(qs) < 48 {
+		q := Query{S: VertexID(rng.Intn(120)), T: VertexID(rng.Intn(120)), K: 3 + rng.Intn(3)}
+		if q.S != q.T {
+			qs = append(qs, q)
+		}
+	}
+	want, _, err := NewEngine(g, &Options{Workers: 1}).Count(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight atomic.Bool
+	got := make([]int64, len(qs))
+	_, err = NewEngine(g, &Options{Gamma: 0.2, Workers: 4}).Stream(qs, func(i int, p Path) {
+		if !inFlight.CompareAndSwap(false, true) {
+			t.Error("two emit calls overlapped")
+		}
+		got[i]++
+		runtime.Gosched() // widen the window a second call would land in
+		inFlight.Store(false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if got[i] != want[i] {
+			t.Errorf("query %d: streamed %d paths, counted %d", i, got[i], want[i])
+		}
+	}
+}
+
 // TestStatsSharing: the default engine reports detected sharing on the
 // paper batch when clustered loosely.
 func TestStatsSharing(t *testing.T) {
@@ -202,18 +240,16 @@ func TestMaxHopsClamp(t *testing.T) {
 }
 
 // TestWorkersBoundary pins the documented Workers semantics at the
-// public layer — the only layer that interprets them: positive is the
-// literal count, negative is GOMAXPROCS, and zero is the owner's
-// default (Engine.Workers inline, Service Workers GOMAXPROCS) — all
-// with identical results.
+// public layer — the only layer that interprets them, the same way for
+// an Engine and a Service: positive is the literal count, zero and
+// negative are GOMAXPROCS — all with identical results.
 func TestWorkersBoundary(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ n, zero, want int }{
-		{0, 1, 1}, {1, 1, 1}, {3, 1, 3}, {-1, 1, maxprocs}, // Engine.Workers
-		{0, -1, maxprocs}, {-2, -1, maxprocs}, {2, -1, 2}, // ServiceOptions.Workers
+	for _, c := range []struct{ n, want int }{
+		{0, maxprocs}, {-1, maxprocs}, {-2, maxprocs}, {1, 1}, {2, 2}, {3, 3},
 	} {
-		if got := resolveWorkers(c.n, c.zero); got != c.want {
-			t.Errorf("resolveWorkers(%d, %d) = %d, want %d", c.n, c.zero, got, c.want)
+		if got := resolveWorkers(c.n); got != c.want {
+			t.Errorf("resolveWorkers(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 	g := paperGraph(t)
@@ -254,7 +290,7 @@ func TestIndexBuildWidthEquivalence(t *testing.T) {
 	if _, err := batchenum.Run(g.g, g.gr, raw, batchenum.Options{Algorithm: batchenum.Basic}, nil, sink); err != nil {
 		t.Fatal(err)
 	}
-	want := sink.Counts
+	want := sink.Counts()
 	nonzero := 0
 	for _, c := range want {
 		if c > 0 {

@@ -10,7 +10,9 @@ package batchenum
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -76,11 +78,11 @@ type Options struct {
 	// scopes the Provider's cache keys so a post-update run can never be
 	// served pre-update distance maps.
 	Epoch uint64
-	// Workers is the exact number of goroutines the batch's groups fan
-	// out over; at most one runs every group inline on the caller's
-	// goroutine. The public hcpath layer resolves its zero and negative
-	// conventions to this count — nothing below it reinterprets the
-	// value.
+	// Workers is the exact number of goroutines that drain the batch's
+	// work list, the caller's included; at most one drains it inline on
+	// the caller's goroutine. The public hcpath layer resolves its zero
+	// and negative convention to this count — nothing below it
+	// reinterprets the value.
 	Workers int
 }
 
@@ -135,20 +137,20 @@ type Stats struct {
 	Truncated int
 }
 
-// addGroup folds one fan-out worker's counters into the batch stats;
-// callers hold the run's stats lock. The excluded fields are batch-
-// level, set once by the dispatcher rather than summed per group:
-// Phases is the run's wall-clock decomposition (per-worker CPU times
-// would double-count overlap), NumQueries/NumGroups/IndexHits/
-// IndexMisses come from validation, clustering and the index provider,
-// and Truncated is read off the run's Control at the end.
+// add folds one finished task's counters and phase times into the
+// run's stats; callers hold the run's work-list lock. The excluded
+// fields are batch-level, set once by Run rather than summed per task:
+// NumQueries/NumGroups/IndexHits/IndexMisses come from validation,
+// clustering and the index provider, and Truncated is read off the
+// run's Control at the end.
 //
-//hcpath:mergefields Stats -Phases -NumQueries -NumGroups -IndexHits -IndexMisses -Truncated
-func (st *Stats) addGroup(local *Stats) {
-	st.SharedNodes += local.SharedNodes
-	st.SharingEdges += local.SharingEdges
-	st.CachedPaths += local.CachedPaths
-	st.SplicedPaths += local.SplicedPaths
+//hcpath:mergefields Stats -NumQueries -NumGroups -IndexHits -IndexMisses -Truncated
+func (st *Stats) add(t *Stats) {
+	st.Phases.Merge(t.Phases)
+	st.SharedNodes += t.SharedNodes
+	st.SharingEdges += t.SharingEdges
+	st.CachedPaths += t.CachedPaths
+	st.SplicedPaths += t.SplicedPaths
 }
 
 // Run enumerates every HC-s-t path of every query in the batch with the
@@ -157,15 +159,16 @@ func (st *Stats) addGroup(local *Stats) {
 //
 // The batch is partitioned into groups — ClusterQuery's clusters for
 // the sharing engines (Algorithm 4), one group per query for the Basic
-// ones (Algorithm 1) — and each group is one unit of work. With
-// opts.Workers ≤ 1 the groups run in order on the caller's goroutine
-// straight into sink, and every group books its own detect/enumerate
-// phases. With more workers the same groups fan out over that many
-// goroutines (groups share nothing with each other by construction),
-// sink only ever sees one serialised flush at a time, Emit calls of
-// different queries interleave arbitrarily, and the Enumeration phase
-// is the fan-out's wall clock — per-worker times would double-count
-// the overlap.
+// ones (Algorithm 1) — and the groups become tasks on one work list (see
+// workList): a group's build task runs its detection and shared
+// enumeration and then pushes one ⊕ join task per query, each
+// independent of every other. Up to opts.Workers goroutines drain the
+// list, the caller's included, and Run returns once every task has
+// ended, so no emission follows it. With at most one worker the caller
+// drains the list alone and every task books its own detect/enumerate
+// phases, in order. With more, Emit calls of different queries run
+// concurrently (the Sink contract) and the Enumeration phase is the
+// drain's wall clock — per-task times would double-count the overlap.
 //
 // The enumeration loops poll ctrl for cancellation and charge emissions
 // against its per-query limit; a nil ctrl runs to completion. On
@@ -173,11 +176,11 @@ func (st *Stats) addGroup(local *Stats) {
 // stats alongside ctrl's cancellation error — everything already
 // emitted through sink is valid (each emitted path is a real result;
 // queries the engine did not finish are counted in Stats.Truncated).
-// Per-query limits are safe under fan-out because each query (or whole
-// sharing group) is owned by one worker. Limit-truncated queries are
-// not an error: the run returns nil with Stats.Truncated set, and
-// ctrl.QueryErr distinguishes ErrLimitReached from cancellation per
-// query.
+// Per-query limits are safe on any number of workers because each task
+// owns its queries: a build task its group's, a join task its one
+// query. Limit-truncated queries are not an error: the run returns nil
+// with Stats.Truncated set, and ctrl.QueryErr distinguishes
+// ErrLimitReached from cancellation per query.
 func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Control, sink query.Sink) (*Stats, error) {
 	qs, err := query.Batch(g, queries)
 	if err != nil {
@@ -196,16 +199,8 @@ func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Co
 
 	if !ctrl.Cancelled() {
 		groups := partition(qs, idx, opts, st)
-		if opts.Workers > 1 {
-			fanGroups(g, gr, qs, idx, groups, opts, ctrl, sink, st)
-		} else {
-			for _, group := range groups {
-				if ctrl.Cancelled() {
-					break
-				}
-				runGroup(g, gr, qs, idx, group, opts, ctrl, sink, st)
-			}
-		}
+		b := &batch{g: g, gr: gr, qs: qs, idx: idx, opts: opts, ctrl: ctrl, sink: sink, st: st}
+		b.drain(groups)
 	}
 	st.Truncated = ctrl.NumTruncated()
 	if ctrl.Cancelled() {
@@ -235,85 +230,140 @@ func partition(qs []query.Query, idx *hcindex.Index, opts Options, st *Stats) []
 	return cl.Groups
 }
 
-// flushVertices is the per-worker buffering threshold: a worker hands
-// its buffered results downstream once the arena holds this many path
-// vertices, bounding memory at O(workers · flushVertices) while keeping
-// lock acquisitions orders of magnitude rarer than emissions.
-const flushVertices = 1 << 15
-
-// mergeSink serialises flushes — not emissions — from concurrent
-// workers. Each worker buffers results in its own workerSink and merges
-// at group boundaries or when the buffer fills, so the hot enumeration
-// loop never contends on a mutex the way a naive lock-per-Emit wrapper
-// would.
-type mergeSink struct {
-	mu   sync.Mutex
-	sink query.Sink
+// batch is what every task of one run reads — the graphs, the
+// validated queries, the index, the options, the Control and the sink —
+// plus the run's work list and the stats its tasks fold into.
+type batch struct {
+	g, gr *graph.Graph
+	qs    []query.Query
+	idx   *hcindex.Index
+	opts  Options
+	ctrl  *query.Control
+	sink  query.Sink
+	list  workList
+	st    *Stats
 }
 
-// workerSink is one goroutine's private end of a mergeSink: emissions
-// land in its own buffer, which drains downstream under the merge lock
-// whenever it fills and whenever its owner calls flush.
-type workerSink struct {
-	ms  *mergeSink
-	buf query.BufferSink
+// task is one unit of a run's work list. A build task (group set) runs a
+// whole group of one query, or a larger group's detection and shared
+// enumeration, which then pushes its joins. A join task (group nil) is
+// one query's ⊕ join against its group's finished stores.
+type task struct {
+	group     []int
+	qi        int
+	fwd       *pathjoin.Store
+	bwd       *pathjoin.HashIndex
+	backHeavy bool
 }
 
-// Emit implements query.Sink.
-func (w *workerSink) Emit(id int, p []graph.VertexID) {
-	w.buf.Emit(id, p)
-	if w.buf.Vertices() >= flushVertices {
-		w.flush()
+// workList is a run's stack of tasks, guarded by mu. pending counts the
+// tasks pushed and not yet finished: a worker that finds the stack empty
+// waits while a running build may still push joins, and every worker
+// leaves once pending reaches zero — the caller's return is the run's
+// end, and no one waits for the other workers to exit. Workers start
+// only when there is a task for them: spare is how many more may.
+type workList struct {
+	mu      sync.Mutex
+	more    sync.Cond // signalled when tasks are pushed or pending reaches zero
+	tasks   []task
+	pending int
+	waiting int // workers parked on more
+	spare   int
+}
+
+// drain runs every group through the work list on up to opts.Workers
+// goroutines — the paper's "deploy more servers to process these
+// queries in parallel", on one machine — capped at one per query, the
+// most tasks that can ever run at once. Build tasks are pushed largest
+// group first: the largest is the longest serial stretch and opens the
+// most joins, and its joins go on top, so its Ψ stores die soonest.
+// Once ctrl is cancelled the workers retire the remaining tasks
+// without running them.
+func (b *batch) drain(groups [][]int) {
+	slices.SortStableFunc(groups, func(x, y []int) int { return len(y) - len(x) })
+	l := &b.list
+	l.more.L = &l.mu
+	l.tasks = make([]task, len(groups))
+	for i, group := range groups {
+		l.tasks[len(groups)-1-i].group = group // largest on top
+	}
+	l.pending = len(groups)
+	width := min(b.opts.Workers, len(b.qs))
+	l.spare = max(width-1, 0) // the caller is the first worker
+	st := b.st
+	phases := st.Phases
+	t0 := time.Now()
+
+	l.mu.Lock()
+	b.startWorkers()
+	l.mu.Unlock()
+	b.work()
+
+	if width > 1 {
+		// Tasks overlapped, so their summed phases would double-count:
+		// the drain's wall clock is the run's Enumeration phase.
+		st.Phases = phases
+		st.Phases.Add(timing.Enumeration, time.Since(t0))
 	}
 }
 
-// flush replays the buffer into the shared sink under the merge lock.
-func (w *workerSink) flush() {
-	if w.buf.Len() == 0 {
-		return
+// startWorkers starts a goroutine for every stacked task that neither a
+// waiting worker nor the calling one will take, as far as spare allows;
+// callers hold mu.
+func (b *batch) startWorkers() {
+	l := &b.list
+	n := min(len(l.tasks)-1-l.waiting, l.spare)
+	for ; n > 0; n-- {
+		l.spare--
+		go b.work()
 	}
-	w.ms.mu.Lock()
-	w.buf.FlushTo(w.ms.sink)
-	w.ms.mu.Unlock()
 }
 
-// fanGroups runs the groups on opts.Workers goroutines — the paper's
-// "deploy more servers to process these queries in parallel", on one
-// machine. Each group runs its whole pipeline on one worker; once ctrl
-// is cancelled the dispatcher stops feeding and the workers drain the
-// remainder without touching it.
-func fanGroups(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, groups [][]int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
-	defer st.Phases.Start(timing.Enumeration)()
-	ms := &mergeSink{sink: sink}
-	jobs := make(chan []int)
-	var wg sync.WaitGroup
-	var statsMu sync.Mutex
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := &workerSink{ms: ms}
-			var local Stats
-			for group := range jobs {
-				if ctrl.Cancelled() {
-					continue // drain so the dispatcher can finish
-				}
-				runGroup(g, gr, qs, idx, group, opts, ctrl, out, &local)
-				out.flush()
-			}
-			statsMu.Lock()
-			st.addGroup(&local)
-			statsMu.Unlock()
-		}()
-	}
-	for _, group := range groups {
-		if ctrl.Cancelled() {
-			break
+// work pops and runs tasks until every task of the run has finished,
+// folding each task's counters into the run's stats as it ends.
+func (b *batch) work() {
+	l := &b.list
+	var st Stats
+	l.mu.Lock()
+	for {
+		for len(l.tasks) == 0 && l.pending > 0 {
+			l.waiting++
+			l.more.Wait()
+			l.waiting--
 		}
-		jobs <- group
+		n := len(l.tasks)
+		if n == 0 {
+			l.mu.Unlock()
+			return
+		}
+		t := l.tasks[n-1]
+		l.tasks[n-1] = task{} // the slot must not keep a join's stores alive
+		l.tasks = l.tasks[:n-1]
+		l.mu.Unlock()
+
+		var produced []task
+		switch {
+		case b.ctrl.Cancelled():
+		case len(t.group) == 1:
+			b.processSingle(t.group[0], &st)
+		case t.group != nil:
+			produced = b.processGroup(t.group, &st)
+		default:
+			b.join(t, &st)
+		}
+
+		l.mu.Lock()
+		b.st.add(&st)
+		st = Stats{}
+		for i := len(produced) - 1; i >= 0; i-- {
+			l.tasks = append(l.tasks, produced[i]) // last first: they run in order
+		}
+		l.pending += len(produced) - 1
+		if (len(produced) > 0 && l.waiting > 0) || l.pending == 0 {
+			l.more.Broadcast()
+		}
+		b.startWorkers()
 	}
-	close(jobs)
-	wg.Wait()
 }
 
 // budgets returns the forward/backward hop budgets of query qi, using
@@ -327,36 +377,27 @@ func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, 
 	return q.FwdBudget(), q.BwdBudget()
 }
 
-// runGroup processes one group of the batch. A group of one query has
-// nothing to share — every group of the Basic engines (Algorithm 1), and
-// any cluster of a sharing engine that no other query joined — so it
-// runs PathEnum directly over the batch index; detection would return
-// an empty Ψ and the pipeline would only add its bookkeeping. Every
-// larger group runs the sharing pipeline (Algorithm 4).
-func runGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
-	if len(group) == 1 {
-		processSingle(g, gr, qs, idx, group[0], opts, ctrl, sink, st)
-		return
-	}
-	processGroup(g, gr, qs, idx, group, opts, ctrl, sink, st)
-}
-
 // processSingle answers query qi, a group of its own, with PathEnum over
-// the batch index — Algorithm 1.
-func processSingle(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, qi int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
+// the batch index — Algorithm 1. A group of one query has nothing to
+// share — every group of the Basic engines, and any cluster of a
+// sharing engine that no other query joined — so detection would return
+// an empty Ψ and the pipeline would only add its bookkeeping.
+func (b *batch) processSingle(qi int, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	id := qs[qi].ID
-	pathenum.EnumerateControlled(g, gr, qs[qi],
-		idx.DistMapFor(qi, hcindex.Forward), idx.DistMapFor(qi, hcindex.Backward),
-		pathenum.Options{Optimized: opts.Algorithm.Optimized()}, ctrl,
-		func(p []graph.VertexID) { sink.Emit(id, p) })
+	id := b.qs[qi].ID
+	pathenum.EnumerateControlled(b.g, b.gr, b.qs[qi],
+		b.idx.DistMapFor(qi, hcindex.Forward), b.idx.DistMapFor(qi, hcindex.Backward),
+		pathenum.Options{Optimized: b.opts.Algorithm.Optimized()}, b.ctrl,
+		func(p []graph.VertexID) { b.sink.Emit(id, p) })
 }
 
-// processGroup runs detection, shared enumeration, and joining for one
-// cluster of queries, all on the calling worker, which owns the result
-// cache.
-func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, group []int, opts Options, ctrl *query.Control, sink query.Sink, st *Stats) {
-	optimized := opts.Algorithm.Optimized()
+// processGroup runs detection and shared enumeration for one cluster of
+// two or more queries (Algorithm 4) and returns one join task per query
+// whose target is in hop range. The Ψ caches live only for this call;
+// the tasks hold each query's two halves.
+func (b *batch) processGroup(group []int, st *Stats) []task {
+	qs, idx, ctrl := b.qs, b.idx, b.ctrl
+	optimized := b.opts.Algorithm.Optimized()
 
 	// Queries whose target is out of hop range have empty results and
 	// are excluded from detection (the index answers this for free).
@@ -369,16 +410,16 @@ func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, grou
 		}
 	}
 	if len(live) == 0 {
-		return
+		return nil
 	}
 
 	stop := st.Phases.Start(timing.IdentifySubquery)
 	fwdHalves := make([]sharegraph.HalfQuery, len(live))
 	bwdHalves := make([]sharegraph.HalfQuery, len(live))
-	backHeavy := make([]bool, len(live))
+	joins := make([]task, len(live))
 	for i, qi := range live {
 		fb, bb := budgets(qs, idx, qi, optimized)
-		backHeavy[i] = fb < bb
+		joins[i] = task{qi: qi, backHeavy: fb < bb}
 		fwdHalves[i] = sharegraph.HalfQuery{
 			Root: qs[qi].S, Budget: fb, K: qs[qi].K,
 			Other: idx.DistMapFor(qi, hcindex.Backward), Query: qi,
@@ -388,41 +429,43 @@ func processGroup(g, gr *graph.Graph, qs []query.Query, idx *hcindex.Index, grou
 			Other: idx.DistMapFor(qi, hcindex.Forward), Query: qi,
 		}
 	}
-	psiF := sharegraph.Detect(g, fwdHalves)
-	psiB := sharegraph.Detect(gr, bwdHalves)
+	psiF := sharegraph.Detect(b.g, fwdHalves)
+	psiB := sharegraph.Detect(b.gr, bwdHalves)
 	stop()
 	st.SharedNodes += psiF.NumShared() + psiB.NumShared()
 	st.SharingEdges += psiF.NumEdges() + psiB.NumEdges()
 
 	defer st.Phases.Start(timing.Enumeration)()
-	fwdStores := enumerateGraph(g, psiF, len(live), optimized, ctrl, st)
-	bwdStores := enumerateGraph(gr, psiB, len(live), optimized, ctrl, st)
+	fwdStores := enumerateGraph(b.g, psiF, len(live), optimized, ctrl, st)
+	bwdStores := enumerateGraph(b.gr, psiB, len(live), optimized, ctrl, st)
 	if ctrl.Cancelled() {
-		return // partial Ψ stores must not reach the joins
+		return nil // partial Ψ stores must not reach the joins
 	}
 	// Backward halves of similar queries often alias one shared store;
 	// the probe-side hash index is built once per distinct store.
 	indexes := make(map[*pathjoin.Store]*pathjoin.HashIndex, len(live))
-	for i, qi := range live {
-		if ctrl.Cancelled() {
-			return
-		}
-		q := qs[qi]
-		id := q.ID
+	for i := range joins {
 		h := indexes[bwdStores[i]]
 		if h == nil {
 			h = pathjoin.BuildHashIndex(bwdStores[i])
 			indexes[bwdStores[i]] = h
 		}
-		pathjoin.JoinHalvesIndexed(fwdStores[i], h, q.K, backHeavy[i], ctrl, id,
-			func(p []graph.VertexID) { sink.Emit(id, p) })
-		if !ctrl.Cancelled() {
-			ctrl.MarkComplete(id)
-		}
-		// Halves are dead after the join; free them eagerly since path
-		// stores dominate the engine's footprint. Aliased stores stay
-		// alive through the index map until the group completes.
-		fwdStores[i], bwdStores[i] = nil, nil
+		joins[i].fwd, joins[i].bwd = fwdStores[i], h
+	}
+	return joins
+}
+
+// join runs one query's ⊕ join against its group's stores. The task
+// was the last holder of the query's forward store; aliased backward
+// stores live until their last query's join ends.
+func (b *batch) join(t task, st *Stats) {
+	defer st.Phases.Start(timing.Enumeration)()
+	q := b.qs[t.qi]
+	id := q.ID
+	pathjoin.JoinHalvesIndexed(t.fwd, t.bwd, q.K, t.backHeavy, b.ctrl, id,
+		func(p []graph.VertexID) { b.sink.Emit(id, p) })
+	if !b.ctrl.Cancelled() {
+		b.ctrl.MarkComplete(id)
 	}
 }
 

@@ -312,8 +312,8 @@ func TestCountSinkTotals(t *testing.T) {
 	}
 	want := []int64{3, 3, 1, 2, 2}
 	for i, w := range want {
-		if cs.Counts[i] != w {
-			t.Errorf("query %d: count %d, want %d", i, cs.Counts[i], w)
+		if cs.Counts()[i] != w {
+			t.Errorf("query %d: count %d, want %d", i, cs.Counts()[i], w)
 		}
 	}
 	if cs.Total() != 11 {
@@ -407,8 +407,8 @@ func TestCompleteDAGCounts(t *testing.T) {
 			for h := 1; h <= int(q.K); h++ {
 				want += binom(n-2, h-1)
 			}
-			if cs.Counts[i] != want {
-				t.Errorf("%v: k=%d count %d, want %d", alg, q.K, cs.Counts[i], want)
+			if cs.Counts()[i] != want {
+				t.Errorf("%v: k=%d count %d, want %d", alg, q.K, cs.Counts()[i], want)
 			}
 		}
 	}

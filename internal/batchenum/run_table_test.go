@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,15 +68,21 @@ func checkRunTable(t *testing.T, label string, g *graph.Graph, qs []query.Query)
 		for _, workers := range tableWorkers() {
 			opts := Options{Algorithm: alg, Workers: workers}
 			run := func(ctrl *query.Control, onEmit func()) (resultSet, *Stats, error) {
-				got := resultSet{}
+				// One slot per query: different queries emit
+				// concurrently, so the sink keeps no shared state.
+				per := make([][]string, len(qs))
 				st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
-					got[id] = append(got[id], pathKey(p))
+					per[id] = append(per[id], pathKey(p))
 					if onEmit != nil {
 						onEmit()
 					}
 				}))
-				for id := range got {
-					sort.Strings(got[id])
+				got := resultSet{}
+				for id, ps := range per {
+					if ps != nil {
+						sort.Strings(ps)
+						got[id] = ps
+					}
 				}
 				return got, st, err
 			}
@@ -236,8 +243,91 @@ func TestOneQueryGroupRunsPathEnum(t *testing.T) {
 			t.Errorf("%v: one-query batch: %d groups, %d shared nodes, %d cached paths; want 1, 0, 0",
 				alg, st.NumGroups, st.SharedNodes, st.CachedPaths)
 		}
-		if want := int64(len(bruteSet(g, qs)[0])); sink.Counts[0] != want {
-			t.Errorf("%v: %d paths, want %d", alg, sink.Counts[0], want)
+		if want := int64(len(bruteSet(g, qs)[0])); sink.Counts()[0] != want {
+			t.Errorf("%v: %d paths, want %d", alg, sink.Counts()[0], want)
+		}
+	}
+}
+
+// TestWorkListGroupMatchesInline: one sharing group of eight queries
+// drained by four workers — its joins run concurrently — emits each
+// query's paths in exactly the order the inline run does: in full,
+// under a limit (the same first paths, truncated at the same point),
+// and when cancelled mid-run (every query a prefix of its inline
+// sequence, whole wherever the engine reports it complete).
+func TestWorkListGroupMatchesInline(t *testing.T) {
+	g := testgraphs.CompleteDAG(14)
+	gr := g.Reverse()
+	var qs []query.Query
+	for _, s := range []graph.VertexID{0, 1} {
+		for _, tt := range []graph.VertexID{12, 13} {
+			for _, k := range []uint8{4, 5} {
+				qs = append(qs, query.Query{S: s, T: tt, K: k})
+			}
+		}
+	}
+	run := func(workers int, ctrl *query.Control, onEmit func()) ([][]string, *Stats) {
+		per := make([][]string, len(qs))
+		st, err := Run(g, gr, qs, Options{Algorithm: BatchPlus, Gamma: 0.1, Workers: workers}, ctrl,
+			query.FuncSink(func(id int, p []graph.VertexID) {
+				per[id] = append(per[id], pathKey(p))
+				if onEmit != nil {
+					onEmit()
+				}
+			}))
+		if err != nil && !ctrl.Cancelled() {
+			t.Fatal(err)
+		}
+		return per, st
+	}
+	want, st := run(1, nil, nil)
+	if st.NumGroups != 1 {
+		t.Fatalf("batch formed %d groups, want one group of %d", st.NumGroups, len(qs))
+	}
+	total := 0
+	for i := range qs {
+		total += len(want[i])
+	}
+
+	got, _ := run(4, nil, nil)
+	for i := range qs {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Errorf("full: query %d emitted %d paths out of the inline order (inline %d)", i, len(got[i]), len(want[i]))
+		}
+	}
+
+	const limit = 40
+	ctrl := query.NewControl(context.Background(), time.Time{}, limit, len(qs))
+	got, _ = run(4, ctrl, nil)
+	for i := range qs {
+		w, cut := want[i], len(want[i]) > limit
+		if cut {
+			w = w[:limit]
+		}
+		if fmt.Sprint(got[i]) != fmt.Sprint(w) || ctrl.Truncated(i) != cut {
+			t.Errorf("limit: query %d emitted %d paths (truncated %v), want the inline run's first %d (truncated %v)",
+				i, len(got[i]), ctrl.Truncated(i), len(w), cut)
+		}
+	}
+
+	for _, at := range []int64{1, int64(total / 3), int64(total * 2 / 3)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ctrl := query.NewControl(ctx, time.Time{}, 0, len(qs))
+		var emitted atomic.Int64
+		got, _ := run(4, ctrl, func() {
+			if emitted.Add(1) == at {
+				cancel()
+			}
+		})
+		cancel()
+		for i := range qs {
+			n := len(got[i])
+			if n > len(want[i]) || fmt.Sprint(got[i]) != fmt.Sprint(want[i][:n]) {
+				t.Errorf("cancel at %d: query %d's %d paths are not a prefix of the inline run's", at, i, n)
+			}
+			if ctrl.QueryErr(i) == nil && n != len(want[i]) {
+				t.Errorf("cancel at %d: query %d reported complete with %d of %d paths", at, i, n, len(want[i]))
+			}
 		}
 	}
 }

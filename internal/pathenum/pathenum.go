@@ -46,6 +46,11 @@ func Enumerate(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts 
 // satisfied query unwinds promptly with whatever it has emitted. The
 // query's completion is recorded on ctrl (keyed by q.ID) unless the run
 // was cancelled mid-flight; a nil ctrl reproduces Enumerate exactly.
+//
+// Only the backward half is stored: it is collected and indexed first,
+// then the forward DFS joins each prefix as it yields it, which is the
+// order a stored forward half would be joined in. A limit hit or a
+// cancellation stops the forward DFS with the join.
 func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts Options, ctrl *query.Control, emit func(path []graph.VertexID)) {
 	if bwd.Dist(q.S) > q.K { // t unreachable within k hops: empty result
 		ctrl.MarkComplete(q.ID)
@@ -55,14 +60,13 @@ func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.Dist
 	if opts.Optimized {
 		fb, bb = BalancedCut(q, fwd, bwd)
 	}
-	fwdPaths := pathjoin.NewStore(64, 256)
 	bwdPaths := pathjoin.NewStore(64, 256)
-	CollectHalf(g, q.S, fb, q.K, bwd, opts, ctrl, fwdPaths)
 	CollectHalf(gr, q.T, bb, q.K, fwd, opts, ctrl, bwdPaths)
 	if ctrl.Cancelled() {
-		return // partial halves must not reach the join
+		return // a partial backward half must not reach the join
 	}
-	pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, q.ID, emit)
+	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, q.ID, emit)
+	walkHalf(g, q.S, fb, q.K, bwd, opts, ctrl, j.Join)
 	if !ctrl.Cancelled() {
 		ctrl.MarkComplete(q.ID)
 	}
@@ -117,6 +121,16 @@ func levelCount(dm *msbfs.DistMap, d uint8) int {
 // split-at-⌈k/2⌉ machinery a single-process engine applies at a
 // query's midpoint, applied at the shard boundary instead.
 func CollectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, out *pathjoin.Store) {
+	walkHalf(g, root, budget, k, other, opts, ctrl, func(p []graph.VertexID) bool {
+		out.Add(p)
+		return true
+	})
+}
+
+// walkHalf is CollectHalf's DFS with the recording left to visit, which
+// sees every partial path in DFS order (the slice is reused) and stops
+// the walk by returning false.
+func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, visit func(p []graph.VertexID) bool) {
 	path := make([]graph.VertexID, 1, int(budget)+1)
 	path[0] = root
 	// Dense on-path membership: one bool per vertex beats a hash map in
@@ -136,7 +150,10 @@ func CollectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *ms
 		if ctrl.Poll(&steps, &stopped) {
 			return
 		}
-		out.Add(path)
+		if !visit(path) {
+			stopped = true
+			return
+		}
 		hops := uint8(len(path) - 1)
 		if hops >= budget {
 			return

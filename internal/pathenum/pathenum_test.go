@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/msbfs"
@@ -228,6 +229,64 @@ func TestEmittedSliceReused(t *testing.T) {
 	for _, p := range stash {
 		if p[0] != 0 || p[len(p)-1] != 11 {
 			t.Fatalf("stashed path corrupted: %v", p)
+		}
+	}
+}
+
+// TestStreamedForwardHalfMatchesStoredJoin: EnumerateControlled joins
+// each forward prefix as the DFS yields it; collecting both halves and
+// joining the stored forward half afterwards must give the same path
+// sequence, and under a limit the same truncation point — in both
+// search orders.
+func TestStreamedForwardHalfMatchesStoredJoin(t *testing.T) {
+	graphs := []*graph.Graph{testgraphs.Paper(), testgraphs.CompleteDAG(9)}
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs = append(graphs, graph.GenRandom(40, 3, seed))
+	}
+	for gi, g := range graphs {
+		gr := g.Reverse()
+		n := g.NumVertices()
+		for qi := 0; qi < 12; qi++ {
+			s, tt := graph.VertexID((qi*7)%n), graph.VertexID((qi*13+5)%n)
+			if s == tt {
+				continue
+			}
+			q := query.Query{ID: 0, S: s, T: tt, K: uint8(3 + qi%4)}
+			fwd, bwd := msbfs.Single(g, q.S, q.K), msbfs.Single(gr, q.T, q.K)
+			for _, opts := range []Options{{}, {Optimized: true}} {
+				// The reference: both halves stored, then joined.
+				var want []string
+				if bwd.Dist(q.S) <= q.K {
+					fb, bb := q.FwdBudget(), q.BwdBudget()
+					if opts.Optimized {
+						fb, bb = BalancedCut(q, fwd, bwd)
+					}
+					fp, bp := pathjoin.NewStore(0, 0), pathjoin.NewStore(0, 0)
+					CollectHalf(g, q.S, fb, q.K, bwd, opts, nil, fp)
+					CollectHalf(gr, q.T, bb, q.K, fwd, opts, nil, bp)
+					pathjoin.JoinHalves(fp, bp, q.K, fb < bb, func(p []graph.VertexID) {
+						want = append(want, fmt.Sprint(p))
+					})
+				}
+				for _, limit := range []int64{0, 1, 3} {
+					label := fmt.Sprintf("graph %d %s %+v limit %d", gi, q, opts, limit)
+					ctrl := query.NewControl(nil, time.Time{}, limit, 1)
+					var got []string
+					EnumerateControlled(g, gr, q, fwd, bwd, opts, ctrl, func(p []graph.VertexID) {
+						got = append(got, fmt.Sprint(p))
+					})
+					w, cut := want, false
+					if limit > 0 && int64(len(want)) > limit {
+						w, cut = want[:limit], true
+					}
+					if fmt.Sprint(got) != fmt.Sprint(w) {
+						t.Errorf("%s: streamed %v, stored join %v", label, got, w)
+					}
+					if ctrl.Truncated(0) != cut {
+						t.Errorf("%s: Truncated=%v, want %v", label, ctrl.Truncated(0), cut)
+					}
+				}
+			}
 		}
 	}
 }

@@ -104,27 +104,67 @@ func hashKey(meet graph.VertexID, length int) uint64 {
 	return uint64(meet)<<16 | uint64(uint16(length))
 }
 
-// HashIndex groups paths of a store by (endpoint, length) for ⊕ probing.
+// HashIndex groups paths of a store by (endpoint, length) for ⊕
+// probing. It is a counting sort of the store's path indices by key:
+// every bucket is one contiguous run of items, in store order, so an
+// index costs a key→bucket map and two int32 arrays however many paths
+// share a key.
 type HashIndex struct {
-	store   *Store
-	buckets map[uint64][]int32
+	store  *Store
+	bucket map[uint64]int32 // key → bucket number
+	start  []int32          // bucket b's paths are items[start[b]:start[b+1]]
+	items  []int32          // path indices, bucket by bucket
 }
 
 // BuildHashIndex indexes every path of s by its final vertex and length.
 func BuildHashIndex(s *Store) *HashIndex {
-	h := &HashIndex{store: s, buckets: make(map[uint64][]int32, s.Len())}
-	for i := 0; i < s.Len(); i++ {
+	n := s.Len()
+	h := &HashIndex{store: s, bucket: make(map[uint64]int32, n)}
+	arrays := make([]int32, 2*n+1)
+	h.items, h.start = arrays[:n:n], arrays[n:]
+	of := make([]int32, n) // each path's bucket
+	for i := 0; i < n; i++ {
 		p := s.Path(i)
 		k := hashKey(p[len(p)-1], len(p)-1)
-		h.buckets[k] = append(h.buckets[k], int32(i))
+		b, ok := h.bucket[k]
+		if !ok {
+			b = int32(len(h.bucket))
+			h.bucket[k] = b
+		}
+		h.start[b]++
+		of[i] = b
 	}
+	buckets := len(h.bucket)
+	// Running sums turn the counts into bucket ends; placing the paths
+	// last to first walks each end back to its bucket's start and
+	// leaves every bucket in store order.
+	for b := 1; b < buckets; b++ {
+		h.start[b] += h.start[b-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		b := of[i]
+		h.start[b]--
+		h.items[h.start[b]] = int32(i)
+	}
+	h.start = h.start[: buckets+1 : buckets+1]
+	h.start[buckets] = int32(n)
 	return h
+}
+
+// paths returns the indices of the paths ending at meet with the given
+// hop length.
+func (h *HashIndex) paths(meet graph.VertexID, length int) []int32 {
+	b, ok := h.bucket[hashKey(meet, length)]
+	if !ok {
+		return nil
+	}
+	return h.items[h.start[b]:h.start[b+1]]
 }
 
 // Probe calls fn for every indexed path ending at meet with the given
 // hop length.
 func (h *HashIndex) Probe(meet graph.VertexID, length int, fn func(p []graph.VertexID)) {
-	for _, i := range h.buckets[hashKey(meet, length)] {
+	for _, i := range h.paths(meet, length) {
 		fn(h.store.Path(int(i)))
 	}
 }
@@ -150,53 +190,79 @@ func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph
 // JoinHalvesIndexed is JoinHalves with a prebuilt backward-side index,
 // under a query.Control. Batch engines reuse one index across every
 // query whose backward half aliases the same shared store, instead of
-// rebuilding it per query. Every emission first reserves a slot on
-// qid's limit; the first refusal ends the join, so the engine learns
-// the result set was truncated (one probe past the limit) without
-// enumerating the rest. Cancellation is polled per probe, not per
-// forward path — a handful of forward paths can fan out into
-// arbitrarily large buckets, so a per-path cadence could run a
-// cancelled join to completion. A nil ctrl joins to completion.
+// rebuilding it per query. It feeds the forward paths, in store order,
+// to a Joiner; see Joiner.Join for how the limit and cancellation stop
+// it. A nil ctrl joins to completion.
 func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) {
-	buf := make([]graph.VertexID, 0, int(k)+1)
-	steps, stopped := 0, false
-	for i := 0; i < fwd.Len(); i++ {
-		if stopped || ctrl.HitLimit(qid) {
-			return
+	j := NewJoiner(h, k, backHeavy, ctrl, qid, emit)
+	for i := 0; i < fwd.Len() && j.Join(fwd.Path(i)); i++ {
+	}
+}
+
+// Joiner is one query's ⊕ join with the forward side streamed: each
+// Join call pairs one forward path with the indexed backward paths, so
+// a forward search can join every prefix as it finds it instead of
+// storing the half first. Feeding the forward paths in store order
+// emits exactly what JoinHalvesIndexed emits, in the same order.
+type Joiner struct {
+	h         *HashIndex
+	k         uint8
+	backHeavy bool
+	ctrl      *query.Control
+	qid       int
+	emit      func(path []graph.VertexID)
+	buf       []graph.VertexID
+	steps     int
+	stopped   bool
+}
+
+// NewJoiner returns the join of query qid against the backward index h;
+// the arguments mean what they mean for JoinHalvesIndexed.
+func NewJoiner(h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) Joiner {
+	return Joiner{h: h, k: k, backHeavy: backHeavy, ctrl: ctrl, qid: qid, emit: emit,
+		buf: make([]graph.VertexID, 0, int(k)+1)}
+}
+
+// Join emits every result path whose forward part is pf and reports
+// whether the join goes on: false once the run is cancelled or qid's
+// limit refused an emission, after which later calls emit nothing.
+// Every emission first reserves a slot on qid's limit; the first
+// refusal ends the join, so the engine learns the result set was
+// truncated (one probe past the limit) without enumerating the rest.
+// Cancellation is polled per probe, not per forward path — a handful of
+// forward paths can fan out into arbitrarily large buckets, so a
+// per-path cadence could run a cancelled join to completion.
+func (j *Joiner) Join(pf []graph.VertexID) bool {
+	if j.stopped || j.ctrl.HitLimit(j.qid) {
+		return false
+	}
+	a := len(pf) - 1
+	meet := pf[len(pf)-1]
+	pair := [2]int{a, a - 1}
+	if j.backHeavy {
+		pair = [2]int{a, a + 1}
+	}
+	for _, b := range pair {
+		if b < 0 || a+b > int(j.k) || a+b < 1 {
+			continue
 		}
-		pf := fwd.Path(i)
-		a := len(pf) - 1
-		meet := pf[len(pf)-1]
-		pair := [2]int{a, a - 1}
-		if backHeavy {
-			pair = [2]int{a, a + 1}
-		}
-		for _, b := range pair {
-			if b < 0 || a+b > int(k) || a+b < 1 {
+		for _, i := range j.h.paths(meet, b) {
+			// Once stopped or satisfied, drain the bucket without emitting.
+			if j.ctrl.Poll(&j.steps, &j.stopped) || j.ctrl.HitLimit(j.qid) {
+				break
+			}
+			pb := j.h.store.Path(int(i))
+			if !DisjointExceptMeet(pf, pb) || !j.ctrl.Allow(j.qid) {
 				continue
 			}
-			h.Probe(meet, b, func(pb []graph.VertexID) {
-				if ctrl.Poll(&steps, &stopped) {
-					return // drain the bucket without emitting
-				}
-				if ctrl.HitLimit(qid) {
-					return // drain the bucket without emitting
-				}
-				if !DisjointExceptMeet(pf, pb) {
-					return
-				}
-				if !ctrl.Allow(qid) {
-					return
-				}
-				buf = buf[:0]
-				buf = append(buf, pf...)
-				for j := len(pb) - 2; j >= 0; j-- {
-					buf = append(buf, pb[j])
-				}
-				emit(buf)
-			})
+			buf := append(j.buf[:0], pf...)
+			for x := len(pb) - 2; x >= 0; x-- {
+				buf = append(buf, pb[x])
+			}
+			j.emit(buf)
 		}
 	}
+	return !j.stopped && !j.ctrl.HitLimit(j.qid)
 }
 
 // DisjointExceptMeet reports whether forward path pf and backward path

@@ -66,10 +66,11 @@ func TestHashIndexProbe(t *testing.T) {
 	s.Add([]graph.VertexID{9, 5})    // ends 5, len 1
 	s.Add([]graph.VertexID{9, 7, 5}) // ends 5, len 2
 	s.Add([]graph.VertexID{9, 5, 7}) // ends 7, len 2
+	s.Add([]graph.VertexID{8, 5})    // ends 5, len 1: a bucket keeps store order
 	h := BuildHashIndex(s)
 	var got []string
 	h.Probe(5, 1, func(p []graph.VertexID) { got = append(got, fmt.Sprint(p)) })
-	if len(got) != 1 || got[0] != "[9 5]" {
+	if fmt.Sprint(got) != "[[9 5] [8 5]]" {
 		t.Fatalf("Probe(5,1) = %v", got)
 	}
 	got = nil

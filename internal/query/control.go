@@ -30,13 +30,17 @@ const (
 )
 
 // qstate tracks one query's emission budget. Each query is owned by
-// exactly one enumeration goroutine at a time (engines assign whole
-// queries or whole sharing groups to workers), so the fields are plain;
-// cross-goroutine reads only happen after the run's completion barrier.
+// exactly one enumeration goroutine at a time (an engine's task owns
+// its queries until it ends and hands them on), so the fields are
+// plain; cross-goroutine reads only happen after the run's completion
+// barrier. Allow writes `emitted` once per path, so each query's state
+// fills a cache line of its own: neighbours on one line would make
+// concurrent queries' emissions invalidate each other.
 type qstate struct {
 	emitted  int64
 	limitHit bool // an emission was refused: more paths existed than emitted
 	complete bool // the engine finished this query deliberately
+	_        [cacheLine - 16]byte
 }
 
 // Control threads cooperative cancellation and per-query result budgets

@@ -74,28 +74,55 @@ func Batch(g *graph.Graph, qs []Query) ([]Query, error) {
 // path with the query's batch ID and the full vertex sequence from S to
 // T; the slice is only valid during the call and must be copied to be
 // retained.
+//
+// One query's emissions never overlap: an engine enumerates each query
+// on one goroutine at a time. Emissions of different queries may run
+// concurrently, so a sink that shares state across queries must guard
+// it itself; state kept per query needs no lock.
 type Sink interface {
 	Emit(queryID int, path []graph.VertexID)
 }
 
+// cacheLine is the padding unit for per-query state that concurrent
+// workers write once per emitted path: two queries' counters on one
+// line would make every emission on one core invalidate the other's.
+const cacheLine = 64
+
+// paddedCount is one query's counter on a cache line of its own.
+type paddedCount struct {
+	n int64
+	_ [cacheLine - 8]byte
+}
+
 // CountSink counts results per query without retaining paths — the mode
 // used by the benchmark harness, since path counts grow exponentially
-// with k (Exp-7).
+// with k (Exp-7). Each query's counter sits on its own cache line, so
+// queries emitting concurrently do not contend.
 type CountSink struct {
-	Counts []int64
+	counts []paddedCount
 }
 
 // NewCountSink returns a CountSink for a batch of n queries.
-func NewCountSink(n int) *CountSink { return &CountSink{Counts: make([]int64, n)} }
+func NewCountSink(n int) *CountSink { return &CountSink{counts: make([]paddedCount, n)} }
 
 // Emit implements Sink.
-func (c *CountSink) Emit(queryID int, _ []graph.VertexID) { c.Counts[queryID]++ }
+func (c *CountSink) Emit(queryID int, _ []graph.VertexID) { c.counts[queryID].n++ }
+
+// Counts returns a copy of the per-query counts, indexed by query ID;
+// read it after the run has returned.
+func (c *CountSink) Counts() []int64 {
+	out := make([]int64, len(c.counts))
+	for i := range c.counts {
+		out[i] = c.counts[i].n
+	}
+	return out
+}
 
 // Total returns the sum of all per-query counts.
 func (c *CountSink) Total() int64 {
 	var t int64
-	for _, v := range c.Counts {
-		t += v
+	for i := range c.counts {
+		t += c.counts[i].n
 	}
 	return t
 }
@@ -116,55 +143,6 @@ func (c *CollectSink) Emit(queryID int, path []graph.VertexID) {
 	cp := make([]graph.VertexID, len(path))
 	copy(cp, path)
 	c.Paths[queryID] = append(c.Paths[queryID], cp)
-}
-
-// BufferSink accumulates emissions locally so a concurrent producer can
-// hand batches of results to a shared downstream sink without taking a
-// lock per path. Paths are packed into one flat vertex arena, so a
-// buffered emission costs one append instead of one allocation, and the
-// arenas are retained across flushes.
-//
-// BufferSink is not safe for concurrent use; the intended pattern is one
-// BufferSink per worker, flushed under the consumer's lock at chunk
-// boundaries.
-type BufferSink struct {
-	ids   []int32
-	ends  []int32 // ends[i] is the exclusive end of path i in verts
-	verts []graph.VertexID
-}
-
-// Emit implements Sink; it copies the path into the arena.
-//
-//hcpath:noalloc
-func (b *BufferSink) Emit(queryID int, path []graph.VertexID) {
-	b.ids = append(b.ids, int32(queryID))
-	b.verts = append(b.verts, path...)
-	b.ends = append(b.ends, int32(len(b.verts)))
-}
-
-// Len returns the number of buffered emissions.
-func (b *BufferSink) Len() int { return len(b.ids) }
-
-// Vertices returns the total buffered path length, the natural measure
-// for memory-bounded flush thresholds (paths vary in length).
-func (b *BufferSink) Vertices() int { return len(b.verts) }
-
-// FlushTo replays every buffered emission into sink in emission order
-// and resets the buffer, keeping its capacity. The replayed slices alias
-// the arena, honouring the Sink contract that paths are only valid
-// during the Emit call.
-//
-//hcpath:noalloc
-func (b *BufferSink) FlushTo(sink Sink) {
-	start := int32(0)
-	for i, id := range b.ids {
-		end := b.ends[i]
-		sink.Emit(int(id), b.verts[start:end])
-		start = end
-	}
-	b.ids = b.ids[:0]
-	b.ends = b.ends[:0]
-	b.verts = b.verts[:0]
 }
 
 // FuncSink adapts a function to the Sink interface.

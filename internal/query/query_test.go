@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -89,8 +90,8 @@ func TestCountSink(t *testing.T) {
 	s.Emit(0, []graph.VertexID{0, 1})
 	s.Emit(2, []graph.VertexID{0, 1, 2})
 	s.Emit(2, []graph.VertexID{0, 2})
-	if s.Counts[0] != 1 || s.Counts[1] != 0 || s.Counts[2] != 2 {
-		t.Errorf("counts = %v", s.Counts)
+	if c := s.Counts(); c[0] != 1 || c[1] != 0 || c[2] != 2 {
+		t.Errorf("counts = %v", c)
 	}
 	if s.Total() != 3 {
 		t.Errorf("total = %d", s.Total())
@@ -107,48 +108,6 @@ func TestCollectSinkCopies(t *testing.T) {
 	}
 }
 
-// TestBufferSink: emissions replay in order with the right IDs and
-// contents, the source slice is copied, and the buffer resets on flush.
-func TestBufferSink(t *testing.T) {
-	b := &BufferSink{}
-	src := []graph.VertexID{4, 9, 3}
-	b.Emit(2, src)
-	src[0] = 99 // the buffer must have copied
-	b.Emit(0, []graph.VertexID{1})
-	b.Emit(2, []graph.VertexID{4, 9, 15, 6})
-	if b.Len() != 3 || b.Vertices() != 8 {
-		t.Fatalf("Len=%d Vertices=%d, want 3/8", b.Len(), b.Vertices())
-	}
-	var got []string
-	b.FlushTo(FuncSink(func(id int, p []graph.VertexID) {
-		got = append(got, fmt.Sprint(id, p))
-	}))
-	want := []string{"2 [4 9 3]", "0 [1]", "2 [4 9 15 6]"}
-	if len(got) != len(want) {
-		t.Fatalf("flushed %d emissions, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("flush %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-	if b.Len() != 0 || b.Vertices() != 0 {
-		t.Errorf("buffer not reset: Len=%d Vertices=%d", b.Len(), b.Vertices())
-	}
-	// Reuse after flush must not replay stale entries.
-	b.Emit(5, []graph.VertexID{7})
-	n := 0
-	b.FlushTo(FuncSink(func(id int, p []graph.VertexID) {
-		n++
-		if id != 5 || len(p) != 1 || p[0] != 7 {
-			t.Errorf("reused buffer emitted %d %v", id, p)
-		}
-	}))
-	if n != 1 {
-		t.Errorf("reused buffer flushed %d emissions, want 1", n)
-	}
-}
-
 func TestFuncSink(t *testing.T) {
 	var got string
 	FuncSink(func(id int, p []graph.VertexID) {
@@ -156,5 +115,18 @@ func TestFuncSink(t *testing.T) {
 	}).Emit(7, []graph.VertexID{1, 2})
 	if got != "7 [1 2]" {
 		t.Errorf("FuncSink saw %q", got)
+	}
+}
+
+// TestPerQueryStateFillsACacheLine: the state concurrent workers write
+// once per emitted path — a Control's per-query budget and a
+// CountSink's counter — is one cache line per query, so two queries
+// emitting on different cores never write the same line.
+func TestPerQueryStateFillsACacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(qstate{}); n != cacheLine {
+		t.Errorf("qstate is %d bytes, want %d", n, cacheLine)
+	}
+	if n := unsafe.Sizeof(paddedCount{}); n != cacheLine {
+		t.Errorf("paddedCount is %d bytes, want %d", n, cacheLine)
 	}
 }

@@ -14,9 +14,9 @@
 // running batch finishes; so batches grow exactly when the service is
 // loaded, which is when sharing pays. MaxWait only bounds how long a
 // formed batch is held behind busy slots. Each batch runs through
-// clustering + BatchEnum+ (parallel across sharing groups). Every caller
-// blocks on a private future and receives exactly its own query's
-// results plus the stats of the batch that carried it.
+// clustering + BatchEnum+ (parallel across group builds and per-query
+// joins). Every caller blocks on a private future and receives exactly
+// its own query's results plus the stats of the batch that carried it.
 package service
 
 import (
@@ -782,9 +782,9 @@ func (s *Service) dispatch(batch []*request) {
 type replySink []*request
 
 // Emit implements query.Sink, copying the path into the caller's reply
-// arena. The engine serialises calls (an inline run emits from one
-// goroutine, a fanned run's merge sink drains workers under one lock),
-// so replies need no locking of their own.
+// arena. Each query's emissions come from one goroutine at a time (the
+// Sink contract) and each query has its own reply, so replies need no
+// locking even while a batch's workers emit for different queries.
 //
 //hcpath:noalloc
 func (s replySink) Emit(id int, p []graph.VertexID) {
@@ -814,13 +814,6 @@ func (s *Service) runBatch(batch []*request) {
 	engine := s.cfg.Engine
 	engine.Provider = s.provider
 	engine.Epoch = snap.Epoch()
-	if len(batch) == 1 {
-		// One query is one group: run it on this goroutine instead of
-		// setting up a fan-out (workers, job channel, result buffers)
-		// with nothing to fan. Batching by load makes this the common
-		// batch on a service with cores to spare.
-		engine.Workers = 1
-	}
 	t0 := time.Now()
 	var deadline time.Time
 	if s.cfg.QueryTimeout > 0 {
