@@ -98,6 +98,10 @@ func FuzzEnumerate(f *testing.F) {
 	// sharing engines cluster them into a group of two (the Ψ pipeline)
 	// and a group of one (PathEnum), so both arms run in one batch.
 	f.Add([]byte{6, 2, 0x30, 3, 0x20, 3, 0x55, 7, 0, 1, 1, 2, 2, 3, 0, 2, 1, 3, 5, 6, 6, 7, 5, 7, 4, 5})
+	// Two identical queries 0→5 and a third 0→7 sharing their source:
+	// the sharing engines put the twins in one ⊕ join task that emits
+	// to both, checked in full, under a limit of 2 and cancelled.
+	f.Add([]byte{6, 2, 0x30, 5, 0x30, 5, 0x38, 7, 0, 1, 1, 2, 2, 5, 0, 2, 1, 5, 0, 3, 3, 5, 3, 7, 2, 7, 5, 7, 1, 3, 4, 5})
 
 	algorithms := []batchenum.Algorithm{
 		batchenum.Basic, batchenum.BasicPlus, batchenum.Batch, batchenum.BatchPlus,

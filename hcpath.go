@@ -174,7 +174,8 @@ type Options struct {
 	// Workers is the enumeration parallelism: how many goroutines drain
 	// a batch's tasks — one PathEnum per query for the independent
 	// engines; for the batch engines one build per sharing group, then
-	// one ⊕ join per query of the group. Zero or negative means
+	// one ⊕ join per distinct join input of the group (queries that
+	// repeat one another share one). Zero or negative means
 	// GOMAXPROCS, like the index build; a positive count is exact, and
 	// one runs the batch inline on the calling goroutine. This public
 	// layer resolves the value once (resolveWorkers); every internal
@@ -457,7 +458,8 @@ func (e *Engine) EnumerateContext(ctx context.Context, qs []Query) (*Result, err
 
 // Stream answers the batch and calls emit once per result path with the
 // query's batch position. The path slice is reused between calls; copy
-// it to retain it. Calls to emit never overlap, whatever
+// it to retain it, and do not modify it (repeated queries in one batch
+// receive the same slice). Calls to emit never overlap, whatever
 // Options.Workers is: the engine serialises them with one lock, so emit
 // needs none of its own (and a slow emit holds up the other workers).
 func (e *Engine) Stream(qs []Query, emit func(queryIndex int, path Path)) (Stats, error) {
@@ -582,7 +584,7 @@ type WorkerDownError = shard.WorkerDownError
 // query that finds a core idle is answered at once, queries that arrive
 // while every core is busy leave together, up to 64 of them, when a
 // batch finishes — and answers each batch with BatchEnum+, its group
-// builds and per-query joins drained by GOMAXPROCS workers.
+// builds and ⊕ joins drained by GOMAXPROCS workers.
 type ServiceOptions struct {
 	// Options configures the engine each micro-batch runs through,
 	// exactly as for NewEngine: zero or negative Workers means
@@ -763,7 +765,7 @@ func (o ServiceOptions) config() service.Config {
 
 // NewService starts an in-memory micro-batching query service on g.
 // nil opts selects the defaults: BatchEnum+ (γ = 0.5) parallel across
-// group builds and per-query joins, batches of ≤ 64 queries formed by
+// group builds and ⊕ joins, batches of ≤ 64 queries formed by
 // load and held ≤ 2ms behind busy cores.
 // Setting ServiceOptions.DataDir panics — durability involves I/O that
 // can fail, so it is only available through OpenService.

@@ -161,9 +161,9 @@ func (st *Stats) add(t *Stats) {
 // the sharing engines (Algorithm 4), one group per query for the Basic
 // ones (Algorithm 1) — and the groups become tasks on one work list (see
 // workList): a group's build task runs its detection and shared
-// enumeration and then pushes one ⊕ join task per query, each
-// independent of every other. Up to opts.Workers goroutines drain the
-// list, the caller's included, and Run returns once every task has
+// enumeration and then pushes one ⊕ join task per distinct join input,
+// each independent of every other. Up to opts.Workers goroutines drain
+// the list, the caller's included, and Run returns once every task has
 // ended, so no emission follows it. With at most one worker the caller
 // drains the list alone and every task books its own detect/enumerate
 // phases, in order. With more, Emit calls of different queries run
@@ -177,10 +177,10 @@ func (st *Stats) add(t *Stats) {
 // emitted through sink is valid (each emitted path is a real result;
 // queries the engine did not finish are counted in Stats.Truncated).
 // Per-query limits are safe on any number of workers because each task
-// owns its queries: a build task its group's, a join task its one
-// query. Limit-truncated queries are not an error: the run returns nil
-// with Stats.Truncated set, and ctrl.QueryErr distinguishes
-// ErrLimitReached from cancellation per query.
+// owns its queries: a build task its group's, a join task its class's.
+// Limit-truncated queries are not an error: the run returns nil with
+// Stats.Truncated set, and ctrl.QueryErr distinguishes ErrLimitReached
+// from cancellation per query.
 func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Control, sink query.Sink) (*Stats, error) {
 	qs, err := query.Batch(g, queries)
 	if err != nil {
@@ -246,13 +246,24 @@ type batch struct {
 
 // task is one unit of a run's work list. A build task (group set) runs a
 // whole group of one query, or a larger group's detection and shared
-// enumeration, which then pushes its joins. A join task (group nil) is
-// one query's ⊕ join against its group's finished stores.
+// enumeration, which then pushes its joins. A join task (members set)
+// is the ⊕ join of one class of the group's queries: those whose joins
+// read the same forward store, backward index, K and split side, and so
+// emit the same paths. members lists the class in group order; query
+// IDs are batch positions, so it is also the ID list.
 type task struct {
 	group     []int
-	qi        int
+	members   []int
 	fwd       *pathjoin.Store
 	bwd       *pathjoin.HashIndex
+	backHeavy bool
+}
+
+// joinKey is what a query's ⊕ join reads: two queries with equal keys
+// emit equal path sequences.
+type joinKey struct {
+	fwd, bwd  *pathjoin.Store
+	k         uint8
 	backHeavy bool
 }
 
@@ -384,17 +395,18 @@ func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, 
 // an empty Ψ and the pipeline would only add its bookkeeping.
 func (b *batch) processSingle(qi int, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	id := b.qs[qi].ID
 	pathenum.EnumerateControlled(b.g, b.gr, b.qs[qi],
 		b.idx.DistMapFor(qi, hcindex.Forward), b.idx.DistMapFor(qi, hcindex.Backward),
-		pathenum.Options{Optimized: b.opts.Algorithm.Optimized()}, b.ctrl,
-		func(p []graph.VertexID) { b.sink.Emit(id, p) })
+		pathenum.Options{Optimized: b.opts.Algorithm.Optimized()}, b.ctrl, b.sink)
 }
 
 // processGroup runs detection and shared enumeration for one cluster of
-// two or more queries (Algorithm 4) and returns one join task per query
-// whose target is in hop range. The Ψ caches live only for this call;
-// the tasks hold each query's two halves.
+// two or more queries (Algorithm 4) and returns one join task per class
+// of queries whose target is in hop range and whose joins read the same
+// inputs. Ψ already enumerates identical halves once, aliasing a
+// duplicate's store to its provider's; the class shares the join too,
+// which is where repeated queries would otherwise pay again. The Ψ
+// caches live only for this call; the tasks hold each class's halves.
 func (b *batch) processGroup(group []int, st *Stats) []task {
 	qs, idx, ctrl := b.qs, b.idx, b.ctrl
 	optimized := b.opts.Algorithm.Optimized()
@@ -416,10 +428,8 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 	stop := st.Phases.Start(timing.IdentifySubquery)
 	fwdHalves := make([]sharegraph.HalfQuery, len(live))
 	bwdHalves := make([]sharegraph.HalfQuery, len(live))
-	joins := make([]task, len(live))
 	for i, qi := range live {
 		fb, bb := budgets(qs, idx, qi, optimized)
-		joins[i] = task{qi: qi, backHeavy: fb < bb}
 		fwdHalves[i] = sharegraph.HalfQuery{
 			Root: qs[qi].S, Budget: fb, K: qs[qi].K,
 			Other: idx.DistMapFor(qi, hcindex.Backward), Query: qi,
@@ -441,31 +451,63 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 	if ctrl.Cancelled() {
 		return nil // partial Ψ stores must not reach the joins
 	}
-	// Backward halves of similar queries often alias one shared store;
-	// the probe-side hash index is built once per distinct store.
-	indexes := make(map[*pathjoin.Store]*pathjoin.HashIndex, len(live))
-	for i := range joins {
-		h := indexes[bwdStores[i]]
-		if h == nil {
-			h = pathjoin.BuildHashIndex(bwdStores[i])
-			indexes[bwdStores[i]] = h
+	// One join task per class. Backward halves of similar queries often
+	// alias one shared store; the probe-side hash index is built once
+	// per distinct store, which several classes may share. members is a
+	// counting sort of the live queries by class, as in
+	// pathjoin.HashIndex: each class contiguous, in group order.
+	n := len(live)
+	ints := make([]int, 3*n+1)
+	members, of, start := ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+	classes := make(map[joinKey]int, n)
+	indexes := make(map[*pathjoin.Store]*pathjoin.HashIndex, n)
+	joins := make([]task, 0, n)
+	for i, qi := range live {
+		key := joinKey{fwdStores[i], bwdStores[i], qs[qi].K, fwdHalves[i].Budget < bwdHalves[i].Budget}
+		c, ok := classes[key]
+		if !ok {
+			c = len(joins)
+			classes[key] = c
+			h := indexes[key.bwd]
+			if h == nil {
+				h = pathjoin.BuildHashIndex(key.bwd)
+				indexes[key.bwd] = h
+			}
+			joins = append(joins, task{fwd: key.fwd, bwd: h, backHeavy: key.backHeavy})
 		}
-		joins[i].fwd, joins[i].bwd = fwdStores[i], h
+		of[i] = c
+		start[c]++
+	}
+	// Running sums turn the class sizes into class ends; placing the
+	// queries last to first walks each end back to its class's start.
+	for c := 1; c < len(joins); c++ {
+		start[c] += start[c-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		start[of[i]]--
+		members[start[of[i]]] = live[i]
+	}
+	start[len(joins)] = n
+	for c := range joins {
+		joins[c].members = members[start[c]:start[c+1]:start[c+1]]
 	}
 	return joins
 }
 
-// join runs one query's ⊕ join against its group's stores. The task
-// was the last holder of the query's forward store; aliased backward
-// stores live until their last query's join ends.
+// join runs one class's ⊕ join against its group's stores once and
+// emits every result path to each member, which then completes unless
+// the run was cancelled. The task was the last holder of the class's
+// forward store; aliased backward stores live until their last class's
+// join ends.
 func (b *batch) join(t task, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	q := b.qs[t.qi]
-	id := q.ID
-	pathjoin.JoinHalvesIndexed(t.fwd, t.bwd, q.K, t.backHeavy, b.ctrl, id,
-		func(p []graph.VertexID) { b.sink.Emit(id, p) })
+	lead := t.members[0]
+	j := pathjoin.NewJoiner(t.bwd, b.qs[lead].K, t.backHeavy, b.ctrl, lead, t.members[1:], b.sink)
+	j.JoinStore(t.fwd)
 	if !b.ctrl.Cancelled() {
-		b.ctrl.MarkComplete(id)
+		for _, id := range t.members {
+			b.ctrl.MarkComplete(id)
+		}
 	}
 }
 

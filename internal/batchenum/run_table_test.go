@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/testgraphs"
 	"repro/internal/timing"
@@ -327,6 +329,150 @@ func TestWorkListGroupMatchesInline(t *testing.T) {
 			}
 			if ctrl.QueryErr(i) == nil && n != len(want[i]) {
 				t.Errorf("cancel at %d: query %d reported complete with %d of %d paths", at, i, n, len(want[i]))
+			}
+		}
+	}
+}
+
+// TestSharedJoinClasses: a group of six identical queries, two that
+// share only their source with them and one unrelated query yields one
+// join task per distinct join input, the six sharing one. On one worker
+// and on four, every member emits exactly the sequence its own join
+// emits alone: in full, under a limit (exactly the limit, and
+// ErrLimitReached on every member) and cancelled mid-run (no member of
+// the cancelled join marked complete, all members holding one prefix).
+func TestSharedJoinClasses(t *testing.T) {
+	g := testgraphs.CompleteDAG(14)
+	gr := g.Reverse()
+	qs := make([]query.Query, 6, 9)
+	for i := range qs {
+		qs[i] = query.Query{ID: i, S: 0, T: 13, K: 5}
+	}
+	qs = append(qs, query.Query{ID: 6, S: 0, T: 12, K: 5}, query.Query{ID: 7, S: 0, T: 11, K: 4},
+		query.Query{ID: 8, S: 2, T: 10, K: 4})
+	opts := Options{Algorithm: BatchPlus, Gamma: 0.1}
+
+	// The group as Run forms it, through processGroup directly.
+	idx := opts.acquire(g, gr, qs)
+	defer idx.Release()
+	var st Stats
+	groups := partition(qs, idx, opts, &st)
+	if len(groups) != 1 {
+		t.Fatalf("batch formed %d groups, want one", len(groups))
+	}
+	b := &batch{g: g, gr: gr, qs: qs, idx: idx, opts: opts}
+	joins := b.processGroup(groups[0], &st)
+	type input struct {
+		fwd       *pathjoin.Store
+		bwd       *pathjoin.HashIndex
+		k         uint8
+		backHeavy bool
+	}
+	inputs := map[input]bool{}
+	class := make([]int, len(qs)) // each query's join task
+	alone := make([][]string, len(qs))
+	for c, j := range joins {
+		in := input{j.fwd, j.bwd, qs[j.members[0]].K, j.backHeavy}
+		if inputs[in] {
+			t.Errorf("join %d reads the inputs of an earlier join", c)
+		}
+		inputs[in] = true
+		for x, id := range j.members {
+			class[id] = c
+			if q, lead := qs[id], qs[j.members[0]]; q.S != lead.S || q.T != lead.T || q.K != lead.K {
+				t.Errorf("join %d holds queries %v and %v", c, lead, q)
+			}
+			if x > 0 && id <= j.members[x-1] {
+				t.Errorf("join %d lists its members out of group order: %v", c, j.members)
+			}
+			// The reference: the query's own one-member join of the
+			// same inputs.
+			pathjoin.JoinHalvesIndexed(j.fwd, j.bwd, qs[id].K, j.backHeavy, nil, id, func(p []graph.VertexID) {
+				alone[id] = append(alone[id], pathKey(p))
+			})
+		}
+	}
+	if len(joins) != 4 || len(joins[class[0]].members) != 6 {
+		t.Fatalf("group made %d join tasks, the first query's of %d members; want 4, one of 6", len(joins), len(joins[class[0]].members))
+	}
+	want := bruteSet(g, qs)
+	for id := range qs {
+		if got := slices.Sorted(slices.Values(alone[id])); fmt.Sprint(got) != fmt.Sprint(want[id]) {
+			t.Fatalf("query %d's own join emits %d paths, the oracle %d", id, len(got), len(want[id]))
+		}
+		if len(alone[id]) <= 3 {
+			t.Fatalf("query %d has %d paths; the limits below need more than 3", id, len(alone[id]))
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		run := func(ctrl *query.Control, onEmit func(id int)) [][]string {
+			per := make([][]string, len(qs))
+			opts.Workers = workers
+			st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
+				per[id] = append(per[id], pathKey(p))
+				if onEmit != nil {
+					onEmit(id)
+				}
+			}))
+			if err != nil && !ctrl.Cancelled() {
+				t.Fatal(err)
+			}
+			if st.NumGroups != 1 {
+				t.Fatalf("workers=%d: batch formed %d groups, want one", workers, st.NumGroups)
+			}
+			return per
+		}
+
+		got := run(nil, nil)
+		for id := range qs {
+			if fmt.Sprint(got[id]) != fmt.Sprint(alone[id]) {
+				t.Errorf("workers=%d full: query %d emitted %d paths out of its own join's order (%d)", workers, id, len(got[id]), len(alone[id]))
+			}
+		}
+
+		for _, limit := range []int64{1, 3} {
+			ctrl := query.NewControl(context.Background(), time.Time{}, limit, len(qs))
+			got := run(ctrl, nil)
+			for id := range qs {
+				if fmt.Sprint(got[id]) != fmt.Sprint(alone[id][:limit]) || !errors.Is(ctrl.QueryErr(id), query.ErrLimitReached) {
+					t.Errorf("workers=%d limit %d: query %d emitted %d paths (err %v), want its own join's first %d and ErrLimitReached",
+						workers, limit, id, len(got[id]), ctrl.QueryErr(id), limit)
+				}
+			}
+		}
+
+		// Cancel at the first emission of the shared join, then of the
+		// last join (on one worker the shared join has finished by then).
+		// A join stops at its next poll, after every member has had the
+		// same prefix, and its members complete together or not at all.
+		for _, at := range []int{0, len(qs) - 1} {
+			ctx, cancel := context.WithCancel(context.Background())
+			ctrl := query.NewControl(ctx, time.Time{}, 0, len(qs))
+			got = run(ctrl, func(id int) {
+				if class[id] == class[at] {
+					cancel()
+				}
+			})
+			cancel()
+			for id := range qs {
+				n, lead := len(got[id]), joins[class[id]].members[0]
+				label := fmt.Sprintf("workers=%d cancelled in query %d's join: query %d", workers, at, id)
+				if n > len(alone[id]) || fmt.Sprint(got[id]) != fmt.Sprint(alone[id][:n]) {
+					t.Errorf("%s: its %d paths are not a prefix of its own join's", label, n)
+				}
+				if n != len(got[lead]) || ctrl.QueryErr(id) != ctrl.QueryErr(lead) {
+					t.Errorf("%s: %d paths (err %v), its join's lead %d (err %v)", label, n, ctrl.QueryErr(id), len(got[lead]), ctrl.QueryErr(lead))
+				}
+				if ctrl.QueryErr(id) == nil && n != len(alone[id]) {
+					t.Errorf("%s: reported complete with %d of %d paths", label, n, len(alone[id]))
+				}
+				if class[id] == class[at] && !errors.Is(ctrl.QueryErr(id), context.Canceled) {
+					t.Errorf("%s: reports %v, want context.Canceled", label, ctrl.QueryErr(id))
+				}
+			}
+			if workers == 1 && at > 0 && ctrl.QueryErr(0) != nil {
+				t.Errorf("workers=1 cancelled in the last join: the shared join reports %v, want complete", ctrl.QueryErr(0))
 			}
 		}
 	}

@@ -72,25 +72,6 @@ func overlap(a, b []graph.VertexID, dma, dmb *msbfs.DistMap) float64 {
 	return float64(hits) / float64(probes)
 }
 
-// IntersectionSize counts common elements of two sorted vertex slices by
-// a linear merge.
-func IntersectionSize(a, b []graph.VertexID) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // Clustering is the result of Algorithm 2: a partition of the batch into
 // groups of similar queries. Groups hold positions into the original
 // query slice.

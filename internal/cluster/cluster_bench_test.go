@@ -70,18 +70,3 @@ func BenchmarkClusterQueries(b *testing.B) {
 	}
 	b.ReportMetric(float64(groups), "groups")
 }
-
-// BenchmarkIntersectionSize measures the sorted-merge primitive under
-// the similarity computation.
-func BenchmarkIntersectionSize(b *testing.B) {
-	va := make([]graph.VertexID, 4096)
-	vb := make([]graph.VertexID, 4096)
-	for i := range va {
-		va[i] = graph.VertexID(2 * i)
-		vb[i] = graph.VertexID(3 * i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IntersectionSize(va, vb)
-	}
-}

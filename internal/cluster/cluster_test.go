@@ -27,24 +27,6 @@ func paperSetup(t *testing.T) (*hcindex.Index, []query.Query) {
 	return hcindex.Build(g, gr, qs), qs
 }
 
-func TestIntersectionSize(t *testing.T) {
-	cases := []struct {
-		a, b []graph.VertexID
-		want int
-	}{
-		{nil, nil, 0},
-		{[]graph.VertexID{1, 2, 3}, nil, 0},
-		{[]graph.VertexID{1, 2, 3}, []graph.VertexID{2, 3, 4}, 2},
-		{[]graph.VertexID{1, 2, 3}, []graph.VertexID{4, 5}, 0},
-		{[]graph.VertexID{1, 2, 3}, []graph.VertexID{1, 2, 3}, 3},
-	}
-	for i, c := range cases {
-		if got := IntersectionSize(c.a, c.b); got != c.want {
-			t.Errorf("case %d: got %d want %d", i, got, c.want)
-		}
-	}
-}
-
 func TestPaperSimilarities(t *testing.T) {
 	idx, _ := paperSetup(t)
 	// Example 4.1: µ(q3, q4) = 1.

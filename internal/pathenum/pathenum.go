@@ -37,7 +37,7 @@ type Options struct {
 // Gr), emitting every HC-s-t path exactly once. The emitted slice is
 // reused and must be copied to be retained.
 func Enumerate(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts Options, emit func(path []graph.VertexID)) {
-	EnumerateControlled(g, gr, q, fwd, bwd, opts, nil, emit)
+	EnumerateControlled(g, gr, q, fwd, bwd, opts, nil, pathjoin.EmitFunc(emit))
 }
 
 // EnumerateControlled is Enumerate under a query.Control: the half
@@ -46,12 +46,14 @@ func Enumerate(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts 
 // satisfied query unwinds promptly with whatever it has emitted. The
 // query's completion is recorded on ctrl (keyed by q.ID) unless the run
 // was cancelled mid-flight; a nil ctrl reproduces Enumerate exactly.
+// Paths go to sink keyed by q.ID, so a batch engine hands its own sink
+// down with no per-query adapter.
 //
 // Only the backward half is stored: it is collected and indexed first,
 // then the forward DFS joins each prefix as it yields it, which is the
 // order a stored forward half would be joined in. A limit hit or a
 // cancellation stops the forward DFS with the join.
-func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts Options, ctrl *query.Control, emit func(path []graph.VertexID)) {
+func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts Options, ctrl *query.Control, sink query.Sink) {
 	if bwd.Dist(q.S) > q.K { // t unreachable within k hops: empty result
 		ctrl.MarkComplete(q.ID)
 		return
@@ -65,7 +67,7 @@ func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.Dist
 	if ctrl.Cancelled() {
 		return // a partial backward half must not reach the join
 	}
-	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, q.ID, emit)
+	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, q.ID, nil, sink)
 	walkHalf(g, q.S, fb, q.K, bwd, opts, ctrl, j.Join)
 	if !ctrl.Cancelled() {
 		ctrl.MarkComplete(q.ID)

@@ -188,52 +188,82 @@ func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph
 }
 
 // JoinHalvesIndexed is JoinHalves with a prebuilt backward-side index,
-// under a query.Control. Batch engines reuse one index across every
-// query whose backward half aliases the same shared store, instead of
-// rebuilding it per query. It feeds the forward paths, in store order,
-// to a Joiner; see Joiner.Join for how the limit and cancellation stop
-// it. A nil ctrl joins to completion.
+// under a query.Control: the join of query qid alone (see Joiner).
+// Batch engines reuse one index across every query whose backward half
+// aliases the same shared store, instead of rebuilding it per query. A
+// nil ctrl joins to completion.
 func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) {
-	j := NewJoiner(h, k, backHeavy, ctrl, qid, emit)
-	for i := 0; i < fwd.Len() && j.Join(fwd.Path(i)); i++ {
-	}
+	j := NewJoiner(h, k, backHeavy, ctrl, qid, nil, EmitFunc(emit))
+	j.JoinStore(fwd)
 }
 
-// Joiner is one query's ⊕ join with the forward side streamed: each
-// Join call pairs one forward path with the indexed backward paths, so
-// a forward search can join every prefix as it finds it instead of
-// storing the half first. Feeding the forward paths in store order
-// emits exactly what JoinHalvesIndexed emits, in the same order.
+// EmitFunc adapts a one-query emit callback to query.Sink by dropping
+// the query ID. A func value converts to an interface without an
+// allocation, so a single-query join pays nothing for the adapter.
+type EmitFunc func(path []graph.VertexID)
+
+// Emit implements query.Sink.
+func (f EmitFunc) Emit(_ int, path []graph.VertexID) { f(path) }
+
+// Joiner is the ⊕ join of one class of queries whose joins read the
+// same inputs — the same forward half, backward index, k and split
+// side — and so emit the same paths in the same order. The class is a
+// lead query and the rest; a single query is a class of one. Every
+// result path is built once and goes to the lead and then to each of
+// the rest, so each member receives exactly the sequence its own join
+// would emit (query.Sink forbids writing into the slice).
+//
+// The forward side is streamed: each Join call pairs one forward path
+// with the indexed backward paths, so a forward search can join every
+// prefix as it finds it instead of storing the half first. Feeding the
+// forward paths in store order (JoinStore) emits exactly what
+// JoinHalvesIndexed emits, in the same order.
+//
+// The members share one Control, hence one limit and one cancellation.
+// Every emission charges every member's limit, which keeps their
+// budgets in lockstep: the lead's answer is every member's, and the
+// join stops when the lead's limit refuses. The joiner's goroutine must
+// own every member (the Control's single-owner rule).
 type Joiner struct {
 	h         *HashIndex
 	k         uint8
 	backHeavy bool
 	ctrl      *query.Control
-	qid       int
-	emit      func(path []graph.VertexID)
+	lead      int
+	rest      []int
+	sink      query.Sink
 	buf       []graph.VertexID
 	steps     int
 	stopped   bool
 }
 
-// NewJoiner returns the join of query qid against the backward index h;
-// the arguments mean what they mean for JoinHalvesIndexed.
-func NewJoiner(h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) Joiner {
-	return Joiner{h: h, k: k, backHeavy: backHeavy, ctrl: ctrl, qid: qid, emit: emit,
+// NewJoiner returns the join of the class lead+rest against the
+// backward index h; a nil rest joins lead alone. The other arguments
+// mean what they mean for JoinHalvesIndexed, and sink receives every
+// result path once per member, keyed by the member's query ID.
+func NewJoiner(h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, lead int, rest []int, sink query.Sink) Joiner {
+	return Joiner{h: h, k: k, backHeavy: backHeavy, ctrl: ctrl, lead: lead, rest: rest, sink: sink,
 		buf: make([]graph.VertexID, 0, int(k)+1)}
 }
 
+// JoinStore joins the forward paths of fwd in store order until the
+// join stops.
+func (j *Joiner) JoinStore(fwd *Store) {
+	for i := 0; i < fwd.Len() && j.Join(fwd.Path(i)); i++ {
+	}
+}
+
 // Join emits every result path whose forward part is pf and reports
-// whether the join goes on: false once the run is cancelled or qid's
-// limit refused an emission, after which later calls emit nothing.
-// Every emission first reserves a slot on qid's limit; the first
-// refusal ends the join, so the engine learns the result set was
-// truncated (one probe past the limit) without enumerating the rest.
-// Cancellation is polled per probe, not per forward path — a handful of
-// forward paths can fan out into arbitrarily large buckets, so a
-// per-path cadence could run a cancelled join to completion.
+// whether the join goes on: false once the run is cancelled or the
+// lead's limit refused an emission, after which later calls emit
+// nothing. Every emission first reserves a slot on each member's limit;
+// the first refusal ends the join, so the engine learns the result set
+// was truncated (one probe past the limit) without enumerating the
+// rest. Cancellation is polled per probe, not per forward path — a
+// handful of forward paths can fan out into arbitrarily large buckets,
+// so a per-path cadence could run a cancelled join to completion.
 func (j *Joiner) Join(pf []graph.VertexID) bool {
-	if j.stopped || j.ctrl.HitLimit(j.qid) {
+	if j.stopped || j.ctrl.HitLimit(j.lead) {
 		return false
 	}
 	a := len(pf) - 1
@@ -248,21 +278,33 @@ func (j *Joiner) Join(pf []graph.VertexID) bool {
 		}
 		for _, i := range j.h.paths(meet, b) {
 			// Once stopped or satisfied, drain the bucket without emitting.
-			if j.ctrl.Poll(&j.steps, &j.stopped) || j.ctrl.HitLimit(j.qid) {
+			if j.ctrl.Poll(&j.steps, &j.stopped) || j.ctrl.HitLimit(j.lead) {
 				break
 			}
 			pb := j.h.store.Path(int(i))
-			if !DisjointExceptMeet(pf, pb) || !j.ctrl.Allow(j.qid) {
+			if !DisjointExceptMeet(pf, pb) {
+				continue
+			}
+			// Charge every member, refused or not, so that each one
+			// latches its own limit hit.
+			ok := j.ctrl.Allow(j.lead)
+			for _, id := range j.rest {
+				j.ctrl.Allow(id)
+			}
+			if !ok {
 				continue
 			}
 			buf := append(j.buf[:0], pf...)
 			for x := len(pb) - 2; x >= 0; x-- {
 				buf = append(buf, pb[x])
 			}
-			j.emit(buf)
+			j.sink.Emit(j.lead, buf)
+			for _, id := range j.rest {
+				j.sink.Emit(id, buf)
+			}
 		}
 	}
-	return !j.stopped && !j.ctrl.HitLimit(j.qid)
+	return !j.stopped && !j.ctrl.HitLimit(j.lead)
 }
 
 // DisjointExceptMeet reports whether forward path pf and backward path
@@ -308,14 +350,4 @@ func IsSimple(p []graph.VertexID) bool {
 		}
 		return true
 	}
-}
-
-// ContainsVertex reports whether path p visits v.
-func ContainsVertex(p []graph.VertexID, v graph.VertexID) bool {
-	for _, u := range p {
-		if u == v {
-			return true
-		}
-	}
-	return false
 }

@@ -1,12 +1,15 @@
 package pathjoin
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/query"
 	"repro/internal/testgraphs"
 )
 
@@ -119,13 +122,6 @@ func TestIsSimple(t *testing.T) {
 	long[29] = 0
 	if IsSimple(long) {
 		t.Fatal("long path with dup should not be simple")
-	}
-}
-
-func TestContainsVertex(t *testing.T) {
-	p := []graph.VertexID{4, 8, 2}
-	if !ContainsVertex(p, 8) || ContainsVertex(p, 9) {
-		t.Fatal("ContainsVertex wrong")
 	}
 }
 
@@ -310,6 +306,43 @@ func TestJoinCompleteDAGCount(t *testing.T) {
 		got := int64(len(joinAll(g, gr, 0, graph.VertexID(n-1), k, false)))
 		if got != want {
 			t.Fatalf("k=%d: got %d paths, want %d", k, got, want)
+		}
+	}
+}
+
+// TestSharedJoinerMatchesSingleJoiners: one Joiner over three query IDs
+// emits to each ID exactly the sequence a Joiner of that ID alone
+// emits, and leaves each ID's limit in the state the single join
+// leaves it: unlimited, and under limits 1 and 3.
+func TestSharedJoinerMatchesSingleJoiners(t *testing.T) {
+	g := graph.GenRandom(30, 4, 7)
+	gr := g.Reverse()
+	const s, tt, k = 0, 17, 6
+	fwd := collectPartials(g, s, k/2)
+	h := BuildHashIndex(collectPartials(gr, tt, k/2))
+	if n := len(joinAll(g, gr, s, tt, k, false)); n <= 3 {
+		t.Fatalf("the query has %d paths; the limits need more than 3", n)
+	}
+	ids := []int{0, 1, 2}
+	for _, limit := range []int64{0, 1, 3} {
+		shared := query.NewControl(context.Background(), time.Time{}, limit, len(ids))
+		got := make([][]string, len(ids))
+		j := NewJoiner(h, k, false, shared, ids[0], ids[1:], query.FuncSink(func(id int, p []graph.VertexID) {
+			got[id] = append(got[id], fmt.Sprint(p))
+		}))
+		j.JoinStore(fwd)
+		for _, id := range ids {
+			single := query.NewControl(context.Background(), time.Time{}, limit, len(ids))
+			var want []string
+			JoinHalvesIndexed(fwd, h, k, false, single, id, func(p []graph.VertexID) {
+				want = append(want, fmt.Sprint(p))
+			})
+			if fmt.Sprint(got[id]) != fmt.Sprint(want) {
+				t.Errorf("limit %d: query %d got %d paths from the shared join, %d alone", limit, id, len(got[id]), len(want))
+			}
+			if shared.QueryErr(id) != single.QueryErr(id) {
+				t.Errorf("limit %d: query %d reports %v from the shared join, %v alone", limit, id, shared.QueryErr(id), single.QueryErr(id))
+			}
 		}
 	}
 }

@@ -73,7 +73,8 @@ func Batch(g *graph.Graph, qs []Query) ([]Query, error) {
 // Sink receives enumerated HC-s-t paths. Emit is called once per result
 // path with the query's batch ID and the full vertex sequence from S to
 // T; the slice is only valid during the call and must be copied to be
-// retained.
+// retained. Emit must not write into it: queries that repeat one
+// another share one join, which hands each of them the same slice.
 //
 // One query's emissions never overlap: an engine enumerates each query
 // on one goroutine at a time. Emissions of different queries may run
