@@ -458,8 +458,7 @@ func (e *Engine) EnumerateContext(ctx context.Context, qs []Query) (*Result, err
 
 // Stream answers the batch and calls emit once per result path with the
 // query's batch position. The path slice is reused between calls; copy
-// it to retain it, and do not modify it (repeated queries in one batch
-// receive the same slice). Calls to emit never overlap, whatever
+// it to retain it. Calls to emit never overlap, whatever
 // Options.Workers is: the engine serialises them with one lock, so emit
 // needs none of its own (and a slow emit holds up the other workers).
 func (e *Engine) Stream(qs []Query, emit func(queryIndex int, path Path)) (Stats, error) {
@@ -476,11 +475,16 @@ func (e *Engine) StreamContext(ctx context.Context, qs []Query, emit func(queryI
 		return Stats{}, err
 	}
 	ctrl := e.control(ctx, len(qs))
+	// The queries of a shared join receive one slice, so emit gets a
+	// copy in buf: a callback that writes into its path cannot change
+	// what the next query receives. mu guards buf too.
 	var mu sync.Mutex
+	var buf Path
 	st, err := e.run(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
 		mu.Lock()
+		buf = append(buf[:0], p...)
 		//hcpath:locksend-ok mu exists solely to serialise the caller's emit, as Stream documents; only this run's workers contend for it
-		emit(id, Path(p))
+		emit(id, buf)
 		mu.Unlock()
 	}))
 	if st == nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -121,6 +122,35 @@ func TestStream(t *testing.T) {
 	}
 	if st.EnumerateNanos <= 0 {
 		t.Error("stats missing enumeration time")
+	}
+}
+
+// TestStreamCallbackMayWriteItsPath: two identical queries share one
+// join, which hands both the same path; a callback that overwrites each
+// path after reading it must not change what the other query receives.
+func TestStreamCallbackMayWriteItsPath(t *testing.T) {
+	g := paperGraph(t)
+	qs := []Query{paperQueries[0], paperQueries[0]}
+	for _, workers := range []int{1, 4} {
+		want, err := NewEngine(g, &Options{Workers: workers}).Enumerate(qs[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2][]Path
+		_, err = NewEngine(g, &Options{Workers: workers}).Stream(qs, func(i int, p Path) {
+			got[i] = append(got[i], append(Path(nil), p...))
+			for j := range p {
+				p[j] = VertexID(15 - j)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want.Paths(0)) {
+				t.Errorf("Workers %d: query %d streamed %v, want %v", workers, i, got[i], want.Paths(0))
+			}
+		}
 	}
 }
 
