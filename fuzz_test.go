@@ -125,7 +125,7 @@ func FuzzEnumerate(f *testing.F) {
 			[]query.Query{{S: 0, T: graph.VertexID(prime.NumVertices() - 1), K: 5}},
 			batchenum.Options{Algorithm: algorithms[int(data[6]>>4)%len(algorithms)]},
 			query.NewControl(pctx, noDeadline, 0, 1),
-			query.FuncSink(func(int, []graph.VertexID) { pcancel() }))
+			query.FuncSink(func([]int, []graph.VertexID) { pcancel() }))
 		pcancel()
 
 		// Ground truth per query position: want is string-sorted for set
@@ -222,8 +222,8 @@ func FuzzEnumerate(f *testing.F) {
 			ctrl := query.NewControl(ctx, noDeadline, 0, len(qs))
 			part := query.NewCollectSink(len(qs))
 			_, err := batchenum.Run(g, gr, qs, opts, ctrl,
-				query.FuncSink(func(id int, p []graph.VertexID) {
-					part.Emit(id, p)
+				query.FuncSink(func(ids []int, p []graph.VertexID) {
+					part.Emit(ids, p)
 					cancel()
 				}))
 			cancel()

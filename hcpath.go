@@ -443,10 +443,12 @@ func (e *Engine) EnumerateContext(ctx context.Context, qs []Query) (*Result, err
 	}
 	ctrl := e.control(ctx, len(qs))
 	res := &Result{paths: make([][]Path, len(qs))}
-	st, err := e.run(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
-		cp := make(Path, len(p))
-		copy(cp, p)
-		res.paths[id] = append(res.paths[id], cp)
+	st, err := e.run(iqs, ctrl, query.FuncSink(func(ids []int, p []graph.VertexID) {
+		for _, id := range ids {
+			cp := make(Path, len(p))
+			copy(cp, p)
+			res.paths[id] = append(res.paths[id], cp)
+		}
 	}))
 	if st == nil {
 		return nil, err // validation failure: no run happened
@@ -476,15 +478,18 @@ func (e *Engine) StreamContext(ctx context.Context, qs []Query, emit func(queryI
 	}
 	ctrl := e.control(ctx, len(qs))
 	// The queries of a shared join receive one slice, so emit gets a
-	// copy in buf: a callback that writes into its path cannot change
-	// what the next query receives. mu guards buf too.
+	// fresh copy in buf for each of them: a callback that writes into
+	// its path cannot change what the next query receives. mu guards
+	// buf too.
 	var mu sync.Mutex
 	var buf Path
-	st, err := e.run(iqs, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
+	st, err := e.run(iqs, ctrl, query.FuncSink(func(ids []int, p []graph.VertexID) {
 		mu.Lock()
-		buf = append(buf[:0], p...)
-		//hcpath:locksend-ok mu exists solely to serialise the caller's emit, as Stream documents; only this run's workers contend for it
-		emit(id, buf)
+		for _, id := range ids {
+			buf = append(buf[:0], p...)
+			//hcpath:locksend-ok mu exists solely to serialise the caller's emit, as Stream documents; only this run's workers contend for it
+			emit(id, buf)
+		}
 		mu.Unlock()
 	}))
 	if st == nil {

@@ -356,7 +356,7 @@ func (b *batch) work() {
 		switch {
 		case b.ctrl.Cancelled():
 		case len(t.group) == 1:
-			b.processSingle(t.group[0], &st)
+			b.processSingle(t.group, &st)
 		case t.group != nil:
 			produced = b.processGroup(t.group, &st)
 		default:
@@ -388,14 +388,17 @@ func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, 
 	return q.FwdBudget(), q.BwdBudget()
 }
 
-// processSingle answers query qi, a group of its own, with PathEnum over
-// the batch index — Algorithm 1. A group of one query has nothing to
-// share — every group of the Basic engines, and any cluster of a
+// processSingle answers the query of a one-query group with PathEnum
+// over the batch index — Algorithm 1. A group of one query has nothing
+// to share — every group of the Basic engines, and any cluster of a
 // sharing engine that no other query joined — so detection would return
-// an empty Ψ and the pipeline would only add its bookkeeping.
-func (b *batch) processSingle(qi int, st *Stats) {
+// an empty Ψ and the pipeline would only add its bookkeeping. The group
+// is also the query's class of emission IDs (query IDs are batch
+// positions).
+func (b *batch) processSingle(group []int, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	pathenum.EnumerateControlled(b.g, b.gr, b.qs[qi],
+	qi := group[0]
+	pathenum.EnumerateControlled(b.g, b.gr, b.qs[qi], group,
 		b.idx.DistMapFor(qi, hcindex.Forward), b.idx.DistMapFor(qi, hcindex.Backward),
 		pathenum.Options{Optimized: b.opts.Algorithm.Optimized()}, b.ctrl, b.sink)
 }
@@ -495,14 +498,13 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 }
 
 // join runs one class's ⊕ join against its group's stores once and
-// emits every result path to each member, which then completes unless
-// the run was cancelled. The task was the last holder of the class's
-// forward store; aliased backward stores live until their last class's
-// join ends.
+// emits every result path once for the whole class, whose members then
+// complete unless the run was cancelled. The task was the last holder
+// of the class's forward store; aliased backward stores live until
+// their last class's join ends.
 func (b *batch) join(t task, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	lead := t.members[0]
-	j := pathjoin.NewJoiner(t.bwd, b.qs[lead].K, t.backHeavy, b.ctrl, lead, t.members[1:], b.sink)
+	j := pathjoin.NewJoiner(t.bwd, b.qs[t.members[0]].K, t.backHeavy, b.ctrl, t.members, b.sink)
 	j.JoinStore(t.fwd)
 	if !b.ctrl.Cancelled() {
 		for _, id := range t.members {

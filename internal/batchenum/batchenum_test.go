@@ -23,8 +23,10 @@ func pathKey(p []graph.VertexID) string {
 func collect(t *testing.T, g, gr *graph.Graph, qs []query.Query, opts Options) (resultSet, *Stats) {
 	t.Helper()
 	rs := resultSet{}
-	st, err := Run(g, gr, qs, opts, nil, query.FuncSink(func(id int, p []graph.VertexID) {
-		rs[id] = append(rs[id], pathKey(p))
+	st, err := Run(g, gr, qs, opts, nil, query.FuncSink(func(ids []int, p []graph.VertexID) {
+		for _, id := range ids {
+			rs[id] = append(rs[id], pathKey(p))
+		}
 	}))
 	if err != nil {
 		t.Fatalf("%v: %v", opts.Algorithm, err)
@@ -437,8 +439,10 @@ func TestQuickEquivalence(t *testing.T) {
 		want := bruteSet(g, qs)
 		got := resultSet{}
 		_, err := Run(g, gr, qs, Options{Algorithm: BatchPlus, Gamma: gamma}, nil,
-			query.FuncSink(func(id int, p []graph.VertexID) {
-				got[id] = append(got[id], pathKey(p))
+			query.FuncSink(func(ids []int, p []graph.VertexID) {
+				for _, id := range ids {
+					got[id] = append(got[id], pathKey(p))
+				}
 			}))
 		if err != nil {
 			return false
@@ -480,8 +484,10 @@ func TestMultiConsumerSharing(t *testing.T) {
 	want := bruteSet(g, qs)
 	rs := resultSet{}
 	st, err := Run(g, gr, qs, Options{Algorithm: Batch, Gamma: 0.1}, nil,
-		query.FuncSink(func(id int, p []graph.VertexID) {
-			rs[id] = append(rs[id], pathKey(p))
+		query.FuncSink(func(ids []int, p []graph.VertexID) {
+			for _, id := range ids {
+				rs[id] = append(rs[id], pathKey(p))
+			}
 		}))
 	if err != nil {
 		t.Fatal(err)

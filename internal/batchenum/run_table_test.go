@@ -73,10 +73,12 @@ func checkRunTable(t *testing.T, label string, g *graph.Graph, qs []query.Query)
 				// One slot per query: different queries emit
 				// concurrently, so the sink keeps no shared state.
 				per := make([][]string, len(qs))
-				st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
-					per[id] = append(per[id], pathKey(p))
-					if onEmit != nil {
-						onEmit()
+				st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(ids []int, p []graph.VertexID) {
+					for _, id := range ids {
+						per[id] = append(per[id], pathKey(p))
+						if onEmit != nil {
+							onEmit()
+						}
 					}
 				}))
 				got := resultSet{}
@@ -271,10 +273,12 @@ func TestWorkListGroupMatchesInline(t *testing.T) {
 	run := func(workers int, ctrl *query.Control, onEmit func()) ([][]string, *Stats) {
 		per := make([][]string, len(qs))
 		st, err := Run(g, gr, qs, Options{Algorithm: BatchPlus, Gamma: 0.1, Workers: workers}, ctrl,
-			query.FuncSink(func(id int, p []graph.VertexID) {
-				per[id] = append(per[id], pathKey(p))
-				if onEmit != nil {
-					onEmit()
+			query.FuncSink(func(ids []int, p []graph.VertexID) {
+				for _, id := range ids {
+					per[id] = append(per[id], pathKey(p))
+					if onEmit != nil {
+						onEmit()
+					}
 				}
 			}))
 		if err != nil && !ctrl.Cancelled() {
@@ -387,7 +391,7 @@ func TestSharedJoinClasses(t *testing.T) {
 			}
 			// The reference: the query's own one-member join of the
 			// same inputs.
-			pathjoin.JoinHalvesIndexed(j.fwd, j.bwd, qs[id].K, j.backHeavy, nil, id, func(p []graph.VertexID) {
+			pathjoin.JoinHalvesIndexed(j.fwd, j.bwd, qs[id].K, j.backHeavy, nil, func(p []graph.VertexID) {
 				alone[id] = append(alone[id], pathKey(p))
 			})
 		}
@@ -409,10 +413,12 @@ func TestSharedJoinClasses(t *testing.T) {
 		run := func(ctrl *query.Control, onEmit func(id int)) [][]string {
 			per := make([][]string, len(qs))
 			opts.Workers = workers
-			st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(id int, p []graph.VertexID) {
-				per[id] = append(per[id], pathKey(p))
-				if onEmit != nil {
-					onEmit(id)
+			st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(ids []int, p []graph.VertexID) {
+				for _, id := range ids {
+					per[id] = append(per[id], pathKey(p))
+					if onEmit != nil {
+						onEmit(id)
+					}
 				}
 			}))
 			if err != nil && !ctrl.Cancelled() {

@@ -7,7 +7,6 @@
 package cluster
 
 import (
-	"repro/internal/graph"
 	"repro/internal/hcindex"
 	"repro/internal/msbfs"
 	"repro/internal/query"
@@ -29,14 +28,38 @@ import (
 // running example it reproduces the published values (µ(q0,q1) = 0.93,
 // µ(q3,q4) = 1).
 func Similarity(idx *hcindex.Index, a, b int) float64 {
-	o1 := overlap(idx.Gamma(a), idx.Gamma(b),
-		idx.DistMapFor(a, hcindex.Forward), idx.DistMapFor(b, hcindex.Forward))
-	o2 := overlap(idx.GammaR(a), idx.GammaR(b),
-		idx.DistMapFor(a, hcindex.Backward), idx.DistMapFor(b, hcindex.Backward))
+	return harmonic(
+		overlap(idx.DistMapFor(a, hcindex.Forward), idx.DistMapFor(b, hcindex.Forward)),
+		overlap(idx.DistMapFor(a, hcindex.Backward), idx.DistMapFor(b, hcindex.Backward)))
+}
+
+// harmonic combines the two directions' overlaps into µ.
+func harmonic(o1, o2 float64) float64 {
 	if o1 == 0 || o2 == 0 {
 		return 0
 	}
 	return 2 * o1 * o2 / (o1 + o2)
+}
+
+// similarities returns the batch's pairwise µ as a flat n×n matrix:
+// entries (i, j) and (j, i) both hold Similarity(idx, i, j) for i < j,
+// bit for bit, from overlaps memoised per pair of distinct maps. The
+// diagonal is zero.
+func similarities(idx *hcindex.Index, n int) []float64 {
+	fmaps, _ := idx.Distinct(hcindex.Forward)
+	bmaps, _ := idx.Distinct(hcindex.Backward)
+	df, db := len(fmaps), len(bmaps)
+	hits := make([]uint8, df*df+db*db)
+	fwd := newOverlaps(idx, hcindex.Forward, hits[:df*df])
+	bwd := newOverlaps(idx, hcindex.Backward, hits[df*df:])
+	mu := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m := harmonic(fwd.of(i, j), bwd.of(i, j))
+			mu[i*n+j], mu[j*n+i] = m, m
+		}
+	}
+	return mu
 }
 
 // maxOverlapProbes caps the per-pair cost of the overlap ratio. The
@@ -46,30 +69,93 @@ func Similarity(idx *hcindex.Index, a, b int) float64 {
 // ClusterQuery is negligible. Probing a stride sample of the smaller
 // set against the other's O(1) distance array estimates the same ratio
 // at bounded cost; sets at or below the cap are still measured exactly.
+// A ratio depends only on the two maps, so a batch computes it once
+// per ordered pair of distinct maps (overlaps), and the cap keeps each
+// memoised hit count within a byte.
 const maxOverlapProbes = 64
 
-// overlap returns (an estimate of) |A∩B| / min(|A|,|B|). a and b are
-// the sorted Γ vertex lists; dma and dmb their distance maps, whose
-// Contains probe answers membership in O(1).
-func overlap(a, b []graph.VertexID, dma, dmb *msbfs.DistMap) float64 {
-	if len(a) == 0 || len(b) == 0 {
+// overlap returns (an estimate of) |A∩B| / min(|A|,|B|) for the Γ
+// lists of two distance maps, whose Contains probe answers membership
+// in O(1).
+func overlap(a, b *msbfs.DistMap) float64 {
+	if a.NumVisited() == 0 || b.NumVisited() == 0 {
 		return 0
 	}
-	// Iterate the smaller set, probe the other's map: the ratio against
-	// min(|A|,|B|) is then simply the sample hit rate.
-	small, other := a, dmb
-	if len(b) < len(a) {
-		small, other = b, dma
+	return ratio(sampleHits(a, b), min(a.NumVisited(), b.NumVisited()))
+}
+
+// sampleHits probes a stride sample of the smaller of a's and b's Γ
+// lists (a's when they are equally long) against the other map and
+// returns how many probes hit: the ratio against min(|A|,|B|) is then
+// simply the sample hit rate. It is symmetric unless |Γa| = |Γb|.
+func sampleHits(a, b *msbfs.DistMap) int {
+	small, other := a.Visited(), b
+	if b.NumVisited() < a.NumVisited() {
+		small, other = b.Visited(), a
 	}
-	step := (len(small) + maxOverlapProbes - 1) / maxOverlapProbes
-	probes, hits := 0, 0
-	for i := 0; i < len(small); i += step {
-		probes++
+	hits := 0
+	for i, step := 0, probeStep(len(small)); i < len(small); i += step {
 		if other.Contains(small[i]) {
 			hits++
 		}
 	}
-	return float64(hits) / float64(probes)
+	return hits
+}
+
+// probeStep is the stride that samples at most maxOverlapProbes of n.
+func probeStep(n int) int { return (n + maxOverlapProbes - 1) / maxOverlapProbes }
+
+// ratio turns sampleHits into the overlap ratio: the hits over the
+// number of probes the stride made of the smaller list, n long.
+func ratio(hits, n int) float64 {
+	step := probeStep(n)
+	return float64(hits) / float64((n+step-1)/step)
+}
+
+// overlaps memoises overlap for one direction of a batch: the ratio
+// of two queries depends only on their maps, and queries that share an
+// endpoint and cap share one map, so it is computed once per ordered
+// pair of the index's distinct maps. hits[x·d+y] is sampleHits of
+// maps x and y, or unknown. Every ratio is rebuilt from it exactly as
+// overlap computes it, so memoised and pairwise µ are bit-identical.
+type overlaps struct {
+	maps []*msbfs.DistMap
+	ids  []int32
+	hits []uint8
+}
+
+// unknown marks a hit count not computed yet; counts are at most
+// maxOverlapProbes.
+const unknown = 0xff
+
+// newOverlaps memoises direction dir of idx into hits, which must hold
+// d² bytes for the direction's d distinct maps.
+func newOverlaps(idx *hcindex.Index, dir hcindex.Direction, hits []uint8) overlaps {
+	maps, ids := idx.Distinct(dir)
+	for i := range hits {
+		hits[i] = unknown
+	}
+	return overlaps{maps: maps, ids: ids, hits: hits}
+}
+
+// of returns overlap(Γ(qi), Γ(qj)) in this direction.
+func (o *overlaps) of(i, j int) float64 {
+	x, y := int(o.ids[i]), int(o.ids[j])
+	a, b := o.maps[x], o.maps[y]
+	la, lb := a.NumVisited(), b.NumVisited()
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	d := len(o.maps)
+	h := o.hits[x*d+y]
+	if h == unknown {
+		h = uint8(sampleHits(a, b))
+		o.hits[x*d+y] = h
+		if la != lb {
+			o.hits[y*d+x] = h // the same sample either way round
+		}
+	}
+	return ratio(int(h), min(la, lb))
 }
 
 // Clustering is the result of Algorithm 2: a partition of the batch into
@@ -83,16 +169,19 @@ type Clustering struct {
 func (c *Clustering) NumGroups() int { return len(c.Groups) }
 
 // AvgPairSimilarity computes µ_Q of Exp-1: the average similarity over
-// all ordered pairs of distinct queries in the batch.
+// all ordered pairs of distinct queries in the batch. It reads the same
+// memoised µ matrix ClusterQueries merges on, so the µ_Q Exp-1 reports
+// is the mean of exactly the values clustering sees.
 func AvgPairSimilarity(idx *hcindex.Index, qs []query.Query) float64 {
 	n := len(qs)
 	if n < 2 {
 		return 0
 	}
+	mu := similarities(idx, n)
 	var sum float64
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sum += Similarity(idx, i, j)
+		for _, m := range mu[i*n+i+1 : (i+1)*n] {
+			sum += m
 		}
 	}
 	return sum / float64(n*(n-1)/2)
@@ -106,43 +195,47 @@ func AvgPairSimilarity(idx *hcindex.Index, qs []query.Query) float64 {
 // δ(A∪B, C) = (|A|·δ(A,C) + |B|·δ(B,C)) / (|A|+|B|), so the merge loop
 // runs in O(|Q|²·merges) over a precomputed pairwise µ matrix instead of
 // recomputing δ from scratch each round; the result is identical to the
-// literal Algorithm 2.
+// literal Algorithm 2. The matrix is filled from overlaps memoised per
+// pair of distinct distance maps, so repeated endpoints cost nothing,
+// and a batch of one query builds none of it.
 func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Clustering {
 	n := len(qs)
-	if n == 0 {
+	switch n {
+	case 0:
 		return &Clustering{}
+	case 1:
+		return &Clustering{Groups: [][]int{{0}}}
 	}
-	// Pairwise µ matrix doubles as the live δ matrix between groups.
-	delta := make([][]float64, n)
-	for i := range delta {
-		delta[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			mu := Similarity(idx, i, j)
-			delta[i][j], delta[j][i] = mu, mu
-		}
-	}
+	return &Clustering{Groups: merge(similarities(idx, n), n, gamma)}
+}
+
+// merge runs Algorithm 2's merge loop over the pairwise µ matrix of n
+// queries (flat, as similarities returns it), which it overwrites: it
+// doubles as the live δ matrix between groups, δ(i, j) at delta[i*n+j].
+func merge(delta []float64, n int, gamma float64) [][]int {
+	// Singleton groups are carved from one array (capped, so a merge's
+	// append copies instead of overwriting a neighbour); a merged-away
+	// group is nil.
+	ints := make([]int, 2*n)
+	members, best := ints[:n:n], ints[n:]
 	groups := make([][]int, n)
-	alive := make([]bool, n)
-	for i := 0; i < n; i++ {
-		groups[i] = []int{i}
-		alive[i] = true
+	for i := range groups {
+		members[i] = i
+		groups[i] = members[i : i+1 : i+1]
 	}
 	// Cached row maxima: best[i] is i's most similar alive partner, so
 	// the global best pair is the maximum over rows — O(n) per round
 	// instead of the O(n²) rescan of the literal Algorithm 2, with rows
 	// recomputed only when a merge invalidates them. The merge sequence
 	// (and so the result) is identical.
-	best := make([]int, n)
 	rowBest := func(i int) int {
 		b, bv := -1, 0.0
-		for j := 0; j < n; j++ {
-			if j == i || !alive[j] {
+		for j, d := range delta[i*n : (i+1)*n] {
+			if j == i || groups[j] == nil {
 				continue
 			}
-			if delta[i][j] > bv {
-				bv, b = delta[i][j], j
+			if d > bv {
+				bv, b = d, j
 			}
 		}
 		return b
@@ -153,10 +246,10 @@ func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Cluste
 	for {
 		bi, bv := -1, gamma
 		for i := 0; i < n; i++ {
-			if !alive[i] || best[i] < 0 {
+			if groups[i] == nil || best[i] < 0 {
 				continue
 			}
-			if d := delta[i][best[i]]; d > bv {
+			if d := delta[i*n+best[i]]; d > bv {
 				bv, bi = d, i
 			}
 		}
@@ -167,27 +260,26 @@ func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Cluste
 		// Merge bj into bi with the Lance–Williams group-average update.
 		szI, szJ := float64(len(groups[bi])), float64(len(groups[bj]))
 		for c := 0; c < n; c++ {
-			if !alive[c] || c == bi || c == bj {
+			if groups[c] == nil || c == bi || c == bj {
 				continue
 			}
-			d := (szI*delta[bi][c] + szJ*delta[bj][c]) / (szI + szJ)
-			delta[bi][c], delta[c][bi] = d, d
+			d := (szI*delta[bi*n+c] + szJ*delta[bj*n+c]) / (szI + szJ)
+			delta[bi*n+c], delta[c*n+bi] = d, d
 		}
 		groups[bi] = append(groups[bi], groups[bj]...)
 		groups[bj] = nil
-		alive[bj] = false
 		best[bi] = rowBest(bi)
 		for c := 0; c < n; c++ {
-			if alive[c] && c != bi && (best[c] == bi || best[c] == bj) {
+			if groups[c] != nil && c != bi && (best[c] == bi || best[c] == bj) {
 				best[c] = rowBest(c)
 			}
 		}
 	}
-	out := &Clustering{}
-	for i := 0; i < n; i++ {
-		if alive[i] {
-			out.Groups = append(out.Groups, groups[i])
+	alive := groups[:0]
+	for _, grp := range groups {
+		if grp != nil {
+			alive = append(alive, grp)
 		}
 	}
-	return out
+	return alive
 }

@@ -132,12 +132,10 @@ func (c *Cache) Stats() Stats {
 // MS-BFS passes and inserted under that generation. Within one batch
 // every distinct (direction, endpoint, cap) resolves to a single
 // *DistMap, matching the cold builder's dedup exactly — downstream
-// constraint merging keys on map identity.
+// constraint merging keys on map identity — and the index numbers them
+// per direction in order of first use, as the cold builder does.
 func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query) *Index {
-	idx := &Index{
-		fwd: make([]*msbfs.DistMap, len(queries)),
-		bwd: make([]*msbfs.DistMap, len(queries)),
-	}
+	idx := &Index{}
 
 	// serving maps each key this batch needs to its pinned cache entry;
 	// missSet marks the keys queued for building. View materialisation
@@ -187,9 +185,9 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	c.mu.Unlock()
 
 	// resolved maps each key to the servable DistMap handed to queries.
-	resolved := make(map[entryKey]*msbfs.DistMap, len(serving)+len(missKeys))
+	resolved := make(map[entryKey]numbered, len(serving)+len(missKeys))
 	for key, e := range serving {
-		resolved[key] = e.dm.View(key.cap)
+		resolved[key] = numbered{dm: e.dm.View(key.cap)}
 	}
 
 	// Build all misses outside the lock: one MS-BFS pass per direction.
@@ -203,7 +201,7 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		// building: our maps must not enter a retired generation's table.
 		// Serve them privately and release them with the index.
 		for j, key := range missKeys {
-			resolved[key] = built[j]
+			resolved[key] = numbered{dm: built[j]}
 		}
 		bypass = built
 	} else {
@@ -219,12 +217,33 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	}
 	c.mu.Unlock()
 	for key, e := range inserted {
-		resolved[key] = e.dm.View(key.cap) // view in case a wider entry won the insert race
+		resolved[key] = numbered{dm: e.dm.View(key.cap)} // view in case a wider entry won the insert race
 	}
 
-	for i, q := range queries {
-		idx.fwd[i] = resolved[entryKey{b.gen, Forward, q.S, q.K}]
-		idx.bwd[i] = resolved[entryKey{b.gen, Backward, q.T, q.K}]
+	// Number each direction's maps in order of first use. Both
+	// directions' lists share one array (forward first), and so do
+	// their query numberings.
+	n := len(queries)
+	maps := make([]*msbfs.DistMap, 0, len(resolved))
+	ids := make([]int32, 2*n)
+	for d := Forward; d <= Backward; d++ {
+		first := len(maps)
+		dirIDs := ids[int(d)*n : int(d+1)*n : int(d+1)*n]
+		for i, q := range queries {
+			key := entryKey{b.gen, d, q.S, q.K}
+			if d == Backward {
+				key.v = q.T
+			}
+			r := resolved[key]
+			if r.num == 0 {
+				maps = append(maps, r.dm)
+				r.num = int32(len(maps) - first)
+				resolved[key] = r
+			}
+			dirIDs[i] = r.num - 1
+		}
+		idx.maps[d] = maps[first:len(maps):len(maps)]
+		idx.ids[d] = dirIDs
 	}
 
 	idx.release = func() {
@@ -242,6 +261,13 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		}
 	}
 	return idx
+}
+
+// numbered is a key's servable map and, once the index has numbered
+// it, its position among its direction's distinct maps plus one.
+type numbered struct {
+	dm  *msbfs.DistMap
+	num int32
 }
 
 // buildMisses builds the missing keys as one two-pass build — forward

@@ -1,6 +1,7 @@
 package hcindex
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -310,5 +311,44 @@ func TestCacheMissAllocCeiling(t *testing.T) {
 	t.Logf("%.0f allocs per one-query miss (ceiling %d)", got, ceiling)
 	if got > ceiling {
 		t.Errorf("%.0f allocs per one-query miss exceeds %d", got, ceiling)
+	}
+}
+
+// TestDistinctNumbering: both providers number each direction's
+// distinct maps in order of first use — one entry per distinct
+// (endpoint, cap), each query pointing at its own map — cold, warm and
+// through widened views alike.
+func TestDistinctNumbering(t *testing.T) {
+	g, gr, qs := cacheFixture(t)
+	// Forward keys (1,4) (1,4) (7,5) (1,3); backward (200,4) (200,4)
+	// (31,5) (31,3).
+	want := [2][]int32{Forward: {0, 0, 1, 2}, Backward: {0, 0, 1, 2}}
+	wide := append([]query.Query(nil), qs...)
+	for i := range wide {
+		wide[i].K++
+	}
+	warm := NewCache(0)
+	warm.Acquire(g, gr, 0, wide).Release()
+	for name, idx := range map[string]*Index{
+		"build":         Build(g, gr, qs),
+		"cache":         NewCache(0).Acquire(g, gr, 0, qs),
+		"cache-widened": warm.Acquire(g, gr, 0, qs),
+	} {
+		for _, dir := range []Direction{Forward, Backward} {
+			maps, ids := idx.Distinct(dir)
+			if len(maps) != 3 || fmt.Sprint(ids) != fmt.Sprint(want[dir]) {
+				t.Errorf("%s %v: %d maps, ids %v; want 3 maps, ids %v", name, dir, len(maps), ids, want[dir])
+				continue
+			}
+			for i := range qs {
+				if maps[ids[i]] != idx.DistMapFor(i, dir) {
+					t.Errorf("%s %v: query %d's number does not lead to its map", name, dir, i)
+				}
+			}
+			if maps[0] == maps[1] || maps[1] == maps[2] || maps[0] == maps[2] {
+				t.Errorf("%s %v: a map is listed twice", name, dir)
+			}
+		}
+		idx.Release()
 	}
 }

@@ -20,9 +20,17 @@ const Unreachable = msbfs.Unreachable
 // Indexes obtained from a Provider must be Released when the batch is
 // done with them (after enumeration, before the next batch), returning
 // cached entries and pooled storage to the provider.
+//
+// Queries that share an endpoint and cap share one map, so the index
+// keeps each direction's distinct maps once and numbers every query's
+// map among them: what depends on the maps alone (µ's overlaps) can be
+// computed once per distinct map instead of once per query.
 type Index struct {
-	fwd []*msbfs.DistMap // fwd[i]: distances from queries[i].S on G
-	bwd []*msbfs.DistMap // bwd[i]: distances from queries[i].T on Gr
+	// maps[d] holds direction d's distinct maps in order of first use
+	// (Forward: from each query's S on G; Backward: from T on Gr), and
+	// ids[d][i] is query i's position among them.
+	maps [2][]*msbfs.DistMap
+	ids  [2][]int32
 
 	// Hits and Misses count this acquisition's index probes — two per
 	// query (forward and backward) — answered from a provider's cache vs
@@ -58,19 +66,17 @@ func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, width 
 	fwd, fslot := dedup(g, queries, func(q query.Query) (graph.VertexID, uint8) { return q.S, q.K })
 	bwd, bslot := dedup(gr, queries, func(q query.Query) (graph.VertexID, uint8) { return q.T, q.K })
 	res := msbfs.RunPasses([]msbfs.Pass{fwd, bwd}, pool, msbfs.BuildOptions{Workers: width})
-	return &Index{fwd: fanOut(res[0], fslot), bwd: fanOut(res[1], bslot), Misses: 2 * len(queries)}
+	return &Index{
+		maps:   [2][]*msbfs.DistMap{Forward: res[0], Backward: res[1]},
+		ids:    [2][]int32{Forward: fslot, Backward: bslot},
+		Misses: 2 * len(queries),
+	}
 }
 
-// releaseDistinct releases every distinct DistMap of the index once
-// (dedup aliases one map across the queries that share an endpoint).
+// releaseDistinct releases every distinct DistMap of the index once.
 func (idx *Index) releaseDistinct() {
-	seen := make(map[*msbfs.DistMap]struct{}, len(idx.fwd)+len(idx.bwd))
-	for _, maps := range [2][]*msbfs.DistMap{idx.fwd, idx.bwd} {
+	for _, maps := range idx.maps {
 		for _, dm := range maps {
-			if _, ok := seen[dm]; ok {
-				continue
-			}
-			seen[dm] = struct{}{}
 			dm.Release()
 		}
 	}
@@ -82,17 +88,18 @@ type srcKey struct {
 }
 
 // dedup collects the distinct (vertex, cap) pairs pick produces into
-// one pass on g, and returns for each query the position of its pair.
-func dedup(g *graph.Graph, queries []query.Query, pick func(query.Query) (graph.VertexID, uint8)) (msbfs.Pass, []int) {
+// one pass on g, and returns for each query the position of its pair —
+// which is also the position of its map among the pass's results.
+func dedup(g *graph.Graph, queries []query.Query, pick func(query.Query) (graph.VertexID, uint8)) (msbfs.Pass, []int32) {
 	pass := msbfs.Pass{G: g}
-	slot := make(map[srcKey]int)
-	assign := make([]int, len(queries))
+	slot := make(map[srcKey]int32)
+	assign := make([]int32, len(queries))
 	for i, q := range queries {
 		v, k := pick(q)
 		key := srcKey{v, k}
 		s, ok := slot[key]
 		if !ok {
-			s = len(pass.Sources)
+			s = int32(len(pass.Sources))
 			slot[key] = s
 			pass.Sources = append(pass.Sources, v)
 			pass.Caps = append(pass.Caps, k)
@@ -102,36 +109,30 @@ func dedup(g *graph.Graph, queries []query.Query, pick func(query.Query) (graph.
 	return pass, assign
 }
 
-// fanOut hands each query the map its deduplicated source built.
-func fanOut(res []*msbfs.DistMap, assign []int) []*msbfs.DistMap {
-	out := make([]*msbfs.DistMap, len(assign))
-	for i, s := range assign {
-		out[i] = res[s]
-	}
-	return out
-}
+// dist returns query i's map in direction d.
+func (idx *Index) dist(i int, d Direction) *msbfs.DistMap { return idx.maps[d][idx.ids[d][i]] }
 
 // DistFromS returns dist_G(q.S, v) for the i-th query, or Unreachable if
 // v is beyond q.K hops.
-func (idx *Index) DistFromS(i int, v graph.VertexID) uint8 { return idx.fwd[i].Dist(v) }
+func (idx *Index) DistFromS(i int, v graph.VertexID) uint8 { return idx.dist(i, Forward).Dist(v) }
 
 // DistToT returns dist_G(v, q.T) (computed as dist_Gr(q.T, v)) for the
 // i-th query, or Unreachable if beyond q.K hops.
-func (idx *Index) DistToT(i int, v graph.VertexID) uint8 { return idx.bwd[i].Dist(v) }
+func (idx *Index) DistToT(i int, v graph.VertexID) uint8 { return idx.dist(i, Backward).Dist(v) }
 
 // Gamma returns Γ(q): the sorted vertices reachable from q.S within q.K
 // hops on G (Def. 4.4). The slice must not be modified.
-func (idx *Index) Gamma(i int) []graph.VertexID { return idx.fwd[i].Visited() }
+func (idx *Index) Gamma(i int) []graph.VertexID { return idx.dist(i, Forward).Visited() }
 
 // GammaR returns Γr(q): the sorted vertices reaching q.T within q.K hops
 // (i.e. reachable from q.T on Gr). The slice must not be modified.
-func (idx *Index) GammaR(i int) []graph.VertexID { return idx.bwd[i].Visited() }
+func (idx *Index) GammaR(i int) []graph.VertexID { return idx.dist(i, Backward).Visited() }
 
 // Reachable reports whether query i's target is within its hop budget of
 // its source at all; unreachable queries have empty result sets and can
 // be skipped by every engine.
 func (idx *Index) Reachable(i int, q query.Query) bool {
-	return idx.fwd[i].Dist(q.T) <= q.K
+	return idx.dist(i, Forward).Dist(q.T) <= q.K
 }
 
 // LevelSizes returns, for the i-th query's forward (dir=Forward) or
@@ -139,10 +140,7 @@ func (idx *Index) Reachable(i int, q query.Query) bool {
 // 0..cap. Engines use these to estimate search frontier growth when
 // choosing an optimised cut point.
 func (idx *Index) LevelSizes(i int, dir Direction) []int {
-	dm := idx.fwd[i]
-	if dir == Backward {
-		dm = idx.bwd[i]
-	}
+	dm := idx.dist(i, dir)
 	sizes := make([]int, int(dm.Cap)+1)
 	for _, v := range dm.Visited() {
 		sizes[dm.Dist(v)]++
@@ -170,9 +168,11 @@ func (d Direction) String() string {
 
 // DistMapFor exposes the raw per-query DistMap, used by the sharing
 // detector which walks frontiers itself.
-func (idx *Index) DistMapFor(i int, dir Direction) *msbfs.DistMap {
-	if dir == Forward {
-		return idx.fwd[i]
-	}
-	return idx.bwd[i]
+func (idx *Index) DistMapFor(i int, dir Direction) *msbfs.DistMap { return idx.dist(i, dir) }
+
+// Distinct returns the batch's distinct maps of one direction, in order
+// of first use, and for each query the position of its map among them:
+// DistMapFor(i, dir) is maps[ids[i]]. Both slices must not be modified.
+func (idx *Index) Distinct(dir Direction) (maps []*msbfs.DistMap, ids []int32) {
+	return idx.maps[dir], idx.ids[dir]
 }

@@ -37,25 +37,28 @@ type Options struct {
 // Gr), emitting every HC-s-t path exactly once. The emitted slice is
 // reused and must be copied to be retained.
 func Enumerate(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts Options, emit func(path []graph.VertexID)) {
-	EnumerateControlled(g, gr, q, fwd, bwd, opts, nil, pathjoin.EmitFunc(emit))
+	EnumerateControlled(g, gr, q, []int{q.ID}, fwd, bwd, opts, nil, pathjoin.EmitFunc(emit))
 }
 
 // EnumerateControlled is Enumerate under a query.Control: the half
 // DFSes poll for cancellation every query.PollInterval expansions and
 // the join honours the per-query emission limit, so a cancelled or
-// satisfied query unwinds promptly with whatever it has emitted. The
-// query's completion is recorded on ctrl (keyed by q.ID) unless the run
-// was cancelled mid-flight; a nil ctrl reproduces Enumerate exactly.
-// Paths go to sink keyed by q.ID, so a batch engine hands its own sink
-// down with no per-query adapter.
+// satisfied query unwinds promptly with whatever it has emitted. ids is
+// the class q answers, q.ID first — q.ID alone, unless the caller knows
+// other queries with q's answer — in a slice the caller keeps, so a
+// batch engine passes its one-query group and allocates nothing for it.
+// Paths go to sink with ids, so a batch engine hands its own sink down
+// with no per-query adapter, and every member's completion is recorded
+// on ctrl unless the run was cancelled mid-flight; a nil ctrl
+// reproduces Enumerate exactly.
 //
 // Only the backward half is stored: it is collected and indexed first,
 // then the forward DFS joins each prefix as it yields it, which is the
 // order a stored forward half would be joined in. A limit hit or a
 // cancellation stops the forward DFS with the join.
-func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts Options, ctrl *query.Control, sink query.Sink) {
+func EnumerateControlled(g, gr *graph.Graph, q query.Query, ids []int, fwd, bwd *msbfs.DistMap, opts Options, ctrl *query.Control, sink query.Sink) {
 	if bwd.Dist(q.S) > q.K { // t unreachable within k hops: empty result
-		ctrl.MarkComplete(q.ID)
+		markComplete(ctrl, ids)
 		return
 	}
 	fb, bb := q.FwdBudget(), q.BwdBudget()
@@ -67,10 +70,17 @@ func EnumerateControlled(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.Dist
 	if ctrl.Cancelled() {
 		return // a partial backward half must not reach the join
 	}
-	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, q.ID, nil, sink)
+	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, ids, sink)
 	walkHalf(g, q.S, fb, q.K, bwd, opts, ctrl, j.Join)
 	if !ctrl.Cancelled() {
-		ctrl.MarkComplete(q.ID)
+		markComplete(ctrl, ids)
+	}
+}
+
+// markComplete records every query of ids as answered in full.
+func markComplete(ctrl *query.Control, ids []int) {
+	for _, id := range ids {
+		ctrl.MarkComplete(id)
 	}
 }
 

@@ -272,7 +272,7 @@ func TestStreamedForwardHalfMatchesStoredJoin(t *testing.T) {
 					label := fmt.Sprintf("graph %d %s %+v limit %d", gi, q, opts, limit)
 					ctrl := query.NewControl(nil, time.Time{}, limit, 1)
 					var got []string
-					EnumerateControlled(g, gr, q, fwd, bwd, opts, ctrl, pathjoin.EmitFunc(func(p []graph.VertexID) {
+					EnumerateControlled(g, gr, q, []int{q.ID}, fwd, bwd, opts, ctrl, pathjoin.EmitFunc(func(p []graph.VertexID) {
 						got = append(got, fmt.Sprint(p))
 					}))
 					w, cut := want, false

@@ -184,34 +184,44 @@ func (h *HashIndex) Probe(meet graph.VertexID, length int, fn func(p []graph.Ver
 // the backward frontier is the cheaper one to deepen. Either way every
 // HC-s-t path is emitted exactly once.
 func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph.VertexID)) {
-	JoinHalvesIndexed(fwd, BuildHashIndex(bwd), k, backHeavy, nil, 0, emit)
+	JoinHalvesIndexed(fwd, BuildHashIndex(bwd), k, backHeavy, nil, emit)
 }
 
 // JoinHalvesIndexed is JoinHalves with a prebuilt backward-side index,
-// under a query.Control: the join of query qid alone (see Joiner).
-// Batch engines reuse one index across every query whose backward half
-// aliases the same shared store, instead of rebuilding it per query. A
-// nil ctrl joins to completion.
-func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, qid int, emit func(path []graph.VertexID)) {
-	j := NewJoiner(h, k, backHeavy, ctrl, qid, nil, EmitFunc(emit))
+// under the Control of one query, ID 0 (see Joiner). A nil ctrl joins
+// to completion.
+func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, emit func(path []graph.VertexID)) {
+	j := NewJoiner(h, k, backHeavy, ctrl, queryZero, EmitFunc(emit))
 	j.JoinStore(fwd)
 }
 
+// queryZero is the class of a one-query join whose query has ID 0.
+// Sinks never write into a class's IDs, so every such join shares it.
+var queryZero = []int{0}
+
 // EmitFunc adapts a one-query emit callback to query.Sink by dropping
-// the query ID. A func value converts to an interface without an
-// allocation, so a single-query join pays nothing for the adapter.
+// the query IDs: it calls the callback once per member of the class. A
+// func value converts to an interface without an allocation, so a
+// single-query join pays nothing for the adapter.
 type EmitFunc func(path []graph.VertexID)
 
 // Emit implements query.Sink.
-func (f EmitFunc) Emit(_ int, path []graph.VertexID) { f(path) }
+//
+//hcpath:noalloc
+func (f EmitFunc) Emit(ids []int, path []graph.VertexID) {
+	for range ids {
+		f(path)
+	}
+}
 
 // Joiner is the ⊕ join of one class of queries whose joins read the
 // same inputs — the same forward half, backward index, k and split
 // side — and so emit the same paths in the same order. The class is a
-// lead query and the rest; a single query is a class of one. Every
-// result path is built once and goes to the lead and then to each of
-// the rest, so each member receives exactly the sequence its own join
-// would emit (query.Sink forbids writing into the slice).
+// lead query and the rest, IDs in one slice, lead first; a single query
+// is a class of one. Every result path is built once and handed to the
+// sink once, with the whole class, so each member receives exactly the
+// sequence its own join would emit (query.Sink forbids writing into
+// the slices).
 //
 // The forward side is streamed: each Join call pairs one forward path
 // with the indexed backward paths, so a forward search can join every
@@ -229,20 +239,20 @@ type Joiner struct {
 	k         uint8
 	backHeavy bool
 	ctrl      *query.Control
-	lead      int
-	rest      []int
+	ids       []int // the class, lead first
 	sink      query.Sink
 	buf       []graph.VertexID
 	steps     int
 	stopped   bool
 }
 
-// NewJoiner returns the join of the class lead+rest against the
-// backward index h; a nil rest joins lead alone. The other arguments
-// mean what they mean for JoinHalvesIndexed, and sink receives every
-// result path once per member, keyed by the member's query ID.
-func NewJoiner(h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, lead int, rest []int, sink query.Sink) Joiner {
-	return Joiner{h: h, k: k, backHeavy: backHeavy, ctrl: ctrl, lead: lead, rest: rest, sink: sink,
+// NewJoiner returns the join of the class ids (lead first, at least
+// one) against the backward index h. The other arguments mean what they
+// mean for JoinHalvesIndexed, and sink receives every result path once,
+// with ids. The joiner keeps ids: it must not change while the join
+// runs.
+func NewJoiner(h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, ids []int, sink query.Sink) Joiner {
+	return Joiner{h: h, k: k, backHeavy: backHeavy, ctrl: ctrl, ids: ids, sink: sink,
 		buf: make([]graph.VertexID, 0, int(k)+1)}
 }
 
@@ -263,7 +273,8 @@ func (j *Joiner) JoinStore(fwd *Store) {
 // handful of forward paths can fan out into arbitrarily large buckets,
 // so a per-path cadence could run a cancelled join to completion.
 func (j *Joiner) Join(pf []graph.VertexID) bool {
-	if j.stopped || j.ctrl.HitLimit(j.lead) {
+	lead := j.ids[0]
+	if j.stopped || j.ctrl.HitLimit(lead) {
 		return false
 	}
 	a := len(pf) - 1
@@ -278,7 +289,7 @@ func (j *Joiner) Join(pf []graph.VertexID) bool {
 		}
 		for _, i := range j.h.paths(meet, b) {
 			// Once stopped or satisfied, drain the bucket without emitting.
-			if j.ctrl.Poll(&j.steps, &j.stopped) || j.ctrl.HitLimit(j.lead) {
+			if j.ctrl.Poll(&j.steps, &j.stopped) || j.ctrl.HitLimit(lead) {
 				break
 			}
 			pb := j.h.store.Path(int(i))
@@ -287,8 +298,8 @@ func (j *Joiner) Join(pf []graph.VertexID) bool {
 			}
 			// Charge every member, refused or not, so that each one
 			// latches its own limit hit.
-			ok := j.ctrl.Allow(j.lead)
-			for _, id := range j.rest {
+			ok := j.ctrl.Allow(lead)
+			for _, id := range j.ids[1:] {
 				j.ctrl.Allow(id)
 			}
 			if !ok {
@@ -298,13 +309,10 @@ func (j *Joiner) Join(pf []graph.VertexID) bool {
 			for x := len(pb) - 2; x >= 0; x-- {
 				buf = append(buf, pb[x])
 			}
-			j.sink.Emit(j.lead, buf)
-			for _, id := range j.rest {
-				j.sink.Emit(id, buf)
-			}
+			j.sink.Emit(j.ids, buf)
 		}
 	}
-	return !j.stopped && !j.ctrl.HitLimit(j.lead)
+	return !j.stopped && !j.ctrl.HitLimit(lead)
 }
 
 // DisjointExceptMeet reports whether forward path pf and backward path

@@ -33,7 +33,7 @@ func TestJoinCancelledBoundedByProbes(t *testing.T) {
 
 	// Sanity: uncancelled, every (forward, backward) pair joins.
 	clean := 0
-	JoinHalvesIndexed(fwd, h, 4, false, nil, 0, func([]graph.VertexID) { clean++ })
+	JoinHalvesIndexed(fwd, h, 4, false, nil, func([]graph.VertexID) { clean++ })
 	if clean != total {
 		t.Fatalf("uncancelled join emitted %d paths, want %d", clean, total)
 	}
@@ -42,7 +42,7 @@ func TestJoinCancelledBoundedByProbes(t *testing.T) {
 	cancel()
 	ctrl := query.NewControl(ctx, time.Time{}, 0, 1)
 	emitted := 0
-	JoinHalvesIndexed(fwd, h, 4, false, ctrl, 0, func([]graph.VertexID) { emitted++ })
+	JoinHalvesIndexed(fwd, h, 4, false, ctrl, func([]graph.VertexID) { emitted++ })
 	if emitted > query.PollInterval {
 		t.Fatalf("cancelled join emitted %d of %d paths; want <= %d (one poll interval)",
 			emitted, total, query.PollInterval)

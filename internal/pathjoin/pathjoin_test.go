@@ -327,16 +327,22 @@ func TestSharedJoinerMatchesSingleJoiners(t *testing.T) {
 	for _, limit := range []int64{0, 1, 3} {
 		shared := query.NewControl(context.Background(), time.Time{}, limit, len(ids))
 		got := make([][]string, len(ids))
-		j := NewJoiner(h, k, false, shared, ids[0], ids[1:], query.FuncSink(func(id int, p []graph.VertexID) {
-			got[id] = append(got[id], fmt.Sprint(p))
+		j := NewJoiner(h, k, false, shared, ids, query.FuncSink(func(class []int, p []graph.VertexID) {
+			if fmt.Sprint(class) != fmt.Sprint(ids) {
+				t.Fatalf("the sink got class %v, want %v", class, ids)
+			}
+			for _, id := range class {
+				got[id] = append(got[id], fmt.Sprint(p))
+			}
 		}))
 		j.JoinStore(fwd)
 		for _, id := range ids {
 			single := query.NewControl(context.Background(), time.Time{}, limit, len(ids))
 			var want []string
-			JoinHalvesIndexed(fwd, h, k, false, single, id, func(p []graph.VertexID) {
+			one := NewJoiner(h, k, false, single, []int{id}, EmitFunc(func(p []graph.VertexID) {
 				want = append(want, fmt.Sprint(p))
-			})
+			}))
+			one.JoinStore(fwd)
 			if fmt.Sprint(got[id]) != fmt.Sprint(want) {
 				t.Errorf("limit %d: query %d got %d paths from the shared join, %d alone", limit, id, len(got[id]), len(want))
 			}

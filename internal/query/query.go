@@ -71,17 +71,20 @@ func Batch(g *graph.Graph, qs []Query) ([]Query, error) {
 }
 
 // Sink receives enumerated HC-s-t paths. Emit is called once per result
-// path with the query's batch ID and the full vertex sequence from S to
-// T; the slice is only valid during the call and must be copied to be
-// retained. Emit must not write into it: queries that repeat one
-// another share one join, which hands each of them the same slice.
+// path of a class of queries — the batch IDs in ids, lead first — with
+// the full vertex sequence from S to T: the path is a result of every
+// query in ids, and the sink takes it once for each of them. Queries
+// that repeat one another share one join and so make one class; any
+// other query is a class of one. Both slices are only valid during the
+// call and must be copied to be retained, and Emit must not write into
+// either: a class's IDs and path are shared with the engine.
 //
 // One query's emissions never overlap: an engine enumerates each query
 // on one goroutine at a time. Emissions of different queries may run
 // concurrently, so a sink that shares state across queries must guard
 // it itself; state kept per query needs no lock.
 type Sink interface {
-	Emit(queryID int, path []graph.VertexID)
+	Emit(ids []int, path []graph.VertexID)
 }
 
 // cacheLine is the padding unit for per-query state that concurrent
@@ -107,7 +110,13 @@ type CountSink struct {
 func NewCountSink(n int) *CountSink { return &CountSink{counts: make([]paddedCount, n)} }
 
 // Emit implements Sink.
-func (c *CountSink) Emit(queryID int, _ []graph.VertexID) { c.counts[queryID].n++ }
+//
+//hcpath:noalloc
+func (c *CountSink) Emit(ids []int, _ []graph.VertexID) {
+	for _, id := range ids {
+		c.counts[id].n++
+	}
+}
 
 // Counts returns a copy of the per-query counts, indexed by query ID;
 // read it after the run has returned.
@@ -139,15 +148,21 @@ func NewCollectSink(n int) *CollectSink {
 	return &CollectSink{Paths: make([][][]graph.VertexID, n)}
 }
 
-// Emit implements Sink; it copies the path.
-func (c *CollectSink) Emit(queryID int, path []graph.VertexID) {
-	cp := make([]graph.VertexID, len(path))
-	copy(cp, path)
-	c.Paths[queryID] = append(c.Paths[queryID], cp)
+// Emit implements Sink; it gives every query of the class its own copy
+// of the path.
+func (c *CollectSink) Emit(ids []int, path []graph.VertexID) {
+	for _, id := range ids {
+		cp := make([]graph.VertexID, len(path))
+		copy(cp, path)
+		c.Paths[id] = append(c.Paths[id], cp)
+	}
 }
 
-// FuncSink adapts a function to the Sink interface.
-type FuncSink func(queryID int, path []graph.VertexID)
+// FuncSink adapts a function to the Sink interface; the function takes
+// each class whole, under Emit's rules.
+type FuncSink func(ids []int, path []graph.VertexID)
 
 // Emit implements Sink.
-func (f FuncSink) Emit(queryID int, path []graph.VertexID) { f(queryID, path) }
+//
+//hcpath:noalloc
+func (f FuncSink) Emit(ids []int, path []graph.VertexID) { f(ids, path) }

@@ -86,14 +86,14 @@ func TestBatchAssignsIDs(t *testing.T) {
 }
 
 func TestCountSink(t *testing.T) {
-	s := NewCountSink(3)
-	s.Emit(0, []graph.VertexID{0, 1})
-	s.Emit(2, []graph.VertexID{0, 1, 2})
-	s.Emit(2, []graph.VertexID{0, 2})
-	if c := s.Counts(); c[0] != 1 || c[1] != 0 || c[2] != 2 {
+	s := NewCountSink(4)
+	s.Emit([]int{0}, []graph.VertexID{0, 1})
+	s.Emit([]int{2}, []graph.VertexID{0, 1, 2})
+	s.Emit([]int{2, 3}, []graph.VertexID{0, 2}) // a class counts once per member
+	if c := s.Counts(); c[0] != 1 || c[1] != 0 || c[2] != 2 || c[3] != 1 {
 		t.Errorf("counts = %v", c)
 	}
-	if s.Total() != 3 {
+	if s.Total() != 4 {
 		t.Errorf("total = %d", s.Total())
 	}
 }
@@ -101,19 +101,41 @@ func TestCountSink(t *testing.T) {
 func TestCollectSinkCopies(t *testing.T) {
 	s := NewCollectSink(1)
 	buf := []graph.VertexID{0, 1, 2}
-	s.Emit(0, buf)
+	s.Emit([]int{0}, buf)
 	buf[0] = 99 // mutate the emitted slice; the sink must hold a copy
 	if s.Paths[0][0][0] != 0 {
 		t.Error("CollectSink retained the caller's slice instead of copying")
 	}
 }
 
+// TestCollectSinkClassCopies: every member of a class gets the path,
+// each in a copy of its own, so editing one member's result leaves the
+// others' intact.
+func TestCollectSinkClassCopies(t *testing.T) {
+	s := NewCollectSink(4)
+	buf := []graph.VertexID{0, 1, 2}
+	s.Emit([]int{3, 0, 2}, buf)
+	buf[0] = 99
+	for _, id := range []int{3, 0, 2} {
+		if len(s.Paths[id]) != 1 || fmt.Sprint(s.Paths[id][0]) != "[0 1 2]" {
+			t.Fatalf("query %d collected %v, want [[0 1 2]]", id, s.Paths[id])
+		}
+	}
+	if len(s.Paths[1]) != 0 {
+		t.Errorf("query 1 is no member but collected %v", s.Paths[1])
+	}
+	s.Paths[3][0][1] = 77
+	if s.Paths[0][0][1] != 1 || s.Paths[2][0][1] != 1 {
+		t.Error("class members share one copy of the path")
+	}
+}
+
 func TestFuncSink(t *testing.T) {
 	var got string
-	FuncSink(func(id int, p []graph.VertexID) {
-		got = fmt.Sprint(id, p)
-	}).Emit(7, []graph.VertexID{1, 2})
-	if got != "7 [1 2]" {
+	FuncSink(func(ids []int, p []graph.VertexID) {
+		got = fmt.Sprint(ids, p)
+	}).Emit([]int{7, 2}, []graph.VertexID{1, 2})
+	if got != "[7 2] [1 2]" {
 		t.Errorf("FuncSink saw %q", got)
 	}
 }

@@ -378,13 +378,28 @@ func Replay(sc *Scenario, cfg service.Config) (*Result, error) {
 	return res, nil
 }
 
-// Oracle computes the ground-truth count of every query by mirroring
-// the store's update semantics on a plain edge set — deletions before
-// additions within a wave, self-loops dropped, vertex space growing to
-// fit — and running the brute-force reference enumerator on a graph
-// rebuilt from scratch at each wave.
+// Oracle computes the ground-truth count of every query by running the
+// brute-force reference enumerator on each wave's graph (waveGraphs).
 func Oracle(sc *Scenario) ([]int64, error) {
-	g, err := BuildGraph(sc.GraphKey)
+	graphs, err := sc.waveGraphs()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, 0, sc.NumQueries())
+	for w, wave := range sc.Waves {
+		for _, q := range wave.Queries {
+			out = append(out, oracle.Count(graphs[w], query.Query{S: q.S, T: q.T, K: q.K}))
+		}
+	}
+	return out, nil
+}
+
+// waveGraphs returns the graph each wave's queries see, rebuilt from
+// scratch at each wave by mirroring the store's update semantics on a
+// plain edge set — deletions before additions within a wave, self-loops
+// dropped, vertex space growing to fit.
+func (s *Scenario) waveGraphs() ([]*graph.Graph, error) {
+	g, err := BuildGraph(s.GraphKey)
 	if err != nil {
 		return nil, err
 	}
@@ -395,8 +410,8 @@ func Oracle(sc *Scenario) ([]int64, error) {
 	})
 	maxV := g.NumVertices()
 
-	out := make([]int64, 0, sc.NumQueries())
-	for _, wave := range sc.Waves {
+	out := make([]*graph.Graph, 0, len(s.Waves))
+	for _, wave := range s.Waves {
 		for _, e := range wave.Dels {
 			delete(edges, e)
 		}
@@ -413,10 +428,7 @@ func Oracle(sc *Scenario) ([]int64, error) {
 		for e := range edges {
 			flat = append(flat, e)
 		}
-		cur := graph.FromEdges(maxV, flat)
-		for _, q := range wave.Queries {
-			out = append(out, oracle.Count(cur, query.Query{S: q.S, T: q.T, K: q.K}))
-		}
+		out = append(out, graph.FromEdges(maxV, flat))
 	}
 	return out, nil
 }

@@ -781,17 +781,21 @@ func (s *Service) dispatch(batch []*request) {
 // queries take their batch IDs from their position in the batch.
 type replySink []*request
 
-// Emit implements query.Sink, copying the path into the caller's reply
-// arena. Each query's emissions come from one goroutine at a time (the
-// Sink contract) and each query has its own reply, so replies need no
-// locking even while a batch's workers emit for different queries.
+// Emit implements query.Sink, counting the path for every query of the
+// class and copying it into the reply arena of each caller that
+// collects paths. Each query's emissions come from one goroutine at a
+// time (the Sink contract) and each query has its own reply, so replies
+// need no locking even while a batch's workers emit for different
+// queries.
 //
 //hcpath:noalloc
-func (s replySink) Emit(id int, p []graph.VertexID) {
-	r := s[id]
-	r.reply.Count++
-	if r.collect {
-		r.reply.Paths.Add(p)
+func (s replySink) Emit(ids []int, p []graph.VertexID) {
+	for _, id := range ids {
+		r := s[id]
+		r.reply.Count++
+		if r.collect {
+			r.reply.Paths.Add(p)
+		}
 	}
 }
 

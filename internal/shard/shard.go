@@ -407,7 +407,7 @@ func (c *Coordinator) joinLocal(ctx context.Context, q query.Query, collect bool
 		// Join at the boundary vertices. Partial halves of a cancelled
 		// run must not reach the join.
 		if !ctrl.Cancelled() {
-			pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, false, ctrl, 0, emit)
+			pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, false, ctrl, emit)
 		}
 		if !ctrl.Cancelled() {
 			ctrl.MarkComplete(0)
