@@ -45,6 +45,12 @@
 // (WAL + snapshots) — give each worker its own; restarting the worker
 // warm-restarts from disk and -graph may then be omitted.
 //
+// Every mode takes -debugaddr: it serves net/http/pprof under
+// /debug/pprof/ and the mode's lifetime totals as JSON at
+// /debug/totals while the process runs:
+//
+//	hcpath -graph g.txt -queries q.txt -replay -debugaddr localhost:6060
+//
 // The graph file is an edge list ("src dst" per line, '#' comments) or
 // the repository's binary format (.bin). The query file holds one
 // "s t k" triple per line. The engine defaults to BatchEnum+, the
@@ -101,6 +107,7 @@ func main() {
 		listenAddr  = flag.String("listen", "", "serve: TCP address to listen on, e.g. :7070")
 		connectTo   = flag.String("connect", "", "replay/update-replay against remote workers: comma-separated addresses, one per shard in shard order")
 		verbose     = flag.Bool("v", false, "replay: print every batch's stats and every reply")
+		debugAddr   = flag.String("debugaddr", "", "serve net/http/pprof and the mode's totals as JSON (/debug/totals) on this address, e.g. localhost:6060")
 	)
 	flag.Parse()
 
@@ -185,6 +192,14 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 	}
 
+	if *debugAddr != "" {
+		addr, err := serveDebug(*debugAddr)
+		if err != nil {
+			fail("-debugaddr: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "debug: pprof on http://%s/debug/pprof/, totals on http://%s/debug/totals\n", addr, addr)
+	}
+
 	if *serve {
 		runServe(g, so, *shardSpec, *listenAddr)
 		return
@@ -234,6 +249,7 @@ func main() {
 		return
 	}
 	eng := hcpath.NewEngine(g, &so.Options)
+	debug.set("offline", nil) // an offline run's Stats exist once it ends
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -248,6 +264,7 @@ func main() {
 		if err != nil && !cancellation(err) {
 			fail("%v", err)
 		}
+		debug.set("offline", func() any { return st })
 		for i, c := range counts {
 			fmt.Printf("q%d(s=%d,t=%d,k=%d): %d paths\n", i, qs[i].S, qs[i].T, qs[i].K, c)
 		}
@@ -264,6 +281,7 @@ func main() {
 		fail("%v", err)
 	}
 	w.Flush()
+	debug.set("offline", func() any { return st })
 	reportPartial(st, err)
 	report(st, time.Since(t0))
 }
@@ -317,6 +335,7 @@ func runServe(g *hcpath.Graph, so hcpath.ServiceOptions, spec, listen string) {
 	if err != nil {
 		fail("listen: %v", err)
 	}
+	debug.set("serve", func() any { return srv.Totals() })
 	st := srv.State()
 	fmt.Fprintf(os.Stderr, "serving: shard %d/%d on %s (epoch %d, %d vertices, %d edges)\n",
 		idx, n, ln.Addr(), st.Epoch, st.NumVertices, st.NumEdges)
@@ -371,6 +390,7 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, so hcpath.ServiceOptions, cli
 		}
 	}
 	svc := replayService(g, &so, connect)
+	debug.set("replay", serviceTotals(svc))
 	if clients < 1 {
 		clients = 1
 	}
@@ -416,6 +436,7 @@ func runReplay(g *hcpath.Graph, qs []hcpath.Query, so hcpath.ServiceOptions, cli
 	// drops the worker connections the stats plane reads through.
 	tot := svc.Totals()
 	shLine, wLine := shardLine(svc), wireLine(svc)
+	debug.set("replay", func() any { return tot })
 	svc.Close()
 	fmt.Printf("replayed %d queries in %v (%.0f q/s), %d failed, %d truncated (%d deadline batches)\n",
 		tot.Queries, elapsed.Round(time.Microsecond),
@@ -596,6 +617,7 @@ func runUpdateReplay(g *hcpath.Graph, path string, so hcpath.ServiceOptions, con
 	} else if svc, err = hcpath.OpenService(g, &so); err != nil {
 		fail("open service: %v", err)
 	}
+	debug.set("updates", serviceTotals(svc))
 	// Durable deployments — a local -datadir, or remote workers that
 	// warm-restarted from theirs — report the update blocks already in
 	// the recovered state; the replay resumes past them.
@@ -700,6 +722,7 @@ func runUpdateReplay(g *hcpath.Graph, path string, so hcpath.ServiceOptions, con
 	elapsed := time.Since(t0)
 
 	tot := svc.Totals()
+	debug.set("updates", func() any { return tot })
 	fmt.Printf("replayed %d queries and %d updates in %v, %d failed, %d truncated\n",
 		queries, updates, elapsed.Round(time.Microsecond), failed, truncated)
 	fmt.Printf("epoch %d (%d effective edge changes, %d compactions, %d delta edges pending), %d batches, %d paths\n",

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -352,5 +355,43 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	}
 	if got := stateLine(t, out); got != want {
 		t.Fatalf("state after kill -9 and restart:\n  %s\nuninterrupted run:\n  %s", got, want)
+	}
+}
+
+// TestDebugAddr: the -debugaddr server answers GETs on a free port —
+// the mode's totals as JSON at /debug/totals (null before the mode
+// installs a reader) and the pprof index under /debug/pprof/.
+func TestDebugAddr(t *testing.T) {
+	addr, err := serveDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	var view struct {
+		Mode   string
+		Totals *hcpath.ServiceTotals
+	}
+	debug.set("offline", nil)
+	if err := json.Unmarshal(get("/debug/totals"), &view); err != nil || view.Mode != "offline" || view.Totals != nil {
+		t.Errorf("before totals exist: %+v, %v; want mode offline, totals null", view, err)
+	}
+	debug.set("replay", func() any { return hcpath.ServiceTotals{Queries: 7, IndexHits: 3} })
+	if err := json.Unmarshal(get("/debug/totals"), &view); err != nil || view.Mode != "replay" || view.Totals == nil || view.Totals.Queries != 7 || view.Totals.IndexHits != 3 {
+		t.Errorf("replay totals: %+v, %v; want 7 queries, 3 index hits", view, err)
+	}
+	if body := get("/debug/pprof/"); !strings.Contains(string(body), "goroutine") {
+		t.Errorf("pprof index lists no goroutine profile:\n%s", body)
 	}
 }

@@ -1,15 +1,15 @@
 // Package epochbind reports index acquisitions whose epoch is a
 // compile-time constant. The cross-batch index cache keys entries by
-// (generation, direction, vertex, cap) where the generation is bound to
-// the store epoch; an epoch that does not come from the live
-// store.Snapshot pins the binding to one generation forever, so queries
-// after an update are served stale distance maps — the exact staleness
-// class PR 4's versioned store closed.
+// (generation, direction, vertex, opposite endpoint, cap) where the
+// generation is bound to the store epoch; an epoch that does not come
+// from the live store.Snapshot pins the binding to one generation
+// forever, so queries after an update are served stale distance maps —
+// the exact staleness class the versioned store closed.
 //
 // Checked sites, outside _test.go files:
 //
-//   - the epoch argument of any hcindex Acquire method
-//     (Provider/Cache/Builder all share the signature);
+//   - the epoch argument of any hcindex Acquire or AcquireOne method
+//     (Provider/Cache/Builder all share the two signatures);
 //   - an explicit Epoch key in a batchenum.Options composite literal;
 //   - an assignment to an Options.Epoch field.
 //
@@ -58,17 +58,19 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkAcquire flags constant epoch arguments of hcindex Acquire calls.
+// checkAcquire flags constant epoch arguments of hcindex Acquire and
+// AcquireOne calls.
 func checkAcquire(pass *analysis.Pass, call *ast.CallExpr) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != hcindexPkg || fn.Name() != "Acquire" {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != hcindexPkg || (fn.Name() != "Acquire" && fn.Name() != "AcquireOne") {
 		return
 	}
-	// Acquire(g, gr, epoch, queries): epoch is the third argument.
+	// Acquire(g, gr, epoch, queries), AcquireOne(g, gr, epoch, q): epoch
+	// is the third argument.
 	if len(call.Args) < 3 {
 		return
 	}
-	reportConstEpoch(pass, call.Args[2], "epoch argument of hcindex Acquire")
+	reportConstEpoch(pass, call.Args[2], "epoch argument of hcindex "+fn.Name())
 }
 
 // checkOptionsLit flags an explicit constant Epoch key in a

@@ -23,6 +23,17 @@ func acquireNamedConstant(p hcindex.Provider, g, gr *graph.Graph, qs []query.Que
 	return p.Acquire(g, gr, frozenEpoch, qs) // want `constant 12 as epoch argument`
 }
 
+// acquireOneConstant: the one-query route binds its cache entries the
+// same way, so a constant there is the same bug.
+func acquireOneConstant(p hcindex.Provider, g, gr *graph.Graph, q query.Query) *hcindex.Index {
+	return p.AcquireOne(g, gr, 5, q) // want `constant 5 as epoch argument of hcindex AcquireOne`
+}
+
+// acquireOneSnapshot derives the epoch, as it should.
+func acquireOneSnapshot(c *hcindex.Cache, snap *store.Snapshot, q query.Query) *hcindex.Index {
+	return c.AcquireOne(snap.Graph(), snap.Reverse(), snap.Epoch(), q)
+}
+
 // acquireSnapshot is the reported fix applied: the epoch follows the
 // store.
 func acquireSnapshot(p hcindex.Provider, snap *store.Snapshot, qs []query.Query) *hcindex.Index {

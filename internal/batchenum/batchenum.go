@@ -91,11 +91,16 @@ type Options struct {
 // observe except recycled (clean) storage.
 var sharedBuilder = hcindex.NewBuilder(true)
 
-// acquire obtains the batch's index through the configured provider.
+// acquire obtains the batch's index through the configured provider. A
+// batch of one query is never clustered, so it takes the query's s-t
+// subgraph maps instead of two k-balls.
 func (o Options) acquire(g, gr *graph.Graph, qs []query.Query) *hcindex.Index {
 	p := o.Provider
 	if p == nil {
 		p = sharedBuilder
+	}
+	if len(qs) == 1 {
+		return p.AcquireOne(g, gr, o.Epoch, qs[0])
 	}
 	return p.Acquire(g, gr, o.Epoch, qs)
 }

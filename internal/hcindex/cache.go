@@ -23,22 +23,34 @@ const maxBindings = 4
 
 // entryKey identifies one cached hop-distance map: the generation of
 // the (graph pair, epoch) binding it was built on, the BFS direction,
-// its source vertex (a query's S forward, T backward), and the hop cap
-// it was built with. Stale generations can never serve a fresh epoch's
-// queries — the gen field keeps their keys disjoint.
+// its source vertex (a query's S forward, T backward), the opposite
+// endpoint of a subgraph map (ball for a k-ball), and the hop cap it
+// was built with. Stale generations can never serve a fresh epoch's
+// queries — the gen field keeps their keys disjoint — and a subgraph
+// map, keyed by both endpoints, can never serve a k-ball lookup.
 type entryKey struct {
 	gen uint64
 	dir Direction
 	v   graph.VertexID
+	to  graph.VertexID
 	cap uint8
 }
 
-// dirVertex keys the per-endpoint cap set used for widened lookups,
-// scoped like entryKey to one generation.
-type dirVertex struct {
-	gen uint64
-	dir Direction
-	v   graph.VertexID
+// ball is the to field of a k-ball entry, which serves any query from
+// its endpoint.
+const ball = graph.NoVertex
+
+// endpoint is the key with its cap cleared: what the per-endpoint cap
+// set used for widened lookups is keyed by.
+func (k entryKey) endpoint() entryKey {
+	k.cap = 0
+	return k
+}
+
+// withCap is the key with its cap set to cp.
+func (k entryKey) withCap(cp uint8) entryKey {
+	k.cap = cp
+	return k
 }
 
 // entry is one cached DistMap with its LRU seat and pin count.
@@ -66,14 +78,16 @@ type binding struct {
 
 // Cache is the cross-batch Provider: a concurrency-safe, ref-counted
 // LRU of hop-distance maps keyed by (generation, direction, source
-// vertex, hop cap). A query with cap k is served from any cached entry
-// of its endpoint with Cap ≥ k through a thresholded view
-// (msbfs.DistMap.View), so widening traffic (the same endpoints asked
-// with varying k) still hits. Entries pinned by in-flight batches are
-// never evicted — their dense arrays are live in enumeration hot loops
-// — which lets the byte budget overshoot transiently under heavy
-// concurrency; eviction releases the dense arrays into a per-size
-// msbfs.Pool for the next misses to reuse.
+// vertex, opposite endpoint, hop cap), where the opposite endpoint is
+// ball for the k-balls Acquire serves and the query's other endpoint
+// for the subgraph maps of AcquireOne. A query with cap k is served
+// from any cached entry of its key with Cap ≥ k through a thresholded
+// view (msbfs.DistMap.View), so widening traffic (the same endpoints
+// asked with varying k) still hits. Entries pinned by in-flight
+// batches are never evicted — their dense arrays are live in
+// enumeration hot loops — which lets the byte budget overshoot
+// transiently under heavy concurrency; eviction releases the dense
+// arrays into a per-size msbfs.Pool for the next misses to reuse.
 //
 // Generations realise the live-update story: every distinct
 // (g, gr, epoch) triple the cache serves gets its own generation, keys
@@ -92,7 +106,7 @@ type Cache struct {
 	nextGen  uint64
 	pools    map[int]*msbfs.Pool // dense-array pools keyed by |V|
 	entries  map[entryKey]*entry
-	caps     map[dirVertex][]uint8 // ascending caps present per endpoint
+	caps     map[entryKey][]uint8 // ascending caps present per endpoint()
 	lru      *list.List
 	bytes    int64
 
@@ -110,7 +124,7 @@ func NewCache(maxBytes int64) *Cache {
 		maxBytes: maxBytes,
 		pools:    make(map[int]*msbfs.Pool),
 		entries:  make(map[entryKey]*entry),
-		caps:     make(map[dirVertex][]uint8),
+		caps:     make(map[entryKey][]uint8),
 		lru:      list.New(),
 	}
 }
@@ -151,8 +165,8 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	pool := c.poolLocked(g.NumVertices())
 	for _, q := range queries {
 		for _, key := range [2]entryKey{
-			{b.gen, Forward, q.S, q.K},
-			{b.gen, Backward, q.T, q.K},
+			{b.gen, Forward, q.S, ball, q.K},
+			{b.gen, Backward, q.T, ball, q.K},
 		} {
 			if _, ok := serving[key]; ok {
 				idx.Hits++ // resolved from cache earlier in this batch
@@ -230,7 +244,7 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		first := len(maps)
 		dirIDs := ids[int(d)*n : int(d+1)*n : int(d+1)*n]
 		for i, q := range queries {
-			key := entryKey{b.gen, d, q.S, q.K}
+			key := entryKey{b.gen, d, q.S, ball, q.K}
 			if d == Backward {
 				key.v = q.T
 			}
@@ -249,10 +263,7 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	idx.release = func() {
 		c.mu.Lock()
 		for e := range pinned {
-			e.refs--
-			if e.refs == 0 && e.orphaned {
-				e.dm.Release()
-			}
+			c.unpinLocked(e)
 		}
 		c.evictLocked()
 		c.mu.Unlock()
@@ -261,6 +272,87 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		}
 	}
 	return idx
+}
+
+// AcquireOne implements Provider. It serves, in order: the query's two
+// k-balls if both are cached, so a warm endpoint stays on them; else
+// its cached subgraph maps, keyed by the opposite endpoint as well and
+// read by nothing but AcquireOne; else a fresh msbfs.Subgraph build,
+// inserted under those keys. Either side may come from a wider cap
+// through a view: a k-ball, or a wider query's subgraph map, covers
+// everything the narrower subgraph map must report, with the same
+// distances, so the enumeration reads the same.
+func (c *Cache) AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *Index {
+	c.mu.Lock()
+	b := c.bindLocked(g, gr, epoch)
+	keys := [2]entryKey{
+		{b.gen, Forward, q.S, ball, q.K},
+		{b.gen, Backward, q.T, ball, q.K},
+	}
+	held := [2]*entry{c.lookupLocked(keys[0]), c.lookupLocked(keys[1])}
+	if held[0] == nil || held[1] == nil {
+		keys[Forward].to, keys[Backward].to = q.T, q.S
+		held = [2]*entry{c.lookupLocked(keys[0]), c.lookupLocked(keys[1])}
+	}
+	hit := held[0] != nil && held[1] != nil
+	if hit {
+		for _, e := range held {
+			e.refs++
+			c.lru.MoveToFront(e.elem)
+			if e.key.cap != q.K {
+				c.widened++
+			}
+		}
+		c.hits += 2
+	} else {
+		c.misses += 2
+	}
+	pool := c.poolLocked(g.NumVertices())
+	c.mu.Unlock()
+
+	if !hit {
+		fwd, bwd := msbfs.Subgraph(g, gr, q.S, q.T, q.K, pool)
+		c.mu.Lock()
+		if b.dropped {
+			// As in Acquire: a retired generation takes no inserts.
+			c.mu.Unlock()
+			idx := pairIndex(fwd, bwd)
+			idx.Misses = 2
+			idx.release = idx.releaseDistinct
+			return idx
+		}
+		for d, dm := range [2]*msbfs.DistMap{fwd, bwd} {
+			held[d] = c.insertLocked(keys[d], dm)
+			held[d].refs++
+		}
+		c.evictLocked()
+		c.mu.Unlock()
+	}
+	// Views: a wider entry may have served the hit or won the insert.
+	idx := pairIndex(held[0].dm.View(q.K), held[1].dm.View(q.K))
+	if hit {
+		idx.Hits = 2
+	} else {
+		idx.Misses = 2
+	}
+	idx.release = func() {
+		c.mu.Lock()
+		for _, e := range held {
+			c.unpinLocked(e)
+		}
+		c.evictLocked()
+		c.mu.Unlock()
+	}
+	return idx
+}
+
+// unpinLocked drops one in-flight hold on e; an orphaned entry's
+// storage goes back to the pool with its last holder.
+func (c *Cache) unpinLocked(e *entry) {
+	e.refs--
+	if e.refs == 0 && e.orphaned {
+		e.dm.Release()
+	}
 }
 
 // numbered is a key's servable map and, once the index has numbered
@@ -366,9 +458,9 @@ func (c *Cache) lookupLocked(key entryKey) *entry {
 	if e, ok := c.entries[key]; ok {
 		return e
 	}
-	for _, cp := range c.caps[dirVertex{key.gen, key.dir, key.v}] {
+	for _, cp := range c.caps[key.endpoint()] {
 		if cp > key.cap {
-			return c.entries[entryKey{key.gen, key.dir, key.v, cp}]
+			return c.entries[key.withCap(cp)]
 		}
 	}
 	return nil
@@ -390,10 +482,10 @@ func (c *Cache) insertLocked(key entryKey, dm *msbfs.DistMap) *entry {
 		c.lru.MoveToFront(e.elem)
 		return e
 	}
-	dv := dirVertex{key.gen, key.dir, key.v}
+	dv := key.endpoint()
 	for _, cp := range append([]uint8(nil), c.caps[dv]...) {
 		if cp < key.cap {
-			if narrow := c.entries[entryKey{key.gen, key.dir, key.v, cp}]; narrow.refs == 0 {
+			if narrow := c.entries[key.withCap(cp)]; narrow.refs == 0 {
 				c.dropLocked(narrow)
 				c.evictions++
 			}
@@ -458,7 +550,7 @@ func (c *Cache) evictLocked() {
 func (c *Cache) dropLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
-	dv := dirVertex{e.key.gen, e.key.dir, e.key.v}
+	dv := e.key.endpoint()
 	caps := c.caps[dv]
 	for i, cp := range caps {
 		if cp == e.key.cap {

@@ -31,19 +31,16 @@ func cacheFixture(t *testing.T) (g, gr *graph.Graph, qs []query.Query) {
 func indexesAgree(t *testing.T, label string, g *graph.Graph, want, got *Index, nq int) {
 	t.Helper()
 	for i := 0; i < nq; i++ {
-		for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
-			if a, b := want.DistFromS(i, v), got.DistFromS(i, v); a != b {
-				t.Fatalf("%s: query %d fwd dist(%d): %d vs %d", label, i, v, b, a)
+		for _, dir := range []Direction{Forward, Backward} {
+			w, o := want.DistMapFor(i, dir), got.DistMapFor(i, dir)
+			for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+				if a, b := w.Dist(v), o.Dist(v); a != b {
+					t.Fatalf("%s: query %d %v dist(%d): %d vs %d", label, i, dir, v, b, a)
+				}
 			}
-			if a, b := want.DistToT(i, v), got.DistToT(i, v); a != b {
-				t.Fatalf("%s: query %d bwd dist(%d): %d vs %d", label, i, v, b, a)
+			if a, b := w.NumVisited(), o.NumVisited(); a != b {
+				t.Fatalf("%s: query %d %v |Γ|: %d vs %d", label, i, dir, b, a)
 			}
-		}
-		if a, b := len(want.Gamma(i)), len(got.Gamma(i)); a != b {
-			t.Fatalf("%s: query %d |Γ|: %d vs %d", label, i, b, a)
-		}
-		if a, b := len(want.GammaR(i)), len(got.GammaR(i)); a != b {
-			t.Fatalf("%s: query %d |Γr|: %d vs %d", label, i, b, a)
 		}
 	}
 }
@@ -197,8 +194,9 @@ func TestCacheConcurrent(t *testing.T) {
 				idx := c.Acquire(g, gr, 0, qs)
 				want := Build(g, gr, qs)
 				for qi := range qs {
-					for _, v := range want.Gamma(qi) {
-						if idx.DistFromS(qi, v) != want.DistFromS(qi, v) {
+					got, ref := idx.DistMapFor(qi, Forward), want.DistMapFor(qi, Forward)
+					for _, v := range ref.Visited() {
+						if got.Dist(v) != ref.Dist(v) {
 							t.Errorf("worker %d: fwd divergence", w)
 							break
 						}
@@ -282,11 +280,12 @@ func TestCacheChargesHeldCapacity(t *testing.T) {
 	c.Acquire(g, gr, 0, wide).Release()
 	idx := c.Acquire(g, gr, 0, narrow)
 	defer idx.Release()
-	held := int64(2*g.NumVertices()) + 4*int64(cap(idx.Gamma(0))+cap(idx.GammaR(0)))
+	gamma, gammaR := idx.DistMapFor(0, Forward).Visited(), idx.DistMapFor(0, Backward).Visited()
+	held := int64(2*g.NumVertices()) + 4*int64(cap(gamma)+cap(gammaR))
 	if got := c.Stats().BytesInUse; got != held {
 		t.Errorf("BytesInUse = %d, want %d (dense arrays + list capacity)", got, held)
 	}
-	if cap(idx.Gamma(0)) == len(idx.Gamma(0)) && cap(idx.GammaR(0)) == len(idx.GammaR(0)) {
+	if cap(gamma) == len(gamma) && cap(gammaR) == len(gammaR) {
 		t.Error("no recycled list was reused: the test exercises nothing")
 	}
 }

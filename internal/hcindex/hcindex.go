@@ -4,6 +4,10 @@
 // constructed with multi-source BFSs from the source set S and target set
 // T. The hop-constrained neighbour sets Γ(q)/Γr(q) (Def. 4.4) fall out of
 // the same traversals and feed query clustering without extra work.
+//
+// A batch of one query is never clustered, so nothing reads its Γ: its
+// index holds the query's k-hop s-t subgraph maps (msbfs.Subgraph)
+// instead of two k-balls, which is all the enumeration prunes with.
 package hcindex
 
 import (
@@ -73,6 +77,17 @@ func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, width 
 	}
 }
 
+// pairIndex is the index of a batch of one query served the maps fwd
+// and bwd.
+func pairIndex(fwd, bwd *msbfs.DistMap) *Index {
+	maps := []*msbfs.DistMap{fwd, bwd}
+	ids := make([]int32, 2)
+	return &Index{
+		maps: [2][]*msbfs.DistMap{Forward: maps[:1:1], Backward: maps[1:]},
+		ids:  [2][]int32{Forward: ids[:1:1], Backward: ids[1:]},
+	}
+}
+
 // releaseDistinct releases every distinct DistMap of the index once.
 func (idx *Index) releaseDistinct() {
 	for _, maps := range idx.maps {
@@ -112,40 +127,11 @@ func dedup(g *graph.Graph, queries []query.Query, pick func(query.Query) (graph.
 // dist returns query i's map in direction d.
 func (idx *Index) dist(i int, d Direction) *msbfs.DistMap { return idx.maps[d][idx.ids[d][i]] }
 
-// DistFromS returns dist_G(q.S, v) for the i-th query, or Unreachable if
-// v is beyond q.K hops.
-func (idx *Index) DistFromS(i int, v graph.VertexID) uint8 { return idx.dist(i, Forward).Dist(v) }
-
-// DistToT returns dist_G(v, q.T) (computed as dist_Gr(q.T, v)) for the
-// i-th query, or Unreachable if beyond q.K hops.
-func (idx *Index) DistToT(i int, v graph.VertexID) uint8 { return idx.dist(i, Backward).Dist(v) }
-
-// Gamma returns Γ(q): the sorted vertices reachable from q.S within q.K
-// hops on G (Def. 4.4). The slice must not be modified.
-func (idx *Index) Gamma(i int) []graph.VertexID { return idx.dist(i, Forward).Visited() }
-
-// GammaR returns Γr(q): the sorted vertices reaching q.T within q.K hops
-// (i.e. reachable from q.T on Gr). The slice must not be modified.
-func (idx *Index) GammaR(i int) []graph.VertexID { return idx.dist(i, Backward).Visited() }
-
 // Reachable reports whether query i's target is within its hop budget of
 // its source at all; unreachable queries have empty result sets and can
 // be skipped by every engine.
 func (idx *Index) Reachable(i int, q query.Query) bool {
 	return idx.dist(i, Forward).Dist(q.T) <= q.K
-}
-
-// LevelSizes returns, for the i-th query's forward (dir=Forward) or
-// backward (dir=Backward) map, the number of vertices at each distance
-// 0..cap. Engines use these to estimate search frontier growth when
-// choosing an optimised cut point.
-func (idx *Index) LevelSizes(i int, dir Direction) []int {
-	dm := idx.dist(i, dir)
-	sizes := make([]int, int(dm.Cap)+1)
-	for _, v := range dm.Visited() {
-		sizes[dm.Dist(v)]++
-	}
-	return sizes
 }
 
 // Direction selects the forward (on G) or backward (on Gr) half of the
@@ -166,8 +152,9 @@ func (d Direction) String() string {
 	return "backward"
 }
 
-// DistMapFor exposes the raw per-query DistMap, used by the sharing
-// detector which walks frontiers itself.
+// DistMapFor exposes the raw per-query DistMap: the enumeration's
+// distances, and Γ(q)/Γr(q) as its visited set on every index but a
+// one-query batch's (AcquireOne), whose maps stop at the subgraph.
 func (idx *Index) DistMapFor(i int, dir Direction) *msbfs.DistMap { return idx.dist(i, dir) }
 
 // Distinct returns the batch's distinct maps of one direction, in order

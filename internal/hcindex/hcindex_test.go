@@ -31,14 +31,14 @@ func TestBuildMatchesSingles(t *testing.T) {
 		fwd := msbfs.Single(g, q.S, q.K)
 		bwd := msbfs.Single(gr, q.T, q.K)
 		for v := 0; v < g.NumVertices(); v++ {
-			if idx.DistFromS(i, graph.VertexID(v)) != fwd.Dist(graph.VertexID(v)) {
-				t.Fatalf("q%d DistFromS(v%d) mismatch", i, v)
+			if idx.DistMapFor(i, Forward).Dist(graph.VertexID(v)) != fwd.Dist(graph.VertexID(v)) {
+				t.Fatalf("q%d forward dist(v%d) mismatch", i, v)
 			}
-			if idx.DistToT(i, graph.VertexID(v)) != bwd.Dist(graph.VertexID(v)) {
-				t.Fatalf("q%d DistToT(v%d) mismatch", i, v)
+			if idx.DistMapFor(i, Backward).Dist(graph.VertexID(v)) != bwd.Dist(graph.VertexID(v)) {
+				t.Fatalf("q%d backward dist(v%d) mismatch", i, v)
 			}
 		}
-		if len(idx.Gamma(i)) != fwd.NumVisited() || len(idx.GammaR(i)) != bwd.NumVisited() {
+		if idx.DistMapFor(i, Forward).NumVisited() != fwd.NumVisited() || idx.DistMapFor(i, Backward).NumVisited() != bwd.NumVisited() {
 			t.Fatalf("q%d Γ sizes mismatch", i)
 		}
 	}
@@ -48,14 +48,15 @@ func TestPaperFig2Backward(t *testing.T) {
 	g, gr, qs := paperBatch(t)
 	idx := Build(g, gr, qs)
 	// q3(v4,v14,4): the Fig 2(b) index entries.
+	bwd := idx.DistMapFor(3, Backward)
 	want := map[graph.VertexID]uint8{6: 1, 3: 2, 15: 2, 9: 3, 4: 4, 14: 0}
 	for v, d := range want {
-		if got := idx.DistToT(3, v); got != d {
-			t.Errorf("DistToT(q3, v%d) = %d, want %d", v, got, d)
+		if got := bwd.Dist(v); got != d {
+			t.Errorf("dist(v%d, t of q3) = %d, want %d", v, got, d)
 		}
 	}
-	if got := idx.DistToT(3, 8); got != Unreachable {
-		t.Errorf("DistToT(q3, v8) = %d, want Unreachable", got)
+	if got := bwd.Dist(8); got != Unreachable {
+		t.Errorf("dist(v8, t of q3) = %d, want Unreachable", got)
 	}
 }
 
@@ -63,11 +64,11 @@ func TestGammaCardinalitiesExample41(t *testing.T) {
 	// Example 4.1: |Γ(q3)| = 9, |Γ(q4)| = 8 (the paper lists the sets).
 	g, gr, qs := paperBatch(t)
 	idx := Build(g, gr, qs)
-	if got := len(idx.Gamma(3)); got != 9 {
-		t.Errorf("|Γ(q3)| = %d, want 9 (%v)", got, idx.Gamma(3))
+	if gamma := idx.DistMapFor(3, Forward).Visited(); len(gamma) != 9 {
+		t.Errorf("|Γ(q3)| = %d, want 9 (%v)", len(gamma), gamma)
 	}
-	if got := len(idx.Gamma(4)); got != 8 {
-		t.Errorf("|Γ(q4)| = %d, want 8 (%v)", got, idx.Gamma(4))
+	if gamma := idx.DistMapFor(4, Forward).Visited(); len(gamma) != 8 {
+		t.Errorf("|Γ(q4)| = %d, want 8 (%v)", len(gamma), gamma)
 	}
 }
 
@@ -111,14 +112,23 @@ func TestReachable(t *testing.T) {
 	}
 }
 
+// levelSizes counts dm's visited vertices at each distance 0..Cap.
+func levelSizes(dm *msbfs.DistMap) []int {
+	sizes := make([]int, int(dm.Cap)+1)
+	for _, v := range dm.Visited() {
+		sizes[dm.Dist(v)]++
+	}
+	return sizes
+}
+
 func TestLevelSizes(t *testing.T) {
 	g, gr, qs := paperBatch(t)
 	idx := Build(g, gr, qs)
 	// q4(v9,v14,3): forward levels from v9: {v9} {3,15,8} {6} {11,13,14}.
-	sizes := idx.LevelSizes(4, Forward)
+	sizes := levelSizes(idx.DistMapFor(4, Forward))
 	want := []int{1, 3, 1, 3}
 	if len(sizes) != len(want) {
-		t.Fatalf("LevelSizes len=%d want %d", len(sizes), len(want))
+		t.Fatalf("level sizes len=%d want %d", len(sizes), len(want))
 	}
 	for d, w := range want {
 		if sizes[d] != w {
@@ -126,7 +136,7 @@ func TestLevelSizes(t *testing.T) {
 		}
 	}
 	// backward: {14} {6} {3,15} {9}
-	sizes = idx.LevelSizes(4, Backward)
+	sizes = levelSizes(idx.DistMapFor(4, Backward))
 	want = []int{1, 1, 2, 1}
 	for d, w := range want {
 		if sizes[d] != w {

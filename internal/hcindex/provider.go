@@ -26,6 +26,13 @@ type Provider interface {
 	// entries to another, even across pointer-identical graphs. The
 	// caller owns the result until it calls Release on it.
 	Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query) *Index
+	// AcquireOne is Acquire for a batch of the one query q, whose maps
+	// need only cover q's k-hop s-t subgraph: every distance they
+	// report is exact, they report every vertex with d_s + d_t ≤ k and
+	// every vertex within ⌈k/2⌉ hops, and q's enumeration reads nothing
+	// else. Their visited sets are not Γ(q)/Γr(q). Two probes, as for
+	// Acquire.
+	AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *Index
 	// Stats returns a snapshot of the provider's lifetime counters.
 	Stats() Stats
 }
@@ -58,10 +65,11 @@ func (s Stats) HitRatio() float64 {
 }
 
 // Builder is the cold Provider: every Acquire runs the two MS-BFS
-// passes of Build. With pooling enabled the dense distance arrays and
-// the traversal scratch are recycled through a msbfs.Pool across
-// batches (sparse-reset on Release), so repeated batches stop paying
-// the n-byte-per-source allocation churn even without result caching.
+// passes of Build, every AcquireOne the subgraph build. With pooling
+// enabled the dense distance arrays and the traversal scratch are
+// recycled through a msbfs.Pool across batches (sparse-reset on
+// Release), so repeated batches stop paying the n-byte-per-source
+// allocation churn even without result caching.
 // What it retains between batches is sized by |V| only: the visited
 // lists, sized by each source's reach, go back to the collector.
 type Builder struct {
@@ -88,16 +96,34 @@ func NewBuilderWorkers(pooled bool, workers int) *Builder {
 // Acquire implements Provider with a fresh build; a cold builder has no
 // cross-batch state, so the epoch only guards its pool sizing.
 func (b *Builder) Acquire(g, gr *graph.Graph, _ uint64, queries []query.Query) *Index {
-	var pool *msbfs.Pool
-	if b.pooled {
-		b.mu.Lock()
-		if b.pool == nil || b.pool.NumVertices() != g.NumVertices() {
-			b.pool = msbfs.NewPool(g.NumVertices())
-		}
-		pool = b.pool
-		b.mu.Unlock()
+	pool := b.poolFor(g)
+	return b.done(buildIn(g, gr, queries, pool, b.width), pool)
+}
+
+// AcquireOne implements Provider with a fresh subgraph build.
+func (b *Builder) AcquireOne(g, gr *graph.Graph, _ uint64, q query.Query) *Index {
+	pool := b.poolFor(g)
+	idx := pairIndex(msbfs.Subgraph(g, gr, q.S, q.T, q.K, pool))
+	idx.Misses = 2
+	return b.done(idx, pool)
+}
+
+// poolFor returns the pool for g's vertex count, nil when unpooled.
+func (b *Builder) poolFor(g *graph.Graph) *msbfs.Pool {
+	if !b.pooled {
+		return nil
 	}
-	idx := buildIn(g, gr, queries, pool, b.width)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.pool == nil || b.pool.NumVertices() != g.NumVertices() {
+		b.pool = msbfs.NewPool(g.NumVertices())
+	}
+	return b.pool
+}
+
+// done counts a fresh build's misses and, when pooled, makes its
+// Release hand the storage back.
+func (b *Builder) done(idx *Index, pool *msbfs.Pool) *Index {
 	if pool != nil {
 		idx.release = func() {
 			idx.releaseDistinct()

@@ -57,3 +57,51 @@ func FuzzMultiSource(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAdmitted differentially checks the admitted build against the
+// reference BFS restricted by the same predicate (referenceAdmitted,
+// which shares no code with the kernel): for a fuzzed graph size,
+// source set, free radius and bound, pooled or not, every lane must
+// match byte for byte and the pool must come back clean. It then holds
+// Subgraph's pair for the first source and a fuzzed target to its
+// three properties.
+func FuzzAdmitted(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(2), uint8(4), false, uint16(58))
+	f.Add(int64(2), uint8(70), uint8(1), uint8(5), true, uint16(58))
+	f.Add(int64(3), uint8(3), uint8(0), uint8(0), true, uint16(300))
+	f.Add(int64(4), uint8(65), uint8(3), uint8(7), true, uint16(4200))
+	f.Fuzz(func(t *testing.T, seed int64, nSrcRaw, freeRaw, kRaw uint8, pooled bool, nRaw uint16) {
+		n := int(nRaw)%9000 + 2
+		g := graph.GenRandom(n, 3, seed)
+		rev := g.Reverse()
+		rng := rand.New(rand.NewSource(seed + 1))
+		sources, caps := randomSources(rng, n, int(nSrcRaw)%140+1)
+		free, k := freeRaw%6, kRaw%12
+		a := &admission{other: Single(rev, graph.VertexID(rng.Intn(n)), free), free: free, k: k}
+		admit := func(v graph.VertexID, depth int) bool {
+			return depth <= int(free) || int(a.other.Dist(v))+depth <= int(k)
+		}
+		want := make([]*DistMap, len(sources))
+		for i, s := range sources {
+			want[i] = referenceAdmitted(g, s, caps[i], admit)
+		}
+		var pool *Pool
+		if pooled {
+			pool = NewPool(n)
+		}
+		got := admittedBuild(g, sources, caps, a, pool)
+		requireEqualMaps(t, n, got, want)
+		for _, dm := range got {
+			dm.Release()
+		}
+		if pool != nil {
+			requireCleanPool(t, pool)
+		}
+
+		s, tt := sources[0], graph.VertexID(rng.Intn(n))
+		fwd, bwd := Subgraph(g, rev, s, tt, max(k, 1), pool)
+		if msg := subgraphViolation(g, rev, s, tt, max(k, 1), fwd, bwd); msg != "" {
+			t.Fatalf("Subgraph(%d, %d, k=%d): %s", s, tt, max(k, 1), msg)
+		}
+	})
+}

@@ -21,7 +21,9 @@
 // There is one kernel, chunkRun, and it is sequential. A build uses
 // several cores one level up, by running independent chunks at once
 // (parallel.go); nothing inside a chunk is shared, so nothing in the
-// kernel is atomic.
+// kernel is atomic. The build a single query's s-t subgraph needs
+// (Subgraph) runs the same kernel with an admission test between a
+// level's expansion and its recording.
 package msbfs
 
 import (
@@ -400,8 +402,10 @@ func sweep(sc *chunkScratch, out []*DistMap) {
 
 // chunkRun advances up to 64 bounded BFSs simultaneously, pushing each
 // level's frontier along out-edges. It is the package's one kernel;
-// concurrent calls on one Pool are safe, each on its own scratch.
-func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool) {
+// concurrent calls on one Pool are safe, each on its own scratch. A
+// non-nil admit confines every lane to the vertices it admits (see
+// admission); every build but Subgraph's passes nil.
+func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, admit *admission, out []*DistMap, pool *Pool) {
 	k := len(sources)
 	maxCap, sc := setupChunk(g, sources, caps, out, pool)
 	seen, frontier, next := sc.seen, sc.frontier, sc.next
@@ -437,6 +441,9 @@ func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*Dis
 				next[w] |= fresh
 				seen[w] |= fresh
 			}
+		}
+		if admit != nil {
+			nextVerts = admit.filter(nextVerts, seen, next, depth)
 		}
 		for _, w := range nextVerts {
 			sc.touch(w)

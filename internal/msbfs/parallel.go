@@ -70,7 +70,7 @@ func RunPasses(passes []Pass, pool *Pool, opt BuildOptions) [][]*DistMap {
 		for i, p := range passes {
 			for lo := 0; lo < len(p.Sources); lo += 64 {
 				hi := min(lo+64, len(p.Sources))
-				chunkRun(p.G, p.Sources[lo:hi], p.Caps[lo:hi], out[i][lo:hi], pool)
+				chunkRun(p.G, p.Sources[lo:hi], p.Caps[lo:hi], nil, out[i][lo:hi], pool)
 			}
 		}
 		return out
@@ -86,7 +86,7 @@ func RunPasses(passes []Pass, pool *Pool, opt BuildOptions) [][]*DistMap {
 	drain := func() {
 		for c := claim.Add(1) - 1; c < int64(len(tasks)); c = claim.Add(1) - 1 {
 			t := &tasks[c]
-			chunkRun(t.g, t.sources, t.caps, t.out, pool)
+			chunkRun(t.g, t.sources, t.caps, nil, t.out, pool)
 		}
 	}
 	var wg sync.WaitGroup
