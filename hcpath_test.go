@@ -301,7 +301,7 @@ func TestWorkersBoundary(t *testing.T) {
 // TestIndexBuildWidthEquivalence: an Engine builds its index on
 // GOMAXPROCS goroutines (at least two here), a Service serially with
 // its index cache on and off; all three answer a batch whose
-// endpoints span several 64-source chunks per direction with the
+// endpoints keep several goroutines busy per direction with the
 // per-query counts of the serial, unshared BasicEnum run.
 func TestIndexBuildWidthEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))

@@ -64,8 +64,8 @@ func Build(g, gr *graph.Graph, queries []query.Query) *Index {
 }
 
 // buildIn is Build drawing storage from pool (nil means plain
-// allocations), with the 64-source chunks of both passes run as one
-// build on up to width goroutines.
+// allocations), with the sources of both passes run as one build on up
+// to width goroutines.
 func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, width int) *Index {
 	fwd, fslot := dedup(g, queries, func(q query.Query) (graph.VertexID, uint8) { return q.S, q.K })
 	bwd, bslot := dedup(gr, queries, func(q query.Query) (graph.VertexID, uint8) { return q.T, q.K })

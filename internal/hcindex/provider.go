@@ -87,7 +87,7 @@ type Builder struct {
 func NewBuilder(pooled bool) *Builder { return NewBuilderWorkers(pooled, 1) }
 
 // NewBuilderWorkers is NewBuilder building on up to workers goroutines:
-// the 64-source chunks of both directions run as one task list. Its
+// the searches of both directions run as one task list. Its
 // owner passes the width — the cores its one batch in flight can use.
 func NewBuilderWorkers(pooled bool, workers int) *Builder {
 	return &Builder{pooled: pooled, width: workers}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/query"
 )
 
-// workersFixture builds a batch large enough to span several 64-source
-// MS-BFS chunks per direction, with repeated endpoints and mixed caps.
+// workersFixture builds a batch large enough to keep several goroutines
+// busy in each direction, with repeated endpoints and mixed caps.
 func workersFixture(t *testing.T) (g, gr *graph.Graph, qs []query.Query) {
 	t.Helper()
 	g = graph.GenCommunityPowerLaw(600, 30, 4, 0.9, 13)
@@ -32,7 +32,7 @@ func workersFixture(t *testing.T) (g, gr *graph.Graph, qs []query.Query) {
 
 // TestBuilderWorkersMatchesSequential: the width a Builder is given
 // must be invisible in the results — at every width, pooled or not,
-// both directions' chunks built as one task list reproduce the serial
+// both directions' searches built as one task list reproduce the serial
 // Build on all distance maps.
 func TestBuilderWorkersMatchesSequential(t *testing.T) {
 	g, gr, qs := workersFixture(t)

@@ -7,14 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// FuzzMultiSource differentially checks the chunk task runner against
+// FuzzMultiSource differentially checks the task runner against
 // the reference BFS (referenceMaps, which shares no code with the
 // kernel): for a fuzzed graph size, source multiset, cap mix and width,
 // RunPasses must reproduce it byte for byte — one pass, or with
 // twoPass a second, backward pass on the reverse with a different
-// source count, whose chunks join the same task list. Sizes run past
+// source count, whose sources join the same task list. Sizes run past
 // 4096 vertices and 64 sources, so the fuzzer reaches the second word
-// of the touched bitmap's summary and the chunk boundary.
+// of the touched bitmap's summary and past one 64-bit word of sources.
 func FuzzMultiSource(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(0), false, uint16(58))
 	f.Add(int64(2), uint8(130), uint8(3), true, uint16(58))
@@ -44,7 +44,7 @@ func FuzzMultiSource(f *testing.F) {
 			}
 			return sources, caps
 		}
-		sources, caps := draw(int(nSrcRaw)%140 + 1) // up to three chunks
+		sources, caps := draw(int(nSrcRaw)%140 + 1) // up to 140 sources
 		passes := []Pass{{G: g, Sources: sources, Caps: caps}}
 		if twoPass {
 			rev := g.Reverse()
@@ -61,7 +61,7 @@ func FuzzMultiSource(f *testing.F) {
 // FuzzAdmitted differentially checks the admitted build against the
 // reference BFS restricted by the same predicate (referenceAdmitted,
 // which shares no code with the kernel): for a fuzzed graph size,
-// source set, free radius and bound, pooled or not, every lane must
+// source set, free radius and bound, pooled or not, every source must
 // match byte for byte and the pool must come back clean. It then holds
 // Subgraph's pair for the first source and a fuzzed target to its
 // three properties.

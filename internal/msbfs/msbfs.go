@@ -1,29 +1,30 @@
-// Package msbfs implements hop-bounded breadth-first searches, including
-// the bit-parallel multi-source BFS of Then et al. (VLDB'15) that the
-// paper uses for index construction ("we implement their index
-// construction following the state-of-the-art multi-source BFSs [36]").
+// Package msbfs implements the hop-bounded breadth-first searches the
+// index of §III is built from: one search per (source, cap), its
+// distances in a dense array and its visited set Γ (Def. 4.4) as a
+// sorted list.
 //
-// Sources are processed in chunks of 64 so that one machine word carries
-// the frontier membership of a whole chunk; a single pass over the
-// adjacency lists advances 64 BFSs at once. Each source carries its own
-// depth cap (the hop constraint k of its query), enforced with per-level
-// bit masks.
+// The paper builds the index with the bit-parallel multi-source BFS of
+// Then et al. (VLDB'15) ("we implement their index construction
+// following the state-of-the-art multi-source BFSs [36]"), which
+// advances 64 searches per pass over the adjacency lists. Here each
+// source runs its own plain queue BFS instead. On the benchmark's
+// batches the 64 lanes barely share work — a frontier vertex carried
+// 1.24 lanes on average when its out-edges were scanned on the sparse
+// workload and 1.47 on the dense one — while every visit paid for a
+// lane word and a write into one of 64 scattered arrays. The maps are
+// byte-identical either way: same distances, same sorted lists.
 //
-// The level loop writes only distances and counts each source's visits.
-// The hop-constrained neighbour sets Γ (Def. 4.4) fall out of the same
-// traversal afterwards: every vertex that enters a frontier sets a bit
-// in a per-chunk touched bitmap, and one ascending sweep over the set
-// bits appends the vertex to the list of every source that reached it —
-// lists allocated once at their exact size and born sorted, nothing
-// compared — and zeroes the traversal scratch behind itself, which is
-// the clean-scratch invariant the Pool relies on.
-//
-// There is one kernel, chunkRun, and it is sequential. A build uses
-// several cores one level up, by running independent chunks at once
-// (parallel.go); nothing inside a chunk is shared, so nothing in the
+// There is one kernel, bfs, and it is sequential. It writes a source's
+// distances into its own pooled array and marks every vertex it visits
+// in a three-level touched bitmap; one ascending walk over the set bits
+// then emits Γ — allocated once at its exact size and born sorted,
+// nothing compared — and zeroes the bitmap behind itself, which is the
+// clean-scratch invariant the Pool relies on. A build uses several
+// cores one level up, by running independent sources at once
+// (parallel.go); nothing inside a search is shared, so nothing in the
 // kernel is atomic. The build a single query's s-t subgraph needs
-// (Subgraph) runs the same kernel with an admission test between a
-// level's expansion and its recording.
+// (Subgraph) runs the same kernel with an admission test at the moment
+// a vertex is first reached.
 package msbfs
 
 import (
@@ -137,19 +138,18 @@ func (d *DistMap) Release() {
 // allocation churn of repeated index builds. Free arrays are kept clean
 // (every entry Unreachable), so acquisition skips the initialising
 // memset too; a recycled visited list too small for its next source is
-// replaced by one of the exact size. The pool also recycles per-chunk
-// traversal scratch — the seen/frontier/next bit-word arrays, the
-// bitmaps and the pre-sized flat frontier vertex arrays — so a build
-// neither reallocates nor grows them by append. All methods are safe
-// for concurrent use, which is what lets independent 64-source chunks
-// build concurrently against one pool.
+// replaced by one of the exact size. The pool also recycles the
+// per-worker traversal scratch — a queue and the touched bitmap — so a
+// build reallocates neither. All methods are safe for concurrent use,
+// which is what lets the sources of one build run on several
+// goroutines against one pool.
 type Pool struct {
 	n int
 
 	mu      sync.Mutex
 	dists   [][]uint8          // all entries Unreachable
 	visited [][]graph.VertexID // len 0, capacity retained
-	scratch []*chunkScratch    // all words zero, vert slices len 0
+	scratch []*scratch         // bitmap words zero, queue len 0
 	allocs  int64
 }
 
@@ -167,39 +167,31 @@ func (p *Pool) Allocs() int64 {
 	return p.allocs
 }
 
-// fill gives every map of a chunk a clean dist array and, where one is
-// free, a recycled visited list, and returns clean traversal scratch
-// for the chunk. Only the free-list pops happen under the mutex;
-// allocating and memsetting the shortfall — n bytes per array — runs
-// outside it, so concurrent cold builds don't serialise on the lock.
-func (p *Pool) fill(out []*DistMap) (sc *chunkScratch) {
-	p.mu.Lock()
-	for _, dm := range out {
+// get returns a clean dist array of n entries and, where one is free, a
+// recycled visited list; a nil pool allocates the array. Only the
+// free-list pops happen under the mutex; allocating and memsetting a
+// shortfall array runs outside it, so concurrent cold builds don't
+// serialise on the lock.
+func (p *Pool) get(n int) (dist []uint8, visited []graph.VertexID) {
+	if p != nil {
+		p.mu.Lock()
 		if l := len(p.dists) - 1; l >= 0 {
-			dm.dist, p.dists = p.dists[l], p.dists[:l]
+			dist, p.dists = p.dists[l], p.dists[:l]
 		} else {
 			p.allocs++
 		}
 		if l := len(p.visited) - 1; l >= 0 {
-			dm.visited, p.visited = p.visited[l], p.visited[:l]
+			visited, p.visited = p.visited[l], p.visited[:l]
+		}
+		p.mu.Unlock()
+	}
+	if dist == nil {
+		dist = make([]uint8, n)
+		for i := range dist {
+			dist[i] = Unreachable
 		}
 	}
-	if l := len(p.scratch) - 1; l >= 0 {
-		sc, p.scratch = p.scratch[l], p.scratch[:l]
-	}
-	p.mu.Unlock()
-	for _, dm := range out {
-		if dm.dist == nil {
-			dm.dist = make([]uint8, p.n)
-			for i := range dm.dist {
-				dm.dist[i] = Unreachable
-			}
-		}
-	}
-	if sc == nil {
-		sc = newChunkScratch(p.n)
-	}
-	return sc
+	return dist, visited
 }
 
 //hcpath:noalloc
@@ -224,161 +216,82 @@ func (p *Pool) DropVisited() {
 	p.mu.Unlock()
 }
 
-// chunkScratch is the per-chunk traversal state: one uint64 word per
-// vertex for the seen/frontier/next bit sets, the touched bitmap — a
-// bit for every vertex that ever entered a frontier, under two summary
-// levels (a bit per word of the level below) so the sweep skips 2¹⁸
-// untouched vertices per test — and two flat vertex arrays pre-sized
-// to n so the level loop never grows them by append. Free scratch is
-// kept clean (words zero, vert slices length 0); sweep restores that.
-type chunkScratch struct {
-	seen, frontier, next []uint64
-	touched              [3][]uint64 // ⌈n/64⌉, ⌈n/64²⌉, ⌈n/64³⌉ words
-	frontierVerts        []graph.VertexID
-	nextVerts            []graph.VertexID
+// getScratch fills scs with clean traversal scratch for graphs of n
+// vertices: free sets from the pool, new ones for the shortfall (all of
+// them for a nil pool). Taking a build's sets at once, before any of
+// them runs, keeps a width-w build at exactly w sets in its pool.
+func (p *Pool) getScratch(n int, scs []*scratch) {
+	if p != nil {
+		p.mu.Lock()
+		for i := range scs {
+			if l := len(p.scratch) - 1; l >= 0 {
+				scs[i], p.scratch = p.scratch[l], p.scratch[:l]
+			}
+		}
+		p.mu.Unlock()
+	}
+	for i, sc := range scs {
+		if sc == nil {
+			scs[i] = newScratch(n)
+		}
+	}
 }
 
-func newChunkScratch(n int) *chunkScratch {
-	sc := &chunkScratch{
-		seen:          make([]uint64, n),
-		frontier:      make([]uint64, n),
-		next:          make([]uint64, n),
-		frontierVerts: make([]graph.VertexID, 0, n),
-		nextVerts:     make([]graph.VertexID, 0, n),
+// putScratch returns clean scratch to the pool; a nil pool drops it.
+//
+//hcpath:noalloc
+func (p *Pool) putScratch(scs []*scratch) {
+	if p == nil {
+		return
 	}
-	for l := range sc.touched {
+	p.mu.Lock()
+	p.scratch = append(p.scratch, scs...)
+	p.mu.Unlock()
+}
+
+// scratch is one worker's traversal state, reused by every BFS it runs:
+// the queue, and the touched bitmap — a bit for every vertex a BFS
+// visited, under two summary levels (a bit per word of the level
+// below) so emitting the visited list skips 2¹⁸ untouched vertices per
+// test. Free scratch is clean (bitmap words zero, queue length 0);
+// emit restores that.
+type scratch struct {
+	queue   []graph.VertexID
+	touched [3][]uint64 // ⌈n/64⌉, ⌈n/64²⌉, ⌈n/64³⌉ words
+}
+
+// newScratch lays the three bitmap levels out in one array, so the few
+// summary words every visit writes share no cache line with another
+// worker's.
+func newScratch(n int) *scratch {
+	sc := &scratch{queue: make([]graph.VertexID, 0, n)}
+	var size [3]int
+	for l := range size {
 		n = (n + 63) / 64
-		sc.touched[l] = make([]uint64, n)
+		size[l] = n
+	}
+	words := make([]uint64, size[0]+size[1]+size[2])
+	for l := range sc.touched {
+		sc.touched[l], words = words[:size[l]:size[l]], words[size[l]:]
 	}
 	return sc
 }
 
-// touch records that v entered a frontier.
+// touch records that v was visited.
 //
 //hcpath:noalloc
-func (sc *chunkScratch) touch(v graph.VertexID) {
+func (sc *scratch) touch(v graph.VertexID) {
 	sc.touched[0][v>>6] |= uint64(1) << (v & 63)
 	sc.touched[1][v>>12] |= uint64(1) << (v >> 6 & 63)
 	sc.touched[2][v>>18] |= uint64(1) << (v >> 12 & 63)
 }
 
-// releaseScratch returns scratch to the pool; the caller must already
-// have restored the all-zero invariant. Unpooled scratch is dropped.
+// emit appends the touched vertices to visited in ascending order and
+// zeroes every bitmap word it passes, which is exhaustive because bits
+// enter only at touched vertices. Cost is O(|V|/64³ + |Γ|).
 //
 //hcpath:noalloc
-func releaseScratch(p *Pool, s *chunkScratch) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.scratch = append(p.scratch, s)
-	p.mu.Unlock()
-}
-
-// MultiSource runs hop-bounded BFSs from every source concurrently using
-// 64-way bit parallelism. caps[i] is the depth bound for sources[i];
-// len(caps) must equal len(sources). Results are positionally aligned
-// with sources. Duplicate sources are allowed (each gets its own result).
-func MultiSource(g *graph.Graph, sources []graph.VertexID, caps []uint8) []*DistMap {
-	return MultiSourceIn(g, sources, caps, nil)
-}
-
-// MultiSourceIn is MultiSource drawing each result's storage from pool;
-// the returned maps must be Released when no longer needed. A nil pool
-// falls back to per-chunk flat allocations (never pooled, Release is a
-// no-op).
-func MultiSourceIn(g *graph.Graph, sources []graph.VertexID, caps []uint8, pool *Pool) []*DistMap {
-	return MultiSourceOpts(g, sources, caps, pool, BuildOptions{})
-}
-
-// setupChunk claims the chunk's distance storage and traversal scratch
-// (pooled, or one flat allocation and fresh scratch) and returns the
-// largest cap of the chunk.
-func setupChunk(g *graph.Graph, sources []graph.VertexID, caps []uint8, out []*DistMap, pool *Pool) (maxCap uint8, sc *chunkScratch) {
-	n := g.NumVertices()
-	k := len(sources)
-	if pool != nil {
-		// Pooled arrays arrive clean, so no initialisation pass.
-		for i := 0; i < k; i++ {
-			out[i] = &DistMap{Source: sources[i], Cap: caps[i], pool: pool}
-		}
-		sc = pool.fill(out)
-	} else {
-		sc = newChunkScratch(n)
-		// One flat allocation for all k distance arrays of the chunk.
-		flat := make([]uint8, k*n)
-		for i := range flat {
-			flat[i] = Unreachable
-		}
-		for i := 0; i < k; i++ {
-			out[i] = &DistMap{
-				Source: sources[i],
-				Cap:    caps[i],
-				dist:   flat[i*n : (i+1)*n],
-			}
-		}
-	}
-	for i := 0; i < k; i++ {
-		if caps[i] > maxCap {
-			maxCap = caps[i]
-		}
-	}
-	return maxCap, sc
-}
-
-// seedLevel runs level 0: each source visits itself. Identical sources
-// share a vertex word, which is fine — their bits simply travel
-// together. Returns the initial frontier vertex list (deduplicated via
-// the frontier words themselves).
-//
-//hcpath:noalloc
-func seedLevel(sources []graph.VertexID, out []*DistMap, sc *chunkScratch, counts *[64]int32) []graph.VertexID {
-	frontierVerts := sc.frontierVerts[:0]
-	for i, s := range sources {
-		bit := uint64(1) << uint(i)
-		if sc.frontier[s] == 0 {
-			frontierVerts = append(frontierVerts, s)
-			sc.touch(s)
-		}
-		sc.seen[s] |= bit
-		sc.frontier[s] |= bit
-		out[i].dist[s] = 0
-		counts[i]++
-	}
-	return frontierVerts
-}
-
-// recordWord writes one next-frontier vertex into every slot whose bit
-// is set: dist gets the level depth, the slot's visit count grows.
-//
-//hcpath:noalloc
-func recordWord(out []*DistMap, counts *[64]int32, v graph.VertexID, word uint64, depth uint8) {
-	for ; word != 0; word &= word - 1 {
-		slot := bits.TrailingZeros64(word)
-		out[slot].dist[v] = depth
-		counts[slot]++
-	}
-}
-
-// sizeLists gives every result a visited list that holds its count: a
-// recycled list that is large enough, or one allocated at the exact size.
-func sizeLists(out []*DistMap, counts *[64]int32) {
-	for i, dm := range out {
-		if cap(dm.visited) < int(counts[i]) {
-			dm.visited = make([]graph.VertexID, 0, counts[i])
-		}
-	}
-}
-
-// sweep emits the visited lists: one ascending pass over the touched
-// bitmap appends each vertex to the list of every slot whose seen bit
-// is set, in vertex order, into the capacity sizeLists provided, and
-// zeroes every scratch word it passes, which is exhaustive because bits
-// only enter seen, frontier and next at touched vertices. Cost is
-// O(|V|/64³ + touched + Σ|Γ|).
-//
-//hcpath:noalloc
-func sweep(sc *chunkScratch, out []*DistMap) {
+func (sc *scratch) emit(visited []graph.VertexID) []graph.VertexID {
 	t := &sc.touched
 	for i2, w2 := range t[2] {
 		for ; w2 != 0; w2 &= w2 - 1 {
@@ -386,81 +299,74 @@ func sweep(sc *chunkScratch, out []*DistMap) {
 			for w1 := t[1][i1]; w1 != 0; w1 &= w1 - 1 {
 				i0 := i1<<6 | bits.TrailingZeros64(w1)
 				for w0 := t[0][i0]; w0 != 0; w0 &= w0 - 1 {
-					v := graph.VertexID(i0<<6 | bits.TrailingZeros64(w0))
-					for lanes := sc.seen[v]; lanes != 0; lanes &= lanes - 1 {
-						dm := out[bits.TrailingZeros64(lanes)]
-						dm.visited = append(dm.visited, v)
-					}
-					sc.seen[v], sc.frontier[v], sc.next[v] = 0, 0, 0
+					visited = append(visited, graph.VertexID(i0<<6|bits.TrailingZeros64(w0)))
 				}
 				// w0, w1 and w2 are copies: the words can go now.
 				t[0][i0], t[1][i1], t[2][i2] = 0, 0, 0
 			}
 		}
 	}
+	return visited
 }
 
-// chunkRun advances up to 64 bounded BFSs simultaneously, pushing each
-// level's frontier along out-edges. It is the package's one kernel;
-// concurrent calls on one Pool are safe, each on its own scratch. A
-// non-nil admit confines every lane to the vertices it admits (see
-// admission); every build but Subgraph's passes nil.
-func chunkRun(g *graph.Graph, sources []graph.VertexID, caps []uint8, admit *admission, out []*DistMap, pool *Pool) {
-	k := len(sources)
-	maxCap, sc := setupChunk(g, sources, caps, out, pool)
-	seen, frontier, next := sc.seen, sc.frontier, sc.next
-	var counts [64]int32 // |Γ| so far, per slot
-	frontierVerts := seedLevel(sources, out, sc, &counts)
-	nextVerts := sc.nextVerts[:0]
+// MultiSource runs a hop-bounded BFS from every source. caps[i] is the
+// depth bound for sources[i]; len(caps) must equal len(sources).
+// Results are positionally aligned with sources. Duplicate sources are
+// allowed (each gets its own result).
+func MultiSource(g *graph.Graph, sources []graph.VertexID, caps []uint8) []*DistMap {
+	return MultiSourceIn(g, sources, caps, nil)
+}
 
-	// depth is an int so a 255-hop cap cannot wrap the level counter
-	// (uint8 depth overflowed to 0 past level 255, mislabelling
-	// distances on graphs of diameter > 255).
-	for depth := 1; depth <= int(maxCap) && len(frontierVerts) > 0; depth++ {
-		// Only sources whose cap allows another hop keep propagating.
-		var active uint64
-		for i := 0; i < k; i++ {
-			if int(caps[i]) >= depth {
-				active |= uint64(1) << uint(i)
-			}
+// MultiSourceIn is MultiSource drawing each result's storage from pool;
+// the returned maps must be Released when no longer needed. A nil pool
+// falls back to plain allocations (never pooled, Release is a no-op).
+func MultiSourceIn(g *graph.Graph, sources []graph.VertexID, caps []uint8, pool *Pool) []*DistMap {
+	return MultiSourceOpts(g, sources, caps, pool, BuildOptions{})
+}
+
+// bfs runs one BFS from s bounded at maxDepth hops on sc, into a map
+// drawn from pool. It is the package's one kernel; concurrent calls on
+// one Pool are safe, each on its own scratch. A non-nil admit confines
+// the search to the vertices it admits (see admission); every build
+// but Subgraph's passes nil.
+//
+// The queue holds the visited vertices in order of depth, so the first
+// one at the cap ends the search. A vertex is new while its dist reads
+// Unreachable — except that depth 255 writes that very value, so at
+// that depth the touched bit tells a visited vertex from a new one.
+func bfs(g *graph.Graph, s graph.VertexID, maxDepth uint8, admit *admission, pool *Pool, sc *scratch) *DistMap {
+	dist, visited := pool.get(g.NumVertices())
+	dist[s] = 0
+	sc.touch(s)
+	queue := append(sc.queue, s)
+	for at := 0; at < len(queue); at++ {
+		v := queue[at]
+		d := dist[v]
+		if d == maxDepth {
+			break
 		}
-		for _, v := range frontierVerts {
-			fb := frontier[v] & active
-			frontier[v] = 0
-			if fb == 0 {
+		d++
+		for _, w := range g.OutNeighbors(v) {
+			if dist[w] != Unreachable || d == Unreachable && sc.touched[0][w>>6]&(uint64(1)<<(w&63)) != 0 {
 				continue
 			}
-			for _, w := range g.OutNeighbors(v) {
-				fresh := fb &^ seen[w]
-				if fresh == 0 {
-					continue
-				}
-				if next[w] == 0 {
-					nextVerts = append(nextVerts, w)
-				}
-				next[w] |= fresh
-				seen[w] |= fresh
+			if admit != nil && !admit.admits(w, d) {
+				continue
 			}
-		}
-		if admit != nil {
-			nextVerts = admit.filter(nextVerts, seen, next, depth)
-		}
-		for _, w := range nextVerts {
+			dist[w] = d
 			sc.touch(w)
-			recordWord(out, &counts, w, next[w], uint8(depth))
+			queue = append(queue, w)
 		}
-		frontier, next = next, frontier
-		frontierVerts = frontierVerts[:0]
-		frontierVerts, nextVerts = nextVerts, frontierVerts
 	}
-	sizeLists(out, &counts)
-	sweep(sc, out)
-	sc.frontierVerts, sc.nextVerts = frontierVerts[:0], nextVerts[:0]
-	releaseScratch(pool, sc)
+	if cap(visited) < len(queue) {
+		visited = make([]graph.VertexID, 0, len(queue))
+	}
+	sc.queue = queue[:0]
+	return &DistMap{Source: s, Cap: maxDepth, dist: dist, visited: sc.emit(visited), pool: pool}
 }
 
 // Single runs one hop-bounded BFS; it is MultiSource with a single
-// source but avoids the chunk bookkeeping in tests and tools.
+// source.
 func Single(g *graph.Graph, source graph.VertexID, cap uint8) *DistMap {
 	return MultiSource(g, []graph.VertexID{source}, []uint8{cap})[0]
 }

@@ -49,8 +49,8 @@ type multiSourceCase struct {
 }
 
 // multiSourceCases are one pass through the serial path, and an index's
-// shape — a forward pass and a backward pass on the reverse, four
-// chunks in all — serially and on two goroutines.
+// shape — a forward pass and a backward pass on the reverse, 256
+// searches in all — serially and on two goroutines.
 func multiSourceCases() []multiSourceCase {
 	sources, caps := benchSources()
 	fwd := Pass{G: benchGraph, Sources: sources, Caps: caps}
@@ -84,8 +84,8 @@ func (c multiSourceCase) build(pool *Pool) {
 	}
 }
 
-// BenchmarkMultiSource measures the bit-parallel 64-way BFS, the index
-// construction path of every engine (Then et al. [36]). The pool is
+// BenchmarkMultiSource measures the pooled multi-source build, the
+// index construction path of every engine. The pool is
 // pre-warmed by an untimed iteration, so allocs/op reports the steady
 // state rather than warm-up amortised over whatever b.N the timer
 // picked.
@@ -119,9 +119,9 @@ func TestMultiSourceAllocCeilings(t *testing.T) {
 	}
 }
 
-// BenchmarkRepeatedSingle is the ablation: the same work as
-// BenchmarkMultiSource but one BFS per source, quantifying the gain of
-// sharing adjacency scans across 64 concurrent searches.
+// BenchmarkRepeatedSingle is the ablation: the same searches as
+// BenchmarkMultiSource's Seq case through unpooled Single calls,
+// quantifying what the pool and the shared scratch save.
 func BenchmarkRepeatedSingle(b *testing.B) {
 	sources, caps := benchSources()
 	b.ResetTimer()

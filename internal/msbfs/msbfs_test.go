@@ -64,7 +64,7 @@ func TestPaperFig2Index(t *testing.T) {
 func TestMultiSourceMatchesSingles(t *testing.T) {
 	g := graph.GenPowerLaw(400, 3, 5)
 	rng := rand.New(rand.NewSource(99))
-	// 130 sources spans three 64-bit chunks; varied caps.
+	// 130 sources, past two 64-bit words of them; varied caps.
 	var sources []graph.VertexID
 	var caps []uint8
 	for i := 0; i < 130; i++ {

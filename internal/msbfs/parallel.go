@@ -1,15 +1,16 @@
-// Chunk-level parallelism. The 64-source chunks of a build share
-// nothing but the Pool, which is mutexed: each chunk runs the one
-// sequential kernel (chunkRun) on its own scratch and writes only its
-// own result slots. So a build of several chunks — the chunks of one
-// pass, or of both directions of an index (RunPasses) — runs them on
-// several goroutines with no synchronisation inside the kernel. The
-// chunks form one task list that a claim counter hands out, the
-// package's only atomic; at width one there is neither task list nor
-// goroutine, and the chunks run in order on the caller's goroutine.
+// Source-level parallelism. The searches of a build share nothing but
+// the Pool, which is mutexed: each runs the one sequential kernel (bfs)
+// on its worker's scratch and writes only its own result slot. So a
+// build — the sources of one pass, or of both directions of an index
+// (RunPasses) — hands its sources out one at a time to several
+// goroutines, with no synchronisation inside the kernel. The sources
+// are numbered across the passes and a claim counter hands out the
+// next number, the package's only atomic. At width one no goroutine
+// starts, and the sources run in order on the caller's goroutine.
 package msbfs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +20,8 @@ import (
 // BuildOptions tunes MultiSourceOpts and RunPasses.
 type BuildOptions struct {
 	// Workers is the most goroutines, the caller's included, that run
-	// the build's 64-source chunks at once. Zero or one runs every chunk
-	// in order on the calling goroutine. Results do not depend on it.
+	// the build's searches at once. Zero or one runs every search in
+	// order on the calling goroutine. Results do not depend on it.
 	Workers int
 }
 
@@ -38,23 +39,14 @@ func MultiSourceOpts(g *graph.Graph, sources []graph.VertexID, caps []uint8, poo
 	return RunPasses([]Pass{{G: g, Sources: sources, Caps: caps}}, pool, opt)[0]
 }
 
-// chunk is one task of a parallel build: up to 64 sources of one pass
-// and the result slots they fill.
-type chunk struct {
-	g       *graph.Graph
-	sources []graph.VertexID
-	caps    []uint8
-	out     []*DistMap
-}
-
-// RunPasses runs several multi-source BFSs as one build: their chunks
+// RunPasses runs several multi-source BFSs as one build: their sources
 // form one task list, so independent passes (an index's forward pass
 // on G and backward pass on its reverse) fill the width together. The
 // result of pass i is positionally aligned with passes[i].Sources. All
 // graphs must have the pool's vertex count when pool is non-nil.
 func RunPasses(passes []Pass, pool *Pool, opt BuildOptions) [][]*DistMap {
 	out := make([][]*DistMap, len(passes))
-	nchunks := 0
+	total, n := 0, 0
 	for i, p := range passes {
 		if len(p.Sources) != len(p.Caps) {
 			panic("msbfs: len(sources) != len(caps)")
@@ -63,41 +55,52 @@ func RunPasses(passes []Pass, pool *Pool, opt BuildOptions) [][]*DistMap {
 			panic("msbfs: pool sized for a different graph")
 		}
 		out[i] = make([]*DistMap, len(p.Sources))
-		nchunks += (len(p.Sources) + 63) / 64
+		total += len(p.Sources)
+		n = max(n, p.G.NumVertices())
 	}
-	width := min(nchunks, opt.Workers)
-	if width <= 1 {
-		for i, p := range passes {
-			for lo := 0; lo < len(p.Sources); lo += 64 {
-				hi := min(lo+64, len(p.Sources))
-				chunkRun(p.G, p.Sources[lo:hi], p.Caps[lo:hi], nil, out[i][lo:hi], pool)
-			}
-		}
+	if total == 0 {
 		return out
 	}
-	tasks := make([]chunk, 0, nchunks)
-	for i, p := range passes {
-		for lo := 0; lo < len(p.Sources); lo += 64 {
-			hi := min(lo+64, len(p.Sources))
-			tasks = append(tasks, chunk{p.G, p.Sources[lo:hi], p.Caps[lo:hi], out[i][lo:hi]})
-		}
+	width := min(total, opt.Workers)
+	if width <= 1 {
+		var sc [1]*scratch
+		pool.getScratch(n, sc[:])
+		drain(passes, out, pool, sc[0], new(atomic.Int64))
+		pool.putScratch(sc[:])
+		return out
 	}
+	scs := make([]*scratch, width)
+	pool.getScratch(n, scs)
+	// The goroutines read a copy, so a caller's passes stay off the heap.
+	shared := slices.Clone(passes)
 	var claim atomic.Int64
-	drain := func() {
-		for c := claim.Add(1) - 1; c < int64(len(tasks)); c = claim.Add(1) - 1 {
-			t := &tasks[c]
-			chunkRun(t.g, t.sources, t.caps, nil, t.out, pool)
-		}
-	}
 	var wg sync.WaitGroup
 	wg.Add(width - 1)
-	for w := 1; w < width; w++ {
+	for _, sc := range scs[1:] {
 		go func() {
 			defer wg.Done()
-			drain()
+			drain(shared, out, pool, sc, &claim)
 		}()
 	}
-	drain()
+	drain(shared, out, pool, scs[0], &claim)
 	wg.Wait()
+	pool.putScratch(scs)
 	return out
+}
+
+// drain claims sources by their number across the passes until none
+// is left, and runs each on sc.
+func drain(passes []Pass, out [][]*DistMap, pool *Pool, sc *scratch, claim *atomic.Int64) {
+	for c := int(claim.Add(1) - 1); ; c = int(claim.Add(1) - 1) {
+		i := 0
+		for i < len(passes) && c >= len(passes[i].Sources) {
+			c -= len(passes[i].Sources)
+			i++
+		}
+		if i == len(passes) {
+			return
+		}
+		p := &passes[i]
+		out[i][c] = bfs(p.G, p.Sources[c], p.Caps[c], nil, pool, sc)
+	}
 }

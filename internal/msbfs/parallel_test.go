@@ -106,8 +106,8 @@ func overlaySnapshot(t *testing.T) (g, rev *graph.Graph) {
 }
 
 // tableSources draws nSrc sources with caps 0..7 in which every fifth
-// source repeats an earlier one with its own cap, so lanes of one chunk
-// and chunks of one pass carry the same vertex.
+// source repeats an earlier one with its own cap, so several searches
+// of one pass start at the same vertex.
 func tableSources(rng *rand.Rand, n, nSrc int) ([]graph.VertexID, []uint8) {
 	sources := make([]graph.VertexID, nSrc)
 	caps := make([]uint8, nSrc)
@@ -121,12 +121,12 @@ func tableSources(rng *rand.Rand, n, nSrc int) ([]graph.VertexID, []uint8) {
 	return sources, caps
 }
 
-// TestParallelMatchesSequential is the differential table of the chunk
-// task runner, held to the sequential reference BFS (referenceMaps): a
+// TestParallelMatchesSequential is the differential table of the task
+// runner, held to the sequential reference BFS (referenceMaps): a
 // forward pass on the graph and a backward pass on its reverse, built
 // as one task list, for every width (1 is the serial path), source
-// counts on both sides of every chunk boundary and unequal between the
-// two passes, duplicate sources, caps 0..7, unpooled and through a pool
+// counts on both sides of 64 and 128 and unequal between the two
+// passes, duplicate sources, caps 0..7, unpooled and through a pool
 // whose storage has already cycled once — on the corpus and on a live
 // overlay snapshot.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -147,7 +147,7 @@ func requireRunnerTable(t *testing.T, g, rev *graph.Graph, counts []int) {
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i, nf := range counts {
-		nb := counts[(i+3)%len(counts)] // unequal: the backward pass has its own chunking
+		nb := counts[(i+3)%len(counts)] // unequal: the passes' sources interleave unevenly
 		fs, fc := tableSources(rng, n, nf)
 		bs, bc := tableSources(rng, n, nb)
 		want := [][]*DistMap{referenceMaps(g, fs, fc), referenceMaps(rev, bs, bc)}
@@ -183,7 +183,7 @@ func requireRunnerTable(t *testing.T, g, rev *graph.Graph, counts []int) {
 // through one pool from concurrent goroutines — an Engine's shape when
 // callers share it, in-flight batches sharing the provider's per-|V|
 // pool — and checks every run against the reference. Run under -race
-// this is the chunk-concurrency safety proof.
+// this is the build-concurrency safety proof.
 func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 	g := graph.GenPowerLaw(600, 4, 11)
 	n := g.NumVertices()
@@ -197,7 +197,7 @@ func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 	}
 	runs := make([]run, 4)
 	for i := range runs {
-		s, c := randomSources(rng, n, 200) // 4 chunks each
+		s, c := randomSources(rng, n, 200) // 200 searches each
 		runs[i] = run{s, c, referenceMaps(g, s, c)}
 	}
 	var wg sync.WaitGroup
@@ -232,10 +232,11 @@ func TestParallelConcurrentChunksSharedPool(t *testing.T) {
 	requireCleanPool(t, pool)
 }
 
-// TestScratchPoolReuse: repeated builds through one pool must stop
-// allocating chunk scratch after the first round, and whatever a build
-// did — ran to exhaustion, was cut short by its caps with a frontier
-// still standing, carried the same source in several lanes — the
+// TestScratchPoolReuse: a build takes one scratch set per worker, so
+// after the first round through a fresh pool it holds exactly the
+// build's width of free sets, and later rounds add none. Whatever a
+// build did — ran to exhaustion, was cut short by its caps with a
+// frontier still standing, carried the same source several times — the
 // scratch it hands back is clean to the last word, at every width.
 func TestScratchPoolReuse(t *testing.T) {
 	g := graph.GenRandom(300, 4, 11)
@@ -247,8 +248,8 @@ func TestScratchPoolReuse(t *testing.T) {
 		cutShort bool // source 1 carries the largest cap and could go further
 	}{
 		"random": {random, randomCaps, false},
-		// The last frontier's bits stand in sc.frontier after an even
-		// number of levels and in sc.next after an odd one.
+		// The cap stops the search with vertices still queued, at an
+		// even and at an odd depth.
 		"cutShortEven": {[]graph.VertexID{0, 17, 150, 299}, []uint8{1, 2, 1, 2}, true},
 		"cutShortOdd":  {[]graph.VertexID{0, 17, 150, 299}, []uint8{1, 3, 1, 3}, true},
 		"repeated":     {[]graph.VertexID{7, 7, 7, 120, 120, 7}, []uint8{3, 0, 255, 2, 2, 3}, false},
@@ -258,18 +259,19 @@ func TestScratchPoolReuse(t *testing.T) {
 			t.Fatalf("%s: the cap does not cut the search short, the frontier was already empty", name)
 		}
 		for _, opt := range []BuildOptions{{}, {Workers: 2}} {
+			width := max(1, min(len(b.sources), opt.Workers))
 			pool := NewPool(n)
 			for round := 0; round < 4; round++ {
 				for _, dm := range MultiSourceOpts(g, b.sources, b.caps, pool, opt) {
 					dm.Release()
 				}
 				requireCleanPool(t, pool)
-			}
-			pool.mu.Lock()
-			free := len(pool.scratch)
-			pool.mu.Unlock()
-			if free != 1 {
-				t.Fatalf("%s %+v: pool holds %d free scratch sets after sequentially repeated single-chunk builds, want 1", name, opt, free)
+				pool.mu.Lock()
+				free := len(pool.scratch)
+				pool.mu.Unlock()
+				if free != width {
+					t.Fatalf("%s %+v round %d: pool holds %d free scratch sets, want the build's width %d", name, opt, round, free, width)
+				}
 			}
 			// A fresh pooled run on the recycled scratch equals the reference.
 			requireEqualMaps(t, n, MultiSourceOpts(g, b.sources, b.caps, pool, opt), referenceMaps(g, b.sources, b.caps))

@@ -134,3 +134,23 @@ func TestContainsAtMaxCap(t *testing.T) {
 		t.Errorf("|Γ| = %d, want 2", dm.NumVisited())
 	}
 }
+
+// TestVisitedExactAtMaxCap: depth 255 writes the Unreachable value into
+// dist, so a vertex reached at that depth from two parents must still
+// be queued once, and its source's visited list allocated at its exact
+// size. Here 253 hops of a line fork into two vertices that meet again
+// at depth 255.
+func TestVisitedExactAtMaxCap(t *testing.T) {
+	var edges []graph.Edge
+	for v := graph.VertexID(0); v < 253; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: v + 1})
+	}
+	edges = append(edges, graph.Edge{Src: 253, Dst: 254}, graph.Edge{Src: 253, Dst: 255},
+		graph.Edge{Src: 254, Dst: 256}, graph.Edge{Src: 255, Dst: 256})
+	g := graph.FromEdges(257, edges)
+	requireMatchesReference(t, g, []graph.VertexID{0}, []uint8{255})
+	dm := Single(g, 0, 255)
+	if dm.NumVisited() != 257 || cap(dm.Visited()) != 257 {
+		t.Fatalf("|Γ| = %d in a list of capacity %d, want both 257", dm.NumVisited(), cap(dm.Visited()))
+	}
+}

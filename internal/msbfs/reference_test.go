@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/store"
 	"repro/internal/testgraphs"
@@ -71,9 +72,9 @@ func requireMatchesReference(t *testing.T, g *graph.Graph, sources []graph.Verte
 }
 
 // requireCleanPool asserts the invariant acquisition relies on: every
-// free dist array all-Unreachable, every word of every free scratch —
-// seen, frontier, next, every level of the touched bitmap — zero,
-// every free vertex slice empty.
+// free dist array all-Unreachable, every free visited list empty, and
+// every free scratch clean — every level of the touched bitmap zero,
+// the queue empty.
 func requireCleanPool(t *testing.T, p *Pool) {
 	t.Helper()
 	p.mu.Lock()
@@ -89,19 +90,15 @@ func requireCleanPool(t *testing.T, p *Pool) {
 		}
 	}
 	for _, sc := range p.scratch {
-		words := map[string][]uint64{
-			"seen": sc.seen, "frontier": sc.frontier, "next": sc.next,
-			"touched[0]": sc.touched[0], "touched[1]": sc.touched[1], "touched[2]": sc.touched[2],
-		}
-		for name, ws := range words {
+		for l, ws := range sc.touched {
 			for i, w := range ws {
 				if w != 0 {
-					t.Fatalf("free scratch: %s[%d] = %#x, want 0", name, i, w)
+					t.Fatalf("free scratch: touched[%d][%d] = %#x, want 0", l, i, w)
 				}
 			}
 		}
-		if len(sc.frontierVerts) != 0 || len(sc.nextVerts) != 0 {
-			t.Fatalf("free scratch: vertex slices have length %d/%d, want 0", len(sc.frontierVerts), len(sc.nextVerts))
+		if len(sc.queue) != 0 {
+			t.Fatalf("free scratch: queue has length %d, want 0", len(sc.queue))
 		}
 	}
 }
@@ -115,6 +112,53 @@ func TestKernelsMatchReference(t *testing.T) {
 			sources, caps := randomSources(rng, g.NumVertices(), 130)
 			requireMatchesReference(t, g, sources, caps)
 		})
+	}
+}
+
+// standInSources returns the graphs and sources of the benchmark's two
+// offline batch shapes at a test's size: the EP stand-in with 100
+// random sources capped 5–7 (offline_sparse_random: independent
+// queries, hubs and communities), and the UK stand-in with its vertex
+// of largest in-degree and all of that vertex's in-neighbours capped
+// 6–7 (offline_dense_similar: one seed query's source moved to its
+// in-neighbours, so the searches overlap heavily).
+func standInSources(t *testing.T) map[string]Pass {
+	t.Helper()
+	build := func(code string, scale float64) *graph.Graph {
+		sp, err := datasets.ByCode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp.Build(scale)
+	}
+	ep := build("EP", 1)
+	rng := rand.New(rand.NewSource(37))
+	sparse := Pass{G: ep}
+	for i := 0; i < 100; i++ {
+		sparse.Sources = append(sparse.Sources, graph.VertexID(rng.Intn(ep.NumVertices())))
+		sparse.Caps = append(sparse.Caps, uint8(5+rng.Intn(3)))
+	}
+	uk := build("UK", 0.25)
+	ukr := uk.Reverse()
+	seed := graph.VertexID(0)
+	for v := graph.VertexID(1); int(v) < uk.NumVertices(); v++ {
+		if ukr.OutDegree(v) > ukr.OutDegree(seed) {
+			seed = v
+		}
+	}
+	dense := Pass{G: uk, Sources: append([]graph.VertexID{seed}, ukr.OutNeighbors(seed)...)}
+	for i := range dense.Sources {
+		dense.Caps = append(dense.Caps, uint8(6+i%2))
+	}
+	return map[string]Pass{"EP-sparse": sparse, "UK-dense": dense}
+}
+
+// TestStandInsMatchReference holds the build to the reference on the
+// graph shapes the benchmark runs, which the corpus's rings and random
+// graphs lack: hubs, communities and heavily overlapping searches.
+func TestStandInsMatchReference(t *testing.T) {
+	for name, p := range standInSources(t) {
+		t.Run(name, func(t *testing.T) { requireMatchesReference(t, p.G, p.Sources, p.Caps) })
 	}
 }
 
@@ -138,7 +182,7 @@ func TestReferenceAtBitmapBoundaries(t *testing.T) {
 			for i := range caps {
 				caps[i] = []uint8{3, 0, 255, 70, 2}[i%5]
 			}
-			nSrc := 70 // with the boundary sources: two chunks
+			nSrc := 70 // with the boundary sources, past 64
 			if n > 1<<16 {
 				nSrc = 4 // every source costs O(n) to build, compare and check clean
 			}

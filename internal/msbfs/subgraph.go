@@ -12,27 +12,14 @@ type admission struct {
 	k     uint8
 }
 
-// filter keeps those of verts, the vertices first reached at depth,
-// that the admission admits. A rejected vertex loses the seen and next
-// bits this level gave it and is never touched, so the sweep's
-// clean-scratch invariant holds and a later level may reach it again
-// (to be rejected again: the test only tightens with depth).
+// admits reports whether v, first reached at depth, enters the build.
+// A rejected vertex keeps its Unreachable dist and gets no touched bit,
+// so it is tested again if reached again (and rejected again: the test
+// only tightens with depth).
 //
 //hcpath:noalloc
-func (a *admission) filter(verts []graph.VertexID, seen, next []uint64, depth int) []graph.VertexID {
-	if depth <= int(a.free) {
-		return verts
-	}
-	kept := verts[:0]
-	for _, v := range verts {
-		if int(a.other.Dist(v))+depth <= int(a.k) {
-			kept = append(kept, v)
-			continue
-		}
-		seen[v] &^= next[v]
-		next[v] = 0
-	}
-	return kept
+func (a *admission) admits(v graph.VertexID, depth uint8) bool {
+	return depth <= a.free || int(a.other.Dist(v))+int(depth) <= int(a.k)
 }
 
 // Subgraph builds the two distance maps a single query (s, t, k) reads
@@ -58,12 +45,12 @@ func (a *admission) filter(verts []graph.VertexID, seen, next []uint64, depth in
 // level sizes at a. The maps are drawn from pool (nil allocates).
 func Subgraph(g, gr *graph.Graph, s, t graph.VertexID, k uint8, pool *Pool) (fwd, bwd *DistMap) {
 	a := k - k/2
-	ends := [2]graph.VertexID{s, t}
-	caps := [2]uint8{a, k}
-	var out [3]*DistMap
-	chunkRun(gr, ends[1:], caps[:1], nil, out[:1], pool)
-	chunkRun(g, ends[:1], caps[1:], &admission{other: out[0], free: a, k: k}, out[1:2], pool)
-	chunkRun(gr, ends[1:], caps[1:], &admission{other: out[1], free: a, k: k}, out[2:], pool)
-	out[0].Release()
-	return out[1], out[2]
+	var sc [1]*scratch
+	pool.getScratch(g.NumVertices(), sc[:])
+	ball := bfs(gr, t, a, nil, pool, sc[0])
+	fwd = bfs(g, s, k, &admission{other: ball, free: a, k: k}, pool, sc[0])
+	bwd = bfs(gr, t, k, &admission{other: fwd, free: a, k: k}, pool, sc[0])
+	pool.putScratch(sc[:])
+	ball.Release()
+	return fwd, bwd
 }

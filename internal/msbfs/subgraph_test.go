@@ -39,20 +39,22 @@ func referenceAdmitted(g *graph.Graph, s graph.VertexID, cap uint8, admit func(g
 	return &DistMap{Source: s, Cap: cap, dist: dist, visited: visited}
 }
 
-// admittedBuild runs the kernel under admit over sources in chunks of
-// 64, the way RunPasses chunks a pass.
+// admittedBuild runs the kernel under admit from every source in
+// order on one scratch, the way RunPasses runs a pass at width one.
 func admittedBuild(g *graph.Graph, sources []graph.VertexID, caps []uint8, admit *admission, pool *Pool) []*DistMap {
 	out := make([]*DistMap, len(sources))
-	for lo := 0; lo < len(sources); lo += 64 {
-		hi := min(lo+64, len(sources))
-		chunkRun(g, sources[lo:hi], caps[lo:hi], admit, out[lo:hi], pool)
+	var sc [1]*scratch
+	pool.getScratch(g.NumVertices(), sc[:])
+	for i, s := range sources {
+		out[i] = bfs(g, s, caps[i], admit, pool, sc[0])
 	}
+	pool.putScratch(sc[:])
 	return out
 }
 
 // requireAdmittedMatchesReference builds sources under an admission
 // whose other map is the ball of root on rev capped at free, unpooled
-// and twice through one pool, against referenceAdmitted lane by lane,
+// and twice through one pool, against referenceAdmitted source by source,
 // and holds the pool to its clean-storage invariant after each round.
 func requireAdmittedMatchesReference(t *testing.T, g, rev *graph.Graph, sources []graph.VertexID, caps []uint8, root graph.VertexID, free, k uint8) {
 	t.Helper()
@@ -78,9 +80,9 @@ func requireAdmittedMatchesReference(t *testing.T, g, rev *graph.Graph, sources 
 }
 
 // TestAdmittedBuildMatchesReference: on the corpus and an overlay
-// snapshot, a build under an admission test — one lane and two chunks'
-// worth, free radii 0…3, bounds below and above the caps — equals the
-// reference BFS restricted by the same predicate.
+// snapshot, a build under an admission test — one source and 70, free
+// radii 0…3, bounds below and above the caps — equals the reference
+// BFS restricted by the same predicate.
 func TestAdmittedBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	graphs := corpus()

@@ -221,14 +221,6 @@ func orderByResidual(nbrs []graph.VertexID, other *msbfs.DistMap, scratch []grap
 	return scratch
 }
 
-// EnumerateStandalone builds the two BFS index entries itself and then
-// enumerates; the per-query convenience used by examples and the CLI.
-func EnumerateStandalone(g, gr *graph.Graph, q query.Query, opts Options, emit func(path []graph.VertexID)) {
-	fwd := msbfs.Single(g, q.S, q.K)
-	bwd := msbfs.Single(gr, q.T, q.K)
-	Enumerate(g, gr, q, fwd, bwd, opts, emit)
-}
-
 // Materialized mimics the Fig. 3(c) measurement: given pre-enumerated
 // results in a store, it scans them once (the "retrieve and scan"
 // baseline the paper uses to expose the enumeration/materialisation

@@ -64,7 +64,7 @@ func BenchmarkEnumerateOptimized(b *testing.B) {
 func BenchmarkEnumerateStandalone(b *testing.B) {
 	c := getCase(b)
 	for i := 0; i < b.N; i++ {
-		EnumerateStandalone(c.g, c.gr, c.q, Options{}, func([]graph.VertexID) {})
+		Enumerate(c.g, c.gr, c.q, msbfs.Single(c.g, c.q.S, c.q.K), msbfs.Single(c.gr, c.q.T, c.q.K), Options{}, func([]graph.VertexID) {})
 	}
 }
 

@@ -23,7 +23,7 @@ func posMod(x, m int) int { return ((x % m) + m) % m }
 
 func enumStrings(g, gr *graph.Graph, q query.Query, opts Options) []string {
 	var out []string
-	EnumerateStandalone(g, gr, q, opts, func(p []graph.VertexID) {
+	Enumerate(g, gr, q, msbfs.Single(g, q.S, q.K), msbfs.Single(gr, q.T, q.K), opts, func(p []graph.VertexID) {
 		out = append(out, fmt.Sprint(p))
 	})
 	return sorted(out)
@@ -122,7 +122,7 @@ func TestHopConstraintRespected(t *testing.T) {
 	gr := g.Reverse()
 	for k := uint8(1); k <= 7; k++ {
 		q := query.Query{S: 0, T: 11, K: k}
-		EnumerateStandalone(g, gr, q, Options{}, func(p []graph.VertexID) {
+		Enumerate(g, gr, q, msbfs.Single(g, q.S, q.K), msbfs.Single(gr, q.T, q.K), Options{}, func(p []graph.VertexID) {
 			if uint8(len(p)-1) > k {
 				t.Fatalf("k=%d: path %v exceeds hop constraint", k, p)
 			}
@@ -193,7 +193,7 @@ func TestEnumerateWithSharedIndex(t *testing.T) {
 // collectResults materialises a query's full results into a store.
 func collectResults(g, gr *graph.Graph, q query.Query) *pathjoin.Store {
 	s := pathjoin.NewStore(8, 64)
-	EnumerateStandalone(g, gr, q, Options{}, func(p []graph.VertexID) { s.Add(p) })
+	Enumerate(g, gr, q, msbfs.Single(g, q.S, q.K), msbfs.Single(gr, q.T, q.K), Options{}, func(p []graph.VertexID) { s.Add(p) })
 	return s
 }
 
@@ -215,7 +215,7 @@ func TestEmittedSliceReused(t *testing.T) {
 	gr := g.Reverse()
 	q := query.Query{S: 0, T: 11, K: 5}
 	var stash [][]graph.VertexID
-	EnumerateStandalone(g, gr, q, Options{}, func(p []graph.VertexID) {
+	Enumerate(g, gr, q, msbfs.Single(g, q.S, q.K), msbfs.Single(gr, q.T, q.K), Options{}, func(p []graph.VertexID) {
 		cp := make([]graph.VertexID, len(p))
 		copy(cp, p)
 		stash = append(stash, cp)
