@@ -173,9 +173,9 @@ type Options struct {
 	MaxHops int
 	// Workers is the enumeration parallelism: how many goroutines drain
 	// a batch's tasks — one PathEnum per query for the independent
-	// engines; for the batch engines one build per sharing group, then
-	// one ⊕ join per distinct join input of the group (queries that
-	// repeat one another share one). Zero or negative means
+	// engines; for the batch engines, which answer each distinct query
+	// once for all its copies, one build per sharing group of distinct
+	// queries, then one ⊕ join per distinct query. Zero or negative means
 	// GOMAXPROCS, like the index build; a positive count is exact, and
 	// one runs the batch inline on the calling goroutine. This public
 	// layer resolves the value once (resolveWorkers); every internal
@@ -326,8 +326,9 @@ type Stats struct {
 	// of recomputed — the direct measure of sharing.
 	SplicedPaths int64
 	// IndexHits and IndexMisses count the run's index probes (two per
-	// query) answered from the provider's cross-batch cache vs built
-	// fresh; without a cache every probe is a miss.
+	// distinct query for the batch engines, two per query for the
+	// independent ones) answered from the provider's cross-batch cache
+	// vs built fresh; without a cache every probe is a miss.
 	IndexHits, IndexMisses int
 	// Truncated counts queries whose result sets were cut short — by
 	// Options.Limit or by cancellation. Zero means every result set in
@@ -477,7 +478,7 @@ func (e *Engine) StreamContext(ctx context.Context, qs []Query, emit func(queryI
 		return Stats{}, err
 	}
 	ctrl := e.control(ctx, len(qs))
-	// The queries of a shared join receive one slice, so emit gets a
+	// Copies of one query receive one slice, so emit gets a
 	// fresh copy in buf for each of them: a callback that writes into
 	// its path cannot change what the next query receives. mu guards
 	// buf too.

@@ -115,10 +115,10 @@ func (o Options) gamma() float64 {
 // Stats reports how a run spent its time and how much sharing it found.
 type Stats struct {
 	Phases timing.Breakdown
-	// NumQueries is the batch size after validation.
+	// NumQueries is the batch size after validation, copies included.
 	NumQueries int
-	// NumGroups is the number of clusters ClusterQuery produced
-	// (BatchEnum engines only).
+	// NumGroups is the number of clusters ClusterQuery produced from the
+	// batch's distinct queries (BatchEnum engines only).
 	NumGroups int
 	// SharedNodes counts the dominating HC-s path queries detected
 	// across both directions of all groups.
@@ -132,9 +132,10 @@ type Stats struct {
 	// SplicedPaths counts partial paths obtained by splicing a cached
 	// sub-query instead of recursing, the direct measure of reuse.
 	SplicedPaths int64
-	// IndexHits and IndexMisses count the batch's index probes (two per
-	// query: forward and backward) answered from the provider's cache vs
-	// built fresh. A cold build is all misses.
+	// IndexHits and IndexMisses count the batch's index probes answered
+	// from the provider's cache vs built fresh: two per distinct query
+	// (forward and backward) for the sharing engines, two per query for
+	// the Basic ones. A cold build is all misses.
 	IndexHits, IndexMisses int
 	// Truncated counts queries whose result sets were cut short — by a
 	// per-query emission limit or by cancellation mid-run. Zero means
@@ -162,11 +163,17 @@ func (st *Stats) add(t *Stats) {
 // selected engine, emitting results through sink keyed by query ID.
 // Queries are assigned IDs positionally and validated first.
 //
-// The batch is partitioned into groups — ClusterQuery's clusters for
+// The sharing engines then answer each distinct query once: it leads
+// the class of its copies, and every later stage — the index, the
+// clustering, Ψ and the joins — runs on the leads, each result going to
+// the sink once with the whole class (see distinct). The Basic engines
+// answer every query on its own.
+//
+// The leads are partitioned into groups — ClusterQuery's clusters for
 // the sharing engines (Algorithm 4), one group per query for the Basic
 // ones (Algorithm 1) — and the groups become tasks on one work list (see
 // workList): a group's build task runs its detection and shared
-// enumeration and then pushes one ⊕ join task per distinct join input,
+// enumeration and then pushes one ⊕ join task per lead in hop range,
 // each independent of every other. Up to opts.Workers goroutines drain
 // the list, the caller's included, and Run returns once every task has
 // ended, so no emission follows it. With at most one worker the caller
@@ -182,7 +189,8 @@ func (st *Stats) add(t *Stats) {
 // emitted through sink is valid (each emitted path is a real result;
 // queries the engine did not finish are counted in Stats.Truncated).
 // Per-query limits are safe on any number of workers because each task
-// owns its queries: a build task its group's, a join task its class's.
+// owns its queries: a build task its group's classes, a join task its
+// lead's class.
 // Limit-truncated queries are not an error: the run returns nil with
 // Stats.Truncated set, and ctrl.QueryErr distinguishes ErrLimitReached
 // from cancellation per query.
@@ -195,16 +203,17 @@ func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Co
 	if len(qs) == 0 {
 		return st, nil
 	}
+	leads, classes := distinct(qs, opts.Algorithm.Shared())
 
 	stop := st.Phases.Start(timing.BuildIndex)
-	idx := opts.acquire(g, gr, qs)
+	idx := opts.acquire(g, gr, leads)
 	stop()
 	defer idx.Release()
 	st.IndexHits, st.IndexMisses = idx.Hits, idx.Misses
 
 	if !ctrl.Cancelled() {
-		groups := partition(qs, idx, opts, st)
-		b := &batch{g: g, gr: gr, qs: qs, idx: idx, opts: opts, ctrl: ctrl, sink: sink, st: st}
+		groups := partition(leads, classes, idx, opts, st)
+		b := &batch{g: g, gr: gr, qs: leads, classes: classes, idx: idx, opts: opts, ctrl: ctrl, sink: sink, st: st}
 		b.drain(groups)
 	}
 	st.Truncated = ctrl.NumTruncated()
@@ -214,19 +223,67 @@ func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Co
 	return st, nil
 }
 
-// partition splits the batch into its units of work. Algorithm 4
-// clusters the queries (Algorithm 2) and reports the cluster count;
-// Algorithm 1 shares nothing but the index, so every query is its own
-// group and NumGroups stays zero.
-func partition(qs []query.Query, idx *hcindex.Index, opts Options, st *Stats) [][]int {
-	if !opts.Algorithm.Shared() {
-		all := make([]int, len(qs))
-		groups := make([][]int, len(qs))
-		for i := range all {
-			all[i] = i
-			groups[i] = all[i : i+1 : i+1]
+// distinct splits the validated batch qs into leads — its distinct
+// queries, (S, T, K) equal, in order of first occurrence — and the
+// class of each lead: the IDs of its copies in batch order, lead first.
+// Copies have equal answers, so a result of the lead is emitted once
+// with its class, and the Control charges every member in lockstep.
+// Without dedupe (Algorithm 1, the independent baseline) every query
+// leads a class of itself, as the one query of a batch of one does.
+func distinct(qs []query.Query, dedupe bool) (leads []query.Query, classes [][]int) {
+	n := len(qs)
+	classes = make([][]int, 0, n)
+	if !dedupe || n == 1 {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+			classes = append(classes, ids[i:i+1:i+1])
 		}
-		return groups
+		return qs, classes
+	}
+	ints := make([]int, 3*n+1)
+	ids, of, end := ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+	// of[i] is query i's lead; end[c+1] counts lead c's copies.
+	lead := make(map[query.Query]int, n) // keyed with ID zero
+	leads = make([]query.Query, 0, n)
+	for i, q := range qs {
+		key := q
+		key.ID = 0
+		c, ok := lead[key]
+		if !ok {
+			c = len(leads)
+			lead[key] = c
+			leads = append(leads, q)
+		}
+		of[i] = c
+		end[c+1]++
+	}
+	// A counting sort, as in pathjoin.HashIndex: running sums make end[c]
+	// class c's first slot, and placing the queries in batch order walks
+	// it to the class's end.
+	for c := 1; c < len(leads); c++ {
+		end[c] += end[c-1]
+	}
+	for i, c := range of {
+		ids[end[c]] = i
+		end[c]++
+	}
+	first := 0
+	for c := range leads {
+		classes = append(classes, ids[first:end[c]:end[c]])
+		first = end[c]
+	}
+	return leads, classes
+}
+
+// partition splits the batch's leads into its units of work. Algorithm
+// 4 clusters them (Algorithm 2) and reports the cluster count; Algorithm
+// 1 shares nothing but the index, so every query is its own group and
+// NumGroups stays zero. Without dedupe a lead's position is its ID, so
+// the groups are the classes (copied: drain reorders its groups).
+func partition(qs []query.Query, classes [][]int, idx *hcindex.Index, opts Options, st *Stats) [][]int {
+	if !opts.Algorithm.Shared() {
+		return slices.Clone(classes)
 	}
 	stop := st.Phases.Start(timing.ClusterQuery)
 	cl := cluster.ClusterQueries(idx, qs, opts.gamma())
@@ -235,40 +292,31 @@ func partition(qs []query.Query, idx *hcindex.Index, opts Options, st *Stats) []
 	return cl.Groups
 }
 
-// batch is what every task of one run reads — the graphs, the
-// validated queries, the index, the options, the Control and the sink —
-// plus the run's work list and the stats its tasks fold into.
+// batch is what every task of one run reads — the graphs, the leads and
+// their classes, the index, the options, the Control and the sink —
+// plus the run's work list and the stats its tasks fold into. Groups,
+// the index and Ψ's half queries number the leads by position in qs.
 type batch struct {
-	g, gr *graph.Graph
-	qs    []query.Query
-	idx   *hcindex.Index
-	opts  Options
-	ctrl  *query.Control
-	sink  query.Sink
-	list  workList
-	st    *Stats
+	g, gr   *graph.Graph
+	qs      []query.Query
+	classes [][]int
+	idx     *hcindex.Index
+	opts    Options
+	ctrl    *query.Control
+	sink    query.Sink
+	list    workList
+	st      *Stats
 }
 
 // task is one unit of a run's work list. A build task (group set) runs a
-// whole group of one query, or a larger group's detection and shared
-// enumeration, which then pushes its joins. A join task (members set)
-// is the ⊕ join of one class of the group's queries: those whose joins
-// read the same forward store, backward index, K and split side, and so
-// emit the same paths. members lists the class in group order; query
-// IDs are batch positions, so it is also the ID list.
+// whole group of one lead, or a larger group's detection and shared
+// enumeration, which then pushes its joins. A join task is the ⊕ join
+// of one lead of the group, emitted for its class.
 type task struct {
 	group     []int
-	members   []int
+	lead      int
 	fwd       *pathjoin.Store
 	bwd       *pathjoin.HashIndex
-	backHeavy bool
-}
-
-// joinKey is what a query's ⊕ join reads: two queries with equal keys
-// emit equal path sequences.
-type joinKey struct {
-	fwd, bwd  *pathjoin.Store
-	k         uint8
 	backHeavy bool
 }
 
@@ -289,7 +337,7 @@ type workList struct {
 
 // drain runs every group through the work list on up to opts.Workers
 // goroutines — the paper's "deploy more servers to process these
-// queries in parallel", on one machine — capped at one per query, the
+// queries in parallel", on one machine — capped at one per lead, the
 // most tasks that can ever run at once. Build tasks are pushed largest
 // group first: the largest is the longest serial stretch and opens the
 // most joins, and its joins go on top, so its Ψ stores die soonest.
@@ -361,7 +409,7 @@ func (b *batch) work() {
 		switch {
 		case b.ctrl.Cancelled():
 		case len(t.group) == 1:
-			b.processSingle(t.group, &st)
+			b.processSingle(t.group[0], &st)
 		case t.group != nil:
 			produced = b.processGroup(t.group, &st)
 		default:
@@ -382,7 +430,7 @@ func (b *batch) work() {
 	}
 }
 
-// budgets returns the forward/backward hop budgets of query qi, using
+// budgets returns the forward/backward hop budgets of lead qi, using
 // the cost-balanced cut for the optimised engines.
 func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, bb uint8) {
 	q := qs[qi]
@@ -393,28 +441,23 @@ func budgets(qs []query.Query, idx *hcindex.Index, qi int, optimized bool) (fb, 
 	return q.FwdBudget(), q.BwdBudget()
 }
 
-// processSingle answers the query of a one-query group with PathEnum
-// over the batch index — Algorithm 1. A group of one query has nothing
-// to share — every group of the Basic engines, and any cluster of a
-// sharing engine that no other query joined — so detection would return
-// an empty Ψ and the pipeline would only add its bookkeeping. The group
-// is also the query's class of emission IDs (query IDs are batch
-// positions).
-func (b *batch) processSingle(group []int, st *Stats) {
+// processSingle answers lead qi, a one-query group, with PathEnum over
+// the batch index — Algorithm 1 — for its class. A group of one query
+// has nothing to share — every group of the Basic engines, and any
+// cluster of a sharing engine that no other lead joined — so detection
+// would return an empty Ψ and the pipeline would only add its
+// bookkeeping.
+func (b *batch) processSingle(qi int, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	qi := group[0]
-	pathenum.EnumerateControlled(b.g, b.gr, b.qs[qi], group,
+	pathenum.EnumerateControlled(b.g, b.gr, b.qs[qi], b.classes[qi],
 		b.idx.DistMapFor(qi, hcindex.Forward), b.idx.DistMapFor(qi, hcindex.Backward),
 		pathenum.Options{Optimized: b.opts.Algorithm.Optimized()}, b.ctrl, b.sink)
 }
 
 // processGroup runs detection and shared enumeration for one cluster of
-// two or more queries (Algorithm 4) and returns one join task per class
-// of queries whose target is in hop range and whose joins read the same
-// inputs. Ψ already enumerates identical halves once, aliasing a
-// duplicate's store to its provider's; the class shares the join too,
-// which is where repeated queries would otherwise pay again. The Ψ
-// caches live only for this call; the tasks hold each class's halves.
+// two or more leads (Algorithm 4) and returns one join task per lead
+// whose target is in hop range. The Ψ caches live only for this call;
+// the tasks hold each lead's halves.
 func (b *batch) processGroup(group []int, st *Stats) []task {
 	qs, idx, ctrl := b.qs, b.idx, b.ctrl
 	optimized := b.opts.Algorithm.Optimized()
@@ -426,7 +469,7 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 		if idx.Reachable(qi, qs[qi]) {
 			live = append(live, qi)
 		} else {
-			ctrl.MarkComplete(qs[qi].ID) // provably empty result set
+			b.complete(qi) // provably empty result set
 		}
 	}
 	if len(live) == 0 {
@@ -459,62 +502,39 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 	if ctrl.Cancelled() {
 		return nil // partial Ψ stores must not reach the joins
 	}
-	// One join task per class. Backward halves of similar queries often
-	// alias one shared store; the probe-side hash index is built once
-	// per distinct store, which several classes may share. members is a
-	// counting sort of the live queries by class, as in
-	// pathjoin.HashIndex: each class contiguous, in group order.
-	n := len(live)
-	ints := make([]int, 3*n+1)
-	members, of, start := ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
-	classes := make(map[joinKey]int, n)
-	indexes := make(map[*pathjoin.Store]*pathjoin.HashIndex, n)
-	joins := make([]task, 0, n)
+	// Backward halves of similar queries often alias one shared store;
+	// the probe-side hash index is built once per distinct store.
+	indexes := make(map[*pathjoin.Store]*pathjoin.HashIndex, len(live))
+	joins := make([]task, len(live))
 	for i, qi := range live {
-		key := joinKey{fwdStores[i], bwdStores[i], qs[qi].K, fwdHalves[i].Budget < bwdHalves[i].Budget}
-		c, ok := classes[key]
-		if !ok {
-			c = len(joins)
-			classes[key] = c
-			h := indexes[key.bwd]
-			if h == nil {
-				h = pathjoin.BuildHashIndex(key.bwd)
-				indexes[key.bwd] = h
-			}
-			joins = append(joins, task{fwd: key.fwd, bwd: h, backHeavy: key.backHeavy})
+		h := indexes[bwdStores[i]]
+		if h == nil {
+			h = pathjoin.BuildHashIndex(bwdStores[i])
+			indexes[bwdStores[i]] = h
 		}
-		of[i] = c
-		start[c]++
-	}
-	// Running sums turn the class sizes into class ends; placing the
-	// queries last to first walks each end back to its class's start.
-	for c := 1; c < len(joins); c++ {
-		start[c] += start[c-1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		start[of[i]]--
-		members[start[of[i]]] = live[i]
-	}
-	start[len(joins)] = n
-	for c := range joins {
-		joins[c].members = members[start[c]:start[c+1]:start[c+1]]
+		joins[i] = task{lead: qi, fwd: fwdStores[i], bwd: h, backHeavy: fwdHalves[i].Budget < bwdHalves[i].Budget}
 	}
 	return joins
 }
 
-// join runs one class's ⊕ join against its group's stores once and
-// emits every result path once for the whole class, whose members then
+// join runs one lead's ⊕ join against its group's stores and emits
+// every result path once for the lead's class, whose members then
 // complete unless the run was cancelled. The task was the last holder
-// of the class's forward store; aliased backward stores live until
-// their last class's join ends.
+// of the lead's forward store; aliased backward stores live until
+// their last lead's join ends.
 func (b *batch) join(t task, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
-	j := pathjoin.NewJoiner(t.bwd, b.qs[t.members[0]].K, t.backHeavy, b.ctrl, t.members, b.sink)
+	j := pathjoin.NewJoiner(t.bwd, b.qs[t.lead].K, t.backHeavy, b.ctrl, b.classes[t.lead], b.sink)
 	j.JoinStore(t.fwd)
 	if !b.ctrl.Cancelled() {
-		for _, id := range t.members {
-			b.ctrl.MarkComplete(id)
-		}
+		b.complete(t.lead)
+	}
+}
+
+// complete marks every query of lead qi's class answered in full.
+func (b *batch) complete(qi int) {
+	for _, id := range b.classes[qi] {
+		b.ctrl.MarkComplete(id)
 	}
 }
 
@@ -568,33 +588,62 @@ func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, opt
 
 // spliceIndex groups a provider store's paths by their end vertex, so a
 // consumer can reject a whole group with one memoised bound check
-// instead of filtering path by path. minLen is the shortest path length
-// (in vertices) within the group — the best case for the bound check.
+// instead of filtering path by path. It is a counting sort of the
+// store's path indices, as in pathjoin.HashIndex: group gi ends at
+// ends[gi], its paths are items[start[gi]:start[gi+1]] in store order,
+// and minLen[gi] is the shortest of them (in vertices) — the best case
+// for the bound check. The groups are numbered in the traversal's
+// per-vertex scratch, not a map, so an index costs three allocations
+// however many end vertices the store has.
 type spliceIndex struct {
 	ends   []graph.VertexID
-	minLen []int
-	groups [][]int32
+	minLen []int32
+	start  []int32
+	items  []int32
 }
 
-// buildSpliceIndex indexes store by end vertex.
-func buildSpliceIndex(store *pathjoin.Store) *spliceIndex {
-	si := &spliceIndex{}
-	slot := make(map[graph.VertexID]int, 64)
-	for i := 0; i < store.Len(); i++ {
+// buildSpliceIndex indexes store by end vertex. slot is per-vertex
+// scratch that must be all zero; it is zero again on return.
+func buildSpliceIndex(store *pathjoin.Store, slot []int32) *spliceIndex {
+	n := store.Len()
+	// slot[v] numbers end vertex v's group from one, in store order.
+	groups := int32(0)
+	for i := 0; i < n; i++ {
+		p := store.Path(i)
+		if end := p[len(p)-1]; slot[end] == 0 {
+			groups++
+			slot[end] = groups
+		}
+	}
+	arrays := make([]int32, 2*int(groups)+1+n)
+	si := &spliceIndex{
+		ends:   make([]graph.VertexID, groups),
+		minLen: arrays[:groups:groups],
+		start:  arrays[groups : 2*groups+1 : 2*groups+1],
+		items:  arrays[2*groups+1:],
+	}
+	for i := 0; i < n; i++ {
 		p := store.Path(i)
 		end := p[len(p)-1]
-		gi, ok := slot[end]
-		if !ok {
-			gi = len(si.ends)
-			slot[end] = gi
-			si.ends = append(si.ends, end)
-			si.minLen = append(si.minLen, len(p))
-			si.groups = append(si.groups, nil)
+		gi := slot[end] - 1
+		if l := int32(len(p)); si.minLen[gi] == 0 || l < si.minLen[gi] {
+			si.minLen[gi] = l
 		}
-		if len(p) < si.minLen[gi] {
-			si.minLen[gi] = len(p)
-		}
-		si.groups[gi] = append(si.groups[gi], int32(i))
+		si.ends[gi] = end
+		si.start[gi]++
+	}
+	for gi := int32(1); gi < groups; gi++ {
+		si.start[gi] += si.start[gi-1]
+	}
+	si.start[groups] = int32(n)
+	for i := n - 1; i >= 0; i-- {
+		p := store.Path(i)
+		gi := slot[p[len(p)-1]] - 1
+		si.start[gi]--
+		si.items[si.start[gi]] = int32(i)
+	}
+	for _, end := range si.ends {
+		slot[end] = 0
 	}
 	return si
 }
@@ -755,7 +804,7 @@ func (e *enumerator) splice(prov sharegraph.NodeID, remaining int) {
 	}
 	si := e.spliceIdx[prov]
 	if si == nil {
-		si = buildSpliceIndex(store)
+		si = buildSpliceIndex(store, e.sc.Slot)
 		e.spliceIdx[prov] = si
 	}
 	maxLen := remaining + 1
@@ -768,14 +817,14 @@ func (e *enumerator) splice(prov sharegraph.NodeID, remaining int) {
 		// too deep for this node's bound at its end vertex, none of the
 		// longer ones can survive either.
 		b := e.bound(end)
-		if int16(prefixLen+si.minLen[gi]-2) >= b {
+		if int16(prefixLen+int(si.minLen[gi])-2) >= b {
 			continue
 		}
 		if e.onPath[end] {
 			continue
 		}
 	group:
-		for _, pi := range si.groups[gi] {
+		for _, pi := range si.items[si.start[gi]:si.start[gi+1]] {
 			cp := store.Path(int(pi))
 			if len(cp) > maxLen || int16(prefixLen+len(cp)-2) >= b {
 				continue

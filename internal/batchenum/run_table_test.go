@@ -8,12 +8,13 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/pathjoin"
+	"repro/internal/hcindex"
 	"repro/internal/query"
 	"repro/internal/testgraphs"
 	"repro/internal/timing"
@@ -338,81 +339,31 @@ func TestWorkListGroupMatchesInline(t *testing.T) {
 	}
 }
 
-// TestSharedJoinClasses: a group of six identical queries, two that
-// share only their source with them and one unrelated query yields one
-// join task per distinct join input, the six sharing one. On one worker
-// and on four, every member emits exactly the sequence its own join
-// emits alone: in full, under a limit (exactly the limit, and
-// ErrLimitReached on every member) and cancelled mid-run (no member of
-// the cancelled join marked complete, all members holding one prefix).
+// TestSharedJoinClasses: six copies of one query, scattered among three
+// other queries of one sharing group, make one class that Run answers
+// once. On one worker and on four, every copy emits exactly its lead's
+// sequence: in full, under a limit (the lead's first paths, and
+// ErrLimitReached on every copy) and cancelled mid-run (one prefix for
+// all copies, and none complete unless the class's join finished).
 func TestSharedJoinClasses(t *testing.T) {
 	g := testgraphs.CompleteDAG(14)
 	gr := g.Reverse()
-	qs := make([]query.Query, 6, 9)
-	for i := range qs {
-		qs[i] = query.Query{ID: i, S: 0, T: 13, K: 5}
-	}
-	qs = append(qs, query.Query{ID: 6, S: 0, T: 12, K: 5}, query.Query{ID: 7, S: 0, T: 11, K: 4},
-		query.Query{ID: 8, S: 2, T: 10, K: 4})
-	opts := Options{Algorithm: BatchPlus, Gamma: 0.1}
-
-	// The group as Run forms it, through processGroup directly.
-	idx := opts.acquire(g, gr, qs)
-	defer idx.Release()
-	var st Stats
-	groups := partition(qs, idx, opts, &st)
-	if len(groups) != 1 {
-		t.Fatalf("batch formed %d groups, want one", len(groups))
-	}
-	b := &batch{g: g, gr: gr, qs: qs, idx: idx, opts: opts}
-	joins := b.processGroup(groups[0], &st)
-	type input struct {
-		fwd       *pathjoin.Store
-		bwd       *pathjoin.HashIndex
-		k         uint8
-		backHeavy bool
-	}
-	inputs := map[input]bool{}
-	class := make([]int, len(qs)) // each query's join task
-	alone := make([][]string, len(qs))
-	for c, j := range joins {
-		in := input{j.fwd, j.bwd, qs[j.members[0]].K, j.backHeavy}
-		if inputs[in] {
-			t.Errorf("join %d reads the inputs of an earlier join", c)
+	c := query.Query{S: 0, T: 13, K: 5}
+	qs := []query.Query{c, {S: 0, T: 12, K: 5}, c, c, {S: 0, T: 11, K: 4}, c, c, {S: 2, T: 10, K: 4}, c}
+	copies := []int{0, 2, 3, 5, 6, 8}
+	lead := func(id int) int { // each query's class lead
+		if qs[id] == c {
+			return 0
 		}
-		inputs[in] = true
-		for x, id := range j.members {
-			class[id] = c
-			if q, lead := qs[id], qs[j.members[0]]; q.S != lead.S || q.T != lead.T || q.K != lead.K {
-				t.Errorf("join %d holds queries %v and %v", c, lead, q)
-			}
-			if x > 0 && id <= j.members[x-1] {
-				t.Errorf("join %d lists its members out of group order: %v", c, j.members)
-			}
-			// The reference: the query's own one-member join of the
-			// same inputs.
-			pathjoin.JoinHalvesIndexed(j.fwd, j.bwd, qs[id].K, j.backHeavy, nil, func(p []graph.VertexID) {
-				alone[id] = append(alone[id], pathKey(p))
-			})
-		}
-	}
-	if len(joins) != 4 || len(joins[class[0]].members) != 6 {
-		t.Fatalf("group made %d join tasks, the first query's of %d members; want 4, one of 6", len(joins), len(joins[class[0]].members))
+		return id
 	}
 	want := bruteSet(g, qs)
-	for id := range qs {
-		if got := slices.Sorted(slices.Values(alone[id])); fmt.Sprint(got) != fmt.Sprint(want[id]) {
-			t.Fatalf("query %d's own join emits %d paths, the oracle %d", id, len(got), len(want[id]))
-		}
-		if len(alone[id]) <= 3 {
-			t.Fatalf("query %d has %d paths; the limits below need more than 3", id, len(alone[id]))
-		}
-	}
+	opts := Options{Algorithm: BatchPlus, Gamma: 0.1}
 
 	for _, workers := range []int{1, 4} {
+		opts.Workers = workers
 		run := func(ctrl *query.Control, onEmit func(id int)) [][]string {
 			per := make([][]string, len(qs))
-			opts.Workers = workers
 			st, err := Run(g, gr, qs, opts, ctrl, query.FuncSink(func(ids []int, p []graph.VertexID) {
 				for _, id := range ids {
 					per[id] = append(per[id], pathKey(p))
@@ -430,56 +381,167 @@ func TestSharedJoinClasses(t *testing.T) {
 			return per
 		}
 
-		got := run(nil, nil)
+		full := run(nil, nil)
 		for id := range qs {
-			if fmt.Sprint(got[id]) != fmt.Sprint(alone[id]) {
-				t.Errorf("workers=%d full: query %d emitted %d paths out of its own join's order (%d)", workers, id, len(got[id]), len(alone[id]))
+			if got := slices.Sorted(slices.Values(full[id])); fmt.Sprint(got) != fmt.Sprint(want[id]) {
+				t.Fatalf("workers=%d full: query %d emitted %d paths, the oracle %d", workers, id, len(got), len(want[id]))
 			}
+			if fmt.Sprint(full[id]) != fmt.Sprint(full[lead(id)]) {
+				t.Errorf("workers=%d full: copy %d's sequence differs from its lead's", workers, id)
+			}
+		}
+		if len(full[0]) <= 3 {
+			t.Fatalf("the copies have %d paths; the limits below need more than 3", len(full[0]))
 		}
 
 		for _, limit := range []int64{1, 3} {
 			ctrl := query.NewControl(context.Background(), time.Time{}, limit, len(qs))
 			got := run(ctrl, nil)
-			for id := range qs {
-				if fmt.Sprint(got[id]) != fmt.Sprint(alone[id][:limit]) || !errors.Is(ctrl.QueryErr(id), query.ErrLimitReached) {
-					t.Errorf("workers=%d limit %d: query %d emitted %d paths (err %v), want its own join's first %d and ErrLimitReached",
+			for _, id := range copies {
+				if fmt.Sprint(got[id]) != fmt.Sprint(full[0][:limit]) || !errors.Is(ctrl.QueryErr(id), query.ErrLimitReached) {
+					t.Errorf("workers=%d limit %d: copy %d emitted %d paths (err %v), want the lead's first %d and ErrLimitReached",
 						workers, limit, id, len(got[id]), ctrl.QueryErr(id), limit)
 				}
 			}
 		}
 
-		// Cancel at the first emission of the shared join, then of the
-		// last join (on one worker the shared join has finished by then).
-		// A join stops at its next poll, after every member has had the
-		// same prefix, and its members complete together or not at all.
-		for _, at := range []int{0, len(qs) - 1} {
+		// Cancel at the copies' first emission, then at the last
+		// query's (on one worker the copies' join has finished by then:
+		// joins run in group order). A join stops at its next poll,
+		// after every copy has had the same prefix, and its copies
+		// complete together or not at all.
+		for _, at := range []int{0, 7} {
 			ctx, cancel := context.WithCancel(context.Background())
 			ctrl := query.NewControl(ctx, time.Time{}, 0, len(qs))
-			got = run(ctrl, func(id int) {
-				if class[id] == class[at] {
+			got := run(ctrl, func(id int) {
+				if lead(id) == at {
 					cancel()
 				}
 			})
 			cancel()
 			for id := range qs {
-				n, lead := len(got[id]), joins[class[id]].members[0]
+				n := len(got[id])
 				label := fmt.Sprintf("workers=%d cancelled in query %d's join: query %d", workers, at, id)
-				if n > len(alone[id]) || fmt.Sprint(got[id]) != fmt.Sprint(alone[id][:n]) {
-					t.Errorf("%s: its %d paths are not a prefix of its own join's", label, n)
+				if n > len(full[id]) || fmt.Sprint(got[id]) != fmt.Sprint(full[id][:n]) {
+					t.Errorf("%s: its %d paths are not a prefix of its full sequence", label, n)
 				}
-				if n != len(got[lead]) || ctrl.QueryErr(id) != ctrl.QueryErr(lead) {
-					t.Errorf("%s: %d paths (err %v), its join's lead %d (err %v)", label, n, ctrl.QueryErr(id), len(got[lead]), ctrl.QueryErr(lead))
+				if l := lead(id); n != len(got[l]) || ctrl.QueryErr(id) != ctrl.QueryErr(l) {
+					t.Errorf("%s: %d paths (err %v), its lead %d (err %v)", label, n, ctrl.QueryErr(id), len(got[l]), ctrl.QueryErr(l))
 				}
-				if ctrl.QueryErr(id) == nil && n != len(alone[id]) {
-					t.Errorf("%s: reported complete with %d of %d paths", label, n, len(alone[id]))
+				if ctrl.QueryErr(id) == nil && n != len(full[id]) {
+					t.Errorf("%s: reported complete with %d of %d paths", label, n, len(full[id]))
 				}
-				if class[id] == class[at] && !errors.Is(ctrl.QueryErr(id), context.Canceled) {
+				if lead(id) == at && !errors.Is(ctrl.QueryErr(id), context.Canceled) {
 					t.Errorf("%s: reports %v, want context.Canceled", label, ctrl.QueryErr(id))
 				}
 			}
 			if workers == 1 && at > 0 && ctrl.QueryErr(0) != nil {
-				t.Errorf("workers=1 cancelled in the last join: the shared join reports %v, want complete", ctrl.QueryErr(0))
+				t.Errorf("workers=1 cancelled in the last join: the copies report %v, want complete", ctrl.QueryErr(0))
 			}
+		}
+	}
+}
+
+// probes wraps a provider and counts which acquire route each batch
+// took.
+type probes struct {
+	hcindex.Provider
+	acquire, one int
+}
+
+func (p *probes) Acquire(g, gr *graph.Graph, epoch uint64, qs []query.Query) *hcindex.Index {
+	p.acquire++
+	return p.Provider.Acquire(g, gr, epoch, qs)
+}
+
+func (p *probes) AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *hcindex.Index {
+	p.one++
+	return p.Provider.AcquireOne(g, gr, epoch, q)
+}
+
+// TestRunDedupesCopies: the sharing engines answer each distinct query
+// once. Copies scattered through the batch each get the oracle's paths,
+// emitted once per path with their whole class (batch order, lead
+// first), and every copy completes, those of an unreachable query too;
+// NumQueries counts every query and the index probes count the
+// distinct ones; a batch of copies of one query takes the one-query
+// route. BasicEnum, the independent baseline, keeps one class per
+// query.
+func TestRunDedupesCopies(t *testing.T) {
+	g := testgraphs.Paper()
+	gr := g.Reverse()
+	pb := paperBatch()
+	a, b, c := pb[0], pb[1], pb[3]
+	u := query.Query{S: a.S, T: a.T, K: 3} // a's endpoints, out of hop range
+	qs := []query.Query{a, b, a, u, c, b, a, u}
+	const distinctQueries = 4
+	classes := map[string]bool{"[0 2 6]": true, "[1 5]": true, "[4]": true} // u emits nothing
+	want := bruteSet(g, qs)
+	if len(want[0]) == 0 || len(want[1]) == 0 || len(want[4]) == 0 || len(want[3]) != 0 {
+		t.Fatal("a, b and c need paths, u none")
+	}
+	for _, alg := range allAlgorithms {
+		p := &probes{Provider: hcindex.NewBuilder(true)}
+		ctx, cancel := context.WithCancel(context.Background())
+		ctrl := query.NewControl(ctx, time.Time{}, 0, len(qs))
+		rs := resultSet{}
+		seen := map[string]bool{}
+		st, err := Run(g, gr, qs, Options{Algorithm: alg, Provider: p}, ctrl, query.FuncSink(func(ids []int, path []graph.VertexID) {
+			seen[fmt.Sprint(ids)] = true
+			for _, id := range ids {
+				rs[id] = append(rs[id], pathKey(path))
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cancelled after the run, a query reports an error unless the
+		// engine marked it complete.
+		cancel()
+		ctrl.Cancelled()
+		for id := range qs {
+			if err := ctrl.QueryErr(id); err != nil {
+				t.Errorf("%v: query %d was never marked complete (%v)", alg, id, err)
+			}
+		}
+		for id := range rs {
+			sort.Strings(rs[id])
+		}
+		diffSets(t, alg.String(), want, rs, len(qs))
+		probed := 2 * len(qs)
+		if alg.Shared() {
+			probed = 2 * distinctQueries
+		}
+		if st.NumQueries != len(qs) || st.IndexMisses != probed {
+			t.Errorf("%v: %d queries, %d index misses; want %d and %d", alg, st.NumQueries, st.IndexMisses, len(qs), probed)
+		}
+		for ids := range seen {
+			if alg.Shared() && !classes[ids] || !alg.Shared() && strings.Contains(ids, " ") {
+				t.Errorf("%v: a path was emitted for %s", alg, ids)
+			}
+		}
+		if alg.Shared() && len(seen) != len(classes) {
+			t.Errorf("%v: paths went to %d classes, want %d", alg, len(seen), len(classes))
+		}
+
+		// Copies only: one lead, the one-query route.
+		p = &probes{Provider: hcindex.NewBuilder(true)}
+		sink := query.NewCountSink(4)
+		st, err = Run(g, gr, []query.Query{b, b, b, b}, Options{Algorithm: alg, Provider: p}, nil, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, n := range sink.Counts() {
+			if n != int64(len(want[1])) {
+				t.Errorf("%v copies only: query %d has %d paths, want %d", alg, id, n, len(want[1]))
+			}
+		}
+		if alg.Shared() && (st.IndexMisses != 2 || p.one != 1 || p.acquire != 0) {
+			t.Errorf("%v copies only: %d index misses, %d AcquireOne and %d Acquire calls; want 2, 1, 0",
+				alg, st.IndexMisses, p.one, p.acquire)
+		}
+		if st.NumQueries != 4 {
+			t.Errorf("%v copies only: %d queries, want 4", alg, st.NumQueries)
 		}
 	}
 }

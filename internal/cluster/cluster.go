@@ -42,20 +42,13 @@ func harmonic(o1, o2 float64) float64 {
 }
 
 // similarities returns the batch's pairwise µ as a flat n×n matrix:
-// entries (i, j) and (j, i) both hold Similarity(idx, i, j) for i < j,
-// bit for bit, from overlaps memoised per pair of distinct maps. The
-// diagonal is zero.
+// entries (i, j) and (j, i) both hold Similarity(idx, i, j) for i < j.
+// The diagonal is zero.
 func similarities(idx *hcindex.Index, n int) []float64 {
-	fmaps, _ := idx.Distinct(hcindex.Forward)
-	bmaps, _ := idx.Distinct(hcindex.Backward)
-	df, db := len(fmaps), len(bmaps)
-	hits := make([]uint8, df*df+db*db)
-	fwd := newOverlaps(idx, hcindex.Forward, hits[:df*df])
-	bwd := newOverlaps(idx, hcindex.Backward, hits[df*df:])
 	mu := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			m := harmonic(fwd.of(i, j), bwd.of(i, j))
+			m := Similarity(idx, i, j)
 			mu[i*n+j], mu[j*n+i] = m, m
 		}
 	}
@@ -69,93 +62,31 @@ func similarities(idx *hcindex.Index, n int) []float64 {
 // ClusterQuery is negligible. Probing a stride sample of the smaller
 // set against the other's O(1) distance array estimates the same ratio
 // at bounded cost; sets at or below the cap are still measured exactly.
-// A ratio depends only on the two maps, so a batch computes it once
-// per ordered pair of distinct maps (overlaps), and the cap keeps each
-// memoised hit count within a byte.
 const maxOverlapProbes = 64
 
 // overlap returns (an estimate of) |A∩B| / min(|A|,|B|) for the Γ
 // lists of two distance maps, whose Contains probe answers membership
-// in O(1).
+// in O(1). It probes a stride sample of the smaller list (a's when the
+// two are equally long) against the other map, so the ratio against
+// min(|A|,|B|) is simply the sample hit rate; it is symmetric unless
+// |Γa| = |Γb|.
 func overlap(a, b *msbfs.DistMap) float64 {
 	if a.NumVisited() == 0 || b.NumVisited() == 0 {
 		return 0
 	}
-	return ratio(sampleHits(a, b), min(a.NumVisited(), b.NumVisited()))
-}
-
-// sampleHits probes a stride sample of the smaller of a's and b's Γ
-// lists (a's when they are equally long) against the other map and
-// returns how many probes hit: the ratio against min(|A|,|B|) is then
-// simply the sample hit rate. It is symmetric unless |Γa| = |Γb|.
-func sampleHits(a, b *msbfs.DistMap) int {
 	small, other := a.Visited(), b
 	if b.NumVisited() < a.NumVisited() {
 		small, other = b.Visited(), a
 	}
-	hits := 0
-	for i, step := 0, probeStep(len(small)); i < len(small); i += step {
+	step := (len(small) + maxOverlapProbes - 1) / maxOverlapProbes
+	probes, hits := 0, 0
+	for i := 0; i < len(small); i += step {
+		probes++
 		if other.Contains(small[i]) {
 			hits++
 		}
 	}
-	return hits
-}
-
-// probeStep is the stride that samples at most maxOverlapProbes of n.
-func probeStep(n int) int { return (n + maxOverlapProbes - 1) / maxOverlapProbes }
-
-// ratio turns sampleHits into the overlap ratio: the hits over the
-// number of probes the stride made of the smaller list, n long.
-func ratio(hits, n int) float64 {
-	step := probeStep(n)
-	return float64(hits) / float64((n+step-1)/step)
-}
-
-// overlaps memoises overlap for one direction of a batch: the ratio
-// of two queries depends only on their maps, and queries that share an
-// endpoint and cap share one map, so it is computed once per ordered
-// pair of the index's distinct maps. hits[x·d+y] is sampleHits of
-// maps x and y, or unknown. Every ratio is rebuilt from it exactly as
-// overlap computes it, so memoised and pairwise µ are bit-identical.
-type overlaps struct {
-	maps []*msbfs.DistMap
-	ids  []int32
-	hits []uint8
-}
-
-// unknown marks a hit count not computed yet; counts are at most
-// maxOverlapProbes.
-const unknown = 0xff
-
-// newOverlaps memoises direction dir of idx into hits, which must hold
-// d² bytes for the direction's d distinct maps.
-func newOverlaps(idx *hcindex.Index, dir hcindex.Direction, hits []uint8) overlaps {
-	maps, ids := idx.Distinct(dir)
-	for i := range hits {
-		hits[i] = unknown
-	}
-	return overlaps{maps: maps, ids: ids, hits: hits}
-}
-
-// of returns overlap(Γ(qi), Γ(qj)) in this direction.
-func (o *overlaps) of(i, j int) float64 {
-	x, y := int(o.ids[i]), int(o.ids[j])
-	a, b := o.maps[x], o.maps[y]
-	la, lb := a.NumVisited(), b.NumVisited()
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	d := len(o.maps)
-	h := o.hits[x*d+y]
-	if h == unknown {
-		h = uint8(sampleHits(a, b))
-		o.hits[x*d+y] = h
-		if la != lb {
-			o.hits[y*d+x] = h // the same sample either way round
-		}
-	}
-	return ratio(int(h), min(la, lb))
+	return float64(hits) / float64(probes)
 }
 
 // Clustering is the result of Algorithm 2: a partition of the batch into
@@ -170,8 +101,8 @@ func (c *Clustering) NumGroups() int { return len(c.Groups) }
 
 // AvgPairSimilarity computes µ_Q of Exp-1: the average similarity over
 // all ordered pairs of distinct queries in the batch. It reads the same
-// memoised µ matrix ClusterQueries merges on, so the µ_Q Exp-1 reports
-// is the mean of exactly the values clustering sees.
+// µ matrix ClusterQueries merges on, so the µ_Q Exp-1 reports is the
+// mean of exactly the values clustering sees.
 func AvgPairSimilarity(idx *hcindex.Index, qs []query.Query) float64 {
 	n := len(qs)
 	if n < 2 {
@@ -195,9 +126,7 @@ func AvgPairSimilarity(idx *hcindex.Index, qs []query.Query) float64 {
 // δ(A∪B, C) = (|A|·δ(A,C) + |B|·δ(B,C)) / (|A|+|B|), so the merge loop
 // runs in O(|Q|²·merges) over a precomputed pairwise µ matrix instead of
 // recomputing δ from scratch each round; the result is identical to the
-// literal Algorithm 2. The matrix is filled from overlaps memoised per
-// pair of distinct distance maps, so repeated endpoints cost nothing,
-// and a batch of one query builds none of it.
+// literal Algorithm 2. A batch of one query builds none of the matrix.
 func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Clustering {
 	n := len(qs)
 	switch n {

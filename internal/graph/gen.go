@@ -266,17 +266,3 @@ func SampleVertices(g *Graph, fraction float64, seed int64) (*Graph, []VertexID)
 	})
 	return b.Build(), oldID
 }
-
-// SampleEdges returns a subgraph keeping each edge independently with
-// the given probability; the vertex set is unchanged.
-func SampleEdges(g *Graph, fraction float64, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder(g.NumVertices())
-	g.Edges(func(src, dst VertexID) bool {
-		if rng.Float64() < fraction {
-			b.AddEdge(src, dst)
-		}
-		return true
-	})
-	return b.Build()
-}

@@ -208,10 +208,6 @@ func (b *Builder) AddEdges(edges []Edge) {
 	}
 }
 
-// NumPendingEdges returns how many edges have been added so far
-// (before dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build sorts, deduplicates and freezes the edges into a CSR Graph.
 // The builder may be reused afterwards.
 func (b *Builder) Build() *Graph {

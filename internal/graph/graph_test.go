@@ -306,23 +306,6 @@ func TestSampleVerticesExtremes(t *testing.T) {
 	}
 }
 
-func TestSampleEdges(t *testing.T) {
-	g := GenErdosRenyi(200, 2000, 9)
-	sub := SampleEdges(g, 0.5, 2)
-	if sub.NumVertices() != g.NumVertices() {
-		t.Fatal("edge sampling changed vertex count")
-	}
-	if sub.NumEdges() == 0 || sub.NumEdges() >= g.NumEdges() {
-		t.Fatalf("edge sample size implausible: %d of %d", sub.NumEdges(), g.NumEdges())
-	}
-	sub.Edges(func(src, dst VertexID) bool {
-		if !g.HasEdge(src, dst) {
-			t.Fatalf("invented edge (%d,%d)", src, dst)
-		}
-		return true
-	})
-}
-
 func TestEdgesEarlyStop(t *testing.T) {
 	g := paperGraph()
 	count := 0
@@ -404,17 +387,6 @@ func bfsBallSize(g *Graph, src VertexID, hops int) int {
 		}
 	}
 	return len(dist)
-}
-
-// TestNumPendingEdges counts pre-dedup additions.
-func TestNumPendingEdges(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 1) // duplicate still pending
-	b.AddEdge(1, 1) // self-loop dropped immediately
-	if got := b.NumPendingEdges(); got != 2 {
-		t.Fatalf("NumPendingEdges = %d, want 2", got)
-	}
 }
 
 // TestReadBinaryCorrupt: truncated and malformed binary inputs fail

@@ -146,8 +146,7 @@ func (c *Cache) Stats() Stats {
 // MS-BFS passes and inserted under that generation. Within one batch
 // every distinct (direction, endpoint, cap) resolves to a single
 // *DistMap, matching the cold builder's dedup exactly — downstream
-// constraint merging keys on map identity — and the index numbers them
-// per direction in order of first use, as the cold builder does.
+// constraint merging keys on map identity.
 func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query) *Index {
 	idx := &Index{}
 
@@ -199,9 +198,9 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	c.mu.Unlock()
 
 	// resolved maps each key to the servable DistMap handed to queries.
-	resolved := make(map[entryKey]numbered, len(serving)+len(missKeys))
+	resolved := make(map[entryKey]*msbfs.DistMap, len(serving)+len(missKeys))
 	for key, e := range serving {
-		resolved[key] = numbered{dm: e.dm.View(key.cap)}
+		resolved[key] = e.dm.View(key.cap)
 	}
 
 	// Build all misses outside the lock: one MS-BFS pass per direction.
@@ -215,7 +214,7 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		// building: our maps must not enter a retired generation's table.
 		// Serve them privately and release them with the index.
 		for j, key := range missKeys {
-			resolved[key] = numbered{dm: built[j]}
+			resolved[key] = built[j]
 		}
 		bypass = built
 	} else {
@@ -231,35 +230,13 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	}
 	c.mu.Unlock()
 	for key, e := range inserted {
-		resolved[key] = numbered{dm: e.dm.View(key.cap)} // view in case a wider entry won the insert race
+		resolved[key] = e.dm.View(key.cap) // view in case a wider entry won the insert race
 	}
 
-	// Number each direction's maps in order of first use. Both
-	// directions' lists share one array (forward first), and so do
-	// their query numberings.
-	n := len(queries)
-	maps := make([]*msbfs.DistMap, 0, len(resolved))
-	ids := make([]int32, 2*n)
-	for d := Forward; d <= Backward; d++ {
-		first := len(maps)
-		dirIDs := ids[int(d)*n : int(d+1)*n : int(d+1)*n]
-		for i, q := range queries {
-			key := entryKey{b.gen, d, q.S, ball, q.K}
-			if d == Backward {
-				key.v = q.T
-			}
-			r := resolved[key]
-			if r.num == 0 {
-				maps = append(maps, r.dm)
-				r.num = int32(len(maps) - first)
-				resolved[key] = r
-			}
-			dirIDs[i] = r.num - 1
-		}
-		idx.maps[d] = maps[first:len(maps):len(maps)]
-		idx.ids[d] = dirIDs
-	}
-
+	idx.maps = perQuery(len(queries), func(i int) (fwd, bwd *msbfs.DistMap) {
+		q := queries[i]
+		return resolved[entryKey{b.gen, Forward, q.S, ball, q.K}], resolved[entryKey{b.gen, Backward, q.T, ball, q.K}]
+	})
 	idx.release = func() {
 		c.mu.Lock()
 		for e := range pinned {
@@ -318,7 +295,7 @@ func (c *Cache) AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *Ind
 			c.mu.Unlock()
 			idx := pairIndex(fwd, bwd)
 			idx.Misses = 2
-			idx.release = idx.releaseDistinct
+			idx.release = func() { releaseAll(idx.maps[:]) }
 			return idx
 		}
 		for d, dm := range [2]*msbfs.DistMap{fwd, bwd} {
@@ -353,13 +330,6 @@ func (c *Cache) unpinLocked(e *entry) {
 	if e.refs == 0 && e.orphaned {
 		e.dm.Release()
 	}
-}
-
-// numbered is a key's servable map and, once the index has numbered
-// it, its position among its direction's distinct maps plus one.
-type numbered struct {
-	dm  *msbfs.DistMap
-	num int32
 }
 
 // buildMisses builds the missing keys as one two-pass build — forward

@@ -1,7 +1,6 @@
 package hcindex
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -313,15 +312,20 @@ func TestCacheMissAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestDistinctNumbering: both providers number each direction's
-// distinct maps in order of first use — one entry per distinct
-// (endpoint, cap), each query pointing at its own map — cold, warm and
-// through widened views alike.
-func TestDistinctNumbering(t *testing.T) {
+// TestEqualKeysShareOneMap: on both providers — cold, warm and through
+// widened views alike — queries with equal (endpoint, cap) keys share
+// one *DistMap and queries with distinct keys do not: sharegraph's
+// constraint merge keys on that identity.
+func TestEqualKeysShareOneMap(t *testing.T) {
 	g, gr, qs := cacheFixture(t)
 	// Forward keys (1,4) (1,4) (7,5) (1,3); backward (200,4) (200,4)
 	// (31,5) (31,3).
-	want := [2][]int32{Forward: {0, 0, 1, 2}, Backward: {0, 0, 1, 2}}
+	key := func(q query.Query, dir Direction) [2]int {
+		if dir == Forward {
+			return [2]int{int(q.S), int(q.K)}
+		}
+		return [2]int{int(q.T), int(q.K)}
+	}
 	wide := append([]query.Query(nil), qs...)
 	for i := range wide {
 		wide[i].K++
@@ -334,18 +338,13 @@ func TestDistinctNumbering(t *testing.T) {
 		"cache-widened": warm.Acquire(g, gr, 0, qs),
 	} {
 		for _, dir := range []Direction{Forward, Backward} {
-			maps, ids := idx.Distinct(dir)
-			if len(maps) != 3 || fmt.Sprint(ids) != fmt.Sprint(want[dir]) {
-				t.Errorf("%s %v: %d maps, ids %v; want 3 maps, ids %v", name, dir, len(maps), ids, want[dir])
-				continue
-			}
 			for i := range qs {
-				if maps[ids[i]] != idx.DistMapFor(i, dir) {
-					t.Errorf("%s %v: query %d's number does not lead to its map", name, dir, i)
+				for j := i + 1; j < len(qs); j++ {
+					same := idx.DistMapFor(i, dir) == idx.DistMapFor(j, dir)
+					if want := key(qs[i], dir) == key(qs[j], dir); same != want {
+						t.Errorf("%s %v: queries %d and %d share a map: %v, want %v", name, dir, i, j, same, want)
+					}
 				}
-			}
-			if maps[0] == maps[1] || maps[1] == maps[2] || maps[0] == maps[2] {
-				t.Errorf("%s %v: a map is listed twice", name, dir)
 			}
 		}
 		idx.Release()

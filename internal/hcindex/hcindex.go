@@ -25,16 +25,13 @@ const Unreachable = msbfs.Unreachable
 // done with them (after enumeration, before the next batch), returning
 // cached entries and pooled storage to the provider.
 //
-// Queries that share an endpoint and cap share one map, so the index
-// keeps each direction's distinct maps once and numbers every query's
-// map among them: what depends on the maps alone (µ's overlaps) can be
-// computed once per distinct map instead of once per query.
+// Queries that share an endpoint and cap share one map: equal keys
+// resolve to one *msbfs.DistMap, on which sharegraph's constraint
+// merge keys.
 type Index struct {
-	// maps[d] holds direction d's distinct maps in order of first use
-	// (Forward: from each query's S on G; Backward: from T on Gr), and
-	// ids[d][i] is query i's position among them.
+	// maps[d][i] is query i's map in direction d (Forward: from its S on
+	// G; Backward: from its T on Gr).
 	maps [2][]*msbfs.DistMap
-	ids  [2][]int32
 
 	// Hits and Misses count this acquisition's index probes — two per
 	// query (forward and backward) — answered from a provider's cache vs
@@ -60,37 +57,45 @@ func (idx *Index) Release() {
 // sources so shared endpoints are traversed once. Build runs serially;
 // providers take a width.
 func Build(g, gr *graph.Graph, queries []query.Query) *Index {
-	return buildIn(g, gr, queries, nil, 1)
+	idx, _ := buildIn(g, gr, queries, nil, 1)
+	return idx
 }
 
 // buildIn is Build drawing storage from pool (nil means plain
 // allocations), with the sources of both passes run as one build on up
-// to width goroutines.
-func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, width int) *Index {
+// to width goroutines. It also returns the maps it built, each once, for
+// its caller to release.
+func buildIn(g, gr *graph.Graph, queries []query.Query, pool *msbfs.Pool, width int) (*Index, [][]*msbfs.DistMap) {
 	fwd, fslot := dedup(g, queries, func(q query.Query) (graph.VertexID, uint8) { return q.S, q.K })
 	bwd, bslot := dedup(gr, queries, func(q query.Query) (graph.VertexID, uint8) { return q.T, q.K })
 	res := msbfs.RunPasses([]msbfs.Pass{fwd, bwd}, pool, msbfs.BuildOptions{Workers: width})
-	return &Index{
-		maps:   [2][]*msbfs.DistMap{Forward: res[0], Backward: res[1]},
-		ids:    [2][]int32{Forward: fslot, Backward: bslot},
-		Misses: 2 * len(queries),
+	maps := perQuery(len(queries), func(i int) (f, b *msbfs.DistMap) {
+		return res[0][fslot[i]], res[1][bslot[i]]
+	})
+	return &Index{maps: maps, Misses: 2 * len(queries)}, res
+}
+
+// perQuery lays out the maps of n queries as Index.maps holds them,
+// query i's being the pair pick(i) returns. Both directions share one
+// array.
+func perQuery(n int, pick func(i int) (fwd, bwd *msbfs.DistMap)) [2][]*msbfs.DistMap {
+	maps := make([]*msbfs.DistMap, 2*n)
+	for i := 0; i < n; i++ {
+		maps[i], maps[n+i] = pick(i)
 	}
+	return [2][]*msbfs.DistMap{Forward: maps[:n:n], Backward: maps[n:]}
 }
 
 // pairIndex is the index of a batch of one query served the maps fwd
 // and bwd.
 func pairIndex(fwd, bwd *msbfs.DistMap) *Index {
 	maps := []*msbfs.DistMap{fwd, bwd}
-	ids := make([]int32, 2)
-	return &Index{
-		maps: [2][]*msbfs.DistMap{Forward: maps[:1:1], Backward: maps[1:]},
-		ids:  [2][]int32{Forward: ids[:1:1], Backward: ids[1:]},
-	}
+	return &Index{maps: [2][]*msbfs.DistMap{Forward: maps[:1:1], Backward: maps[1:]}}
 }
 
-// releaseDistinct releases every distinct DistMap of the index once.
-func (idx *Index) releaseDistinct() {
-	for _, maps := range idx.maps {
+// releaseAll releases every map of sets; no map may appear twice.
+func releaseAll(sets [][]*msbfs.DistMap) {
+	for _, maps := range sets {
 		for _, dm := range maps {
 			dm.Release()
 		}
@@ -125,7 +130,7 @@ func dedup(g *graph.Graph, queries []query.Query, pick func(query.Query) (graph.
 }
 
 // dist returns query i's map in direction d.
-func (idx *Index) dist(i int, d Direction) *msbfs.DistMap { return idx.maps[d][idx.ids[d][i]] }
+func (idx *Index) dist(i int, d Direction) *msbfs.DistMap { return idx.maps[d][i] }
 
 // Reachable reports whether query i's target is within its hop budget of
 // its source at all; unreachable queries have empty result sets and can
@@ -156,10 +161,3 @@ func (d Direction) String() string {
 // distances, and Γ(q)/Γr(q) as its visited set on every index but a
 // one-query batch's (AcquireOne), whose maps stop at the subgraph.
 func (idx *Index) DistMapFor(i int, dir Direction) *msbfs.DistMap { return idx.dist(i, dir) }
-
-// Distinct returns the batch's distinct maps of one direction, in order
-// of first use, and for each query the position of its map among them:
-// DistMapFor(i, dir) is maps[ids[i]]. Both slices must not be modified.
-func (idx *Index) Distinct(dir Direction) (maps []*msbfs.DistMap, ids []int32) {
-	return idx.maps[dir], idx.ids[dir]
-}

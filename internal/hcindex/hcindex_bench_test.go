@@ -94,9 +94,13 @@ func BenchmarkIndexBuild(b *testing.B) {
 				bl := NewBuilderWorkers(true, width)
 				idx := bl.Acquire(sh.g, sh.gr, 0, sh.qs)
 				visited := 0
+				seen := map[*msbfs.DistMap]bool{}
 				for _, maps := range idx.maps {
 					for _, dm := range maps {
-						visited += dm.NumVisited()
+						if !seen[dm] {
+							seen[dm] = true
+							visited += dm.NumVisited()
+						}
 					}
 				}
 				idx.Release()

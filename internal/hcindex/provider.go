@@ -97,7 +97,8 @@ func NewBuilderWorkers(pooled bool, workers int) *Builder {
 // cross-batch state, so the epoch only guards its pool sizing.
 func (b *Builder) Acquire(g, gr *graph.Graph, _ uint64, queries []query.Query) *Index {
 	pool := b.poolFor(g)
-	return b.done(buildIn(g, gr, queries, pool, b.width), pool)
+	idx, built := buildIn(g, gr, queries, pool, b.width)
+	return b.done(idx, pool, built)
 }
 
 // AcquireOne implements Provider with a fresh subgraph build.
@@ -105,7 +106,7 @@ func (b *Builder) AcquireOne(g, gr *graph.Graph, _ uint64, q query.Query) *Index
 	pool := b.poolFor(g)
 	idx := pairIndex(msbfs.Subgraph(g, gr, q.S, q.T, q.K, pool))
 	idx.Misses = 2
-	return b.done(idx, pool)
+	return b.done(idx, pool, idx.maps[:])
 }
 
 // poolFor returns the pool for g's vertex count, nil when unpooled.
@@ -122,11 +123,11 @@ func (b *Builder) poolFor(g *graph.Graph) *msbfs.Pool {
 }
 
 // done counts a fresh build's misses and, when pooled, makes its
-// Release hand the storage back.
-func (b *Builder) done(idx *Index, pool *msbfs.Pool) *Index {
+// Release hand the storage of the maps it built back.
+func (b *Builder) done(idx *Index, pool *msbfs.Pool, built [][]*msbfs.DistMap) *Index {
 	if pool != nil {
 		idx.release = func() {
-			idx.releaseDistinct()
+			releaseAll(built)
 			pool.DropVisited()
 		}
 	}

@@ -45,8 +45,8 @@ func Enumerate(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts 
 // the join honours the per-query emission limit, so a cancelled or
 // satisfied query unwinds promptly with whatever it has emitted. ids is
 // the class q answers, q.ID first — q.ID alone, unless the caller knows
-// other queries with q's answer — in a slice the caller keeps, so a
-// batch engine passes its one-query group and allocates nothing for it.
+// other queries with q's answer, as a batch engine knows q's copies —
+// in a slice the caller keeps.
 // Paths go to sink with ids, so a batch engine hands its own sink down
 // with no per-query adapter, and every member's completion is recorded
 // on ctrl unless the run was cancelled mid-flight; a nil ctrl

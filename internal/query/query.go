@@ -73,9 +73,9 @@ func Batch(g *graph.Graph, qs []Query) ([]Query, error) {
 // Sink receives enumerated HC-s-t paths. Emit is called once per result
 // path of a class of queries — the batch IDs in ids, lead first — with
 // the full vertex sequence from S to T: the path is a result of every
-// query in ids, and the sink takes it once for each of them. Queries
-// that repeat one another share one join and so make one class; any
-// other query is a class of one. Both slices are only valid during the
+// query in ids, and the sink takes it once for each of them. The batch
+// engines answer copies of one query once, as one class; any other
+// query is a class of one. Both slices are only valid during the
 // call and must be copied to be retained, and Emit must not write into
 // either: a class's IDs and path are shared with the engine.
 //

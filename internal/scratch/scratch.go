@@ -6,12 +6,14 @@
 // msbfs.Pool (Then et al.'s MS-BFS state-reuse discipline): recycle,
 // and restore cleanliness sparsely instead of by memset.
 //
-// Two invariants make reuse free of any clearing pass:
+// Three invariants make reuse free of any clearing pass:
 //
 //   - OnPath comes back clean. A DFS sets OnPath[v] on push and clears
 //     it on pop, and the unwind runs to the root on every exit —
 //     completed, limit-stopped or cancelled — so a kernel returns every
 //     entry false. A kernel that panics mid-search must not Put.
+//   - Slot comes back zero: its user clears every entry it set, as
+//     batchenum's splice index does once it has grouped a store.
 //   - The memo is generation-stamped. MemoVal[v] is meaningful only
 //     while MemoGen[v] equals the generation NextGen last returned;
 //     stale stamps from earlier users simply read as misses.
@@ -32,6 +34,9 @@ type Scratch struct {
 	// the current generation iff MemoGen[v] equals it.
 	MemoVal []int16
 	MemoGen []int32
+	// Slot is a per-vertex number, zero except while its user has set
+	// it.
+	Slot []int32
 
 	gen int32
 }
@@ -50,6 +55,7 @@ func Get(n int) *Scratch {
 		OnPath:  make([]bool, n),
 		MemoVal: make([]int16, n),
 		MemoGen: make([]int32, n),
+		Slot:    make([]int32, n),
 	}
 }
 

@@ -188,7 +188,9 @@ type BatchStats struct {
 	// EnumerateNanos is the engine wall time spent answering the batch.
 	EnumerateNanos int64
 	// IndexHits and IndexMisses count the batch's index probes (two per
-	// query) answered from the cross-batch cache vs built fresh.
+	// distinct query for the batch engines, two per query for the
+	// independent ones) answered from the cross-batch cache vs built
+	// fresh.
 	IndexHits, IndexMisses int
 	// Truncated counts the batch's queries with cut-short result sets
 	// (per-query limit reached, or the batch deadline fired first).
@@ -223,8 +225,9 @@ type Totals struct {
 	// WaitNanos and EnumerateNanos sum the per-batch wait and engine
 	// times.
 	WaitNanos, EnumerateNanos int64
-	// IndexHits and IndexMisses sum the per-batch index-cache probes;
-	// IndexWidened counts hits served from a wider-cap entry.
+	// IndexHits and IndexMisses sum the per-batch index-cache probes
+	// (see BatchStats); IndexWidened counts hits served from a wider-cap
+	// entry.
 	IndexHits, IndexMisses, IndexWidened int64
 	// IndexEvictions and IndexCacheBytes snapshot the cross-batch cache
 	// at the time Stats was called.

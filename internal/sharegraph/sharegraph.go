@@ -390,7 +390,10 @@ func (d *detector) processLevel(r uint8) {
 			d.psi.addEdge(u, x, v, r)
 		}
 		d.mq[v] = mqEntry{node: u, budget: r, rooted: true}
-		d.expand(u, v, r)
+		// u has no frontier: its Constraints stay empty until
+		// propagateConstraints, so PruneOK would refuse every neighbour,
+		// and the arrivals' own frontiers stop here. Algorithm 3
+		// continues the search from q_{v,r}; this detector does not.
 	}
 	d.arrive[r] = nil
 }

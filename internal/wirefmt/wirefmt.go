@@ -46,12 +46,6 @@ func AppendBool(dst []byte, v bool) []byte {
 	return append(dst, 0)
 }
 
-// AppendBytes appends b with a u32 length prefix.
-func AppendBytes(dst, b []byte) []byte {
-	dst = AppendU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
 // AppendString appends s with a u16 length prefix, truncating at 64 KiB
 // — strings on this wire are error messages and caller tags, never
 // payload data.
@@ -187,18 +181,9 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-// Bytes reads a u32-length-prefixed byte string. The result aliases
-// the underlying buffer. A length running past the payload end latches
-// ErrShort, so a corrupt prefix cannot force a huge allocation.
-func (r *Reader) Bytes() []byte {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	return r.take(n)
-}
-
-// String reads a u16-length-prefixed string.
+// String reads a u16-length-prefixed string. A length running past the
+// payload end latches ErrShort, so a corrupt prefix cannot force an
+// allocation of the claimed size.
 func (r *Reader) String() string {
 	n := int(r.U16())
 	if r.err != nil {

@@ -15,7 +15,6 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendI64(b, -42)
 	b = AppendBool(b, true)
 	b = AppendBool(b, false)
-	b = AppendBytes(b, []byte{1, 2, 3})
 	b = AppendString(b, "héllo")
 
 	r := NewReader(b)
@@ -36,9 +35,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !r.Bool() || r.Bool() {
 		t.Error("Bool pair mis-decoded")
-	}
-	if v := r.Bytes(); len(v) != 3 || v[0] != 1 || v[2] != 3 {
-		t.Errorf("Bytes = %v", v)
 	}
 	if v := r.String(); v != "héllo" {
 		t.Errorf("String = %q", v)
@@ -61,7 +57,7 @@ func TestReaderLatchesShort(t *testing.T) {
 		t.Fatalf("Err() = %v, want ErrShort", r.Err())
 	}
 	// Still latched: in-bounds-looking reads keep returning zero.
-	if r.U8() != 0 || r.Bytes() != nil || r.String() != "" {
+	if r.U8() != 0 || r.String() != "" {
 		t.Error("latched reader yielded data")
 	}
 	if !errors.Is(r.Close(), ErrShort) {
@@ -77,13 +73,13 @@ func TestCloseRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestBytesBoundsCheckedBeforeAllocation feeds a length prefix claiming
-// far more data than the payload holds: the reader must latch ErrShort,
-// not allocate the claimed size.
-func TestBytesBoundsCheckedBeforeAllocation(t *testing.T) {
-	r := NewReader(AppendU32(nil, 1<<31))
-	if b := r.Bytes(); b != nil {
-		t.Fatalf("Bytes returned %d bytes", len(b))
+// TestStringBoundsCheckedBeforeAllocation feeds a length prefix
+// claiming more data than the payload holds: the reader must latch
+// ErrShort, not allocate the claimed size.
+func TestStringBoundsCheckedBeforeAllocation(t *testing.T) {
+	r := NewReader(append(AppendU16(nil, 0xFFFF), "short"...))
+	if s := r.String(); s != "" {
+		t.Fatalf("String returned %d bytes", len(s))
 	}
 	if !errors.Is(r.Err(), ErrShort) {
 		t.Fatalf("Err() = %v, want ErrShort", r.Err())

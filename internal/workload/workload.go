@@ -99,20 +99,6 @@ type ZipfianConfig struct {
 	// zero means 1.5. Larger values concentrate more of the traffic on
 	// the first few hot queries.
 	Skew float64
-	// Source, when non-nil, supplies all of the generator's randomness
-	// explicitly, overriding Seed — the hook scenario replays and
-	// benchmark fixtures use to guarantee reproducibility end to end
-	// (two calls with sources in the same state yield identical
-	// batches). nil keeps the seeded default, rand.NewSource(Seed).
-	Source rand.Source
-}
-
-// source returns the configured randomness, defaulting to the seed.
-func (c ZipfianConfig) source() rand.Source {
-	if c.Source != nil {
-		return c.Source
-	}
-	return rand.NewSource(c.Seed)
 }
 
 func (c ZipfianConfig) hot() int {
@@ -137,7 +123,7 @@ func (c ZipfianConfig) skew() float64 {
 // reachable distance ≤ k), which maximises the index-construction work
 // relative to the result-set size.
 func Zipfian(g *graph.Graph, cfg ZipfianConfig) ([]query.Query, error) {
-	rng := rand.New(cfg.source())
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	lo, hi := cfg.kRange()
 	n := g.NumVertices()
 	if n < 2 {
