@@ -209,7 +209,8 @@ const maxHopsLimit = 255
 // package takes the exact count and never reinterprets it. The index
 // build's width is not an option: an Engine builds on GOMAXPROCS
 // goroutines (it has one batch in flight), a Service on one (its batch
-// slots already fill the cores).
+// slots already fill the cores). Algorithm 2's µ matrix runs at the
+// build's width.
 func resolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -91,14 +91,19 @@ type Options struct {
 // observe except recycled (clean) storage.
 var sharedBuilder = hcindex.NewBuilder(true)
 
+// provider returns the configured Provider, or the shared builder.
+func (o Options) provider() hcindex.Provider {
+	if o.Provider == nil {
+		return sharedBuilder
+	}
+	return o.Provider
+}
+
 // acquire obtains the batch's index through the configured provider. A
 // batch of one query is never clustered, so it takes the query's s-t
 // subgraph maps instead of two k-balls.
 func (o Options) acquire(g, gr *graph.Graph, qs []query.Query) *hcindex.Index {
-	p := o.Provider
-	if p == nil {
-		p = sharedBuilder
-	}
+	p := o.provider()
 	if len(qs) == 1 {
 		return p.AcquireOne(g, gr, o.Epoch, qs[0])
 	}
@@ -277,7 +282,8 @@ func distinct(qs []query.Query, dedupe bool) (leads []query.Query, classes [][]i
 }
 
 // partition splits the batch's leads into its units of work. Algorithm
-// 4 clusters them (Algorithm 2) and reports the cluster count; Algorithm
+// 4 clusters them (Algorithm 2, its µ matrix at the index build's
+// width) and reports the cluster count; Algorithm
 // 1 shares nothing but the index, so every query is its own group and
 // NumGroups stays zero. Without dedupe a lead's position is its ID, so
 // the groups are the classes (copied: drain reorders its groups).
@@ -286,7 +292,7 @@ func partition(qs []query.Query, classes [][]int, idx *hcindex.Index, opts Optio
 		return slices.Clone(classes)
 	}
 	stop := st.Phases.Start(timing.ClusterQuery)
-	cl := cluster.ClusterQueries(idx, qs, opts.gamma())
+	cl := cluster.ClusterQueriesWorkers(idx, qs, opts.gamma(), opts.provider().Width())
 	stop()
 	st.NumGroups = cl.NumGroups()
 	return cl.Groups

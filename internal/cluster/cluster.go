@@ -7,13 +7,21 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/graph"
 	"repro/internal/hcindex"
-	"repro/internal/msbfs"
 	"repro/internal/query"
 )
 
-// Similarity computes µ(qA, qB) of Def. 4.5 from the two queries'
-// hop-constrained neighbour sets.
+// similarities returns the batch's pairwise µ as a flat n×n matrix:
+// entries (i, j) and (j, i) both hold µ(qi, qj) of Def. 4.5, computed
+// from the two queries' hop-constrained neighbour sets. The diagonal
+// is zero. Up to workers goroutines, the caller's included, compute
+// it; the matrix does not depend on their number.
 //
 // The paper's footnote for empty intersections is internally
 // inconsistent (it can yield µ > 1), so we use the coherent
@@ -27,10 +35,42 @@ import (
 // µ = 1 when P(qA) ⊆ P(qB); µ = 0 on disjoint reach sets. On the paper's
 // running example it reproduces the published values (µ(q0,q1) = 0.93,
 // µ(q3,q4) = 1).
-func Similarity(idx *hcindex.Index, a, b int) float64 {
-	return harmonic(
-		overlap(idx.DistMapFor(a, hcindex.Forward), idx.DistMapFor(b, hcindex.Forward)),
-		overlap(idx.DistMapFor(a, hcindex.Backward), idx.DistMapFor(b, hcindex.Backward)))
+//
+// Each overlap is estimated: a stride sample of the smaller Γ list —
+// the lower-positioned query's when the two are equally long — probed
+// against the other map's O(1) membership test, the ratio being the
+// sample's hit rate (see maxOverlapProbes). Rather than pair by pair,
+// the matrix is filled map by map. Per direction, the maps are ranked
+// by (|Γ|, position), so a pair's sampled map is always its lower-ranked
+// one; every map's sample is copied once into one flat buffer; and a
+// row — one map in one direction — counts the hits of every
+// lower-ranked sample in its map with msbfs.DistMap.CountContained,
+// reading one distance array instead of a new one per pair. A pair's
+// forward overlap lands above the diagonal, its backward one below, and
+// a last pass combines the two. Rows write disjoint cells, so workers
+// claim them from a counter, as msbfs.RunPasses claims sources.
+func similarities(idx *hcindex.Index, n, workers int) []float64 {
+	p := newMuPass(idx, n)
+	rows := 2 * (n - 1) // a rank-0 row has no lower rank to probe
+	var claim atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, rows) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.drain(&claim)
+		}()
+	}
+	p.drain(&claim)
+	wg.Wait()
+	mu := p.mu
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m := harmonic(mu[i*n+j], mu[j*n+i])
+			mu[i*n+j], mu[j*n+i] = m, m
+		}
+	}
+	return mu
 }
 
 // harmonic combines the two directions' overlaps into µ.
@@ -39,20 +79,6 @@ func harmonic(o1, o2 float64) float64 {
 		return 0
 	}
 	return 2 * o1 * o2 / (o1 + o2)
-}
-
-// similarities returns the batch's pairwise µ as a flat n×n matrix:
-// entries (i, j) and (j, i) both hold Similarity(idx, i, j) for i < j.
-// The diagonal is zero.
-func similarities(idx *hcindex.Index, n int) []float64 {
-	mu := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m := Similarity(idx, i, j)
-			mu[i*n+j], mu[j*n+i] = m, m
-		}
-	}
-	return mu
 }
 
 // maxOverlapProbes caps the per-pair cost of the overlap ratio. The
@@ -64,29 +90,87 @@ func similarities(idx *hcindex.Index, n int) []float64 {
 // at bounded cost; sets at or below the cap are still measured exactly.
 const maxOverlapProbes = 64
 
-// overlap returns (an estimate of) |A∩B| / min(|A|,|B|) for the Γ
-// lists of two distance maps, whose Contains probe answers membership
-// in O(1). It probes a stride sample of the smaller list (a's when the
-// two are equally long) against the other map, so the ratio against
-// min(|A|,|B|) is simply the sample hit rate; it is symmetric unless
-// |Γa| = |Γb|.
-func overlap(a, b *msbfs.DistMap) float64 {
-	if a.NumVisited() == 0 || b.NumVisited() == 0 {
-		return 0
+// muPass is one computation of the µ matrix: per direction, the maps'
+// ranking and their samples, and the matrix the rows fill.
+type muPass struct {
+	idx *hcindex.Index
+	n   int
+	// rank[d][r] is the position of direction d's r-th map in
+	// (|Γ|, position) order.
+	rank [2][]int
+	// The sample of that map is samples[off[d*n+r]:off[d*n+r+1]].
+	off     []int
+	samples []graph.VertexID
+	mu      []float64
+}
+
+// newMuPass ranks the batch's n maps in each direction and copies
+// their samples, in rank order, into one buffer. No row probes the
+// top-ranked map's sample, so it is left empty.
+func newMuPass(idx *hcindex.Index, n int) *muPass {
+	ints := make([]int, 4*n+1)
+	p := &muPass{idx: idx, n: n, off: ints[2*n:], mu: make([]float64, n*n)}
+	size := func(i int, d hcindex.Direction) int { return idx.DistMapFor(i, d).NumVisited() }
+	probes := 0
+	for d := range p.rank {
+		r := ints[d*n : (d+1)*n : (d+1)*n]
+		for i := range r {
+			r[i] = i
+		}
+		slices.SortStableFunc(r, func(a, b int) int {
+			return cmp.Compare(size(a, hcindex.Direction(d)), size(b, hcindex.Direction(d)))
+		})
+		for _, i := range r[:n-1] {
+			probes += min(size(i, hcindex.Direction(d)), maxOverlapProbes)
+		}
+		p.rank[d] = r
 	}
-	small, other := a.Visited(), b
-	if b.NumVisited() < a.NumVisited() {
-		small, other = b.Visited(), a
+	p.samples = make([]graph.VertexID, 0, probes)
+	for d, r := range p.rank {
+		for k, i := range r[:n-1] {
+			p.off[d*n+k] = len(p.samples)
+			vis := idx.DistMapFor(i, hcindex.Direction(d)).Visited()
+			step := (len(vis) + maxOverlapProbes - 1) / maxOverlapProbes
+			for v := 0; v < len(vis); v += step {
+				p.samples = append(p.samples, vis[v])
+			}
+		}
+		p.off[d*n+n-1] = len(p.samples)
 	}
-	step := (len(small) + maxOverlapProbes - 1) / maxOverlapProbes
-	probes, hits := 0, 0
-	for i := 0; i < len(small); i += step {
-		probes++
-		if other.Contains(small[i]) {
-			hits++
+	p.off[2*n] = len(p.samples)
+	return p
+}
+
+// drain claims rows until none is left, the longest first: row c is
+// rank n-1-c/2 in direction c%2, and a row probes one sample per lower
+// rank, so rank 0 has none.
+func (p *muPass) drain(claim *atomic.Int64) {
+	for c := int(claim.Add(1) - 1); c < 2*(p.n-1); c = int(claim.Add(1) - 1) {
+		p.row(hcindex.Direction(c%2), p.n-1-c/2)
+	}
+}
+
+// row fills direction d's overlaps of the rank-y map with every
+// lower-ranked one: forward above the diagonal, backward below. A
+// lower-ranked map with an empty Γ has an empty sample and overlap 0,
+// which the zeroed matrix already holds.
+func (p *muPass) row(d hcindex.Direction, y int) {
+	n, rank, off := p.n, p.rank[d], p.off[int(d)*p.n:]
+	j := rank[y]
+	m := p.idx.DistMapFor(j, d)
+	for x, i := range rank[:y] {
+		probes := p.samples[off[x]:off[x+1]]
+		if len(probes) == 0 {
+			continue
+		}
+		o := float64(m.CountContained(probes)) / float64(len(probes))
+		lo, hi := min(i, j), max(i, j)
+		if d == hcindex.Forward {
+			p.mu[lo*n+hi] = o
+		} else {
+			p.mu[hi*n+lo] = o
 		}
 	}
-	return float64(hits) / float64(probes)
 }
 
 // Clustering is the result of Algorithm 2: a partition of the batch into
@@ -108,7 +192,7 @@ func AvgPairSimilarity(idx *hcindex.Index, qs []query.Query) float64 {
 	if n < 2 {
 		return 0
 	}
-	mu := similarities(idx, n)
+	mu := similarities(idx, n, 1)
 	var sum float64
 	for i := 0; i < n; i++ {
 		for _, m := range mu[i*n+i+1 : (i+1)*n] {
@@ -118,16 +202,24 @@ func AvgPairSimilarity(idx *hcindex.Index, qs []query.Query) float64 {
 	return sum / float64(n*(n-1)/2)
 }
 
-// ClusterQueries runs Algorithm 2: start from singleton groups and
-// repeatedly merge the pair of groups with the highest group-average
-// similarity δ (Def. 4.6) while it exceeds γ.
+// ClusterQueries runs Algorithm 2 on the calling goroutine alone; it is
+// ClusterQueriesWorkers at width one.
+func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Clustering {
+	return ClusterQueriesWorkers(idx, qs, gamma, 1)
+}
+
+// ClusterQueriesWorkers runs Algorithm 2: start from singleton groups
+// and repeatedly merge the pair of groups with the highest group-average
+// similarity δ (Def. 4.6) while it exceeds γ. Up to workers goroutines,
+// the caller's included, compute the µ matrix; the groups do not depend
+// on their number.
 //
 // Group-average linkage admits the Lance–Williams update
 // δ(A∪B, C) = (|A|·δ(A,C) + |B|·δ(B,C)) / (|A|+|B|), so the merge loop
 // runs in O(|Q|²·merges) over a precomputed pairwise µ matrix instead of
 // recomputing δ from scratch each round; the result is identical to the
 // literal Algorithm 2. A batch of one query builds none of the matrix.
-func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Clustering {
+func ClusterQueriesWorkers(idx *hcindex.Index, qs []query.Query, gamma float64, workers int) *Clustering {
 	n := len(qs)
 	switch n {
 	case 0:
@@ -135,7 +227,7 @@ func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Cluste
 	case 1:
 		return &Clustering{Groups: [][]int{{0}}}
 	}
-	return &Clustering{Groups: merge(similarities(idx, n), n, gamma)}
+	return &Clustering{Groups: merge(similarities(idx, n, workers), n, gamma)}
 }
 
 // merge runs Algorithm 2's merge loop over the pairwise µ matrix of n

@@ -129,6 +129,9 @@ func NewCache(maxBytes int64) *Cache {
 	}
 }
 
+// Width implements Provider: a Cache builds serially (see NewCache).
+func (c *Cache) Width() int { return 1 }
+
 // Stats implements Provider.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

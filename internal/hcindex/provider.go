@@ -35,6 +35,10 @@ type Provider interface {
 	AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *Index
 	// Stats returns a snapshot of the provider's lifetime counters.
 	Stats() Stats
+	// Width returns the most goroutines one build runs on: the cores
+	// the provider's owner gives a batch outside its enumeration work
+	// list. Algorithm 2's µ matrix runs at the same width.
+	Width() int
 }
 
 // Stats are a Provider's lifetime counters. For the cold Builder only
@@ -137,3 +141,6 @@ func (b *Builder) done(idx *Index, pool *msbfs.Pool, built [][]*msbfs.DistMap) *
 
 // Stats implements Provider.
 func (b *Builder) Stats() Stats { return Stats{Misses: b.misses.Load()} }
+
+// Width implements Provider.
+func (b *Builder) Width() int { return max(b.width, 1) }

@@ -48,3 +48,23 @@ func TestBuilderWorkersMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestProviderWidth: a Builder reports the width its owner gave it (at
+// least one), a Cache one — the width Algorithm 2's µ matrix runs at
+// beside the build.
+func TestProviderWidth(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Provider
+		want int
+	}{
+		{"NewBuilder", NewBuilder(true), 1},
+		{"NewBuilderWorkers(4)", NewBuilderWorkers(false, 4), 4},
+		{"NewBuilderWorkers(0)", NewBuilderWorkers(true, 0), 1},
+		{"NewCache", NewCache(0), 1},
+	} {
+		if got := c.p.Width(); got != c.want {
+			t.Errorf("%s: Width %d, want %d", c.name, got, c.want)
+		}
+	}
+}

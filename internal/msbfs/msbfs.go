@@ -71,7 +71,7 @@ func (d *DistMap) Dist(v graph.VertexID) uint8 {
 }
 
 // Contains reports whether v is within Cap hops of the source, i.e.
-// v ∈ Γ. It is the O(1) membership probe the similarity estimator uses.
+// v ∈ Γ, in O(1): the membership probe CountContained counts in bulk.
 // The explicit Unreachable test matters at Cap = 255, where the Cap
 // comparison alone would admit unvisited vertices.
 //
@@ -79,6 +79,24 @@ func (d *DistMap) Dist(v graph.VertexID) uint8 {
 func (d *DistMap) Contains(v graph.VertexID) bool {
 	dv := d.dist[v]
 	return dv != Unreachable && dv <= d.Cap
+}
+
+// CountContained returns how many of vs Contains admits. It is the
+// similarity estimator's probe loop, whose hits and misses follow no
+// pattern a branch predictor could learn, so it has no data-dependent
+// branch: Contains admits exactly the distances at most
+// min(Cap, Unreachable-1), and a subtraction from that limit sets its
+// top bit on a miss.
+//
+//hcpath:noalloc
+func (d *DistMap) CountContained(vs []graph.VertexID) int {
+	limit := uint(min(d.Cap, Unreachable-1))
+	dist := d.dist
+	misses := uint(0)
+	for _, v := range vs {
+		misses += (limit - uint(dist[v])) >> (bits.UintSize - 1)
+	}
+	return len(vs) - int(misses)
 }
 
 // Visited returns the sorted set of vertices within Cap hops of the

@@ -135,6 +135,80 @@ func TestContainsAtMaxCap(t *testing.T) {
 	}
 }
 
+// TestCountContainedMatchesContains: CountContained equals a Contains
+// loop on pooled maps (also after their arrays cycled through the
+// pool), on views whose shared array holds distances above their Cap,
+// and at Cap 255, where a vertex 255 hops out stores the Unreachable
+// value and must not count.
+func TestCountContainedMatchesContains(t *testing.T) {
+	count := func(d *DistMap, vs []graph.VertexID) int {
+		n := 0
+		for _, v := range vs {
+			if d.Contains(v) {
+				n++
+			}
+		}
+		return n
+	}
+	all := func(g *graph.Graph) []graph.VertexID {
+		vs := make([]graph.VertexID, g.NumVertices())
+		for i := range vs {
+			vs[i] = graph.VertexID(i)
+		}
+		return vs
+	}
+	check := func(label string, d *DistMap, vs []graph.VertexID) {
+		t.Helper()
+		if got, want := d.CountContained(vs), count(d, vs); got != want {
+			t.Errorf("%s (cap %d, %d probes): CountContained %d, Contains loop %d", label, d.Cap, len(vs), got, want)
+		}
+	}
+
+	g := graph.GenRandom(300, 4, 11)
+	vs := all(g)
+	// A stride sample, as the estimator probes, with repeats.
+	probes := []graph.VertexID{5, 5, 120, 299, 0}
+	for v := 0; v < len(vs); v += 7 {
+		probes = append(probes, vs[v])
+	}
+	pool := NewPool(g.NumVertices())
+	sources := []graph.VertexID{0, 5, 7, 7, 120, 299}
+	caps := []uint8{3, 4, 2, 6, 3, 254}
+	for round := 0; round < 2; round++ {
+		for _, d := range MultiSourceIn(g, sources, caps, pool) {
+			check("pooled", d, vs)
+			check("pooled", d, probes)
+			check("pooled", d, nil)
+			for c := uint8(0); c < min(d.Cap, 6); c++ {
+				// The view shares d's array, which holds distances
+				// up to d.Cap > c.
+				view := d.View(c)
+				check("view", view, vs)
+				check("view", view, probes)
+			}
+			d.Release()
+		}
+	}
+
+	// Cap 255: vertex 256 sits 255 hops out (dist holds Unreachable),
+	// vertex 257 is isolated.
+	var edges []graph.Edge
+	for v := graph.VertexID(0); v < 253; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: v + 1})
+	}
+	edges = append(edges, graph.Edge{Src: 253, Dst: 254}, graph.Edge{Src: 253, Dst: 255},
+		graph.Edge{Src: 254, Dst: 256}, graph.Edge{Src: 255, Dst: 256})
+	line := graph.FromEdges(258, edges)
+	wide := MultiSourceIn(line, []graph.VertexID{0}, []uint8{255}, NewPool(line.NumVertices()))[0]
+	check("cap 255", wide, all(line))
+	if got := wide.CountContained([]graph.VertexID{256, 257, 256}); got != 0 {
+		t.Errorf("cap 255: %d of the far and isolated vertices counted, want 0", got)
+	}
+	check("cap 255 view", wide.View(254), all(line))
+	check("cap 255 view", wide.View(100), all(line))
+	wide.Release()
+}
+
 // TestVisitedExactAtMaxCap: depth 255 writes the Unreachable value into
 // dist, so a vertex reached at that depth from two parents must still
 // be queued once, and its source's visited list allocated at its exact
