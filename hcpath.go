@@ -682,15 +682,15 @@ type ServiceOptions struct {
 	// router that hash-partitions the vertex space. A query whose
 	// endpoints share a worker joins that worker's micro-batches
 	// unchanged; a query whose endpoints are owned by different workers
-	// is joined by the router on the caller's goroutine: each owner
-	// enumerates its half of the bidirectional search on one pinned
-	// epoch and the router splices the halves at the boundary vertices.
-	// Results are identical to the unsharded service. Updates fan out to
-	// every worker atomically per epoch. Combined with DataDir (through
-	// OpenService), worker i owns the directory DataDir/shard-i and a
-	// warm restart reopens every worker from its own WAL and
-	// checkpoints. For the multi-process deployment — same hash
-	// partition, but every query runs whole on one worker — see
+	// runs whole on the worker owning its source, as a batch of one on
+	// the caller's goroutine (it skips that worker's queue, not its
+	// engine, admission or counters). Results are identical to the
+	// unsharded service. Updates fan out to every worker atomically per
+	// epoch. Combined with DataDir (through OpenService), worker i owns
+	// the directory DataDir/shard-i and a warm restart reopens every
+	// worker from its own WAL and checkpoints. For the multi-process
+	// deployment — same hash partition and the same owner for every
+	// query, reached over TCP and through its micro-batches — see
 	// NewShardServer and ConnectService. Zero or one means the ordinary
 	// single-process service.
 	Shards int
@@ -726,9 +726,9 @@ type StoreState = store.State
 // safe for concurrent use; Close releases the collector.
 //
 // With ServiceOptions.Shards > 1 the same API is served by the sharded
-// deployment — a routing coordinator over per-shard workers — with
-// identical results; ShardTotals and Sharding expose the per-worker
-// view.
+// deployment — a routing coordinator over per-shard workers, each query
+// answered whole by one worker — with identical results; ShardTotals
+// and Sharding expose the per-worker view.
 type Service struct {
 	svc     backend
 	coord   *shard.Coordinator // non-nil iff Shards > 1
@@ -931,18 +931,19 @@ func (s *Service) Epoch() uint64 { return s.svc.Epoch() }
 
 // Totals returns a snapshot of the service's lifetime counters. On a
 // sharded service, the per-worker totals are merged into one
-// deployment-wide view (the in-process router's cross-shard joins
-// counted as batches of one); ShardTotals exposes the unmerged
-// per-worker counters.
+// deployment-wide view, in which every query counts once: each is in
+// the Totals of the one worker that answered it (an in-process
+// cross-shard query as a batch of one). ShardTotals exposes the
+// unmerged per-worker counters.
 func (s *Service) Totals() ServiceTotals { return s.svc.Stats() }
 
 // ShardingStats counts how a sharded service classified its traffic:
 // queries forwarded to the worker owning both endpoints (SingleShard)
 // and queries whose endpoints are owned by two workers (CrossShard —
-// joined by the router in-process, forwarded whole to the source's
-// owner by ConnectService). CrossShed and EpochRetries are always zero:
-// the router neither sheds nor retries; admission control is each
-// worker's.
+// answered whole by the source's owner: inline as a batch of one
+// in-process, through its micro-batches by ConnectService). CrossShed
+// and EpochRetries are always zero: the router neither sheds nor
+// retries; admission control is each worker's.
 type ShardingStats = shard.RoutingStats
 
 // ShardOf returns the worker that owns vertex v in a deployment of the
@@ -963,9 +964,9 @@ func (s *Service) NumShards() int {
 }
 
 // ShardTotals returns each shard worker's own lifetime counters, in
-// shard order, or nil for an unsharded service. The in-process
-// router's cross-shard joins run outside the worker pipelines and
-// appear only in the merged Totals.
+// shard order, or nil for an unsharded service. Every query is in
+// exactly one worker's counters — a cross-shard one in its source
+// owner's — so they sum to the merged Totals' query count.
 func (s *Service) ShardTotals() []ServiceTotals {
 	if s.coord == nil {
 		return nil

@@ -126,12 +126,6 @@ func levelCount(dm *msbfs.DistMap, d uint8) int {
 // The two stores it fills are exactly what pathjoin.JoinHalves
 // consumes. The DFS polls ctrl every query.PollInterval expansions and
 // unwinds as soon as the run is cancelled.
-//
-// The shard layer reuses this at partition boundaries: the shard
-// owning s collects the forward half, the shard owning t the backward
-// half, and the coordinator joins the gathered halves — the same
-// split-at-⌈k/2⌉ machinery a single-process engine applies at a
-// query's midpoint, applied at the shard boundary instead.
 func CollectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, out *pathjoin.Store) {
 	walkHalf(g, root, budget, k, other, opts, ctrl, func(p []graph.VertexID) bool {
 		out.Add(p)

@@ -184,14 +184,7 @@ func (h *HashIndex) Probe(meet graph.VertexID, length int, fn func(p []graph.Ver
 // the backward frontier is the cheaper one to deepen. Either way every
 // HC-s-t path is emitted exactly once.
 func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph.VertexID)) {
-	JoinHalvesIndexed(fwd, BuildHashIndex(bwd), k, backHeavy, nil, emit)
-}
-
-// JoinHalvesIndexed is JoinHalves with a prebuilt backward-side index,
-// under the Control of one query, ID 0 (see Joiner). A nil ctrl joins
-// to completion.
-func JoinHalvesIndexed(fwd *Store, h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, emit func(path []graph.VertexID)) {
-	j := NewJoiner(h, k, backHeavy, ctrl, queryZero, EmitFunc(emit))
+	j := NewJoiner(BuildHashIndex(bwd), k, backHeavy, nil, queryZero, EmitFunc(emit))
 	j.JoinStore(fwd)
 }
 
@@ -227,7 +220,7 @@ func (f EmitFunc) Emit(ids []int, path []graph.VertexID) {
 // with the indexed backward paths, so a forward search can join every
 // prefix as it finds it instead of storing the half first. Feeding the
 // forward paths in store order (JoinStore) emits exactly what
-// JoinHalvesIndexed emits, in the same order.
+// JoinHalves emits, in the same order.
 //
 // The members share one Control, hence one limit and one cancellation.
 // Every emission charges every member's limit, which keeps their
@@ -247,10 +240,10 @@ type Joiner struct {
 }
 
 // NewJoiner returns the join of the class ids (lead first, at least
-// one) against the backward index h. The other arguments mean what they
-// mean for JoinHalvesIndexed, and sink receives every result path once,
-// with ids. The joiner keeps ids: it must not change while the join
-// runs.
+// one) against the backward index h, under ctrl (nil joins to
+// completion). k and backHeavy mean what they mean for JoinHalves, and
+// sink receives every result path once, with ids. The joiner keeps ids:
+// it must not change while the join runs.
 func NewJoiner(h *HashIndex, k uint8, backHeavy bool, ctrl *query.Control, ids []int, sink query.Sink) Joiner {
 	return Joiner{h: h, k: k, backHeavy: backHeavy, ctrl: ctrl, ids: ids, sink: sink,
 		buf: make([]graph.VertexID, 0, int(k)+1)}

@@ -33,7 +33,8 @@ func TestJoinCancelledBoundedByProbes(t *testing.T) {
 
 	// Sanity: uncancelled, every (forward, backward) pair joins.
 	clean := 0
-	JoinHalvesIndexed(fwd, h, 4, false, nil, func([]graph.VertexID) { clean++ })
+	j := NewJoiner(h, 4, false, nil, []int{0}, EmitFunc(func([]graph.VertexID) { clean++ }))
+	j.JoinStore(fwd)
 	if clean != total {
 		t.Fatalf("uncancelled join emitted %d paths, want %d", clean, total)
 	}
@@ -42,7 +43,8 @@ func TestJoinCancelledBoundedByProbes(t *testing.T) {
 	cancel()
 	ctrl := query.NewControl(ctx, time.Time{}, 0, 1)
 	emitted := 0
-	JoinHalvesIndexed(fwd, h, 4, false, ctrl, func([]graph.VertexID) { emitted++ })
+	j = NewJoiner(h, 4, false, ctrl, []int{0}, EmitFunc(func([]graph.VertexID) { emitted++ }))
+	j.JoinStore(fwd)
 	if emitted > query.PollInterval {
 		t.Fatalf("cancelled join emitted %d of %d paths; want <= %d (one poll interval)",
 			emitted, total, query.PollInterval)

@@ -33,14 +33,7 @@ func (q Query) String() string {
 
 // Validate reports whether the query is well-formed for graph g.
 func (q Query) Validate(g *graph.Graph) error {
-	return q.ValidateN(graph.VertexID(g.NumVertices()))
-}
-
-// ValidateN is Validate against a bare vertex count, for callers — the
-// remote sharded coordinator — that know the cluster's vertex space but
-// hold no local graph. The two produce identical errors, so validation
-// failures read the same whether a deployment is local or remote.
-func (q Query) ValidateN(n graph.VertexID) error {
+	n := graph.VertexID(g.NumVertices())
 	if q.S >= n {
 		return fmt.Errorf("query %s: source out of range (n=%d)", q, n)
 	}

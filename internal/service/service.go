@@ -38,11 +38,11 @@ import (
 	"repro/internal/timing"
 )
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by Submit and Answer after Close.
 var ErrClosed = errors.New("service: closed")
 
-// ErrOverloaded is returned by Submit when admission control sheds the
-// query: the queue is at MaxQueued, or the caller is at its
+// ErrOverloaded is returned by Submit and Answer when admission control
+// sheds the query: the queue is at MaxQueued, or the caller is at its
 // MaxPerCaller quota. The query never entered a batch — nothing ran on
 // its behalf — so the caller should back off and retry. Errors carry
 // context via wrapping; test with errors.Is(err, ErrOverloaded).
@@ -603,6 +603,52 @@ func (s *Service) Submit(ctx context.Context, caller string, q query.Query, coll
 	}
 }
 
+// Answer answers one query as a batch of one on the caller's
+// goroutine, skipping the queue and the collector: the sharded
+// coordinator's route for a cross-shard query whose source this
+// in-process worker owns. It validates as Submit does, passes the same
+// admission (a shed query never runs), and runs through the same
+// runBatch, so Limit, QueryTimeout, Totals and OnBatch apply unchanged
+// (OnBatch runs before Answer returns); it takes no batch slot. ctx
+// cancels the run, and a caller whose ctx fired gets its error, not a
+// partial reply.
+func (s *Service) Answer(ctx context.Context, caller string, q query.Query, collect bool) (*Reply, error) {
+	if err := q.Validate(s.st.Current().Graph()); err != nil {
+		return nil, err
+	}
+	s.closing.RLock()
+	if s.closed {
+		s.closing.RUnlock()
+		return nil, ErrClosed
+	}
+	if s.adm != nil {
+		if err := s.adm.admit(caller); err != nil {
+			s.closing.RUnlock()
+			return nil, err
+		}
+		s.adm.dispatched(1)
+	}
+	// Close waits for the run, as for a dispatched batch.
+	s.wg.Add(1)
+	s.closing.RUnlock()
+	defer s.wg.Done()
+
+	r := &request{q: q, caller: caller, collect: collect, enqueued: time.Now(), done: make(chan error, 1)}
+	s.runBatch(ctx, []*request{r})
+	if err := <-r.done; err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &r.reply, nil
+}
+
+// CurrentSnapshot pins the store's current snapshot. Snapshots are
+// immutable: the caller can keep reading it while later updates move
+// the store to newer epochs.
+func (s *Service) CurrentSnapshot() *store.Snapshot { return s.st.Current() }
+
 // ApplyUpdates publishes a new graph epoch with dels removed and adds
 // inserted (store.Store.ApplyUpdates semantics: deletions first,
 // self-loops dropped, absent deletions no-ops, vertex space grows to
@@ -771,7 +817,7 @@ func (s *Service) dispatch(batch []*request) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.runBatch(batch)
+		s.runBatch(context.Background(), batch)
 		s.running.Add(-1)
 		select {
 		case s.wake <- struct{}{}:
@@ -802,15 +848,15 @@ func (s replySink) Emit(ids []int, p []graph.VertexID) {
 	}
 }
 
-// runBatch answers one formed batch and resolves its futures. The
-// batch binds to the snapshot current at dispatch: a concurrent
-// ApplyUpdates never changes a running batch's graph, only which
-// snapshot the next batch picks up. The directive keeps the BatchStats
-// construction exhaustive: a field added to BatchStats must be filled
-// here or excluded explicitly.
+// runBatch answers one formed batch and resolves its futures; ctx
+// cancels the run. The batch binds to the snapshot current at
+// dispatch: a concurrent ApplyUpdates never changes a running batch's
+// graph, only which snapshot the next batch picks up. The directive
+// keeps the BatchStats construction exhaustive: a field added to
+// BatchStats must be filled here or excluded explicitly.
 //
 //hcpath:mergefields BatchStats
-func (s *Service) runBatch(batch []*request) {
+func (s *Service) runBatch(ctx context.Context, batch []*request) {
 	snap := s.st.Current()
 	dispatched := time.Now()
 	qs := make([]query.Query, len(batch))
@@ -826,13 +872,13 @@ func (s *Service) runBatch(batch []*request) {
 	if s.cfg.QueryTimeout > 0 {
 		deadline = t0.Add(s.cfg.QueryTimeout)
 	}
-	ctrl := query.NewControl(context.Background(), deadline, s.cfg.Limit, len(batch))
+	ctrl := query.NewControl(ctx, deadline, s.cfg.Limit, len(batch))
 	st, err := batchenum.Run(snap.Graph(), snap.Reverse(), qs, engine, ctrl, replySink(batch))
 	if err != nil && !ctrl.Cancelled() {
-		// Submit pre-validates, so this is systemic, not one query's
-		// fault; fail the whole batch. (A blown QueryTimeout deadline is
-		// not systemic: the batch resolves below with partial results
-		// and per-query errors.)
+		// Submit and Answer pre-validate, so this is systemic, not one
+		// query's fault; fail the whole batch. (A blown QueryTimeout
+		// deadline is not systemic: the batch resolves below with
+		// partial results and per-query errors.)
 		err = fmt.Errorf("service: batch of %d failed: %w", len(batch), err)
 		for _, r := range batch {
 			if s.adm != nil {

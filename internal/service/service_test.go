@@ -222,6 +222,45 @@ func TestClose(t *testing.T) {
 	}
 }
 
+// TestAnswer: Answer runs one query as a batch of one on its caller's
+// goroutine with Submit's validation, admission bookkeeping, Totals
+// and errors; a caller whose context fired gets its error.
+func TestAnswer(t *testing.T) {
+	s, _ := paperService(t, Config{
+		Engine:       batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
+		MaxPerCaller: 1, // engages the admission counters; Answer must release its seat
+	})
+	for i := 0; i < 2; i++ {
+		r, err := s.Answer(context.Background(), "c", q0, true)
+		if err != nil || r.Count != 3 || r.Paths.Len() != 3 || r.Batch.Queries != 1 {
+			t.Fatalf("answer %d: reply %+v, err %v; want 3 paths from a batch of one", i, r, err)
+		}
+	}
+	if tot := s.Stats(); tot.Queries != 2 || tot.Batches != 2 {
+		t.Errorf("Totals: %d queries in %d batches, want 2 in 2", tot.Queries, tot.Batches)
+	}
+
+	bad := query.Query{S: 7, T: 7, K: 3}
+	_, wantErr := s.Submit(context.Background(), "", bad, false)
+	if _, err := s.Answer(context.Background(), "", bad, false); err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("self-loop: Answer %v, Submit %v", err, wantErr)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Answer(ctx, "c", q0, false); err != context.Canceled {
+		t.Errorf("cancelled answer: err %v, want context.Canceled", err)
+	}
+	if queued, _ := admissionState(s); queued != 0 || len(s.adm.perCaller) != 0 {
+		t.Errorf("admission after answers: %d queued, callers %v; want none", queued, s.adm.perCaller)
+	}
+
+	s.Close()
+	if _, err := s.Answer(context.Background(), "", q0, false); err != ErrClosed {
+		t.Errorf("answer after close: %v, want ErrClosed", err)
+	}
+}
+
 // TestResultsMatchSequential: a storm of concurrent submissions across
 // random batching boundaries returns exactly the sequential engine's
 // per-query path sets.

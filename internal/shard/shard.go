@@ -16,59 +16,43 @@
 // forwards it unchanged into that worker's micro-batching pipeline,
 // where it coalesces with the worker's other traffic exactly as in the
 // single-process deployment (sharing detection and admission control
-// included). A query whose endpoints land on different shards
-// is cross-shard, and what happens to it follows from the one thing
-// the coordinator can observe — whether the workers are in its process.
-// Nothing selects between the two rules; each deployment has one.
+// included). A query whose endpoints land on different shards is
+// cross-shard, and it runs whole on the worker owning its source:
+// every worker holds the full edge set, so it can answer alone,
+// through the same engine as any other query. The two deployments
+// differ only in the hop, and the coordinator picks it by the one
+// thing it can observe — whether the worker is in its process.
 //
-// Remote workers: the query goes whole to the worker owning s, one RPC
-// like any single-shard query. Every worker holds the full edge set, so
-// it can answer alone; it joins that worker's micro-batches and the
-// worker's own Limit, QueryTimeout and admission govern it. Splitting it
-// across two workers instead cost ~3 RPCs, two Θ(|V|) distance maps
-// serialised and decoded on both ends and both half-path stores shipped
-// back, and lost on every metric (docs/ARCHITECTURE.md has the numbers).
+// Remote workers: the query goes to the owner as one RPC, like any
+// single-shard query; it joins that worker's micro-batches and the
+// worker's own Limit, QueryTimeout and admission govern it. Splitting
+// it across two workers instead cost ~3 RPCs, two Θ(|V|) distance maps
+// serialised and decoded on both ends and both half-path stores
+// shipped back, and lost on every metric.
 //
-// In-process workers: the coordinator joins the two halves itself, on
-// the caller's goroutine, which skips the collector hop and measures
-// cheaper than a second trip through a batcher:
+// In-process workers: the coordinator calls the owner's
+// service.Service.Answer, which runs the query as a batch of one on
+// the caller's goroutine, skipping the worker's queue and collector:
+// on the harness's hot traffic that hop costs more allocations and
+// slower replies than the sharing a batch finds for these queries
+// (docs/ARCHITECTURE.md has the measurements).
 //
-//  1. Pin — both owners' current snapshots are taken under the read
-//     side of the update lock, so the two are one epoch.
-//  2. Index — the shard owning s resolves the forward hop-distance map
-//     of s and the shard owning t the backward map of t, each through
-//     its own index cache, so index state stays partitioned by endpoint
-//     ownership.
-//  3. Half-path enumeration — the owner of s collects the forward
-//     partial paths up to ⌈K/2⌉ hops and the owner of t the backward
-//     partial paths up to ⌊K/2⌋ hops (pathenum.CollectHalf), each side
-//     pruned by the other side's distance map (Lemma 3.1).
-//  4. Join — the coordinator joins the two half-path stores at their
-//     boundary (meeting) vertices with pathjoin's unique-split ⊕
-//     concatenation: the machinery a single-process engine applies at a
-//     query's midpoint, reused at the shard boundary.
-//
-// The join mirrors pathenum.EnumerateControlled step for step (plain
-// search order, budgets ⌈K/2⌉/⌊K/2⌋), so sharded results are identical
-// to single-process results; the differential suite in this package
+// Either way one worker answers the query on one snapshot with the
+// single-process engine, so sharded results are identical to
+// single-process results; the differential suite in this package
 // proves it over the testgraphs corpus for N ∈ {2, 3, 8} in-process and
 // N ∈ {2, 3} over live TCP connections, live updates included.
 //
 // # Updates and epochs
 //
 // ApplyUpdates fans every update out to all workers under the
-// coordinator's write lock, and the workers compact synchronously
+// coordinator's lock, and the workers compact synchronously
 // (Config.SyncCompact is forced on), so every worker steps through the
 // identical epoch sequence — updates stay atomic per epoch, and the
 // fan-out asserts the invariant and fails loudly on divergence.
-//
-// An in-process join pins both owners' snapshots under the read lock;
-// the fan-out holds the write lock, so a pin never sees one worker
-// before an update and the other after it, and both halves of a join
-// are from one epoch by construction. Snapshots are immutable, so the
-// lock is released before any enumeration runs and updates never wait
-// behind a join. Over the wire every query runs on one worker, on the
-// snapshot its micro-batch bound — there is nothing to align.
+// Every query runs on one worker, on the snapshot its batch bound, so
+// there is nothing to align across workers: a query racing a fan-out
+// sees its worker's graph before the update or after it, never a mix.
 //
 // # Admission control and backpressure
 //
@@ -78,8 +62,10 @@
 // ErrOverloaded propagates to the caller with its retry-after semantics
 // intact — over the wire it arrives as OverloadedError carrying the
 // server's retry-after hint for the caller's Backoff. An in-process
-// join runs on its caller's goroutine outside every worker's pipeline:
-// the coordinator sheds nothing itself.
+// cross-shard query passes its owner's MaxQueued and MaxPerCaller
+// checks too, but runs on its caller's goroutine and takes no batch
+// slot, so MaxInFlight does not bound it. The coordinator sheds
+// nothing itself.
 //
 // # Durability
 //
@@ -104,12 +90,9 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/hcindex"
-	"repro/internal/msbfs"
-	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -149,24 +132,16 @@ type RoutingStats struct {
 	Shards int
 	// SingleShard counts queries whose endpoints shared a worker and
 	// were forwarded into its batch pipeline. CrossShard counts queries
-	// whose endpoints hash apart, on both deployments: joined by the
-	// coordinator in-process, forwarded whole to the owner of the source
-	// over the wire.
+	// whose endpoints hash apart, answered whole by the owner of the
+	// source on both deployments: inline as a batch of one in-process,
+	// through its batch pipeline over the wire.
 	SingleShard, CrossShard int64
 	// CrossShed and EpochRetries are always 0: the coordinator sheds
-	// nothing itself, and a join pins its epoch and never restarts. Both
-	// stay because the frozen harness (benchmark/layers.go) reads them,
-	// and leave with ROADMAP item 9's harness-opening PR.
+	// nothing itself, and every query runs on one worker's snapshot and
+	// never restarts. Both stay because the frozen harness
+	// (benchmark/layers.go) reads them, and leave with ROADMAP item 9's
+	// harness-opening PR.
 	CrossShed, EpochRetries int64
-}
-
-// crossAgg accumulates the stats of completed in-process joins, which
-// bypass the per-worker batch pipeline and so appear in no worker's
-// Totals. (A cross-shard query routed over the wire runs in its
-// worker's pipeline and is counted there.)
-type crossAgg struct {
-	joins, paths, nanos, truncated, deadline int64
-	hits, misses                             int64
 }
 
 // Coordinator is the sharded deployment's front door. It exposes the
@@ -175,21 +150,13 @@ type crossAgg struct {
 // sit on either interchangeably. All methods are safe for concurrent
 // use.
 type Coordinator struct {
-	cfg     service.Config
 	workers []worker
 
-	// mu serializes update fan-out (write side) against Close and the
-	// snapshot pinning of in-process joins (read side): two snapshots
-	// pinned under the read lock are one epoch every worker has fully
-	// reached, never a mid-fan-out mix. Queries do not hold mu while
-	// they run — snapshots are immutable (see the package comment).
-	mu     sync.RWMutex
+	// mu serializes update fan-out against Close.
+	mu     sync.Mutex
 	closed bool
 
 	single, cross atomic.Int64
-
-	aggMu sync.Mutex
-	agg   crossAgg
 }
 
 // workerConfig lowers a deployment config to the config one worker
@@ -234,7 +201,7 @@ func New(g, gr *graph.Graph, cfg service.Config) *Coordinator {
 		n = 1
 	}
 	workerCfg := workerConfig(cfg, n, true)
-	c := newCoordinator(cfg, n)
+	c := newCoordinator(n)
 	for i := 0; i < n; i++ {
 		c.workers[i] = service.New(g, gr, workerCfg)
 	}
@@ -257,7 +224,7 @@ func Open(g, gr *graph.Graph, cfg service.Config) (*Coordinator, error) {
 		n = 1
 	}
 	workerCfg := workerConfig(cfg, n, true)
-	c := newCoordinator(cfg, n)
+	c := newCoordinator(n)
 	for i := 0; i < n; i++ {
 		workerCfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("shard-%d", i))
 		svc, err := service.Open(g, gr, workerCfg)
@@ -276,8 +243,8 @@ func Open(g, gr *graph.Graph, cfg service.Config) (*Coordinator, error) {
 	return c, nil
 }
 
-func newCoordinator(cfg service.Config, n int) *Coordinator {
-	return &Coordinator{cfg: cfg, workers: make([]worker, n)}
+func newCoordinator(n int) *Coordinator {
+	return &Coordinator{workers: make([]worker, n)}
 }
 
 // verifyAligned checks every worker reports the same store.State — the
@@ -304,158 +271,29 @@ func (c *Coordinator) ShardOf(v graph.VertexID) int { return ShardOf(v, len(c.wo
 // until the result is ready or ctx fires, validates before any work
 // runs, and sheds with a wrapped service.ErrOverloaded under overload.
 // Single-shard queries forward into the owning worker's batch pipeline
-// (the caller string feeds that worker's fairness quota). Cross-shard
-// queries follow the deployment (see the package comment): over the
-// wire they forward the same way, to the worker owning the source;
-// in-process the coordinator joins the owners' halves itself.
+// (the caller string feeds that worker's fairness quota). A cross-shard
+// query runs whole on the worker owning its source (see the package
+// comment): through its pipeline over the wire, inline as a batch of
+// one (service.Service.Answer) in-process.
 func (c *Coordinator) Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error) {
-	sa, sb := c.ShardOf(q.S), c.ShardOf(q.T)
-	if sa == sb {
+	sa := c.ShardOf(q.S)
+	if sa == c.ShardOf(q.T) {
 		c.single.Add(1)
 		return c.workers[sa].Submit(ctx, caller, q, collect)
 	}
-	wa, aLocal := c.workers[sa].(*service.Service)
-	wb, bLocal := c.workers[sb].(*service.Service)
-	if !aLocal || !bLocal {
-		c.cross.Add(1)
-		return c.workers[sa].Submit(ctx, caller, q, collect)
-	}
-	return c.joinLocal(ctx, q, collect, wa, wb)
-}
-
-// pin returns the current snapshots of two in-process workers, taken
-// under the read lock the update fan-out excludes, so both carry one
-// epoch (and one vertex count: a distance map built on one probes the
-// other's graph safely).
-func (c *Coordinator) pin(wa, wb *service.Service) (snapA, snapB *store.Snapshot, err error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return nil, nil, service.ErrClosed
-	}
-	return wa.CurrentSnapshot(), wb.CurrentSnapshot(), nil
-}
-
-// joinLocal answers a cross-shard query over two in-process workers —
-// wa owning q.S, wb owning q.T — by the join of the package comment. It
-// deliberately mirrors pathenum.EnumerateControlled — same budgets,
-// same plain search order, same join, one Control — with the two
-// halves delegated to the workers owning the endpoints.
-func (c *Coordinator) joinLocal(ctx context.Context, q query.Query, collect bool, wa, wb *service.Service) (*service.Reply, error) {
 	c.cross.Add(1)
-
-	t0 := time.Now()
-	snapA, snapB, err := c.pin(wa, wb)
-	if err != nil {
-		return nil, err
+	if w, ok := c.workers[sa].(*service.Service); ok {
+		return w.Answer(ctx, caller, q, collect)
 	}
-	// Same pre-validation as service.Submit, against the pinned epoch's
-	// vertex count (every replica holds the full graph, so either
-	// snapshot's works): a malformed query fails identically whether or
-	// not its endpoints share a shard, and one racing a vertex-growing
-	// update is judged against the epoch it actually runs at.
-	if err := q.ValidateN(graph.VertexID(snapA.Graph().NumVertices())); err != nil {
-		return nil, err
-	}
-	var deadline time.Time
-	if c.cfg.QueryTimeout > 0 {
-		deadline = t0.Add(c.cfg.QueryTimeout)
-	}
-	// One Control for both halves and the join, as in the single-process
-	// engine: the halves only poll it for cancellation (safe from two
-	// goroutines), the per-query limit is charged at the join.
-	ctrl := query.NewControl(ctx, deadline, c.cfg.Limit, 1)
-
-	// Each owner resolves its endpoint's distance map through its own
-	// index cache, concurrently.
-	var (
-		distA, distB *msbfs.DistMap
-		idxA, idxB   *hcindex.Index
-		wg           sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		distB, idxB = wb.AcquireDist(snapB, q.T, q.K, hcindex.Backward)
-	}()
-	distA, idxA = wa.AcquireDist(snapA, q.S, q.K, hcindex.Forward)
-	wg.Wait()
-	defer idxA.Release()
-	defer idxB.Release()
-
-	reply := &service.Reply{}
-	emit := func(p []graph.VertexID) {
-		reply.Count++
-		if collect {
-			reply.Paths.Add(p)
-		}
-	}
-	if distB.Dist(q.S) > q.K {
-		// t unreachable from s within K hops: complete empty result.
-		ctrl.MarkComplete(0)
-	} else {
-		// Each owner enumerates its half on its own replica, pruned by
-		// the opposite owner's map.
-		fwdPaths, bwdPaths := pathjoin.NewStore(64, 256), pathjoin.NewStore(64, 256)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wb.HalfPaths(snapB, hcindex.Backward, q.T, q.BwdBudget(), q.K, distA, ctrl, bwdPaths)
-		}()
-		wa.HalfPaths(snapA, hcindex.Forward, q.S, q.FwdBudget(), q.K, distB, ctrl, fwdPaths)
-		wg.Wait()
-		// Join at the boundary vertices. Partial halves of a cancelled
-		// run must not reach the join.
-		if !ctrl.Cancelled() {
-			pathjoin.JoinHalvesIndexed(fwdPaths, pathjoin.BuildHashIndex(bwdPaths), q.K, false, ctrl, emit)
-		}
-		if !ctrl.Cancelled() {
-			ctrl.MarkComplete(0)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// Submit parity: a caller whose context fired gets the error,
-		// not a partial reply.
-		return nil, err
-	}
-	reply.Truncated = ctrl.Truncated(0)
-	reply.Err = ctrl.QueryErr(0)
-
-	nanos := time.Since(t0).Nanoseconds()
-	reply.Batch = service.BatchStats{
-		Queries:        1,
-		Groups:         1,
-		Paths:          reply.Count,
-		EnumerateNanos: nanos,
-		IndexHits:      idxA.Hits + idxB.Hits,
-		IndexMisses:    idxA.Misses + idxB.Misses,
-	}
-	if reply.Truncated {
-		reply.Batch.Truncated = 1
-	}
-
-	c.aggMu.Lock()
-	c.agg.joins++
-	c.agg.paths += reply.Count
-	c.agg.nanos += nanos
-	c.agg.hits += int64(reply.Batch.IndexHits)
-	c.agg.misses += int64(reply.Batch.IndexMisses)
-	if reply.Truncated {
-		c.agg.truncated++
-	}
-	if ctrl.Err() == context.DeadlineExceeded {
-		c.agg.deadline++
-	}
-	c.aggMu.Unlock()
-	return reply, nil
+	return c.workers[sa].Submit(ctx, caller, q, collect)
 }
 
-// ApplyUpdates publishes one new epoch across every worker atomically:
-// the write lock excludes the snapshot pinning of in-process joins
-// while each replica applies the same adds/dels (store.ApplyUpdates semantics), and
-// synchronous compaction keeps the per-replica epoch sequences
-// identical — the fan-out asserts they are and fails loudly otherwise.
-// Returns the epoch now current on all workers.
+// ApplyUpdates publishes one new epoch across every worker: each
+// replica applies the same adds/dels (store.ApplyUpdates semantics)
+// under the coordinator's lock, and synchronous compaction keeps the
+// per-replica epoch sequences identical — the fan-out asserts they are
+// and fails loudly otherwise. Returns the epoch now current on all
+// workers.
 func (c *Coordinator) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -498,9 +336,8 @@ func (c *Coordinator) Checkpoint() error {
 }
 
 // Stats folds every worker's lifetime Totals into one deployment view
-// (Totals.Merge), then adds the in-process joins — each reported as a
-// batch of one query; over the wire there are none, every query is in
-// its worker's Totals — and corrects the store gauges that merging
+// (Totals.Merge) — every query, cross-shard ones included, is in its
+// worker's Totals — and corrects the store gauges that merging
 // replicas would multiply: the logical update stream is counted once,
 // from worker 0. IndexCacheBytes stays summed across workers (each
 // owns a cache; the deployment's footprint is their total).
@@ -516,24 +353,11 @@ func (c *Coordinator) Stats() service.Totals {
 	t.DeltaEdges = s0.DeltaEdges
 	t.WALRecords = s0.WALRecords
 	t.Checkpoints = s0.Checkpoints
-
-	c.aggMu.Lock()
-	a := c.agg
-	c.aggMu.Unlock()
-	t.Batches += a.joins
-	t.Queries += a.joins
-	t.Paths += a.paths
-	t.EnumerateNanos += a.nanos
-	t.IndexHits += a.hits
-	t.IndexMisses += a.misses
-	t.Truncated += a.truncated
-	t.DeadlineBatches += a.deadline
 	return t
 }
 
 // ShardTotals returns each worker's own lifetime Totals, in shard
-// order — the per-shard view behind the merged Stats. In-process
-// joins bypass the worker pipelines and appear only in Stats.
+// order — the per-shard view behind the merged Stats.
 func (c *Coordinator) ShardTotals() []service.Totals {
 	per := make([]service.Totals, len(c.workers))
 	for i, sh := range c.workers {

@@ -239,8 +239,9 @@ func randomUpdateWaves(t *testing.T, n int, waves int, seed int64) {
 		qs := allPairQueries(cur, 3, uint8(4+wave%3))
 		got := runAll(coord, qs)
 		diffOutcomes(t, fmt.Sprintf("shards=%d/wave=%d", n, wave), qs, runAll(single, qs), got)
-		// A join's two halves come from two workers' replicas: hold every
-		// cross-shard reply to the oracle on this wave's graph as well.
+		// A cross-shard reply comes from its source owner's replica, run
+		// inline off that worker's queue: hold every cross-shard reply to
+		// the oracle on this wave's graph as well.
 		for i, q := range qs {
 			if ShardOf(q.S, n) != ShardOf(q.T, n) && !slices.Equal(got[i].paths, oraclePaths(cur, q)) {
 				t.Errorf("shards=%d/wave=%d: cross-shard %s answered %v, oracle on epoch %d says %v",
@@ -438,8 +439,8 @@ func TestSelfLoopQueryParity(t *testing.T) {
 }
 
 // TestCollidingEndpointsStaySingleShard: two distinct endpoints hashing
-// to the same worker under a 2-shard deployment must skip the
-// scatter-gather path entirely.
+// to the same worker under a 2-shard deployment must be routed as
+// single-shard, into that worker's micro-batches.
 func TestCollidingEndpointsStaySingleShard(t *testing.T) {
 	g := testgraphs.CompleteDAG(7)
 	cfg := testConfig()
@@ -507,9 +508,9 @@ func TestVertexGrowthLandsOnCorrectShard(t *testing.T) {
 	}
 }
 
-// TestK1CrossShard: a 1-hop path cannot cross a boundary vertex — it
-// has no interior — so a cross-shard K=1 query reduces to "does the
-// edge exist", which the scatter-gather protocol must still answer.
+// TestK1CrossShard: a cross-shard K=1 query reduces to "does the edge
+// exist", which the source's owner must answer with the one path or
+// none.
 func TestK1CrossShard(t *testing.T) {
 	// Line(10): edge i→i+1 only.
 	g := testgraphs.Line(10)
@@ -549,7 +550,7 @@ func TestK1CrossShard(t *testing.T) {
 }
 
 // TestCrossShardLimitTruncation: the per-query Limit applies to
-// cross-shard joins with the same semantics as the worker pipeline.
+// cross-shard queries with the same semantics as the worker pipeline.
 func TestCrossShardLimitTruncation(t *testing.T) {
 	g := testgraphs.CompleteDAG(7)
 	cfg := testConfig()
@@ -606,7 +607,9 @@ func TestClosedCoordinator(t *testing.T) {
 }
 
 // TestStatsComposition: the merged deployment Totals counts every query
-// exactly once and does not multiply the replicated update stream.
+// exactly once — each in exactly one worker's Totals, cross-shard
+// queries in their source owner's — and does not multiply the
+// replicated update stream.
 func TestStatsComposition(t *testing.T) {
 	g := testgraphs.Paper()
 	cfg := testConfig()
@@ -632,11 +635,60 @@ func TestStatsComposition(t *testing.T) {
 	for _, st := range coord.ShardTotals() {
 		perQueries += st.Queries
 	}
-	if perQueries != rs.SingleShard {
-		t.Errorf("workers carried %d queries, router forwarded %d", perQueries, rs.SingleShard)
+	if perQueries != rs.SingleShard+rs.CrossShard {
+		t.Errorf("workers carried %d queries, router routed %d+%d", perQueries, rs.SingleShard, rs.CrossShard)
 	}
 	if rs.SingleShard+rs.CrossShard != tot.Queries {
 		t.Errorf("routing %d+%d does not account for %d merged queries",
 			rs.SingleShard, rs.CrossShard, tot.Queries)
+	}
+}
+
+// TestCrossShardCountsOnSourceOwner: an in-process cross-shard query
+// runs as a batch of one on the worker owning its source, so it lands
+// in that worker's Totals (one query, one batch) and nowhere else, and
+// OnBatch sees it.
+func TestCrossShardCountsOnSourceOwner(t *testing.T) {
+	g := testgraphs.CompleteDAG(7)
+	var (
+		bmu     sync.Mutex
+		batches []service.BatchStats
+	)
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.OnBatch = func(bs service.BatchStats) {
+		bmu.Lock()
+		batches = append(batches, bs)
+		bmu.Unlock()
+	}
+	coord := New(g, g.Reverse(), cfg)
+	defer coord.Close()
+
+	s, v := findPair(t, g, 2, true)
+	if s > v {
+		s, v = v, s // DAG edges go low→high
+	}
+	r, err := coord.Submit(context.Background(), "", query.Query{S: s, T: v, K: 4}, true)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if r.Count == 0 || r.Batch.Queries != 1 {
+		t.Errorf("reply: %d paths, batch of %d; want paths from a batch of 1", r.Count, r.Batch.Queries)
+	}
+	owner := coord.ShardOf(s)
+	for i, tot := range coord.ShardTotals() {
+		want := int64(0)
+		if i == owner {
+			want = 1
+		}
+		if tot.Queries != want || tot.Batches != want {
+			t.Errorf("shard %d (source owner %d): %d queries in %d batches, want %d in %d",
+				i, owner, tot.Queries, tot.Batches, want, want)
+		}
+	}
+	bmu.Lock()
+	defer bmu.Unlock()
+	if len(batches) != 1 || batches[0].Queries != 1 {
+		t.Errorf("OnBatch saw %+v, want one batch of 1 query", batches)
 	}
 }

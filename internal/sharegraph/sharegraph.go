@@ -80,9 +80,9 @@ type Node struct {
 	// terminal (half-query) nodes, or -1 for shared nodes.
 	Query int
 	// Constraints is the union of the consumers' pruning conditions
-	// (deviation 2 above). Empty with Unbounded set means "prune by
-	// budget only"; empty without Unbounded means no consumer can use
-	// anything beyond the root.
+	// (deviation 2 above), in no particular order. Empty with Unbounded
+	// set means "prune by budget only"; empty without Unbounded means no
+	// consumer can use anything beyond the root.
 	Constraints []Constraint
 	// Unbounded disables constraint pruning (set when the union grew
 	// past the cap, or when constraint propagation was disabled).
@@ -536,18 +536,12 @@ func propagateConstraints(psi *Graph, maxCons int) {
 			continue
 		}
 		n.Unbounded = false
+		// Map order: every reader of the union (PruneOK's any,
+		// MinResidual's min, batchenum's max bound) is order-free.
 		n.Constraints = n.Constraints[:0]
 		for k, s := range set {
 			n.Constraints = append(n.Constraints, Constraint{Other: k.other, Slack: s})
 		}
-		// Deterministic order for reproducible pruning behaviour.
-		sort.Slice(n.Constraints, func(a, b int) bool {
-			ca, cb := n.Constraints[a], n.Constraints[b]
-			if ca.Other != cb.Other {
-				return fmt.Sprintf("%p", ca.Other) < fmt.Sprintf("%p", cb.Other)
-			}
-			return ca.Slack < cb.Slack
-		})
 	}
 }
 
