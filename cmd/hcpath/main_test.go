@@ -252,9 +252,11 @@ query 2 0 4
 	if err := os.WriteFile(opsPath, []byte(ops), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Compaction epochs depend on timing unless disabled, and the state
-	// comparison needs bit-identical epochs across processes.
-	common := []string{"-updates", opsPath, "-compactafter", "-1", "-fsync", "always"}
+	// Compaction is on (two folds, each replayed from the WAL after the
+	// crashes that follow it); checkpoints stay off, because recovery
+	// reloads the delta as zero at a checkpoint's epoch, so fold points
+	// after a warm restart would differ from the uninterrupted run's.
+	common := []string{"-updates", opsPath, "-compactafter", "3", "-checkpointevery", "-1", "-fsync", "always"}
 
 	fullOut, code := runCLI(t, append([]string{"-graph", graphPath, "-datadir", filepath.Join(dir, "d-full")}, common...)...)
 	if code != 0 {
@@ -307,8 +309,9 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	}
 	// Many small blocks so the kill lands mid-replay; a trailing marker
 	// block distinguishes a finished run.
+	const blocks = 4001
 	var sb strings.Builder
-	for i := 0; i < 400; i++ {
+	for i := 0; i < (blocks-1)/2; i++ {
 		fmt.Fprintf(&sb, "add %d %d\nquery 0 4 4\n", i%5, 5+i%7)
 		fmt.Fprintf(&sb, "del %d %d\nquery 0 4 4\n", i%5, 5+i%7)
 	}
@@ -316,7 +319,8 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	if err := os.WriteFile(opsPath, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	common := []string{"-updates", opsPath, "-compactafter", "-1", "-fsync", "always"}
+	// As in TestUpdateReplayRestart: compaction on, checkpoints off.
+	common := []string{"-updates", opsPath, "-compactafter", "5", "-checkpointevery", "-1", "-fsync", "always"}
 
 	fullOut, code := runCLI(t, append([]string{"-graph", graphPath, "-datadir", filepath.Join(dir, "d-full")}, common...)...)
 	if code != 0 {
@@ -331,19 +335,20 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Give the replay time to apply some blocks, then kill -9.
+	// Kill -9 once the WAL holds some records (~100 of the 4001). A
+	// fixed sleep is no use: without a slow disk the whole replay takes
+	// a fifth of a second.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := os.Stat(filepath.Join(crashDir, "wal-00000000000000000000.log")); err == nil {
+		if fi, err := os.Stat(filepath.Join(crashDir, "wal-00000000000000000000.log")); err == nil && fi.Size() > 3000 {
 			break
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
-			t.Fatal("replay never created its WAL")
+			t.Fatal("replay never filled its WAL")
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(300 * time.Millisecond)
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +357,14 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	out, code := runCLI(t, append([]string{"-datadir", crashDir}, common...)...)
 	if code != 0 {
 		t.Fatalf("restart exited %d:\n%s", code, out)
+	}
+	applied := -1
+	for _, line := range strings.Split(out, "\n") {
+		var epoch, n, m int
+		fmt.Sscanf(line, "recovered: epoch %d, %d vertices, %d edges, %d update blocks already applied", &epoch, &n, &m, &applied)
+	}
+	if applied < 0 || applied >= blocks {
+		t.Fatalf("kill -9 did not land mid-replay (%d of %d blocks recovered):\n%s", applied, blocks, out)
 	}
 	if got := stateLine(t, out); got != want {
 		t.Fatalf("state after kill -9 and restart:\n  %s\nuninterrupted run:\n  %s", got, want)

@@ -7,7 +7,7 @@
 // queries in flight finish on their snapshot, the next micro-batch sees
 // the new graph, and the cross-batch index cache can never serve a
 // stale (pre-update) distance map. When the delta grows past a
-// threshold it is folded into a fresh CSR in the background.
+// threshold the update that crossed it folds it into a fresh CSR.
 //
 //	go run ./examples/liveupdates
 package main

@@ -62,9 +62,11 @@ func main() {
 		// crash-proof; FsyncInterval trades a bounded window of recent
 		// updates for near-in-memory append latency.
 		Fsync: hcpath.FsyncAlways,
-		// A real crash kills background compaction with the process;
-		// this demo only abandons the service in-process, so background
-		// work must be off for the "crash" to be faithful.
+		// Each compaction forces a checkpoint, which runs in the
+		// background; a real crash kills it with the process, but this
+		// demo only abandons the service in-process, so compaction (and
+		// with it that background work) must be off for the "crash" to
+		// be faithful.
 		CompactAfter: -1,
 	}
 

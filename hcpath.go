@@ -623,7 +623,8 @@ type ServiceOptions struct {
 	// CompactAfter tunes the versioned graph store behind ApplyUpdates:
 	// live edge changes accumulate in a compact delta overlay, and once
 	// the effective changes since the last base reach this count the
-	// delta is folded into a fresh CSR in the background. Zero selects
+	// ApplyUpdates that reached it folds the delta into a fresh CSR
+	// before returning (queries keep running meanwhile). Zero selects
 	// the store default (max(4096, edges/8)); negative disables automatic
 	// compaction. Irrelevant until ApplyUpdates is used.
 	CompactAfter int
@@ -910,8 +911,8 @@ func (s *Service) CountFrom(ctx context.Context, caller string, q Query) (int64,
 // self-loops and duplicate adds are dropped, deleting an absent edge is
 // a no-op, and adds may name vertices beyond the current size — the
 // vertex space grows to fit (it never shrinks). When the accumulated
-// delta outgrows ServiceOptions.CompactAfter it is folded into a fresh
-// CSR base in the background. Returns the epoch now current.
+// delta outgrows ServiceOptions.CompactAfter this call also folds it
+// into a fresh CSR base, one more epoch. Returns the epoch now current.
 func (s *Service) ApplyUpdates(adds, dels []Edge) (uint64, error) {
 	ia := make([]graph.Edge, len(adds))
 	for i, e := range adds {
@@ -925,8 +926,9 @@ func (s *Service) ApplyUpdates(adds, dels []Edge) (uint64, error) {
 }
 
 // Epoch returns the service's current graph version: zero at start,
-// bumped by every effective ApplyUpdates and by every background
-// compaction.
+// bumped by every effective ApplyUpdates and by every compaction that
+// such an update triggers. Within one process it is a pure function of
+// the update sequence: the effective updates plus Totals().Compactions.
 func (s *Service) Epoch() uint64 { return s.svc.Epoch() }
 
 // Totals returns a snapshot of the service's lifetime counters. On a
@@ -1038,10 +1040,10 @@ type ShardServer struct {
 }
 
 // NewShardServer builds worker shardIdx of a deployment of shards
-// workers over g. The worker's service runs opts with the worker
-// invariants applied: never itself sharded, and compacting
-// synchronously so every replica steps through the identical epoch
-// sequence. opts.DataDir, when set, is this worker's own durable
+// workers over g. The worker's service runs opts, never itself sharded;
+// its store folds deltas inside the update that crosses CompactAfter,
+// so every replica given the same opts steps through the identical
+// epoch sequence. opts.DataDir, when set, is this worker's own durable
 // directory (give each worker process its own — the in-process
 // deployment's DataDir/shard-i layout, spread across machines); an
 // existing directory warm-restarts the worker, and g may then be nil.
@@ -1061,7 +1063,6 @@ func NewShardServer(g *Graph, opts *ServiceOptions, shardIdx, shards int) (*Shar
 	}
 	cfg := o.config()
 	cfg.Shards = 0
-	cfg.SyncCompact = true
 	svc, err := service.Open(ig, igr, cfg)
 	if err != nil {
 		return nil, err

@@ -143,13 +143,6 @@ type Config struct {
 	// one worker per shard from this Config with Shards cleared. Zero or
 	// one means unsharded.
 	Shards int
-	// SyncCompact makes the store fold deltas inline inside
-	// ApplyUpdates instead of in a background goroutine. The sharded
-	// coordinator forces it on so replicas stepping through the same
-	// update sequence pass through identical epoch sequences (background
-	// compaction would bump epochs at racy points); outside that it is
-	// mainly a determinism knob for tests.
-	SyncCompact bool
 }
 
 func (c Config) maxBatch() int {
@@ -485,7 +478,7 @@ type Service struct {
 // precomputed reverse). The caller must Close it to release the
 // collector. Config.DataDir is ignored — use Open for durability.
 func New(g, gr *graph.Graph, cfg Config) *Service {
-	return newWithStore(store.NewWithReverse(g, gr, store.Options{CompactAfter: cfg.CompactAfter, SyncCompact: cfg.SyncCompact}), cfg)
+	return newWithStore(store.NewWithReverse(g, gr, store.Options{CompactAfter: cfg.CompactAfter}), cfg)
 }
 
 // Open starts a service like New, but honours Config.DataDir: when it
@@ -499,7 +492,7 @@ func Open(g, gr *graph.Graph, cfg Config) (*Service, error) {
 		return New(g, gr, cfg), nil
 	}
 	st, err := store.Open(cfg.DataDir, g, store.DurableOptions{
-		Options:         store.Options{CompactAfter: cfg.CompactAfter, SyncCompact: cfg.SyncCompact},
+		Options:         store.Options{CompactAfter: cfg.CompactAfter},
 		Fsync:           cfg.Fsync,
 		CheckpointEvery: cfg.CheckpointEvery,
 	})
@@ -719,8 +712,8 @@ func (s *Service) Close() error {
 	close(s.submit)
 	s.closing.Unlock()
 	s.wg.Wait()
-	// Drains background compactions/checkpoints; durable stores then
-	// checkpoint the final epoch.
+	// Drains background checkpoints; durable stores then checkpoint the
+	// final epoch.
 	return s.st.Close()
 }
 

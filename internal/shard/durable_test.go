@@ -64,7 +64,6 @@ func TestDurableShardedWarmRestart(t *testing.T) {
 	// The restarted deployment answers like a single in-memory service
 	// driven through the same update stream.
 	cfgSingle := testConfig()
-	cfgSingle.SyncCompact = true
 	cfgSingle.CompactAfter = 4
 	single := service.New(g, gr, cfgSingle)
 	defer single.Close()

@@ -93,7 +93,6 @@ func TestRemoteLiveUpdates(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			g := testgraphs.Cycle(8)
 			cfgSingle := testConfig()
-			cfgSingle.SyncCompact = true
 			cfgSingle.CompactAfter = 8
 			single := service.New(g, g.Reverse(), cfgSingle)
 			defer single.Close()

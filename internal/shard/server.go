@@ -46,7 +46,7 @@ type Server struct {
 const retryAfter = 5 * time.Millisecond
 
 // NewServer wraps svc as shard shardIdx of shards. The service must
-// run with the worker invariants (SyncCompact on, not itself sharded)
+// run with the worker invariant (not itself sharded)
 // — use hcpath.NewShardServer or workerConfig to build it.
 func NewServer(svc *service.Service, shardIdx, shards int) *Server {
 	return &Server{

@@ -46,9 +46,9 @@
 // # Updates and epochs
 //
 // ApplyUpdates fans every update out to all workers under the
-// coordinator's lock, and the workers compact synchronously
-// (Config.SyncCompact is forced on), so every worker steps through the
-// identical epoch sequence — updates stay atomic per epoch, and the
+// coordinator's lock, and each worker's store folds its delta inline in
+// the update that crosses the threshold, so every worker steps through
+// the identical epoch sequence — updates stay atomic per epoch, and the
 // fan-out asserts the invariant and fails loudly on divergence.
 // Every query runs on one worker, on the snapshot its batch bound, so
 // there is nothing to align across workers: a query racing a fan-out
@@ -160,8 +160,7 @@ type Coordinator struct {
 }
 
 // workerConfig lowers a deployment config to the config one worker
-// runs: never itself sharded, synchronously compacting (the epoch
-// alignment of the package comment), and — for n co-resident workers —
+// runs: never itself sharded, and — for n co-resident workers —
 // an even split of the deployment's index-cache budget. splitCache is
 // false for workers that own a whole process (wire mode), whose
 // configured budget is already per-process.
@@ -169,7 +168,6 @@ func workerConfig(cfg service.Config, n int, splitCache bool) service.Config {
 	workerCfg := cfg
 	workerCfg.Shards = 0
 	workerCfg.DataDir = ""
-	workerCfg.SyncCompact = true
 	if !splitCache {
 		return workerCfg
 	}
@@ -290,7 +288,7 @@ func (c *Coordinator) Submit(ctx context.Context, caller string, q query.Query, 
 
 // ApplyUpdates publishes one new epoch across every worker: each
 // replica applies the same adds/dels (store.ApplyUpdates semantics)
-// under the coordinator's lock, and synchronous compaction keeps the
+// under the coordinator's lock, and inline compaction keeps the
 // per-replica epoch sequences identical — the fan-out asserts they are
 // and fails loudly otherwise. Returns the epoch now current on all
 // workers.

@@ -193,9 +193,8 @@ func randomUpdateWaves(t *testing.T, n int, waves int, seed int64) {
 	g := testgraphs.Cycle(8)
 	gr := g.Reverse()
 	cfgSingle := testConfig()
-	// Align the single service's epoch numbering with the workers'
-	// (synchronous compaction) so the Epoch comparison below is exact.
-	cfgSingle.SyncCompact = true
+	// The workers' compaction threshold, so the single service's epoch
+	// numbering matches theirs and the Epoch comparison below is exact.
 	cfgSingle.CompactAfter = 8
 	single := service.New(g, gr, cfgSingle)
 	defer single.Close()
@@ -465,7 +464,6 @@ func TestVertexGrowthLandsOnCorrectShard(t *testing.T) {
 	g := testgraphs.Line(4)
 	gr := g.Reverse()
 	cfgSingle := testConfig()
-	cfgSingle.SyncCompact = true
 	single := service.New(g, gr, cfgSingle)
 	defer single.Close()
 	cfg := testConfig()

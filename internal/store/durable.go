@@ -228,6 +228,11 @@ func recoverStore(d *durability, opts Options, snaps, segs []fileEpoch) (*Store,
 		}
 		d.f, d.segEpoch = f, hdr.epoch
 	}
+	// A crash between an update record and the fold it triggered leaves
+	// the replayed delta at the threshold or past it: finish that fold,
+	// as the interrupted ApplyUpdates would have, so the epochs that
+	// follow match an uninterrupted run's.
+	s.maybeCompactLocked(s.cur.Load())
 	return s, nil
 }
 

@@ -382,7 +382,7 @@ func TestSnapshotNewerThanWAL(t *testing.T) {
 func TestRecoverMidCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := DurableOptions{
-		Options:         Options{CompactAfter: 2, SyncCompact: true},
+		Options:         Options{CompactAfter: 2},
 		Fsync:           FsyncOff,
 		CheckpointEvery: -1, // the recCompact record must stay in the WAL
 	}
@@ -411,6 +411,48 @@ func TestRecoverMidCompaction(t *testing.T) {
 	}
 	if s2.Current().Graph().IsOverlay() {
 		t.Fatal("replayed compaction left an overlay snapshot")
+	}
+}
+
+// TestRecoveryFinishesInterruptedFold: a crash after the update that
+// crossed the threshold is logged, but before its compaction record is,
+// recovers to the state the fold would have reached, logs the fold, and
+// then keeps stepping through the uninterrupted run's epochs.
+func TestRecoveryFinishesInterruptedFold(t *testing.T) {
+	dir := t.TempDir()
+	folding := Options{CompactAfter: 2}
+	opts := DurableOptions{Options: folding, Fsync: FsyncOff, CheckpointEvery: -1}
+	states := memStates(folding, 6)
+
+	// Waves 0 and 1 reach delta 2; a store that never folds logs them
+	// exactly as the interrupted run did, minus the compaction record.
+	noFold := opts
+	noFold.Options = Options{CompactAfter: -1}
+	s := openT(t, dir, seedGraph(), noFold)
+	for i := 0; i < 2; i++ {
+		adds, dels := wave(i)
+		if _, err := s.ApplyUpdates(adds, dels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(s)
+
+	s = openT(t, dir, nil, opts)
+	requireState(t, "recovered mid-fold", s, states[2])
+	if got := s.Stats().Compactions; got != 1 {
+		t.Fatalf("Compactions after recovery: %d, want 1", got)
+	}
+	crash(s)
+
+	s = openT(t, dir, nil, opts)
+	defer s.Close()
+	requireState(t, "fold logged by recovery", s, states[2])
+	for i := 2; i < 6; i++ {
+		adds, dels := wave(i)
+		if _, err := s.ApplyUpdates(adds, dels); err != nil {
+			t.Fatal(err)
+		}
+		requireState(t, "after recovery", s, states[i+1])
 	}
 }
 
@@ -578,7 +620,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		// Compactions are logged and replayed, so let them trigger.
-		mem := Options{CompactAfter: 3, SyncCompact: true}
+		mem := Options{CompactAfter: 3}
 		dir := t.TempDir()
 		dopts := DurableOptions{Options: mem, Fsync: FsyncOff}
 		ds, err := Open(dir, seedGraph(), dopts)

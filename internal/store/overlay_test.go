@@ -77,7 +77,7 @@ func TestSnapshotIsolationAcrossPages(t *testing.T) {
 			pool = append(pool, e)
 		}
 	}
-	s := New(graph.FromEdges(baseN, pool), Options{CompactAfter: 300, SyncCompact: true})
+	s := New(graph.FromEdges(baseN, pool), Options{CompactAfter: 300})
 
 	type kept struct {
 		snap  *Snapshot
@@ -181,7 +181,7 @@ func FuzzOverlay(f *testing.F) {
 		const baseN = 20
 		live := make(map[graph.Edge]bool)
 		applyLive(live, baseN, baseEdges, nil)
-		s := New(graph.FromEdges(baseN, baseEdges), Options{CompactAfter: 48, SyncCompact: true})
+		s := New(graph.FromEdges(baseN, baseEdges), Options{CompactAfter: 48})
 		n := baseN
 
 		// Waves: [nAdds%8, nDels%8, then 2 bytes per edge, ids mod 100].

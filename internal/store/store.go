@@ -7,10 +7,12 @@
 // rows land in (graph.Overlay), for both the forward graph and its
 // reverse, so an update costs O(changed rows) however large the delta
 // has grown. The result is published atomically: queries in flight keep
-// the snapshot they started on, later batches see the new epoch. When
-// the delta grows past a threshold a background compaction folds it
-// into a fresh CSR base, so the overlay's pages stay few and reads of
-// unchanged rows keep falling through to the CSR.
+// the snapshot they started on, later batches see the new epoch. The
+// ApplyUpdates whose delta crosses a threshold also folds it into a
+// fresh CSR base, inline under the writer's lock, so the overlay's pages
+// stay few and reads of unchanged rows keep falling through to the CSR.
+// Queries never take that lock, so a fold never stalls one; the epoch
+// is a pure function of the update sequence.
 //
 // A store opened with Open is additionally durable: every epoch
 // transition is appended to a CRC-framed write-ahead log before the
@@ -59,10 +61,6 @@ type Options struct {
 	// selects max(MinCompactEdges, baseEdges/DefaultCompactFraction);
 	// negative disables automatic compaction (Compact still works).
 	CompactAfter int
-	// SyncCompact runs compaction inline inside the ApplyUpdates that
-	// crossed the threshold instead of in a background goroutine.
-	// Deterministic, for tests and single-threaded tools.
-	SyncCompact bool
 }
 
 // Snapshot is one immutable epoch of the graph: the forward graph and
@@ -139,16 +137,15 @@ type Stats struct {
 }
 
 // Store owns the version chain. All methods are safe for concurrent
-// use; ApplyUpdates calls are serialised against each other and against
-// compaction swaps, Current is a single atomic load.
+// use; ApplyUpdates and Compact calls are serialised against each
+// other, Current is a single atomic load.
 type Store struct {
 	opts Options
 
-	mu  sync.Mutex // serialises ApplyUpdates, compaction swaps, and WAL appends
+	mu  sync.Mutex // serialises ApplyUpdates, compactions, and WAL appends
 	cur atomic.Pointer[Snapshot]
 
-	compacting  atomic.Bool
-	wg          sync.WaitGroup
+	wg          sync.WaitGroup // background checkpoints
 	updates     atomic.Int64
 	compactions atomic.Int64
 
@@ -197,14 +194,17 @@ func (s *Store) Stats() Stats {
 // current size — the vertex space grows to fit (it never shrinks). If
 // nothing effectively changes the current snapshot is returned
 // unchanged, with its epoch intact, so no-op updates cost no cache
-// warmth downstream. Crossing the compaction threshold schedules a
-// background fold of the delta into a fresh base (or runs it inline
-// under Options.SyncCompact).
+// warmth downstream. Crossing the compaction threshold folds the delta
+// into a fresh base before returning, so the returned snapshot is the
+// folded one (one epoch further).
 //
 // On a durable store the update (effective or not) is appended to the
 // WAL before the snapshot is published; a non-nil error means the
 // update was NOT applied and the store refuses further durable writes
-// (the log can no longer be trusted). In-memory stores never fail.
+// (the log can no longer be trusted). A failure to log the fold that
+// follows an applied update is not returned: the update stands, and the
+// failure is kept to refuse the next durable write. In-memory stores
+// never fail.
 func (s *Store) ApplyUpdates(adds, dels []graph.Edge) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,9 +225,7 @@ func (s *Store) ApplyUpdates(adds, dels []graph.Edge) (*Snapshot, error) {
 	}
 	s.cur.Store(next)
 	s.updates.Add(int64(changed))
-	if err := s.maybeCompactLocked(next); err != nil {
-		return s.cur.Load(), err
-	}
+	s.maybeCompactLocked(next)
 	s.maybeCheckpointLocked(false)
 	return s.cur.Load(), nil
 }
@@ -281,65 +279,26 @@ func (s *Store) threshold(base *graph.Graph) int {
 	return max(MinCompactEdges, base.NumEdges()/DefaultCompactFraction)
 }
 
-// maybeCompactLocked schedules (or, under SyncCompact, runs) a
-// compaction when snap's delta has outgrown the threshold. Only the
-// synchronous path can return an error (a failed WAL append for the
-// compaction record); the background path parks failures in the
-// durable layer's sticky error, surfaced by the next ApplyUpdates.
-func (s *Store) maybeCompactLocked(snap *Snapshot) error {
-	t := s.threshold(snap.base)
-	if t < 0 || snap.deltaEdges < t {
-		return nil
-	}
-	if s.opts.SyncCompact {
-		return s.swapCompactedLocked(snap, snap.g.Flatten(), snap.gr.Flatten())
-	}
-	if s.compacting.Swap(true) {
-		return nil // one background fold at a time
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer s.compacting.Store(false)
-		s.compactOnce()
-	}()
-	return nil
-}
-
-// compactOnce folds the current delta into a fresh base. Updates that
-// land while the fold is in progress invalidate it; it retries a few
-// times and otherwise gives up — the still-oversized delta re-arms the
-// trigger on the next ApplyUpdates.
-func (s *Store) compactOnce() {
-	for attempt := 0; attempt < 3; attempt++ {
-		snap := s.cur.Load()
-		// Match Compact's predicate: a live overlay must be folded even
-		// when its effective delta nets out to zero (adds and deletes
-		// that cancel still leave overlay rows that cost a probe per
-		// neighbour access).
-		if !snap.g.IsOverlay() {
-			return
-		}
-		flatG, flatR := snap.g.Flatten(), snap.gr.Flatten()
-		s.mu.Lock()
-		if s.cur.Load() == snap {
-			// A WAL failure here parks a sticky error; retrying cannot
-			// help (the log is desynced), so give up either way.
-			_ = s.swapCompactedLocked(snap, flatG, flatR)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
+// maybeCompactLocked folds snap's delta into a fresh base, inline under
+// s.mu, when it has outgrown the threshold. A failed WAL append for the
+// compaction record is already parked as the durable layer's sticky
+// error (logLocked), so the update that crossed the threshold stays
+// applied and the next durable write surfaces the failure.
+func (s *Store) maybeCompactLocked(snap *Snapshot) {
+	if t := s.threshold(snap.base); t >= 0 && snap.deltaEdges >= t {
+		_ = s.swapCompactedLocked(snap)
 	}
 }
 
-// swapCompactedLocked publishes the folded CSR pair as the next epoch,
-// WAL-logging the transition first on durable stores (compactions bump
-// the epoch, so replay must reproduce them to reach the same number).
-func (s *Store) swapCompactedLocked(snap *Snapshot, flatG, flatR *graph.Graph) error {
+// swapCompactedLocked flattens snap into a fresh CSR pair and publishes
+// it as the next epoch, WAL-logging the transition first on durable
+// stores (compactions bump the epoch, so replay must reproduce them to
+// reach the same number).
+func (s *Store) swapCompactedLocked(snap *Snapshot) error {
 	if err := s.logLocked(recCompact, snap.epoch+1, nil, nil); err != nil {
 		return err
 	}
+	flatG, flatR := snap.g.Flatten(), snap.gr.Flatten()
 	s.cur.Store(&Snapshot{
 		epoch: snap.epoch + 1,
 		g:     flatG, gr: flatR,
@@ -351,32 +310,28 @@ func (s *Store) swapCompactedLocked(snap *Snapshot, flatG, flatR *graph.Graph) e
 	return nil
 }
 
-// Compact synchronously folds any pending delta into a fresh base and
-// returns the resulting snapshot (the current one when there was
-// nothing to fold). The error mirrors ApplyUpdates: non-nil only on a
-// durable store whose WAL append failed, in which case no new epoch was
-// published.
+// Compact folds any pending delta into a fresh base and returns the
+// resulting snapshot (the current one when there was nothing to fold).
+// A live overlay is folded even when its effective delta nets out to
+// zero: adds and deletes that cancel still leave overlay rows that cost
+// a probe per neighbour access. The error mirrors ApplyUpdates: non-nil
+// only on a durable store whose WAL append failed, in which case no new
+// epoch was published.
 func (s *Store) Compact() (*Snapshot, error) {
-	for {
-		snap := s.cur.Load()
-		if !snap.g.IsOverlay() {
-			return snap, nil
-		}
-		flatG, flatR := snap.g.Flatten(), snap.gr.Flatten()
-		s.mu.Lock()
-		if s.cur.Load() == snap {
-			err := s.swapCompactedLocked(snap, flatG, flatR)
-			s.mu.Unlock()
-			return s.cur.Load(), err
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap := s.cur.Load()
+	if !snap.g.IsOverlay() {
+		return snap, nil
 	}
+	err := s.swapCompactedLocked(snap)
+	return s.cur.Load(), err
 }
 
-// Close waits for any background compaction or checkpoint to finish;
-// on a durable store it then writes a final checkpoint, syncs and
-// closes the WAL, and releases the data directory. The store remains
-// usable for reads after Close; further durable writes fail.
+// Close waits for any background checkpoint to finish; on a durable
+// store it then writes a final checkpoint, syncs and closes the WAL, and
+// releases the data directory. The store remains usable for reads after
+// Close; further durable writes fail.
 func (s *Store) Close() error {
 	s.wg.Wait()
 	if s.dur == nil {

@@ -126,7 +126,7 @@ func TestVertexGrowth(t *testing.T) {
 
 func TestCompactionEquivalence(t *testing.T) {
 	base := graph.FromEdges(5, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 4}})
-	s := New(base, Options{CompactAfter: 2, SyncCompact: true})
+	s := New(base, Options{CompactAfter: 2})
 
 	snap := mustApply(t, s, []graph.Edge{{Src: 0, Dst: 4}, {Src: 4, Dst: 0}}, []graph.Edge{{Src: 1, Dst: 2}})
 	if snap.Graph().IsOverlay() {
@@ -150,19 +150,52 @@ func TestCompactionEquivalence(t *testing.T) {
 	}
 }
 
-func TestBackgroundCompaction(t *testing.T) {
-	base := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}})
-	s := New(base, Options{CompactAfter: 1})
-	mustApply(t, s, []graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}, nil)
-	s.Close() // waits for the background fold
-	snap := s.Current()
-	if snap.Graph().IsOverlay() {
-		t.Fatal("background compaction did not land")
+// TestBurstCompactsInline drives back-to-back update blocks across the
+// default threshold several times and checks that every crossing folds
+// before ApplyUpdates returns: no returned snapshot carries a delta at or
+// past the threshold, and the fold count equals the crossings.
+func TestBurstCompactsInline(t *testing.T) {
+	const n, block = 1000, 500
+	rng := rand.New(rand.NewSource(3))
+	s := New(graph.FromEdges(n, nil), Options{})
+	live := make(map[graph.Edge]bool)
+	var queue []graph.Edge // live edges, oldest first
+
+	delta, crossings := 0, 0
+	for b := 0; b < 24; b++ {
+		// Fresh absent edges and the oldest live ones: every edge in the
+		// block is an effective change, so the delta is known exactly.
+		var adds []graph.Edge
+		for len(adds) < block {
+			e := graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n))}
+			if e.Src != e.Dst && !live[e] {
+				live[e] = true
+				adds = append(adds, e)
+			}
+		}
+		var dels []graph.Edge
+		if len(queue) >= block {
+			dels, queue = queue[:block], queue[block:]
+			for _, e := range dels {
+				delete(live, e)
+			}
+		}
+		queue = append(queue, adds...)
+
+		snap := mustApply(t, s, adds, dels)
+		if delta += len(adds) + len(dels); delta >= MinCompactEdges {
+			delta = 0
+			crossings++
+		}
+		if got := snap.DeltaEdges(); got != delta || got >= MinCompactEdges {
+			t.Fatalf("block %d: DeltaEdges = %d, want %d (< %d)", b, got, delta, MinCompactEdges)
+		}
 	}
-	want := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
-	requireEqual(t, "bg-compacted", snap.Graph(), want)
-	if s.Stats().Compactions != 1 {
-		t.Fatalf("compactions = %d, want 1", s.Stats().Compactions)
+	if crossings < 3 {
+		t.Fatalf("setup: only %d threshold crossings", crossings)
+	}
+	if got := s.Stats().Compactions; got != int64(crossings) {
+		t.Fatalf("compactions = %d, want %d", got, crossings)
 	}
 }
 
@@ -182,7 +215,7 @@ func TestRandomizedDifferential(t *testing.T) {
 		live[e] = true
 		edges = append(edges, e)
 	}
-	s := New(graph.FromEdges(n, edges), Options{CompactAfter: 15, SyncCompact: true})
+	s := New(graph.FromEdges(n, edges), Options{CompactAfter: 15})
 
 	for step := 0; step < 60; step++ {
 		var adds, dels []graph.Edge
@@ -220,7 +253,7 @@ func TestRandomizedDifferential(t *testing.T) {
 // TestSnapshotIsolation verifies old snapshots survive later updates
 // and compactions untouched.
 func TestSnapshotIsolation(t *testing.T) {
-	s := New(graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}}), Options{CompactAfter: 1, SyncCompact: true})
+	s := New(graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}}), Options{CompactAfter: 1})
 	s0 := s.Current()
 	s1 := mustApply(t, s, []graph.Edge{{Src: 1, Dst: 2}}, nil)
 	s2 := mustApply(t, s, nil, []graph.Edge{{Src: 0, Dst: 1}})
@@ -236,13 +269,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestCompactOnceFoldsNetZeroOverlay is the regression test for the
-// background-compaction early-return: a snapshot can carry live overlay
-// rows whose effective delta nets out to zero (adds and deletes that
-// cancelled row-by-row over time). compactOnce used to key off
-// deltaEdges == 0 and skip such a snapshot forever, while Compact would
-// fold it; both must use the same predicate — is there an overlay.
-func TestCompactOnceFoldsNetZeroOverlay(t *testing.T) {
+// TestCompactFoldsNetZeroOverlay pins Compact's predicate: a snapshot
+// can carry live overlay rows whose effective delta nets out to zero
+// (adds and deletes that cancelled row-by-row over time). Keying off
+// deltaEdges == 0 would skip such a snapshot forever; the fold must key
+// off whether there is an overlay.
+func TestCompactFoldsNetZeroOverlay(t *testing.T) {
 	base := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
 	s := New(base, Options{CompactAfter: -1})
 	cur := s.Current()
@@ -261,11 +293,12 @@ func TestCompactOnceFoldsNetZeroOverlay(t *testing.T) {
 		t.Fatal("setup: snapshot is not an overlay")
 	}
 
-	s.compactOnce()
-
-	snap := s.Current()
-	if snap.Graph().IsOverlay() {
-		t.Fatal("compactOnce skipped a live overlay with a net-zero delta")
+	snap, err := s.Compact()
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if snap != s.Current() || snap.Graph().IsOverlay() {
+		t.Fatal("Compact skipped a live overlay with a net-zero delta")
 	}
 	if snap.Epoch() != cur.epoch+2 {
 		t.Fatalf("epoch = %d, want %d", snap.Epoch(), cur.epoch+2)
@@ -312,7 +345,7 @@ func TestDeltaCountsBackwardDivergence(t *testing.T) {
 // semantics: the fold runs on the exact update whose cumulative
 // effective delta reaches the threshold, not before and not later.
 func TestCompactionTriggerAtThreshold(t *testing.T) {
-	s := New(graph.FromEdges(4, nil), Options{CompactAfter: 3, SyncCompact: true})
+	s := New(graph.FromEdges(4, nil), Options{CompactAfter: 3})
 
 	mustApply(t, s, []graph.Edge{{Src: 0, Dst: 1}}, nil) // delta 1
 	mustApply(t, s, []graph.Edge{{Src: 1, Dst: 2}}, nil) // delta 2
@@ -324,7 +357,7 @@ func TestCompactionTriggerAtThreshold(t *testing.T) {
 		t.Fatalf("compactions = %d at the threshold, want 1", got)
 	}
 	if snap.Graph().IsOverlay() {
-		t.Fatal("snapshot returned after a sync compaction is still an overlay")
+		t.Fatal("snapshot returned after a compaction is still an overlay")
 	}
 	if snap.DeltaEdges() != 0 {
 		t.Fatalf("delta after compaction = %d", snap.DeltaEdges())

@@ -70,7 +70,7 @@ func TestLiveSnapshotEnginesMatchRebuild(t *testing.T) {
 			seed = append(seed, e)
 		}
 	}
-	st := store.New(graph.FromEdges(n, seed), store.Options{CompactAfter: 10, SyncCompact: true})
+	st := store.New(graph.FromEdges(n, seed), store.Options{CompactAfter: 10})
 	cache := hcindex.NewCache(0)
 	algorithms := []batchenum.Algorithm{batchenum.BatchPlus, batchenum.Batch, batchenum.BasicPlus, batchenum.Basic}
 
@@ -178,6 +178,52 @@ func TestServiceApplyUpdates(t *testing.T) {
 
 	if tot := svc.Totals(); tot.Epoch != 1 || tot.UpdatesApplied == 0 {
 		t.Fatalf("totals don't reflect the update: %+v", tot)
+	}
+}
+
+// TestDurableStateSurvivesCloseAcrossFolds pins the compaction edge of
+// a clean restart: on a durable service whose updates cross
+// CompactAfter several times, the State read before Close is the State
+// after reopening, epoch included, because every fold lands inside the
+// update that triggered it. The epoch counts exactly the effective
+// updates plus the folds.
+func TestDurableStateSurvivesCloseAcrossFolds(t *testing.T) {
+	dir := t.TempDir()
+	g, err := NewGraph(8, []Edge{{0, 1}, {1, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := OpenService(g, &ServiceOptions{DataDir: dir, CompactAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const updates = 14
+	for i := 0; i < updates; i++ {
+		// Every update is effective: each adds an edge absent until now.
+		add := []Edge{{VertexID(i % 8), VertexID(8 + i)}}
+		if _, err := svc.ApplyUpdates(add, nil); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	tot := svc.Totals()
+	if tot.Compactions < 3 {
+		t.Fatalf("setup: %d compactions, want several", tot.Compactions)
+	}
+	if got, want := svc.Epoch(), uint64(updates+tot.Compactions); got != want {
+		t.Fatalf("Epoch() = %d, want %d effective updates + %d compactions", got, updates, tot.Compactions)
+	}
+	want := svc.State()
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	svc, err = OpenService(nil, &ServiceOptions{DataDir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer svc.Close()
+	if got := svc.State(); got != want {
+		t.Fatalf("reopened State %+v, want %+v", got, want)
 	}
 }
 

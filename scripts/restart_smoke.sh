@@ -19,8 +19,9 @@ printf '0 1\n1 2\n2 3\n3 4\n0 2\n' > "$graph"
 # Many small mutation blocks separated by query waves, so an external
 # kill lands mid-replay; a trailing marker block distinguishes a
 # finished run from a lucky kill-after-completion.
+blocks=4001
 {
-  for i in $(seq 0 199); do
+  for i in $(seq 0 $(((blocks - 1) / 2 - 1))); do
     echo "add $((i % 5)) $((5 + i % 7))"
     echo "query 0 4 4"
     echo "del $((i % 5)) $((5 + i % 7))"
@@ -30,9 +31,13 @@ printf '0 1\n1 2\n2 3\n3 4\n0 2\n' > "$graph"
   echo "query 0 4 4"
 } > "$ops"
 
-# Background compaction epochs are timing-dependent; state comparison
-# across processes needs deterministic epochs, so compaction is off.
-common=(-updates "$ops" -compactafter -1 -fsync always)
+# Compaction is on, so WAL compaction records are replayed across each
+# crash; every fold happens inside the update that crosses the
+# threshold, so epochs are a function of the update stream. Checkpoints
+# stay off (bar the bootstrap and exit ones): recovery reloads the delta
+# as zero at a checkpoint's epoch, so fold points after a warm restart
+# would differ from the uninterrupted run's.
+common=(-updates "$ops" -compactafter 5 -checkpointevery -1 -fsync always)
 
 echo "=== uninterrupted run"
 "$workdir/hcpath" -graph "$graph" -datadir "$workdir/d-full" "${common[@]}" | tee "$workdir/full.out"
@@ -59,15 +64,22 @@ fi
 echo "=== kill -9 mid-run, then restart"
 "$workdir/hcpath" -graph "$graph" -datadir "$workdir/d-kill" "${common[@]}" > /dev/null 2>&1 &
 pid=$!
-# Wait for the WAL to exist, let some blocks apply, then kill hard.
-for _ in $(seq 1 200); do
-  [ -f "$workdir/d-kill/wal-00000000000000000000.log" ] && break
-  sleep 0.05
+# Kill hard once the WAL holds some records (~100 of the 4001). A fixed
+# sleep is no use: without a slow disk the whole replay takes a fifth
+# of a second.
+wal="$workdir/d-kill/wal-00000000000000000000.log"
+for _ in $(seq 1 2000); do
+  [ -f "$wal" ] && [ "$(stat -c %s "$wal")" -gt 3000 ] && break
+  sleep 0.005
 done
-sleep 0.4
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-"$workdir/hcpath" -datadir "$workdir/d-kill" "${common[@]}" | tee "$workdir/kill.out"
+"$workdir/hcpath" -datadir "$workdir/d-kill" "${common[@]}" 2>&1 | tee "$workdir/kill.out"
+applied=$(sed -n 's/^recovered: .*, \([0-9]*\) update blocks already applied$/\1/p' "$workdir/kill.out")
+if [ -z "$applied" ] || [ "$applied" -ge "$blocks" ]; then
+  echo "kill -9 did not land mid-replay (${applied:-no} blocks of $blocks recovered)"
+  exit 1
+fi
 got=$(grep '^state: ' "$workdir/kill.out")
 if [ "$got" != "$want" ]; then
   echo "state mismatch after kill -9 restart:"
