@@ -220,6 +220,10 @@ func Run(g, gr *graph.Graph, queries []query.Query, opts Options, ctrl *query.Co
 		groups := partition(leads, classes, idx, opts, st)
 		b := &batch{g: g, gr: gr, qs: leads, classes: classes, idx: idx, opts: opts, ctrl: ctrl, sink: sink, st: st}
 		b.drain(groups)
+		// Every task has ended, so no join reads a group's stores.
+		for _, a := range b.arenas {
+			a.Release()
+		}
 	}
 	st.Truncated = ctrl.NumTruncated()
 	if ctrl.Cancelled() {
@@ -300,8 +304,9 @@ func partition(qs []query.Query, classes [][]int, idx *hcindex.Index, opts Optio
 
 // batch is what every task of one run reads — the graphs, the leads and
 // their classes, the index, the options, the Control and the sink —
-// plus the run's work list and the stats its tasks fold into. Groups,
-// the index and Ψ's half queries number the leads by position in qs.
+// plus the run's work list, the stats its tasks fold into and the
+// arenas of its groups. Groups, the index and Ψ's half queries number
+// the leads by position in qs.
 type batch struct {
 	g, gr   *graph.Graph
 	qs      []query.Query
@@ -312,6 +317,10 @@ type batch struct {
 	sink    query.Sink
 	list    workList
 	st      *Stats
+	// arenas holds every group's Ψ stores and probe indexes, which its
+	// join tasks read on other workers; Run releases them once the work
+	// list is drained. Guarded by list.mu.
+	arenas []*pathjoin.Arena
 }
 
 // task is one unit of a run's work list. A build task (group set) runs a
@@ -346,7 +355,8 @@ type workList struct {
 // queries in parallel", on one machine — capped at one per lead, the
 // most tasks that can ever run at once. Build tasks are pushed largest
 // group first: the largest is the longest serial stretch and opens the
-// most joins, and its joins go on top, so its Ψ stores die soonest.
+// most joins, and its joins go on top, where the next free worker
+// takes them.
 // Once ctrl is cancelled the workers retire the remaining tasks
 // without running them.
 func (b *batch) drain(groups [][]int) {
@@ -412,12 +422,14 @@ func (b *batch) work() {
 		l.mu.Unlock()
 
 		var produced []task
+		var arena *pathjoin.Arena
 		switch {
 		case b.ctrl.Cancelled():
 		case len(t.group) == 1:
 			b.processSingle(t.group[0], &st)
 		case t.group != nil:
-			produced = b.processGroup(t.group, &st)
+			arena = new(pathjoin.Arena)
+			produced = b.processGroup(t.group, &st, arena)
 		default:
 			b.join(t, &st)
 		}
@@ -425,6 +437,9 @@ func (b *batch) work() {
 		l.mu.Lock()
 		b.st.add(&st)
 		st = Stats{}
+		if arena != nil {
+			b.arenas = append(b.arenas, arena)
+		}
 		for i := len(produced) - 1; i >= 0; i-- {
 			l.tasks = append(l.tasks, produced[i]) // last first: they run in order
 		}
@@ -462,9 +477,10 @@ func (b *batch) processSingle(qi int, st *Stats) {
 
 // processGroup runs detection and shared enumeration for one cluster of
 // two or more leads (Algorithm 4) and returns one join task per lead
-// whose target is in hop range. The Ψ caches live only for this call;
-// the tasks hold each lead's halves.
-func (b *batch) processGroup(group []int, st *Stats) []task {
+// whose target is in hop range. The Ψ stores and the probe indexes are
+// carved from arena, which must outlive the tasks; each task holds its
+// lead's halves.
+func (b *batch) processGroup(group []int, st *Stats, arena *pathjoin.Arena) []task {
 	qs, idx, ctrl := b.qs, b.idx, b.ctrl
 	optimized := b.opts.Algorithm.Optimized()
 
@@ -503,8 +519,8 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 	st.SharingEdges += psiF.NumEdges() + psiB.NumEdges()
 
 	defer st.Phases.Start(timing.Enumeration)()
-	fwdStores := enumerateGraph(b.g, psiF, len(live), optimized, ctrl, st)
-	bwdStores := enumerateGraph(b.gr, psiB, len(live), optimized, ctrl, st)
+	fwdStores := enumerateGraph(b.g, psiF, len(live), optimized, ctrl, st, arena)
+	bwdStores := enumerateGraph(b.gr, psiB, len(live), optimized, ctrl, st, arena)
 	if ctrl.Cancelled() {
 		return nil // partial Ψ stores must not reach the joins
 	}
@@ -515,7 +531,7 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 	for i, qi := range live {
 		h := indexes[bwdStores[i]]
 		if h == nil {
-			h = pathjoin.BuildHashIndex(bwdStores[i])
+			h = pathjoin.BuildHashIndex(bwdStores[i], arena)
 			indexes[bwdStores[i]] = h
 		}
 		joins[i] = task{lead: qi, fwd: fwdStores[i], bwd: h, backHeavy: fwdHalves[i].Budget < bwdHalves[i].Budget}
@@ -525,9 +541,8 @@ func (b *batch) processGroup(group []int, st *Stats) []task {
 
 // join runs one lead's ⊕ join against its group's stores and emits
 // every result path once for the lead's class, whose members then
-// complete unless the run was cancelled. The task was the last holder
-// of the lead's forward store; aliased backward stores live until
-// their last lead's join ends.
+// complete unless the run was cancelled. The stores and the index are
+// the group's arena's, which Run releases only after the last join.
 func (b *batch) join(t task, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
 	j := pathjoin.NewJoiner(t.bwd, b.qs[t.lead].K, t.backHeavy, b.ctrl, b.classes[t.lead], b.sink)
@@ -545,44 +560,40 @@ func (b *batch) complete(qi int) {
 }
 
 // enumerateGraph materialises every node of Ψ in topological order
-// (providers before consumers, Alg. 4 lines 6-10) and returns the stores
-// of the first numTerminals nodes — the query halves. Shared-node stores
-// are evicted from the cache as soon as their last consumer finishes
-// (Alg. 4 lines 14-16).
-func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, optimized bool, ctrl *query.Control, st *Stats) []*pathjoin.Store {
-	cache := make(map[sharegraph.NodeID]*pathjoin.Store, psi.NumNodes())
-	pending := make(map[sharegraph.NodeID]int, psi.NumNodes())
-	for id := sharegraph.NodeID(0); int(id) < psi.NumNodes(); id++ {
-		pending[id] = len(psi.Consumers(id))
+// (providers before consumers, Alg. 4 lines 6-10), one store at a time
+// from arena, and returns the stores of the first numTerminals nodes —
+// the query halves. Shared-node stores are evicted from the cache as
+// soon as their last consumer finishes (Alg. 4 lines 14-16); their
+// memory returns with the arena's.
+func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, optimized bool, ctrl *query.Control, st *Stats, arena *pathjoin.Arena) []*pathjoin.Store {
+	// Node IDs run densely from 0, so the cache is a slice by NodeID.
+	cache := make([]cacheEntry, psi.NumNodes())
+	for id := range cache {
+		cache[id].pending = len(psi.Consumers(sharegraph.NodeID(id)))
 	}
 	terminals := make([]*pathjoin.Store, numTerminals)
 	sc := scratch.Get(g.NumVertices())
 	e := &enumerator{
-		g: g, psi: psi, cache: cache, optimized: optimized, ctrl: ctrl, st: st,
+		g: g, psi: psi, cache: cache, arena: arena, optimized: optimized, ctrl: ctrl, st: st,
 		sc: sc, onPath: sc.OnPath, memoVal: sc.MemoVal, memoGen: sc.MemoGen,
-		spliceIdx: make(map[sharegraph.NodeID]*spliceIndex),
 	}
 	for _, id := range psi.TopoOrder() {
 		if e.stopped || ctrl.Cancelled() {
 			break // callers check ctrl before using the partial stores
 		}
-		out := pathjoin.NewStore(16, 64)
-		e.alias = nil
-		e.enumerateNode(id, out)
-		if e.alias != nil {
-			out = e.alias // root splice: share the provider's store
-		} else {
+		out, aliased := e.enumerateNode(id)
+		if !aliased { // a root splice shares the provider's store
 			st.CachedPaths += int64(out.Len())
 		}
-		cache[id] = out
+		cache[id].store = out
 		if int(id) < numTerminals {
 			terminals[id] = out
 		}
 		for _, prov := range psi.Providers(id) {
-			pending[prov]--
-			if pending[prov] == 0 && int(prov) >= numTerminals {
-				delete(cache, prov) // R.remove(q′)
-				delete(e.spliceIdx, prov)
+			c := &cache[prov]
+			c.pending--
+			if c.pending == 0 && int(prov) >= numTerminals {
+				c.store, c.splice = nil, nil // R.remove(q′)
 			}
 		}
 	}
@@ -654,11 +665,21 @@ func buildSpliceIndex(store *pathjoin.Store, slot []int32) *spliceIndex {
 	return si
 }
 
+// cacheEntry is the result cache R's entry of one Ψ node: its store,
+// the end-vertex grouping of the store, built on its first splice, and
+// how many of the node's consumers have yet to finish.
+type cacheEntry struct {
+	store   *pathjoin.Store
+	splice  *spliceIndex
+	pending int
+}
+
 // enumerator carries the shared state of one Ψ traversal.
 type enumerator struct {
 	g         *graph.Graph
 	psi       *sharegraph.Graph
-	cache     map[sharegraph.NodeID]*pathjoin.Store
+	cache     []cacheEntry // by NodeID
+	arena     *pathjoin.Arena
 	optimized bool
 	ctrl      *query.Control
 	st        *Stats
@@ -676,10 +697,7 @@ type enumerator struct {
 	scratch [][]graph.VertexID
 	node    *sharegraph.Node
 	nodeID  sharegraph.NodeID
-	out     *pathjoin.Store
-	// alias, when set by enumerateNode, replaces out entirely: the
-	// node's results are exactly a provider's cached store.
-	alias *pathjoin.Store
+	out     *pathjoin.Store // the arena's open store, the node's results
 
 	// Per-vertex memo of the node's pruning bound: a DFS expansion to w
 	// at prefix length d survives iff d < bound(w), where bound(w) =
@@ -691,10 +709,6 @@ type enumerator struct {
 	memoVal []int16
 	memoGen []int32
 	gen     int32
-
-	// spliceIdx caches the end-vertex grouping of each provider store,
-	// built on first splice and dropped with the cache entry.
-	spliceIdx map[sharegraph.NodeID]*spliceIndex
 }
 
 // never is the memo value of a vertex no consumer can use.
@@ -723,12 +737,12 @@ func (e *enumerator) bound(w graph.VertexID) int16 {
 }
 
 // enumerateNode materialises node id's HC-s path query q_{Root,Budget}
-// into out: the pruned DFS of Alg. 4's Search, except that stepping onto
-// a provider's root vertex splices the provider's cached paths (lines
-// 22-23) instead of recursing.
-func (e *enumerator) enumerateNode(id sharegraph.NodeID, out *pathjoin.Store) {
+// into a sealed store of the arena: the pruned DFS of Alg. 4's Search,
+// except that stepping onto a provider's root vertex splices the
+// provider's cached paths (lines 22-23) instead of recursing. aliased
+// reports that the store is a provider's, shared whole.
+func (e *enumerator) enumerateNode(id sharegraph.NodeID) (out *pathjoin.Store, aliased bool) {
 	n := e.psi.Node(id)
-	e.node, e.nodeID, e.out = n, id, out
 	// A provider rooted at this node's own root covers the entire
 	// enumeration (duplicate roots, promoted markers): alias its store
 	// outright — copying would cost as much as enumerating, and the
@@ -736,11 +750,11 @@ func (e *enumerator) enumerateNode(id sharegraph.NodeID, out *pathjoin.Store) {
 	// join's unique-split pairing and downstream splices select by
 	// length (Lemma 4.1 reuse as pure reference, not recomputation).
 	if prov, ok := e.psi.SpliceAt(id, n.Root); ok {
-		shared := e.cache[prov]
+		shared := e.cache[prov].store
 		e.st.SplicedPaths += int64(shared.Len())
-		e.alias = shared
-		return
+		return shared, true
 	}
+	e.node, e.nodeID, e.out = n, id, e.arena.Open()
 	e.path = append(e.path[:0], n.Root)
 	e.gen = e.sc.NextGen()
 	e.onPath[n.Root] = true
@@ -750,6 +764,8 @@ func (e *enumerator) enumerateNode(id sharegraph.NodeID, out *pathjoin.Store) {
 	e.scratch = e.scratch[:int(n.Budget)+1]
 	e.dfs()
 	e.onPath[n.Root] = false
+	e.arena.Seal(e.out)
+	return e.out, false
 }
 
 // dfs extends the current prefix one hop at a time, recording every
@@ -803,15 +819,16 @@ func (e *enumerator) dfs() {
 // moderately-similar group would materialise far more partial paths
 // than its own pruned search ever would, inverting the sharing gain.
 func (e *enumerator) splice(prov sharegraph.NodeID, remaining int) {
-	store := e.cache[prov]
+	c := &e.cache[prov]
+	store := c.store
 	if store == nil {
 		// Guarded against by the topological order; a miss is a bug.
 		panic(fmt.Sprintf("batchenum: provider %d not cached", prov))
 	}
-	si := e.spliceIdx[prov]
+	si := c.splice
 	if si == nil {
 		si = buildSpliceIndex(store, e.sc.Slot)
-		e.spliceIdx[prov] = si
+		c.splice = si
 	}
 	maxLen := remaining + 1
 	prefixLen := len(e.path)

@@ -48,21 +48,18 @@ import (
 // reading one distance array instead of a new one per pair. A pair's
 // forward overlap lands above the diagonal, its backward one below, and
 // a last pass combines the two. Rows write disjoint cells, so workers
-// claim them from a counter, as msbfs.RunPasses claims sources.
+// claim them from a counter, as msbfs.RunPasses claims sources; at
+// width one the caller fills them in order.
 func similarities(idx *hcindex.Index, n, workers int) []float64 {
 	p := newMuPass(idx, n)
 	rows := 2 * (n - 1) // a rank-0 row has no lower rank to probe
-	var claim atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, rows) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.drain(&claim)
-		}()
+	if w := min(workers, rows); w > 1 {
+		p.fan(w)
+	} else {
+		for c := range rows {
+			p.row(c)
+		}
 	}
-	p.drain(&claim)
-	wg.Wait()
 	mu := p.mu
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -91,15 +88,18 @@ func harmonic(o1, o2 float64) float64 {
 const maxOverlapProbes = 64
 
 // muPass is one computation of the µ matrix: per direction, the maps'
-// ranking and their samples, and the matrix the rows fill.
+// ranking and their samples, and the matrix the rows fill. The ranks,
+// the sample offsets and the samples are 4-byte words carved from one
+// allocation, so a pass allocates twice: that buffer and the matrix. A
+// pass is a value: its workers share only what its slices point to.
 type muPass struct {
 	idx *hcindex.Index
 	n   int
 	// rank[d][r] is the position of direction d's r-th map in
 	// (|Γ|, position) order.
-	rank [2][]int
+	rank [2][]uint32
 	// The sample of that map is samples[off[d*n+r]:off[d*n+r+1]].
-	off     []int
+	off     []uint32
 	samples []graph.VertexID
 	mu      []float64
 }
@@ -107,58 +107,79 @@ type muPass struct {
 // newMuPass ranks the batch's n maps in each direction and copies
 // their samples, in rank order, into one buffer. No row probes the
 // top-ranked map's sample, so it is left empty.
-func newMuPass(idx *hcindex.Index, n int) *muPass {
-	ints := make([]int, 4*n+1)
-	p := &muPass{idx: idx, n: n, off: ints[2*n:], mu: make([]float64, n*n)}
-	size := func(i int, d hcindex.Direction) int { return idx.DistMapFor(i, d).NumVisited() }
+func newMuPass(idx *hcindex.Index, n int) muPass {
+	size := func(i uint32, d int) int { return idx.DistMapFor(int(i), hcindex.Direction(d)).NumVisited() }
+	// Every map but a direction's largest is sampled, and equal sizes
+	// sample equally, so the buffer is sized before the maps are ranked.
 	probes := 0
+	for d := range 2 {
+		largest := 0
+		for i := range n {
+			m := min(size(uint32(i), d), maxOverlapProbes)
+			probes += m
+			largest = max(largest, m)
+		}
+		probes -= largest
+	}
+	words := make([]uint32, 4*n+1+probes)
+	p := muPass{idx: idx, n: n, off: words[2*n : 4*n+1], samples: words[4*n+1 : 4*n+1], mu: make([]float64, n*n)}
 	for d := range p.rank {
-		r := ints[d*n : (d+1)*n : (d+1)*n]
+		r := words[d*n : (d+1)*n : (d+1)*n]
 		for i := range r {
-			r[i] = i
+			r[i] = uint32(i)
 		}
-		slices.SortStableFunc(r, func(a, b int) int {
-			return cmp.Compare(size(a, hcindex.Direction(d)), size(b, hcindex.Direction(d)))
-		})
-		for _, i := range r[:n-1] {
-			probes += min(size(i, hcindex.Direction(d)), maxOverlapProbes)
-		}
+		slices.SortStableFunc(r, func(a, b uint32) int { return cmp.Compare(size(a, d), size(b, d)) })
 		p.rank[d] = r
 	}
-	p.samples = make([]graph.VertexID, 0, probes)
 	for d, r := range p.rank {
 		for k, i := range r[:n-1] {
-			p.off[d*n+k] = len(p.samples)
-			vis := idx.DistMapFor(i, hcindex.Direction(d)).Visited()
+			p.off[d*n+k] = uint32(len(p.samples))
+			vis := idx.DistMapFor(int(i), hcindex.Direction(d)).Visited()
 			step := (len(vis) + maxOverlapProbes - 1) / maxOverlapProbes
 			for v := 0; v < len(vis); v += step {
 				p.samples = append(p.samples, vis[v])
 			}
 		}
-		p.off[d*n+n-1] = len(p.samples)
+		p.off[d*n+n-1] = uint32(len(p.samples))
 	}
-	p.off[2*n] = len(p.samples)
+	p.off[2*n] = uint32(len(p.samples))
 	return p
 }
 
-// drain claims rows until none is left, the longest first: row c is
-// rank n-1-c/2 in direction c%2, and a row probes one sample per lower
-// rank, so rank 0 has none.
-func (p *muPass) drain(claim *atomic.Int64) {
-	for c := int(claim.Add(1) - 1); c < 2*(p.n-1); c = int(claim.Add(1) - 1) {
-		p.row(hcindex.Direction(c%2), p.n-1-c/2)
+// fan fills the rows on w goroutines, the caller's included, each
+// claiming the next row from one counter until none is left.
+func (p muPass) fan(w int) {
+	var claim atomic.Int64
+	var wg sync.WaitGroup
+	drain := func() {
+		for c := int(claim.Add(1) - 1); c < 2*(p.n-1); c = int(claim.Add(1) - 1) {
+			p.row(c)
+		}
 	}
+	for range w - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 }
 
-// row fills direction d's overlaps of the rank-y map with every
-// lower-ranked one: forward above the diagonal, backward below. A
-// lower-ranked map with an empty Γ has an empty sample and overlap 0,
-// which the zeroed matrix already holds.
-func (p *muPass) row(d hcindex.Direction, y int) {
+// row fills row c, the rows being numbered longest first: row c is the
+// rank-y map's, y = n-1-c/2, in direction d = c%2, and holds its
+// overlaps with every lower-ranked map — forward above the diagonal,
+// backward below — so rank 0 has none. A lower-ranked map with an
+// empty Γ has an empty sample and overlap 0, which the zeroed matrix
+// already holds.
+func (p muPass) row(c int) {
+	d, y := hcindex.Direction(c%2), p.n-1-c/2
 	n, rank, off := p.n, p.rank[d], p.off[int(d)*p.n:]
-	j := rank[y]
+	j := int(rank[y])
 	m := p.idx.DistMapFor(j, d)
-	for x, i := range rank[:y] {
+	for x, r := range rank[:y] {
+		i := int(r)
 		probes := p.samples[off[x]:off[x+1]]
 		if len(probes) == 0 {
 			continue
@@ -208,7 +229,14 @@ func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Cluste
 	return ClusterQueriesWorkers(idx, qs, gamma, 1)
 }
 
-// ClusterQueriesWorkers runs Algorithm 2: start from singleton groups
+// ClusterQueriesWorkers runs Algorithm 2 (see groups). It is small
+// enough to inline, so a caller that keeps no pointer to the result
+// holds it on its stack.
+func ClusterQueriesWorkers(idx *hcindex.Index, qs []query.Query, gamma float64, workers int) *Clustering {
+	return &Clustering{Groups: groups(idx, qs, gamma, workers)}
+}
+
+// groups runs Algorithm 2: start from singleton groups
 // and repeatedly merge the pair of groups with the highest group-average
 // similarity δ (Def. 4.6) while it exceeds γ. Up to workers goroutines,
 // the caller's included, compute the µ matrix; the groups do not depend
@@ -219,30 +247,30 @@ func ClusterQueries(idx *hcindex.Index, qs []query.Query, gamma float64) *Cluste
 // runs in O(|Q|²·merges) over a precomputed pairwise µ matrix instead of
 // recomputing δ from scratch each round; the result is identical to the
 // literal Algorithm 2. A batch of one query builds none of the matrix.
-func ClusterQueriesWorkers(idx *hcindex.Index, qs []query.Query, gamma float64, workers int) *Clustering {
+func groups(idx *hcindex.Index, qs []query.Query, gamma float64, workers int) [][]int {
 	n := len(qs)
 	switch n {
 	case 0:
-		return &Clustering{}
+		return nil
 	case 1:
-		return &Clustering{Groups: [][]int{{0}}}
+		return [][]int{{0}}
 	}
-	return &Clustering{Groups: merge(similarities(idx, n, workers), n, gamma)}
+	return merge(similarities(idx, n, workers), n, gamma)
 }
 
 // merge runs Algorithm 2's merge loop over the pairwise µ matrix of n
 // queries (flat, as similarities returns it), which it overwrites: it
 // doubles as the live δ matrix between groups, δ(i, j) at delta[i*n+j].
 func merge(delta []float64, n int, gamma float64) [][]int {
-	// Singleton groups are carved from one array (capped, so a merge's
-	// append copies instead of overwriting a neighbour); a merged-away
-	// group is nil.
-	ints := make([]int, 2*n)
-	members, best := ints[:n:n], ints[n:]
-	groups := make([][]int, n)
-	for i := range groups {
-		members[i] = i
-		groups[i] = members[i : i+1 : i+1]
+	// A group is named after its first member and its members form a
+	// list, so a merge links two lists instead of copying one; the
+	// groups are written out at the end, carved from one array (capped,
+	// so an append on one copies instead of overwriting a neighbour).
+	// size[i] is group i's size, zero once it is merged away.
+	ints := make([]int, 5*n)
+	best, size, next, last, flat := ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:4*n], ints[4*n:]
+	for i := range n {
+		size[i], next[i], last[i] = 1, -1, i
 	}
 	// Cached row maxima: best[i] is i's most similar alive partner, so
 	// the global best pair is the maximum over rows — O(n) per round
@@ -252,7 +280,7 @@ func merge(delta []float64, n int, gamma float64) [][]int {
 	rowBest := func(i int) int {
 		b, bv := -1, 0.0
 		for j, d := range delta[i*n : (i+1)*n] {
-			if j == i || groups[j] == nil {
+			if j == i || size[j] == 0 {
 				continue
 			}
 			if d > bv {
@@ -264,10 +292,11 @@ func merge(delta []float64, n int, gamma float64) [][]int {
 	for i := 0; i < n; i++ {
 		best[i] = rowBest(i)
 	}
+	alive := n
 	for {
 		bi, bv := -1, gamma
 		for i := 0; i < n; i++ {
-			if groups[i] == nil || best[i] < 0 {
+			if size[i] == 0 || best[i] < 0 {
 				continue
 			}
 			if d := delta[i*n+best[i]]; d > bv {
@@ -279,28 +308,37 @@ func merge(delta []float64, n int, gamma float64) [][]int {
 		}
 		bj := best[bi]
 		// Merge bj into bi with the Lance–Williams group-average update.
-		szI, szJ := float64(len(groups[bi])), float64(len(groups[bj]))
+		szI, szJ := float64(size[bi]), float64(size[bj])
 		for c := 0; c < n; c++ {
-			if groups[c] == nil || c == bi || c == bj {
+			if size[c] == 0 || c == bi || c == bj {
 				continue
 			}
 			d := (szI*delta[bi*n+c] + szJ*delta[bj*n+c]) / (szI + szJ)
 			delta[bi*n+c], delta[c*n+bi] = d, d
 		}
-		groups[bi] = append(groups[bi], groups[bj]...)
-		groups[bj] = nil
+		next[last[bi]], last[bi] = bj, last[bj] // bi's members, then bj's
+		size[bi] += size[bj]
+		size[bj] = 0
+		alive--
 		best[bi] = rowBest(bi)
 		for c := 0; c < n; c++ {
-			if groups[c] != nil && c != bi && (best[c] == bi || best[c] == bj) {
+			if size[c] != 0 && c != bi && (best[c] == bi || best[c] == bj) {
 				best[c] = rowBest(c)
 			}
 		}
 	}
-	alive := groups[:0]
-	for _, grp := range groups {
-		if grp != nil {
-			alive = append(alive, grp)
+	groups := make([][]int, 0, alive)
+	pos := 0
+	for i := range n {
+		if size[i] == 0 {
+			continue
 		}
+		first := pos
+		for m := i; m >= 0; m = next[m] {
+			flat[pos] = m
+			pos++
+		}
+		groups = append(groups, flat[first:pos:pos])
 	}
-	return alive
+	return groups
 }

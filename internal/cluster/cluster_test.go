@@ -228,3 +228,20 @@ func TestClusterEmptyBatch(t *testing.T) {
 		t.Fatal("empty batch should produce no groups")
 	}
 }
+
+// TestTwoQueryClusterAllocs pins what Algorithm 2 allocates for a
+// batch of two queries at width one, the smallest batch a serving
+// engine clusters: the µ matrix, one buffer for the maps' ranks,
+// sample offsets and samples, and the merge's groups and member lists.
+func TestTwoQueryClusterAllocs(t *testing.T) {
+	idx, qs := paperSetup(t)
+	qs = qs[:2]
+	var groups int
+	allocs := testing.AllocsPerRun(100, func() {
+		groups = ClusterQueriesWorkers(idx, qs, 0.5, 1).NumGroups()
+	})
+	t.Logf("%v allocs per two-query clustering, %d groups", allocs, groups)
+	if allocs > 4 {
+		t.Errorf("a two-query clustering allocates %v times, want at most 4", allocs)
+	}
+}

@@ -10,7 +10,7 @@ func MatrixProbes(idx *hcindex.Index, n int) int {
 	probes := 0
 	for d := range p.rank {
 		for y := 0; y < n; y++ {
-			probes += p.off[d*n+y] - p.off[d*n]
+			probes += int(p.off[d*n+y] - p.off[d*n])
 		}
 	}
 	return probes

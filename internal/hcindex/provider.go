@@ -60,14 +60,6 @@ type Stats struct {
 	BytesBudget int64
 }
 
-// HitRatio returns Hits / (Hits + Misses), zero when no probes ran.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Builder is the cold Provider: every Acquire runs the two MS-BFS
 // passes of Build, every AcquireOne the subgraph build. With pooling
 // enabled the dense distance arrays and the traversal scratch are

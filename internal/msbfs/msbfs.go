@@ -168,7 +168,7 @@ type Pool struct {
 	dists   [][]uint8          // all entries Unreachable
 	visited [][]graph.VertexID // len 0, capacity retained
 	scratch []*scratch         // bitmap words zero, queue len 0
-	allocs  int64
+	allocs  int64              // dense arrays ever allocated, which the tests check
 }
 
 // NewPool returns a pool of distance arrays for graphs of n vertices.
@@ -176,14 +176,6 @@ func NewPool(n int) *Pool { return &Pool{n: n} }
 
 // NumVertices returns the vertex count the pool's arrays are sized for.
 func (p *Pool) NumVertices() int { return p.n }
-
-// Allocs returns how many dense arrays the pool has ever allocated —
-// the steady state of a well-sized workload stops growing it.
-func (p *Pool) Allocs() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.allocs
-}
 
 // get returns a clean dist array of n entries and, where one is free, a
 // recycled visited list; a nil pool allocates the array. Only the

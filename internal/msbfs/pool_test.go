@@ -35,7 +35,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	}
 	// Six sources per round, three rounds: the free-list must have
 	// capped allocations at the high-water mark of one round.
-	if a := pool.Allocs(); a != int64(len(sources)) {
+	if a := pool.allocs; a != int64(len(sources)) {
 		t.Errorf("pool allocated %d arrays, want %d (reuse across rounds)", a, len(sources))
 	}
 }
@@ -81,7 +81,7 @@ func TestReleaseIdempotentAndViewNoop(t *testing.T) {
 	}
 	dm.Release()
 	dm.Release() // idempotent
-	if a := pool.Allocs(); a != 1 {
+	if a := pool.allocs; a != 1 {
 		t.Fatalf("allocs = %d", a)
 	}
 	// The recycled array must come back clean.

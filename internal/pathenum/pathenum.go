@@ -55,7 +55,9 @@ func Enumerate(g, gr *graph.Graph, q query.Query, fwd, bwd *msbfs.DistMap, opts 
 // Only the backward half is stored: it is collected and indexed first,
 // then the forward DFS joins each prefix as it yields it, which is the
 // order a stored forward half would be joined in. A limit hit or a
-// cancellation stops the forward DFS with the join.
+// cancellation stops the forward DFS with the join. The half and its
+// index are carved from a per-call pathjoin.Arena, released before the
+// call returns.
 func EnumerateControlled(g, gr *graph.Graph, q query.Query, ids []int, fwd, bwd *msbfs.DistMap, opts Options, ctrl *query.Control, sink query.Sink) {
 	if bwd.Dist(q.S) > q.K { // t unreachable within k hops: empty result
 		markComplete(ctrl, ids)
@@ -65,12 +67,15 @@ func EnumerateControlled(g, gr *graph.Graph, q query.Query, ids []int, fwd, bwd 
 	if opts.Optimized {
 		fb, bb = BalancedCut(q, fwd, bwd)
 	}
-	bwdPaths := pathjoin.NewStore(64, 256)
+	var arena pathjoin.Arena
+	defer arena.Release()
+	bwdPaths := arena.Open()
 	CollectHalf(gr, q.T, bb, q.K, fwd, opts, ctrl, bwdPaths)
+	arena.Seal(bwdPaths)
 	if ctrl.Cancelled() {
 		return // a partial backward half must not reach the join
 	}
-	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths), q.K, fb < bb, ctrl, ids, sink)
+	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths, &arena), q.K, fb < bb, ctrl, ids, sink)
 	walkHalf(g, q.S, fb, q.K, bwd, opts, ctrl, j.Join)
 	if !ctrl.Cancelled() {
 		markComplete(ctrl, ids)

@@ -13,18 +13,28 @@
 // Paths are stored in a Store arena — one flat vertex array plus offsets —
 // so that enumerating millions of partial paths does not fragment the
 // heap; this matters at Exp-7 scale where path counts grow exponentially
-// with k.
+// with k. The batch engines go one step further and carve their stores
+// and probe indexes from an Arena, a region (Hanson, "Fast allocation
+// and deallocation of memory based on object lifetimes", SP&E 1990)
+// of pooled fixed-size chunks that dies whole when its owner is done.
 package pathjoin
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/scratch"
 )
 
 // Store is an append-only arena of paths. The zero value is ready to use.
 type Store struct {
 	verts []graph.VertexID
 	offs  []int32
+	// arena is set while the store is an Arena's open store: a path
+	// that does not fit the arrays' capacity moves them (Arena.grow)
+	// instead of letting append reallocate them.
+	arena *Arena
 }
 
 // NewStore returns a store with capacity hints.
@@ -39,6 +49,9 @@ func NewStore(pathHint, vertHint int) *Store {
 //
 //hcpath:noalloc
 func (s *Store) Add(p []graph.VertexID) int {
+	if s.arena != nil && (len(s.verts)+len(p) > cap(s.verts) || len(s.offs) == cap(s.offs)) {
+		s.arena.grow(s, len(p))
+	}
 	if len(s.offs) == 0 {
 		s.offs = append(s.offs, 0)
 	}
@@ -52,6 +65,10 @@ func (s *Store) Add(p []graph.VertexID) int {
 //
 //hcpath:noalloc
 func (s *Store) AddConcat(prefix, suffix []graph.VertexID) int {
+	n := len(prefix) + len(suffix)
+	if s.arena != nil && (len(s.verts)+n > cap(s.verts) || len(s.offs) == cap(s.offs)) {
+		s.arena.grow(s, n)
+	}
 	if len(s.offs) == 0 {
 		s.offs = append(s.offs, 0)
 	}
@@ -75,17 +92,6 @@ func (s *Store) Len() int {
 	return len(s.offs) - 1
 }
 
-// NumVertices returns the total vertex footprint, used by the Fig. 3(c)
-// materialisation measurements.
-func (s *Store) NumVertices() int { return len(s.verts) }
-
-// Reset empties the store, retaining capacity.
-func (s *Store) Reset() {
-	s.verts = s.verts[:0]
-	s.offs = s.offs[:1]
-	s.offs[0] = 0
-}
-
 // Each calls fn for every stored path.
 func (s *Store) Each(fn func(p []graph.VertexID)) {
 	for i := 0; i < s.Len(); i++ {
@@ -99,74 +105,228 @@ func (s *Store) Each(fn func(p []graph.VertexID)) {
 // zero-value store reports (nil, nil).
 func (s *Store) Raw() (verts []graph.VertexID, offs []int32) { return s.verts, s.offs }
 
-// hashKey packs (meet vertex, path length) into one map key.
+// Arena hands out stores whose vertex and offset arrays are carved from
+// pooled chunks of scratch.ChunkLen words, and carves the int32 arrays
+// of their probe indexes (BuildHashIndex) from the same supply. Nothing
+// carved from an arena is freed alone: Release returns every chunk at
+// once, when its owner is done with all of them.
+//
+// Stores are handed out one at a time. Open returns an empty store that
+// Add and AddConcat fill in place, at the unclaimed tail of the arena's
+// current chunk, and Seal claims what it filled and caps its arrays, so
+// a sealed store never moves and an Add on it reallocates instead of
+// overwriting its neighbour. A path that does not fit what is left of
+// the chunk moves the open store whole to a fresh chunk; a store larger
+// than a chunk moves to a dedicated allocation, which is never pooled,
+// so what the pools retain stays bounded by the chunks in use.
+//
+// The zero value is ready to use. An arena is not safe for concurrent
+// use, but its sealed stores and indexes may be read from any goroutine
+// until Release, after which nothing carved from it may be read.
+type Arena struct {
+	verts []graph.VertexID // the unclaimed tail of the current vertex allocation
+	ints  []int32          // the unclaimed tail of the current int32 allocation
+	// The pooled chunks drawn, for Release. A dedicated allocation is
+	// left to the collector, which frees it with the last store in it.
+	vchunks [][]graph.VertexID
+	ichunks [][]int32
+	open    *Store
+}
+
+// Open returns an empty store, filled in place until Seal. Only one
+// store of an arena is open at a time, and no index is built from the
+// arena while it is.
+func (a *Arena) Open() *Store {
+	if a.open != nil {
+		panic("pathjoin: Arena.Open while a store is open")
+	}
+	if len(a.ints) == 0 {
+		a.ints = a.drawInts(1, 0)
+	}
+	s := &Store{verts: a.verts[:0], offs: a.ints[:1], arena: a}
+	s.offs[0] = 0
+	a.open = s
+	return s
+}
+
+// Seal closes the open store s: the arena claims its arrays and caps
+// them at their length.
+func (a *Arena) Seal(s *Store) {
+	if a.open != s {
+		panic("pathjoin: Arena.Seal of a store that is not open")
+	}
+	nv, no := len(s.verts), len(s.offs)
+	s.verts, s.offs = s.verts[:nv:nv], s.offs[:no:no]
+	a.verts, a.ints = a.verts[nv:], a.ints[no:]
+	s.arena, a.open = nil, nil
+}
+
+// Release returns every pooled chunk of the arena to the supply and
+// empties it for reuse. Nothing carved from it may be read afterwards.
+func (a *Arena) Release() {
+	for _, c := range a.vchunks {
+		scratch.VertexChunks.Put(c)
+	}
+	for _, c := range a.ichunks {
+		scratch.Int32Chunks.Put(c)
+	}
+	*a = Arena{}
+}
+
+// grow moves the open store s, whose next path of extra vertices does
+// not fit its arrays, to fresh allocations: the vertices, the offsets,
+// or both. The open store begins each of the arena's tails, so the new
+// allocation becomes the tail.
+//
+//hcpath:noalloc
+func (a *Arena) grow(s *Store, extra int) {
+	if need := len(s.verts) + extra; need > cap(s.verts) {
+		a.verts = a.drawVerts(need, len(s.verts))
+		s.verts = a.verts[:copy(a.verts, s.verts)]
+	}
+	if len(s.offs) == cap(s.offs) {
+		a.ints = a.drawInts(len(s.offs)+1, len(s.offs))
+		s.offs = a.ints[:copy(a.ints, s.offs)]
+	}
+}
+
+// drawVerts returns a fresh vertex allocation of at least need words
+// for an open store holding used of them: a pooled chunk when need fits
+// one, otherwise a dedicated allocation that at least doubles it.
+//
+//hcpath:noalloc
+func (a *Arena) drawVerts(need, used int) []graph.VertexID {
+	c := scratch.VertexChunks.Get(drawLen(need, used))
+	if len(c) == scratch.ChunkLen {
+		a.vchunks = append(a.vchunks, c)
+	}
+	return c
+}
+
+// drawInts is drawVerts for the int32 supply.
+//
+//hcpath:noalloc
+func (a *Arena) drawInts(need, used int) []int32 {
+	c := scratch.Int32Chunks.Get(drawLen(need, used))
+	if len(c) == scratch.ChunkLen {
+		a.ichunks = append(a.ichunks, c)
+	}
+	return c
+}
+
+// drawLen is the length to draw for need words when used of them move:
+// need itself when it fits a chunk, else at least twice used, so a store
+// larger than a chunk grows by doubling as append would grow it.
+//
+//hcpath:noalloc
+func drawLen(need, used int) int {
+	if need > scratch.ChunkLen {
+		return max(need, 2*used)
+	}
+	return need
+}
+
+// int32s returns n zeroed int32s carved from a, or allocated when a is
+// nil.
+func (a *Arena) int32s(n int) []int32 {
+	if a == nil {
+		return make([]int32, n)
+	}
+	if a.open != nil {
+		panic("pathjoin: index carved while a store is open")
+	}
+	if len(a.ints) < n {
+		a.ints = a.drawInts(n, 0)
+	}
+	b := a.ints[:n:n]
+	a.ints = a.ints[n:]
+	clear(b)
+	return b
+}
+
+// hashKey packs (meet vertex, path length) into one key.
 func hashKey(meet graph.VertexID, length int) uint64 {
 	return uint64(meet)<<16 | uint64(uint16(length))
 }
 
 // HashIndex groups paths of a store by (endpoint, length) for ⊕
 // probing. It is a counting sort of the store's path indices by key:
-// every bucket is one contiguous run of items, in store order, so an
-// index costs a key→bucket map and two int32 arrays however many paths
-// share a key.
+// every bucket is one contiguous run of items, in store order, named
+// after its first path r, so its run is items[start[r]:start[r+1]]
+// (start[x] for an x that names no bucket is the end of the bucket
+// before it). The keys live in a flat open-addressed table of the
+// bucket names, probed linearly from a Fibonacci hash of the key; a
+// slot's key is read off its bucket's first path, so the table is one
+// int32 per slot, at most half of them full. An index costs four int32
+// arrays however many paths share a key.
 type HashIndex struct {
-	store  *Store
-	bucket map[uint64]int32 // key → bucket number
-	start  []int32          // bucket b's paths are items[start[b]:start[b+1]]
-	items  []int32          // path indices, bucket by bucket
+	store *Store
+	table []int32 // r+1 for the bucket named r, 0 for an empty slot
+	shift uint    // 64 − log2(len(table))
+	start []int32 // len Len()+1
+	items []int32 // path indices, bucket by bucket
 }
 
-// BuildHashIndex indexes every path of s by its final vertex and length.
-func BuildHashIndex(s *Store) *HashIndex {
+// BuildHashIndex indexes every path of s by its final vertex and length,
+// carving the index's arrays from a, or allocating them when a is nil.
+func BuildHashIndex(s *Store, a *Arena) *HashIndex {
 	n := s.Len()
-	h := &HashIndex{store: s, bucket: make(map[uint64]int32, n)}
-	arrays := make([]int32, 2*n+1)
-	h.items, h.start = arrays[:n:n], arrays[n:]
-	of := make([]int32, n) // each path's bucket
+	logSize := bits.Len(uint(max(2*n-1, 0))) // at least 2n slots
+	h := &HashIndex{
+		store: s,
+		table: a.int32s(1 << logSize),
+		shift: uint(64 - logSize),
+		start: a.int32s(n + 1),
+		items: a.int32s(n),
+	}
+	of := a.int32s(n) // each path's bucket
 	for i := 0; i < n; i++ {
 		p := s.Path(i)
-		k := hashKey(p[len(p)-1], len(p)-1)
-		b, ok := h.bucket[k]
-		if !ok {
-			b = int32(len(h.bucket))
-			h.bucket[k] = b
+		slot := h.slot(p[len(p)-1], len(p)-1)
+		if h.table[slot] == 0 {
+			h.table[slot] = int32(i) + 1
 		}
-		h.start[b]++
-		of[i] = b
+		r := h.table[slot] - 1
+		h.start[r]++
+		of[i] = r
 	}
-	buckets := len(h.bucket)
 	// Running sums turn the counts into bucket ends; placing the paths
 	// last to first walks each end back to its bucket's start and
 	// leaves every bucket in store order.
-	for b := 1; b < buckets; b++ {
-		h.start[b] += h.start[b-1]
+	for r := 1; r <= n; r++ {
+		h.start[r] += h.start[r-1]
 	}
 	for i := n - 1; i >= 0; i-- {
-		b := of[i]
-		h.start[b]--
-		h.items[h.start[b]] = int32(i)
+		r := of[i]
+		h.start[r]--
+		h.items[h.start[r]] = int32(i)
 	}
-	h.start = h.start[: buckets+1 : buckets+1]
-	h.start[buckets] = int32(n)
 	return h
+}
+
+// slot returns the table slot of key (meet, length): the slot holding
+// its bucket, or the empty slot where the bucket belongs.
+func (h *HashIndex) slot(meet graph.VertexID, length int) int {
+	mask := len(h.table) - 1
+	for i := int(hashKey(meet, length) * 0x9E3779B97F4A7C15 >> h.shift); ; i = (i + 1) & mask {
+		r := h.table[i]
+		if r == 0 {
+			return i
+		}
+		if p := h.store.Path(int(r - 1)); p[len(p)-1] == meet && len(p)-1 == length {
+			return i
+		}
+	}
 }
 
 // paths returns the indices of the paths ending at meet with the given
 // hop length.
 func (h *HashIndex) paths(meet graph.VertexID, length int) []int32 {
-	b, ok := h.bucket[hashKey(meet, length)]
-	if !ok {
+	r := h.table[h.slot(meet, length)]
+	if r == 0 {
 		return nil
 	}
-	return h.items[h.start[b]:h.start[b+1]]
-}
-
-// Probe calls fn for every indexed path ending at meet with the given
-// hop length.
-func (h *HashIndex) Probe(meet graph.VertexID, length int, fn func(p []graph.VertexID)) {
-	for _, i := range h.paths(meet, length) {
-		fn(h.store.Path(int(i)))
-	}
+	return h.items[h.start[r-1]:h.start[r]]
 }
 
 // JoinHalves computes Pf ⊕ Pb with the unique-split pairing rule and
@@ -184,7 +344,7 @@ func (h *HashIndex) Probe(meet graph.VertexID, length int, fn func(p []graph.Ver
 // the backward frontier is the cheaper one to deepen. Either way every
 // HC-s-t path is emitted exactly once.
 func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph.VertexID)) {
-	j := NewJoiner(BuildHashIndex(bwd), k, backHeavy, nil, queryZero, EmitFunc(emit))
+	j := NewJoiner(BuildHashIndex(bwd, nil), k, backHeavy, nil, queryZero, EmitFunc(emit))
 	j.JoinStore(fwd)
 }
 

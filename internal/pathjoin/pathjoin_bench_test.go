@@ -39,26 +39,54 @@ func BenchmarkJoinHalves(b *testing.B) {
 	b.ReportMetric(float64(count), "joined-paths")
 }
 
-// BenchmarkStoreAdd measures arena append throughput.
+// BenchmarkStoreAdd measures append throughput into a heap store and
+// into an arena's stores of 1000 paths each.
 func BenchmarkStoreAdd(b *testing.B) {
 	p := []graph.VertexID{1, 2, 3, 4, 5}
-	s := NewStore(1024, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.Len() > 1<<20 {
-			s.Reset()
+	b.Run("heap", func(b *testing.B) {
+		s := NewStore(1024, 8192)
+		for i := 0; i < b.N; i++ {
+			if s.Len() > 1<<20 {
+				s = NewStore(1024, 8192)
+			}
+			s.Add(p)
 		}
-		s.Add(p)
-	}
+	})
+	b.Run("arena", func(b *testing.B) {
+		var a Arena
+		s, stores := a.Open(), 0
+		for i := 0; i < b.N; i++ {
+			if s.Len() == 1000 {
+				a.Seal(s)
+				if stores++; stores == 1000 {
+					a.Release()
+					stores = 0
+				}
+				s = a.Open()
+			}
+			s.Add(p)
+		}
+		a.Seal(s)
+		a.Release()
+	})
 }
 
-// BenchmarkBuildHashIndex measures the probe-side index build.
+// BenchmarkBuildHashIndex measures the probe-side index build, its
+// arrays allocated or carved from an arena.
 func BenchmarkBuildHashIndex(b *testing.B) {
 	_, bwd := synthHalves(5000, 300, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildHashIndex(bwd)
-	}
+	b.Run("heap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BuildHashIndex(bwd, nil)
+		}
+	})
+	b.Run("arena", func(b *testing.B) {
+		var a Arena
+		for i := 0; i < b.N; i++ {
+			BuildHashIndex(bwd, &a)
+			a.Release()
+		}
+	})
 }
 
 // BenchmarkIsSimple compares the short-path quadratic check against the

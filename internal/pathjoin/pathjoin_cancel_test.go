@@ -29,7 +29,7 @@ func TestJoinCancelledBoundedByProbes(t *testing.T) {
 	for i := 0; i < nBwd; i++ {
 		bwd.Add([]graph.VertexID{2, graph.VertexID(5000 + i), meet})
 	}
-	h := BuildHashIndex(bwd)
+	h := BuildHashIndex(bwd, nil)
 
 	// Sanity: uncancelled, every (forward, backward) pair joins.
 	clean := 0

@@ -3,6 +3,7 @@ package pathjoin
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/scratch"
 	"repro/internal/testgraphs"
 )
 
@@ -37,17 +39,13 @@ func TestStoreBasics(t *testing.T) {
 	if got := s.Path(2); len(got) != 3 || got[0] != 4 || got[2] != 6 {
 		t.Fatalf("Path(2) = %v", got)
 	}
-	if s.NumVertices() != 7 {
-		t.Fatalf("NumVertices = %d", s.NumVertices())
+	if verts, offs := s.Raw(); len(verts) != 7 || len(offs) != 4 {
+		t.Fatalf("Raw holds %d vertices and %d offsets, want 7 and 4", len(verts), len(offs))
 	}
 	count := 0
 	s.Each(func(p []graph.VertexID) { count++ })
 	if count != 3 {
 		t.Fatalf("Each visited %d", count)
-	}
-	s.Reset()
-	if s.Len() != 0 || s.NumVertices() != 0 {
-		t.Fatal("Reset did not empty store")
 	}
 }
 
@@ -64,24 +62,84 @@ func TestZeroValueStore(t *testing.T) {
 	}
 }
 
+// probe returns the paths h indexes under (meet, length), in index
+// order.
+func probe(h *HashIndex, meet graph.VertexID, length int) []string {
+	var got []string
+	for _, i := range h.paths(meet, length) {
+		got = append(got, fmt.Sprint(h.store.Path(int(i))))
+	}
+	return got
+}
+
 func TestHashIndexProbe(t *testing.T) {
 	s := NewStore(4, 16)
 	s.Add([]graph.VertexID{9, 5})    // ends 5, len 1
 	s.Add([]graph.VertexID{9, 7, 5}) // ends 5, len 2
 	s.Add([]graph.VertexID{9, 5, 7}) // ends 7, len 2
 	s.Add([]graph.VertexID{8, 5})    // ends 5, len 1: a bucket keeps store order
-	h := BuildHashIndex(s)
-	var got []string
-	h.Probe(5, 1, func(p []graph.VertexID) { got = append(got, fmt.Sprint(p)) })
-	if fmt.Sprint(got) != "[[9 5] [8 5]]" {
-		t.Fatalf("Probe(5,1) = %v", got)
+	h := BuildHashIndex(s, nil)
+	if got := probe(h, 5, 1); fmt.Sprint(got) != "[[9 5] [8 5]]" {
+		t.Fatalf("probe(5,1) = %v", got)
 	}
-	got = nil
-	h.Probe(5, 2, func(p []graph.VertexID) { got = append(got, fmt.Sprint(p)) })
-	if len(got) != 1 || got[0] != "[9 7 5]" {
-		t.Fatalf("Probe(5,2) = %v", got)
+	if got := probe(h, 5, 2); len(got) != 1 || got[0] != "[9 7 5]" {
+		t.Fatalf("probe(5,2) = %v", got)
 	}
-	h.Probe(42, 1, func(p []graph.VertexID) { t.Fatal("phantom probe hit") })
+	if got := probe(h, 42, 1); got != nil {
+		t.Fatalf("phantom probe hit: %v", got)
+	}
+}
+
+// TestHashIndexMatchesMap: on random stores, empty to a few thousand
+// paths over few and many distinct keys, every (end, length) key's
+// bucket holds exactly the paths a map keyed the same way collects, in
+// store order, and a key no path has finds nothing — whether the index
+// is allocated or carved from an arena whose chunks hold garbage.
+func TestHashIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for range 4 {
+		c := scratch.Int32Chunks.Get(1)
+		for i := range c {
+			c[i] = int32(rng.Uint32())
+		}
+		scratch.Int32Chunks.Put(c)
+	}
+	var arena Arena
+	defer arena.Release()
+	type shape struct{ n, ends, maxLen int }
+	shapes := []shape{{100, 2, 64}} // many lengths per end
+	for _, n := range []int{0, 1, 2, 7, 100, 3000} {
+		for _, ends := range []int{1, 5, 1000} {
+			shapes = append(shapes, shape{n, ends, 4})
+		}
+	}
+	type key struct {
+		end    graph.VertexID
+		length int
+	}
+	for _, sh := range shapes {
+		s := NewStore(0, 0)
+		want := map[key][]string{}
+		for i := 0; i < sh.n; i++ {
+			p := make([]graph.VertexID, 1+rng.Intn(sh.maxLen))
+			for j := range p {
+				p[j] = graph.VertexID(rng.Intn(sh.ends))
+			}
+			s.Add(p)
+			k := key{p[len(p)-1], len(p) - 1}
+			want[k] = append(want[k], fmt.Sprint(p))
+		}
+		for _, h := range []*HashIndex{BuildHashIndex(s, nil), BuildHashIndex(s, &arena)} {
+			for k, w := range want {
+				if got := probe(h, k.end, k.length); fmt.Sprint(got) != fmt.Sprint(w) {
+					t.Fatalf("%+v: probe%v = %v, want %v", sh, k, got, w)
+				}
+			}
+			if got := probe(h, graph.VertexID(sh.ends), 1); got != nil {
+				t.Fatalf("%+v: a key no path has found %v", sh, got)
+			}
+		}
+	}
 }
 
 func TestDisjointExceptMeet(t *testing.T) {
@@ -319,7 +377,7 @@ func TestSharedJoinerMatchesSingleJoiners(t *testing.T) {
 	gr := g.Reverse()
 	const s, tt, k = 0, 17, 6
 	fwd := collectPartials(g, s, k/2)
-	h := BuildHashIndex(collectPartials(gr, tt, k/2))
+	h := BuildHashIndex(collectPartials(gr, tt, k/2), nil)
 	if n := len(joinAll(g, gr, s, tt, k, false)); n <= 3 {
 		t.Fatalf("the query has %d paths; the limits need more than 3", n)
 	}

@@ -6,6 +6,14 @@
 // msbfs.Pool (Then et al.'s MS-BFS state-reuse discipline): recycle,
 // and restore cleanliness sparsely instead of by memset.
 //
+// It is also the chunk supply of pathjoin.Arena: fixed-length chunks of
+// 4-byte words (VertexChunks for path vertices, Int32Chunks for offsets
+// and probe indexes), recycled through two more pools. Chunks are never
+// cleared: an arena writes every word before it reads it. Every chunk
+// has the same length, so a pooled chunk holds no more memory than the
+// largest store it ever served; a request larger than a chunk gets a
+// dedicated allocation that is never pooled.
+//
 // Three invariants make reuse free of any clearing pass:
 //
 //   - OnPath comes back clean. A DFS sets OnPath[v] on push and clears
@@ -89,4 +97,39 @@ func (s *Scratch) NextGen() int32 {
 	}
 	s.gen++
 	return s.gen
+}
+
+// ChunkLen is the length of a pooled chunk in elements: 64 KiB of
+// 4-byte words.
+const ChunkLen = 16 << 10
+
+// Chunks supplies fixed-length chunks of T.
+type Chunks[T uint32 | int32] struct{ pool sync.Pool }
+
+// The chunk supplies of pathjoin.Arena.
+var (
+	VertexChunks Chunks[uint32]
+	Int32Chunks  Chunks[int32]
+)
+
+// Get returns at least n elements of arbitrary contents: a pooled chunk
+// of ChunkLen when n fits one, otherwise a dedicated allocation of n
+// that Put drops.
+func (c *Chunks[T]) Get(n int) []T {
+	if n > ChunkLen {
+		return make([]T, n)
+	}
+	if p, _ := c.pool.Get().(*[ChunkLen]T); p != nil {
+		return p[:]
+	}
+	return new([ChunkLen]T)[:]
+}
+
+// Put recycles a chunk Get returned. The caller must not use it again.
+//
+//hcpath:noalloc
+func (c *Chunks[T]) Put(b []T) {
+	if len(b) == ChunkLen {
+		c.pool.Put((*[ChunkLen]T)(b))
+	}
 }

@@ -58,9 +58,6 @@ type Sleeper struct {
 // Attempts returns the number of completed sleeps.
 func (s *Sleeper) Attempts() int { return s.attempts }
 
-// Slept returns the total time slept so far.
-func (s *Sleeper) Slept() time.Duration { return s.slept }
-
 // Sleep blocks for the next jittered delay. It returns nil after
 // sleeping, ctx.Err() if the context fires first, or an error wrapping
 // ErrBackoffExhausted — with the attempt count and budget in the

@@ -342,8 +342,8 @@ func TestBackoffExhausts(t *testing.T) {
 	if s.Attempts() == 0 {
 		t.Error("gave up before a single sleep")
 	}
-	if s.Slept() > b.Total {
-		t.Errorf("slept %v, over the %v budget", s.Slept(), b.Total)
+	if s.slept > b.Total {
+		t.Errorf("slept %v, over the %v budget", s.slept, b.Total)
 	}
 }
 

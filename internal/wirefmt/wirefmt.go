@@ -57,15 +57,6 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// AppendU32s appends vs as consecutive u32s. Like AppendEdges it
-// writes no count: the count is the vocabulary's to place.
-func AppendU32s[T ~uint32 | ~int32](dst []byte, vs []T) []byte {
-	for _, v := range vs {
-		dst = AppendU32(dst, uint32(v))
-	}
-	return dst
-}
-
 // AppendEdges appends edges as (src, dst) u32 pairs. The WAL puts both
 // of a record's counts ahead of both lists, the wire puts each count
 // before its list.
@@ -190,18 +181,6 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(r.take(n))
-}
-
-// ReadU32s reads n u32s; nil when n is zero or cannot be claimed.
-func ReadU32s[T ~uint32 | ~int32](r *Reader, n uint32) []T {
-	if n == 0 || !r.Claim(n, 4) {
-		return nil
-	}
-	vs := make([]T, n)
-	for i := range vs {
-		vs[i] = T(r.U32())
-	}
-	return vs
 }
 
 // ReadEdges reads n (src, dst) pairs; nil when n is zero or cannot be
