@@ -93,7 +93,6 @@ func main() {
 		compact     = flag.Int("compactafter", 0, "update-replay: fold the delta after this many edge changes (0 = default, <0 = never)")
 		dataDir     = flag.String("datadir", "", "update-replay: durable store directory (WAL + snapshots); an existing directory warm-restarts and resumes the replay")
 		fsyncMode   = flag.String("fsync", "always", "update-replay with -datadir: WAL durability — always, interval, or off")
-		ckptEvery   = flag.Int("checkpointevery", 0, "update-replay with -datadir: snapshot after this many logged update blocks (0 = default, <0 = only at exit)")
 		crashAfter  = flag.Int("crashafter", 0, "update-replay: exit without cleanup after applying this many update blocks, simulating a crash (0 = never)")
 		clients     = flag.Int("clients", 16, "replay: concurrent client goroutines")
 		maxBatch    = flag.Int("maxbatch", 64, "replay: max queries coalesced per batch")
@@ -189,7 +188,6 @@ func main() {
 		Shards:          *shards,
 		DataDir:         *dataDir,
 		Fsync:           fsync,
-		CheckpointEvery: *ckptEvery,
 	}
 
 	if *debugAddr != "" {
@@ -666,8 +664,8 @@ func runUpdateReplay(g *hcpath.Graph, path string, so hcpath.ServiceOptions, con
 		}
 		discardBlock()
 		if crashAfter > 0 && applied >= int64(crashAfter) {
-			// Simulated crash: no Close, no final checkpoint, no WAL
-			// drain beyond what the fsync policy already guaranteed.
+			// Simulated crash: no Close, no WAL drain beyond what the
+			// fsync policy already guaranteed.
 			fmt.Fprintf(os.Stderr, "crash: exiting after %d applied update blocks at epoch %d\n", applied, epoch)
 			os.Exit(137)
 		}

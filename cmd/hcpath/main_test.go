@@ -252,17 +252,16 @@ query 2 0 4
 	if err := os.WriteFile(opsPath, []byte(ops), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Compaction is on (two folds, each replayed from the WAL after the
-	// crashes that follow it); checkpoints stay off, because recovery
-	// reloads the delta as zero at a checkpoint's epoch, so fold points
-	// after a warm restart would differ from the uninterrupted run's.
-	common := []string{"-updates", opsPath, "-compactafter", "3", "-checkpointevery", "-1", "-fsync", "always"}
+	// Compaction is on: two folds, each writing the snapshot that the
+	// restarts after it recover from.
+	common := []string{"-updates", opsPath, "-compactafter", "3", "-fsync", "always"}
 
 	fullOut, code := runCLI(t, append([]string{"-graph", graphPath, "-datadir", filepath.Join(dir, "d-full")}, common...)...)
 	if code != 0 {
 		t.Fatalf("uninterrupted run exited %d:\n%s", code, fullOut)
 	}
 	want := stateLine(t, fullOut)
+	requireFoldSnapshots(t, fullOut)
 
 	// Crash after every single applied block, resuming each time.
 	crashDir := filepath.Join(dir, "d-crash")
@@ -319,14 +318,18 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	if err := os.WriteFile(opsPath, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// As in TestUpdateReplayRestart: compaction on, checkpoints off.
-	common := []string{"-updates", opsPath, "-compactafter", "5", "-checkpointevery", "-1", "-fsync", "always"}
+	// As in TestUpdateReplayRestart: compaction on, every fold a
+	// snapshot. Each block is one edge change, so the replay folds every
+	// 200 blocks — about 20 times, each writing a snapshot and pruning
+	// two files.
+	common := []string{"-updates", opsPath, "-compactafter", "200", "-fsync", "always"}
 
 	fullOut, code := runCLI(t, append([]string{"-graph", graphPath, "-datadir", filepath.Join(dir, "d-full")}, common...)...)
 	if code != 0 {
 		t.Fatalf("uninterrupted run exited %d:\n%s", code, fullOut)
 	}
 	want := stateLine(t, fullOut)
+	requireFoldSnapshots(t, fullOut)
 
 	crashDir := filepath.Join(dir, "d-kill")
 	cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess")
@@ -335,12 +338,12 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill -9 once the WAL holds some records (~100 of the 4001). A
-	// fixed sleep is no use: without a slow disk the whole replay takes
-	// a fifth of a second.
+	// Kill -9 once the first fold's segment, wal-201, is open: the
+	// restart then recovers from that fold's snapshot. A fixed sleep is
+	// no use: the whole replay takes about a second.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if fi, err := os.Stat(filepath.Join(crashDir, "wal-00000000000000000000.log")); err == nil && fi.Size() > 3000 {
+		if newestSegment(crashDir) > 200 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -369,6 +372,37 @@ func TestUpdateReplaySurvivesSIGKILL(t *testing.T) {
 	if got := stateLine(t, out); got != want {
 		t.Fatalf("state after kill -9 and restart:\n  %s\nuninterrupted run:\n  %s", got, want)
 	}
+}
+
+// requireFoldSnapshots fails unless a replay's "wal:" line reports a
+// snapshot beyond the bootstrap one, so the restarts that follow the
+// replay's folds recover from a fold's snapshot.
+func requireFoldSnapshots(t *testing.T, out string) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		var records, checkpoints int
+		if n, _ := fmt.Sscanf(line, "wal: %d records, %d checkpoints", &records, &checkpoints); n == 2 {
+			if checkpoints < 2 {
+				t.Fatalf("uninterrupted run wrote no fold snapshot: %q", line)
+			}
+			return
+		}
+	}
+	t.Fatalf("no wal: line in:\n%s", out)
+}
+
+// newestSegment returns the largest epoch among dir's WAL segment
+// names, 0 when there are none yet.
+func newestSegment(dir string) uint64 {
+	names, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	var newest uint64
+	for _, name := range names {
+		var epoch uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "wal-%d.log", &epoch); err == nil && epoch > newest {
+			newest = epoch
+		}
+	}
+	return newest
 }
 
 // TestDebugAddr: the -debugaddr server answers GETs on a free port —

@@ -2,15 +2,19 @@
 // liveupdates example keeps its graph in memory — stop the process and
 // every settled update is gone. Here the service is opened with a
 // DataDir instead: each ApplyUpdates is appended to a CRC-framed
-// write-ahead log before its epoch publishes, background checkpoints
-// capture the full CSR, and reopening the directory warm-restarts the
-// service at the exact pre-crash epoch and edge set.
+// write-ahead log before its epoch publishes, every fold of the update
+// delta writes the fresh CSR as a snapshot file, and reopening the
+// directory warm-restarts the service at the exact pre-crash epoch and
+// edge set.
 //
 // The demo runs three "process lifetimes" over one data directory:
 //
-//	life 0  bootstraps the store from a seed graph and applies updates
-//	life 1  crashes — updates applied, but no Close, no checkpoint
-//	life 2  reopens and proves the crash lost nothing
+//	life 0  bootstraps the store from a seed graph, applies updates
+//	        and closes cleanly
+//	life 1  applies more updates, folding the delta into a snapshot on
+//	        the way, then crashes — no Close
+//	life 2  reopens from life 1's fold snapshot plus the WAL written
+//	        since, and proves the crash lost nothing
 //
 // Each lifetime records the store's State (epoch, sizes, and a
 // checksum over the canonical CSR serialization); the recovery must
@@ -30,10 +34,11 @@ import (
 )
 
 const (
-	numVertices = 500
-	numEdges    = 2500
-	waves       = 40 // update waves per lifetime
-	waveSize    = 8  // edge changes per wave
+	numVertices  = 500
+	numEdges     = 2500
+	waves        = 40  // update waves per lifetime
+	waveSize     = 8   // edge changes per wave
+	compactAfter = 400 // edge changes per fold: life 1 crosses one
 )
 
 func main() {
@@ -62,16 +67,14 @@ func main() {
 		// crash-proof; FsyncInterval trades a bounded window of recent
 		// updates for near-in-memory append latency.
 		Fsync: hcpath.FsyncAlways,
-		// Each compaction forces a checkpoint, which runs in the
-		// background; a real crash kills it with the process, but this
-		// demo only abandons the service in-process, so compaction (and
-		// with it that background work) must be off for the "crash" to
-		// be faithful.
-		CompactAfter: -1,
+		// The update that brings the pending delta to this many edge
+		// changes folds it into a fresh base and writes that base as
+		// the snapshot file, before it returns.
+		CompactAfter: compactAfter,
 	}
 
 	// Life 0: bootstrap from the seed graph, apply updates, close
-	// cleanly (Close writes a final checkpoint).
+	// cleanly.
 	svc, err := hcpath.OpenService(seed, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -85,8 +88,8 @@ func main() {
 
 	// Life 1: reopen (the seed graph is ignored — the directory wins),
 	// apply more updates, then "crash": the process keeps running, but
-	// the service is simply abandoned. No Close, no final checkpoint;
-	// the WAL alone carries everything since the last snapshot.
+	// the service is simply abandoned. No Close; the WAL alone carries
+	// everything since the fold's snapshot.
 	svc, err = hcpath.OpenService(nil, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -96,11 +99,16 @@ func main() {
 	}
 	applyWaves(svc, rng, "life 1")
 	st1 := svc.State()
-	fmt.Printf("life 1 crashed at %s\n", fmtState(st1))
+	tot1 := svc.Totals()
+	if tot1.SnapshotEpoch == 0 {
+		log.Fatalf("life 1 never folded; lower compactAfter (%d edge changes pending)", tot1.DeltaEdges)
+	}
+	fmt.Printf("life 1 crashed at %s (folded into the snapshot at epoch %d)\n", fmtState(st1), tot1.SnapshotEpoch)
 	// (crash: svc leaks, exactly like a killed process)
 
-	// Life 2: warm restart. Recovery loads the newest valid snapshot
-	// and replays the WAL tail, reaching the pre-crash state exactly.
+	// Life 2: warm restart. Recovery loads the newest valid snapshot —
+	// life 1's fold — and replays the WAL tail, reaching the pre-crash
+	// state exactly, pending delta included.
 	svc, err = hcpath.OpenService(nil, opts)
 	if err != nil {
 		log.Fatal(err)

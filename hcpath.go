@@ -626,7 +626,9 @@ type ServiceOptions struct {
 	// ApplyUpdates that reached it folds the delta into a fresh CSR
 	// before returning (queries keep running meanwhile). Zero selects
 	// the store default (max(4096, edges/8)); negative disables automatic
-	// compaction. Irrelevant until ApplyUpdates is used.
+	// compaction. Irrelevant until ApplyUpdates is used. With DataDir set
+	// every fold also writes the snapshot file, so with a negative value
+	// nothing is snapshotted until Service.Checkpoint.
 	CompactAfter int
 	// QueryTimeout, when positive, bounds each micro-batch's engine
 	// time: a batch that exceeds it stops promptly, queries already
@@ -660,23 +662,21 @@ type ServiceOptions struct {
 	OnBatch func(BatchStats)
 	// DataDir, when non-empty, makes the graph store durable: every
 	// ApplyUpdates is appended to a CRC-framed write-ahead log under
-	// this directory before its epoch publishes, periodic checkpoint
-	// files capture the full graph, and OpenService warm-restarts from
-	// the directory's contents — reaching the exact pre-crash epoch and
-	// edge set. Only OpenService honours it; NewService (which cannot
-	// report I/O errors) panics when it is set.
+	// this directory before its epoch publishes, every fold (see
+	// CompactAfter) writes the fresh graph as a snapshot file, and
+	// OpenService warm-restarts from the directory's contents — the
+	// newest snapshot plus the log since — reaching the exact pre-crash
+	// epoch, edge set and pending delta, so later folds land at the same
+	// epochs as in a run that never stopped. Only OpenService honours
+	// it; NewService (which cannot report I/O errors) panics when it is
+	// set.
 	DataDir string
 	// Fsync selects when WAL appends reach stable storage when DataDir
 	// is set: FsyncAlways (the default — an acknowledged update survives
 	// any crash), FsyncInterval (background sync every 100ms; at most
 	// one interval of acknowledged updates lost), or FsyncOff (sync only
-	// at checkpoints and Close; for bulk loads).
+	// when a fold writes its snapshot and at Close; for bulk loads).
 	Fsync FsyncPolicy
-	// CheckpointEvery is the background checkpoint cadence in logged
-	// update records; zero selects the store default (1024), negative
-	// leaves checkpoints to Close and Service.Checkpoint. A checkpoint
-	// is also written right after every compaction.
-	CheckpointEvery int
 	// Shards, when greater than one, runs the service in the in-process
 	// sharded deployment mode: that many shard workers — each with its
 	// own store, index cache, and micro-batching pipeline — behind a
@@ -689,7 +689,7 @@ type ServiceOptions struct {
 	// unsharded service. Updates fan out to every worker atomically per
 	// epoch. Combined with DataDir (through OpenService), worker i owns
 	// the directory DataDir/shard-i and a warm restart reopens every
-	// worker from its own WAL and checkpoints. For the multi-process
+	// worker from its own WAL and snapshots. For the multi-process
 	// deployment — same hash partition and the same owner for every
 	// query, reached over TCP and through its micro-batches — see
 	// NewShardServer and ConnectService. Zero or one means the ordinary
@@ -770,7 +770,6 @@ func (o ServiceOptions) config() service.Config {
 		OnBatch:         o.OnBatch,
 		DataDir:         o.DataDir,
 		Fsync:           o.Fsync,
-		CheckpointEvery: o.CheckpointEvery,
 		Shards:          o.Shards,
 	}
 }
@@ -797,7 +796,7 @@ func NewService(g *Graph, opts *ServiceOptions) *Service {
 }
 
 // OpenService is NewService with durability: when opts.DataDir is set,
-// updates are write-ahead logged and checkpointed under that
+// updates are write-ahead logged and folds snapshotted under that
 // directory, and an existing directory warm-restarts the service at
 // its pre-crash epoch and edge set — g then only seeds an empty
 // directory (the on-disk state wins) and may be nil to require
@@ -805,7 +804,7 @@ func NewService(g *Graph, opts *ServiceOptions) *Service {
 // exactly like NewService (g must be non-nil).
 //
 // Combined with Shards > 1, worker i owns DataDir/shard-i (its own WAL
-// and checkpoints); a warm restart reopens every worker from its
+// and snapshots); a warm restart reopens every worker from its
 // directory and refuses the deployment if the replicas diverged.
 func OpenService(g *Graph, opts *ServiceOptions) (*Service, error) {
 	var o ServiceOptions
@@ -1091,9 +1090,13 @@ func (s *ShardServer) State() StoreState { return s.srv.State() }
 // Epoch returns the worker's current epoch.
 func (s *ShardServer) Epoch() uint64 { return s.srv.Epoch() }
 
-// Checkpoint forces a durable snapshot of the current graph epoch to
-// the service's DataDir, so a restart replays a minimal WAL tail. It
-// returns nil immediately on an in-memory service.
+// Checkpoint folds any pending update delta into a fresh graph base,
+// as crossing CompactAfter would, and on a durable service writes that
+// base as the snapshot file in DataDir, so a restart replays no WAL
+// tail. Like any fold it bumps the epoch when a delta is pending — on
+// an in-memory service too — and is a no-op otherwise. On a sharded
+// service every worker folds, under the same lock as the update
+// fan-out.
 func (s *Service) Checkpoint() error { return s.svc.Checkpoint() }
 
 // State identifies the current graph snapshot — epoch, vertex and edge
@@ -1104,8 +1107,9 @@ func (s *Service) Checkpoint() error { return s.svc.Checkpoint() }
 func (s *Service) State() StoreState { return s.svc.State() }
 
 // Close drains in-flight batches and stops the service; queries after
-// Close return ErrServiceClosed. On a durable service Close then
-// writes a final checkpoint and syncs the WAL, returning any error in
-// making that state durable (always nil in-memory). Close is
+// Close return ErrServiceClosed. On a durable service Close then syncs
+// and closes the WAL, returning any error in making that state durable
+// (always nil in-memory); it writes no snapshot, so the next
+// OpenService replays the log since the last fold. Close is
 // idempotent.
 func (s *Service) Close() error { return s.svc.Close() }

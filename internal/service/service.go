@@ -96,22 +96,20 @@ type Config struct {
 	// delta folds into a fresh CSR base once its effective edge changes
 	// reach this count. Zero selects the store default, negative disables
 	// automatic compaction. Services that never apply updates are
-	// unaffected.
+	// unaffected. With DataDir set every fold also writes the snapshot
+	// file, so a negative CompactAfter leaves snapshots to Checkpoint.
 	CompactAfter int
 	// DataDir, when non-empty, makes the graph store durable: every
-	// ApplyUpdates is write-ahead logged under this directory, periodic
-	// checkpoints capture the full CSR, and Open warm-restarts from the
-	// directory's contents (the on-disk state wins over the graph passed
-	// in). Only honoured by Open — New is always in-memory.
+	// ApplyUpdates is write-ahead logged under this directory, every
+	// fold writes the fresh CSR base as a snapshot file, and Open
+	// warm-restarts from the directory's contents (the on-disk state
+	// wins over the graph passed in), replaying at most the updates
+	// since the last fold. Only honoured by Open — New is always
+	// in-memory.
 	DataDir string
 	// Fsync selects the WAL durability policy when DataDir is set:
 	// store.FsyncAlways (default), store.FsyncInterval, store.FsyncOff.
 	Fsync store.FsyncPolicy
-	// CheckpointEvery controls background snapshot cadence (update
-	// records between checkpoints); zero selects
-	// store.DefaultCheckpointEvery, negative leaves checkpoints to
-	// Close/Checkpoint only.
-	CheckpointEvery int
 	// MaxInFlight is the hard bound on micro-batches running
 	// concurrently: at the bound the collector dispatches nothing, the
 	// forming batch absorbs traffic up to MaxBatch, and the rest queues
@@ -483,18 +481,17 @@ func New(g, gr *graph.Graph, cfg Config) *Service {
 
 // Open starts a service like New, but honours Config.DataDir: when it
 // is non-empty the graph store is durable — updates are write-ahead
-// logged, checkpoints are written in the background, and an existing
-// data directory warm-restarts the store at its pre-crash epoch and
-// edge set (g/gr then only seed an empty directory; on-disk state
-// wins). With an empty DataDir, Open is exactly New.
+// logged, every fold writes a snapshot file, and an existing data
+// directory warm-restarts the store at its pre-crash epoch and edge set
+// (g/gr then only seed an empty directory; on-disk state wins). With
+// an empty DataDir, Open is exactly New.
 func Open(g, gr *graph.Graph, cfg Config) (*Service, error) {
 	if cfg.DataDir == "" {
 		return New(g, gr, cfg), nil
 	}
 	st, err := store.Open(cfg.DataDir, g, store.DurableOptions{
-		Options:         store.Options{CompactAfter: cfg.CompactAfter},
-		Fsync:           cfg.Fsync,
-		CheckpointEvery: cfg.CheckpointEvery,
+		Options: store.Options{CompactAfter: cfg.CompactAfter},
+		Fsync:   cfg.Fsync,
 	})
 	if err != nil {
 		return nil, err
@@ -659,9 +656,15 @@ func (s *Service) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 	return snap.Epoch(), err
 }
 
-// Checkpoint forces a durable snapshot of the current epoch. It
-// returns nil immediately on an in-memory service.
-func (s *Service) Checkpoint() error { return s.st.Checkpoint() }
+// Checkpoint folds any pending delta into a fresh base
+// (store.Store.Compact), which on a durable service also writes it as
+// the snapshot file. Like any fold it bumps the epoch when a delta is
+// pending, in-memory too, so every deployment steps through the same
+// epochs.
+func (s *Service) Checkpoint() error {
+	_, err := s.st.Compact()
+	return err
+}
 
 // State identifies the current snapshot — epoch, sizes, and a checksum
 // of the canonical CSR serialization — for cross-process comparison
@@ -698,10 +701,9 @@ func (s *Service) Stats() Totals {
 
 // Close dispatches any forming batch, waits for all in-flight batches
 // to complete, and releases the collector. On a durable service it
-// then writes a final checkpoint and syncs and closes the WAL; the
-// returned error reports any failure to make that state durable
-// (always nil in-memory). Submissions after Close return ErrClosed;
-// Close is idempotent.
+// then syncs and closes the WAL; the returned error reports any failure
+// to make that state durable (always nil in-memory). Submissions after
+// Close return ErrClosed; Close is idempotent.
 func (s *Service) Close() error {
 	s.closing.Lock()
 	if s.closed {
@@ -712,8 +714,6 @@ func (s *Service) Close() error {
 	close(s.submit)
 	s.closing.Unlock()
 	s.wg.Wait()
-	// Drains background checkpoints; durable stores then checkpoint the
-	// final epoch.
 	return s.st.Close()
 }
 

@@ -380,11 +380,10 @@ func TestCrossBatchIndexCache(t *testing.T) {
 func TestDurableServiceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		MaxWait:         time.Millisecond,
-		Engine:          batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
-		DataDir:         dir,
-		Fsync:           store.FsyncOff,
-		CheckpointEvery: -1,
+		MaxWait: time.Millisecond,
+		Engine:  batchenum.Options{Algorithm: batchenum.BatchPlus, Workers: 4},
+		DataDir: dir,
+		Fsync:   store.FsyncOff,
 	}
 	g := testgraphs.Paper()
 	s, err := Open(g, g.Reverse(), cfg)
@@ -413,7 +412,7 @@ func TestDurableServiceRoundTrip(t *testing.T) {
 		t.Fatalf("recovered state %+v, want %+v", got, want)
 	}
 	tot = s2.Stats()
-	if tot.WALRecords != 1 || tot.Epoch != 1 || tot.SnapshotEpoch != 1 {
+	if tot.WALRecords != 1 || tot.Epoch != 1 || tot.SnapshotEpoch != 0 {
 		t.Fatalf("post-reopen totals: %+v", tot)
 	}
 

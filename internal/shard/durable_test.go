@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -12,10 +13,11 @@ import (
 )
 
 // TestDurableShardedWarmRestart drives a durable sharded deployment
-// through update waves, closes it, and reopens from the per-worker
-// directories: the restarted deployment must carry the pre-restart
-// State and answer queries identically to a single-process service
-// replaying the same update stream.
+// through update waves, closes it with a delta pending, and reopens
+// from the per-worker directories: the restarted deployment must carry
+// the pre-restart State, answer queries identically to a
+// single-process service replaying the same update stream, and keep
+// matching that service's State, epoch included, as updates go on.
 func TestDurableShardedWarmRestart(t *testing.T) {
 	g := testgraphs.Cycle(8)
 	gr := g.Reverse()
@@ -76,13 +78,79 @@ func TestDurableShardedWarmRestart(t *testing.T) {
 	qs := allPairQueries(cur, 3, 5)
 	diffOutcomes(t, "durable-restart/shards=2", qs, runAll(single, qs), runAll(reopened, qs))
 
-	// And it keeps accepting updates at the restored epoch.
-	epoch, err := reopened.ApplyUpdates([]graph.Edge{{Src: 7, Dst: 3}}, nil)
-	if err != nil {
-		t.Fatalf("post-restart update: %v", err)
+	// And it keeps stepping through the uninterrupted run's epochs: the
+	// restart reloaded the pending delta, so the next fold lands where
+	// the single service's does.
+	if got, want := preState, single.State(); got != want {
+		t.Fatalf("pre-restart State %+v, single service %+v", got, want)
 	}
-	if epoch <= preState.Epoch {
-		t.Errorf("post-restart epoch %d did not advance past %d", epoch, preState.Epoch)
+	for i := 0; i < 8; i++ {
+		add := []graph.Edge{{Src: graph.VertexID(i % 10), Dst: graph.VertexID((3*i + 5) % 10)}}
+		del := []graph.Edge{{Src: graph.VertexID((i + 4) % 8), Dst: graph.VertexID((i + 5) % 8)}}
+		if _, err := reopened.ApplyUpdates(add, del); err != nil {
+			t.Fatalf("post-restart wave %d: %v", i, err)
+		}
+		if _, err := single.ApplyUpdates(add, del); err != nil {
+			t.Fatalf("single post-restart wave %d: %v", i, err)
+		}
+		if got, want := reopened.State(), single.State(); got != want {
+			t.Fatalf("post-restart wave %d: State %+v, uninterrupted single service %+v", i, got, want)
+		}
+	}
+	if got := reopened.Stats().Compactions; got < 2 {
+		t.Fatalf("setup: %d folds; the post-restart waves must cross CompactAfter", got)
+	}
+}
+
+// TestConcurrentUpdatesAndCheckpoint races the update fan-out against
+// checkpoints on a durable 2-shard deployment. A checkpoint folds every
+// worker, so one landing between two workers' halves of an update
+// would leave them a fold apart; the coordinator's lock must keep every
+// call succeeding and every worker on one State.
+func TestConcurrentUpdatesAndCheckpoint(t *testing.T) {
+	g := testgraphs.Cycle(8)
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.DataDir = t.TempDir()
+	cfg.CompactAfter = 5
+	coord, err := Open(g, g.Reverse(), cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer coord.Close()
+
+	const updates, checkpoints = 40, 15
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < updates; i++ {
+			add := []graph.Edge{{Src: graph.VertexID(i % 8), Dst: graph.VertexID(8 + i)}}
+			if _, err := coord.ApplyUpdates(add, nil); err != nil {
+				t.Errorf("update %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < checkpoints; i++ {
+			if err := coord.Checkpoint(); err != nil {
+				t.Errorf("checkpoint %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+
+	want := coord.workers[0].State()
+	for i, w := range coord.workers[1:] {
+		if got := w.State(); got != want {
+			t.Errorf("shard %d ended on %+v, shard 0 on %+v", i+1, got, want)
+		}
+	}
+	if tot := coord.Stats(); want.Epoch != uint64(updates+tot.Compactions) {
+		t.Errorf("epoch %d, want %d updates + %d folds", want.Epoch, updates, tot.Compactions)
 	}
 }
 

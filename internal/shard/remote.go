@@ -308,10 +308,10 @@ func (w *remoteWorker) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 	return epoch, nil
 }
 
-// Epoch returns the cached epoch: the value of the last handshake or
-// update fan-out. Under the coordinator's aligned-epoch invariant the
-// cache is exact — epochs only move inside ApplyUpdates, which updates
-// it.
+// Epoch returns the cached epoch: the value of the last handshake,
+// update or checkpoint. Under the coordinator's aligned-epoch invariant
+// the cache is exact — epochs only move inside ApplyUpdates and
+// Checkpoint, which both refresh it.
 func (w *remoteWorker) Epoch() uint64 { return w.epoch.Load() }
 
 // Stats returns the worker's Totals, or — matching the best a stats
@@ -343,9 +343,24 @@ func (w *remoteWorker) State() store.State {
 	return st
 }
 
+// Checkpoint folds the worker's pending delta (service.Service.Checkpoint)
+// and then reads back the epoch, which the fold moved if a delta was
+// pending.
 func (w *remoteWorker) Checkpoint() error {
-	_, err := w.controlCall(w.begin(mtCheckpoint))
-	return err
+	if _, err := w.controlCall(w.begin(mtCheckpoint)); err != nil {
+		return err
+	}
+	resp, err := w.controlCall(w.begin(mtEpoch))
+	if err != nil {
+		return err
+	}
+	r := wirefmt.NewReader(resp)
+	epoch := r.U64()
+	if err := r.Close(); err != nil {
+		return &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: err}
+	}
+	w.epoch.Store(epoch)
+	return nil
 }
 
 // Close tears the connection down. The worker process keeps serving —

@@ -135,7 +135,9 @@ func TestRemoteLiveUpdates(t *testing.T) {
 }
 
 // TestRemoteStatsPlane checks the coordinator's merged stats and
-// checkpoint plumbing cross the wire.
+// checkpoint plumbing cross the wire. A checkpoint is a fold: with a
+// delta pending it moves every worker one epoch, and the coordinator's
+// Epoch must follow.
 func TestRemoteStatsPlane(t *testing.T) {
 	tc := corpus()[0]
 	remote := startCluster(t, tc.g, 2, testConfig())
@@ -158,6 +160,15 @@ func TestRemoteStatsPlane(t *testing.T) {
 	}
 	if remote.Epoch() != 0 {
 		t.Errorf("Epoch() = %d, want 0 before any update", remote.Epoch())
+	}
+	if _, err := remote.ApplyUpdates([]graph.Edge{{Src: 0, Dst: 7}}, nil); err != nil {
+		t.Fatalf("ApplyUpdates: %v", err)
+	}
+	if err := remote.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint with a delta pending: %v", err)
+	}
+	if got, st := remote.Epoch(), remote.State(); got != 2 || st.Epoch != 2 {
+		t.Errorf("after an update and a checkpoint: Epoch() = %d, State().Epoch = %d, want 2 (update + fold)", got, st.Epoch)
 	}
 }
 

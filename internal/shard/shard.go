@@ -70,11 +70,16 @@
 // # Durability
 //
 // Open composes sharding with the durable store: worker i owns
-// DataDir/shard-i — its own WAL and checkpoints — and a warm restart
+// DataDir/shard-i — its own WAL and fold snapshots — and a warm restart
 // opens every worker from its directory and verifies the replicas
 // reconverged on one store.State. In the wire deployment each worker
 // process passes its own -datadir, giving the same layout across
-// machines.
+// machines. A worker writes a snapshot only when it folds, and a
+// restart replays its WAL since that fold, so restarted workers keep
+// folding at the epochs the uninterrupted deployment would: the
+// epoch sequence is a function of the updates and Checkpoint calls
+// alone. Checkpoint folds every worker under the same lock as the
+// update fan-out, so it is one more step of that sequence.
 //
 // # Scope
 //
@@ -152,7 +157,8 @@ type RoutingStats struct {
 type Coordinator struct {
 	workers []worker
 
-	// mu serializes update fan-out against Close.
+	// mu serializes update and checkpoint fan-out against each other
+	// and against Close.
 	mu     sync.Mutex
 	closed bool
 
@@ -207,8 +213,8 @@ func New(g, gr *graph.Graph, cfg service.Config) *Coordinator {
 }
 
 // Open builds a durable sharded coordinator: worker i owns the data
-// directory DataDir/shard-i (service.Open semantics — WAL, background
-// checkpoints, warm restart). After every worker is open, Open
+// directory DataDir/shard-i (service.Open semantics — WAL, fold
+// snapshots, warm restart). After every worker is open, Open
 // verifies the replicas carry one identical store.State and refuses
 // the deployment otherwise: diverged worker directories mean a crash
 // landed mid-fan-out (or an operator mixed directories), and serving
@@ -322,12 +328,26 @@ func (c *Coordinator) Epoch() uint64 { return c.workers[0].Epoch() }
 // aligned replicas agree, so worker 0 speaks for the deployment.
 func (c *Coordinator) State() store.State { return c.workers[0].State() }
 
-// Checkpoint forwards to every worker: each durable worker writes a
-// checkpoint of its own directory; in-memory workers return nil.
+// Checkpoint folds every worker (service.Service.Checkpoint): each
+// durable worker also writes the fold's snapshot to its own directory.
+// A fold bumps the epoch when a delta is pending, so Checkpoint holds
+// the update fan-out's lock and, like ApplyUpdates, fails loudly if the
+// workers end on different epochs.
 func (c *Coordinator) Checkpoint() error {
-	for _, sh := range c.workers {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return service.ErrClosed
+	}
+	for i, sh := range c.workers {
 		if err := sh.Checkpoint(); err != nil {
-			return err
+			return fmt.Errorf("shard: checkpoint failed on shard %d: %w", i, err)
+		}
+	}
+	epoch := c.workers[0].Epoch()
+	for i, sh := range c.workers[1:] {
+		if e := sh.Epoch(); e != epoch {
+			return fmt.Errorf("shard: epoch diverged after checkpoint fan-out: shard 0 at %d, shard %d at %d", epoch, i+1, e)
 		}
 	}
 	return nil

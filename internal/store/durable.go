@@ -3,20 +3,26 @@
 // A data directory holds two kinds of files, both named by the epoch
 // they capture (zero-padded so lexical order is numeric order):
 //
-//	snap-<epoch>.snap  full checkpoint: header + graph.WriteBinary CSR
-//	                   + CRC32-C trailer over everything before it
-//	wal-<epoch>.log    WAL segment opened when a checkpoint at <epoch>
-//	                   was taken; holds only records with epochs after
-//	                   <epoch> (plus no-ops at it)
+//	snap-<epoch>.snap  full image of a freshly folded base: header +
+//	                   graph.WriteBinary CSR + CRC32-C trailer over
+//	                   everything before it
+//	wal-<epoch>.log    WAL segment opened by the fold to <epoch>; holds
+//	                   only records with epochs after <epoch> (plus
+//	                   no-ops at it)
 //
-// Checkpointing rotates the WAL first and writes the snapshot second
-// (tmp file, fsync, atomic rename, directory fsync), so every crash
-// window is recoverable: recovery loads the newest snapshot that
-// passes its CRC and replays every segment at-or-after its epoch in
-// order, asserting epoch continuity record by record. A torn tail is
-// tolerated — and truncated away — only on the final segment, where an
-// interrupted append can legitimately leave one; corruption anywhere
-// else fails Open loudly rather than ever serving a wrong graph.
+// After bootstrap, the fold is the only writer of snapshots: it logs its
+// compaction record, syncs the old segment, rotates the WAL and writes
+// the snapshot (tmp file, fsync, atomic rename, directory fsync), all
+// under the writer's lock. Every snapshot therefore holds zero delta,
+// and recovery rebuilds the overlay — and with it the compaction
+// pressure — exactly from the WAL, so a restarted store folds at the
+// same epochs as one that never stopped. Every crash window is
+// recoverable: recovery loads the newest snapshot that passes its CRC
+// and replays every segment at-or-after its epoch in order, asserting
+// epoch continuity record by record. A torn tail is tolerated — and
+// truncated away — only on the final segment, where an interrupted
+// append can legitimately leave one; corruption anywhere else fails
+// Open loudly rather than ever serving a wrong graph.
 package store
 
 import (
@@ -36,10 +42,6 @@ import (
 	"repro/internal/wirefmt"
 )
 
-// DefaultCheckpointEvery is the update-record cadence of background
-// checkpoints when DurableOptions.CheckpointEvery is zero.
-const DefaultCheckpointEvery = 1024
-
 // syncEvery is the FsyncInterval ticker period.
 const syncEvery = 100 * time.Millisecond
 
@@ -53,21 +55,13 @@ type DurableOptions struct {
 	// Fsync selects WAL durability: FsyncAlways (default), FsyncInterval,
 	// or FsyncOff. Snapshot files are always fsynced regardless.
 	Fsync FsyncPolicy
-	// CheckpointEvery writes a background snapshot after this many
-	// update records since the last one. Zero means
-	// DefaultCheckpointEvery; negative disables automatic checkpoints
-	// (Checkpoint and Close still write them). A checkpoint is also
-	// taken right after every compaction — the freshly folded CSR is
-	// the cheapest state to capture.
-	CheckpointEvery int
 }
 
 // durability is the file-backed half of a Store. Fields other than the
 // atomics are guarded by Store.mu.
 type durability struct {
-	dir             string
-	fsync           FsyncPolicy
-	checkpointEvery int
+	dir   string
+	fsync FsyncPolicy
 
 	f        *os.File // active WAL segment, nil after Close
 	segEpoch uint64   // active segment's base epoch (its filename)
@@ -75,13 +69,9 @@ type durability struct {
 	dirty    bool     // appended since last fsync
 	err      error    // sticky first WAL failure; durable writes refuse after
 
-	recsSince int // update records since the last on-disk snapshot
-
 	seq         atomic.Uint64 // update+noop records ever logged (survives restart)
 	snapEpoch   atomic.Uint64 // newest on-disk snapshot's epoch
 	checkpoints atomic.Int64  // snapshot files written by this instance
-
-	checkpointing atomic.Bool // one background checkpoint at a time
 
 	syncStop, syncDone chan struct{} // interval-sync goroutine lifecycle
 }
@@ -102,7 +92,7 @@ func Open(dir string, initial *graph.Graph, opts DurableOptions) (*Store, error)
 		return nil, err
 	}
 
-	d := &durability{dir: dir, fsync: opts.Fsync, checkpointEvery: opts.CheckpointEvery}
+	d := &durability{dir: dir, fsync: opts.Fsync}
 	var s *Store
 	if len(snaps) == 0 && len(segs) == 0 {
 		s, err = bootstrap(d, initial, opts.Options)
@@ -259,7 +249,6 @@ func (s *Store) replayRecord(r walRecord) error {
 		s.cur.Store(next)
 		s.updates.Add(int64(changed))
 		s.dur.seq.Add(1)
-		s.dur.recsSince++
 	case recCompact:
 		if r.epoch != cur.epoch+1 {
 			return fmt.Errorf("compaction record to epoch %d, store at %d", r.epoch, cur.epoch)
@@ -273,112 +262,48 @@ func (s *Store) replayRecord(r walRecord) error {
 	return nil
 }
 
-// maybeCheckpointLocked schedules a background checkpoint when the
-// update-record pressure (or force, after a compaction) calls for one.
-// Callers hold s.mu.
-func (s *Store) maybeCheckpointLocked(force bool) {
+// snapshotFoldLocked makes the fold that just published snap its
+// durable image: it syncs the segment holding the compaction record (a
+// snapshot must never claim state the WAL did not make stable), rotates
+// the WAL to wal-<epoch>, writes snap-<epoch> and prunes superseded
+// files. Callers hold s.mu. A failure becomes the sticky error: the
+// fold stands, and recovery reaches it from the older snapshot plus a
+// longer chain.
+func (s *Store) snapshotFoldLocked(snap *Snapshot) error {
 	d := s.dur
-	if d == nil || d.checkpointEvery < 0 || d.err != nil || d.f == nil {
-		return
-	}
-	if !force {
-		every := d.checkpointEvery
-		if every == 0 {
-			every = DefaultCheckpointEvery
-		}
-		if d.recsSince < every {
-			return
-		}
-	}
-	if d.checkpointing.Swap(true) {
-		return // one at a time; the pressure re-arms on the next update
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer d.checkpointing.Store(false)
-		if err := s.Checkpoint(); err != nil {
-			s.mu.Lock()
-			if d.err == nil {
-				d.err = err
-			}
-			s.mu.Unlock()
-		}
-	}()
-}
-
-// Checkpoint writes the current epoch to a snapshot file (rotating the
-// WAL first so the crash window between the two stays recoverable) and
-// prunes superseded files. It is a no-op when the newest on-disk
-// snapshot is already current, and returns nil on an in-memory store.
-func (s *Store) Checkpoint() error {
-	d := s.dur
-	if d == nil {
-		return nil
-	}
-	s.mu.Lock()
-	if d.err != nil {
-		err := d.err
-		s.mu.Unlock()
-		return err
-	}
-	if d.f == nil {
-		s.mu.Unlock()
-		return errClosed
-	}
-	snap := s.cur.Load()
-	if snap.epoch == d.snapEpoch.Load() {
-		s.mu.Unlock()
-		return nil
-	}
-	// Records the snapshot supersedes must be durable before it is:
-	// otherwise a crash could leave a snapshot claiming state the WAL
-	// never made stable.
 	if d.dirty {
 		if err := d.f.Sync(); err != nil {
-			d.err = fmt.Errorf("store: wal sync: %w", err)
-			s.mu.Unlock()
-			return d.err
+			return d.fail(fmt.Errorf("store: wal sync: %w", err))
 		}
 		d.dirty = false
 	}
-	if d.segEpoch != snap.epoch {
-		f, err := createSegment(d.dir, snap.epoch)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		old := d.f
-		d.f, d.segEpoch = f, snap.epoch
-		if err := old.Close(); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("store: closing WAL segment: %w", err)
-		}
+	f, err := createSegment(d.dir, snap.epoch)
+	if err != nil {
+		return d.fail(err)
 	}
-	seq := d.seq.Load()
-	updates, compactions := uint64(s.updates.Load()), uint64(s.compactions.Load())
-	s.mu.Unlock()
-
-	// The snapshot write happens outside mu: updates keep flowing into
-	// the freshly rotated segment while the (potentially large) CSR
-	// streams to disk.
-	if err := d.writeSnapshot(snap, seq, updates, compactions); err != nil {
-		return err
+	old := d.f
+	d.f, d.segEpoch = f, snap.epoch
+	if err := old.Close(); err != nil {
+		return d.fail(fmt.Errorf("store: closing WAL segment: %w", err))
 	}
-
-	s.mu.Lock()
-	if snap.epoch > d.snapEpoch.Load() {
-		d.snapEpoch.Store(snap.epoch)
-		d.recsSince = 0
+	if err := d.writeSnapshot(snap, d.seq.Load(), uint64(s.updates.Load()), uint64(s.compactions.Load())); err != nil {
+		return d.fail(err)
 	}
-	s.mu.Unlock()
+	d.snapEpoch.Store(snap.epoch)
 	d.checkpoints.Add(1)
 	d.prune()
 	return nil
 }
 
-// closeDurable finishes a durable store: final checkpoint, WAL sync,
-// file close. Idempotent.
+// fail records err as the sticky error and returns it. Callers hold
+// s.mu.
+func (d *durability) fail(err error) error {
+	d.err = err
+	return err
+}
+
+// closeDurable finishes a durable store: WAL sync, file close.
+// Idempotent.
 func (s *Store) closeDurable() error {
 	d := s.dur
 	s.mu.Lock()
@@ -392,9 +317,9 @@ func (s *Store) closeDurable() error {
 		<-d.syncDone
 		d.syncStop = nil
 	}
-	ckErr := s.Checkpoint()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var syncErr, closeErr error
 	if d.f != nil {
 		if d.dirty {
@@ -404,9 +329,7 @@ func (s *Store) closeDurable() error {
 		closeErr = d.f.Close()
 		d.f = nil
 	}
-	sticky := d.err
-	s.mu.Unlock()
-	return errors.Join(ckErr, syncErr, closeErr, sticky)
+	return errors.Join(syncErr, closeErr, d.err)
 }
 
 // syncLoop is the FsyncInterval ticker: it syncs the active segment

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -11,10 +12,9 @@ import (
 )
 
 // crash simulates kill -9 for tests: it releases the WAL file handle
-// without checkpointing, syncing, or otherwise cleaning up — the data
-// directory is left exactly as an interrupted process would leave it.
+// without syncing or otherwise cleaning up — the data directory is left
+// exactly as an interrupted process would leave it.
 func crash(s *Store) {
-	s.wg.Wait() // in-flight background checkpoints hold the old handle
 	d := s.dur
 	if d.syncStop != nil {
 		close(d.syncStop)
@@ -72,6 +72,13 @@ func memStates(opts Options, n int) []State {
 	return states
 }
 
+// checkpoint is the store's checkpoint call: a fold, which on a durable
+// store also writes the snapshot file.
+func checkpoint(s *Store) error {
+	_, err := s.Compact()
+	return err
+}
+
 func requireState(t *testing.T, label string, s *Store, want State) {
 	t.Helper()
 	if got := s.Current().State(); got != want {
@@ -105,8 +112,8 @@ func TestDurableBootstrapAndReopen(t *testing.T) {
 	if st.WALRecords != 4 || st.UpdatesApplied == 0 {
 		t.Fatalf("reopened stats: %+v", st)
 	}
-	if st.SnapshotEpoch != 4 {
-		t.Fatalf("close must checkpoint the final epoch; snapshot at %d", st.SnapshotEpoch)
+	if st.SnapshotEpoch != 0 {
+		t.Fatalf("close writes no snapshot and nothing folded, yet the snapshot is at epoch %d", st.SnapshotEpoch)
 	}
 	adds, dels := wave(4)
 	mustApply(t, s2, adds, dels)
@@ -147,9 +154,8 @@ func TestTornTailEveryByte(t *testing.T) {
 	const waves = 4
 	dir := t.TempDir()
 	opts := DurableOptions{
-		Options:         Options{CompactAfter: -1},
-		Fsync:           FsyncOff,
-		CheckpointEvery: -1, // keep every record in wal-0
+		Options: Options{CompactAfter: -1}, // no fold: every record stays in wal-0
+		Fsync:   FsyncOff,
 	}
 	s := openT(t, dir, seedGraph(), opts)
 	for i := 0; i < waves; i++ {
@@ -211,27 +217,23 @@ func TestTornTailEveryByte(t *testing.T) {
 // loudly instead of guessing.
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{
-		Options:         Options{CompactAfter: -1},
-		Fsync:           FsyncOff,
-		CheckpointEvery: -1,
-	}
+	opts := DurableOptions{Options: Options{CompactAfter: -1}, Fsync: FsyncOff}
 	s := openT(t, dir, seedGraph(), opts)
 	for i := 0; i < 2; i++ {
 		adds, dels := wave(i)
 		mustApply(t, s, adds, dels)
 	}
-	if err := s.Checkpoint(); err != nil { // snap-2, rotates to wal-2
+	if err := checkpoint(s); err != nil { // folds to snap-3, rotates to wal-3
 		t.Fatal(err)
 	}
 	for i := 2; i < 4; i++ {
 		adds, dels := wave(i)
 		mustApply(t, s, adds, dels)
 	}
-	if err := s.Checkpoint(); err != nil { // snap-4, rotates to wal-4
+	if err := checkpoint(s); err != nil { // folds to snap-6, rotates to wal-6
 		t.Fatal(err)
 	}
-	adds, dels := wave(4) // records live in wal-4 only
+	adds, dels := wave(4) // records live in wal-6 only
 	mustApply(t, s, adds, dels)
 	want := s.Current().State()
 	crash(s)
@@ -247,12 +249,12 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flip(snapPath(dir, 4), snapHeaderSize+3) // corrupt the newest snapshot's graph bytes
+	flip(snapPath(dir, 6), snapHeaderSize+3) // corrupt the newest snapshot's graph bytes
 	s2 := openT(t, dir, nil, opts)
 	requireState(t, "fallback recovery", s2, want)
 	crash(s2)
 
-	flip(snapPath(dir, 2), snapHeaderSize+3) // now every snapshot is corrupt
+	flip(snapPath(dir, 3), snapHeaderSize+3) // now every snapshot is corrupt
 	if _, err := Open(dir, nil, opts); err == nil || !strings.Contains(err.Error(), "no loadable snapshot") {
 		t.Fatalf("Open with all snapshots corrupt: %v, want a loud failure", err)
 	}
@@ -262,17 +264,13 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 // records; recovery must refuse rather than silently skip epochs.
 func TestMissingSegmentFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{
-		Options:         Options{CompactAfter: -1},
-		Fsync:           FsyncOff,
-		CheckpointEvery: -1,
-	}
+	opts := DurableOptions{Options: Options{CompactAfter: -1}, Fsync: FsyncOff}
 	s := openT(t, dir, seedGraph(), opts)
 	for i := 0; i < 2; i++ {
 		adds, dels := wave(i)
 		mustApply(t, s, adds, dels)
 	}
-	if err := s.Checkpoint(); err != nil {
+	if err := checkpoint(s); err != nil { // folds to snap-3, rotates to wal-3
 		t.Fatal(err)
 	}
 	adds, dels := wave(2)
@@ -280,13 +278,13 @@ func TestMissingSegmentFailsLoudly(t *testing.T) {
 	crash(s)
 
 	// Force recovery down to the epoch-0 snapshot, whose chain needs
-	// wal-0, then delete wal-0: the chain now starts at wal-2.
-	b, err := os.ReadFile(snapPath(dir, 2))
+	// wal-0, then delete wal-0: the chain now starts at wal-3.
+	b, err := os.ReadFile(snapPath(dir, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[snapHeaderSize+3] ^= 0xff
-	if err := os.WriteFile(snapPath(dir, 2), b, 0o644); err != nil {
+	if err := os.WriteFile(snapPath(dir, 3), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(walPath(dir, 0)); err != nil {
@@ -302,17 +300,13 @@ func TestMissingSegmentFailsLoudly(t *testing.T) {
 // chain would silently drop records that later segments build on.
 func TestCorruptionInNonFinalSegmentFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{
-		Options:         Options{CompactAfter: -1},
-		Fsync:           FsyncOff,
-		CheckpointEvery: -1,
-	}
+	opts := DurableOptions{Options: Options{CompactAfter: -1}, Fsync: FsyncOff}
 	s := openT(t, dir, seedGraph(), opts)
 	for i := 0; i < 2; i++ {
 		adds, dels := wave(i)
 		mustApply(t, s, adds, dels)
 	}
-	if err := s.Checkpoint(); err != nil {
+	if err := checkpoint(s); err != nil { // folds to snap-3, rotates to wal-3
 		t.Fatal(err)
 	}
 	adds, dels := wave(2)
@@ -320,13 +314,13 @@ func TestCorruptionInNonFinalSegmentFailsLoudly(t *testing.T) {
 	crash(s)
 
 	// Corrupt the newest snapshot so recovery must replay wal-0 (no
-	// longer the final segment — wal-2 follows it), then tear wal-0.
-	b, err := os.ReadFile(snapPath(dir, 2))
+	// longer the final segment — wal-3 follows it), then tear wal-0.
+	b, err := os.ReadFile(snapPath(dir, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[snapHeaderSize+3] ^= 0xff
-	if err := os.WriteFile(snapPath(dir, 2), b, 0o644); err != nil {
+	if err := os.WriteFile(snapPath(dir, 3), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w, err := os.ReadFile(walPath(dir, 0))
@@ -353,6 +347,9 @@ func TestSnapshotNewerThanWAL(t *testing.T) {
 		adds, dels := wave(i)
 		mustApply(t, s, adds, dels)
 	}
+	if err := checkpoint(s); err != nil {
+		t.Fatal(err)
+	}
 	want := s.Current().State()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -377,15 +374,12 @@ func TestSnapshotNewerThanWAL(t *testing.T) {
 }
 
 // TestRecoverMidCompaction: a crash right after a compaction record is
-// logged (before any checkpoint captures the folded CSR) replays the
-// compaction and reaches the same epoch with a flattened snapshot.
+// logged, before the fold's snapshot file is renamed into place,
+// replays the compaction and reaches the same epoch with a flattened
+// snapshot.
 func TestRecoverMidCompaction(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{
-		Options:         Options{CompactAfter: 2},
-		Fsync:           FsyncOff,
-		CheckpointEvery: -1, // the recCompact record must stay in the WAL
-	}
+	opts := DurableOptions{Options: Options{CompactAfter: 2}, Fsync: FsyncOff}
 	s := openT(t, dir, seedGraph(), opts)
 	compacted := false
 	for i := 0; i < 6 && !compacted; i++ {
@@ -402,6 +396,11 @@ func TestRecoverMidCompaction(t *testing.T) {
 	want := s.Current().State()
 	wantCompactions := s.Stats().Compactions
 	crash(s)
+	// The crash-before-rename window: recovery must reach the fold from
+	// snap-0 and the compaction record in wal-0.
+	if err := os.Remove(snapPath(dir, want.Epoch)); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := openT(t, dir, nil, opts)
 	defer s2.Close()
@@ -421,7 +420,7 @@ func TestRecoverMidCompaction(t *testing.T) {
 func TestRecoveryFinishesInterruptedFold(t *testing.T) {
 	dir := t.TempDir()
 	folding := Options{CompactAfter: 2}
-	opts := DurableOptions{Options: folding, Fsync: FsyncOff, CheckpointEvery: -1}
+	opts := DurableOptions{Options: folding, Fsync: FsyncOff}
 	states := memStates(folding, 6)
 
 	// Waves 0 and 1 reach delta 2; a store that never folds logs them
@@ -485,16 +484,12 @@ func TestNoopRecordsKeepSeq(t *testing.T) {
 // stays recoverable throughout.
 func TestCheckpointPrunes(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{
-		Options:         Options{CompactAfter: -1},
-		Fsync:           FsyncOff,
-		CheckpointEvery: -1,
-	}
+	opts := DurableOptions{Options: Options{CompactAfter: -1}, Fsync: FsyncOff}
 	s := openT(t, dir, seedGraph(), opts)
 	for i := 0; i < 6; i++ {
 		adds, dels := wave(i)
 		mustApply(t, s, adds, dels)
-		if err := s.Checkpoint(); err != nil {
+		if err := checkpoint(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -518,26 +513,120 @@ func TestCheckpointPrunes(t *testing.T) {
 	requireState(t, "recovered after pruning", s2, want)
 }
 
-// TestBackgroundCheckpointPressure: with a tiny CheckpointEvery the
-// background checkpointer must fire on its own and advance the on-disk
-// snapshot epoch without any manual Checkpoint call.
-func TestBackgroundCheckpointPressure(t *testing.T) {
+// TestFoldWritesSnapshot: the fold is the store's checkpoint. The
+// ApplyUpdates that crosses CompactAfter returns with the folded epoch
+// already on disk as snap-<epoch>; updates that do not fold write none.
+func TestFoldWritesSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{
-		Options:         Options{CompactAfter: -1},
-		Fsync:           FsyncOff,
-		CheckpointEvery: 2,
-	}
+	opts := DurableOptions{Options: Options{CompactAfter: 3}, Fsync: FsyncOff}
 	s := openT(t, dir, seedGraph(), opts)
 	defer s.Close()
-	for i := 0; i < 8; i++ {
+	want := Stats{Checkpoints: 1} // the bootstrap snapshot
+	for i := 0; i < 12; i++ {
 		adds, dels := wave(i)
-		mustApply(t, s, adds, dels)
+		snap, err := s.ApplyUpdates(adds, dels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snap.Graph().IsOverlay() {
+			want.Checkpoints++
+			want.SnapshotEpoch = snap.Epoch()
+			if _, err := os.Stat(snapPath(dir, snap.Epoch())); err != nil {
+				t.Fatalf("wave %d folded to epoch %d without its snapshot file: %v", i, snap.Epoch(), err)
+			}
+		}
+		if st := s.Stats(); st.Checkpoints != want.Checkpoints || st.SnapshotEpoch != want.SnapshotEpoch {
+			t.Fatalf("wave %d: %d checkpoints, snapshot epoch %d; want %d, %d",
+				i, st.Checkpoints, st.SnapshotEpoch, want.Checkpoints, want.SnapshotEpoch)
+		}
 	}
-	s.wg.Wait() // drain in-flight background checkpoints
-	st := s.Stats()
-	if st.Checkpoints == 0 || st.SnapshotEpoch == 0 {
-		t.Fatalf("background checkpointer never fired: %+v", st)
+	if want.Checkpoints < 3 {
+		t.Fatalf("setup: only %d folds; lower CompactAfter", want.Checkpoints-1)
+	}
+}
+
+// TestRestartKeepsFoldPoints: a restart must not move the epochs at
+// which the store folds. A durable store and an in-memory reference get
+// the same waves and checkpoint calls; after each kind of restart the
+// durable store keeps taking waves, and after every wave the two must
+// agree on State, epoch included. A snapshot that captured a pending
+// delta would reload it as zero and fold later than the reference.
+func TestRestartKeepsFoldPoints(t *testing.T) {
+	folding := Options{CompactAfter: 6}
+	opts := DurableOptions{Options: folding, Fsync: FsyncOff}
+	cases := []struct {
+		name string
+		pre  int // waves before the restart
+		stop func(t *testing.T, dir string, s, ref *Store)
+	}{
+		{"close", 6, func(t *testing.T, _ string, s, _ *Store) {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"checkpoint-crash", 5, func(t *testing.T, _ string, s, ref *Store) {
+			if err := checkpoint(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkpoint(ref); err != nil {
+				t.Fatal(err)
+			}
+			requireState(t, "after checkpoint", s, ref.Current().State())
+			crash(s)
+		}},
+		{"fold-snapshot-lost", 6, func(t *testing.T, dir string, s, _ *Store) {
+			crash(s)
+			// The fold's snapshot never reached its name: only a torn
+			// temp file is left of it.
+			snaps, _, err := scanDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newest := snaps[len(snaps)-1]
+			if newest.epoch == 0 {
+				t.Fatal("setup: nothing folded before the crash")
+			}
+			b, err := os.ReadFile(newest.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(newest.path+".tmp", b[:len(b)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(newest.path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, dir, seedGraph(), opts)
+			ref := New(seedGraph(), folding)
+			step := func(label string, i int) {
+				t.Helper()
+				adds, dels := wave(i)
+				mustApply(t, s, adds, dels)
+				mustApply(t, ref, adds, dels)
+				requireState(t, fmt.Sprintf("%s wave %d", label, i), s, ref.Current().State())
+			}
+			for i := 0; i < c.pre; i++ {
+				step("before restart", i)
+			}
+			if s.Current().DeltaEdges() == 0 {
+				t.Fatal("setup: the restart must come with a delta pending")
+			}
+			c.stop(t, dir, s, ref)
+			s = openT(t, dir, nil, opts)
+			defer s.Close()
+			requireState(t, "reopened", s, ref.Current().State())
+			for i := c.pre; i < c.pre+12; i++ {
+				step("after restart", i)
+			}
+			if got, want := s.Stats().Compactions, ref.Stats().Compactions; got != want {
+				t.Fatalf("%d compactions after restart, reference %d", got, want)
+			}
+		})
 	}
 }
 
@@ -580,17 +669,51 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
+// fuzzWave is one update wave decoded from fuzz bytes.
+type fuzzWave struct{ adds, dels []graph.Edge }
+
+// decodeFuzzWave decodes one wave — [nAdds%3, nDels%3, then 2 bytes per
+// edge] over 16 vertices — and returns the bytes left. ok is false when
+// fewer than two bytes remain.
+func decodeFuzzWave(data []byte) (w fuzzWave, rest []byte, ok bool) {
+	if len(data) < 2 {
+		return w, data, false
+	}
+	na, nd := int(data[0]%3), int(data[1]%3)
+	data = data[2:]
+	for i := 0; i < na && len(data) >= 2; i++ {
+		src, dst := graph.VertexID(data[0]%16), graph.VertexID(data[1]%16)
+		data = data[2:]
+		if src != dst {
+			w.adds = append(w.adds, graph.Edge{Src: src, Dst: dst})
+		}
+	}
+	for i := 0; i < nd && len(data) >= 2; i++ {
+		w.dels = append(w.dels, graph.Edge{Src: graph.VertexID(data[0] % 16), Dst: graph.VertexID(data[1] % 16)})
+		data = data[2:]
+	}
+	return w, data, true
+}
+
 // FuzzWALReplay is the differential oracle of recovery: an arbitrary
 // byte string goes to the record decoders raw, then is decoded into a
-// bounded update stream, applied to a
-// durable store that then crashes, and to a plain in-memory store; the
-// recovered store must agree with the in-memory reference on epoch,
-// vertex count, edge count, and canonical CSR checksum.
+// bounded update stream, applied to a durable store that then crashes,
+// and to a plain in-memory store; the recovered store must agree with
+// the in-memory reference on epoch, vertex count, edge count, and
+// canonical CSR checksum. The bytes left then drive both stores on:
+// each step is a control byte — a checkpoint (a fold on both sides),
+// a clean Close and reopen of the durable side, or nothing — and one
+// more wave, after which the two must still agree, so a restart never
+// moves a fold point.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 2, 9, 4, 4})
 	f.Add([]byte{2, 1, 0, 1, 1, 2, 0, 1, 3, 0, 1, 5, 2, 7})
 	f.Add(bytes.Repeat([]byte{1, 1, 3, 8, 3, 8}, 8))
+	// Ten one-add waves fill the first stream; then close/reopen,
+	// checkpoint and plain steps, each with a wave.
+	f.Add(append(bytes.Repeat([]byte{1, 0, 3, 8}, 10),
+		1, 1, 0, 4, 5, 0, 1, 5, 6, 4, 0, 1, 1, 2, 2, 1, 3, 2, 7, 9, 0, 2, 0, 0, 4, 5, 1, 1, 0, 0, 1, 1, 0, 3, 6, 5, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The same bytes as a segment and as a record payload: any error
 		// is fine, a panic or a count-sized allocation is not (the frame
@@ -598,25 +721,13 @@ func FuzzWALReplay(f *testing.F) {
 		scanWAL(data)
 		decodeRecord(data)
 
-		// Decode waves: [nAdds%3, nDels%3, then 2 bytes per edge].
-		type waveT struct{ adds, dels []graph.Edge }
-		var stream []waveT
-		for len(data) >= 2 && len(stream) < 10 {
-			na, nd := int(data[0]%3), int(data[1]%3)
-			data = data[2:]
-			var w waveT
-			for i := 0; i < na && len(data) >= 2; i++ {
-				src, dst := graph.VertexID(data[0]%16), graph.VertexID(data[1]%16)
-				data = data[2:]
-				if src != dst {
-					w.adds = append(w.adds, graph.Edge{Src: src, Dst: dst})
-				}
+		var stream []fuzzWave
+		for len(stream) < 10 {
+			w, rest, ok := decodeFuzzWave(data)
+			if !ok {
+				break
 			}
-			for i := 0; i < nd && len(data) >= 2; i++ {
-				w.dels = append(w.dels, graph.Edge{Src: graph.VertexID(data[0] % 16), Dst: graph.VertexID(data[1] % 16)})
-				data = data[2:]
-			}
-			stream = append(stream, w)
+			stream, data = append(stream, w), rest
 		}
 
 		// Compactions are logged and replayed, so let them trigger.
@@ -642,13 +753,56 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recovery Open: %v", err)
 		}
-		defer crash(rec)
+		defer func() {
+			if rec != nil {
+				crash(rec)
+			}
+		}()
 		got, want := rec.Current().State(), ref.Current().State()
 		if got != want {
 			t.Fatalf("recovered state %+v, reference %+v", got, want)
 		}
 		if gr, wr := rec.Stats().WALRecords, int64(len(stream)); gr != wr {
 			t.Fatalf("recovered WALRecords %d, want %d", gr, wr)
+		}
+
+		records := int64(len(stream))
+		for step := 0; step < 10 && len(data) > 0; step++ {
+			ctrl := data[0]
+			w, rest, ok := decodeFuzzWave(data[1:])
+			if !ok {
+				break
+			}
+			data = rest
+			switch ctrl % 4 {
+			case 0:
+				if err := checkpoint(rec); err != nil {
+					t.Fatalf("step %d: durable checkpoint: %v", step, err)
+				}
+				if err := checkpoint(ref); err != nil {
+					t.Fatalf("step %d: reference checkpoint: %v", step, err)
+				}
+			case 1:
+				if err := rec.Close(); err != nil {
+					t.Fatalf("step %d: Close: %v", step, err)
+				}
+				if rec, err = Open(dir, nil, dopts); err != nil {
+					t.Fatalf("step %d: reopen: %v", step, err)
+				}
+			}
+			if _, err := rec.ApplyUpdates(w.adds, w.dels); err != nil {
+				t.Fatalf("step %d: durable ApplyUpdates: %v", step, err)
+			}
+			if _, err := ref.ApplyUpdates(w.adds, w.dels); err != nil {
+				t.Fatalf("step %d: reference ApplyUpdates: %v", step, err)
+			}
+			records++
+			if got, want := rec.Current().State(), ref.Current().State(); got != want {
+				t.Fatalf("step %d (control %d): state %+v, reference %+v", step, ctrl%4, got, want)
+			}
+		}
+		if got := rec.Stats().WALRecords; got != records {
+			t.Fatalf("WALRecords %d after the second stream, want %d", got, records)
 		}
 	})
 }

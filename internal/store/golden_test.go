@@ -100,7 +100,7 @@ func TestGoldenDataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := openT(t, dir, nil, DurableOptions{Fsync: FsyncOff, CheckpointEvery: -1})
+	s := openT(t, dir, nil, DurableOptions{Fsync: FsyncOff})
 	if got := s.Current().State(); got != want {
 		t.Errorf("recovered state %+v, want %+v", got, want)
 	}

@@ -16,9 +16,11 @@
 //
 // A store opened with Open is additionally durable: every epoch
 // transition is appended to a CRC-framed write-ahead log before the
-// snapshot is published, periodic checkpoint files capture the full CSR,
-// and a warm restart replays snapshot + WAL tail back to the exact
-// pre-crash epoch and edge set (see wal.go and durable.go).
+// snapshot is published, every fold writes the fresh CSR base to a
+// snapshot file, and a warm restart replays snapshot + WAL tail back to
+// the exact pre-crash epoch, edge set and pending delta, so a restarted
+// store folds at the same epochs as one that never stopped (see wal.go
+// and durable.go).
 //
 // The durable on-disk format, in brief: a data directory holds
 // epoch-named files (zero-padded so lexical order is numeric order) of
@@ -28,11 +30,12 @@
 // edge lists. snap-<epoch>.snap checkpoints carry a magic, a fixed
 // header (epoch, WAL cursor, counters), the canonical
 // graph.WriteBinary CSR, and a CRC32-C trailer over everything before
-// it; they are written to a temp file, fsynced, and atomically
-// renamed. The WAL rotates before each snapshot is written, so every
-// crash window stays recoverable; recovery loads the newest CRC-valid
-// snapshot and replays the segments at or after its epoch, tolerating
-// a torn tail only on the final segment.
+// it; they are written only at bootstrap and by a fold, to a temp file,
+// fsynced, and atomically renamed. The fold rotates the WAL before it
+// writes its snapshot, so every crash window stays recoverable;
+// recovery loads the newest CRC-valid snapshot and replays the segments
+// at or after its epoch, tolerating a torn tail only on the final
+// segment.
 package store
 
 import (
@@ -59,7 +62,10 @@ type Options struct {
 	// CompactAfter folds the delta into a fresh CSR base once the number
 	// of effective edge changes since the last base reaches it. Zero
 	// selects max(MinCompactEdges, baseEdges/DefaultCompactFraction);
-	// negative disables automatic compaction (Compact still works).
+	// negative disables automatic compaction (Compact still works). On a
+	// durable store every fold also writes the snapshot file, so with
+	// automatic compaction disabled nothing is snapshotted after
+	// bootstrap until Compact is called.
 	CompactAfter int
 }
 
@@ -122,16 +128,18 @@ type Stats struct {
 	DeltaEdges int
 	// UpdatesApplied counts effective edge changes ever applied;
 	// Compactions counts base rebuilds. On a durable store both are
-	// restored from the last checkpoint header on Open, plus the
+	// restored from the newest snapshot header on Open, plus the
 	// replayed WAL tail.
 	UpdatesApplied, Compactions int64
 	// WALRecords counts ApplyUpdates calls logged to the WAL (including
 	// no-ops), across restarts; zero on an in-memory store. Callers use
 	// it to resume a deterministic update stream after a crash.
 	WALRecords int64
-	// Checkpoints counts snapshot files written by this store instance;
-	// SnapshotEpoch is the epoch of the newest on-disk snapshot. Both
-	// are zero on an in-memory store.
+	// Checkpoints counts snapshot files written by this store instance:
+	// the bootstrap one and one per fold. SnapshotEpoch is the epoch of
+	// the newest on-disk snapshot, which a fold advances before its
+	// ApplyUpdates or Compact returns. Both are zero on an in-memory
+	// store.
 	Checkpoints   int64
 	SnapshotEpoch uint64
 }
@@ -145,7 +153,6 @@ type Store struct {
 	mu  sync.Mutex // serialises ApplyUpdates, compactions, and WAL appends
 	cur atomic.Pointer[Snapshot]
 
-	wg          sync.WaitGroup // background checkpoints
 	updates     atomic.Int64
 	compactions atomic.Int64
 
@@ -196,15 +203,16 @@ func (s *Store) Stats() Stats {
 // unchanged, with its epoch intact, so no-op updates cost no cache
 // warmth downstream. Crossing the compaction threshold folds the delta
 // into a fresh base before returning, so the returned snapshot is the
-// folded one (one epoch further).
+// folded one (one epoch further); on a durable store that fold has also
+// written its snapshot file by then.
 //
 // On a durable store the update (effective or not) is appended to the
 // WAL before the snapshot is published; a non-nil error means the
 // update was NOT applied and the store refuses further durable writes
-// (the log can no longer be trusted). A failure to log the fold that
-// follows an applied update is not returned: the update stands, and the
-// failure is kept to refuse the next durable write. In-memory stores
-// never fail.
+// (the log can no longer be trusted). A failure to log or snapshot the
+// fold that follows an applied update is not returned: the update
+// stands, and the failure is kept to refuse the next durable write.
+// In-memory stores never fail.
 func (s *Store) ApplyUpdates(adds, dels []graph.Edge) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -226,7 +234,6 @@ func (s *Store) ApplyUpdates(adds, dels []graph.Edge) (*Snapshot, error) {
 	s.cur.Store(next)
 	s.updates.Add(int64(changed))
 	s.maybeCompactLocked(next)
-	s.maybeCheckpointLocked(false)
 	return s.cur.Load(), nil
 }
 
@@ -280,10 +287,10 @@ func (s *Store) threshold(base *graph.Graph) int {
 }
 
 // maybeCompactLocked folds snap's delta into a fresh base, inline under
-// s.mu, when it has outgrown the threshold. A failed WAL append for the
-// compaction record is already parked as the durable layer's sticky
-// error (logLocked), so the update that crossed the threshold stays
-// applied and the next durable write surfaces the failure.
+// s.mu, when it has outgrown the threshold. A failed WAL append or
+// snapshot write for the fold is already parked as the durable layer's
+// sticky error, so the update that crossed the threshold stays applied
+// and the next durable write surfaces the failure.
 func (s *Store) maybeCompactLocked(snap *Snapshot) {
 	if t := s.threshold(snap.base); t >= 0 && snap.deltaEdges >= t {
 		_ = s.swapCompactedLocked(snap)
@@ -291,32 +298,37 @@ func (s *Store) maybeCompactLocked(snap *Snapshot) {
 }
 
 // swapCompactedLocked flattens snap into a fresh CSR pair and publishes
-// it as the next epoch, WAL-logging the transition first on durable
-// stores (compactions bump the epoch, so replay must reproduce them to
-// reach the same number).
+// it as the next epoch. On a durable store it WAL-logs the transition
+// first (compactions bump the epoch, so replay must reproduce them to
+// reach the same number) and then writes the fresh base as the
+// snapshot file.
 func (s *Store) swapCompactedLocked(snap *Snapshot) error {
 	if err := s.logLocked(recCompact, snap.epoch+1, nil, nil); err != nil {
 		return err
 	}
 	flatG, flatR := snap.g.Flatten(), snap.gr.Flatten()
-	s.cur.Store(&Snapshot{
+	next := &Snapshot{
 		epoch: snap.epoch + 1,
 		g:     flatG, gr: flatR,
 		base: flatG, baseR: flatR,
-	})
+	}
+	s.cur.Store(next)
 	s.compactions.Add(1)
-	// A freshly folded CSR is the cheapest possible point to snapshot.
-	s.maybeCheckpointLocked(true)
-	return nil
+	if s.dur == nil {
+		return nil
+	}
+	return s.snapshotFoldLocked(next)
 }
 
 // Compact folds any pending delta into a fresh base and returns the
 // resulting snapshot (the current one when there was nothing to fold).
 // A live overlay is folded even when its effective delta nets out to
 // zero: adds and deletes that cancel still leave overlay rows that cost
-// a probe per neighbour access. The error mirrors ApplyUpdates: non-nil
-// only on a durable store whose WAL append failed, in which case no new
-// epoch was published.
+// a probe per neighbour access. On a durable store the fold writes its
+// snapshot file before Compact returns, so Compact is also the store's
+// checkpoint. The error is non-nil only on a durable store: when the
+// WAL append failed no new epoch was published; when the snapshot write
+// failed the fold stands and the error is sticky, as in ApplyUpdates.
 func (s *Store) Compact() (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -328,12 +340,11 @@ func (s *Store) Compact() (*Snapshot, error) {
 	return s.cur.Load(), err
 }
 
-// Close waits for any background checkpoint to finish; on a durable
-// store it then writes a final checkpoint, syncs and closes the WAL, and
-// releases the data directory. The store remains usable for reads after
-// Close; further durable writes fail.
+// Close syncs and closes a durable store's WAL and releases the data
+// directory; it writes no snapshot, so a restart replays the WAL since
+// the last fold. The store remains usable for reads after Close;
+// further durable writes fail.
 func (s *Store) Close() error {
-	s.wg.Wait()
 	if s.dur == nil {
 		return nil
 	}

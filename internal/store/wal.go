@@ -33,9 +33,9 @@ const (
 	// bounded data loss — at most one sync interval of
 	// acknowledged updates — for near-in-memory append latency.
 	FsyncInterval
-	// FsyncOff never fsyncs the WAL except at Close and before a
-	// checkpoint: crash loses anything since then. For bulk loads and
-	// tests.
+	// FsyncOff never fsyncs the WAL except at Close and when a fold
+	// writes its snapshot: a crash loses anything since then. For bulk
+	// loads and tests.
 	FsyncOff
 )
 
@@ -183,9 +183,6 @@ func (s *Store) logLocked(kind byte, epoch uint64, adds, dels []graph.Edge) erro
 	}
 	if kind == recUpdate || kind == recNoop {
 		d.seq.Add(1)
-	}
-	if kind == recUpdate {
-		d.recsSince++
 	}
 	return nil
 }

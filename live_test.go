@@ -186,28 +186,40 @@ func TestServiceApplyUpdates(t *testing.T) {
 // CompactAfter several times, the State read before Close is the State
 // after reopening, epoch included, because every fold lands inside the
 // update that triggered it. The epoch counts exactly the effective
-// updates plus the folds.
+// updates plus the folds. Close comes with a delta pending, and the
+// reopened service, given the same CompactAfter and more updates, must
+// step through the same epochs as an in-memory service that never
+// stopped: the restart reloads the pending delta, so the next fold
+// lands where it would have.
 func TestDurableStateSurvivesCloseAcrossFolds(t *testing.T) {
 	dir := t.TempDir()
 	g, err := NewGraph(8, []Edge{{0, 1}, {1, 2}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := OpenService(g, &ServiceOptions{DataDir: dir, CompactAfter: 3})
+	opts := &ServiceOptions{DataDir: dir, CompactAfter: 3}
+	svc, err := OpenService(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const updates = 14
-	for i := 0; i < updates; i++ {
-		// Every update is effective: each adds an edge absent until now.
+	ref := NewService(g, &ServiceOptions{CompactAfter: 3})
+	defer ref.Close()
+	// Every update is effective: each adds an edge absent until now.
+	update := func(s *Service, i int) {
+		t.Helper()
 		add := []Edge{{VertexID(i % 8), VertexID(8 + i)}}
-		if _, err := svc.ApplyUpdates(add, nil); err != nil {
+		if _, err := s.ApplyUpdates(add, nil); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
+	const updates, more = 14, 10
+	for i := 0; i < updates; i++ {
+		update(svc, i)
+		update(ref, i)
+	}
 	tot := svc.Totals()
-	if tot.Compactions < 3 {
-		t.Fatalf("setup: %d compactions, want several", tot.Compactions)
+	if tot.Compactions < 3 || tot.DeltaEdges == 0 {
+		t.Fatalf("setup: %d compactions, %d delta edges pending; want several and some", tot.Compactions, tot.DeltaEdges)
 	}
 	if got, want := svc.Epoch(), uint64(updates+tot.Compactions); got != want {
 		t.Fatalf("Epoch() = %d, want %d effective updates + %d compactions", got, updates, tot.Compactions)
@@ -217,13 +229,20 @@ func TestDurableStateSurvivesCloseAcrossFolds(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	svc, err = OpenService(nil, &ServiceOptions{DataDir: dir})
+	svc, err = OpenService(nil, opts)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer svc.Close()
 	if got := svc.State(); got != want {
 		t.Fatalf("reopened State %+v, want %+v", got, want)
+	}
+	for i := updates; i < updates+more; i++ {
+		update(svc, i)
+		update(ref, i)
+		if got, want := svc.State(), ref.State(); got != want {
+			t.Fatalf("update %d after reopen: State %+v, uninterrupted in-memory run %+v", i, got, want)
+		}
 	}
 }
 

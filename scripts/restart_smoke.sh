@@ -31,21 +31,26 @@ blocks=4001
   echo "query 0 4 4"
 } > "$ops"
 
-# Compaction is on, so WAL compaction records are replayed across each
-# crash; every fold happens inside the update that crosses the
-# threshold, so epochs are a function of the update stream. Checkpoints
-# stay off (bar the bootstrap and exit ones): recovery reloads the delta
-# as zero at a checkpoint's epoch, so fold points after a warm restart
-# would differ from the uninterrupted run's.
-common=(-updates "$ops" -compactafter 5 -checkpointevery -1 -fsync always)
+# Compaction is on: every fold happens inside the update that crosses
+# the threshold and writes the store's only snapshots, so epochs are a
+# function of the update stream, restarts included. Each block is one
+# edge change, so the replay folds every 200 blocks (about 20 times).
+common=(-updates "$ops" -compactafter 200 -fsync always)
 
 echo "=== uninterrupted run"
 "$workdir/hcpath" -graph "$graph" -datadir "$workdir/d-full" "${common[@]}" | tee "$workdir/full.out"
 want=$(grep '^state: ' "$workdir/full.out")
+# The restarts below must recover from a fold's snapshot, not only from
+# the bootstrap one.
+checkpoints=$(sed -n 's/^wal: [0-9]* records, \([0-9]*\) checkpoints.*/\1/p' "$workdir/full.out")
+if [ -z "$checkpoints" ] || [ "$checkpoints" -le 1 ]; then
+  echo "uninterrupted run wrote no fold snapshot (${checkpoints:-no} checkpoints)"
+  exit 1
+fi
 
 echo "=== simulated crash (-crashafter), then restart"
 set +e
-"$workdir/hcpath" -graph "$graph" -datadir "$workdir/d-crash" -crashafter 37 "${common[@]}" > /dev/null 2>&1
+"$workdir/hcpath" -graph "$graph" -datadir "$workdir/d-crash" -crashafter 437 "${common[@]}" > /dev/null 2>&1
 code=$?
 set -e
 if [ "$code" -ne 137 ]; then
@@ -64,12 +69,15 @@ fi
 echo "=== kill -9 mid-run, then restart"
 "$workdir/hcpath" -graph "$graph" -datadir "$workdir/d-kill" "${common[@]}" > /dev/null 2>&1 &
 pid=$!
-# Kill hard once the WAL holds some records (~100 of the 4001). A fixed
-# sleep is no use: without a slow disk the whole replay takes a fifth
-# of a second.
-wal="$workdir/d-kill/wal-00000000000000000000.log"
+# Kill hard once the first fold has opened its segment (wal-201, ~200
+# of the 4001 blocks in), so the restart recovers from that fold's
+# snapshot. A fixed sleep is no use: the whole replay takes about a
+# second.
+newest_segment() {
+  ls "$workdir/d-kill" 2>/dev/null | sed -n 's/^wal-0*\([0-9][0-9]*\)\.log$/\1/p' | sort -n | tail -1
+}
 for _ in $(seq 1 2000); do
-  [ -f "$wal" ] && [ "$(stat -c %s "$wal")" -gt 3000 ] && break
+  [ "$(newest_segment)" -gt 200 ] 2>/dev/null && break
   sleep 0.005
 done
 kill -9 "$pid" 2>/dev/null || true
