@@ -103,6 +103,6 @@ func main() {
 	tot := svc.Totals()
 	fmt.Printf("\nfinal epoch %d: %d effective edge changes, %d compactions, %d delta edges pending\n",
 		tot.Epoch, tot.UpdatesApplied, tot.Compactions, tot.DeltaEdges)
-	fmt.Printf("index cache across epochs: %d hits, %d misses (stale generations evict, never serve)\n",
+	fmt.Printf("index cache across epochs: %d hits, %d misses (each new epoch replaces the cached generation)\n",
 		tot.IndexHits, tot.IndexMisses)
 }

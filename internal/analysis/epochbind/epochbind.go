@@ -1,7 +1,7 @@
 // Package epochbind reports index acquisitions whose epoch is a
-// compile-time constant. The cross-batch index cache keys entries by
-// (generation, direction, vertex, opposite endpoint, cap) where the
-// generation is bound to the store epoch; an epoch that does not come
+// compile-time constant. The cross-batch index cache holds one
+// generation, bound to the (graph pair, epoch) its batches pass and
+// replaced when the epoch moves; an epoch that does not come
 // from the live store.Snapshot pins the binding to one generation
 // forever, so queries after an update are served stale distance maps —
 // the exact staleness class the versioned store closed.

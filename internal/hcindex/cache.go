@@ -14,22 +14,12 @@ import (
 // graphs while staying a small fraction of the graphs themselves.
 const DefaultCacheBytes = 64 << 20
 
-// maxBindings bounds how many distinct (graph pair, epoch) generations
-// the cache serves at once. Live updates swap snapshots while batches
-// dispatched on the previous epoch are still in flight, so for a short
-// window two (occasionally more) generations coexist; entries of
-// generations that fall off the ring are dropped immediately.
-const maxBindings = 4
-
-// entryKey identifies one cached hop-distance map: the generation of
-// the (graph pair, epoch) binding it was built on, the BFS direction,
-// its source vertex (a query's S forward, T backward), the opposite
-// endpoint of a subgraph map (ball for a k-ball), and the hop cap it
-// was built with. Stale generations can never serve a fresh epoch's
-// queries — the gen field keeps their keys disjoint — and a subgraph
-// map, keyed by both endpoints, can never serve a k-ball lookup.
+// entryKey identifies one cached hop-distance map of the current
+// binding: the BFS direction, its source vertex (a query's S forward, T
+// backward), the opposite endpoint of a subgraph map (ball for a
+// k-ball), and the hop cap it was built with. A subgraph map, keyed by
+// both endpoints, can never serve a k-ball lookup.
 type entryKey struct {
-	gen uint64
 	dir Direction
 	v   graph.VertexID
 	to  graph.VertexID
@@ -65,20 +55,17 @@ type entry struct {
 	orphaned bool
 }
 
-// binding is one (graph pair, epoch) generation the cache has served.
+// binding is the (graph pair, epoch) generation the cache serves, with
+// the pool its misses draw dense arrays from.
 type binding struct {
 	g, gr *graph.Graph
 	epoch uint64
-	gen   uint64
-	// dropped marks a binding pushed off the ring while one of its
-	// batches was still building misses; the batch serves them privately
-	// instead of inserting into a retired generation.
-	dropped bool
+	pool  *msbfs.Pool
 }
 
 // Cache is the cross-batch Provider: a concurrency-safe, ref-counted
-// LRU of hop-distance maps keyed by (generation, direction, source
-// vertex, opposite endpoint, hop cap), where the opposite endpoint is
+// LRU of hop-distance maps keyed by (direction, source vertex,
+// opposite endpoint, hop cap), where the opposite endpoint is
 // ball for the k-balls Acquire serves and the query's other endpoint
 // for the subgraph maps of AcquireOne. A query with cap k is served
 // from any cached entry of its key with Cap ≥ k through a thresholded
@@ -87,28 +74,27 @@ type binding struct {
 // batches are never evicted — their dense arrays are live in
 // enumeration hot loops — which lets the byte budget overshoot
 // transiently under heavy concurrency; eviction releases the dense
-// arrays into a per-size msbfs.Pool for the next misses to reuse.
+// arrays into the binding's msbfs.Pool for the next misses to reuse.
 //
-// Generations realise the live-update story: every distinct
-// (g, gr, epoch) triple the cache serves gets its own generation, keys
-// are generation-scoped, and lookups only ever match the caller's own
-// generation — a post-update query can never be answered from a
-// pre-update distance map. Stale generations are not flushed eagerly:
-// their entries stay pinned-safe for in-flight batches and are evicted
-// preferentially (before current-generation LRU victims) as the budget
-// demands, which is the "stale entries evict naturally" half of the
-// contract.
+// The cache holds one generation, the (g, gr, epoch) triple it binds,
+// as the paper answers each batch on one graph: a batch binds the
+// current snapshot at dispatch, so after an update every later batch
+// asks for the new epoch. The first batch on a newer epoch, or on
+// another graph pair at an equal or newer epoch, replaces the binding
+// and drops every entry (pinned ones stay valid for their holders until
+// released), keeping the pool while |V| is unchanged. A straggler on an
+// older epoch is built privately and leaves the table alone, so a
+// post-update query can never be answered from a pre-update distance
+// map, nor a pre-update one from a post-update map.
 type Cache struct {
 	maxBytes int64
 
-	mu       sync.Mutex
-	bindings []*binding // most recently served first
-	nextGen  uint64
-	pools    map[int]*msbfs.Pool // dense-array pools keyed by |V|
-	entries  map[entryKey]*entry
-	caps     map[entryKey][]uint8 // ascending caps present per endpoint()
-	lru      *list.List
-	bytes    int64
+	mu      sync.Mutex
+	cur     *binding // nil until the first batch
+	entries map[entryKey]*entry
+	caps    map[entryKey][]uint8 // ascending caps present per endpoint()
+	lru     *list.List
+	bytes   int64
 
 	hits, misses, widened, evictions int64
 }
@@ -122,7 +108,6 @@ func NewCache(maxBytes int64) *Cache {
 	}
 	return &Cache{
 		maxBytes: maxBytes,
-		pools:    make(map[int]*msbfs.Pool),
 		entries:  make(map[entryKey]*entry),
 		caps:     make(map[entryKey][]uint8),
 		lru:      list.New(),
@@ -143,10 +128,10 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Acquire implements Provider: cached endpoints of the caller's own
-// (graph pair, epoch) generation are pinned and served (through views
-// where the cached cap is wider), the rest are built with two pooled
-// MS-BFS passes and inserted under that generation. Within one batch
+// Acquire implements Provider: cached endpoints are pinned and served
+// (through views where the cached cap is wider), the rest are built with
+// two pooled MS-BFS passes and inserted. A batch on an older epoch than
+// the binding's gets a private Build instead. Within one batch
 // every distinct (direction, endpoint, cap) resolves to a single
 // *DistMap, matching the cold builder's dedup exactly — downstream
 // constraint merging keys on map identity.
@@ -164,11 +149,15 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 
 	c.mu.Lock()
 	b := c.bindLocked(g, gr, epoch)
-	pool := c.poolLocked(g.NumVertices())
+	if b == nil {
+		c.misses += int64(2 * len(queries))
+		c.mu.Unlock()
+		return Build(g, gr, queries)
+	}
 	for _, q := range queries {
 		for _, key := range [2]entryKey{
-			{b.gen, Forward, q.S, ball, q.K},
-			{b.gen, Backward, q.T, ball, q.K},
+			{Forward, q.S, ball, q.K},
+			{Backward, q.T, ball, q.K},
 		} {
 			if _, ok := serving[key]; ok {
 				idx.Hits++ // resolved from cache earlier in this batch
@@ -207,30 +196,19 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 	}
 
 	// Build all misses outside the lock: one MS-BFS pass per direction.
-	built := c.buildMisses(g, gr, missKeys, pool)
+	built := c.buildMisses(g, gr, missKeys, b.pool)
 
-	var bypass []*msbfs.DistMap
 	inserted := make(map[entryKey]*entry, len(missKeys))
 	c.mu.Lock()
-	if b.dropped {
-		// The binding fell off the generation ring while we were
-		// building: our maps must not enter a retired generation's table.
-		// Serve them privately and release them with the index.
-		for j, key := range missKeys {
-			resolved[key] = built[j]
+	for j, key := range missKeys {
+		e := c.placeLocked(b, key, built[j])
+		if _, ok := pinned[e]; !ok {
+			pinned[e] = struct{}{}
+			e.refs++
 		}
-		bypass = built
-	} else {
-		for j, key := range missKeys {
-			e := c.insertLocked(key, built[j])
-			if _, ok := pinned[e]; !ok {
-				pinned[e] = struct{}{}
-				e.refs++
-			}
-			inserted[key] = e
-		}
-		c.evictLocked()
+		inserted[key] = e
 	}
+	c.evictLocked()
 	c.mu.Unlock()
 	for key, e := range inserted {
 		resolved[key] = e.dm.View(key.cap) // view in case a wider entry won the insert race
@@ -238,7 +216,7 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 
 	idx.maps = perQuery(len(queries), func(i int) (fwd, bwd *msbfs.DistMap) {
 		q := queries[i]
-		return resolved[entryKey{b.gen, Forward, q.S, ball, q.K}], resolved[entryKey{b.gen, Backward, q.T, ball, q.K}]
+		return resolved[entryKey{Forward, q.S, ball, q.K}], resolved[entryKey{Backward, q.T, ball, q.K}]
 	})
 	idx.release = func() {
 		c.mu.Lock()
@@ -247,9 +225,6 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 		}
 		c.evictLocked()
 		c.mu.Unlock()
-		for _, dm := range bypass {
-			dm.Release()
-		}
 	}
 	return idx
 }
@@ -261,13 +236,21 @@ func (c *Cache) Acquire(g, gr *graph.Graph, epoch uint64, queries []query.Query)
 // inserted under those keys. Either side may come from a wider cap
 // through a view: a k-ball, or a wider query's subgraph map, covers
 // everything the narrower subgraph map must report, with the same
-// distances, so the enumeration reads the same.
+// distances, so the enumeration reads the same. A query on an older
+// epoch than the binding's gets a private build, as in Acquire.
 func (c *Cache) AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *Index {
 	c.mu.Lock()
 	b := c.bindLocked(g, gr, epoch)
+	if b == nil {
+		c.misses += 2
+		c.mu.Unlock()
+		idx := pairIndex(msbfs.Subgraph(g, gr, q.S, q.T, q.K, nil))
+		idx.Misses = 2
+		return idx
+	}
 	keys := [2]entryKey{
-		{b.gen, Forward, q.S, ball, q.K},
-		{b.gen, Backward, q.T, ball, q.K},
+		{Forward, q.S, ball, q.K},
+		{Backward, q.T, ball, q.K},
 	}
 	held := [2]*entry{c.lookupLocked(keys[0]), c.lookupLocked(keys[1])}
 	if held[0] == nil || held[1] == nil {
@@ -287,22 +270,13 @@ func (c *Cache) AcquireOne(g, gr *graph.Graph, epoch uint64, q query.Query) *Ind
 	} else {
 		c.misses += 2
 	}
-	pool := c.poolLocked(g.NumVertices())
 	c.mu.Unlock()
 
 	if !hit {
-		fwd, bwd := msbfs.Subgraph(g, gr, q.S, q.T, q.K, pool)
+		fwd, bwd := msbfs.Subgraph(g, gr, q.S, q.T, q.K, b.pool)
 		c.mu.Lock()
-		if b.dropped {
-			// As in Acquire: a retired generation takes no inserts.
-			c.mu.Unlock()
-			idx := pairIndex(fwd, bwd)
-			idx.Misses = 2
-			idx.release = func() { releaseAll(idx.maps[:]) }
-			return idx
-		}
 		for d, dm := range [2]*msbfs.DistMap{fwd, bwd} {
-			held[d] = c.insertLocked(keys[d], dm)
+			held[d] = c.placeLocked(b, keys[d], dm)
 			held[d].refs++
 		}
 		c.evictLocked()
@@ -357,76 +331,35 @@ func (c *Cache) buildMisses(g, gr *graph.Graph, keys []entryKey, pool *msbfs.Poo
 	return out
 }
 
-// bindLocked returns the generation serving (g, gr, epoch), creating it
-// (and retiring the oldest generation past the ring bound) when the
-// triple is new. In-flight batches of retired generations keep their
-// pinned entries; only the table seats go.
+// bindLocked returns the binding serving (g, gr, epoch), or nil for a
+// straggler on an older epoch, which must not touch the table. Any other
+// new triple replaces the binding: every entry is dropped (pinned ones
+// are orphaned and release with their last holder), and the pool is kept
+// while |V| is unchanged.
 func (c *Cache) bindLocked(g, gr *graph.Graph, epoch uint64) *binding {
-	for i, b := range c.bindings {
-		if b.g == g && b.gr == gr && b.epoch == epoch {
-			if i != 0 {
-				copy(c.bindings[1:i+1], c.bindings[:i])
-				c.bindings[0] = b
-			}
-			return b
+	cur := c.cur
+	if cur != nil {
+		if cur.g == g && cur.gr == gr && cur.epoch == epoch {
+			return cur
+		}
+		if epoch < cur.epoch {
+			return nil
 		}
 	}
-	b := &binding{g: g, gr: gr, epoch: epoch, gen: c.nextGen}
-	c.nextGen++
-	c.bindings = append(c.bindings, nil)
-	copy(c.bindings[1:], c.bindings)
-	c.bindings[0] = b
-	if len(c.bindings) > maxBindings {
-		victim := c.bindings[len(c.bindings)-1]
-		c.bindings = c.bindings[:len(c.bindings)-1]
-		victim.dropped = true
-		c.dropGenLocked(victim.gen)
-		c.prunePoolsLocked()
+	b := &binding{g: g, gr: gr, epoch: epoch, pool: msbfs.NewPool(g.NumVertices())}
+	if cur != nil && cur.pool.NumVertices() == g.NumVertices() {
+		b.pool = cur.pool
 	}
+	for c.lru.Len() > 0 {
+		c.dropLocked(c.lru.Front().Value.(*entry))
+		c.evictions++
+	}
+	c.cur = b
 	return b
 }
 
-// poolLocked returns the dense-array pool for graphs of n vertices.
-func (c *Cache) poolLocked(n int) *msbfs.Pool {
-	p := c.pools[n]
-	if p == nil {
-		p = msbfs.NewPool(n)
-		c.pools[n] = p
-	}
-	return p
-}
-
-// prunePoolsLocked drops pools no live binding can use any more; their
-// remaining arrays drain back and are garbage collected.
-func (c *Cache) prunePoolsLocked() {
-	live := make(map[int]bool, len(c.bindings))
-	for _, b := range c.bindings {
-		live[b.g.NumVertices()] = true
-	}
-	for n := range c.pools {
-		if !live[n] {
-			delete(c.pools, n)
-		}
-	}
-}
-
-// dropGenLocked removes every entry of a retired generation.
-func (c *Cache) dropGenLocked(gen uint64) {
-	var victims []*entry
-	for _, e := range c.entries {
-		if e.key.gen == gen {
-			victims = append(victims, e)
-		}
-	}
-	for _, e := range victims {
-		c.dropLocked(e)
-		c.evictions++
-	}
-}
-
 // lookupLocked returns the servable entry for key: the exact cap if
-// present, else the narrowest cached cap above it, always within the
-// key's own generation.
+// present, else the narrowest cached cap above it.
 func (c *Cache) lookupLocked(key entryKey) *entry {
 	if e, ok := c.entries[key]; ok {
 		return e
@@ -437,6 +370,17 @@ func (c *Cache) lookupLocked(key entryKey) *entry {
 		}
 	}
 	return nil
+}
+
+// placeLocked inserts a map built for binding b. If b was replaced
+// while the map was built, the new generation's table must not take it:
+// it becomes an orphan, served privately by its batch and released with
+// the last unpin.
+func (c *Cache) placeLocked(b *binding, key entryKey, dm *msbfs.DistMap) *entry {
+	if c.cur != b {
+		return &entry{key: key, dm: dm, orphaned: true}
+	}
+	return c.insertLocked(key, dm)
 }
 
 // insertLocked adds a freshly built map under key, resolving races with
@@ -484,29 +428,15 @@ func (c *Cache) insertLocked(key entryKey, dm *msbfs.DistMap) *entry {
 	return e
 }
 
-// evictLocked drops unpinned entries until the byte budget holds,
-// preferring entries of stale generations (anything but the most
-// recently served binding) in LRU order, then current-generation LRU
-// victims.
+// evictLocked drops unpinned entries in LRU order until the byte budget
+// holds.
 func (c *Cache) evictLocked() {
-	frontGen := ^uint64(0)
-	if len(c.bindings) > 0 {
-		frontGen = c.bindings[0].gen
-	}
 	for c.bytes > c.maxBytes {
 		var victim *entry
 		for elem := c.lru.Back(); elem != nil; elem = elem.Prev() {
-			if e := elem.Value.(*entry); e.refs == 0 && e.key.gen != frontGen {
+			if e := elem.Value.(*entry); e.refs == 0 {
 				victim = e
 				break
-			}
-		}
-		if victim == nil {
-			for elem := c.lru.Back(); elem != nil; elem = elem.Prev() {
-				if e := elem.Value.(*entry); e.refs == 0 {
-					victim = e
-					break
-				}
 			}
 		}
 		if victim == nil {

@@ -2,9 +2,11 @@ package hcindex
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/msbfs"
 	"repro/internal/query"
 )
 
@@ -145,9 +147,9 @@ func TestCacheEviction(t *testing.T) {
 	idx2.Release()
 }
 
-// TestCacheRebind: acquiring with a different graph opens a fresh
-// generation and serves the new graph correctly; rebinding back finds
-// the first generation still live in the ring.
+// TestCacheRebind: acquiring with a different graph replaces the
+// binding and serves the new graph correctly; rebinding back to the
+// first graph replaces it again and rebuilds, correctly too.
 func TestCacheRebind(t *testing.T) {
 	g, gr, qs := cacheFixture(t)
 	g2 := graph.GenGrid(10, 10)
@@ -214,10 +216,11 @@ func TestCacheConcurrent(t *testing.T) {
 // TestCacheEpochSeparation is the staleness guard of the live-update
 // contract: the same graph pointers acquired under a new epoch must
 // miss (the graph's content is presumed changed), never serve the old
-// epoch's maps — while the old epoch's generation stays warm for its
-// own in-flight traffic.
+// epoch's maps; a straggler back on the old epoch is built privately,
+// correct and all misses, and leaves the new epoch fully warm.
 func TestCacheEpochSeparation(t *testing.T) {
 	g, gr, qs := cacheFixture(t)
+	want := Build(g, gr, qs)
 	c := NewCache(0)
 	c.Acquire(g, gr, 0, qs).Release()
 
@@ -231,40 +234,114 @@ func TestCacheEpochSeparation(t *testing.T) {
 	if bumped.Hits != 0 {
 		t.Fatalf("epoch 1 acquire served %d stale probes from epoch 0", bumped.Hits)
 	}
-	indexesAgree(t, "epoch-1", g, Build(g, gr, qs), bumped, len(qs))
+	indexesAgree(t, "epoch-1", g, want, bumped, len(qs))
 	bumped.Release()
 
-	// Both generations now live: each serves its own epoch fully warm.
-	for _, epoch := range []uint64{0, 1} {
-		idx := c.Acquire(g, gr, epoch, qs)
-		if idx.Misses != 0 {
-			t.Errorf("epoch %d warm acquire missed %d probes", epoch, idx.Misses)
-		}
-		idx.Release()
+	straggler := c.Acquire(g, gr, 0, qs)
+	if straggler.Hits != 0 {
+		t.Errorf("epoch 0 straggler served %d probes from epoch 1", straggler.Hits)
 	}
+	indexesAgree(t, "epoch-0-straggler", g, want, straggler, len(qs))
+	straggler.Release()
+	one := c.AcquireOne(g, gr, 0, qs[0])
+	if one.Hits != 0 {
+		t.Errorf("epoch 0 one-query straggler served %d probes from epoch 1", one.Hits)
+	}
+	one.Release()
+
+	idx := c.Acquire(g, gr, 1, qs)
+	if idx.Misses != 0 {
+		t.Errorf("epoch 1 warm acquire after stragglers missed %d probes", idx.Misses)
+	}
+	indexesAgree(t, "epoch-1-warm", g, want, idx, len(qs))
+	idx.Release()
 }
 
-// TestCachePinnedSurviveRingOverflow: an in-flight index keeps its maps
-// usable even after its generation is pushed off the binding ring by a
-// burst of newer epochs.
-func TestCachePinnedSurviveRingOverflow(t *testing.T) {
+// TestCachePinnedSurviveRebind: an in-flight index keeps its maps
+// usable after one newer epoch replaces its binding and orphans them,
+// until it releases them.
+func TestCachePinnedSurviveRebind(t *testing.T) {
 	g, gr, qs := cacheFixture(t)
 	c := NewCache(0)
 	want := Build(g, gr, qs)
 	held := c.Acquire(g, gr, 0, qs) // pinned, not released
+	entries := c.Stats().Entries
 
-	for epoch := uint64(1); epoch <= maxBindings+1; epoch++ {
-		c.Acquire(g, gr, epoch, qs).Release()
+	c.Acquire(g, gr, 1, qs).Release()
+	if ev := c.Stats().Evictions; ev != int64(entries) {
+		t.Errorf("rebind dropped %d entries, want all %d", ev, entries)
 	}
 
-	indexesAgree(t, "held-after-overflow", g, want, held, len(qs))
+	indexesAgree(t, "held-after-rebind", g, want, held, len(qs))
 	held.Release() // orphaned entries release here; must not panic
-	// Epoch 0's generation is gone: a re-acquire is a fresh build.
-	idx := c.Acquire(g, gr, 0, qs)
-	if idx.Hits != 0 {
-		t.Errorf("retired generation served %d hits", idx.Hits)
+	if st := c.Stats(); st.Entries != entries {
+		t.Errorf("after release: %d entries, want epoch 1's %d", st.Entries, entries)
 	}
-	idx.Release()
+}
+
+// TestCacheConcurrentEpochs races generation replacement against
+// in-flight builds under -race: goroutines acquire k-ball and one-query
+// batches on epochs drawn from one rising counter, so some batches are
+// stragglers on an already replaced epoch and some see their binding
+// replaced while they build. Odd and even epochs run on two graphs of
+// one size, so a map that leaks across epochs answers wrong. Every
+// index must match a cold build on its epoch's graph.
+func TestCacheConcurrentEpochs(t *testing.T) {
+	var gs, grs [2]*graph.Graph
+	for i := range gs {
+		gs[i] = graph.GenRandom(300, 4, int64(9+i))
+		grs[i] = gs[i].Reverse()
+	}
+	c := NewCache(0)
+	var clock atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				epoch := clock.Load()
+				if (w+i)%5 == 0 {
+					epoch = clock.Add(1)
+				}
+				g, gr := gs[epoch%2], grs[epoch%2]
+				// Few endpoints, so entries a batch inserts are read back.
+				raw := []query.Query{
+					{S: graph.VertexID((w + i) % 5), T: graph.VertexID(100 + (w*3+i)%5), K: uint8(3 + (w+i)%4)},
+					{S: graph.VertexID(i % 7), T: graph.VertexID(200 + w), K: uint8(3 + i%4)},
+				}
+				qs, err := query.Batch(g, raw)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var idx, want *Index
+				if i%2 == 0 {
+					idx, want = c.Acquire(g, gr, epoch, qs), Build(g, gr, qs)
+				} else {
+					idx = c.AcquireOne(g, gr, epoch, qs[0])
+					want = pairIndex(msbfs.Subgraph(g, gr, qs[0].S, qs[0].T, qs[0].K, nil))
+					qs = qs[:1]
+				}
+				for qi := range qs {
+					for _, dir := range []Direction{Forward, Backward} {
+						got, ref := idx.DistMapFor(qi, dir), want.DistMapFor(qi, dir)
+						for _, v := range ref.Visited() {
+							if got.Dist(v) != ref.Dist(v) {
+								t.Errorf("worker %d epoch %d: query %d %v divergence at %d", w, epoch, qi, dir, v)
+								break
+							}
+						}
+					}
+				}
+				idx.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 {
+		t.Errorf("no hits or no rebind drops: %+v", st)
+	}
 }
 
 // TestCacheChargesHeldCapacity: an entry is charged the storage its map

@@ -93,15 +93,6 @@ func pairIndex(fwd, bwd *msbfs.DistMap) *Index {
 	return &Index{maps: [2][]*msbfs.DistMap{Forward: maps[:1:1], Backward: maps[1:]}}
 }
 
-// releaseAll releases every map of sets; no map may appear twice.
-func releaseAll(sets [][]*msbfs.DistMap) {
-	for _, maps := range sets {
-		for _, dm := range maps {
-			dm.Release()
-		}
-	}
-}
-
 type srcKey struct {
 	v graph.VertexID
 	k uint8

@@ -50,8 +50,8 @@ type Stats struct {
 	// Widened counts the subset of Hits served from an entry with a
 	// larger hop cap than the query's, through threshold filtering.
 	Widened int64
-	// Evictions counts cache entries dropped to stay inside the byte
-	// budget.
+	// Evictions counts cache entries dropped: to stay inside the byte
+	// budget, subsumed by a wider build, or with a replaced generation.
 	Evictions int64
 	// Entries and BytesInUse describe the cache's current contents;
 	// BytesBudget is its configured ceiling.
@@ -119,11 +119,16 @@ func (b *Builder) poolFor(g *graph.Graph) *msbfs.Pool {
 }
 
 // done counts a fresh build's misses and, when pooled, makes its
-// Release hand the storage of the maps it built back.
+// Release hand the storage of the maps it built back; built holds each
+// map once.
 func (b *Builder) done(idx *Index, pool *msbfs.Pool, built [][]*msbfs.DistMap) *Index {
 	if pool != nil {
 		idx.release = func() {
-			releaseAll(built)
+			for _, maps := range built {
+				for _, dm := range maps {
+					dm.Release()
+				}
+			}
 			pool.DropVisited()
 		}
 	}

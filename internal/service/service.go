@@ -643,9 +643,10 @@ func (s *Service) CurrentSnapshot() *store.Snapshot { return s.st.Current() }
 // inserted (store.Store.ApplyUpdates semantics: deletions first,
 // self-loops dropped, absent deletions no-ops, vertex space grows to
 // fit adds). Batches already dispatched finish on their old snapshot;
-// every batch formed after the call sees the new epoch, whose index
-// entries can never be served from a stale generation. Returns the
-// epoch now current.
+// every batch formed after the call sees the new epoch, and the first
+// such batch replaces the index cache's generation, so no post-update
+// query is answered from pre-update distances. Returns the epoch now
+// current.
 func (s *Service) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 	s.closing.RLock()
 	defer s.closing.RUnlock()

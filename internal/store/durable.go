@@ -530,8 +530,8 @@ func walPath(dir string, epoch uint64) string {
 }
 
 // scanDir lists the snapshots and WAL segments in dir, each sorted by
-// ascending epoch. Unknown files (including .tmp leftovers) are
-// ignored.
+// ascending epoch. Unknown files (including .tmp leftovers, which
+// prune removes) are ignored.
 func scanDir(dir string) (snaps, segs []fileEpoch, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -590,8 +590,19 @@ func createSegment(dir string, epoch uint64) (*os.File, error) {
 // prune removes files superseded by the two newest snapshot
 // generations: older snapshots, and segments entirely before the older
 // kept snapshot's epoch. Best-effort — recovery only ever needs the
-// newest valid generation, the second is kept as a fallback.
+// newest valid generation, the second is kept as a fallback. It also
+// removes the temp files of snapshot writes a crash tore: recovery
+// replays such a fold from the WAL without writing its snapshot again,
+// so nothing else ever replaces them. Callers hold s.mu after a
+// successful snapshot, so no write is in flight.
 func (d *durability) prune() {
+	if ents, err := os.ReadDir(d.dir); err == nil {
+		for _, e := range ents {
+			if name := e.Name(); strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix+".tmp") {
+				os.Remove(filepath.Join(d.dir, name))
+			}
+		}
+	}
 	snaps, segs, err := scanDir(d.dir)
 	if err != nil || len(snaps) <= 2 {
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -625,6 +626,9 @@ func TestRestartKeepsFoldPoints(t *testing.T) {
 			}
 			if got, want := s.Stats().Compactions, ref.Stats().Compactions; got != want {
 				t.Fatalf("%d compactions after restart, reference %d", got, want)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Errorf("temp files outlive the folds after restart: %v", tmps)
 			}
 		})
 	}
