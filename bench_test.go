@@ -186,10 +186,10 @@ var engineCases = []struct {
 	opts   batchenum.Options
 	allocs float64
 }{
-	{"BasicEnum", batchenum.Options{Algorithm: batchenum.Basic}, 508},
-	{"BasicEnum+", batchenum.Options{Algorithm: batchenum.BasicPlus}, 656},
-	{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}, 809},
-	{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}, 840},
+	{"BasicEnum", batchenum.Options{Algorithm: batchenum.Basic}, 205},
+	{"BasicEnum+", batchenum.Options{Algorithm: batchenum.BasicPlus}, 205},
+	{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}, 376},
+	{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}, 384},
 }
 
 // BenchmarkEngines compares the four engines on one high-similarity
@@ -217,8 +217,8 @@ var oneQueryCases = []struct {
 	alg    batchenum.Algorithm
 	allocs float64
 }{
-	{"BatchEnum+/one-query", batchenum.BatchPlus, 81},
-	{"BasicEnum+/one-query", batchenum.BasicPlus, 75},
+	{"BatchEnum+/one-query", batchenum.BatchPlus, 28},
+	{"BasicEnum+/one-query", batchenum.BasicPlus, 27},
 }
 
 // TestEngineAllocCeilings keeps the engines' hot loops from regrowing

@@ -131,14 +131,20 @@ type Algorithm int
 // The engines of the paper's evaluation. BatchEnumPlus is the headline
 // algorithm and the default.
 const (
-	// BatchEnumPlus is Algorithm 4 with the optimised search order.
+	// BatchEnumPlus is Algorithm 4 with PathEnum's cost-balanced cut
+	// between the forward and backward halves. That cut is all "+"
+	// means here: unlike the paper's "+" order, no engine sorts
+	// neighbours by residual distance, which in an exhaustive search
+	// changes only the emission order. A Limit-truncated query returns
+	// its first paths in stored neighbour order.
 	BatchEnumPlus Algorithm = iota
-	// BatchEnum is Algorithm 4 with the plain search order.
+	// BatchEnum is Algorithm 4 with the ⌈k/2⌉ cut.
 	BatchEnum
 	// BasicEnumPlus processes queries independently over a shared
-	// index, with the optimised search order.
+	// index, with the cost-balanced cut and, as for BatchEnumPlus,
+	// stored neighbour order.
 	BasicEnumPlus
-	// BasicEnum is Algorithm 1: independent processing, plain order.
+	// BasicEnum is Algorithm 1: independent processing, ⌈k/2⌉ cut.
 	BasicEnum
 )
 

@@ -4,8 +4,12 @@
 // query clustering, dominating HC-s path query detection, and
 // topological-order enumeration with a result cache R that splices
 // materialised common sub-paths into consumer searches. The "+" variants
-// add PathEnum's optimised search order (cost-balanced budget cut and
-// residual-distance neighbour ordering) to either engine.
+// add PathEnum's cost-balanced budget cut (pathenum.BalancedCut) to
+// either engine, and nothing else: every DFS expands neighbours in
+// stored order. The paper's "+" order also sorts neighbours by residual
+// distance, but in an exhaustive search that changes only the emission
+// order, never the pruning or the path set; a limit-truncated query
+// returns its first paths in stored neighbour order.
 package batchenum
 
 import (
@@ -30,8 +34,8 @@ import (
 type Algorithm int
 
 // The four engines of the paper's evaluation (§V): Basic/BasicPlus are
-// Algorithm 1 with plain/optimised search order, Batch/BatchPlus are
-// Algorithm 4 with plain/optimised search order.
+// Algorithm 1 with the ⌈k/2⌉/cost-balanced cut, Batch/BatchPlus are
+// Algorithm 4 with the ⌈k/2⌉/cost-balanced cut.
 const (
 	Basic Algorithm = iota
 	BasicPlus
@@ -54,7 +58,9 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Optimized reports whether the engine uses the optimised search order.
+// Optimized reports whether the engine is a "+" variant, which takes the
+// cost-balanced cut (pathenum.BalancedCut); no engine reorders its
+// neighbours.
 func (a Algorithm) Optimized() bool { return a == BasicPlus || a == BatchPlus }
 
 // Shared reports whether the engine shares computation across queries.
@@ -519,8 +525,8 @@ func (b *batch) processGroup(group []int, st *Stats, arena *pathjoin.Arena) []ta
 	st.SharingEdges += psiF.NumEdges() + psiB.NumEdges()
 
 	defer st.Phases.Start(timing.Enumeration)()
-	fwdStores := enumerateGraph(b.g, psiF, len(live), optimized, ctrl, st, arena)
-	bwdStores := enumerateGraph(b.gr, psiB, len(live), optimized, ctrl, st, arena)
+	fwdStores := enumerateGraph(b.g, psiF, len(live), ctrl, st, arena)
+	bwdStores := enumerateGraph(b.gr, psiB, len(live), ctrl, st, arena)
 	if ctrl.Cancelled() {
 		return nil // partial Ψ stores must not reach the joins
 	}
@@ -565,7 +571,7 @@ func (b *batch) complete(qi int) {
 // the query halves. Shared-node stores are evicted from the cache as
 // soon as their last consumer finishes (Alg. 4 lines 14-16); their
 // memory returns with the arena's.
-func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, optimized bool, ctrl *query.Control, st *Stats, arena *pathjoin.Arena) []*pathjoin.Store {
+func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, ctrl *query.Control, st *Stats, arena *pathjoin.Arena) []*pathjoin.Store {
 	// Node IDs run densely from 0, so the cache is a slice by NodeID.
 	cache := make([]cacheEntry, psi.NumNodes())
 	for id := range cache {
@@ -574,7 +580,7 @@ func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, opt
 	terminals := make([]*pathjoin.Store, numTerminals)
 	sc := scratch.Get(g.NumVertices())
 	e := &enumerator{
-		g: g, psi: psi, cache: cache, arena: arena, optimized: optimized, ctrl: ctrl, st: st,
+		g: g, psi: psi, cache: cache, arena: arena, ctrl: ctrl, st: st,
 		sc: sc, onPath: sc.OnPath, memoVal: sc.MemoVal, memoGen: sc.MemoGen,
 	}
 	for _, id := range psi.TopoOrder() {
@@ -676,13 +682,12 @@ type cacheEntry struct {
 
 // enumerator carries the shared state of one Ψ traversal.
 type enumerator struct {
-	g         *graph.Graph
-	psi       *sharegraph.Graph
-	cache     []cacheEntry // by NodeID
-	arena     *pathjoin.Arena
-	optimized bool
-	ctrl      *query.Control
-	st        *Stats
+	g     *graph.Graph
+	psi   *sharegraph.Graph
+	cache []cacheEntry // by NodeID
+	arena *pathjoin.Arena
+	ctrl  *query.Control
+	st    *Stats
 	// steps counts DFS expansions across the whole Ψ traversal; every
 	// query.PollInterval-th one polls ctrl, and stopped latches the
 	// answer so the unwind is branch-cheap.
@@ -692,12 +697,11 @@ type enumerator struct {
 	path []graph.VertexID
 	// sc is the traversal's pooled per-vertex scratch; onPath, memoVal
 	// and memoGen alias its arrays so the hot loops skip the indirection.
-	sc      *scratch.Scratch
-	onPath  []bool // dense per-vertex membership; push/pop keeps it clean
-	scratch [][]graph.VertexID
-	node    *sharegraph.Node
-	nodeID  sharegraph.NodeID
-	out     *pathjoin.Store // the arena's open store, the node's results
+	sc     *scratch.Scratch
+	onPath []bool // dense per-vertex membership; push/pop keeps it clean
+	node   *sharegraph.Node
+	nodeID sharegraph.NodeID
+	out    *pathjoin.Store // the arena's open store, the node's results
 
 	// Per-vertex memo of the node's pruning bound: a DFS expansion to w
 	// at prefix length d survives iff d < bound(w), where bound(w) =
@@ -758,10 +762,6 @@ func (e *enumerator) enumerateNode(id sharegraph.NodeID) (out *pathjoin.Store, a
 	e.path = append(e.path[:0], n.Root)
 	e.gen = e.sc.NextGen()
 	e.onPath[n.Root] = true
-	if cap(e.scratch) < int(n.Budget)+1 {
-		e.scratch = make([][]graph.VertexID, int(n.Budget)+1)
-	}
-	e.scratch = e.scratch[:int(n.Budget)+1]
 	e.dfs()
 	e.onPath[n.Root] = false
 	e.arena.Seal(e.out)
@@ -779,13 +779,7 @@ func (e *enumerator) dfs() {
 	if depth >= int(e.node.Budget) {
 		return
 	}
-	v := e.path[len(e.path)-1]
-	nbrs := e.g.OutNeighbors(v)
-	if e.optimized {
-		e.scratch[depth] = orderByMinResidual(e.node, nbrs, e.scratch[depth][:0])
-		nbrs = e.scratch[depth]
-	}
-	for _, w := range nbrs {
+	for _, w := range e.g.OutNeighbors(e.path[len(e.path)-1]) {
 		if e.stopped {
 			return
 		}
@@ -861,31 +855,4 @@ func (e *enumerator) splice(prov sharegraph.NodeID, remaining int) {
 			e.st.SplicedPaths++
 		}
 	}
-}
-
-// orderByMinResidual sorts nbrs by ascending minimum residual distance
-// over the node's consumers, the "+" expansion order generalised to
-// shared nodes. Keys are computed once per neighbour — MinResidual scans
-// the node's whole constraint union, far too costly for a comparator —
-// then insertion-sorted (neighbour lists at one DFS level are short).
-func orderByMinResidual(n *sharegraph.Node, nbrs []graph.VertexID, scratch []graph.VertexID) []graph.VertexID {
-	scratch = append(scratch, nbrs...)
-	var keyBuf [64]uint8
-	keys := keyBuf[:0]
-	if len(scratch) > len(keyBuf) {
-		keys = make([]uint8, 0, len(scratch))
-	}
-	for _, w := range scratch {
-		keys = append(keys, n.MinResidual(w))
-	}
-	for i := 1; i < len(scratch); i++ {
-		w, key := scratch[i], keys[i]
-		j := i - 1
-		for j >= 0 && keys[j] > key {
-			scratch[j+1], keys[j+1] = scratch[j], keys[j]
-			j--
-		}
-		scratch[j+1], keys[j+1] = w, key
-	}
-	return scratch
 }

@@ -5,12 +5,16 @@
 // pruned with the hop-bounded distance index (Lemma 3.1), followed by the
 // ⊕ concatenation of the two halves.
 //
-// Two search orders are provided. The plain order expands neighbours as
-// stored. The optimised order (the "+" variants of the paper's
-// evaluation) additionally (i) picks a cost-balanced cut point using the
-// index's BFS level sizes instead of always ⌈k/2⌉, and (ii) expands
-// neighbours in ascending residual-distance order so that doomed branches
-// are pruned before promising ones are explored.
+// Both halves expand neighbours in stored order. The "+" variants of the
+// paper's evaluation differ only in the cut: they pick a cost-balanced
+// cut point from the index's BFS level sizes (BalancedCut) instead of
+// always ⌈k/2⌉. The paper's "+" order also sorts each expanded vertex's
+// neighbours by residual distance; this package does not. In an
+// exhaustive search the order cannot change which branches Lemma 3.1
+// prunes — the test is per neighbour and every prefix is recorded — so
+// it changes only the emission order, and with a per-query limit which
+// paths a truncated query returns: here its first paths in stored
+// neighbour order.
 //
 // The specification — an index-free bounded DFS — lives in
 // internal/oracle; every test in the repository differentially checks
@@ -25,10 +29,10 @@ import (
 	"repro/internal/scratch"
 )
 
-// Options selects the search-order variant.
+// Options selects the search variant.
 type Options struct {
-	// Optimized enables the cost-balanced cut point and ordered
-	// expansion of the "+" algorithms.
+	// Optimized enables the cost-balanced cut point of the "+"
+	// algorithms (BalancedCut); it does not reorder the expansion.
 	Optimized bool
 }
 
@@ -76,7 +80,7 @@ func EnumerateControlled(g, gr *graph.Graph, q query.Query, ids []int, fwd, bwd 
 		return // a partial backward half must not reach the join
 	}
 	j := pathjoin.NewJoiner(pathjoin.BuildHashIndex(bwdPaths, &arena), q.K, fb < bb, ctrl, ids, sink)
-	walkHalf(g, q.S, fb, q.K, bwd, opts, ctrl, j.Join)
+	walkHalf(g, q.S, fb, q.K, bwd, ctrl, j.Join)
 	if !ctrl.Cancelled() {
 		markComplete(ctrl, ids)
 	}
@@ -130,9 +134,11 @@ func levelCount(dm *msbfs.DistMap, d uint8) int {
 // a forward half on G; dist over G from s for a backward half on Gr).
 // The two stores it fills are exactly what pathjoin.JoinHalves
 // consumes. The DFS polls ctrl every query.PollInterval expansions and
-// unwinds as soon as the run is cancelled.
+// unwinds as soon as the run is cancelled. Neighbours expand in stored
+// order whatever opts says: the variants differ only in the budgets a
+// caller passes (BalancedCut), so opts selects nothing here.
 func CollectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, out *pathjoin.Store) {
-	walkHalf(g, root, budget, k, other, opts, ctrl, func(p []graph.VertexID) bool {
+	walkHalf(g, root, budget, k, other, ctrl, func(p []graph.VertexID) bool {
 		out.Add(p)
 		return true
 	})
@@ -141,7 +147,7 @@ func CollectHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *ms
 // walkHalf is CollectHalf's DFS with the recording left to visit, which
 // sees every partial path in DFS order (the slice is reused) and stops
 // the walk by returning false.
-func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, opts Options, ctrl *query.Control, visit func(p []graph.VertexID) bool) {
+func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs.DistMap, ctrl *query.Control, visit func(p []graph.VertexID) bool) {
 	path := make([]graph.VertexID, 1, int(budget)+1)
 	path[0] = root
 	// Dense on-path membership: one bool per vertex beats a hash map in
@@ -150,10 +156,8 @@ func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs
 	sc := scratch.Get(g.NumVertices())
 	onPath := sc.OnPath
 	onPath[root] = true
-	// Per-depth scratch buffers: each recursion level sorts into its own
-	// slice so deeper levels cannot clobber a list the parent is still
-	// iterating.
-	ordered := make([][]graph.VertexID, int(budget)+1)
+	// Each level iterates the graph's own neighbour slice, so there is
+	// no per-depth buffer for a deeper level to clobber.
 	steps := 0
 	stopped := false
 	var rec func()
@@ -169,13 +173,7 @@ func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs
 		if hops >= budget {
 			return
 		}
-		v := path[len(path)-1]
-		nbrs := g.OutNeighbors(v)
-		if opts.Optimized {
-			ordered[hops] = orderByResidual(nbrs, other, ordered[hops][:0])
-			nbrs = ordered[hops]
-		}
-		for _, w := range nbrs {
+		for _, w := range g.OutNeighbors(path[len(path)-1]) {
 			if stopped {
 				return
 			}
@@ -198,26 +196,6 @@ func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs
 	rec()
 	onPath[root] = false
 	scratch.Put(sc)
-}
-
-// orderByResidual returns nbrs sorted by ascending distance to the
-// opposite endpoint (unreachable last), appended into scratch.
-// Insertion sort: neighbour lists are short and the comparator runs in
-// the innermost search loop, where sort.Slice's indirection costs more
-// than the sort saves.
-func orderByResidual(nbrs []graph.VertexID, other *msbfs.DistMap, scratch []graph.VertexID) []graph.VertexID {
-	scratch = append(scratch, nbrs...)
-	for i := 1; i < len(scratch); i++ {
-		w := scratch[i]
-		key := other.Dist(w)
-		j := i - 1
-		for j >= 0 && other.Dist(scratch[j]) > key {
-			scratch[j+1] = scratch[j]
-			j--
-		}
-		scratch[j+1] = w
-	}
-	return scratch
 }
 
 // Materialized mimics the Fig. 3(c) measurement: given pre-enumerated

@@ -46,9 +46,9 @@ func BenchmarkEnumeratePlain(b *testing.B) {
 	b.ReportMetric(float64(n), "paths")
 }
 
-// BenchmarkEnumerateOptimized measures the "+" search order (balanced
-// cut plus residual-distance expansion), the per-query ablation behind
-// BasicEnum+ and BatchEnum+.
+// BenchmarkEnumerateOptimized measures the "+" variant, the
+// cost-balanced cut alone (neighbours expand in stored order), the
+// per-query ablation behind BasicEnum+ and BatchEnum+.
 func BenchmarkEnumerateOptimized(b *testing.B) {
 	c := getCase(b)
 	var n int

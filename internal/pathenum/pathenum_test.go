@@ -236,8 +236,8 @@ func TestEmittedSliceReused(t *testing.T) {
 // TestStreamedForwardHalfMatchesStoredJoin: EnumerateControlled joins
 // each forward prefix as the DFS yields it; collecting both halves and
 // joining the stored forward half afterwards must give the same path
-// sequence, and under a limit the same truncation point — in both
-// search orders.
+// sequence, and under a limit the same truncation point — under both
+// cuts.
 func TestStreamedForwardHalfMatchesStoredJoin(t *testing.T) {
 	graphs := []*graph.Graph{testgraphs.Paper(), testgraphs.CompleteDAG(9)}
 	for seed := int64(1); seed <= 4; seed++ {

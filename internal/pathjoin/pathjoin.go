@@ -340,7 +340,7 @@ func (h *HashIndex) paths(meet graph.VertexID, length int) []int32 {
 // (⌈k/2⌉ forward, ⌊k/2⌋ backward) and a result of length L is accounted
 // to the unique split a = ⌈L/2⌉, realised by joining only pairs with
 // b ∈ {a, a−1}. When backHeavy is true the roles are mirrored
-// (b ∈ {a, a+1}, split a = ⌊L/2⌋), which the optimised engines use when
+// (b ∈ {a, a+1}, split a = ⌊L/2⌋), which the "+" engines' cut uses when
 // the backward frontier is the cheaper one to deepen. Either way every
 // HC-s-t path is emitted exactly once.
 func JoinHalves(fwd, bwd *Store, k uint8, backHeavy bool, emit func(path []graph.VertexID)) {

@@ -468,19 +468,6 @@ func (n *Node) PruneOK(depth int, w graph.VertexID) bool {
 	return false
 }
 
-// MinResidual returns the smallest distance from w to any consumer's
-// opposite endpoint, the sort key of the optimised ("+") expansion order;
-// unreachable vertices sort last.
-func (n *Node) MinResidual(w graph.VertexID) uint8 {
-	best := msbfs.Unreachable
-	for _, c := range n.Constraints {
-		if dw := c.Other.Dist(w); dw < best {
-			best = dw
-		}
-	}
-	return best
-}
-
 // propagateConstraints finalises each node's pruning-constraint union by
 // flowing consumer constraints to providers in reverse topological order.
 // A consumer's constraint (dm, s) reaches a provider spliced with
@@ -537,7 +524,7 @@ func propagateConstraints(psi *Graph, maxCons int) {
 		}
 		n.Unbounded = false
 		// Map order: every reader of the union (PruneOK's any,
-		// MinResidual's min, batchenum's max bound) is order-free.
+		// batchenum's max bound) is order-free.
 		n.Constraints = n.Constraints[:0]
 		for k, s := range set {
 			n.Constraints = append(n.Constraints, Constraint{Other: k.other, Slack: s})

@@ -255,21 +255,6 @@ func TestPruneOK(t *testing.T) {
 	}
 }
 
-// TestMinResidual checks the "+" ordering key.
-func TestMinResidual(t *testing.T) {
-	g := testgraphs.Line(6)
-	gr := g.Reverse()
-	o1 := msbfs.Single(gr, 5, 5)
-	o2 := msbfs.Single(gr, 3, 5)
-	n := &Node{Constraints: []Constraint{{Other: o1, Slack: 9}, {Other: o2, Slack: 9}}}
-	if got := n.MinResidual(2); got != 1 { // dist(2,3)=1 < dist(2,5)=3
-		t.Errorf("MinResidual(v2) = %d, want 1", got)
-	}
-	if got := n.MinResidual(5); got != 0 {
-		t.Errorf("MinResidual(v5) = %d, want 0", got)
-	}
-}
-
 // TestTopoOrderProvidersFirst asserts the enumeration precondition.
 func TestTopoOrderProvidersFirst(t *testing.T) {
 	g, halves := paperC0Forward(t)

@@ -87,86 +87,6 @@ func RandomFixedK(g *graph.Graph, n, k int, seed int64) ([]query.Query, error) {
 	return Random(g, Config{N: n, KMin: k, KMax: k, Seed: seed})
 }
 
-// ZipfianConfig extends Config for repeated-endpoint workloads: the
-// traffic shape of the online service, where a few popular endpoints
-// (hub accounts, head entities) receive most of the queries.
-type ZipfianConfig struct {
-	Config
-	// Hot is the number of distinct hot queries the batch is drawn
-	// from; zero means 16.
-	Hot int
-	// Skew is the Zipf exponent s > 1 of the popularity distribution;
-	// zero means 1.5. Larger values concentrate more of the traffic on
-	// the first few hot queries.
-	Skew float64
-}
-
-func (c ZipfianConfig) hot() int {
-	if c.Hot <= 0 {
-		return 16
-	}
-	return c.Hot
-}
-
-func (c ZipfianConfig) skew() float64 {
-	if c.Skew <= 1 {
-		return 1.5
-	}
-	return c.Skew
-}
-
-// Zipfian generates cfg.N queries drawn with Zipf-distributed
-// popularity from a pool of Hot distinct queries, modelling online
-// traffic where popular endpoints recur across consecutive
-// micro-batches — the regime the cross-batch index cache targets. Each
-// hot query's target sits on the k-hop horizon of its source (maximum
-// reachable distance ≤ k), which maximises the index-construction work
-// relative to the result-set size.
-func Zipfian(g *graph.Graph, cfg ZipfianConfig) ([]query.Query, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	lo, hi := cfg.kRange()
-	n := g.NumVertices()
-	if n < 2 {
-		return nil, fmt.Errorf("workload: graph too small (n=%d)", n)
-	}
-	hot := make([]query.Query, 0, cfg.hot())
-	for tries := 0; len(hot) < cfg.hot(); tries++ {
-		if tries > cfg.maxTries()*cfg.hot() {
-			return nil, fmt.Errorf("workload: could not find %d hot pairs (graph too sparse?)", cfg.hot())
-		}
-		k := uint8(lo + rng.Intn(hi-lo+1))
-		s := graph.VertexID(rng.Intn(n))
-		dm := msbfs.Single(g, s, k)
-		// Farthest reachable ring within k hops, excluding s itself.
-		var far []graph.VertexID
-		maxDist := uint8(0)
-		for _, v := range dm.Visited() {
-			d := dm.Dist(v)
-			if d == 0 {
-				continue
-			}
-			if d > maxDist {
-				maxDist = d
-				far = far[:0]
-			}
-			if d == maxDist {
-				far = append(far, v)
-			}
-		}
-		if maxDist == 0 {
-			continue
-		}
-		t := far[rng.Intn(len(far))]
-		hot = append(hot, query.Query{S: s, T: t, K: k})
-	}
-	zipf := rand.NewZipf(rng, cfg.skew(), 1, uint64(len(hot)-1))
-	out := make([]query.Query, cfg.N)
-	for i := range out {
-		out[i] = hot[zipf.Uint64()]
-	}
-	return out, nil
-}
-
 // SimilarityConfig extends Config for Exp-1 workloads.
 type SimilarityConfig struct {
 	Config

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -145,77 +144,5 @@ func TestMeasureMuBounds(t *testing.T) {
 	}
 	if mu := MeasureMu(g, gr, qs); mu < 0 || mu > 1 {
 		t.Errorf("µ=%.3f outside [0,1]", mu)
-	}
-}
-
-// TestZipfian: the repeated-endpoint workload must draw every query
-// from a small hot pool, with the head of the popularity distribution
-// dominating, every query valid, and targets on the k-hop horizon.
-func TestZipfian(t *testing.T) {
-	g, _ := testGraph()
-	qs, err := Zipfian(g, ZipfianConfig{
-		Config: Config{N: 200, KMin: 3, KMax: 5, Seed: 7},
-		Hot:    8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs) != 200 {
-		t.Fatalf("got %d queries", len(qs))
-	}
-	counts := make(map[query.Query]int)
-	for _, q := range qs {
-		if err := q.Validate(g); err != nil {
-			t.Fatal(err)
-		}
-		counts[q]++
-		dm := msbfs.Single(g, q.S, q.K)
-		if d := dm.Dist(q.T); d == msbfs.Unreachable {
-			t.Fatalf("%v: target unreachable within k", q)
-		}
-	}
-	if len(counts) > 8 {
-		t.Errorf("%d distinct queries, want ≤ Hot=8", len(counts))
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 50 {
-		t.Errorf("head query drawn %d times out of 200; Zipf skew looks wrong", max)
-	}
-}
-
-// TestZipfianReproducible is the regression test for deterministic
-// seeding: two generations with the same Seed are identical — the
-// property scenario replays and benchmark baselines depend on.
-func TestZipfianReproducible(t *testing.T) {
-	g, _ := testGraph()
-	cfg := ZipfianConfig{
-		Config: Config{N: 64, KMin: 3, KMax: 5, Seed: 11},
-		Hot:    8,
-	}
-	gen := func(c ZipfianConfig) []query.Query {
-		t.Helper()
-		qs, err := Zipfian(g, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return qs
-	}
-	want := gen(cfg)
-	if got := gen(cfg); !slices.Equal(want, got) {
-		t.Fatalf("same seed diverged:\n%v\nvs\n%v", want, got)
-	}
-}
-
-// TestZipfianDegenerateGraph mirrors the GenErdosRenyi guard: a
-// too-small graph must error, not loop.
-func TestZipfianDegenerateGraph(t *testing.T) {
-	g := graph.FromEdges(1, nil)
-	if _, err := Zipfian(g, ZipfianConfig{Config: Config{N: 5, MaxTries: 10}}); err == nil {
-		t.Fatal("single-vertex graph accepted")
 	}
 }
