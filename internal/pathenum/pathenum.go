@@ -156,8 +156,8 @@ func walkHalf(g *graph.Graph, root graph.VertexID, budget, k uint8, other *msbfs
 	sc := scratch.Get(g.NumVertices())
 	onPath := sc.OnPath
 	onPath[root] = true
-	// Each level iterates the graph's own neighbour slice, so there is
-	// no per-depth buffer for a deeper level to clobber.
+	// Each level ranges over the graph's own neighbour slice, which no
+	// deeper level writes, so the walk needs no per-depth buffer.
 	steps := 0
 	stopped := false
 	var rec func()
