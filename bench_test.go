@@ -188,8 +188,8 @@ var engineCases = []struct {
 }{
 	{"BasicEnum", batchenum.Options{Algorithm: batchenum.Basic}, 205},
 	{"BasicEnum+", batchenum.Options{Algorithm: batchenum.BasicPlus}, 205},
-	{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}, 376},
-	{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}, 384},
+	{"BatchEnum", batchenum.Options{Algorithm: batchenum.Batch}, 248},
+	{"BatchEnum+", batchenum.Options{Algorithm: batchenum.BatchPlus}, 252},
 }
 
 // BenchmarkEngines compares the four engines on one high-similarity

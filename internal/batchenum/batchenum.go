@@ -323,9 +323,10 @@ type batch struct {
 	sink    query.Sink
 	list    workList
 	st      *Stats
-	// arenas holds every group's Ψ stores and probe indexes, which its
-	// join tasks read on other workers; Run releases them once the work
-	// list is drained. Guarded by list.mu.
+	// arenas holds the Ψ stores and probe indexes of every group, one
+	// arena per worker that built any, which the groups' join tasks read
+	// on other workers; Run releases them once the work list is
+	// drained. Guarded by list.mu.
 	arenas []*pathjoin.Arena
 }
 
@@ -406,10 +407,15 @@ func (b *batch) startWorkers() {
 }
 
 // work pops and runs tasks until every task of the run has finished,
-// folding each task's counters into the run's stats as it ends.
+// folding each task's counters into the run's stats as it ends. Every
+// group the worker builds is carved from one arena, registered in
+// b.arenas when its first group ends: the caller returns once pending
+// reaches zero, without waiting for this worker to leave.
 func (b *batch) work() {
 	l := &b.list
 	var st Stats
+	var arena *pathjoin.Arena
+	registered := false
 	l.mu.Lock()
 	for {
 		for len(l.tasks) == 0 && l.pending > 0 {
@@ -428,13 +434,14 @@ func (b *batch) work() {
 		l.mu.Unlock()
 
 		var produced []task
-		var arena *pathjoin.Arena
 		switch {
 		case b.ctrl.Cancelled():
 		case len(t.group) == 1:
 			b.processSingle(t.group[0], &st)
 		case t.group != nil:
-			arena = new(pathjoin.Arena)
+			if arena == nil {
+				arena = new(pathjoin.Arena)
+			}
 			produced = b.processGroup(t.group, &st, arena)
 		default:
 			b.join(t, &st)
@@ -443,8 +450,9 @@ func (b *batch) work() {
 		l.mu.Lock()
 		b.st.add(&st)
 		st = Stats{}
-		if arena != nil {
+		if arena != nil && !registered {
 			b.arenas = append(b.arenas, arena)
+			registered = true
 		}
 		for i := len(produced) - 1; i >= 0; i-- {
 			l.tasks = append(l.tasks, produced[i]) // last first: they run in order
@@ -548,7 +556,8 @@ func (b *batch) processGroup(group []int, st *Stats, arena *pathjoin.Arena) []ta
 // join runs one lead's ⊕ join against its group's stores and emits
 // every result path once for the lead's class, whose members then
 // complete unless the run was cancelled. The stores and the index are
-// the group's arena's, which Run releases only after the last join.
+// carved from the arena of the worker that built the group, which Run
+// releases only after the last join.
 func (b *batch) join(t task, st *Stats) {
 	defer st.Phases.Start(timing.Enumeration)()
 	j := pathjoin.NewJoiner(t.bwd, b.qs[t.lead].K, t.backHeavy, b.ctrl, b.classes[t.lead], b.sink)
@@ -595,7 +604,7 @@ func enumerateGraph(g *graph.Graph, psi *sharegraph.Graph, numTerminals int, ctr
 		if int(id) < numTerminals {
 			terminals[id] = out
 		}
-		for _, prov := range psi.Providers(id) {
+		for prov := range psi.Providers(id) {
 			c := &cache[prov]
 			c.pending--
 			if c.pending == 0 && int(prov) >= numTerminals {

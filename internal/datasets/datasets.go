@@ -10,8 +10,8 @@
 // Relative density ordering across datasets follows Table I (absolute
 // densities are compressed — enumeration cost grows exponentially in
 // davg·k, and the shapes the experiments reproduce depend on the
-// ordering, not the magnitudes). DESIGN.md §4 records the substitution
-// rationale.
+// ordering, not the magnitudes). docs/ARCHITECTURE.md ("Test
+// scaffolding") records the substitution rationale.
 package datasets
 
 import (

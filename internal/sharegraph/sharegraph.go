@@ -21,8 +21,8 @@
 // it reuses that query's results directly with a length cut-off (the
 // paper's second observation, Fig. 5(b)).
 //
-// Two deliberate deviations from the pseudocode, both documented in
-// DESIGN.md:
+// Three deliberate deviations from the pseudocode, all documented in
+// docs/ARCHITECTURE.md:
 //
 //  1. The paper's MQ[v] may record a query rooted elsewhere (Alg. 3 line
 //     15), whose materialised paths cannot be spliced at v. We instead
@@ -34,11 +34,19 @@
 //     expansion survives if some consumer could still complete it. The
 //     union is a performance filter only — over-produced partial paths
 //     simply find no join partner — so sharing stays sound.
+//  3. An extracted dominating query q_{v,r} does not continue the search
+//     from v (Alg. 3 does): its constraints are unknown until detection
+//     ends, so it has no frontier, and the arrivals' frontiers stop at v.
+//
+// Each sharing edge is stored once: as the consumer's splice entry,
+// keyed by the provider's root, with the consumer's remaining budget on
+// arrival, plus the consumer's id in the provider's consumer list.
 package sharegraph
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/msbfs"
@@ -88,11 +96,20 @@ type Node struct {
 	// past the cap, or when constraint propagation was disabled).
 	Unbounded bool
 
-	providers []NodeID
 	consumers []NodeID
-	// splice maps a vertex to the provider whose cache is spliced when
-	// this node's enumeration steps onto that vertex.
-	splice map[graph.VertexID]NodeID
+	// splice is the node's record of each sharing edge it consumes,
+	// keyed by the provider's root: the vertex where this node's
+	// enumeration splices the provider's cache instead of recursing.
+	splice map[graph.VertexID]spliceEntry
+}
+
+// spliceEntry is one sharing edge provider→consumer, held by the
+// consumer: the provider and the consumer's remaining budget on
+// arrival at the provider's root, which constraint propagation needs
+// to translate slacks between frames.
+type spliceEntry struct {
+	provider  NodeID
+	remaining uint8
 }
 
 // IsTerminal reports whether the node is the half of an HC-s-t query.
@@ -106,26 +123,22 @@ func (n *Node) String() string {
 	return fmt.Sprintf("q_{v%d,%d}", n.Root, n.Budget)
 }
 
-// edge records provider→consumer with the splice vertex and the
-// consumer's remaining budget on arrival, which constraint propagation
-// needs to translate slacks between frames.
-type edge struct {
-	provider, consumer NodeID
-	at                 graph.VertexID
-	remaining          uint8
-}
-
 // Graph is the query sharing graph Ψ: a DAG over HC-s path queries.
 type Graph struct {
 	nodes []*Node
-	edges []edge
 }
 
 // NumNodes returns the number of nodes in Ψ.
 func (p *Graph) NumNodes() int { return len(p.nodes) }
 
 // NumEdges returns the number of sharing edges in Ψ.
-func (p *Graph) NumEdges() int { return len(p.edges) }
+func (p *Graph) NumEdges() int {
+	m := 0
+	for _, n := range p.nodes {
+		m += len(n.splice)
+	}
+	return m
+}
 
 // NumShared returns the number of non-terminal (dominating HC-s path
 // query) nodes, the count reported by the detection statistics.
@@ -142,16 +155,25 @@ func (p *Graph) NumShared() int {
 // Node returns the node with the given id.
 func (p *Graph) Node(id NodeID) *Node { return p.nodes[id] }
 
-// Providers returns the ids of the nodes whose caches id consumes.
-func (p *Graph) Providers(id NodeID) []NodeID { return p.nodes[id].providers }
+// Providers yields the ids of the nodes whose caches id consumes, in no
+// particular order.
+func (p *Graph) Providers(id NodeID) iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		for _, s := range p.nodes[id].splice {
+			if !yield(s.provider) {
+				return
+			}
+		}
+	}
+}
 
 // Consumers returns the ids of the nodes consuming id's cache.
 func (p *Graph) Consumers(id NodeID) []NodeID { return p.nodes[id].consumers }
 
 // SpliceAt returns the provider spliced when node id steps onto vertex v.
 func (p *Graph) SpliceAt(id NodeID, v graph.VertexID) (NodeID, bool) {
-	prov, ok := p.nodes[id].splice[v]
-	return prov, ok
+	s, ok := p.nodes[id].splice[v]
+	return s.provider, ok
 }
 
 // addNode appends a node and returns its id.
@@ -161,17 +183,16 @@ func (p *Graph) addNode(n *Node) NodeID {
 	return id
 }
 
-// addEdge inserts provider→consumer. The caller guarantees acyclicity
-// (fresh provider) or has checked with wouldCycle.
-func (p *Graph) addEdge(provider, consumer NodeID, at graph.VertexID, remaining uint8) {
-	p.edges = append(p.edges, edge{provider, consumer, at, remaining})
+// addEdge inserts provider→consumer, spliced at the provider's root,
+// which the consumer reaches with remaining budget left. The caller
+// guarantees acyclicity (fresh provider) or has checked with wouldCycle.
+func (p *Graph) addEdge(provider, consumer NodeID, remaining uint8) {
 	pn, cn := p.nodes[provider], p.nodes[consumer]
 	pn.consumers = append(pn.consumers, consumer)
-	cn.providers = append(cn.providers, provider)
 	if cn.splice == nil {
-		cn.splice = make(map[graph.VertexID]NodeID, 4)
+		cn.splice = make(map[graph.VertexID]spliceEntry, 4)
 	}
-	cn.splice[at] = provider
+	cn.splice[pn.Root] = spliceEntry{provider, remaining}
 }
 
 // wouldCycle reports whether adding provider→consumer would close a
@@ -203,28 +224,23 @@ func (p *Graph) wouldCycle(provider, consumer NodeID) bool {
 
 // TopoOrder returns the node ids in a topological order of the
 // provider→consumer edges: every provider precedes all of its consumers,
-// so caches exist before they are spliced (Alg. 4 line 6).
+// so caches exist before they are spliced (Alg. 4 line 6). It is Kahn's
+// algorithm with the order itself as the queue.
 func (p *Graph) TopoOrder() []NodeID {
 	n := len(p.nodes)
 	indeg := make([]int, n)
-	for _, e := range p.edges {
-		indeg[e.consumer]++
-	}
 	order := make([]NodeID, 0, n)
-	queue := make([]NodeID, 0, n)
-	for i := 0; i < n; i++ {
+	for i, nd := range p.nodes {
+		indeg[i] = len(nd.splice)
 		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
+			order = append(order, NodeID(i))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range p.nodes[v].consumers {
+	for h := 0; h < len(order); h++ {
+		for _, w := range p.nodes[order[h]].consumers {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}
@@ -235,34 +251,44 @@ func (p *Graph) TopoOrder() []NodeID {
 	return order
 }
 
-// Validate checks the structural invariants of Ψ: acyclicity, edge
-// bookkeeping symmetry, splice vertices matching provider roots, and
-// reuse budget soundness (a provider's budget covers the consumer's
-// remaining budget at the splice vertex).
-func (p *Graph) Validate() error {
-	n := len(p.nodes)
-	for _, e := range p.edges {
-		if int(e.provider) >= n || int(e.consumer) >= n {
-			return fmt.Errorf("sharegraph: edge %v out of range", e)
+// Validate checks the structural invariants of Ψ: every splice entry
+// names an in-range provider rooted at its splice vertex whose budget
+// covers the consumer's remaining budget there, the splice entries and
+// the consumer lists record the same edges, and Ψ is acyclic.
+func (p *Graph) Validate() (err error) {
+	n := NodeID(len(p.nodes))
+	for id, nd := range p.nodes {
+		for at, s := range nd.splice {
+			if s.provider < 0 || s.provider >= n {
+				return fmt.Errorf("sharegraph: %s splices provider %d, out of range", nd, s.provider)
+			}
+			prov := p.nodes[s.provider]
+			if prov.Root != at {
+				return fmt.Errorf("sharegraph: provider %s not rooted at splice vertex v%d", prov, at)
+			}
+			if prov.Budget < s.remaining {
+				return fmt.Errorf("sharegraph: provider %s budget below consumer remaining %d", prov, s.remaining)
+			}
+			if !slices.Contains(prov.consumers, NodeID(id)) {
+				return fmt.Errorf("sharegraph: %s splices %s, which does not list it", nd, prov)
+			}
 		}
-		if p.nodes[e.provider].Root != e.at {
-			return fmt.Errorf("sharegraph: provider %s not rooted at splice vertex v%d",
-				p.nodes[e.provider], e.at)
-		}
-		if p.nodes[e.provider].Budget < e.remaining {
-			return fmt.Errorf("sharegraph: provider %s budget below consumer remaining %d",
-				p.nodes[e.provider], e.remaining)
-		}
-		if got := p.nodes[e.consumer].splice[e.at]; got != e.provider {
-			return fmt.Errorf("sharegraph: splice map of %s at v%d is %d, want %d",
-				p.nodes[e.consumer], e.at, got, e.provider)
+		for _, w := range nd.consumers {
+			if w < 0 || w >= n {
+				return fmt.Errorf("sharegraph: %s lists consumer %d, out of range", nd, w)
+			}
+			if s, ok := p.nodes[w].splice[nd.Root]; !ok || s.provider != NodeID(id) {
+				return fmt.Errorf("sharegraph: %s lists consumer %s, which does not splice it", nd, p.nodes[w])
+			}
 		}
 	}
-	// TopoOrder panics on cycles; run it defensively.
-	defer func() { recover() }()
-	if len(p.TopoOrder()) != n {
-		return fmt.Errorf("sharegraph: cyclic Ψ")
-	}
+	// TopoOrder panics on a cycle.
+	defer func() {
+		if recover() != nil {
+			err = fmt.Errorf("sharegraph: cyclic Ψ")
+		}
+	}()
+	p.TopoOrder()
 	return nil
 }
 
@@ -294,10 +320,14 @@ func Detect(g *graph.Graph, halves []HalfQuery) *Graph {
 func detect(g *graph.Graph, halves []HalfQuery, maxCons int) *Graph {
 	psi := &Graph{}
 	maxBudget := uint8(0)
-	for _, h := range halves {
-		node := &Node{Root: h.Root, Budget: h.Budget, Query: h.Query}
-		node.Constraints = []Constraint{{Other: h.Other, Slack: int16(h.K)}}
-		psi.addNode(node)
+	// The terminals and their own constraints come in one allocation
+	// each; a terminal's union grows out of its one-slot slice.
+	terms := make([]Node, len(halves))
+	own := make([]Constraint, len(halves))
+	for i, h := range halves {
+		own[i] = Constraint{Other: h.Other, Slack: int16(h.K)}
+		terms[i] = Node{Root: h.Root, Budget: h.Budget, Query: h.Query, Constraints: own[i : i+1 : i+1]}
+		psi.addNode(&terms[i])
 		if h.Budget > maxBudget {
 			maxBudget = h.Budget
 		}
@@ -311,7 +341,7 @@ func detect(g *graph.Graph, halves []HalfQuery, maxCons int) *Graph {
 		psi:     psi,
 		mq:      make(map[graph.VertexID]mqEntry),
 		visited: make(map[visitKey]struct{}),
-		arrive:  make([]map[graph.VertexID][]NodeID, maxBudget+1),
+		arrive:  make([][]uint64, maxBudget+1),
 	}
 	// Initial frontier: each half query arrives at its own root with its
 	// full budget (Alg. 3 lines 2-4).
@@ -338,7 +368,10 @@ type detector struct {
 	psi     *Graph
 	mq      map[graph.VertexID]mqEntry
 	visited map[visitKey]struct{}
-	arrive  []map[graph.VertexID][]NodeID
+	// arrive[r] lists the frontier arrivals with r budget left, each
+	// packed as vertex<<32 | node.
+	arrive [][]uint64
+	nodes  []NodeID // one vertex's arrivals, reused across vertices
 }
 
 // push schedules node's frontier arrival at v with r budget left; each
@@ -350,27 +383,23 @@ func (d *detector) push(node NodeID, v graph.VertexID, r uint8) {
 		return
 	}
 	d.visited[key] = struct{}{}
-	if d.arrive[r] == nil {
-		d.arrive[r] = make(map[graph.VertexID][]NodeID)
-	}
-	d.arrive[r][v] = append(d.arrive[r][v], node)
+	d.arrive[r] = append(d.arrive[r], uint64(v)<<32|uint64(node))
 }
 
 // processLevel handles every arrival with r budget remaining.
 func (d *detector) processLevel(r uint8) {
+	// Sorted, the packed arrivals run vertex by vertex, ascending, each
+	// run's nodes ascending and distinct (push visits a pair once): a
+	// deterministic order, so Ψ is reproducible across runs.
 	level := d.arrive[r]
-	if len(level) == 0 {
-		return
-	}
-	// Deterministic vertex order keeps Ψ reproducible across runs.
-	verts := make([]graph.VertexID, 0, len(level))
-	for v := range level {
-		verts = append(verts, v)
-	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-
-	for _, v := range verts {
-		nodes := dedupNodes(level[v])
+	slices.Sort(level)
+	for i := 0; i < len(level); {
+		v := graph.VertexID(level[i] >> 32)
+		nodes := d.nodes[:0]
+		for ; i < len(level) && graph.VertexID(level[i]>>32) == v; i++ {
+			nodes = append(nodes, NodeID(uint32(level[i])))
+		}
+		d.nodes = nodes
 		if mq, ok := d.mq[v]; ok {
 			d.reuseAt(v, r, nodes, mq)
 			continue
@@ -387,13 +416,14 @@ func (d *detector) processLevel(r uint8) {
 		// q_{v,r} is extracted (Alg. 3 lines 16-19).
 		u := d.psi.addNode(&Node{Root: v, Budget: r, Query: -1})
 		for _, x := range nodes {
-			d.psi.addEdge(u, x, v, r)
+			d.psi.addEdge(u, x, r)
 		}
 		d.mq[v] = mqEntry{node: u, budget: r, rooted: true}
-		// u has no frontier: its Constraints stay empty until
-		// propagateConstraints, so PruneOK would refuse every neighbour,
-		// and the arrivals' own frontiers stop here. Algorithm 3
-		// continues the search from q_{v,r}; this detector does not.
+		// u has no frontier (deviation 3): its Constraints stay empty
+		// until propagateConstraints, so PruneOK would refuse every
+		// neighbour, and the arrivals' own frontiers stop here.
+		// Algorithm 3 continues the search from q_{v,r}; this detector
+		// does not.
 	}
 	d.arrive[r] = nil
 }
@@ -409,7 +439,7 @@ func (d *detector) reuseAt(v graph.VertexID, r uint8, nodes []NodeID, mq mqEntry
 		// common continuation q_{v,mq.budget} as a fresh shared node;
 		// the marker becomes its first consumer.
 		u := d.psi.addNode(&Node{Root: v, Budget: mq.budget, Query: -1})
-		d.psi.addEdge(u, mq.node, v, mq.budget)
+		d.psi.addEdge(u, mq.node, mq.budget)
 		mq = mqEntry{node: u, budget: mq.budget, rooted: true}
 		d.mq[v] = mq
 		// The fresh node does not expand: the marker's frontier already
@@ -427,7 +457,7 @@ func (d *detector) reuseAt(v graph.VertexID, r uint8, nodes []NodeID, mq mqEntry
 			d.expand(x, v, r)
 			continue
 		}
-		d.psi.addEdge(mq.node, x, v, r)
+		d.psi.addEdge(mq.node, x, r)
 	}
 }
 
@@ -478,40 +508,37 @@ func (n *Node) PruneOK(depth int, w graph.VertexID) bool {
 // this pass recomputes them from the final edge set so that enumeration
 // never prunes a partial path some late-added consumer still needs.
 func propagateConstraints(psi *Graph, maxCons int) {
-	// Group incoming constraint contributions per provider.
-	type contrib struct {
-		consumer NodeID
-		shift    int16
-	}
-	incoming := make([][]contrib, len(psi.nodes))
-	for _, e := range psi.edges {
-		shift := int16(psi.nodes[e.consumer].Budget) - int16(e.remaining)
-		incoming[e.provider] = append(incoming[e.provider], contrib{e.consumer, shift})
+	// set is one node's union: the loosest (largest) slack per distance
+	// map, since the union means "∃ consumer satisfied" and a larger
+	// slack subsumes a smaller one for the same map.
+	set := make(map[*msbfs.DistMap]int16)
+	merge := func(other *msbfs.DistMap, slack int16) {
+		if cur, ok := set[other]; !ok || slack > cur {
+			set[other] = slack
+		}
 	}
 	order := psi.TopoOrder()
 	// Reverse topological: consumers finalised before their providers.
 	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		n := psi.nodes[id]
+		n := psi.nodes[order[i]]
+		clear(set)
 		// Terminals keep their own exact constraint and add consumers'.
-		set := make(map[constraintKey]int16)
 		if n.IsTerminal() {
 			for _, c := range n.Constraints {
-				mergeConstraint(set, c.Other, c.Slack)
+				merge(c.Other, c.Slack)
 			}
-		} else {
-			n.Constraints = n.Constraints[:0]
 		}
 		unbounded := false
-		for _, in := range incoming[id] {
-			c := psi.nodes[in.consumer]
+		for _, ci := range n.consumers {
+			c := psi.nodes[ci]
 			if c.Unbounded {
 				unbounded = true
 				break
 			}
+			shift := int16(c.Budget) - int16(c.splice[n.Root].remaining)
 			for _, cc := range c.Constraints {
-				if s := cc.Slack - in.shift; s > 0 {
-					mergeConstraint(set, cc.Other, s)
+				if s := cc.Slack - shift; s > 0 {
+					merge(cc.Other, s)
 				}
 			}
 		}
@@ -526,34 +553,8 @@ func propagateConstraints(psi *Graph, maxCons int) {
 		// Map order: every reader of the union (PruneOK's any,
 		// batchenum's max bound) is order-free.
 		n.Constraints = n.Constraints[:0]
-		for k, s := range set {
-			n.Constraints = append(n.Constraints, Constraint{Other: k.other, Slack: s})
+		for other, s := range set {
+			n.Constraints = append(n.Constraints, Constraint{Other: other, Slack: s})
 		}
 	}
-}
-
-type constraintKey struct{ other *msbfs.DistMap }
-
-// mergeConstraint keeps the loosest (largest) slack per distance map:
-// the union semantics is "∃ consumer satisfied", and a larger slack
-// subsumes a smaller one for the same map.
-func mergeConstraint(set map[constraintKey]int16, other *msbfs.DistMap, slack int16) {
-	k := constraintKey{other}
-	if cur, ok := set[k]; !ok || slack > cur {
-		set[k] = slack
-	}
-}
-
-func dedupNodes(ids []NodeID) []NodeID {
-	if len(ids) <= 1 {
-		return ids
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -44,6 +44,22 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
+// TestDetectAllocCeiling holds Algorithm 3 on BenchmarkDetect's
+// 16-query batch to 1.25× its recorded allocation count (re-recorded
+// whenever a change moves it), so per-level maps and per-edge copies
+// cannot quietly come back. Nothing here goes through a sync.Pool, so
+// the count holds under -race.
+func TestDetectAllocCeiling(t *testing.T) {
+	const recorded = 91
+	g, halves := benchHalves(16)
+	got := testing.AllocsPerRun(20, func() { Detect(g, halves) })
+	ceiling := recorded * 1.25
+	t.Logf("%.0f allocs per detection (ceiling %.0f)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("%.0f allocs per detection exceeds %.0f (recorded %d × 1.25)", got, ceiling, recorded)
+	}
+}
+
 // BenchmarkTopoOrder measures the enumeration-order computation.
 func BenchmarkTopoOrder(b *testing.B) {
 	g, halves := benchHalves(256)

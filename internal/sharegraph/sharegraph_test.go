@@ -1,6 +1,7 @@
 package sharegraph
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,31 +186,88 @@ func TestDetectAcyclicRandom(t *testing.T) {
 	}
 }
 
-// TestConstraintPropagation checks that terminals keep their own exact
-// Lemma 3.1 constraint and that shared nodes receive positive slacks.
+// slacks returns a node's constraint union as slack per distance map.
+func slacks(n *Node) map[*msbfs.DistMap]int16 {
+	m := make(map[*msbfs.DistMap]int16, len(n.Constraints))
+	for _, c := range n.Constraints {
+		m[c.Other] = c.Slack
+	}
+	return m
+}
+
+// TestConstraintPropagation checks every node's exact constraint union:
+// terminals keep their own Lemma 3.1 constraint, and a consumer of
+// budget B that splices a provider with r hops left hands it its
+// constraints less B − r.
 func TestConstraintPropagation(t *testing.T) {
 	g, halves := paperC0Forward(t)
 	psi := Detect(g, halves)
+	// Fig. 6: the three budget-3 halves reach v1, and q0 and q1 reach
+	// v4, with 2 hops left, so both shared nodes carry their consumers'
+	// slacks 5 − (3 − 2).
+	d0, d1, d2 := halves[0].Other, halves[1].Other, halves[2].Other
+	want := map[string]map[*msbfs.DistMap]int16{
+		"q_{v0,3}#0": {d0: 5},
+		"q_{v2,3}#1": {d1: 5},
+		"q_{v5,3}#2": {d2: 5},
+		"q_{v1,2}":   {d0: 4, d1: 4, d2: 4},
+		"q_{v4,2}":   {d0: 4, d1: 4},
+	}
+	if psi.NumNodes() != len(want) {
+		t.Fatalf("%d nodes, want %d", psi.NumNodes(), len(want))
+	}
 	for id := NodeID(0); int(id) < psi.NumNodes(); id++ {
 		n := psi.Node(id)
-		if n.IsTerminal() {
-			found := false
-			for _, c := range n.Constraints {
-				if c.Other == halves[n.Query].Other && c.Slack == int16(halves[n.Query].K) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("terminal %s lost its own constraint", n)
-			}
+		if w, ok := want[n.String()]; !ok || !maps.Equal(slacks(n), w) {
+			t.Errorf("%s: slacks %v, want %v", n, slacks(n), w)
 		}
-		for _, c := range n.Constraints {
-			if c.Slack <= 0 {
-				t.Errorf("node %s has non-positive slack %d", n, c.Slack)
-			}
+	}
+
+	// On the line 0→…→4, q(0,4,5)'s forward half (budget 3) and
+	// q(2,4,2)'s (budget 1) both reach v2 with 1 hop left: the shared
+	// q_{v2,1} carries slack 5 − (3 − 1) for the first and 2 − 0 for the
+	// second.
+	line := testgraphs.Line(5)
+	lr := line.Reverse()
+	chain := []HalfQuery{
+		{Root: 0, Budget: 3, K: 5, Other: msbfs.Single(lr, 4, 5), Query: 0},
+		{Root: 2, Budget: 1, K: 2, Other: msbfs.Single(lr, 4, 2), Query: 1},
+	}
+	psi = Detect(line, chain)
+	if psi.NumNodes() != 3 {
+		t.Fatalf("line: %d nodes, want the two halves and q_{v2,1}", psi.NumNodes())
+	}
+	if n := psi.Node(2); n.String() != "q_{v2,1}" ||
+		!maps.Equal(slacks(n), map[*msbfs.DistMap]int16{chain[0].Other: 3, chain[1].Other: 2}) {
+		t.Errorf("line: %s has slacks %v, want 3 and 2", n, slacks(n))
+	}
+}
+
+// TestValidateRejects breaks a valid two-node Ψ — q_{v0,3} splicing
+// q_{v2,1} at v2 with 1 hop left — in each way Validate must catch.
+func TestValidateRejects(t *testing.T) {
+	cases := map[string]func(p *Graph){
+		"provider out of range": func(p *Graph) { p.nodes[0].splice[2] = spliceEntry{provider: 7, remaining: 1} },
+		"splice vertex is not the provider's root": func(p *Graph) {
+			delete(p.nodes[0].splice, 2)
+			p.nodes[0].splice[3] = spliceEntry{provider: 1, remaining: 1}
+		},
+		"provider budget below remaining": func(p *Graph) { p.nodes[0].splice[2] = spliceEntry{provider: 1, remaining: 2} },
+		"splice entry without consumer":   func(p *Graph) { p.nodes[1].consumers = nil },
+		"consumer without splice entry":   func(p *Graph) { delete(p.nodes[0].splice, 2) },
+		"cycle":                           func(p *Graph) { p.addEdge(0, 1, 1) },
+	}
+	for name, breakIt := range cases {
+		p := &Graph{}
+		p.addNode(&Node{Root: 0, Budget: 3, Query: 0})
+		p.addNode(&Node{Root: 2, Budget: 1, Query: -1})
+		p.addEdge(1, 0, 1)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("valid Ψ: %v", err)
 		}
-		if !n.IsTerminal() && !n.Unbounded && len(n.Constraints) == 0 {
-			t.Errorf("shared node %s has no constraints and is not unbounded", n)
+		breakIt(p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
 		}
 	}
 }
@@ -264,7 +322,7 @@ func TestTopoOrderProvidersFirst(t *testing.T) {
 		pos[id] = i
 	}
 	for id := NodeID(0); int(id) < psi.NumNodes(); id++ {
-		for _, prov := range psi.Providers(id) {
+		for prov := range psi.Providers(id) {
 			if pos[prov] >= pos[id] {
 				t.Errorf("provider %s ordered after consumer %s", psi.Node(prov), psi.Node(id))
 			}

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # checklinks.sh — fail when any tracked Markdown file links to a
-# repo-relative path that does not exist.
+# repo-relative path that does not exist, or when a tracked Go file
+# cites a Markdown file (any *.md name in it, comments included) that
+# exists neither in the Go file's own directory nor at the repo root.
 #
 # Skipped: external links (http/https/mailto), pure #anchor links, and
 # targets that resolve outside the repo root (e.g. the CI badge's
@@ -35,8 +37,19 @@ while IFS= read -r file; do
   done < <(grep -o '!\?\[[^]]*\]([^)]*)' "$file" | sed 's/.*(\(.*\))$/\1/')
 done < <(git ls-files '*.md')
 
+# grep -o prints file:name for every *.md name cited in Go source.
+while IFS=: read -r file name; do
+  case "$name" in
+    /*) continue ;; # the tail of a URL or an absolute path
+  esac
+  if [ ! -e "$(dirname "$file")/$name" ] && [ ! -e "$name" ]; then
+    echo "Markdown file cited in $file does not exist: $name"
+    fail=1
+  fi
+done < <(git ls-files -z '*.go' | xargs -0 grep -oHE '[A-Za-z0-9_./-]*\.md\b')
+
 if [ "$fail" -ne 0 ]; then
-  echo "checklinks: broken relative links found" >&2
+  echo "checklinks: broken relative links or Markdown citations found" >&2
   exit 1
 fi
-echo "checklinks: all relative Markdown links resolve"
+echo "checklinks: all relative Markdown links and Go citations resolve"
