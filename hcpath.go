@@ -34,6 +34,7 @@ import (
 	"repro/internal/batchenum"
 	"repro/internal/graph"
 	"repro/internal/hcindex"
+	"repro/internal/pathjoin"
 	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -274,7 +275,9 @@ type Result struct {
 }
 
 // Paths returns the HC-s-t paths of the i-th query of the batch, or nil
-// when i is not a valid query position.
+// when i is not a valid query position. Like Service.Query's, they are
+// views into one flat array per query, each clipped to its own length:
+// retaining one path keeps its query's whole result set reachable.
 func (r *Result) Paths(i int) []Path {
 	if i < 0 || i >= len(r.paths) {
 		return nil
@@ -450,14 +453,26 @@ func (e *Engine) EnumerateContext(ctx context.Context, qs []Query) (*Result, err
 		return nil, err
 	}
 	ctrl := e.control(ctx, len(qs))
-	res := &Result{paths: make([][]Path, len(qs))}
+	// Each query collects into a pooled staging store (one query's
+	// emissions never overlap), which is copied out at its final size
+	// once the run has ended.
+	stages := make([]*pathjoin.Store, len(qs))
+	for i := range stages {
+		stages[i] = pathjoin.GetStaging()
+	}
 	st, err := e.run(iqs, ctrl, query.FuncSink(func(ids []int, p []graph.VertexID) {
 		for _, id := range ids {
-			cp := make(Path, len(p))
-			copy(cp, p)
-			res.paths[id] = append(res.paths[id], cp)
+			stages[id].Add(p)
 		}
 	}))
+	res := &Result{paths: make([][]Path, len(qs))}
+	for i, s := range stages {
+		if s.Len() > 0 {
+			settled := s.Clone()
+			res.paths[i] = cutPaths(&settled)
+		}
+		pathjoin.PutStaging(s)
+	}
 	if st == nil {
 		return nil, err // validation failure: no run happened
 	}
@@ -849,8 +864,10 @@ func OpenService(g *Graph, opts *ServiceOptions) (*Service, error) {
 // is a genuine result either way.
 //
 // The returned paths are views into one flat array holding the whole
-// result set (a single allocation however many paths there are), each
-// clipped to its own length — appending to one never touches another.
+// result set, each clipped to its own length — appending to one never
+// touches another. The batch collects the paths in a pooled staging
+// store and copies them out once, so the array is a single allocation
+// of exactly the result set's size however many paths there are.
 // Retaining any single Path therefore keeps the query's entire result
 // set reachable; copy a path out to keep it alone.
 func (s *Service) Query(ctx context.Context, q Query) ([]Path, BatchStats, error) {
@@ -870,16 +887,21 @@ func (s *Service) QueryFrom(ctx context.Context, caller string, q Query) ([]Path
 	if err != nil {
 		return nil, BatchStats{}, err
 	}
-	// One header slice over the reply's flat arena. Each Path is clipped
-	// to its own capacity, so an append on one reallocates instead of
-	// running into its neighbour.
-	verts, offs := r.Paths.Raw()
-	paths := make([]Path, r.Paths.Len())
+	return cutPaths(&r.Paths), r.Batch, r.Err
+}
+
+// cutPaths cuts a store's flat arena into one header slice of Paths
+// without copying a vertex. Each Path is clipped to its own capacity,
+// so an append on one reallocates instead of running into its
+// neighbour.
+func cutPaths(s *pathjoin.Store) []Path {
+	verts, offs := s.Raw()
+	paths := make([]Path, s.Len())
 	for i := range paths {
 		a, b := offs[i], offs[i+1]
 		paths[i] = Path(verts[a:b:b])
 	}
-	return paths, r.Batch, r.Err
+	return paths
 }
 
 // Count is Query without materialising paths — the cheap mode, since

@@ -3,6 +3,8 @@ package batchenum
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,5 +157,67 @@ func TestArenaReuseMatchesOracle(t *testing.T) {
 			cancel()
 			check(fmt.Sprintf("workers=%d cancel at %d", workers, at), got, func(i int) bool { return ctrl.QueryErr(i) == nil })
 		}
+	}
+}
+
+// TestOneArenaPerWorker: every group a worker builds is carved from
+// the worker's one arena, which the run registers and releases. A batch
+// of five sharing groups registers one arena at width one and at most
+// one per worker wider, and a warm run draws no fresh chunks: an arena
+// per group would leave the chunks of every group but the first out of
+// the pool, and the next run would allocate them anew.
+func TestOneArenaPerWorker(t *testing.T) {
+	g := blocks(10, 10, 10, 10, 10)
+	gr := g.Reverse()
+	var qs []query.Query
+	for first := graph.VertexID(0); first < 50; first += 10 {
+		qs = append(qs, query.Query{S: first, T: first + 9, K: 4}, query.Query{S: first + 1, T: first + 9, K: 4})
+	}
+	for _, workers := range []int{1, 2, 4} {
+		// Run's steps, keeping the batch to read its arenas.
+		opts := Options{Algorithm: BatchPlus, Workers: workers}
+		vqs, err := query.Batch(g, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leads, classes := distinct(vqs, true)
+		idx := opts.acquire(g, gr, leads)
+		st := &Stats{}
+		b := &batch{g: g, gr: gr, qs: leads, classes: classes, idx: idx, opts: opts, sink: query.NewCountSink(len(qs)), st: st}
+		b.drain(partition(leads, classes, idx, opts, st))
+		for _, a := range b.arenas {
+			a.Release()
+		}
+		idx.Release()
+		if st.NumGroups != 5 || st.CachedPaths == 0 {
+			t.Fatalf("the batch formed %d groups caching %d paths; want five sharing groups", st.NumGroups, st.CachedPaths)
+		}
+		if n := len(b.arenas); n < 1 || n > workers || workers == 1 && n != 1 {
+			t.Errorf("workers=%d: the run registered %d arenas for its five groups", workers, n)
+		}
+	}
+
+	run := func() {
+		if _, err := Run(g, gr, qs, Options{Algorithm: BatchPlus, Workers: 1}, nil, query.NewCountSink(len(qs))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	run()
+	// The least of several runs: a Put the pool dropped (under -race, or
+	// across a collection) costs one run a chunk, a leak costs every run.
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 10 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		run()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	t.Logf("a warm run of five groups allocates %d bytes", least)
+	// Every arena draws a vertex chunk and an int32 chunk.
+	if pair := uint64(2 * 4 * scratch.ChunkLen); least >= pair {
+		t.Errorf("a warm run allocates %d bytes, at least the %d of a fresh pair of chunks: its arenas' chunks did not all return to the pool", least, pair)
 	}
 }

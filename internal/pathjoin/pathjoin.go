@@ -21,6 +21,7 @@ package pathjoin
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -104,6 +105,58 @@ func (s *Store) Each(fn func(p []graph.VertexID)) {
 // copying. Both slices alias internal storage and must not be modified; a
 // zero-value store reports (nil, nil).
 func (s *Store) Raw() (verts []graph.VertexID, offs []int32) { return s.verts, s.offs }
+
+// Reset empties a heap store, keeping its arrays for the next Adds. It
+// must not be called on an Arena's store.
+func (s *Store) Reset() {
+	s.verts, s.offs = s.verts[:0], s.offs[:0]
+}
+
+// Clone returns a copy of s whose vertex and offset arrays are exactly
+// its size: two allocations however the paths arrived, and none for an
+// empty store, whose copy is the zero value.
+func (s *Store) Clone() Store {
+	if s.Len() == 0 {
+		return Store{}
+	}
+	return Store{
+		verts: append(make([]graph.VertexID, 0, len(s.verts)), s.verts...),
+		offs:  append(make([]int32, 0, len(s.offs)), s.offs...),
+	}
+}
+
+// staging recycles the heap stores that collect result sets whose size
+// is not known until their run ends (GetStaging, PutStaging).
+var staging sync.Pool
+
+// maxStagingWords bounds what a pooled staging store retains: PutStaging
+// drops a store whose vertex or offset array grew past it, as an Arena
+// never pools a store larger than a chunk. It is four chunks, not one,
+// because an ordinary large reply outgrows one: the 2510 paths of a
+// 7-hop query on a 14-vertex complete DAG hold 17 308 vertices.
+const maxStagingWords = 4 * scratch.ChunkLen
+
+// GetStaging returns an empty store from the staging pool. A caller
+// fills it with Add while its run emits, copies the result out at its
+// final size with Clone, and hands the store back with PutStaging, so
+// the growth of a result set is paid once per pooled store, not once
+// per result set.
+func GetStaging() *Store {
+	if s, _ := staging.Get().(*Store); s != nil {
+		return s
+	}
+	return new(Store)
+}
+
+// PutStaging empties s and returns it to the staging pool, unless its
+// arrays grew past maxStagingWords. The caller must not use s again.
+func PutStaging(s *Store) {
+	if cap(s.verts) > maxStagingWords || cap(s.offs) > maxStagingWords {
+		return
+	}
+	s.Reset()
+	staging.Put(s)
+}
 
 // Arena hands out stores whose vertex and offset arrays are carved from
 // pooled chunks of scratch.ChunkLen words, and carves the int32 arrays

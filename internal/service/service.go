@@ -335,8 +335,10 @@ func (t Totals) IndexHitRatio() float64 {
 type Reply struct {
 	// Paths holds the caller's result paths when it asked to collect
 	// them, empty in count-only mode: one flat arena per reply (a vertex
-	// array plus offsets) instead of a slice per path, so a reply costs
-	// a handful of amortised appends however many paths it carries.
+	// array plus offsets) instead of a slice per path. The batch
+	// collects them in a pooled staging store and copies them here once,
+	// when it resolves, so both arrays are exactly the reply's size and
+	// a reply costs two allocations however many paths it carries.
 	// Anything sliced out of it pins the whole arena.
 	Paths pathjoin.Store
 	// Count is the caller's result-path count (also set when collecting).
@@ -360,6 +362,10 @@ type request struct {
 	enqueued time.Time
 	done     chan error // buffered; receives nil or the batch's error
 	reply    Reply
+	// stage collects the paths of a request that collects them while
+	// its batch runs; runBatch copies it into reply.Paths and recycles
+	// it when the batch resolves.
+	stage *pathjoin.Store
 }
 
 // admission is the bookkeeping behind MaxQueued/MaxPerCaller: a count
@@ -825,11 +831,11 @@ func (s *Service) dispatch(batch []*request) {
 type replySink []*request
 
 // Emit implements query.Sink, counting the path for every query of the
-// class and copying it into the reply arena of each caller that
+// class and copying it into the staging store of each caller that
 // collects paths. Each query's emissions come from one goroutine at a
-// time (the Sink contract) and each query has its own reply, so replies
-// need no locking even while a batch's workers emit for different
-// queries.
+// time (the Sink contract) and each query has its own reply and stage,
+// so they need no locking even while a batch's workers emit for
+// different queries.
 //
 //hcpath:noalloc
 func (s replySink) Emit(ids []int, p []graph.VertexID) {
@@ -837,8 +843,24 @@ func (s replySink) Emit(ids []int, p []graph.VertexID) {
 		r := s[id]
 		r.reply.Count++
 		if r.collect {
-			r.reply.Paths.Add(p)
+			r.stage.Add(p)
 		}
+	}
+}
+
+// settle moves every collecting request's staged paths into its reply
+// at their final size (ok) or drops them (a failed batch), and returns
+// the staging stores to their pool. Every emission has ended.
+func settle(batch []*request, ok bool) {
+	for _, r := range batch {
+		if r.stage == nil {
+			continue
+		}
+		if ok {
+			r.reply.Paths = r.stage.Clone()
+		}
+		pathjoin.PutStaging(r.stage)
+		r.stage = nil
 	}
 }
 
@@ -856,6 +878,9 @@ func (s *Service) runBatch(ctx context.Context, batch []*request) {
 	qs := make([]query.Query, len(batch))
 	for i, r := range batch {
 		qs[i] = r.q
+		if r.collect {
+			r.stage = pathjoin.GetStaging()
+		}
 	}
 
 	engine := s.cfg.Engine
@@ -868,7 +893,9 @@ func (s *Service) runBatch(ctx context.Context, batch []*request) {
 	}
 	ctrl := query.NewControl(ctx, deadline, s.cfg.Limit, len(batch))
 	st, err := batchenum.Run(snap.Graph(), snap.Reverse(), qs, engine, ctrl, replySink(batch))
-	if err != nil && !ctrl.Cancelled() {
+	failed := err != nil && !ctrl.Cancelled()
+	settle(batch, !failed)
+	if failed {
 		// Submit and Answer pre-validate, so this is systemic, not one
 		// query's fault; fail the whole batch. (A blown QueryTimeout
 		// deadline is not systemic: the batch resolves below with

@@ -111,30 +111,70 @@ func TestAllocationIndependentOfVertexCount(t *testing.T) {
 	})
 }
 
-// TestServiceQueryAllocsPerPath pins the reply arena: answering one
-// query with many result paths costs a fixed handful of allocations
-// plus amortised arena growth, far below one per returned path (the
-// slice-per-path reply it replaced cost more than two).
+// allocsOfOneQuery reports the mean allocations of answer, which
+// returns one query's paths, once warm, and fails unless it returns
+// want paths.
+func allocsOfOneQuery(t *testing.T, want int, answer func() []Path) float64 {
+	t.Helper()
+	var paths []Path
+	allocs := testing.AllocsPerRun(50, func() { paths = answer() })
+	if len(paths) != want {
+		t.Fatalf("fixture returned %d paths, want %d", len(paths), want)
+	}
+	return allocs
+}
+
+// TestServiceQueryAllocsPerPath pins the reply's cost: a batch collects
+// each reply's paths in a pooled staging store and copies them out
+// once, at their final size, so a reply of 2510 paths costs no more
+// allocations than a reply of one. (A reply that grew by appending,
+// rebuilt at every doubling of either array, read 61 against 31.)
 func TestServiceQueryAllocsPerPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
 	}
-	g := wrap(testgraphs.CompleteDAG(14))
-	q := Query{S: 0, T: 13, K: 7} // every ≤7-hop chain through 12 inner vertices: 2510 paths
-	svc := NewService(g, &ServiceOptions{MaxBatch: 1})
+	svc := NewService(wrap(testgraphs.CompleteDAG(14)), &ServiceOptions{MaxBatch: 1})
 	defer svc.Close()
-	var paths []Path
-	allocs := testing.AllocsPerRun(50, func() {
-		var err error
-		if paths, _, err = svc.Query(context.Background(), q); err != nil {
-			t.Fatal(err)
+	query := func(k int) func() []Path {
+		return func() []Path {
+			paths, _, err := svc.Query(context.Background(), Query{S: 0, T: 13, K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return paths
 		}
-	})
-	if len(paths) < 2000 {
-		t.Fatalf("fixture returned %d paths, want a result set large enough to amortise the batch's fixed cost", len(paths))
 	}
-	if perPath := allocs / float64(len(paths)); perPath > 0.3 {
-		t.Errorf("Service.Query: %.0f allocations for %d paths = %.2f per path, want ≤ 0.3", allocs, len(paths), perPath)
+	one := allocsOfOneQuery(t, 1, query(1))
+	many := allocsOfOneQuery(t, 2510, query(7)) // every ≤7-hop chain through 12 inner vertices
+	t.Logf("Service.Query: %.0f allocations for 1 path, %.0f for 2510", one, many)
+	if many > one {
+		t.Errorf("Service.Query: %.0f allocations for 2510 paths, more than the %.0f for one path", many, one)
+	}
+}
+
+// TestEnumerateAllocsPerPath is TestServiceQueryAllocsPerPath for
+// Engine.Enumerate, which stages each query's paths the same way. (A
+// slice per path, appended to the query's result, read 2555 against
+// 33.)
+func TestEnumerateAllocsPerPath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	eng := NewEngine(wrap(testgraphs.CompleteDAG(14)), nil)
+	enumerate := func(k int) func() []Path {
+		return func() []Path {
+			res, err := eng.Enumerate([]Query{{S: 0, T: 13, K: k}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Paths(0)
+		}
+	}
+	one := allocsOfOneQuery(t, 1, enumerate(1))
+	many := allocsOfOneQuery(t, 2510, enumerate(7))
+	t.Logf("Engine.Enumerate: %.0f allocations for 1 path, %.0f for 2510", one, many)
+	if many > one {
+		t.Errorf("Engine.Enumerate: %.0f allocations for 2510 paths, more than the %.0f for one path", many, one)
 	}
 }
 
