@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"repro/internal/graph"
@@ -52,20 +53,30 @@ func ReadQueryWire(r *wirefmt.Reader) query.Query {
 	}
 }
 
-func appendErrWire(dst []byte, err error) []byte {
+// errWireCode is err's one-byte code; wireErrOther's message follows
+// it on the wire.
+func errWireCode(err error) byte {
 	switch {
 	case err == nil:
-		return wirefmt.AppendU8(dst, wireErrNone)
+		return wireErrNone
 	case errors.Is(err, query.ErrLimitReached):
-		return wirefmt.AppendU8(dst, wireErrLimit)
+		return wireErrLimit
 	case errors.Is(err, context.DeadlineExceeded):
-		return wirefmt.AppendU8(dst, wireErrDeadline)
+		return wireErrDeadline
 	case errors.Is(err, context.Canceled):
-		return wirefmt.AppendU8(dst, wireErrCanceled)
+		return wireErrCanceled
 	default:
-		dst = wirefmt.AppendU8(dst, wireErrOther)
-		return wirefmt.AppendString(dst, err.Error())
+		return wireErrOther
 	}
+}
+
+func appendErrWire(dst []byte, err error) []byte {
+	code := errWireCode(err)
+	dst = wirefmt.AppendU8(dst, code)
+	if code == wireErrOther {
+		dst = wirefmt.AppendString(dst, err.Error())
+	}
+	return dst
 }
 
 func readErrWire(r *wirefmt.Reader) error {
@@ -154,6 +165,24 @@ func AppendReplyWire(dst []byte, rep *Reply) []byte {
 	return appendPathsWire(dst, &rep.Paths)
 }
 
+// batchStatsWire is the length of a BatchStats wire encoding: ten
+// counters and the phase durations, all eight bytes.
+const batchStatsWire = (10 + len(wirePhases)) * 8
+
+// ReplyWireSize returns the length of rep's wire encoding, so that an
+// encoder can size its buffer once before AppendReplyWire: the fixed
+// fields, the error's message if it travels as one, and the paths,
+// which cost 4 bytes for their count plus, per path, 2 bytes of vertex
+// count and 4 per vertex.
+func ReplyWireSize(rep *Reply) int {
+	n := 8 + 1 + 1 + batchStatsWire // Count, Truncated, error code, Batch
+	if errWireCode(rep.Err) == wireErrOther {
+		n += 2 + min(len(rep.Err.Error()), math.MaxUint16)
+	}
+	verts, _ := rep.Paths.Raw()
+	return n + 4 + 2*rep.Paths.Len() + 4*len(verts)
+}
+
 // appendPathsWire encodes a reply's paths straight from its arena.
 //
 //hcpath:noalloc
@@ -189,7 +218,10 @@ func ReadReplyWire(r *wirefmt.Reader) *Reply {
 	// What remains after the per-path length prefixes bounds the arena:
 	// at 4 bytes a vertex it can never exceed the payload itself.
 	rep.Paths = *pathjoin.NewStore(nPaths, (r.Remaining()-2*nPaths)/4)
-	var p []graph.VertexID
+	// A path of a valid reply has at most 256 vertices (the hop
+	// constraint is a uint8), so p never leaves the stack for one.
+	var stack [256]graph.VertexID
+	p := stack[:0]
 	for i := 0; i < nPaths; i++ {
 		n := r.U16()
 		if !r.Claim(uint32(n), 4) {

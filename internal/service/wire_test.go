@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +134,25 @@ func TestReplyWireRoundTrip(t *testing.T) {
 	}
 	if got.Paths.Len() != 0 {
 		t.Fatalf("count-only reply decoded %d paths", got.Paths.Len())
+	}
+}
+
+// TestReplyWireSize holds ReplyWireSize to the length AppendReplyWire
+// writes, for every error code (a message longer than a u16 prefix
+// can carry is cut to it), with no paths, one and many.
+func TestReplyWireSize(t *testing.T) {
+	errs := []error{nil, query.ErrLimitReached, context.DeadlineExceeded, context.Canceled,
+		errors.New("some engine failure"), errors.New(strings.Repeat("x", 1<<17))}
+	for _, err := range errs {
+		for _, paths := range []int{0, 1, 300} {
+			rep := &Reply{Count: int64(paths), Err: err, Batch: fullBatchStats()}
+			for i := 0; i < paths; i++ {
+				rep.Paths.Add(make([]graph.VertexID, 1+i%9))
+			}
+			if got, want := ReplyWireSize(rep), len(AppendReplyWire(nil, rep)); got != want {
+				t.Errorf("error %.20v, %d paths: ReplyWireSize %d, encoding %d bytes", err, paths, got, want)
+			}
+		}
 	}
 }
 

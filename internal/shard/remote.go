@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,10 +104,19 @@ type remoteWorker struct {
 	epoch  atomic.Uint64
 }
 
+// callResult is one call's outcome: the response body and buf, the
+// pooled buffer holding it, or an error.
 type callResult struct {
-	body []byte
-	err  error
+	body, buf []byte
+	err       error
 }
+
+// replyChans recycles the calls' one-slot reply channels. A channel
+// goes back only after its reply was received: the receive loop and
+// markDown send to a channel once, after taking it out of pending, so a
+// received one has no other holder. An abandoned call's channel may
+// still get its reply, and is dropped with it.
+var replyChans = sync.Pool{New: func() any { return make(chan callResult, 1) }}
 
 // dialWorker establishes one worker connection: dial under the
 // backoff, handshake synchronously, then start the connection's writer
@@ -126,7 +136,7 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int) (*remote
 		}
 	}
 
-	hello := wirefmt.AppendU32(beginMsg(nil, mtHello, 1), wireMagic)
+	hello := wirefmt.AppendU32(newMsg(mtHello, 1, 8), wireMagic)
 	hello = wirefmt.AppendU16(hello, uint16(shardIdx))
 	hello = wirefmt.AppendU16(hello, uint16(shards))
 	if deadline, ok := ctx.Deadline(); ok {
@@ -134,7 +144,9 @@ func dialWorker(ctx context.Context, addr string, shardIdx, shards int) (*remote
 	} else {
 		conn.SetDeadline(time.Now().Add(controlTimeout))
 	}
-	if _, err := conn.Write(wirefmt.EndFrame(hello)); err != nil {
+	_, err := conn.Write(wirefmt.EndFrame(hello))
+	putFrame(hello)
+	if err != nil {
 		conn.Close()
 		return nil, &WorkerDownError{Addr: addr, Shard: shardIdx, Cause: err}
 	}
@@ -196,9 +208,13 @@ func (w *remoteWorker) downError() error {
 	return &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: w.downCause}
 }
 
+// recvLoop reads each response into a pooled buffer and hands it to
+// its call, which returns the buffer once the body is decoded. An error
+// answer is decoded here, and a response nobody waits for any more is
+// recycled at once.
 func (w *remoteWorker) recvLoop(br *bufio.Reader) {
 	for {
-		typ, id, body, err := readFrame(br, wirefmt.MaxPayload)
+		typ, id, body, buf, err := readFrameInto(getFrame(), br, wirefmt.MaxPayload)
 		if err != nil {
 			w.markDown(err)
 			return
@@ -206,9 +222,10 @@ func (w *remoteWorker) recvLoop(br *bufio.Reader) {
 		var res callResult
 		switch typ {
 		case mtResp:
-			res = callResult{body: body}
+			res = callResult{body: body, buf: buf}
 		case mtErr:
 			res = callResult{err: readWireError(wirefmt.NewReader(body))}
+			putFrame(buf)
 		default:
 			w.markDown(fmt.Errorf("unexpected frame type %#x: %w", typ, ErrFrameCorrupt))
 			return
@@ -219,26 +236,33 @@ func (w *remoteWorker) recvLoop(br *bufio.Reader) {
 		w.mu.Unlock()
 		if ok {
 			ch <- res // buffered: never blocks
+		} else {
+			putFrame(res.buf)
 		}
 	}
 }
 
-// begin starts one RPC's request frame under a fresh request id. The
-// caller appends the body in place and hands both to call.
+// begin starts one RPC's request frame, in a pooled buffer, under a
+// fresh request id. The caller appends the body in place and hands both
+// to call.
 func (w *remoteWorker) begin(typ byte) (id uint64, frame []byte) {
 	id = w.nextID.Add(1)
-	return id, beginMsg(nil, typ, id)
+	return id, newMsg(typ, id, 0)
 }
 
-// call runs one RPC begun with begin: register, seal, queue, wait. ctx
-// abandons the wait (the late response is discarded on arrival); a
-// downed connection fails immediately.
-func (w *remoteWorker) call(ctx context.Context, id uint64, frame []byte) ([]byte, error) {
-	ch := make(chan callResult, 1)
+// call runs one RPC begun with begin: register, seal, queue, wait, and
+// decode the response body with decode (nil ignores it). decode must
+// keep no reference into the body, whose buffer is recycled once it
+// returns; a body it leaves unread or overruns fails the call as
+// worker-down. ctx abandons the wait (the late response is discarded on
+// arrival); a downed connection fails immediately.
+func (w *remoteWorker) call(ctx context.Context, id uint64, frame []byte, decode func(*wirefmt.Reader)) error {
+	ch := replyChans.Get().(chan callResult)
 	w.mu.Lock()
 	if w.down {
 		w.mu.Unlock()
-		return nil, w.downError()
+		replyChans.Put(ch)
+		return w.downError()
 	}
 	w.pending[id] = ch
 	w.mu.Unlock()
@@ -246,18 +270,32 @@ func (w *remoteWorker) call(ctx context.Context, id uint64, frame []byte) ([]byt
 	if !w.out.send(wirefmt.EndFrame(frame), ctx.Done()) {
 		w.unregister(id)
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, w.downError()
+		return w.downError()
 	}
 
+	var res callResult
 	select {
-	case res := <-ch:
-		return res.body, res.err
+	case res = <-ch:
+		replyChans.Put(ch)
 	case <-ctx.Done():
 		w.unregister(id)
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
+	if res.err != nil {
+		return res.err
+	}
+	defer putFrame(res.buf)
+	if decode == nil {
+		return nil
+	}
+	r := wirefmt.NewReader(res.body)
+	decode(r)
+	if err := r.Close(); err != nil {
+		return &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: err}
+	}
+	return nil
 }
 
 func (w *remoteWorker) unregister(id uint64) {
@@ -268,10 +306,10 @@ func (w *remoteWorker) unregister(id uint64) {
 
 // controlCall is call with the stats-plane timeout, for RPCs whose
 // worker-interface signature carries no context.
-func (w *remoteWorker) controlCall(id uint64, frame []byte) ([]byte, error) {
+func (w *remoteWorker) controlCall(id uint64, frame []byte, decode func(*wirefmt.Reader)) error {
 	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
-	return w.call(ctx, id, frame)
+	return w.call(ctx, id, frame, decode)
 }
 
 func (w *remoteWorker) Submit(ctx context.Context, caller string, q query.Query, collect bool) (*service.Reply, error) {
@@ -279,30 +317,21 @@ func (w *remoteWorker) Submit(ctx context.Context, caller string, q query.Query,
 	req = wirefmt.AppendString(req, caller)
 	req = wirefmt.AppendBool(req, collect)
 	req = service.AppendQueryWire(req, q)
-	resp, err := w.call(ctx, id, req)
-	if err != nil {
+	var rep *service.Reply
+	if err := w.call(ctx, id, req, func(r *wirefmt.Reader) { rep = service.ReadReplyWire(r) }); err != nil {
 		return nil, err
-	}
-	r := wirefmt.NewReader(resp)
-	rep := service.ReadReplyWire(r)
-	if err := r.Close(); err != nil {
-		return nil, &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: err}
 	}
 	return rep, nil
 }
 
 func (w *remoteWorker) ApplyUpdates(adds, dels []graph.Edge) (uint64, error) {
 	id, req := w.begin(mtApplyUpdates)
+	req = slices.Grow(req, 8+8*(len(adds)+len(dels)))
 	req = wirefmt.AppendEdges(wirefmt.AppendU32(req, uint32(len(adds))), adds)
 	req = wirefmt.AppendEdges(wirefmt.AppendU32(req, uint32(len(dels))), dels)
-	resp, err := w.controlCall(id, req)
-	if err != nil {
+	var epoch uint64
+	if err := w.controlCall(id, req, func(r *wirefmt.Reader) { epoch = r.U64() }); err != nil {
 		return w.Epoch(), err
-	}
-	r := wirefmt.NewReader(resp)
-	epoch := r.U64()
-	if err := r.Close(); err != nil {
-		return w.Epoch(), &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: err}
 	}
 	w.epoch.Store(epoch)
 	return epoch, nil
@@ -318,26 +347,18 @@ func (w *remoteWorker) Epoch() uint64 { return w.epoch.Load() }
 // plane can do against an unreachable process — zero Totals once the
 // connection is down.
 func (w *remoteWorker) Stats() service.Totals {
-	resp, err := w.controlCall(w.begin(mtStats))
-	if err != nil {
-		return service.Totals{}
-	}
-	r := wirefmt.NewReader(resp)
-	t := service.ReadTotalsWire(r)
-	if r.Close() != nil {
+	var t service.Totals
+	id, req := w.begin(mtStats)
+	if w.controlCall(id, req, func(r *wirefmt.Reader) { t = service.ReadTotalsWire(r) }) != nil {
 		return service.Totals{}
 	}
 	return t
 }
 
 func (w *remoteWorker) State() store.State {
-	resp, err := w.controlCall(w.begin(mtState))
-	if err != nil {
-		return store.State{}
-	}
-	r := wirefmt.NewReader(resp)
-	st := readState(r)
-	if r.Close() != nil {
+	var st store.State
+	id, req := w.begin(mtState)
+	if w.controlCall(id, req, func(r *wirefmt.Reader) { st = readState(r) }) != nil {
 		return store.State{}
 	}
 	return st
@@ -347,17 +368,14 @@ func (w *remoteWorker) State() store.State {
 // and then reads back the epoch, which the fold moved if a delta was
 // pending.
 func (w *remoteWorker) Checkpoint() error {
-	if _, err := w.controlCall(w.begin(mtCheckpoint)); err != nil {
+	id, req := w.begin(mtCheckpoint)
+	if err := w.controlCall(id, req, nil); err != nil {
 		return err
 	}
-	resp, err := w.controlCall(w.begin(mtEpoch))
-	if err != nil {
+	var epoch uint64
+	id, req = w.begin(mtEpoch)
+	if err := w.controlCall(id, req, func(r *wirefmt.Reader) { epoch = r.U64() }); err != nil {
 		return err
-	}
-	r := wirefmt.NewReader(resp)
-	epoch := r.U64()
-	if err := r.Close(); err != nil {
-		return &WorkerDownError{Addr: w.addr, Shard: w.shardIdx, Cause: err}
 	}
 	w.epoch.Store(epoch)
 	return nil

@@ -166,7 +166,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	for {
-		typ, id, body, err := readFrame(br, wirefmt.MaxPayload)
+		typ, id, body, buf, err := readFrameInto(getFrame(), br, wirefmt.MaxPayload)
 		if err != nil {
 			// io.EOF: the coordinator hung up; anything else: a dead or
 			// corrupt stream. Either way the connection is done.
@@ -178,7 +178,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()
-			out.send(s.handle(typ, id, body), nil)
+			resp := s.handle(typ, id, body)
+			putFrame(buf) // handle decoded the request and kept nothing of it
+			out.send(resp, nil)
 		}()
 	}
 }
@@ -205,26 +207,32 @@ func (s *Server) handshake(br *bufio.Reader, out *frameWriter) bool {
 			s.shardIdx, s.shards, idx, n), 0), nil)
 		return false
 	}
-	out.send(wirefmt.EndFrame(appendState(beginMsg(nil, mtResp, id), s.svc.State())), nil)
+	out.send(wirefmt.EndFrame(appendState(newMsg(mtResp, id, controlBody), s.svc.State())), nil)
 	return true
 }
 
+// controlBody is room for the largest answer of the stats plane, the
+// totals (24 fixed-width fields); a state, an epoch and most wire
+// errors fit in it too.
+const controlBody = 24 * 8
+
 func errFrame(id uint64, err error, retryAfter time.Duration) []byte {
-	return wirefmt.EndFrame(appendWireError(beginMsg(nil, mtErr, id), err, retryAfter))
+	return wirefmt.EndFrame(appendWireError(newMsg(mtErr, id, controlBody), err, retryAfter))
 }
 
-// handle answers one request frame, returning the response frame.
+// handle answers one request frame, returning the response frame. It
+// keeps no reference into body.
 func (s *Server) handle(typ byte, id uint64, body []byte) []byte {
-	resp, err := s.dispatch(beginMsg(nil, mtResp, id), typ, wirefmt.NewReader(body))
+	resp, err := s.dispatch(typ, id, wirefmt.NewReader(body))
 	if err != nil {
 		return errFrame(id, err, retryAfter)
 	}
 	return wirefmt.EndFrame(resp)
 }
 
-// dispatch runs one request and appends its response body to resp, a
-// response message already begun.
-func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, error) {
+// dispatch runs one request and returns its response message, begun
+// and filled but not sealed.
+func (s *Server) dispatch(typ byte, id uint64, r *wirefmt.Reader) ([]byte, error) {
 	switch typ {
 	case mtSubmit:
 		caller := r.String()
@@ -237,7 +245,7 @@ func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		return service.AppendReplyWire(resp, rep), nil
+		return service.AppendReplyWire(newMsg(mtResp, id, service.ReplyWireSize(rep)), rep), nil
 
 	case mtApplyUpdates:
 		adds := wirefmt.ReadEdges(r, r.U32())
@@ -249,12 +257,13 @@ func (s *Server) dispatch(resp []byte, typ byte, r *wirefmt.Reader) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		return wirefmt.AppendU64(resp, epoch), nil
+		return wirefmt.AppendU64(newMsg(mtResp, id, controlBody), epoch), nil
 
 	case mtStats, mtState, mtEpoch, mtCheckpoint:
 		if err := r.Close(); err != nil { // these requests carry no body
 			return nil, err
 		}
+		resp := newMsg(mtResp, id, controlBody)
 		switch typ {
 		case mtStats:
 			return service.AppendTotalsWire(resp, s.svc.Stats()), nil

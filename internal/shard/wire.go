@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +103,50 @@ func (e *OverloadedError) Error() string { return e.msg }
 
 func (e *OverloadedError) Unwrap() error { return service.ErrOverloaded }
 
+// Every frame either end builds, and every frame it reads once the
+// handshake is done, lives in a buffer from one pool: a message is
+// begun in getFrame's buffer (newMsg), the writer hands it back once it
+// is written, and a read frame's buffer goes back once its body is
+// decoded. Whoever puts a buffer must hold the only reference into it,
+// so a decoder that hands the buffer back keeps nothing that aliases it
+// (every body decoder copies what it keeps).
+var framePool, frameBoxes sync.Pool // *[]byte: full boxes, and empty ones
+
+// maxPooledFrame bounds what the pool retains: putFrame drops a buffer
+// that grew past it, so a rare huge reply is not kept alive by the pool.
+// It is four read chunks, above an ordinary large reply (the 2510 paths
+// of a 7-hop query on a 14-vertex complete DAG encode in ~74 KB).
+const maxPooledFrame = 4 * wirefmt.FrameChunk
+
+// getFrame returns an empty buffer from the frame pool, nil if it has
+// none. The buffer travels out of its box and the box goes to
+// frameBoxes, so that neither Get nor Put allocates.
+func getFrame() []byte {
+	box, _ := framePool.Get().(*[]byte)
+	if box == nil {
+		return nil
+	}
+	b := *box
+	*box = nil
+	frameBoxes.Put(box)
+	return b[:0]
+}
+
+// putFrame returns b to the frame pool, unless its capacity is past
+// maxPooledFrame. The caller must not use b, or anything aliasing it,
+// again.
+func putFrame(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooledFrame {
+		return
+	}
+	box, _ := frameBoxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	framePool.Put(box)
+}
+
 // beginMsg starts a message in dst: the frame header placeholder, the
 // type and the request id. The caller appends the body in place and
 // seals the frame with wirefmt.EndFrame.
@@ -111,18 +156,35 @@ func beginMsg(dst []byte, typ byte, id uint64) []byte {
 	return wirefmt.AppendU64(dst, id)
 }
 
+// newMsg begins a message in a pooled buffer with room for a body of
+// size bytes, so a body of at most that size is encoded without
+// regrowing it: on a pool miss the frame costs one allocation.
+func newMsg(typ byte, id uint64, size int) []byte {
+	return beginMsg(slices.Grow(getFrame(), wirefmt.FrameHeader+msgHeader+size), typ, id)
+}
+
 // readFrame reads one message of at most maxPayload payload bytes
 // (maxHandshakePayload until the handshake completes, wirefmt.MaxPayload
-// after). Short reads surface as io errors (the peer hung up); a bad
-// length or checksum surfaces as ErrFrameCorrupt. The returned body is
-// freshly allocated and safe to retain.
+// after) into a fresh buffer: the body is safe to retain. Short reads
+// surface as io errors (the peer hung up); a bad length or checksum
+// surfaces as ErrFrameCorrupt.
 func readFrame(br *bufio.Reader, maxPayload uint32) (typ byte, id uint64, body []byte, err error) {
-	payload, err := wirefmt.ReadFrame(br, msgHeader, maxPayload)
+	typ, id, body, _, err = readFrameInto(nil, br, maxPayload)
+	return typ, id, body, err
+}
+
+// readFrameInto is readFrame on the pooled route: it reads the message
+// into dst's storage (a getFrame buffer; nil allocates) and also
+// returns buf, that storage as the read left it. body aliases buf, so
+// it is not safe to retain: the caller hands buf back with putFrame
+// once body is decoded, and uses neither after.
+func readFrameInto(dst []byte, br *bufio.Reader, maxPayload uint32) (typ byte, id uint64, body, buf []byte, err error) {
+	payload, err := wirefmt.ReadFrameInto(dst, br, msgHeader, maxPayload)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	r := wirefmt.NewReader(payload)
-	return r.U8(), r.U64(), payload[msgHeader:], nil
+	return r.U8(), r.U64(), payload[msgHeader:], payload, nil
 }
 
 // frameWriter is the write side of a connection, the same on the
@@ -130,9 +192,10 @@ func readFrame(br *bufio.Reader, maxPayload uint32) (typ byte, id uint64, body [
 // frames, and one goroutine writes everything queued and then flushes
 // once. Frames that arrive while a flush syscall is in progress ride
 // the next one, which is what lets N concurrent queries share a
-// round-trip. Once the writer stops — shut by its owner,
-// or after a write error — senders are refused instead of blocking on
-// a queue nobody drains.
+// round-trip. A queued frame belongs to the writer, which hands it
+// back to the frame pool once it is written. Once the writer stops —
+// shut by its owner, or after a write error — senders are refused
+// instead of blocking on a queue nobody drains.
 type frameWriter struct {
 	// q is deep enough for a burst of concurrent callers to queue while
 	// one flush is in progress; beyond it senders wait their turn.
@@ -147,8 +210,9 @@ func newFrameWriter() *frameWriter {
 	return &frameWriter{q: make(chan []byte, 256), stop: make(chan struct{})}
 }
 
-// send queues one sealed frame. It reports false — and drops the frame
-// — if the writer has stopped or cancel fires first.
+// send queues one sealed frame, which the caller must not touch again.
+// It reports false — and drops the frame — if the writer has stopped or
+// cancel fires first.
 func (fw *frameWriter) send(frame []byte, cancel <-chan struct{}) bool {
 	select {
 	case fw.q <- frame:
@@ -184,9 +248,12 @@ func (fw *frameWriter) run(conn io.Writer, onErr func(error)) {
 		case frame = <-fw.q:
 		}
 		_, err := bw.Write(frame)
+		putFrame(frame)
 		n := int64(1)
 		for ; err == nil && len(fw.q) > 0; n++ {
-			_, err = bw.Write(<-fw.q)
+			frame = <-fw.q
+			_, err = bw.Write(frame)
+			putFrame(frame)
 		}
 		if err == nil {
 			err = bw.Flush()

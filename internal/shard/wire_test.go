@@ -6,12 +6,18 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
+	"repro/internal/oracle"
+	"repro/internal/query"
 	"repro/internal/service"
 	"repro/internal/testgraphs"
 	"repro/internal/wirefmt"
@@ -225,9 +231,10 @@ func (g gatedWriter) Write(p []byte) (int, error) {
 // flush is in progress ride the next flush together, a frame is counted
 // when its flush completes and not when a caller gives up on queueing
 // it, and a write error reaches the hook once and leaves no sender
-// blocked.
+// blocked. A sent frame belongs to the writer, which recycles it, so
+// every send takes a frame of its own.
 func TestFrameWriter(t *testing.T) {
-	frame := appendFrame(nil, mtEpoch, 7, nil)
+	frame := func() []byte { return appendFrame(nil, mtEpoch, 7, nil) }
 	fw := newFrameWriter()
 	w := gatedWriter{gate: make(chan struct{}), entered: make(chan int, 1<<10), written: make(chan int, 1<<10)}
 	done := make(chan struct{})
@@ -238,13 +245,13 @@ func TestFrameWriter(t *testing.T) {
 
 	// The first frame is taken at once and its flush parks on the gate;
 	// everything sent meanwhile can only queue.
-	if !fw.send(frame, nil) {
+	if !fw.send(frame(), nil) {
 		t.Fatal("send refused on a live writer")
 	}
 	<-w.entered
 	queued := cap(fw.q)
 	for i := 0; i < queued; i++ {
-		if !fw.send(frame, nil) {
+		if !fw.send(frame(), nil) {
 			t.Fatal("send refused on a live writer")
 		}
 	}
@@ -252,7 +259,7 @@ func TestFrameWriter(t *testing.T) {
 	// only give up: its frame never reaches the socket and is not counted.
 	gone := make(chan struct{})
 	close(gone)
-	if fw.send(frame, gone) {
+	if fw.send(frame(), gone) {
 		t.Fatal("send queued a frame into a full queue")
 	}
 	if got := fw.frames.Load(); got != 0 {
@@ -260,7 +267,7 @@ func TestFrameWriter(t *testing.T) {
 	}
 
 	close(w.gate)
-	for total, want := 0, (1+queued)*len(frame); total < want; {
+	for total, want := 0, (1+queued)*len(frame()); total < want; {
 		total += <-w.written
 	}
 	fw.shut()
@@ -268,7 +275,7 @@ func TestFrameWriter(t *testing.T) {
 	if frames, flushes := fw.frames.Load(), fw.flushes.Load(); frames != int64(1+queued) || flushes != 2 {
 		t.Fatalf("%d frames in %d flushes, want %d frames in 2 (one alone, the queued ones together)", frames, flushes, 1+queued)
 	}
-	for fw.send(frame, nil) {
+	for fw.send(frame(), nil) {
 		// A stopped writer may still let frames queue, but once the queue
 		// is full a sender is refused — never left blocked.
 	}
@@ -282,12 +289,12 @@ func TestFrameWriter(t *testing.T) {
 		defer close(done)
 		fw.run(failingWriter{boom}, func(err error) { hooked = append(hooked, err) })
 	}()
-	fw.send(frame, nil)
+	fw.send(frame(), nil)
 	<-done
 	if len(hooked) != 1 || !errors.Is(hooked[0], boom) {
 		t.Fatalf("error hook heard %v, want the write error once", hooked)
 	}
-	for fw.send(frame, nil) {
+	for fw.send(frame(), nil) {
 	}
 	if frames, flushes := fw.frames.Load(), fw.flushes.Load(); frames != 0 || flushes != 0 {
 		t.Fatalf("%d frames in %d flushes counted on a connection that never took one", frames, flushes)
@@ -366,5 +373,99 @@ func TestBackoffHintCapped(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("hint overrode the cap: slept %v", d)
+	}
+}
+
+// TestRecycledFramesNeverLeak is the oracle for frame recycling. Many
+// concurrent callers on a 2-worker loopback cluster draw replies of
+// mixed sizes — one above maxPooledFrame, which the pool must drop —
+// beside calls their callers abandon (whose late replies the receive
+// loop recycles unread) and sheds the workers answer with mtErr. Every
+// reply a caller kept is re-checked against the brute-force oracle
+// only once all traffic has stopped, when any frame it could still
+// alias has carried other messages.
+func TestRecycledFramesNeverLeak(t *testing.T) {
+	g := testgraphs.CompleteDAG(17)
+	qs := []query.Query{
+		{S: 0, T: 16, K: 7}, // 9949 paths: past maxPooledFrame
+		{S: 0, T: 16, K: 5}, // 1941
+		{S: 1, T: 15, K: 4}, // 378
+		{S: 4, T: 12, K: 6},
+		{S: 2, T: 9, K: 3},
+		{S: 7, T: 16, K: 3},
+		{S: 3, T: 16, K: 2},
+		{S: 5, T: 6, K: 1},
+		{S: 16, T: 0, K: 3}, // no path: edges only run upwards
+	}
+	want := make([][]string, len(qs))
+	for i, q := range qs {
+		want[i] = oraclePaths(g, q)
+	}
+	var huge service.Reply
+	oracle.Enumerate(g, qs[0], func(p []graph.VertexID) { huge.Paths.Add(p) })
+	if n := service.ReplyWireSize(&huge); n <= maxPooledFrame {
+		t.Fatalf("the largest reply encodes in %d bytes, not above the pool's bound %d", n, maxPooledFrame)
+	}
+
+	cfg := testConfig()
+	cfg.MaxInFlight = 1 // a worker runs one batch at a time,
+	cfg.MaxQueued = 2   // and sheds what queues past two queries
+	coord := startCluster(t, g, 2, cfg)
+
+	type kept struct {
+		q   int
+		rep *service.Reply
+	}
+	const callers, rounds = 12, 16
+	var (
+		mu              sync.Mutex
+		replies         []kept
+		shed, abandoned int
+		wg              sync.WaitGroup
+	)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < rounds; i++ {
+				qi := rng.Intn(len(qs))
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%4 == 3 { // the caller gives up after up to 300µs
+					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(300))*time.Microsecond)
+				}
+				rep, err := coord.Submit(ctx, "", qs[qi], true)
+				cancel()
+				mu.Lock()
+				switch {
+				case err == nil:
+					replies = append(replies, kept{qi, rep})
+				case errors.Is(err, service.ErrOverloaded):
+					shed++
+				case errors.Is(err, context.DeadlineExceeded):
+					abandoned++
+				default:
+					t.Errorf("%v: %v", qs[qi], err)
+				}
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	t.Logf("%d replies kept, %d shed, %d abandoned", len(replies), shed, abandoned)
+	if shed == 0 || abandoned == 0 {
+		t.Errorf("%d shed and %d abandoned calls: the mix must include both", shed, abandoned)
+	}
+	sawHuge := false
+	for _, k := range replies {
+		got := renderPaths(&k.rep.Paths)
+		if k.rep.Err != nil || k.rep.Truncated || k.rep.Count != int64(len(want[k.q])) || !slices.Equal(got, want[k.q]) {
+			t.Fatalf("%v: kept reply (count %d, %d paths, err %v) differs from the oracle's %d paths",
+				qs[k.q], k.rep.Count, len(got), k.rep.Err, len(want[k.q]))
+		}
+		sawHuge = sawHuge || k.q == 0
+	}
+	if !sawHuge {
+		t.Error("no reply above the pool's bound was kept")
 	}
 }

@@ -39,7 +39,7 @@
 //     ends, so it has no frontier, and the arrivals' frontiers stop at v.
 //
 // Each sharing edge is stored once: as the consumer's splice entry,
-// keyed by the provider's root, with the consumer's remaining budget on
+// naming the provider's root, with the consumer's remaining budget on
 // arrival, plus the consumer's id in the provider's consumer list.
 package sharegraph
 
@@ -97,19 +97,31 @@ type Node struct {
 	Unbounded bool
 
 	consumers []NodeID
-	// splice is the node's record of each sharing edge it consumes,
-	// keyed by the provider's root: the vertex where this node's
-	// enumeration splices the provider's cache instead of recursing.
-	splice map[graph.VertexID]spliceEntry
+	// splice is the node's record of each sharing edge it consumes, one
+	// entry per provider root, in insertion order. A node consumes a
+	// handful of providers, so a linear scan (spliceAt) finds one.
+	splice []spliceEntry
 }
 
 // spliceEntry is one sharing edge provider→consumer, held by the
-// consumer: the provider and the consumer's remaining budget on
-// arrival at the provider's root, which constraint propagation needs
-// to translate slacks between frames.
+// consumer: the provider's root at, where the consumer's enumeration
+// splices the provider's cache instead of recursing, the provider, and
+// the consumer's remaining budget on arrival there, which constraint
+// propagation needs to translate slacks between frames.
 type spliceEntry struct {
+	at        graph.VertexID
 	provider  NodeID
 	remaining uint8
+}
+
+// spliceAt returns the node's splice entry at vertex v.
+func (n *Node) spliceAt(v graph.VertexID) (spliceEntry, bool) {
+	for _, s := range n.splice {
+		if s.at == v {
+			return s, true
+		}
+	}
+	return spliceEntry{}, false
 }
 
 // IsTerminal reports whether the node is the half of an HC-s-t query.
@@ -155,8 +167,8 @@ func (p *Graph) NumShared() int {
 // Node returns the node with the given id.
 func (p *Graph) Node(id NodeID) *Node { return p.nodes[id] }
 
-// Providers yields the ids of the nodes whose caches id consumes, in no
-// particular order.
+// Providers yields the ids of the nodes whose caches id consumes, in the
+// order their sharing edges were added.
 func (p *Graph) Providers(id NodeID) iter.Seq[NodeID] {
 	return func(yield func(NodeID) bool) {
 		for _, s := range p.nodes[id].splice {
@@ -172,7 +184,7 @@ func (p *Graph) Consumers(id NodeID) []NodeID { return p.nodes[id].consumers }
 
 // SpliceAt returns the provider spliced when node id steps onto vertex v.
 func (p *Graph) SpliceAt(id NodeID, v graph.VertexID) (NodeID, bool) {
-	s, ok := p.nodes[id].splice[v]
+	s, ok := p.nodes[id].spliceAt(v)
 	return s.provider, ok
 }
 
@@ -186,13 +198,15 @@ func (p *Graph) addNode(n *Node) NodeID {
 // addEdge inserts provider→consumer, spliced at the provider's root,
 // which the consumer reaches with remaining budget left. The caller
 // guarantees acyclicity (fresh provider) or has checked with wouldCycle.
+// A consumer arrives at a vertex once (push), so it never gains a
+// second splice entry at the same vertex.
 func (p *Graph) addEdge(provider, consumer NodeID, remaining uint8) {
 	pn, cn := p.nodes[provider], p.nodes[consumer]
 	pn.consumers = append(pn.consumers, consumer)
 	if cn.splice == nil {
-		cn.splice = make(map[graph.VertexID]spliceEntry, 4)
+		cn.splice = make([]spliceEntry, 0, 4)
 	}
-	cn.splice[pn.Root] = spliceEntry{provider, remaining}
+	cn.splice = append(cn.splice, spliceEntry{pn.Root, provider, remaining})
 }
 
 // wouldCycle reports whether adding provider→consumer would close a
@@ -258,13 +272,13 @@ func (p *Graph) TopoOrder() []NodeID {
 func (p *Graph) Validate() (err error) {
 	n := NodeID(len(p.nodes))
 	for id, nd := range p.nodes {
-		for at, s := range nd.splice {
+		for _, s := range nd.splice {
 			if s.provider < 0 || s.provider >= n {
 				return fmt.Errorf("sharegraph: %s splices provider %d, out of range", nd, s.provider)
 			}
 			prov := p.nodes[s.provider]
-			if prov.Root != at {
-				return fmt.Errorf("sharegraph: provider %s not rooted at splice vertex v%d", prov, at)
+			if prov.Root != s.at {
+				return fmt.Errorf("sharegraph: provider %s not rooted at splice vertex v%d", prov, s.at)
 			}
 			if prov.Budget < s.remaining {
 				return fmt.Errorf("sharegraph: provider %s budget below consumer remaining %d", prov, s.remaining)
@@ -277,7 +291,7 @@ func (p *Graph) Validate() (err error) {
 			if w < 0 || w >= n {
 				return fmt.Errorf("sharegraph: %s lists consumer %d, out of range", nd, w)
 			}
-			if s, ok := p.nodes[w].splice[nd.Root]; !ok || s.provider != NodeID(id) {
+			if s, ok := p.nodes[w].spliceAt(nd.Root); !ok || s.provider != NodeID(id) {
 				return fmt.Errorf("sharegraph: %s lists consumer %s, which does not splice it", nd, p.nodes[w])
 			}
 		}
@@ -535,7 +549,8 @@ func propagateConstraints(psi *Graph, maxCons int) {
 				unbounded = true
 				break
 			}
-			shift := int16(c.Budget) - int16(c.splice[n.Root].remaining)
+			s, _ := c.spliceAt(n.Root)
+			shift := int16(c.Budget) - int16(s.remaining)
 			for _, cc := range c.Constraints {
 				if s := cc.Slack - shift; s > 0 {
 					merge(cc.Other, s)

@@ -247,15 +247,12 @@ func TestConstraintPropagation(t *testing.T) {
 // q_{v2,1} at v2 with 1 hop left — in each way Validate must catch.
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]func(p *Graph){
-		"provider out of range": func(p *Graph) { p.nodes[0].splice[2] = spliceEntry{provider: 7, remaining: 1} },
-		"splice vertex is not the provider's root": func(p *Graph) {
-			delete(p.nodes[0].splice, 2)
-			p.nodes[0].splice[3] = spliceEntry{provider: 1, remaining: 1}
-		},
-		"provider budget below remaining": func(p *Graph) { p.nodes[0].splice[2] = spliceEntry{provider: 1, remaining: 2} },
-		"splice entry without consumer":   func(p *Graph) { p.nodes[1].consumers = nil },
-		"consumer without splice entry":   func(p *Graph) { delete(p.nodes[0].splice, 2) },
-		"cycle":                           func(p *Graph) { p.addEdge(0, 1, 1) },
+		"provider out of range":                    func(p *Graph) { p.nodes[0].splice[0].provider = 7 },
+		"splice vertex is not the provider's root": func(p *Graph) { p.nodes[0].splice[0].at = 3 },
+		"provider budget below remaining":          func(p *Graph) { p.nodes[0].splice[0].remaining = 2 },
+		"splice entry without consumer":            func(p *Graph) { p.nodes[1].consumers = nil },
+		"consumer without splice entry":            func(p *Graph) { p.nodes[0].splice = nil },
+		"cycle":                                    func(p *Graph) { p.addEdge(0, 1, 1) },
 	}
 	for name, breakIt := range cases {
 		p := &Graph{}

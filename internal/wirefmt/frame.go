@@ -75,12 +75,23 @@ func verify(payload []byte, sum uint32) error {
 
 // ReadFrame reads one frame whose payload length lies in [minPayload,
 // maxPayload] from r and returns the verified payload, freshly
-// allocated and safe to retain. A stream that ends early surfaces as
-// its io error (io.EOF only on a frame boundary); a bad length or
-// checksum as ErrCorrupt. The payload is read in FrameChunk steps, so
-// the buffer never runs more than one chunk (amortised: a factor of
-// two) ahead of the bytes received.
+// allocated and safe to retain. It is ReadFrameInto with no buffer to
+// reuse.
 func ReadFrame(r io.Reader, minPayload, maxPayload uint32) ([]byte, error) {
+	return ReadFrameInto(nil, r, minPayload, maxPayload)
+}
+
+// ReadFrameInto reads one frame like ReadFrame, appending the verified
+// payload to dst and returning the extended slice, so a caller that
+// passes a recycled buffer's [:0] reads into its storage. The payload
+// aliases that storage: it is the caller's to retain or recycle, and
+// nothing but bytes read from r ever lands in it. A stream that ends
+// early surfaces as its io error (io.EOF only on a frame boundary); a
+// bad length or checksum as ErrCorrupt. The payload is read in
+// FrameChunk steps, so past dst's spare capacity the buffer never runs
+// more than one chunk (amortised: a factor of two) ahead of the bytes
+// received, whatever the header claims.
+func ReadFrameInto(dst []byte, r io.Reader, minPayload, maxPayload uint32) ([]byte, error) {
 	var hdr [FrameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -89,21 +100,21 @@ func ReadFrame(r io.Reader, minPayload, maxPayload uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, 0, min(int(length), FrameChunk))
-	for len(payload) < int(length) {
-		c := min(int(length)-len(payload), FrameChunk)
-		payload = slices.Grow(payload, c)[:len(payload)+c]
-		if _, err := io.ReadFull(r, payload[len(payload)-c:]); err != nil {
+	start := len(dst)
+	for len(dst)-start < int(length) {
+		c := min(int(length)-(len(dst)-start), FrameChunk)
+		dst = slices.Grow(dst, c)[:len(dst)+c]
+		if _, err := io.ReadFull(r, dst[len(dst)-c:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // the header promised more
 			}
 			return nil, err
 		}
 	}
-	if err := verify(payload, sum); err != nil {
+	if err := verify(dst[start:], sum); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return dst, nil
 }
 
 // ScanFrame parses the frame at the start of buf under the same rules

@@ -75,13 +75,16 @@ func TestEdgesCodec(t *testing.T) {
 	}
 }
 
-// FuzzFrame reads arbitrary bytes as a sequence of frames twice — off
-// a stream with ReadFrame and out of the buffer with ScanFrame — under
-// bounds the input also chooses. Both must accept the same frames with
+// FuzzFrame reads arbitrary bytes as a sequence of frames three times
+// — off a stream with ReadFrame, off a second stream with ReadFrameInto
+// a recycled buffer, and out of the buffer with ScanFrame — under
+// bounds the input also chooses. All must accept the same frames with
 // the same payloads and stop at the same place for the same reason;
-// every accepted frame re-encodes to the bytes it was read from; and
-// the stream reader's memory follows the bytes received, whatever a
-// header claims (measured process-wide, so with a few chunks of slack).
+// every accepted frame re-encodes to the bytes it was read from; the
+// recycled buffer's stale bytes never reach a payload, and a prefix
+// already in it survives the read; and both stream readers' memory
+// follows the bytes received, whatever a header claims (measured
+// process-wide, so with a few chunks of slack).
 func FuzzFrame(f *testing.F) {
 	two := append(frame([]byte("first")), frame(nil)...)
 	f.Add(two, uint8(0), uint32(MaxPayload))
@@ -89,16 +92,22 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(bytes.Repeat([]byte{7}, 300)), uint8(9), uint32(1<<10))
 	f.Add(AppendU32(AppendU32(nil, MaxPayload), 0), uint8(0), uint32(MaxPayload))
 	f.Add(AppendU32(AppendU32(nil, MaxPayload+1), 0), uint8(0), uint32(MaxPayload))
+	f.Add(append(frame(bytes.Repeat([]byte{1}, 100)), frame([]byte("ab"))...), uint8(0), uint32(MaxPayload))
 
 	f.Fuzz(func(t *testing.T, data []byte, minPayload uint8, maxPayload uint32) {
 		maxPayload = min(maxPayload, MaxPayload)
-		stream := bytes.NewReader(data)
+		stream, into := bytes.NewReader(data), bytes.NewReader(data)
+		// buf is the recycled buffer: before each read its whole
+		// capacity holds 0xA5, and every other read keeps a 3-byte
+		// prefix of it ahead of the payload.
+		buf := make([]byte, 0, 16)
 		off := 0
-		for {
+		for i := 0; ; i++ {
 			// A header promising more than the input holds: the read must
 			// fail having allocated for the bytes that exist, not the claim.
 			rest := data[off:]
 			overclaims := len(rest) >= FrameHeader && uint64(NewReader(rest).U32()) > uint64(len(rest))
+			allocBound := uint64(2*len(rest) + 4*FrameChunk)
 			var before, after runtime.MemStats
 			if overclaims {
 				runtime.ReadMemStats(&before)
@@ -106,10 +115,30 @@ func FuzzFrame(f *testing.F) {
 			fromStream, rerr := ReadFrame(stream, uint32(minPayload), maxPayload)
 			if overclaims {
 				runtime.ReadMemStats(&after)
-				if got := after.TotalAlloc - before.TotalAlloc; got > uint64(2*len(rest)+4*FrameChunk) {
+				if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
 					t.Fatalf("at offset %d: reading a torn frame with %d bytes behind it allocated %d", off, len(rest), got)
 				}
 			}
+
+			buf = buf[:cap(buf)]
+			for j := range buf {
+				buf[j] = 0xA5
+			}
+			pre := 3 * (i % 2)
+			if overclaims {
+				runtime.ReadMemStats(&before)
+			}
+			got, ierr := ReadFrameInto(buf[:pre], into, uint32(minPayload), maxPayload)
+			if overclaims {
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; n > allocBound {
+					t.Fatalf("at offset %d: reading a torn frame into a buffer with %d bytes behind it allocated %d", off, len(rest), n)
+				}
+			}
+			if (rerr == nil) != (ierr == nil) || rerr != nil && rerr.Error() != ierr.Error() {
+				t.Fatalf("at offset %d: ReadFrame err %v, ReadFrameInto err %v", off, rerr, ierr)
+			}
+
 			fromBuf, n, serr := ScanFrame(data[off:], uint32(minPayload), maxPayload)
 			if (rerr == nil) != (serr == nil) {
 				t.Fatalf("at offset %d: ReadFrame err %v, ScanFrame err %v", off, rerr, serr)
@@ -124,9 +153,13 @@ func FuzzFrame(f *testing.F) {
 			if !bytes.Equal(fromStream, fromBuf) {
 				t.Fatalf("at offset %d: stream payload %x, buffer payload %x", off, fromStream, fromBuf)
 			}
+			if !bytes.Equal(got[:pre], []byte{0xA5, 0xA5, 0xA5}[:pre]) || !bytes.Equal(got[pre:], fromStream) {
+				t.Fatalf("at offset %d: read into a %d-byte prefix as %x, want the prefix and then %x", off, pre, got, fromStream)
+			}
 			if again := frame(fromStream); !bytes.Equal(again, data[off:off+n]) {
 				t.Fatalf("at offset %d: frame re-encodes to %x, was %x", off, again, data[off:off+n])
 			}
+			buf = got
 			off += n
 		}
 	})

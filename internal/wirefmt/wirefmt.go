@@ -6,7 +6,8 @@
 //	[4B payload length LE][4B CRC32-C of payload][payload]
 //
 // built in place (BeginFrame/EndFrame) and read off a stream
-// (ReadFrame) or out of a buffer (ScanFrame) under the same rules —
+// (ReadFrame, or ReadFrameInto a recycled buffer) or out of a buffer
+// (ScanFrame) under the same rules —
 // plus the single Castagnoli table and the single payload cap. The
 // field layer (this file) lays values out inside a payload:
 // little-endian fixed-width integers, bools, length-prefixed byte
